@@ -15,14 +15,15 @@ is nevertheless certified exactly by the elimination steps, which use
 the nonvanishing constraints; that route is asserted in the golden test.
 """
 
+import hashlib
 import io
 import random
 import time
 
 import pytest
 
-from leonardz.campaign import run_campaign
-from leonardz.cli import main
+from leonardz.campaign import render_report, run_campaign
+from leonardz.cli import main, render_analysis
 from leonardz.counterexample import (KNOWN_ORDER, base_matrices,
                                      certificate_forms, counterexample_d2)
 from leonardz.exactfield import ExtensionField, Rationals
@@ -244,3 +245,31 @@ def test_campaign_zero_failures(full_campaign):
             f"{report.pass_count} passes, {report.failure_count} failures")
     assert report.ok
     assert report.pass_count == len(collected)
+
+
+# SHA-256 of the behaviour contract, recorded on the Fraction backend.
+GOLDEN_REPORT = "a0c66cfbc5a3eb5b4e400336d738e815a899de3a801250cc054ad7a0e8ef153b"
+GOLDEN_ANALYSES = "95f6d1a0fddd7abbe64cbcbaa394e48b43b179a728f5de031bebb93fc0971aac"
+GOLDEN_COUNTEREXAMPLE = (
+    "e2e7e283371750209810de01cfbed1ac094b1a45eee4f77dbb1230899f065a19")
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_golden_digests(full_campaign):
+    """The seed-7 report, every collected analysis and the boundary example
+    are byte-identical to the recorded outputs."""
+    report, collected = full_campaign
+    analyses = "".join(render_analysis(chk) for _, _, chk in collected)
+    stdout = io.StringIO()
+    code = main(["counterexample"], stdout=stdout, stderr=io.StringIO())
+    got = (_sha256(render_report(report)), _sha256(analyses),
+           _sha256(stdout.getvalue()))
+    ok = code == 0 and got == (GOLDEN_REPORT, GOLDEN_ANALYSES,
+                               GOLDEN_COUNTEREXAMPLE)
+    _report("golden", ok, f"{len(collected)} analyses")
+    assert len(collected) == 2600
+    assert got == (GOLDEN_REPORT, GOLDEN_ANALYSES, GOLDEN_COUNTEREXAMPLE)
+    assert code == 0
