@@ -1,9 +1,9 @@
 """Type-level classification results as executable exact predicates.
 
-This module holds the per-family tables: the interior-identity factor
-table, the nonzero-space and dimension-2 condition tables, the linear
-relation between the boundary products, the self-dual and spin
-characterizations, and analyze_instance, which runs one instance through
+This module evaluates the per-family tables kept in families.FAMILIES: the
+interior-identity factor, the nonzero-space and dimension-2 condition
+rows, the linear relation between the boundary products, the self-dual
+and spin characterizations.  analyze_instance runs one instance through
 the whole pipeline and cross-checks every route against every other.
 """
 
@@ -12,13 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg, zerodiag
-from .errors import IdentityFailure, IndexOutOfRange, NoClosedForm, TableInconsistency
-from .parray import LeonardType, build_parameter_array
+from .errors import IdentityFailure, IndexOutOfRange, TableInconsistency
+from .families import FAMILIES
+from .parray import build_parameter_array
 from .realization import (
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,
     realize_split,
+    spectral_projection,
     standard_basis_rep,
     verify_axioms,
 )
@@ -54,51 +56,7 @@ def q_expression(theta_star, i, j):
 
 def factor_for_type(spec):
     """The per-family constant relating the interior identity to the cross-ratio."""
-    t = spec.name
-    d = spec.d
-    p = spec.params
-    zero = spec.field.zero
-    if t in (LeonardType.DUAL_Q_KRAWTCHOUK, LeonardType.HAHN, LeonardType.KRAWTCHOUK):
-        return zero
-    if t is LeonardType.Q_RACAH:
-        q, h, hs, ss = p["q"], p["h"], p["h_star"], p["s_star"]
-        r1, r2 = p["r1"], p["r2"]
-        return (h * h * hs * hs * q ** (-3 - d) * (q - 1) ** 4 * (q * q - 1) ** 2
-                * (ss - r1 * r1) * (ss - r2 * r2) / ss)
-    if t is LeonardType.Q_HAHN:
-        q, h, hs, ss, r = p["q"], p["h"], p["h_star"], p["s_star"], p["r"]
-        return (h * h * hs * hs * q ** (-3 - d) * (q - 1) ** 4 * (q * q - 1) ** 2
-                * (ss - r * r))
-    if t is LeonardType.DUAL_Q_HAHN:
-        q, h, hs, r = p["q"], p["h"], p["h_star"], p["r"]
-        return -(h * h * hs * hs * q ** (-3 - d) * (q - 1) ** 4 * (q * q - 1) ** 2
-                 * r * r)
-    if t is LeonardType.QUANTUM_Q_KRAWTCHOUK:
-        q, hs, r = p["q"], p["h_star"], p["r"]
-        return -(hs * hs * q ** (-3 - d) * (q - 1) ** 4 * (q * q - 1) ** 2 * r * r)
-    if t is LeonardType.Q_KRAWTCHOUK:
-        q, h, hs, ss = p["q"], p["h"], p["h_star"], p["s_star"]
-        return h * h * hs * hs * q ** (-3 - d) * (q - 1) ** 4 * (q * q - 1) ** 2 * ss
-    if t is LeonardType.AFFINE_Q_KRAWTCHOUK:
-        q, h, hs, r = p["q"], p["h"], p["h_star"], p["r"]
-        return -(h * h * hs * hs * q ** (-3 - d) * (q - 1) ** 4 * (q * q - 1) ** 2
-                 * r * r)
-    if t is LeonardType.RACAH:
-        h, hs, ss = p["h"], p["h_star"], p["s_star"]
-        r1, r2 = p["r1"], p["r2"]
-        return 4 * h * h * hs * hs * (ss - 2 * r1) * (ss - 2 * r2)
-    if t is LeonardType.DUAL_HAHN:
-        h, ss = p["h"], p["s_star"]
-        return -4 * h * h * ss * ss
-    if t is LeonardType.BANNAI_ITO:
-        h, hs, ss = p["h"], p["h_star"], p["s_star"]
-        r1, r2 = p["r1"], p["r2"]
-        sign = 64 if d % 2 == 1 else -64
-        return sign * h * h * hs * hs * (ss + 2 * r1) * (ss + 2 * r2)
-    if t is LeonardType.ORPHAN:
-        h, hs, ss = p["h"], p["h_star"], p["s_star"]
-        return h * h * hs * hs * (ss * ss + 1)
-    raise ValueError(f"no factor entry for {t}")
+    return FAMILIES[spec.name].factor(spec.params, spec.d, spec.field)
 
 
 @dataclass
@@ -132,72 +90,30 @@ def verify_pi2(spec, arr=None, a=None):
 # condition tables
 
 
-_ALWAYS_NONZERO = frozenset((
-    LeonardType.DUAL_Q_KRAWTCHOUK, LeonardType.HAHN, LeonardType.KRAWTCHOUK))
-_ALWAYS_ZERO = frozenset((
-    LeonardType.DUAL_Q_HAHN, LeonardType.QUANTUM_Q_KRAWTCHOUK,
-    LeonardType.Q_KRAWTCHOUK, LeonardType.AFFINE_Q_KRAWTCHOUK,
-    LeonardType.DUAL_HAHN, LeonardType.ORPHAN))
+def _z_row(spec):
+    """The first nonzero-space row the spec satisfies, or None."""
+    for row in FAMILIES[spec.name].z_rows:
+        if row.holds(spec.params, spec.d, spec.field):
+            return row
+    return None
+
+
+def _condition_id(spec, row):
+    return f"{spec.name.value}:{row.name}" if row.name else spec.name.value
 
 
 def z_nonzero_predicate(spec):
     """Table route for Z != 0: (boolean, satisfied condition id or None)."""
-    t = spec.name
-    p = spec.params
-    if t in _ALWAYS_NONZERO:
-        return True, t.value
-    if t in _ALWAYS_ZERO:
+    row = _z_row(spec)
+    if row is None:
         return False, None
-    if t is LeonardType.Q_RACAH:
-        if p["s_star"] == p["r1"] * p["r1"]:
-            return True, "q-racah:s_star=r1^2"
-        if p["s_star"] == p["r2"] * p["r2"]:
-            return True, "q-racah:s_star=r2^2"
-        return False, None
-    if t is LeonardType.Q_HAHN:
-        if p["s_star"] == p["r"] * p["r"]:
-            return True, "q-hahn:s_star=r^2"
-        return False, None
-    if t is LeonardType.RACAH:
-        if p["s_star"] == 2 * p["r1"]:
-            return True, "racah:s_star=2r1"
-        if p["s_star"] == 2 * p["r2"]:
-            return True, "racah:s_star=2r2"
-        return False, None
-    if t is LeonardType.BANNAI_ITO:
-        if p["s_star"] == -2 * p["r1"]:
-            return True, "bannai-ito:s_star=-2r1"
-        if p["s_star"] == -2 * p["r2"]:
-            return True, "bannai-ito:s_star=-2r2"
-        return False, None
-    raise ValueError(f"no nonzero-space entry for {t}")
+    return True, _condition_id(spec, row)
 
 
 def dim2_predicate(spec):
-    """Table route for dim Z = 2.
-
-    The q-Racah row accepts the squared condition on either r1 or r2;
-    the two parameters enter that family symmetrically.
-    """
-    t = spec.name
-    p = spec.params
-    d = spec.d
-    if t is LeonardType.Q_RACAH:
-        q = p["q"]
-        squared = (p["s_star"] == p["r1"] * p["r1"]
-                   or p["s_star"] == p["r2"] * p["r2"])
-        return squared and p["s"] == -(q ** (-d - 1))
-    if t is LeonardType.DUAL_Q_KRAWTCHOUK:
-        q = p["q"]
-        return p["s"] == -(q ** (-d - 1))
-    if t is LeonardType.HAHN:
-        return p["s_star"] == 2 * p["r"]
-    if t is LeonardType.KRAWTCHOUK:
-        return p["s"] * p["s_star"] == 2 * p["r"]
-    if t is LeonardType.BANNAI_ITO:
-        return (d % 2 == 0 and p["s_star"] == -2 * p["r1"]
-                and p["s"] == d + 1)
-    return False
+    """Table route for dim Z = 2."""
+    return any(row.holds(spec.params, spec.d, spec.field)
+               for row in FAMILIES[spec.name].dim2)
 
 
 def relation_coefficients(spec):
@@ -205,37 +121,11 @@ def relation_coefficients(spec):
 
     Returns None when the instance has Z = 0 (no relation row applies).
     """
-    nonzero, condition = z_nonzero_predicate(spec)
-    if not nonzero:
+    row = _z_row(spec)
+    if row is None:
         return None
-    t = spec.name
-    p = spec.params
-    d = spec.d
-    one = spec.field.one
-    if t in (LeonardType.Q_RACAH, LeonardType.Q_HAHN):
-        r = p["r1"] if condition == "q-racah:s_star=r1^2" else (
-            p["r2"] if condition == "q-racah:s_star=r2^2" else p["r"])
-        q = p["q"]
-        u = q ** d * (r + 1) * (r * q + 1)
-        v = (r * q ** d + 1) * (r * q ** (d + 1) + 1)
-        return u, v, condition
-    if t is LeonardType.DUAL_Q_KRAWTCHOUK:
-        return p["q"] ** d, one, condition
-    if t is LeonardType.RACAH:
-        return one, one, condition
-    if t is LeonardType.HAHN:
-        ss = p["s_star"]
-        return ss * (ss + 2), (ss + 2 * d) * (ss + 2 * d + 2), condition
-    if t is LeonardType.KRAWTCHOUK:
-        return one, one, condition
-    if t is LeonardType.BANNAI_ITO:
-        r = p["r1"] if condition == "bannai-ito:s_star=-2r1" else p["r2"]
-        if d % 2 == 0:
-            if condition == "bannai-ito:s_star=-2r1":
-                return r + 1, r + d + 1, condition
-            return r, r + d, condition
-        return r, -(r + d + 1), condition
-    raise NoClosedForm(f"no relation row for {t} under {condition}")
+    u, v = row.relation(spec.params, spec.d, spec.field)
+    return u, v, _condition_id(spec, row)
 
 
 def relation_check(apm, u, v):
@@ -248,23 +138,9 @@ def relation_check(apm, u, v):
 
 def self_dual_predicate(spec):
     """Spec-level self-duality: admissible type plus the per-type equality row."""
-    t = spec.name
-    p = spec.params
-    if spec.theta0 != spec.theta_star0:
-        return False
-    if t is LeonardType.Q_RACAH:
-        return p["h"] == p["h_star"] and p["s"] == p["s_star"]
-    if t is LeonardType.AFFINE_Q_KRAWTCHOUK:
-        return p["h"] == p["h_star"]
-    if t is LeonardType.RACAH:
-        return p["h"] == p["h_star"] and p["s"] == p["s_star"]
-    if t is LeonardType.KRAWTCHOUK:
-        return p["s"] == p["s_star"]
-    if t is LeonardType.BANNAI_ITO:
-        return p["h"] == p["h_star"] and p["s"] == p["s_star"]
-    if t is LeonardType.ORPHAN:
-        return p["h"] == p["h_star"] and p["s"] == p["s_star"]
-    return False
+    row = FAMILIES[spec.name].self_dual
+    return (row is not None and spec.theta0 == spec.theta_star0
+            and row.holds(spec.params, spec.d, spec.field))
 
 
 def self_dual_array_check(arr):
@@ -285,19 +161,8 @@ def self_dual_array_check(arr):
 
 def spin_table_predicate(spec):
     """Spin via the per-type condition table (valid for self-dual specs)."""
-    t = spec.name
-    p = spec.params
-    if not self_dual_predicate(spec):
-        return False
-    if t is LeonardType.KRAWTCHOUK:
-        return True
-    if t is LeonardType.Q_RACAH:
-        return p["s"] == p["r1"] * p["r1"] or p["s"] == p["r2"] * p["r2"]
-    if t is LeonardType.RACAH:
-        return p["s"] == 2 * p["r1"] or p["s"] == 2 * p["r2"]
-    if t is LeonardType.BANNAI_ITO:
-        return p["s"] == -2 * p["r1"] or p["s"] == -2 * p["r2"]
-    return False
+    return self_dual_predicate(spec) and any(
+        row.holds(spec.params, spec.d, spec.field) for row in FAMILIES[spec.name].spin)
 
 
 def spin_predicate(spec):
@@ -343,21 +208,6 @@ class InstanceChecks:
         return not self.failures
 
 
-def _single_idempotent(mtx, eigs, index, ctx):
-    n = len(mtx)
-    prod = None
-    denom = ctx.one
-    for j, ej in enumerate(eigs):
-        if j == index:
-            continue
-        m = [row[:] for row in mtx]
-        for r in range(n):
-            m[r][r] = m[r][r] - ej
-        prod = m if prod is None else linalg.mat_mul(prod, m)
-        denom = denom * (eigs[index] - ej)
-    return linalg.mat_scale(ctx.one / denom, prod)
-
-
 def analyze_instance(spec, arr=None, deep=False):
     """Run the full pipeline on one instance and cross-check every route.
 
@@ -378,7 +228,7 @@ def analyze_instance(spec, arr=None, deep=False):
         e0 = e_split[0]
         verify_axioms(real, e_split, estar_split)
     else:
-        e0 = _single_idempotent(real.A, arr.theta, 0, ctx)
+        e0 = spectral_projection(real.A, arr.theta, 0, ctx)
 
     a = intersection_a_closed(arr)
     a_trace = intersection_a_trace(real, estar_split)
@@ -389,24 +239,14 @@ def analyze_instance(spec, arr=None, deep=False):
 
     estar_std = primitive_idempotents(std.A_star, arr.theta_star, ctx)
 
-    # moment matrices and ranks
-    m = zerodiag.matrix_m(a, arr.theta_star, ctx)
-    t = zerodiag.matrix_t(a[0], a[d], arr.theta_star[0], arr.theta_star[d], ctx)
-    apm = zerodiag.compute_apm(a, arr.theta_star)
-    l = zerodiag.matrix_l(apm, arr.theta_star, ctx)
-    flags["L_equals_TM"] = linalg.mat_eq(l, linalg.mat_mul(t, m))
-    flags["det_T_value"] = linalg.det(t) == arr.theta_star[0] - arr.theta_star[d]
-    rank_m = zerodiag.rank_exact(m)
-    flags["rank_L_equals_rank_M"] = zerodiag.rank_exact(l) == rank_m
+    zreport = zerodiag.build_zspace_report(arr, a, std, estar_std)
+    rank_m, dim_z = zreport.rank_m, zreport.dim_z
+    flags["L_equals_TM"] = linalg.mat_eq(zreport.L, linalg.mat_mul(zreport.T, zreport.M))
+    flags["det_T_value"] = linalg.det(zreport.T) == arr.theta_star[0] - arr.theta_star[d]
+    flags["rank_L_equals_rank_M"] = linalg.rank(zreport.L) == rank_m
     flags["rank_bounds"] = 2 <= rank_m <= 4
-    dim_z = zerodiag.z_dimension(rank_m)
-
-    kernel = zerodiag.z_basis_kernel(m, std, estar_std)
-    zreport = zerodiag.ZSpaceReport(
-        M=m, L=l, T=t, rank_m=rank_m, dim_z=dim_z,
-        coeff_basis=[c for c, _ in kernel],
-        matrix_basis=[x for _, x in kernel])
-    flags["kernel_dimension_matches"] = len(kernel) == dim_z
+    flags["kernel_dimension_matches"] = len(zreport.coeff_basis) == dim_z
+    apm = zerodiag.compute_apm(a, arr.theta_star)
 
     commutator = linalg.mat_sub(linalg.mat_mul(std.A, std.A_star),
                                 linalg.mat_mul(std.A_star, std.A))
@@ -428,31 +268,27 @@ def analyze_instance(spec, arr=None, deep=False):
     d2_pred = dim2_predicate(spec)
     flags["dim2_table_matches_rank"] = d2_pred == (dim_z == 2)
 
-    kernel_flat = [linalg.flatten(x) for _, x in kernel]
+    kernel_flat = [linalg.flatten(x) for x in zreport.matrix_basis]
 
     relation_row = None
     if z_pred:
-        coeffs = relation_coefficients(spec)
-        if coeffs is None:
-            flags["relation_row_available"] = False
-        else:
-            u, v, relation_row = coeffs
-            flags["relation_holds"] = relation_check(apm, u, v)
-            gen = zerodiag.z_basis_closed_dim1(std, a, u, v)
-            flags["closed_generator_nonzero"] = not linalg.is_zero_matrix(gen)
-            flags["closed_generator_zero_diagonal"] = zerodiag.has_zero_diagonal(
-                gen, estar_std)
-            flags["closed_generator_in_kernel_span"] = linalg.in_row_span(
-                kernel_flat, linalg.flatten(gen))
-            if dim_z == 1:
-                flags["dim1_spans_match"] = linalg.same_row_span(
-                    kernel_flat, [linalg.flatten(gen)])
+        u, v, relation_row = relation_coefficients(spec)
+        flags["relation_holds"] = relation_check(apm, u, v)
+        gen = zerodiag.z_basis_closed_dim1(std, a, u, v)
+        flags["closed_generator_nonzero"] = not linalg.is_zero_matrix(gen)
+        flags["closed_generator_zero_diagonal"] = zerodiag.has_zero_diagonal(
+            gen, estar_std)
+        flags["closed_generator_in_kernel_span"] = linalg.in_row_span(
+            kernel_flat, linalg.flatten(gen))
+        if dim_z == 1:
+            flags["dim1_spans_match"] = linalg.same_row_span(
+                kernel_flat, [linalg.flatten(gen)])
 
     if dim_z == 2:
         flags["dim2_constant_a"] = all(x == a[0] for x in a)
         flags["dim2_kernel_structure"] = all(
             c.f0 + c.f2 * a[0] == ctx.zero and c.f1 + c.f3 * a[0] == ctx.zero
-            for c, _ in kernel)
+            for c in zreport.coeff_basis)
         pair = zerodiag.z_basis_closed_dim2(std, a[0])
         flags["dim2_pair_zero_diagonal"] = all(
             zerodiag.has_zero_diagonal(x, estar_std) for x in pair)

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .analysis import analyze_instance, verify_pi2
 from .errors import LeonardError, SamplingExhausted
-from .exactfield import ExtensionField, Rationals
-from .parray import ALL_TYPES, LeonardType, build_parameter_array
+from .exactfield import parse_field
+from .families import FAMILIES
+from .parray import ALL_TYPES, build_parameter_array
 from .sampling import (
     DEFAULT_HEIGHT,
     MODE_DIM2,
@@ -76,18 +77,6 @@ class CampaignReport:
         return self.failure_count == 0
 
 
-def _cell_fields(name):
-    if name is LeonardType.ORPHAN:
-        return [ExtensionField(2, 2), ExtensionField(2, 3)]
-    return [Rationals()]
-
-
-def _cell_d_values(name, d_min, d_max):
-    if name is LeonardType.ORPHAN:
-        return [3] if d_min <= 3 <= d_max else []
-    return list(range(d_min, d_max + 1))
-
-
 def _check_sample(spec, mode, collector, cell, trial):
     arr = build_parameter_array(spec)
     verify_pi2(spec, arr)
@@ -103,8 +92,8 @@ def _check_sample(spec, mode, collector, cell, trial):
             problems.append("forced self-duality not detected")
         if mode == MODE_SELF_DUAL_SPIN and chk.spin is not True:
             problems.append("forced spin condition but spin is false")
-        if spec.name is LeonardType.KRAWTCHOUK and chk.spin is not True:
-            problems.append("self-dual krawtchouk must have spin")
+        if FAMILIES[spec.name].spins_when_self_dual and chk.spin is not True:
+            problems.append(f"self-dual {spec.name.value} must have spin")
     if collector is not None:
         collector.append((cell, trial, chk))
     return problems
@@ -119,8 +108,11 @@ def run_campaign(types=None, d_min=DEFAULT_D_MIN, d_max=DEFAULT_D_MAX,
     report = CampaignReport(seed=seed, d_min=d_min, d_max=d_max, trials=trials,
                             height=height, types=[t.value for t in types])
     for name in types:
-        for d in _cell_d_values(name, d_min, d_max):
-            for ctx in _cell_fields(name):
+        fam = FAMILIES[name]
+        for d in range(d_min, d_max + 1):
+            if fam.diameter not in (None, d):
+                continue
+            for ctx in map(parse_field, fam.fields):
                 for mode in modes_for_type(name, d):
                     cell = CellResult(name.value, d, ctx.label(), mode, trials)
                     rng = random.Random(

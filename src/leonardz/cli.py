@@ -29,7 +29,7 @@ from .campaign import (
 )
 from .counterexample import counterexample_d2
 from .counterexample import render_report as render_counterexample
-from .errors import InvalidSpec, LeonardError
+from .errors import InvalidField, InvalidSpec, LeonardError, ParseError
 from .parray import ALL_TYPES, LeonardType, spec_from_mapping, spec_to_mapping
 from .sampling import DEFAULT_HEIGHT
 
@@ -54,14 +54,18 @@ def read_config(path):
     """Parse a config file of one `key = value` pair per line."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError:
+            raise UsageError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -182,12 +186,19 @@ def cmd_analyze(args, stdout):
     return EXIT_OK if chk.ok else EXIT_INCONSISTENT
 
 
-def _resolve(args, config, key, default, cast=int):
+def _integer(text, source):
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{source} must be an integer; got {text!r}") from None
+
+
+def _resolve(args, config, key, default):
     value = getattr(args, key, None)
     if value is not None:
         return value
     if key in config:
-        return cast(config[key])
+        return _integer(config[key], key)
     return default
 
 
@@ -197,11 +208,9 @@ def cmd_verify_tables(args, stdout):
     d_max = _resolve(args, config, "d_max", DEFAULT_D_MAX)
     trials = _resolve(args, config, "trials", DEFAULT_TRIALS)
     height = _resolve(args, config, "height", DEFAULT_HEIGHT)
-    seed = getattr(args, "seed", None)
-    if seed is None and "seed" in config:
-        seed = int(config["seed"])
+    seed = _resolve(args, config, "seed", None)
     if seed is None and os.environ.get(SEED_ENV_VAR):
-        seed = int(os.environ[SEED_ENV_VAR])
+        seed = _integer(os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
     if seed is None:
         seed = DEFAULT_SEED
     types_text = args.types if args.types is not None else config.get("types")
@@ -215,6 +224,8 @@ def cmd_verify_tables(args, stdout):
         raise UsageError("--d-max must be at least --d-min")
     if trials < 1:
         raise UsageError("--trials must be at least 1")
+    if height < 1:
+        raise UsageError("--height must be at least 1")
     report = run_campaign(types=types, d_min=d_min, d_max=d_max, trials=trials,
                           seed=seed, height=height)
     stdout.write(render_report(report))
@@ -245,7 +256,7 @@ def main(argv=None, stdout=None, stderr=None):
     except UsageError as e:
         stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
-    except InvalidSpec as e:
+    except (InvalidSpec, InvalidField, ParseError) as e:
         stderr.write(f"invalid spec ({type(e).__name__}): {e}\n")
         return EXIT_INVALID_SPEC
     except LeonardError as e:

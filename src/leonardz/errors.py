@@ -28,7 +28,11 @@ class ZeroDenominator(ParseError):
     """A rational literal with denominator zero."""
 
 
-class ReducibleModulus(LeonardError, ValueError):
+class InvalidField(LeonardError, ValueError):
+    """A field label or its parameters name no supported field."""
+
+
+class ReducibleModulus(InvalidField):
     """Extension field modulus is not irreducible over its prime field."""
 
 
@@ -93,10 +97,6 @@ class ZeroDiagCheckFailed(LeonardError):
     """A kernel element failed the zero-diagonal verification."""
 
 
-class NoClosedForm(LeonardError):
-    """dim Z = 1 but no closed-form table row matches the instance."""
-
-
 class DependenceDetected(LeonardError):
     """The five canonical generators came out linearly dependent."""
 
@@ -118,14 +118,6 @@ class IdentityFailure(LeonardError):
         super().__init__(f"identity failed at ({i},{j}): {lhs} != {rhs}")
 
 
-class RelationFailure(LeonardError):
-    """The per-type linear relation between the boundary products failed."""
-
-    def __init__(self, i, message=""):
-        self.i = i
-        super().__init__(f"relation failed at index {i} {message}".rstrip())
-
-
 class TableInconsistency(LeonardError):
     """Two routes that must agree on the spin predicate disagreed."""
 
@@ -143,3 +135,7 @@ class MismatchAtEntry(LeonardError):
 
 class SamplingExhausted(LeonardError):
     """Could not draw a constraint-satisfying sample within the retry budget."""
+
+
+class InvalidMode(LeonardError, ValueError):
+    """A sampling mode that the family does not have at the given diameter."""

@@ -24,6 +24,7 @@ import re
 from .errors import (
     ContextMismatch,
     DivisionByZero,
+    InvalidField,
     ParseError,
     ReducibleModulus,
     ZeroDenominator,
@@ -200,7 +201,7 @@ class PrimeField(FieldContext):
 
     def __init__(self, p):
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise InvalidField(f"{p} is not prime")
         self.p = p
         self.characteristic = p
 
@@ -462,14 +463,14 @@ class ExtensionField(FieldContext):
 
     def __init__(self, p, k, modulus=None):
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise InvalidField(f"{p} is not prime")
         if not 2 <= k <= MAX_EXTENSION_DEGREE:
-            raise ValueError(f"extension degree {k} outside 2..{MAX_EXTENSION_DEGREE}")
+            raise InvalidField(f"extension degree {k} outside 2..{MAX_EXTENSION_DEGREE}")
         if modulus is None:
             modulus = default_modulus(p, k)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {k}")
+            raise InvalidField(f"modulus must be monic of degree {k}")
         if not _is_irreducible(modulus, p):
             raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
         self.p = p

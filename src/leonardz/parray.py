@@ -1,69 +1,21 @@
-"""The 13 parameter-array families, their constraint clauses, and transforms.
+"""Parameter arrays of the 13 families: specs, validation, construction.
 
-Each family is a constructor from a small set of scalar parameters to the
-four sequences (theta, theta_star, phi1, phi2) of a parameter array:
-theta/theta_star are the two eigenvalue sequences, phi1/phi2 the first and
-second split sequences.  validate_spec checks every clause of the family's
-definition exactly; build_parameter_array evaluates the displayed formulas
-and re-checks the array invariants (eigenvalue distinctness, nonvanishing
-split sequences) as a guard against constraint gaps.
+A TypeSpec names a family (see leonardz.families, which holds one record
+per family), a diameter d, a field and the family's scalar parameters.
+A parameter array is the four sequences (theta, theta_star, phi1, phi2):
+theta/theta_star are the two eigenvalue sequences, phi1/phi2 the first
+and second split sequences.  validate_spec checks every clause of the
+family's definition exactly; build_parameter_array evaluates the family's
+formulas and re-checks the array invariants (eigenvalue distinctness,
+nonvanishing split sequences) as a guard against constraint gaps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DegenerateArray, InvalidSpec, UnsupportedCharacteristic, ZeroScale
-
-
-class LeonardType(str, Enum):
-    Q_RACAH = "q-racah"
-    Q_HAHN = "q-hahn"
-    DUAL_Q_HAHN = "dual-q-hahn"
-    QUANTUM_Q_KRAWTCHOUK = "quantum-q-krawtchouk"
-    Q_KRAWTCHOUK = "q-krawtchouk"
-    AFFINE_Q_KRAWTCHOUK = "affine-q-krawtchouk"
-    DUAL_Q_KRAWTCHOUK = "dual-q-krawtchouk"
-    RACAH = "racah"
-    HAHN = "hahn"
-    DUAL_HAHN = "dual-hahn"
-    KRAWTCHOUK = "krawtchouk"
-    BANNAI_ITO = "bannai-ito"
-    ORPHAN = "orphan"
-
-    @classmethod
-    def from_string(cls, text):
-        key = text.strip().lower().replace("_", "-").replace(" ", "-")
-        for t in cls:
-            if t.value == key:
-                return t
-        raise InvalidSpec([Violation("type", f"unknown type {text!r}")])
-
-
-ALL_TYPES = tuple(LeonardType)
-
-REQUIRED_PARAMS = {
-    LeonardType.Q_RACAH: ("q", "h", "h_star", "s", "s_star", "r1", "r2"),
-    LeonardType.Q_HAHN: ("q", "h", "h_star", "s_star", "r"),
-    LeonardType.DUAL_Q_HAHN: ("q", "h", "h_star", "s", "r"),
-    LeonardType.QUANTUM_Q_KRAWTCHOUK: ("q", "h_star", "s", "r"),
-    LeonardType.Q_KRAWTCHOUK: ("q", "h", "h_star", "s_star"),
-    LeonardType.AFFINE_Q_KRAWTCHOUK: ("q", "h", "h_star", "r"),
-    LeonardType.DUAL_Q_KRAWTCHOUK: ("q", "h", "h_star", "s"),
-    LeonardType.RACAH: ("h", "h_star", "s", "s_star", "r1", "r2"),
-    LeonardType.HAHN: ("h_star", "s", "s_star", "r"),
-    LeonardType.DUAL_HAHN: ("h", "s", "s_star", "r"),
-    LeonardType.KRAWTCHOUK: ("s", "s_star", "r"),
-    LeonardType.BANNAI_ITO: ("h", "h_star", "s", "s_star", "r1", "r2"),
-    LeonardType.ORPHAN: ("h", "h_star", "s", "s_star", "r"),
-}
-
-
-@dataclass(frozen=True)
-class Violation:
-    clause: str
-    detail: str
+from .families import ALL_TYPES, FAMILIES, LeonardType, Violation  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -121,270 +73,6 @@ class ParameterArray:
         return self
 
 
-# ---------------------------------------------------------------------------
-# clause checking
-
-
-def _require_nonzero(spec, names, v):
-    for name in names:
-        if not spec.param(name):
-            v.append(Violation(f"{spec.name.value}:nonzero", f"{name} must be nonzero"))
-
-
-def _check_characteristic(spec):
-    """Raise UnsupportedCharacteristic when the field cannot host the type."""
-    char = spec.field.characteristic
-    t = spec.name
-    if t in (LeonardType.RACAH, LeonardType.HAHN, LeonardType.DUAL_HAHN,
-             LeonardType.KRAWTCHOUK):
-        if char != 0 and char <= spec.d:
-            raise UnsupportedCharacteristic(
-                [Violation(f"{t.value}:characteristic",
-                           f"characteristic must be 0 or a prime > d; got {char}")])
-    elif t is LeonardType.BANNAI_ITO:
-        if char != 0 and (char == 2 or 2 * char <= spec.d):
-            raise UnsupportedCharacteristic(
-                [Violation(f"{t.value}:characteristic",
-                           f"characteristic must be 0 or an odd prime > d/2; got {char}")])
-    elif t is LeonardType.ORPHAN:
-        if char != 2:
-            raise UnsupportedCharacteristic(
-                [Violation(f"{t.value}:characteristic",
-                           f"characteristic must be 2; got {char}")])
-
-
-def _check_q_racah(spec, v):
-    d = spec.d
-    q, h, hs = spec.param("q"), spec.param("h"), spec.param("h_star")
-    s, ss = spec.param("s"), spec.param("s_star")
-    r1, r2 = spec.param("r1"), spec.param("r2")
-    _require_nonzero(spec, REQUIRED_PARAMS[spec.name], v)
-    if any(not spec.param(k) for k in ("q", "r1", "r2", "s_star")):
-        return
-    if r1 * r2 != s * ss * q ** (d + 1):
-        v.append(Violation("q-racah:r1r2-product", "r1*r2 != s*s_star*q^(d+1)"))
-    for i in range(1, d + 1):
-        qi = q ** i
-        if qi == 1:
-            v.append(Violation("q-racah:q-power-nonunit", f"q^{i} == 1"))
-        for sym, val in (("r1", r1 * qi), ("r2", r2 * qi),
-                         ("s_star/r1", ss * qi / r1), ("s_star/r2", ss * qi / r2)):
-            if val == 1:
-                v.append(Violation("q-racah:q-power-nonunit", f"{sym}*q^{i} == 1"))
-    for i in range(2, 2 * d + 1):
-        qi = q ** i
-        if s * qi == 1:
-            v.append(Violation("q-racah:s-power-nonunit", f"s*q^{i} == 1"))
-        if ss * qi == 1:
-            v.append(Violation("q-racah:s-power-nonunit", f"s_star*q^{i} == 1"))
-
-
-def _check_q_hahn(spec, v):
-    d = spec.d
-    q, r, ss = spec.param("q"), spec.param("r"), spec.param("s_star")
-    _require_nonzero(spec, REQUIRED_PARAMS[spec.name], v)
-    if not q or not r:
-        return
-    for i in range(1, d + 1):
-        qi = q ** i
-        if qi == 1:
-            v.append(Violation("q-hahn:q-power-nonunit", f"q^{i} == 1"))
-        if r * qi == 1:
-            v.append(Violation("q-hahn:q-power-nonunit", f"r*q^{i} == 1"))
-        if ss * qi / r == 1:
-            v.append(Violation("q-hahn:q-power-nonunit", f"s_star*q^{i}/r == 1"))
-    for i in range(2, 2 * d + 1):
-        if ss * q ** i == 1:
-            v.append(Violation("q-hahn:s-power-nonunit", f"s_star*q^{i} == 1"))
-
-
-def _check_dual_q_hahn(spec, v):
-    d = spec.d
-    q, r, s = spec.param("q"), spec.param("r"), spec.param("s")
-    _require_nonzero(spec, REQUIRED_PARAMS[spec.name], v)
-    if not q or not r:
-        return
-    for i in range(1, d + 1):
-        qi = q ** i
-        if qi == 1:
-            v.append(Violation("dual-q-hahn:q-power-nonunit", f"q^{i} == 1"))
-        if r * qi == 1:
-            v.append(Violation("dual-q-hahn:q-power-nonunit", f"r*q^{i} == 1"))
-        if s * qi / r == 1:
-            v.append(Violation("dual-q-hahn:q-power-nonunit", f"s*q^{i}/r == 1"))
-    for i in range(2, 2 * d + 1):
-        if s * q ** i == 1:
-            v.append(Violation("dual-q-hahn:s-power-nonunit", f"s*q^{i} == 1"))
-
-
-def _check_quantum_q_krawtchouk(spec, v):
-    d = spec.d
-    q, s, r = spec.param("q"), spec.param("s"), spec.param("r")
-    _require_nonzero(spec, REQUIRED_PARAMS[spec.name], v)
-    if not q or not r:
-        return
-    for i in range(1, d + 1):
-        qi = q ** i
-        if qi == 1:
-            v.append(Violation("quantum-q-krawtchouk:q-power-nonunit", f"q^{i} == 1"))
-        if s * qi / r == 1:
-            v.append(Violation("quantum-q-krawtchouk:q-power-nonunit", f"s*q^{i}/r == 1"))
-
-
-def _check_q_krawtchouk(spec, v):
-    d = spec.d
-    q, ss = spec.param("q"), spec.param("s_star")
-    _require_nonzero(spec, REQUIRED_PARAMS[spec.name], v)
-    if not q:
-        return
-    for i in range(1, d + 1):
-        if q ** i == 1:
-            v.append(Violation("q-krawtchouk:q-power-nonunit", f"q^{i} == 1"))
-    for i in range(2, 2 * d + 1):
-        if ss * q ** i == 1:
-            v.append(Violation("q-krawtchouk:s-power-nonunit", f"s_star*q^{i} == 1"))
-
-
-def _check_affine_q_krawtchouk(spec, v):
-    d = spec.d
-    q, r = spec.param("q"), spec.param("r")
-    _require_nonzero(spec, REQUIRED_PARAMS[spec.name], v)
-    if not q:
-        return
-    for i in range(1, d + 1):
-        qi = q ** i
-        if qi == 1:
-            v.append(Violation("affine-q-krawtchouk:q-power-nonunit", f"q^{i} == 1"))
-        if r * qi == 1:
-            v.append(Violation("affine-q-krawtchouk:q-power-nonunit", f"r*q^{i} == 1"))
-
-
-def _check_dual_q_krawtchouk(spec, v):
-    d = spec.d
-    q, s = spec.param("q"), spec.param("s")
-    _require_nonzero(spec, REQUIRED_PARAMS[spec.name], v)
-    if not q:
-        return
-    for i in range(1, d + 1):
-        if q ** i == 1:
-            v.append(Violation("dual-q-krawtchouk:q-power-nonunit", f"q^{i} == 1"))
-    for i in range(2, 2 * d + 1):
-        if s * q ** i == 1:
-            v.append(Violation("dual-q-krawtchouk:s-power-nonunit", f"s*q^{i} == 1"))
-
-
-def _check_racah(spec, v):
-    d = spec.d
-    s, ss = spec.param("s"), spec.param("s_star")
-    r1, r2 = spec.param("r1"), spec.param("r2")
-    _require_nonzero(spec, ("h", "h_star"), v)
-    if r1 + r2 != s + ss + d + 1:
-        v.append(Violation("racah:r-sum", "r1 + r2 != s + s_star + d + 1"))
-    for i in range(1, d + 1):
-        for sym, val in (("r1", r1), ("r2", r2),
-                         ("s_star-r1", ss - r1), ("s_star-r2", ss - r2)):
-            if val == -i:
-                v.append(Violation("racah:integer-offset", f"{sym} == -{i}"))
-    for i in range(2, 2 * d + 1):
-        if s == -i:
-            v.append(Violation("racah:s-offset", f"s == -{i}"))
-        if ss == -i:
-            v.append(Violation("racah:s-offset", f"s_star == -{i}"))
-
-
-def _check_hahn(spec, v):
-    d = spec.d
-    s, ss, r = spec.param("s"), spec.param("s_star"), spec.param("r")
-    _require_nonzero(spec, ("h_star", "s"), v)
-    for i in range(1, d + 1):
-        if r == -i:
-            v.append(Violation("hahn:integer-offset", f"r == -{i}"))
-        if ss - r == -i:
-            v.append(Violation("hahn:integer-offset", f"s_star-r == -{i}"))
-    for i in range(2, 2 * d + 1):
-        if ss == -i:
-            v.append(Violation("hahn:s-offset", f"s_star == -{i}"))
-
-
-def _check_dual_hahn(spec, v):
-    d = spec.d
-    s, r = spec.param("s"), spec.param("r")
-    _require_nonzero(spec, ("h", "s_star"), v)
-    for i in range(1, d + 1):
-        if r == -i:
-            v.append(Violation("dual-hahn:integer-offset", f"r == -{i}"))
-        if s - r == -i:
-            v.append(Violation("dual-hahn:integer-offset", f"s-r == -{i}"))
-    for i in range(2, 2 * d + 1):
-        if s == -i:
-            v.append(Violation("dual-hahn:s-offset", f"s == -{i}"))
-
-
-def _check_krawtchouk(spec, v):
-    s, ss, r = spec.param("s"), spec.param("s_star"), spec.param("r")
-    _require_nonzero(spec, ("s", "s_star", "r"), v)
-    if r == s * ss:
-        v.append(Violation("krawtchouk:r-product", "r == s*s_star"))
-
-
-def _check_bannai_ito(spec, v):
-    d = spec.d
-    s, ss = spec.param("s"), spec.param("s_star")
-    r1, r2 = spec.param("r1"), spec.param("r2")
-    _require_nonzero(spec, ("h", "h_star"), v)
-    if r1 + r2 != -s - ss + d + 1:
-        v.append(Violation("bannai-ito:r-sum", "r1 + r2 != -s - s_star + d + 1"))
-    for i in range(1, d + 1):
-        if (d - i) % 2 == 0:
-            if r1 == -i:
-                v.append(Violation("bannai-ito:integer-offset", f"r1 == -{i}"))
-            if -ss - r1 == -i:
-                v.append(Violation("bannai-ito:integer-offset", f"-s_star-r1 == -{i}"))
-        if i % 2 == 1:
-            if r2 == -i:
-                v.append(Violation("bannai-ito:integer-offset", f"r2 == -{i}"))
-            if -ss - r2 == -i:
-                v.append(Violation("bannai-ito:integer-offset", f"-s_star-r2 == -{i}"))
-    for i in range(1, d + 1):
-        if s == 2 * i:
-            v.append(Violation("bannai-ito:even-offset", f"s == {2 * i}"))
-        if ss == 2 * i:
-            v.append(Violation("bannai-ito:even-offset", f"s_star == {2 * i}"))
-
-
-def _check_orphan(spec, v):
-    s, ss, r = spec.param("s"), spec.param("s_star"), spec.param("r")
-    if spec.d != 3:
-        v.append(Violation("orphan:d", f"d must be 3; got {spec.d}"))
-        return
-    _require_nonzero(spec, REQUIRED_PARAMS[spec.name], v)
-    if s == 1:
-        v.append(Violation("orphan:s-not-one", "s == 1"))
-    if ss == 1:
-        v.append(Violation("orphan:s-not-one", "s_star == 1"))
-    for label, bad in (("s+s_star", s + ss), ("s*(1+s_star)", s * (1 + ss)),
-                       ("s_star*(1+s)", ss * (1 + s))):
-        if r == bad:
-            v.append(Violation("orphan:r-excluded", f"r == {label}"))
-
-
-_CHECKERS = {
-    LeonardType.Q_RACAH: _check_q_racah,
-    LeonardType.Q_HAHN: _check_q_hahn,
-    LeonardType.DUAL_Q_HAHN: _check_dual_q_hahn,
-    LeonardType.QUANTUM_Q_KRAWTCHOUK: _check_quantum_q_krawtchouk,
-    LeonardType.Q_KRAWTCHOUK: _check_q_krawtchouk,
-    LeonardType.AFFINE_Q_KRAWTCHOUK: _check_affine_q_krawtchouk,
-    LeonardType.DUAL_Q_KRAWTCHOUK: _check_dual_q_krawtchouk,
-    LeonardType.RACAH: _check_racah,
-    LeonardType.HAHN: _check_hahn,
-    LeonardType.DUAL_HAHN: _check_dual_hahn,
-    LeonardType.KRAWTCHOUK: _check_krawtchouk,
-    LeonardType.BANNAI_ITO: _check_bannai_ito,
-    LeonardType.ORPHAN: _check_orphan,
-}
-
-
 def validate_spec(spec):
     """Check every clause of the spec's family; return the violation list.
 
@@ -392,227 +80,32 @@ def validate_spec(spec):
     structurally incompatible with the family, and InvalidSpec when the
     parameter set itself is malformed (wrong keys, d < 3).
     """
-    required = REQUIRED_PARAMS[spec.name]
-    missing = [k for k in required if k not in spec.params]
-    extra = [k for k in spec.params if k not in required]
+    fam = FAMILIES[spec.name]
+    prefix = spec.name.value + ":"
+    missing = [k for k in fam.params if k not in spec.params]
+    extra = [k for k in spec.params if k not in fam.params]
     if missing or extra:
         raise InvalidSpec([Violation(
-            f"{spec.name.value}:parameters",
+            prefix + "parameters",
             f"missing {missing or 'none'}, unexpected {extra or 'none'}")])
     if spec.d < 3:
         raise InvalidSpec([Violation("d", f"d must be >= 3; got {spec.d}")])
-    _check_characteristic(spec)
-    violations = []
-    _CHECKERS[spec.name](spec, violations)
+    char = spec.field.characteristic
+    rule = fam.characteristic
+    if rule is not None and not rule.allows(char, spec.d):
+        raise UnsupportedCharacteristic([Violation(
+            prefix + "characteristic",
+            f"characteristic must be {rule.need}; got {char}")])
+    if fam.diameter not in (None, spec.d):
+        return [Violation(prefix + "d", f"d must be {fam.diameter}; got {spec.d}")]
+    p = spec.params
+    violations = [Violation(prefix + "nonzero", f"{k} must be nonzero")
+                  for k in fam.nonzero or fam.params if not p[k]]
+    if all(p[k] for k in fam.guard):
+        for clause in fam.clauses:
+            violations.extend(Violation(prefix + c, detail)
+                              for c, detail in clause.violations(p, spec.d, spec.field))
     return violations
-
-
-# ---------------------------------------------------------------------------
-# array builders
-
-
-def _build_q_racah(spec):
-    d = spec.d
-    q, h, hs = spec.param("q"), spec.param("h"), spec.param("h_star")
-    s, ss = spec.param("s"), spec.param("s_star")
-    r1, r2 = spec.param("r1"), spec.param("r2")
-    theta = [spec.theta0 + h * (1 - q ** i) * (1 - s * q ** (i + 1)) * q ** -i
-             for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * (1 - ss * q ** (i + 1)) * q ** -i
-                  for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (1 - r1 * q ** i) * (1 - r2 * q ** i) for i in range(1, d + 1)]
-    phi2 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (r1 - ss * q ** i) * (r2 - ss * q ** i) / ss for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_q_hahn(spec):
-    d = spec.d
-    q, h, hs = spec.param("q"), spec.param("h"), spec.param("h_star")
-    ss, r = spec.param("s_star"), spec.param("r")
-    theta = [spec.theta0 + h * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * (1 - ss * q ** (i + 1)) * q ** -i
-                  for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (1 - r * q ** i) for i in range(1, d + 1)]
-    phi2 = [-(h * hs * q ** (1 - i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-              * (r - ss * q ** i)) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_dual_q_hahn(spec):
-    d = spec.d
-    q, h, hs = spec.param("q"), spec.param("h"), spec.param("h_star")
-    s, r = spec.param("s"), spec.param("r")
-    theta = [spec.theta0 + h * (1 - q ** i) * (1 - s * q ** (i + 1)) * q ** -i
-             for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (1 - r * q ** i) for i in range(1, d + 1)]
-    phi2 = [h * hs * q ** (d + 2 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (s - r * q ** (i - d - 1)) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_quantum_q_krawtchouk(spec):
-    d = spec.d
-    q, hs = spec.param("q"), spec.param("h_star")
-    s, r = spec.param("s"), spec.param("r")
-    theta = [spec.theta0 - s * q * (1 - q ** i) for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    phi1 = [-(r * hs * q ** (1 - i) * (1 - q ** i) * (1 - q ** (i - d - 1)))
-            for i in range(1, d + 1)]
-    phi2 = [hs * q ** (d + 2 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (s - r * q ** (i - d - 1)) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_q_krawtchouk(spec):
-    d = spec.d
-    q, h, hs, ss = (spec.param("q"), spec.param("h"), spec.param("h_star"),
-                    spec.param("s_star"))
-    theta = [spec.theta0 + h * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * (1 - ss * q ** (i + 1)) * q ** -i
-                  for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            for i in range(1, d + 1)]
-    phi2 = [h * hs * ss * q * (1 - q ** i) * (1 - q ** (i - d - 1))
-            for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_affine_q_krawtchouk(spec):
-    d = spec.d
-    q, h, hs, r = (spec.param("q"), spec.param("h"), spec.param("h_star"),
-                   spec.param("r"))
-    theta = [spec.theta0 + h * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (1 - r * q ** i) for i in range(1, d + 1)]
-    phi2 = [-(h * hs * r * q ** (1 - i) * (1 - q ** i) * (1 - q ** (i - d - 1)))
-            for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_dual_q_krawtchouk(spec):
-    d = spec.d
-    q, h, hs, s = (spec.param("q"), spec.param("h"), spec.param("h_star"),
-                   spec.param("s"))
-    theta = [spec.theta0 + h * (1 - q ** i) * (1 - s * q ** (i + 1)) * q ** -i
-             for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            for i in range(1, d + 1)]
-    phi2 = [h * hs * s * q ** (d + 2 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_racah(spec):
-    d = spec.d
-    h, hs = spec.param("h"), spec.param("h_star")
-    s, ss = spec.param("s"), spec.param("s_star")
-    r1, r2 = spec.param("r1"), spec.param("r2")
-    theta = [spec.theta0 + h * i * (i + 1 + s) for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * i * (i + 1 + ss) for i in range(d + 1)]
-    phi1 = [h * hs * i * (i - d - 1) * (i + r1) * (i + r2) for i in range(1, d + 1)]
-    phi2 = [h * hs * i * (i - d - 1) * (i + ss - r1) * (i + ss - r2)
-            for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_hahn(spec):
-    d = spec.d
-    hs, s, ss, r = (spec.param("h_star"), spec.param("s"), spec.param("s_star"),
-                    spec.param("r"))
-    theta = [spec.theta0 + s * i for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * i * (i + 1 + ss) for i in range(d + 1)]
-    phi1 = [hs * s * i * (i - d - 1) * (i + r) for i in range(1, d + 1)]
-    phi2 = [-(hs * s * i * (i - d - 1) * (i + ss - r)) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_dual_hahn(spec):
-    d = spec.d
-    h, s, ss, r = (spec.param("h"), spec.param("s"), spec.param("s_star"),
-                   spec.param("r"))
-    theta = [spec.theta0 + h * i * (i + 1 + s) for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + ss * i for i in range(d + 1)]
-    phi1 = [h * ss * i * (i - d - 1) * (i + r) for i in range(1, d + 1)]
-    phi2 = [h * ss * i * (i - d - 1) * (i + r - s - d - 1) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_krawtchouk(spec):
-    d = spec.d
-    s, ss, r = spec.param("s"), spec.param("s_star"), spec.param("r")
-    theta = [spec.theta0 + s * i for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + ss * i for i in range(d + 1)]
-    phi1 = [r * i * (i - d - 1) for i in range(1, d + 1)]
-    phi2 = [(r - s * ss) * i * (i - d - 1) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_bannai_ito(spec):
-    d = spec.d
-    h, hs = spec.param("h"), spec.param("h_star")
-    s, ss = spec.param("s"), spec.param("s_star")
-    r1, r2 = spec.param("r1"), spec.param("r2")
-    theta = []
-    theta_star = []
-    for i in range(d + 1):
-        sgn = 1 if i % 2 == 0 else -1
-        theta.append(spec.theta0 + h * (s - 1 + sgn * (1 - s + 2 * i)))
-        theta_star.append(spec.theta_star0 + hs * (ss - 1 + sgn * (1 - ss + 2 * i)))
-    phi1 = []
-    phi2 = []
-    for i in range(1, d + 1):
-        i_even = i % 2 == 0
-        if d % 2 == 0:
-            if i_even:
-                phi1.append(-4 * h * hs * i * (i + r1))
-                phi2.append(4 * h * hs * i * (i - ss - r1))
-            else:
-                phi1.append(-4 * h * hs * (i - d - 1) * (i + r2))
-                phi2.append(4 * h * hs * (i - d - 1) * (i - ss - r2))
-        else:
-            if i_even:
-                phi1.append(-4 * h * hs * i * (i - d - 1))
-                phi2.append(-4 * h * hs * i * (i - d - 1))
-            else:
-                phi1.append(-4 * h * hs * (i + r1) * (i + r2))
-                phi2.append(-4 * h * hs * (i - ss - r1) * (i - ss - r2))
-    return theta, theta_star, phi1, phi2
-
-
-def _build_orphan(spec):
-    h, hs = spec.param("h"), spec.param("h_star")
-    s, ss, r = spec.param("s"), spec.param("s_star"), spec.param("r")
-    theta = [spec.theta0, spec.theta0 + h * (s + 1), spec.theta0 + h,
-             spec.theta0 + h * s]
-    theta_star = [spec.theta_star0, spec.theta_star0 + hs * (ss + 1),
-                  spec.theta_star0 + hs, spec.theta_star0 + hs * ss]
-    phi1 = [h * hs * r, h * hs, h * hs * (r + s + ss)]
-    phi2 = [h * hs * (r + s + s * ss), h * hs, h * hs * (r + ss + s * ss)]
-    return theta, theta_star, phi1, phi2
-
-
-_BUILDERS = {
-    LeonardType.Q_RACAH: _build_q_racah,
-    LeonardType.Q_HAHN: _build_q_hahn,
-    LeonardType.DUAL_Q_HAHN: _build_dual_q_hahn,
-    LeonardType.QUANTUM_Q_KRAWTCHOUK: _build_quantum_q_krawtchouk,
-    LeonardType.Q_KRAWTCHOUK: _build_q_krawtchouk,
-    LeonardType.AFFINE_Q_KRAWTCHOUK: _build_affine_q_krawtchouk,
-    LeonardType.DUAL_Q_KRAWTCHOUK: _build_dual_q_krawtchouk,
-    LeonardType.RACAH: _build_racah,
-    LeonardType.HAHN: _build_hahn,
-    LeonardType.DUAL_HAHN: _build_dual_hahn,
-    LeonardType.KRAWTCHOUK: _build_krawtchouk,
-    LeonardType.BANNAI_ITO: _build_bannai_ito,
-    LeonardType.ORPHAN: _build_orphan,
-}
 
 
 def build_parameter_array(spec):
@@ -620,7 +113,7 @@ def build_parameter_array(spec):
     violations = validate_spec(spec)
     if violations:
         raise InvalidSpec(violations)
-    theta, theta_star, phi1, phi2 = _BUILDERS[spec.name](spec)
+    theta, theta_star, phi1, phi2 = FAMILIES[spec.name].build(spec)
     arr = ParameterArray(spec.field, spec.d, theta, theta_star, phi1, phi2)
     return arr.validate()
 
@@ -673,7 +166,7 @@ def spec_to_mapping(spec):
         "theta0": fmt(spec.theta0),
         "theta_star0": fmt(spec.theta_star0),
     }
-    for key in REQUIRED_PARAMS[spec.name]:
+    for key in FAMILIES[spec.name].params:
         out[key] = fmt(spec.params[key])
     return out
 
@@ -685,9 +178,13 @@ def spec_from_mapping(mapping):
     data = dict(mapping)
     try:
         name = LeonardType.from_string(data.pop("type"))
-        d = int(data.pop("d"))
+        d_text = data.pop("d")
     except KeyError as e:
         raise InvalidSpec([Violation("spec", f"missing key {e.args[0]!r}")]) from None
+    try:
+        d = int(d_text)
+    except ValueError:
+        raise InvalidSpec([Violation("d", f"d must be an integer; got {d_text!r}")]) from None
     ctx = parse_field(data.pop("field", "Q"))
     theta0 = ctx.parse(data.pop("theta0", "0"))
     theta_star0 = ctx.parse(data.pop("theta_star0", "0"))

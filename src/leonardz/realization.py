@@ -68,35 +68,54 @@ def realize_split(arr):
     return Realization(arr, a, a_star, Basis.SPLIT)
 
 
+def _projection(shifts, eigs, i, ctx):
+    """The product of shifts[j] = M - eig_j I over j != i, over (eig_i - eig_j)."""
+    prod = None
+    denom = ctx.one
+    for j, ej in enumerate(eigs):
+        if j == i:
+            continue
+        prod = shifts[j] if prod is None else linalg.mat_mul(prod, shifts[j])
+        denom = denom * (eigs[i] - ej)
+    if prod is None:
+        prod = linalg.identity(len(shifts[i]), ctx)
+    return linalg.mat_scale(ctx.one / denom, prod)
+
+
+def _shifts(mtx, eigs):
+    out = []
+    for ej in eigs:
+        m = [row[:] for row in mtx]
+        for r in range(len(m)):
+            m[r][r] = m[r][r] - ej
+        out.append(m)
+    return out
+
+
+def spectral_projection(mtx, eigs, index, ctx):
+    """The one projection E_index by the product formula, not post-verified.
+
+    For callers that need a single projection of a matrix whose
+    eigenvalues are known to be distinct; primitive_idempotents builds and
+    verifies the whole family.
+    """
+    return _projection(_shifts(mtx, eigs), eigs, index, ctx)
+
+
 def primitive_idempotents(mtx, eigs, ctx):
     """Spectral projections of a multiplicity-free matrix, one per eigenvalue.
 
     Each projection is the product of (M - eig_j I)/(eig_i - eig_j) over
     j != i, and is post-verified to square to itself.
     """
-    n = len(mtx)
     for i in range(len(eigs)):
         for j in range(i + 1, len(eigs)):
             if eigs[i] == eigs[j]:
                 raise RepeatedEigenvalue(f"eigenvalues {i} and {j} coincide")
-    shifts = []
-    for ej in eigs:
-        m = [row[:] for row in mtx]
-        for r in range(n):
-            m[r][r] = m[r][r] - ej
-        shifts.append(m)
+    shifts = _shifts(mtx, eigs)
     out = []
-    for i, ei in enumerate(eigs):
-        prod = None
-        denom = ctx.one
-        for j, ej in enumerate(eigs):
-            if j == i:
-                continue
-            prod = shifts[j] if prod is None else linalg.mat_mul(prod, shifts[j])
-            denom = denom * (ei - ej)
-        if prod is None:
-            prod = linalg.identity(n, ctx)
-        prod = linalg.mat_scale(ctx.one / denom, prod)
+    for i in range(len(eigs)):
+        prod = _projection(shifts, eigs, i, ctx)
         if not linalg.mat_eq(linalg.mat_mul(prod, prod), prod):
             raise IdempotentCheckFailed(f"projection {i} is not idempotent")
         out.append(prod)

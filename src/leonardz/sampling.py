@@ -2,23 +2,28 @@
 
 Most classification conditions (a squared parameter, a forced product) cut
 out measure-zero sets, so they are substituted into the draw before the
-remaining parameters are sampled.  Constraint clauses that random draws
-can still violate are handled by rejection within a bounded retry budget.
+remaining parameters are sampled.  Everything family-specific comes from
+the family's record in families.FAMILIES: its draw order and derived
+parameter, and the table rows that a mode forces; a forced row assigns
+each of its targets in place of the draw.  Constraint clauses that random
+draws can still violate are handled by rejection within a bounded retry
+budget.
 
 Modes:
 
     generic          free parameters (dependent ones derived)
-    z:<row>          force one nonzero-space condition row
+    z:<row>          force one named nonzero-space condition row
     dim2             force the dimension-2 row of the type
-    self-dual        force the self-duality equalities of the type
+    self-dual        force the self-duality row of the type
     self-dual-spin   self-dual plus the spin condition row
 """
 
 from __future__ import annotations
 
-from .errors import SamplingExhausted
+from .errors import InvalidMode, SamplingExhausted
 from .exactfield import sample_element
-from .parray import LeonardType, TypeSpec, validate_spec
+from .families import FAMILIES
+from .parray import TypeSpec, validate_spec
 
 DEFAULT_HEIGHT = 12
 DEFAULT_RETRIES = 100
@@ -28,37 +33,28 @@ MODE_DIM2 = "dim2"
 MODE_SELF_DUAL = "self-dual"
 MODE_SELF_DUAL_SPIN = "self-dual-spin"
 
-_Z_MODES = {
-    LeonardType.Q_RACAH: ("z:s_star=r1^2", "z:s_star=r2^2"),
-    LeonardType.Q_HAHN: ("z:s_star=r^2",),
-    LeonardType.RACAH: ("z:s_star=2r1", "z:s_star=2r2"),
-    LeonardType.BANNAI_ITO: ("z:s_star=-2r1", "z:s_star=-2r2"),
-}
 
-_DIM2_TYPES = frozenset((
-    LeonardType.Q_RACAH, LeonardType.DUAL_Q_KRAWTCHOUK, LeonardType.HAHN,
-    LeonardType.KRAWTCHOUK, LeonardType.BANNAI_ITO))
-
-_SELF_DUAL_TYPES = frozenset((
-    LeonardType.Q_RACAH, LeonardType.AFFINE_Q_KRAWTCHOUK, LeonardType.RACAH,
-    LeonardType.KRAWTCHOUK, LeonardType.BANNAI_ITO, LeonardType.ORPHAN))
-
-_SPIN_CONDITION_TYPES = frozenset((
-    LeonardType.Q_RACAH, LeonardType.RACAH, LeonardType.BANNAI_ITO))
+def _forced_rows(name, d):
+    """Each sampling mode of a (type, d) cell, with the table rows it forces."""
+    fam = FAMILIES[name]
+    modes = {MODE_GENERIC: ()}
+    for row in fam.z_rows:
+        if row.name:
+            modes["z:" + row.name] = (row,)
+    dim2 = [row for row in fam.dim2 if row.exists(d)]
+    if dim2:
+        modes[MODE_DIM2] = dim2[:1]
+    if fam.self_dual is not None:
+        modes[MODE_SELF_DUAL] = (fam.self_dual,)
+    spin = [row for row in fam.spin if row.eqs]
+    if spin:
+        modes[MODE_SELF_DUAL_SPIN] = (fam.self_dual, spin[0])
+    return modes
 
 
 def modes_for_type(name, d):
     """All sampling modes exercised for a (type, d) campaign cell."""
-    modes = [MODE_GENERIC]
-    modes.extend(_Z_MODES.get(name, ()))
-    if name in _DIM2_TYPES:
-        if name is not LeonardType.BANNAI_ITO or d % 2 == 0:
-            modes.append(MODE_DIM2)
-    if name in _SELF_DUAL_TYPES:
-        modes.append(MODE_SELF_DUAL)
-    if name in _SPIN_CONDITION_TYPES:
-        modes.append(MODE_SELF_DUAL_SPIN)
-    return modes
+    return list(_forced_rows(name, d))
 
 
 def _nonzero(ctx, rng, height):
@@ -68,154 +64,52 @@ def _nonzero(ctx, rng, height):
     return x
 
 
-def _draw(name, d, ctx, rng, height, mode):
-    """One candidate parameter set for the given mode; may violate clauses."""
-    nz = lambda: _nonzero(ctx, rng, height)
-    any_ = lambda: sample_element(ctx, rng, height)
-    theta0 = any_()
-    theta_star0 = any_()
-    self_dual = mode in (MODE_SELF_DUAL, MODE_SELF_DUAL_SPIN)
+def _exchanged(values):
+    """values with the parameter names r1 and r2 exchanged."""
+    swap = {"r1": "r2", "r2": "r1"}
+    return {swap.get(key, key): x for key, x in values.items()}
+
+
+def _draw(fam, d, ctx, rng, height, self_dual, forced, mirrored):
+    """One candidate parameter set; may violate clauses."""
+    theta0 = sample_element(ctx, rng, height)
+    theta_star0 = sample_element(ctx, rng, height)
     if self_dual:
         theta_star0 = theta0
-
-    if name is LeonardType.Q_RACAH:
-        q, h, r1 = nz(), nz(), nz()
-        if mode == MODE_SELF_DUAL_SPIN:
-            hs, s = h, r1 * r1
-            ss = s
-        elif self_dual:
-            hs, s = h, nz()
-            ss = s
-        elif mode == "z:s_star=r1^2":
-            hs, s, ss = nz(), nz(), r1 * r1
-        elif mode == "z:s_star=r2^2":
-            hs, s = nz(), nz()
-            r2 = r1
-            ss = r2 * r2
-            r1 = s * ss * q ** (d + 1) / r2
-            return theta0, theta_star0, {"q": q, "h": h, "h_star": hs, "s": s,
-                                         "s_star": ss, "r1": r1, "r2": r2}
-        elif mode == MODE_DIM2:
-            hs = nz()
-            ss = r1 * r1
-            s = -(q ** (-d - 1))
+    values = {}
+    for draw in fam.draws:
+        name = draw.rstrip("?")
+        if name in forced:
+            values[name] = forced[name](_exchanged(values) if mirrored else values,
+                                        d, ctx)
+        elif draw.endswith("?"):
+            values[name] = sample_element(ctx, rng, height)
         else:
-            hs, s, ss = nz(), nz(), nz()
-        r2 = s * ss * q ** (d + 1) / r1
-        return theta0, theta_star0, {"q": q, "h": h, "h_star": hs, "s": s,
-                                     "s_star": ss, "r1": r1, "r2": r2}
-
-    if name is LeonardType.Q_HAHN:
-        q, h, hs, r = nz(), nz(), nz(), nz()
-        ss = r * r if mode == "z:s_star=r^2" else nz()
-        return theta0, theta_star0, {"q": q, "h": h, "h_star": hs,
-                                     "s_star": ss, "r": r}
-
-    if name is LeonardType.DUAL_Q_HAHN:
-        return theta0, theta_star0, {"q": nz(), "h": nz(), "h_star": nz(),
-                                     "s": nz(), "r": nz()}
-
-    if name is LeonardType.QUANTUM_Q_KRAWTCHOUK:
-        return theta0, theta_star0, {"q": nz(), "h_star": nz(),
-                                     "s": nz(), "r": nz()}
-
-    if name is LeonardType.Q_KRAWTCHOUK:
-        return theta0, theta_star0, {"q": nz(), "h": nz(), "h_star": nz(),
-                                     "s_star": nz()}
-
-    if name is LeonardType.AFFINE_Q_KRAWTCHOUK:
-        h = nz()
-        hs = h if self_dual else nz()
-        return theta0, theta_star0, {"q": nz(), "h": h, "h_star": hs, "r": nz()}
-
-    if name is LeonardType.DUAL_Q_KRAWTCHOUK:
-        q = nz()
-        s = -(q ** (-d - 1)) if mode == MODE_DIM2 else nz()
-        return theta0, theta_star0, {"q": q, "h": nz(), "h_star": nz(), "s": s}
-
-    if name is LeonardType.RACAH:
-        h, r1 = nz(), nz()
-        if mode == MODE_SELF_DUAL_SPIN:
-            hs, s = h, 2 * r1
-            ss = s
-        elif self_dual:
-            hs, s = h, any_()
-            ss = s
-        elif mode == "z:s_star=2r1":
-            hs, s, ss = nz(), any_(), 2 * r1
-        elif mode == "z:s_star=2r2":
-            hs, s = nz(), any_()
-            r2 = r1
-            ss = 2 * r2
-            r1 = s + ss + d + 1 - r2
-            return theta0, theta_star0, {"h": h, "h_star": hs, "s": s,
-                                         "s_star": ss, "r1": r1, "r2": r2}
-        else:
-            hs, s, ss = nz(), any_(), any_()
-        r2 = s + ss + d + 1 - r1
-        return theta0, theta_star0, {"h": h, "h_star": hs, "s": s,
-                                     "s_star": ss, "r1": r1, "r2": r2}
-
-    if name is LeonardType.HAHN:
-        hs, s, r = nz(), nz(), any_()
-        ss = 2 * r if mode == MODE_DIM2 else any_()
-        return theta0, theta_star0, {"h_star": hs, "s": s, "s_star": ss, "r": r}
-
-    if name is LeonardType.DUAL_HAHN:
-        return theta0, theta_star0, {"h": nz(), "s": any_(), "s_star": nz(),
-                                     "r": any_()}
-
-    if name is LeonardType.KRAWTCHOUK:
-        s = nz()
-        ss = s if self_dual else nz()
-        if mode == MODE_DIM2:
-            r = s * ss / 2
-        else:
-            r = nz()
-        return theta0, theta_star0, {"s": s, "s_star": ss, "r": r}
-
-    if name is LeonardType.BANNAI_ITO:
-        h, r1 = nz(), nz()
-        if mode == MODE_SELF_DUAL_SPIN:
-            hs, s = h, -2 * r1
-            ss = s
-        elif self_dual:
-            hs, s = h, any_()
-            ss = s
-        elif mode == "z:s_star=-2r1":
-            hs, s, ss = nz(), any_(), -2 * r1
-        elif mode == "z:s_star=-2r2":
-            hs, s = nz(), any_()
-            r2 = r1
-            ss = -2 * r2
-            r1 = -s - ss + d + 1 - r2
-            return theta0, theta_star0, {"h": h, "h_star": hs, "s": s,
-                                         "s_star": ss, "r1": r1, "r2": r2}
-        elif mode == MODE_DIM2:
-            hs = nz()
-            ss = -2 * r1
-            s = ctx(d + 1)
-        else:
-            hs, s, ss = nz(), any_(), any_()
-        r2 = -s - ss + d + 1 - r1
-        return theta0, theta_star0, {"h": h, "h_star": hs, "s": s,
-                                     "s_star": ss, "r1": r1, "r2": r2}
-
-    if name is LeonardType.ORPHAN:
-        h, s, r = nz(), nz(), nz()
-        hs = h if self_dual else nz()
-        ss = s if self_dual else nz()
-        return theta0, theta_star0, {"h": h, "h_star": hs, "s": s,
-                                     "s_star": ss, "r": r}
-
-    raise ValueError(f"no sampler for {name}")
+            values[name] = _nonzero(ctx, rng, height)
+    if fam.derive is not None:
+        name, value = fam.derive
+        values[name] = value(values, d, ctx)
+    if mirrored:
+        values = _exchanged(values)
+    return theta0, theta_star0, {key: values[key] for key in fam.params}
 
 
 def sample_spec(name, d, ctx, rng, height=DEFAULT_HEIGHT, mode=MODE_GENERIC,
                 retries=DEFAULT_RETRIES):
-    """Draw a valid TypeSpec; raises SamplingExhausted after the retry budget."""
+    """Draw a valid TypeSpec; raises SamplingExhausted after the retry budget.
+
+    Raises InvalidMode when modes_for_type(name, d) does not list the mode.
+    """
+    rows = _forced_rows(name, d).get(mode)
+    if rows is None:
+        raise InvalidMode(f"{name.value} has no sampling mode {mode!r} at d={d}")
+    fam = FAMILIES[name]
+    self_dual = mode in (MODE_SELF_DUAL, MODE_SELF_DUAL_SPIN)
+    forced = {target: value for row in rows for target, value in row.eqs}
+    mirrored = any(row.mirrored for row in rows)
     for _ in range(retries):
-        theta0, theta_star0, params = _draw(name, d, ctx, rng, height, mode)
+        theta0, theta_star0, params = _draw(fam, d, ctx, rng, height, self_dual,
+                                            forced, mirrored)
         spec = TypeSpec(name, d, ctx, theta0, theta_star0, params)
         if not validate_spec(spec):
             return spec

@@ -205,9 +205,9 @@ def dependence_equivalences(apm):
     return rank_le_1, full, interior
 
 
-def build_zspace_report(arr, a, real, estar, ctx=None):
-    """Assemble M, T, L, ranks, and both Z bases for one instance."""
-    ctx = ctx or arr.field
+def build_zspace_report(arr, a, real, estar):
+    """Assemble M, T, L, the rank of M, dim Z and the kernel-route Z basis."""
+    ctx = arr.field
     d = arr.d
     m = matrix_m(a, arr.theta_star, ctx)
     t = matrix_t(a[0], a[d], arr.theta_star[0], arr.theta_star[d], ctx)

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from leonardz.cli import (
     EXIT_INVALID_SPEC,
     EXIT_OK,
@@ -140,3 +142,42 @@ def test_verify_tables_config(tmp_path):
     code, out2, _ = run_cli(["verify-tables", "--config", str(cfg),
                              "--trials", "2"])
     assert "trials = 2" in out2
+
+
+KRAW = ["--type", "krawtchouk", "--d", "3", "--param", "s=1",
+        "--param", "s_star=1", "--param", "r=2"]
+
+
+@pytest.mark.parametrize("argv, config, expected", [
+    (["analyze", "--field", "GF(4)"] + KRAW, None, EXIT_INVALID_SPEC),
+    (["analyze", "--field", "GF(2^40)"] + KRAW, None, EXIT_INVALID_SPEC),
+    (["analyze", "--field", "GF(x)"] + KRAW, None, EXIT_INVALID_SPEC),
+    (["analyze", "--type", "krawtchouk", "--d", "3", "--param", "s=1",
+      "--param", "s_star=1", "--param", "r=x"], None, EXIT_INVALID_SPEC),
+    (["verify-tables", "--height", "0", "--trials", "1"], None, EXIT_USAGE),
+    (["analyze", "--config", "{cfg}"],
+     "type = krawtchouk\nd = x\ns = 1\ns_star = 1\nr = 2\n", EXIT_INVALID_SPEC),
+    (["verify-tables", "--config", "{cfg}"], "d_min = x\n", EXIT_USAGE),
+    (["verify-tables", "--config", "{cfg}"], b"types = \xff\n", EXIT_USAGE),
+], ids=["gf4", "gf2^40", "gf-x", "param-x", "height-0", "config-d",
+        "config-d-min", "config-not-utf8"])
+def test_bad_input_is_one_line_error(tmp_path, argv, config, expected):
+    cfg = tmp_path / "bad.cfg"
+    if isinstance(config, str):
+        cfg.write_text(config)
+    elif config is not None:
+        cfg.write_bytes(config)
+    argv = [a.replace("{cfg}", str(cfg)) for a in argv]
+    code, out, err = run_cli(argv)
+    assert code == expected
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_bad_seed_env_is_usage_error(monkeypatch):
+    code, _, err = run_cli(["verify-tables", "--types", "krawtchouk",
+                            "--trials", "1"], env={"LEONARD_SEED": "abc"},
+                           monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert err == "usage error: LEONARD_SEED must be an integer; got 'abc'\n"

@@ -3,13 +3,20 @@ import random
 import pytest
 
 from conftest import QQ
-from leonardz.errors import SamplingExhausted
+from leonardz.analysis import (
+    dim2_predicate,
+    self_dual_predicate,
+    spin_table_predicate,
+    z_nonzero_predicate,
+)
+from leonardz.errors import InvalidMode, LeonardError, SamplingExhausted
 from leonardz.exactfield import ExtensionField, PrimeField
 from leonardz.parray import ALL_TYPES, LeonardType, validate_spec
 from leonardz.sampling import (
     MODE_DIM2,
     MODE_GENERIC,
     MODE_SELF_DUAL,
+    MODE_SELF_DUAL_SPIN,
     modes_for_type,
     sample_spec,
 )
@@ -37,6 +44,14 @@ def test_all_modes_sample_validly(name):
         rng = random.Random(f"modes|{name.value}|{mode}")
         spec = sample_spec(name, d, ctx, rng, mode=mode)
         assert validate_spec(spec) == []
+        if mode.startswith("z:"):
+            assert z_nonzero_predicate(spec) == (True, f"{name.value}:{mode[2:]}")
+        if mode == MODE_DIM2:
+            assert dim2_predicate(spec) is True
+        if mode in (MODE_SELF_DUAL, MODE_SELF_DUAL_SPIN):
+            assert self_dual_predicate(spec) is True
+        if mode == MODE_SELF_DUAL_SPIN:
+            assert spin_table_predicate(spec) is True
 
 
 def test_sampling_is_deterministic():
@@ -58,6 +73,19 @@ def test_modes_for_type_structure():
     bi_even = modes_for_type(LeonardType.BANNAI_ITO, 4)
     assert MODE_DIM2 in bi_even
     assert "z:s_star=-2r1" in bi_even
+
+
+@pytest.mark.parametrize("name, d, mode", [
+    (LeonardType.DUAL_HAHN, 4, MODE_DIM2),
+    (LeonardType.KRAWTCHOUK, 4, "z:typo"),
+    (LeonardType.BANNAI_ITO, 5, MODE_DIM2),
+    (LeonardType.KRAWTCHOUK, 4, MODE_SELF_DUAL_SPIN),
+])
+def test_unlisted_mode_is_rejected(name, d, mode):
+    assert mode not in modes_for_type(name, d)
+    with pytest.raises(InvalidMode) as info:
+        sample_spec(name, d, QQ, random.Random(0), mode=mode)
+    assert isinstance(info.value, LeonardError)
 
 
 def test_sampling_exhausts_on_impossible_cell():
