@@ -3,10 +3,18 @@
 writing both reports to files and exiting nonzero on any failure.
 
 Usage: python scripts/run_verification.py [output_dir] [seed]
+
+Uses the installed leonardz package; without one, it imports the package
+from the checkout's src/ directory.
 """
 
 import sys
 from pathlib import Path
+
+try:
+    import leonardz  # noqa: F401
+except ModuleNotFoundError:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from leonardz.campaign import render_report, run_campaign
 from leonardz.counterexample import counterexample_d2

@@ -53,6 +53,7 @@ from .parray import (
 from .realization import (
     IntersectionNumbers,
     Realization,
+    bidiagonal_idempotents,
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,
@@ -71,10 +72,8 @@ from .zerodiag import (
     matrix_l,
     matrix_m,
     matrix_t,
-    rank_exact,
     x_space_basis,
     z_basis_kernel,
-    z_dimension,
 )
 
 __version__ = "0.1.0"

@@ -12,10 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg, zerodiag
-from .errors import IdentityFailure, IndexOutOfRange, TableInconsistency
+from .errors import (
+    IdempotentCheckFailed,
+    IdentityFailure,
+    IndexOutOfRange,
+    TableInconsistency,
+)
 from .families import FAMILIES
 from .parray import build_parameter_array
 from .realization import (
+    bidiagonal_idempotents,
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,
@@ -211,8 +217,11 @@ class InstanceChecks:
 def analyze_instance(spec, arr=None, deep=False):
     """Run the full pipeline on one instance and cross-check every route.
 
+    The dual projections E* come from bidiagonal_idempotents, since A* is
+    upper bidiagonal in the split basis and diagonal in the standard one.
     With deep=True the primal idempotent family and the tridiagonal
-    vanishing axioms are verified as well (slower; the worked-instance
+    vanishing axioms are verified as well, and the split-basis E* are
+    checked against the product formula (slower; the worked-instance
     tests use it, the sampling campaign does not).
     """
     if arr is None:
@@ -222,8 +231,12 @@ def analyze_instance(spec, arr=None, deep=False):
     flags = {}
 
     real = realize_split(arr)
-    estar_split = primitive_idempotents(real.A_star, arr.theta_star, ctx)
+    estar_split = bidiagonal_idempotents(real.A_star, arr.theta_star, ctx)
     if deep:
+        product = primitive_idempotents(real.A_star, arr.theta_star, ctx)
+        if not all(map(linalg.mat_eq, estar_split, product)):
+            raise IdempotentCheckFailed(
+                "rank-one E* differ from the product formula")
         e_split = primitive_idempotents(real.A, arr.theta, ctx)
         e0 = e_split[0]
         verify_axioms(real, e_split, estar_split)
@@ -237,7 +250,7 @@ def analyze_instance(spec, arr=None, deep=False):
     std, nums = standard_basis_rep(real, [e0], estar_split)
     flags["a_standard_equals_closed"] = nums.a == a
 
-    estar_std = primitive_idempotents(std.A_star, arr.theta_star, ctx)
+    estar_std = bidiagonal_idempotents(std.A_star, arr.theta_star, ctx)
 
     zreport = zerodiag.build_zspace_report(arr, a, std, estar_std)
     rank_m, dim_z = zreport.rank_m, zreport.dim_z

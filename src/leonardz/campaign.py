@@ -79,8 +79,8 @@ class CampaignReport:
 
 def _check_sample(spec, mode, collector, cell, trial):
     arr = build_parameter_array(spec)
-    verify_pi2(spec, arr)
     chk = analyze_instance(spec, arr)
+    verify_pi2(spec, arr, chk.a)
     problems = list(chk.failures)
     dim_z = chk.zreport.dim_z
     if mode.startswith("z:") and dim_z == 0:
@@ -110,8 +110,6 @@ def run_campaign(types=None, d_min=DEFAULT_D_MIN, d_max=DEFAULT_D_MAX,
     for name in types:
         fam = FAMILIES[name]
         for d in range(d_min, d_max + 1):
-            if fam.diameter not in (None, d):
-                continue
             for ctx in map(parse_field, fam.fields):
                 for mode in modes_for_type(name, d):
                     cell = CellResult(name.value, d, ctx.label(), mode, trials)

@@ -70,7 +70,12 @@ class RepeatedEigenvalue(LeonardError, ValueError):
 
 
 class IdempotentCheckFailed(LeonardError):
-    """A computed projection fails E*E = E; the input matrix was bad."""
+    """A computed projection fails its check; the input matrix was bad.
+
+    Raised when E*E != E, when two routes to the same projections
+    disagree, and when a matrix given as bidiagonal has an entry off the
+    bidiagonal or a diagonal other than its eigenvalues.
+    """
 
 
 class SingularBasis(LeonardError):

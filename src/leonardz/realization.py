@@ -3,10 +3,13 @@
 realize_split produces the defining bidiagonal pair: A lower bidiagonal
 with eigenvalue diagonal and unit subdiagonal, A* upper bidiagonal with
 dual eigenvalue diagonal and the first split sequence on the
-superdiagonal.  Primitive idempotents come from the spectral product
-formula and are post-verified.  standard_basis_rep changes to the basis
-of projected vectors E*_i u, where A* becomes diagonal and A becomes
-irreducible tridiagonal, exposing the intersection numbers.
+superdiagonal.  Primitive idempotents come by two routes: the spectral
+product formula, post-verified, for any multiplicity-free matrix; and,
+for an upper bidiagonal or diagonal matrix such as A*, the rank-one
+outer products of its left and right eigenvectors, found by substitution
+in O(n^2) each.  standard_basis_rep changes to the basis of projected
+vectors E*_i u, where A* becomes diagonal and A becomes irreducible
+tridiagonal, exposing the intersection numbers.
 """
 
 from __future__ import annotations
@@ -102,16 +105,20 @@ def spectral_projection(mtx, eigs, index, ctx):
     return _projection(_shifts(mtx, eigs), eigs, index, ctx)
 
 
+def _check_distinct(eigs):
+    for i in range(len(eigs)):
+        for j in range(i + 1, len(eigs)):
+            if eigs[i] == eigs[j]:
+                raise RepeatedEigenvalue(f"eigenvalues {i} and {j} coincide")
+
+
 def primitive_idempotents(mtx, eigs, ctx):
     """Spectral projections of a multiplicity-free matrix, one per eigenvalue.
 
     Each projection is the product of (M - eig_j I)/(eig_i - eig_j) over
     j != i, and is post-verified to square to itself.
     """
-    for i in range(len(eigs)):
-        for j in range(i + 1, len(eigs)):
-            if eigs[i] == eigs[j]:
-                raise RepeatedEigenvalue(f"eigenvalues {i} and {j} coincide")
+    _check_distinct(eigs)
     shifts = _shifts(mtx, eigs)
     out = []
     for i in range(len(eigs)):
@@ -119,6 +126,42 @@ def primitive_idempotents(mtx, eigs, ctx):
         if not linalg.mat_eq(linalg.mat_mul(prod, prod), prod):
             raise IdempotentCheckFailed(f"projection {i} is not idempotent")
         out.append(prod)
+    return out
+
+
+def bidiagonal_idempotents(mtx, eigs, ctx):
+    """Spectral projections of an upper bidiagonal matrix whose diagonal is eigs.
+
+    A diagonal matrix qualifies.  The right eigenvector v_i of eigs[i]
+    comes from back-substitution and has support 0..i; the left
+    eigenvector w_i comes from forward substitution and has support i..d.
+    With v_i[i] = w_i[i] = 1 their product w_i v_i is 1, so the
+    projection is the outer product v_i w_i^T.  For a triangular matrix
+    the shape and diagonal checks are what verify the spectrum.
+    """
+    _check_distinct(eigs)
+    n = len(eigs)
+    if len(mtx) != n:
+        raise IdempotentCheckFailed(f"{len(mtx)} rows for {n} eigenvalues")
+    for r, row in enumerate(mtx):
+        if row[r] != eigs[r]:
+            raise IdempotentCheckFailed(f"diagonal entry {r} is not eigenvalue {r}")
+        for c, x in enumerate(row):
+            if x and c != r and c != r + 1:
+                raise IdempotentCheckFailed(f"entry ({r},{c}) is off the bidiagonal")
+    sup = [mtx[r][r + 1] for r in range(n - 1)]
+    zero, one = ctx.zero, ctx.one
+    out = []
+    for i, eig in enumerate(eigs):
+        v = [zero] * n
+        v[i] = one
+        for r in range(i - 1, -1, -1):
+            v[r] = sup[r] * v[r + 1] / (eig - eigs[r])
+        w = [zero] * n
+        w[i] = one
+        for c in range(i + 1, n):
+            w[c] = w[c - 1] * sup[c - 1] / (eig - eigs[c])
+        out.append([[x * y for y in w] if x else [zero] * n for x in v])
     return out
 
 

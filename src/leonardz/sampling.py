@@ -35,8 +35,13 @@ MODE_SELF_DUAL_SPIN = "self-dual-spin"
 
 
 def _forced_rows(name, d):
-    """Each sampling mode of a (type, d) cell, with the table rows it forces."""
+    """Each sampling mode of a (type, d) cell, with the table rows it forces.
+
+    A family with a fixed diameter other than d has no modes at all.
+    """
     fam = FAMILIES[name]
+    if fam.diameter not in (None, d):
+        return {}
     modes = {MODE_GENERIC: ()}
     for row in fam.z_rows:
         if row.name:

@@ -89,16 +89,6 @@ def matrix_l(apm, theta_star, ctx):
     ]
 
 
-def rank_exact(mtx):
-    """Exact rank by pivoting Gaussian elimination."""
-    return linalg.rank(mtx)
-
-
-def z_dimension(rank_m):
-    """Dimension of the zero diagonal space: 4 - rank(M)."""
-    return 4 - rank_m
-
-
 def has_zero_diagonal(x, estar):
     """Whether E*_i X E*_i vanishes for every i."""
     for e in estar:
@@ -212,12 +202,12 @@ def build_zspace_report(arr, a, real, estar):
     m = matrix_m(a, arr.theta_star, ctx)
     t = matrix_t(a[0], a[d], arr.theta_star[0], arr.theta_star[d], ctx)
     l = matrix_l(compute_apm(a, arr.theta_star), arr.theta_star, ctx)
-    rank_m = rank_exact(m)
+    rank_m = linalg.rank(m)
     kernel = z_basis_kernel(m, real, estar)
     return ZSpaceReport(
         M=m, L=l, T=t,
         rank_m=rank_m,
-        dim_z=z_dimension(rank_m),
+        dim_z=4 - rank_m,
         coeff_basis=[coeffs for coeffs, _ in kernel],
         matrix_basis=[x for _, x in kernel],
     )

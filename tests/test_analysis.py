@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import QQ, make_krawtchouk
+from leonardz import analysis
 from leonardz.analysis import (
     analyze_instance,
     dim2_predicate,
@@ -17,7 +18,7 @@ from leonardz.analysis import (
     verify_pi2,
     z_nonzero_predicate,
 )
-from leonardz.errors import IndexOutOfRange
+from leonardz.errors import IdempotentCheckFailed, IndexOutOfRange
 from leonardz.exactfield import ExtensionField
 from leonardz.parray import LeonardType, build_parameter_array
 from leonardz.realization import intersection_a_closed
@@ -274,6 +275,33 @@ def test_analyze_instance_exemplars_deep(exemplar_specs):
     for spec in exemplar_specs.values():
         chk = analyze_instance(spec, deep=True)
         assert chk.ok, (spec.name, chk.failures)
+
+
+@pytest.mark.parametrize("deep, calls", [(False, 0), (True, 2)])
+def test_product_formula_only_in_deep_mode(monkeypatch, kraw_dim1, deep, calls):
+    seen = []
+
+    def counted(mtx, eigs, ctx):
+        seen.append(len(eigs))
+        return original(mtx, eigs, ctx)
+
+    original = analysis.primitive_idempotents
+    monkeypatch.setattr(analysis, "primitive_idempotents", counted)
+    chk = analyze_instance(kraw_dim1, deep=deep)
+    assert chk.ok, chk.failures
+    assert len(seen) == calls
+
+
+def test_deep_mode_rejects_diverging_projections(monkeypatch, kraw_dim1):
+    def shifted(mtx, eigs, ctx):
+        out = original(mtx, eigs, ctx)
+        out[-1][0][0] = out[-1][0][0] + ctx.one
+        return out
+
+    original = analysis.primitive_idempotents
+    monkeypatch.setattr(analysis, "primitive_idempotents", shifted)
+    with pytest.raises(IdempotentCheckFailed):
+        analyze_instance(kraw_dim1, deep=True)
 
 
 def test_cor_route_equivalence_on_self_dual_samples():

@@ -1,18 +1,31 @@
+import random
+
 import pytest
 
 from conftest import QQ
 from leonardz import linalg
-from leonardz.errors import AxiomViolation, RepeatedEigenvalue, SingularBasis
-from leonardz.parray import ParameterArray, build_parameter_array
+from leonardz.errors import (
+    AxiomViolation,
+    IdempotentCheckFailed,
+    LeonardError,
+    RepeatedEigenvalue,
+    SingularBasis,
+)
+from leonardz.exactfield import parse_field
+from leonardz.families import FAMILIES
+from leonardz.parray import ALL_TYPES, ParameterArray, build_parameter_array
 from leonardz.realization import (
+    bidiagonal_idempotents,
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,
     realize_split,
+    spectral_projection,
     standard_basis_rep,
     verify_axioms,
     verify_idempotent_set,
 )
+from leonardz.sampling import sample_spec
 
 
 def qmat(rows):
@@ -63,18 +76,70 @@ def test_counterexample_idempotent_columns():
 
 def test_idempotents_of_diagonal_matrix():
     diag = qmat([[4, 0, 0], [0, 7, 0], [0, 0, 9]])
-    e = primitive_idempotents(diag, [QQ(4), QQ(7), QQ(9)], QQ)
-    for i in range(3):
-        for r in range(3):
-            for c in range(3):
-                expected = QQ(1) if r == c == i else QQ(0)
-                assert e[i][r][c] == expected
+    for route in (primitive_idempotents, bidiagonal_idempotents):
+        e = route(diag, [QQ(4), QQ(7), QQ(9)], QQ)
+        for i in range(3):
+            for r in range(3):
+                for c in range(3):
+                    expected = QQ(1) if r == c == i else QQ(0)
+                    assert e[i][r][c] == expected
 
 
 def test_repeated_eigenvalue_rejected():
     diag = qmat([[4, 0], [0, 4]])
-    with pytest.raises(RepeatedEigenvalue):
-        primitive_idempotents(diag, [QQ(4), QQ(4)], QQ)
+    for route in (primitive_idempotents, bidiagonal_idempotents):
+        with pytest.raises(RepeatedEigenvalue):
+            route(diag, [QQ(4), QQ(4)], QQ)
+
+
+def _assert_routes_agree(spec):
+    """Both routes give the same E* for the split and the standard A*."""
+    arr = build_parameter_array(spec)
+    ctx = arr.field
+    real = realize_split(arr)
+    estar = primitive_idempotents(real.A_star, arr.theta_star, ctx)
+    assert bidiagonal_idempotents(real.A_star, arr.theta_star, ctx) == estar, spec.name
+    e0 = spectral_projection(real.A, arr.theta, 0, ctx)
+    std, _ = standard_basis_rep(real, [e0], estar)
+    assert bidiagonal_idempotents(std.A_star, arr.theta_star, ctx) == \
+        primitive_idempotents(std.A_star, arr.theta_star, ctx), spec.name
+
+
+def test_bidiagonal_route_matches_product_formula_on_exemplars(exemplar_specs):
+    for spec in exemplar_specs.values():
+        _assert_routes_agree(spec)
+
+
+@pytest.mark.parametrize("label", ["Q", "GF(1000003)", "GF(3^4)"])
+def test_bidiagonal_route_matches_product_formula_sampled(label):
+    ctx = parse_field(label)
+    rng = random.Random(f"bidiagonal|{label}")
+    checked = 0
+    for d in range(3, 9):
+        for name in ALL_TYPES:
+            fam = FAMILIES[name]
+            if fam.diameter not in (None, d) or (
+                    fam.characteristic is not None
+                    and not fam.characteristic.allows(ctx.characteristic, d)):
+                continue
+            _assert_routes_agree(sample_spec(name, d, ctx, rng))
+            checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("rows, eigs", [
+    ([[1, 2, 0], [0, 3, 5], [7, 0, 6]], [1, 3, 6]),
+    ([[1, 2, 0], [3, 3, 5], [0, 0, 6]], [1, 3, 6]),
+    ([[1, 2, 1], [0, 3, 5], [0, 0, 6]], [1, 3, 6]),
+    ([[1, 2, 0], [0, 3, 5], [0, 0, 6]], [1, 3, 7]),
+    ([[1, 2, 0], [0, 3, 5], [0, 0, 6]], [1, 6, 3]),
+    ([[1, 2], [0, 3]], [1, 3, 6]),
+], ids=["corner-below", "subdiagonal", "above-superdiagonal",
+        "wrong-diagonal", "permuted-diagonal", "wrong-size"])
+def test_bidiagonal_route_rejects_bad_input(rows, eigs):
+    with pytest.raises(IdempotentCheckFailed) as info:
+        bidiagonal_idempotents(qmat(rows), [QQ(x) for x in eigs], QQ)
+    assert isinstance(info.value, LeonardError)
 
 
 def test_idempotent_set_full_verification(worked):

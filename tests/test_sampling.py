@@ -88,6 +88,18 @@ def test_unlisted_mode_is_rejected(name, d, mode):
     assert isinstance(info.value, LeonardError)
 
 
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_fixed_diameter_family_has_no_modes_elsewhere(d):
+    gf4 = ExtensionField(2, 2)
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert modes_for_type(LeonardType.ORPHAN, d) == []
+    for mode in (MODE_GENERIC, MODE_SELF_DUAL):
+        with pytest.raises(InvalidMode):
+            sample_spec(LeonardType.ORPHAN, d, gf4, rng, mode=mode)
+    assert rng.getstate() == state
+
+
 def test_sampling_exhausts_on_impossible_cell():
     # no valid orphan exists over GF(2): s and s_star cannot avoid 1
     gf2 = PrimeField(2)

@@ -16,26 +16,25 @@ def ql(values):
     return [QQ(x) for x in values]
 
 
-@pytest.fixture(scope="module")
-def std_dim1(kraw_dim1):
-    arr = build_parameter_array(kraw_dim1)
+def standard_rep(spec):
+    """(array, standard-basis realization, a, standard-basis E*) by the product formula."""
+    arr = build_parameter_array(spec)
     real = realize_split(arr)
     e = primitive_idempotents(real.A, arr.theta, QQ)
     estar = primitive_idempotents(real.A_star, arr.theta_star, QQ)
     std, nums = standard_basis_rep(real, e, estar)
     estar_std = primitive_idempotents(std.A_star, arr.theta_star, QQ)
     return arr, std, nums.a, estar_std
+
+
+@pytest.fixture(scope="module")
+def std_dim1(kraw_dim1):
+    return standard_rep(kraw_dim1)
 
 
 @pytest.fixture(scope="module")
 def std_dim2(kraw_dim2):
-    arr = build_parameter_array(kraw_dim2)
-    real = realize_split(arr)
-    e = primitive_idempotents(real.A, arr.theta, QQ)
-    estar = primitive_idempotents(real.A_star, arr.theta_star, QQ)
-    std, nums = standard_basis_rep(real, e, estar)
-    estar_std = primitive_idempotents(std.A_star, arr.theta_star, QQ)
-    return arr, std, nums.a, estar_std
+    return standard_rep(kraw_dim2)
 
 
 # -- raw sequence oracles (hand-computed from a = (3,2,1,0), ts = (0,1,2,3)) --
@@ -87,16 +86,18 @@ def test_det_t_equals_dual_eigenvalue_gap():
 
 def test_rank_hand_values():
     m = zerodiag.matrix_m(ql([3, 2, 1, 0]), ql([0, 1, 2, 3]), QQ)
-    assert zerodiag.rank_exact(m) == 3
+    assert linalg.rank(m) == 3
     const = zerodiag.matrix_m(ql([5, 5, 5, 5]), ql([0, 1, 2, 3]), QQ)
-    assert zerodiag.rank_exact(const) == 2
-    assert zerodiag.rank_exact(linalg.identity(4, QQ)) == 4
+    assert linalg.rank(const) == 2
+    assert linalg.rank(linalg.identity(4, QQ)) == 4
 
 
-def test_z_dimension_arithmetic():
-    assert zerodiag.z_dimension(3) == 1
-    assert zerodiag.z_dimension(4) == 0
-    assert zerodiag.z_dimension(2) == 2
+def test_z_dimension_arithmetic(std_dim1, std_dim2, dual_hahn_spec):
+    for rep, rank_m, dim_z in ((std_dim1, 3, 1), (std_dim2, 2, 2),
+                               (standard_rep(dual_hahn_spec), 4, 0)):
+        arr, std, a, estar_std = rep
+        report = zerodiag.build_zspace_report(arr, a, std, estar_std)
+        assert (linalg.rank(report.M), report.dim_z) == (rank_m, dim_z)
 
 
 # -- realization-level checks ------------------------------------------------
@@ -116,14 +117,9 @@ def test_kernel_basis_worked(std_dim1):
 
 
 def test_kernel_empty_for_zero_space(dual_hahn_spec):
-    arr = build_parameter_array(dual_hahn_spec)
-    real = realize_split(arr)
-    e = primitive_idempotents(real.A, arr.theta, QQ)
-    estar = primitive_idempotents(real.A_star, arr.theta_star, QQ)
-    std, nums = standard_basis_rep(real, e, estar)
-    estar_std = primitive_idempotents(std.A_star, arr.theta_star, QQ)
-    m = zerodiag.matrix_m(nums.a, arr.theta_star, QQ)
-    assert zerodiag.rank_exact(m) == 4
+    arr, std, a, estar_std = standard_rep(dual_hahn_spec)
+    m = zerodiag.matrix_m(a, arr.theta_star, QQ)
+    assert linalg.rank(m) == 4
     assert zerodiag.z_basis_kernel(m, std, estar_std) == []
 
 
@@ -232,13 +228,13 @@ def test_rank_invariance_under_transforms(exemplar_specs):
     for spec in exemplar_specs.values():
         arr = build_parameter_array(spec)
         ctx = arr.field
-        base = zerodiag.rank_exact(
+        base = linalg.rank(
             zerodiag.matrix_m(intersection_a_closed(arr), arr.theta_star, ctx))
         for variant in (reverse_dual(arr), reverse_primal(arr),
                         affine_transform(arr, ctx(2) if ctx.characteristic != 2
                                          else ctx(1), ctx(1),
                                          ctx.one, ctx.zero)):
-            got = zerodiag.rank_exact(zerodiag.matrix_m(
+            got = linalg.rank(zerodiag.matrix_m(
                 intersection_a_closed(variant), variant.theta_star, ctx))
             assert got == base
 
