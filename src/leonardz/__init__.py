@@ -31,8 +31,6 @@ from .exactfield import (
     PrimeField,
     Rationals,
     field_arith,
-    format_element,
-    parse_element,
     parse_field,
     sample_element,
 )

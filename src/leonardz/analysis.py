@@ -26,7 +26,6 @@ from .realization import (
     intersection_a_trace,
     primitive_idempotents,
     realize_split,
-    spectral_projection,
     standard_basis_rep,
     verify_axioms,
 )
@@ -217,12 +216,14 @@ class InstanceChecks:
 def analyze_instance(spec, arr=None, deep=False):
     """Run the full pipeline on one instance and cross-check every route.
 
-    The dual projections E* come from bidiagonal_idempotents, since A* is
-    upper bidiagonal in the split basis and diagonal in the standard one.
-    With deep=True the primal idempotent family and the tridiagonal
-    vanishing axioms are verified as well, and the split-basis E* are
-    checked against the product formula (slower; the worked-instance
-    tests use it, the sampling campaign does not).
+    Both spectral families come from bidiagonal_idempotents as rank-one
+    outer products: E* from the upper bidiagonal A*, and E from the
+    transpose of the lower bidiagonal A.  The zero diagonal space is
+    computed in the standard basis, where A* is diagonal and the test
+    E*_i X E*_i = 0 reads X_ii = 0.  With deep=True both families are
+    checked against the product formula and the tridiagonal vanishing
+    axioms are verified as well (slower; the worked-instance tests use
+    it, the sampling campaign does not).
     """
     if arr is None:
         arr = build_parameter_array(spec)
@@ -232,39 +233,35 @@ def analyze_instance(spec, arr=None, deep=False):
 
     real = realize_split(arr)
     estar_split = bidiagonal_idempotents(real.A_star, arr.theta_star, ctx)
+    e_split = [linalg.transpose(e) for e in bidiagonal_idempotents(
+        linalg.transpose(real.A), arr.theta, ctx)]
     if deep:
-        product = primitive_idempotents(real.A_star, arr.theta_star, ctx)
-        if not all(map(linalg.mat_eq, estar_split, product)):
-            raise IdempotentCheckFailed(
-                "rank-one E* differ from the product formula")
-        e_split = primitive_idempotents(real.A, arr.theta, ctx)
-        e0 = e_split[0]
+        for name, family, mtx, eigs in (("E*", estar_split, real.A_star, arr.theta_star),
+                                        ("E", e_split, real.A, arr.theta)):
+            if not all(map(linalg.mat_eq, family, primitive_idempotents(mtx, eigs, ctx))):
+                raise IdempotentCheckFailed(
+                    f"rank-one {name} differ from the product formula")
         verify_axioms(real, e_split, estar_split)
-    else:
-        e0 = spectral_projection(real.A, arr.theta, 0, ctx)
 
     a = intersection_a_closed(arr)
     a_trace = intersection_a_trace(real, estar_split)
     flags["a_trace_equals_closed"] = a == a_trace
 
-    std, nums = standard_basis_rep(real, [e0], estar_split)
+    std, nums = standard_basis_rep(real, e_split, estar_split)
     flags["a_standard_equals_closed"] = nums.a == a
 
-    estar_std = bidiagonal_idempotents(std.A_star, arr.theta_star, ctx)
-
-    zreport = zerodiag.build_zspace_report(arr, a, std, estar_std)
+    zreport = zerodiag.build_zspace_report(arr, a, std)
     rank_m, dim_z = zreport.rank_m, zreport.dim_z
     flags["L_equals_TM"] = linalg.mat_eq(zreport.L, linalg.mat_mul(zreport.T, zreport.M))
     flags["det_T_value"] = linalg.det(zreport.T) == arr.theta_star[0] - arr.theta_star[d]
     flags["rank_L_equals_rank_M"] = linalg.rank(zreport.L) == rank_m
     flags["rank_bounds"] = 2 <= rank_m <= 4
     flags["kernel_dimension_matches"] = len(zreport.coeff_basis) == dim_z
-    apm = zerodiag.compute_apm(a, arr.theta_star)
+    apm = zreport.apm
 
     commutator = linalg.mat_sub(linalg.mat_mul(std.A, std.A_star),
                                 linalg.mat_mul(std.A_star, std.A))
-    flags["commutator_zero_diagonal"] = zerodiag.has_zero_diagonal(
-        commutator, estar_std)
+    flags["commutator_zero_diagonal"] = zerodiag.has_zero_diagonal(commutator)
 
     try:
         zerodiag.x_space_basis(std)
@@ -289,8 +286,7 @@ def analyze_instance(spec, arr=None, deep=False):
         flags["relation_holds"] = relation_check(apm, u, v)
         gen = zerodiag.z_basis_closed_dim1(std, a, u, v)
         flags["closed_generator_nonzero"] = not linalg.is_zero_matrix(gen)
-        flags["closed_generator_zero_diagonal"] = zerodiag.has_zero_diagonal(
-            gen, estar_std)
+        flags["closed_generator_zero_diagonal"] = zerodiag.has_zero_diagonal(gen)
         flags["closed_generator_in_kernel_span"] = linalg.in_row_span(
             kernel_flat, linalg.flatten(gen))
         if dim_z == 1:
@@ -304,7 +300,7 @@ def analyze_instance(spec, arr=None, deep=False):
             for c in zreport.coeff_basis)
         pair = zerodiag.z_basis_closed_dim2(std, a[0])
         flags["dim2_pair_zero_diagonal"] = all(
-            zerodiag.has_zero_diagonal(x, estar_std) for x in pair)
+            zerodiag.has_zero_diagonal(x) for x in pair)
         flags["dim2_pair_spans"] = linalg.same_row_span(
             kernel_flat, [linalg.flatten(x) for x in pair])
 

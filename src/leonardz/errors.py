@@ -102,6 +102,10 @@ class ZeroDiagCheckFailed(LeonardError):
     """A kernel element failed the zero-diagonal verification."""
 
 
+class WrongBasis(LeonardError, ValueError):
+    """A realization in the split basis where the standard basis is required."""
+
+
 class DependenceDetected(LeonardError):
     """The five canonical generators came out linearly dependent."""
 

@@ -94,9 +94,6 @@ class Rationals(FieldContext):
     def __hash__(self):
         return hash("Q")
 
-    def is_element(self, x):
-        return isinstance(x, type(Rational(0)))
-
     def parse(self, text):
         m = _RATIONAL_RE.match(text.strip())
         if not m:
@@ -222,9 +219,6 @@ class PrimeField(FieldContext):
 
     def __hash__(self):
         return hash(("GF", self.p))
-
-    def is_element(self, x):
-        return isinstance(x, PrimeFieldElement) and x.field == self
 
     def parse(self, text):
         m = _RATIONAL_RE.match(text.strip())
@@ -503,9 +497,6 @@ class ExtensionField(FieldContext):
     def __hash__(self):
         return hash(("GF", self.p, self.k, self.modulus))
 
-    def is_element(self, x):
-        return isinstance(x, ExtensionFieldElement) and x.field == self
-
     def parse(self, text):
         text = text.strip().replace(" ", "")
         if not text:
@@ -564,16 +555,6 @@ def parse_field(label):
     if m.group(2) is None or int(m.group(2)) == 1:
         return PrimeField(p)
     return ExtensionField(p, int(m.group(2)))
-
-
-def parse_element(text, ctx):
-    """Parse an element literal in the given context."""
-    return ctx.parse(text)
-
-
-def format_element(x, ctx):
-    """Canonical text form of an element."""
-    return ctx.format(x)
 
 
 _ARITH = {

@@ -90,10 +90,6 @@ def mat_vec(a, v):
     return out
 
 
-def column(a, j):
-    return [row[j] for row in a]
-
-
 def _echelon(rows):
     """Reduce a copy of `rows` to row echelon form; return (matrix, pivot columns)."""
     m = [row[:] for row in rows]

@@ -3,13 +3,15 @@
 realize_split produces the defining bidiagonal pair: A lower bidiagonal
 with eigenvalue diagonal and unit subdiagonal, A* upper bidiagonal with
 dual eigenvalue diagonal and the first split sequence on the
-superdiagonal.  Primitive idempotents come by two routes: the spectral
-product formula, post-verified, for any multiplicity-free matrix; and,
-for an upper bidiagonal or diagonal matrix such as A*, the rank-one
-outer products of its left and right eigenvectors, found by substitution
-in O(n^2) each.  standard_basis_rep changes to the basis of projected
-vectors E*_i u, where A* becomes diagonal and A becomes irreducible
-tridiagonal, exposing the intersection numbers.
+superdiagonal.  Primitive idempotents come by two routes.  The analysis
+builds them as rank-one outer products of left and right eigenvectors,
+found by substitution in O(n^2) each: bidiagonal_idempotents takes an
+upper bidiagonal or diagonal matrix such as A* directly, and A through
+its transpose.  The spectral product formula, post-verified, works for
+any multiplicity-free matrix and is the reference route that deep mode,
+the tests and the boundary example use.  standard_basis_rep changes to
+the basis of projected vectors E*_i u, where A* becomes diagonal and A
+becomes irreducible tridiagonal, exposing the intersection numbers.
 """
 
 from __future__ import annotations
@@ -71,40 +73,6 @@ def realize_split(arr):
     return Realization(arr, a, a_star, Basis.SPLIT)
 
 
-def _projection(shifts, eigs, i, ctx):
-    """The product of shifts[j] = M - eig_j I over j != i, over (eig_i - eig_j)."""
-    prod = None
-    denom = ctx.one
-    for j, ej in enumerate(eigs):
-        if j == i:
-            continue
-        prod = shifts[j] if prod is None else linalg.mat_mul(prod, shifts[j])
-        denom = denom * (eigs[i] - ej)
-    if prod is None:
-        prod = linalg.identity(len(shifts[i]), ctx)
-    return linalg.mat_scale(ctx.one / denom, prod)
-
-
-def _shifts(mtx, eigs):
-    out = []
-    for ej in eigs:
-        m = [row[:] for row in mtx]
-        for r in range(len(m)):
-            m[r][r] = m[r][r] - ej
-        out.append(m)
-    return out
-
-
-def spectral_projection(mtx, eigs, index, ctx):
-    """The one projection E_index by the product formula, not post-verified.
-
-    For callers that need a single projection of a matrix whose
-    eigenvalues are known to be distinct; primitive_idempotents builds and
-    verifies the whole family.
-    """
-    return _projection(_shifts(mtx, eigs), eigs, index, ctx)
-
-
 def _check_distinct(eigs):
     for i in range(len(eigs)):
         for j in range(i + 1, len(eigs)):
@@ -119,10 +87,25 @@ def primitive_idempotents(mtx, eigs, ctx):
     j != i, and is post-verified to square to itself.
     """
     _check_distinct(eigs)
-    shifts = _shifts(mtx, eigs)
+    n = len(mtx)
+    shifts = []
+    for ej in eigs:
+        m = [row[:] for row in mtx]
+        for r in range(n):
+            m[r][r] = m[r][r] - ej
+        shifts.append(m)
     out = []
-    for i in range(len(eigs)):
-        prod = _projection(shifts, eigs, i, ctx)
+    for i, ei in enumerate(eigs):
+        prod = None
+        denom = ctx.one
+        for j, ej in enumerate(eigs):
+            if j == i:
+                continue
+            prod = shifts[j] if prod is None else linalg.mat_mul(prod, shifts[j])
+            denom = denom * (ei - ej)
+        if prod is None:
+            prod = linalg.identity(n, ctx)
+        prod = linalg.mat_scale(ctx.one / denom, prod)
         if not linalg.mat_eq(linalg.mat_mul(prod, prod), prod):
             raise IdempotentCheckFailed(f"projection {i} is not idempotent")
         out.append(prod)
@@ -132,7 +115,9 @@ def primitive_idempotents(mtx, eigs, ctx):
 def bidiagonal_idempotents(mtx, eigs, ctx):
     """Spectral projections of an upper bidiagonal matrix whose diagonal is eigs.
 
-    A diagonal matrix qualifies.  The right eigenvector v_i of eigs[i]
+    A diagonal matrix qualifies, and so does the transpose of a lower
+    bidiagonal matrix such as the split A, whose projections are the
+    transposes of the ones returned.  The right eigenvector v_i of eigs[i]
     comes from back-substitution and has support 0..i; the left
     eigenvector w_i comes from forward substitution and has support i..d.
     With v_i[i] = w_i[i] = 1 their product w_i v_i is 1, so the
@@ -255,16 +240,15 @@ def _extract_intersection_numbers(std):
     return IntersectionNumbers(a, b, c)
 
 
-def verify_axioms(real, e_set, estar_set, a=None):
+def verify_axioms(real, e_set, estar_set):
     """Check the tridiagonal-vanishing pattern and the diagonal coefficients.
 
     E_i A* E_j and E*_i A E*_j must vanish exactly when |i-j| > 1 and be
-    nonzero when |i-j| = 1; E*_i A E*_i must equal a_i E*_i.
+    nonzero when |i-j| = 1; E*_i A E*_i must equal a_i E*_i, with a_i
+    from the closed formulas.
     """
     n = real.dim
-    ctx = real.array.field
-    if a is None:
-        a = intersection_a_closed(real.array)
+    a = intersection_a_closed(real.array)
     for which, outer, inner in (("E A* E", e_set, real.A_star),
                                 ("E* A E*", estar_set, real.A)):
         for i in range(n):

@@ -6,6 +6,12 @@ parameterizes the elements f0*I + f1*A* + f2*A + f3*A*A* with vanishing
 projected diagonal; the boundary-product scalars (a_minus, a_plus); and
 the companion matrices T and L = T*M used for the dependence criterion.
 
+Everything here works in the standard basis {E*_i u}.  There A* is
+diag(theta*), each E*_i is the coordinate projection e_i e_i^T, and the
+condition E*_i X E*_i = 0 reads X_ii = 0.  That is why the rows of M are
+the diagonals of I, A*, A and A A*: column i is (1, theta*_i, a_i,
+a_i theta*_i).
+
 The kernel route (z_basis_kernel) is the authoritative computation; the
 closed-form route (z_basis_closed, coefficients supplied by the analysis
 tables) is an independent cross-check.
@@ -16,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import DependenceDetected, ZeroDiagCheckFailed
+from .errors import DependenceDetected, WrongBasis, ZeroDiagCheckFailed
+from .realization import Basis
 
 
 @dataclass
@@ -45,6 +52,7 @@ class ZSpaceReport:
     M: list
     L: list
     T: list
+    apm: APMData
     rank_m: int
     dim_z: int
     coeff_basis: list
@@ -89,17 +97,19 @@ def matrix_l(apm, theta_star, ctx):
     ]
 
 
-def has_zero_diagonal(x, estar):
-    """Whether E*_i X E*_i vanishes for every i."""
-    for e in estar:
-        if not linalg.is_zero_matrix(linalg.mat_mul(linalg.mat_mul(e, x), e)):
-            return False
-    return True
+def has_zero_diagonal(x):
+    """Whether every diagonal entry X_ii is zero.
+
+    X must be given in the standard basis.  There A* is diag(theta*), so
+    E*_i = e_i e_i^T and E*_i X E*_i = X_ii E*_i: the paper's condition
+    that every E*_i X E*_i vanishes is exactly that every X_ii vanishes.
+    In another basis, such as the split one, the test means nothing.
+    """
+    return all(not x[i][i] for i in range(len(x)))
 
 
 def combination_matrix(coeffs, real):
     """The element f0*I + f1*A_star + f2*A + f3*(A @ A_star) in real's basis."""
-    ctx = real.array.field
     n = real.dim
     out = linalg.mat_scale(coeffs.f2, real.A)
     for i in range(n):
@@ -110,18 +120,21 @@ def combination_matrix(coeffs, real):
     return out
 
 
-def z_basis_kernel(m, real, estar):
+def z_basis_kernel(m, real):
     """Basis of the zero diagonal space from the left null space of M.
 
-    Each kernel row becomes a matrix in real's basis; every matrix is
-    re-verified to have zero diagonal against the supplied projections.
+    Each kernel row becomes a matrix in real's basis, which must be the
+    standard one; every matrix is re-verified to have zero diagonal.
     """
+    if real.basis is not Basis.STANDARD:
+        raise WrongBasis(
+            f"the zero-diagonal test needs the standard basis, not {real.basis.value}")
     ctx = real.array.field
     out = []
     for row in linalg.left_nullspace(m, ctx):
         coeffs = ZCoefficients(*row)
         x = combination_matrix(coeffs, real)
-        if not has_zero_diagonal(x, estar):
+        if not has_zero_diagonal(x):
             raise ZeroDiagCheckFailed(
                 f"kernel element {[str(c) for c in row]} fails the diagonal check")
         out.append((coeffs, x))
@@ -195,17 +208,18 @@ def dependence_equivalences(apm):
     return rank_le_1, full, interior
 
 
-def build_zspace_report(arr, a, real, estar):
-    """Assemble M, T, L, the rank of M, dim Z and the kernel-route Z basis."""
+def build_zspace_report(arr, a, real):
+    """Assemble M, T, L, the boundary products, rank M, dim Z and the kernel-route Z basis."""
     ctx = arr.field
     d = arr.d
     m = matrix_m(a, arr.theta_star, ctx)
     t = matrix_t(a[0], a[d], arr.theta_star[0], arr.theta_star[d], ctx)
-    l = matrix_l(compute_apm(a, arr.theta_star), arr.theta_star, ctx)
+    apm = compute_apm(a, arr.theta_star)
+    l = matrix_l(apm, arr.theta_star, ctx)
     rank_m = linalg.rank(m)
-    kernel = z_basis_kernel(m, real, estar)
+    kernel = z_basis_kernel(m, real)
     return ZSpaceReport(
-        M=m, L=l, T=t,
+        M=m, L=l, T=t, apm=apm,
         rank_m=rank_m,
         dim_z=4 - rank_m,
         coeff_basis=[coeffs for coeffs, _ in kernel],

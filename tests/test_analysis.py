@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -292,15 +293,18 @@ def test_product_formula_only_in_deep_mode(monkeypatch, kraw_dim1, deep, calls):
     assert len(seen) == calls
 
 
-def test_deep_mode_rejects_diverging_projections(monkeypatch, kraw_dim1):
+@pytest.mark.parametrize("family", ["E*", "E"])
+def test_deep_mode_rejects_diverging_projections(monkeypatch, kraw_dim1, family):
+    # The split A* is upper and the split A lower bidiagonal.
     def shifted(mtx, eigs, ctx):
         out = original(mtx, eigs, ctx)
-        out[-1][0][0] = out[-1][0][0] + ctx.one
+        if (family == "E*") == bool(mtx[0][1]):
+            out[-1][0][0] = out[-1][0][0] + ctx.one
         return out
 
     original = analysis.primitive_idempotents
     monkeypatch.setattr(analysis, "primitive_idempotents", shifted)
-    with pytest.raises(IdempotentCheckFailed):
+    with pytest.raises(IdempotentCheckFailed, match=f"rank-one {re.escape(family)} differ"):
         analyze_instance(kraw_dim1, deep=True)
 
 

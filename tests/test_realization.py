@@ -20,7 +20,6 @@ from leonardz.realization import (
     intersection_a_trace,
     primitive_idempotents,
     realize_split,
-    spectral_projection,
     standard_basis_rep,
     verify_axioms,
     verify_idempotent_set,
@@ -93,14 +92,16 @@ def test_repeated_eigenvalue_rejected():
 
 
 def _assert_routes_agree(spec):
-    """Both routes give the same E* for the split and the standard A*."""
+    """Both routes give the same E* for the split and the standard A*, and the same E."""
     arr = build_parameter_array(spec)
     ctx = arr.field
     real = realize_split(arr)
     estar = primitive_idempotents(real.A_star, arr.theta_star, ctx)
     assert bidiagonal_idempotents(real.A_star, arr.theta_star, ctx) == estar, spec.name
-    e0 = spectral_projection(real.A, arr.theta, 0, ctx)
-    std, _ = standard_basis_rep(real, [e0], estar)
+    e = primitive_idempotents(real.A, arr.theta, ctx)
+    assert [linalg.transpose(f) for f in bidiagonal_idempotents(
+        linalg.transpose(real.A), arr.theta, ctx)] == e, spec.name
+    std, _ = standard_basis_rep(real, e, estar)
     assert bidiagonal_idempotents(std.A_star, arr.theta_star, ctx) == \
         primitive_idempotents(std.A_star, arr.theta_star, ctx), spec.name
 

@@ -3,6 +3,7 @@ import pytest
 from conftest import QQ
 from leonardz import linalg, zerodiag
 from leonardz.analysis import relation_coefficients
+from leonardz.errors import LeonardError, WrongBasis
 from leonardz.parray import build_parameter_array
 from leonardz.realization import (
     intersection_a_closed,
@@ -17,14 +18,14 @@ def ql(values):
 
 
 def standard_rep(spec):
-    """(array, standard-basis realization, a, standard-basis E*) by the product formula."""
+    """(array, standard-basis realization, a), with E and E* by the product formula."""
     arr = build_parameter_array(spec)
+    ctx = arr.field
     real = realize_split(arr)
-    e = primitive_idempotents(real.A, arr.theta, QQ)
-    estar = primitive_idempotents(real.A_star, arr.theta_star, QQ)
+    e = primitive_idempotents(real.A, arr.theta, ctx)
+    estar = primitive_idempotents(real.A_star, arr.theta_star, ctx)
     std, nums = standard_basis_rep(real, e, estar)
-    estar_std = primitive_idempotents(std.A_star, arr.theta_star, QQ)
-    return arr, std, nums.a, estar_std
+    return arr, std, nums.a
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +96,8 @@ def test_rank_hand_values():
 def test_z_dimension_arithmetic(std_dim1, std_dim2, dual_hahn_spec):
     for rep, rank_m, dim_z in ((std_dim1, 3, 1), (std_dim2, 2, 2),
                                (standard_rep(dual_hahn_spec), 4, 0)):
-        arr, std, a, estar_std = rep
-        report = zerodiag.build_zspace_report(arr, a, std, estar_std)
+        arr, std, a = rep
+        report = zerodiag.build_zspace_report(arr, a, std)
         assert (linalg.rank(report.M), report.dim_z) == (rank_m, dim_z)
 
 
@@ -104,51 +105,51 @@ def test_z_dimension_arithmetic(std_dim1, std_dim2, dual_hahn_spec):
 
 
 def test_kernel_basis_worked(std_dim1):
-    arr, std, a, estar_std = std_dim1
+    arr, std, a = std_dim1
     m = zerodiag.matrix_m(a, arr.theta_star, QQ)
-    kernel = zerodiag.z_basis_kernel(m, std, estar_std)
+    kernel = zerodiag.z_basis_kernel(m, std)
     assert len(kernel) == 1
     coeffs, x = kernel[0]
     target = ql([-6, 3, 1, 0])
     got = coeffs.as_list()
     scale = next(g / t for g, t in zip(got, target) if t)
     assert all(g == scale * t for g, t in zip(got, target))
-    assert zerodiag.has_zero_diagonal(x, estar_std)
+    assert zerodiag.has_zero_diagonal(x)
 
 
 def test_kernel_empty_for_zero_space(dual_hahn_spec):
-    arr, std, a, estar_std = standard_rep(dual_hahn_spec)
+    arr, std, a = standard_rep(dual_hahn_spec)
     m = zerodiag.matrix_m(a, arr.theta_star, QQ)
     assert linalg.rank(m) == 4
-    assert zerodiag.z_basis_kernel(m, std, estar_std) == []
+    assert zerodiag.z_basis_kernel(m, std) == []
 
 
 def test_dim2_kernel_structure(std_dim2):
-    arr, std, a, estar_std = std_dim2
+    arr, std, a = std_dim2
     m = zerodiag.matrix_m(a, arr.theta_star, QQ)
-    kernel = zerodiag.z_basis_kernel(m, std, estar_std)
+    kernel = zerodiag.z_basis_kernel(m, std)
     assert len(kernel) == 2
     for coeffs, x in kernel:
         assert coeffs.f0 + coeffs.f2 * a[0] == QQ(0)
         assert coeffs.f1 + coeffs.f3 * a[0] == QQ(0)
-        assert zerodiag.has_zero_diagonal(x, estar_std)
+        assert zerodiag.has_zero_diagonal(x)
 
 
 def test_closed_dim1_generator_spans_kernel(std_dim1, kraw_dim1):
-    arr, std, a, estar_std = std_dim1
+    arr, std, a = std_dim1
     u, v, _ = relation_coefficients(kraw_dim1)
     gen = zerodiag.z_basis_closed_dim1(std, a, u, v)
     assert not linalg.is_zero_matrix(gen)
-    assert zerodiag.has_zero_diagonal(gen, estar_std)
+    assert zerodiag.has_zero_diagonal(gen)
     m = zerodiag.matrix_m(a, arr.theta_star, QQ)
-    kernel = zerodiag.z_basis_kernel(m, std, estar_std)
+    kernel = zerodiag.z_basis_kernel(m, std)
     assert linalg.same_row_span([linalg.flatten(x) for _, x in kernel],
                                 [linalg.flatten(gen)])
 
 
 def test_closed_dim1_expansion_identity(std_dim1):
     # (A - a0)(A* - ts_d) - (A - ad)(A* - ts_0) = -3 (A + 3 A* - 6 I)
-    arr, std, a, _ = std_dim1
+    arr, std, a = std_dim1
     gen = zerodiag.z_basis_closed_dim1(std, a, QQ(1), QQ(1))
     direct = linalg.mat_add(std.A, linalg.mat_scale(QQ(3), std.A_star))
     for i in range(4):
@@ -157,63 +158,94 @@ def test_closed_dim1_expansion_identity(std_dim1):
 
 
 def test_dim2_closed_pair(std_dim2):
-    arr, std, a, estar_std = std_dim2
+    arr, std, a = std_dim2
     pair = zerodiag.z_basis_closed_dim2(std, a[0])
     for x in pair:
-        assert zerodiag.has_zero_diagonal(x, estar_std)
+        assert zerodiag.has_zero_diagonal(x)
     m = zerodiag.matrix_m(a, arr.theta_star, QQ)
-    kernel = zerodiag.z_basis_kernel(m, std, estar_std)
+    kernel = zerodiag.z_basis_kernel(m, std)
     assert linalg.same_row_span([linalg.flatten(x) for _, x in kernel],
                                 [linalg.flatten(x) for x in pair])
 
 
+def commutator(real):
+    return linalg.mat_sub(linalg.mat_mul(real.A, real.A_star),
+                          linalg.mat_mul(real.A_star, real.A))
+
+
 def test_commutator_has_zero_diagonal(std_dim1):
-    _, std, _, estar_std = std_dim1
-    comm = linalg.mat_sub(linalg.mat_mul(std.A, std.A_star),
-                          linalg.mat_mul(std.A_star, std.A))
-    assert zerodiag.has_zero_diagonal(comm, estar_std)
+    _, std, _ = std_dim1
+    comm = commutator(std)
+    assert zerodiag.has_zero_diagonal(comm)
     assert not linalg.is_zero_matrix(comm)
 
 
 def test_identity_does_not_have_zero_diagonal(std_dim1):
-    _, std, _, estar_std = std_dim1
-    assert not zerodiag.has_zero_diagonal(linalg.identity(4, QQ), estar_std)
+    _, std, _ = std_dim1
+    assert not zerodiag.has_zero_diagonal(linalg.identity(std.dim, QQ))
 
 
 def test_commutator_split_basis_route(kraw_dim1):
     arr = build_parameter_array(kraw_dim1)
     real = realize_split(arr)
-    estar = primitive_idempotents(real.A_star, arr.theta_star, QQ)
-    comm = linalg.mat_sub(linalg.mat_mul(real.A, real.A_star),
-                          linalg.mat_mul(real.A_star, real.A))
-    assert zerodiag.has_zero_diagonal(comm, estar)
+    comm = commutator(real)
+    for e in primitive_idempotents(real.A_star, arr.theta_star, QQ):
+        assert linalg.is_zero_matrix(linalg.mat_mul(linalg.mat_mul(e, comm), e))
+
+
+def test_diagonal_test_matches_projections_on_exemplars(exemplar_specs, kraw_dim1,
+                                                        kraw_dim2):
+    # The product-formula E* of the standard A* is the reference for X_ii = 0;
+    # the two worked specs add kernel elements of a dim-1 and a dim-2 space.
+    kernel_elements = 0
+    for spec in list(exemplar_specs.values()) + [kraw_dim1, kraw_dim2]:
+        arr, std, a = standard_rep(spec)
+        ctx = arr.field
+        estar = primitive_idempotents(std.A_star, arr.theta_star, ctx)
+        kernel = zerodiag.z_basis_kernel(zerodiag.matrix_m(a, arr.theta_star, ctx), std)
+        kernel_elements += len(kernel)
+        for x, expected in [(x, True) for _, x in kernel] + [
+                (commutator(std), True), (linalg.identity(std.dim, ctx), False)]:
+            by_projections = all(
+                linalg.is_zero_matrix(linalg.mat_mul(linalg.mat_mul(e, x), e))
+                for e in estar)
+            assert zerodiag.has_zero_diagonal(x) == by_projections == expected, spec.name
+    assert kernel_elements >= 3
+
+
+def test_kernel_rejects_split_basis(kraw_dim1):
+    arr = build_parameter_array(kraw_dim1)
+    m = zerodiag.matrix_m(intersection_a_closed(arr), arr.theta_star, QQ)
+    with pytest.raises(WrongBasis) as info:
+        zerodiag.z_basis_kernel(m, realize_split(arr))
+    assert isinstance(info.value, LeonardError)
 
 
 def test_x_space_basis_independent(std_dim1):
-    _, std, _, _ = std_dim1
+    _, std, _ = std_dim1
     mats = zerodiag.x_space_basis(std)
     assert len(mats) == 5
     assert linalg.rank([linalg.flatten(m) for m in mats]) == 5
 
 
 def test_boundary_products_independent(std_dim1):
-    _, std, a, _ = std_dim1
+    _, std, a = std_dim1
     p1, p2 = zerodiag.boundary_products(std, a)
     assert linalg.rank([linalg.flatten(p1), linalg.flatten(p2)]) == 2
 
 
 def test_products_commute_differently(std_dim1):
-    _, std, _, _ = std_dim1
+    _, std, _ = std_dim1
     aa = linalg.mat_mul(std.A, std.A_star)
     bb = linalg.mat_mul(std.A_star, std.A)
     assert not linalg.mat_eq(aa, bb)
 
 
 def test_dependence_equivalences_routes(std_dim1, std_dim2, dual_hahn_spec):
-    arr1, _, a1, _ = std_dim1
+    arr1, _, a1 = std_dim1
     apm = zerodiag.compute_apm(a1, arr1.theta_star)
     assert zerodiag.dependence_equivalences(apm) == (True, True, True)
-    arr2, _, a2, _ = std_dim2
+    arr2, _, a2 = std_dim2
     apm2 = zerodiag.compute_apm(a2, arr2.theta_star)
     assert zerodiag.dependence_equivalences(apm2) == (True, True, True)
     arr0 = build_parameter_array(dual_hahn_spec)
@@ -240,8 +272,8 @@ def test_rank_invariance_under_transforms(exemplar_specs):
 
 
 def test_zspace_report_assembly(std_dim1):
-    arr, std, a, estar_std = std_dim1
-    report = zerodiag.build_zspace_report(arr, a, std, estar_std)
+    arr, std, a = std_dim1
+    report = zerodiag.build_zspace_report(arr, a, std)
     assert report.rank_m == 3
     assert report.dim_z == 1
     assert len(report.coeff_basis) == 1
