@@ -51,6 +51,7 @@ from .parray import (
 from .realization import (
     IntersectionNumbers,
     Realization,
+    SpectralFactors,
     bidiagonal_idempotents,
     intersection_a_closed,
     intersection_a_trace,

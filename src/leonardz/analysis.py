@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg, zerodiag
 from .errors import (
+    DependenceDetected,
     IdempotentCheckFailed,
     IdentityFailure,
     IndexOutOfRange,
@@ -217,13 +218,16 @@ def analyze_instance(spec, arr=None, deep=False):
     """Run the full pipeline on one instance and cross-check every route.
 
     Both spectral families come from bidiagonal_idempotents as rank-one
-    outer products: E* from the upper bidiagonal A*, and E from the
-    transpose of the lower bidiagonal A.  The zero diagonal space is
+    factors E_i = v_i w_i^T: E* from the upper bidiagonal A*, and E from
+    the transpose of the lower bidiagonal A.  The a-trace and the
+    standard basis {E*_i u} are read off the scalars w*_i A v*_j, with no
+    dense projection or basis matrix.  The zero diagonal space is
     computed in the standard basis, where A* is diagonal and the test
     E*_i X E*_i = 0 reads X_ii = 0.  With deep=True both families are
-    checked against the product formula and the tridiagonal vanishing
-    axioms are verified as well (slower; the worked-instance tests use
-    it, the sampling campaign does not).
+    formed densely and compared entry by entry with the product formula,
+    and the tridiagonal vanishing axioms are verified on the scalar
+    matrices W A* V and W* A V* (slower; the analyze command and the
+    worked-instance tests use it, the sampling campaign does not).
     """
     if arr is None:
         arr = build_parameter_array(spec)
@@ -233,12 +237,12 @@ def analyze_instance(spec, arr=None, deep=False):
 
     real = realize_split(arr)
     estar_split = bidiagonal_idempotents(real.A_star, arr.theta_star, ctx)
-    e_split = [linalg.transpose(e) for e in bidiagonal_idempotents(
-        linalg.transpose(real.A), arr.theta, ctx)]
+    e_split = bidiagonal_idempotents(linalg.transpose(real.A), arr.theta, ctx).transpose()
     if deep:
         for name, family, mtx, eigs in (("E*", estar_split, real.A_star, arr.theta_star),
                                         ("E", e_split, real.A, arr.theta)):
-            if not all(map(linalg.mat_eq, family, primitive_idempotents(mtx, eigs, ctx))):
+            if not all(map(linalg.mat_eq, family.projections(),
+                           primitive_idempotents(mtx, eigs, ctx))):
                 raise IdempotentCheckFailed(
                     f"rank-one {name} differ from the product formula")
         verify_axioms(real, e_split, estar_split)
@@ -266,7 +270,7 @@ def analyze_instance(spec, arr=None, deep=False):
     try:
         zerodiag.x_space_basis(std)
         flags["x_generators_independent"] = True
-    except Exception:
+    except DependenceDetected:
         flags["x_generators_independent"] = False
 
     dep_rank, dep_full, dep_interior = zerodiag.dependence_equivalences(apm)

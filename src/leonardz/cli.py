@@ -30,7 +30,7 @@ from .campaign import (
 from .counterexample import counterexample_d2
 from .counterexample import render_report as render_counterexample
 from .errors import InvalidField, InvalidSpec, LeonardError, ParseError
-from .parray import ALL_TYPES, LeonardType, spec_from_mapping, spec_to_mapping
+from .parray import ALL_TYPES, MAX_D, LeonardType, spec_from_mapping, spec_to_mapping
 from .sampling import DEFAULT_HEIGHT
 
 EXIT_OK = 0
@@ -222,6 +222,8 @@ def cmd_verify_tables(args, stdout):
         raise UsageError("--d-min must be at least 3")
     if d_max < d_min:
         raise UsageError("--d-max must be at least --d-min")
+    if d_max > MAX_D:
+        raise UsageError(f"--d-max must be at most {MAX_D}")
     if trials < 1:
         raise UsageError("--trials must be at least 1")
     if height < 1:

@@ -3,7 +3,7 @@
 Matrices are plain lists of row lists whose entries all live in one field
 context.  Everything here is pivoting Gaussian elimination with exact
 division; sizes in this package stay tiny (at most (d+1)x(d+1) with
-d <= 16), so no fraction-free machinery is needed.
+d <= parray.MAX_D = 16), so no fraction-free machinery is needed.
 """
 
 from __future__ import annotations
@@ -78,16 +78,17 @@ def flatten(a):
     return [x for row in a for x in row]
 
 
+def dot(u, v):
+    """Sum of u_k v_k, skipping zero terms (eigenvectors have short supports)."""
+    s = v[0] - v[0]
+    for x, y in zip(u, v):
+        if x and y:
+            s = s + x * y
+    return s
+
+
 def mat_vec(a, v):
-    zero = v[0] - v[0]
-    out = []
-    for row in a:
-        s = zero
-        for x, y in zip(row, v):
-            if x and y:
-                s = s + x * y
-        out.append(s)
-    return out
+    return [dot(row, v) for row in a]
 
 
 def _echelon(rows):
@@ -190,10 +191,6 @@ def solve_matrix(a, b):
                 for j in range(c, width):
                     row_i[j] = row_i[j] - f * row_c[j]
     return [row[n:] for row in aug]
-
-
-def inverse(a, ctx):
-    return solve_matrix(a, identity(len(a), ctx))
 
 
 def det(a):

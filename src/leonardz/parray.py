@@ -17,6 +17,10 @@ from dataclasses import dataclass
 from .errors import DegenerateArray, InvalidSpec, UnsupportedCharacteristic, ZeroScale
 from .families import ALL_TYPES, FAMILIES, LeonardType, Violation  # noqa: F401
 
+# The largest diameter accepted: exact elimination on (d+1)x(d+1) matrices
+# stays fast up to here, and nothing beyond it has been measured.
+MAX_D = 16
+
 
 @dataclass(frozen=True)
 class TypeSpec:
@@ -78,7 +82,7 @@ def validate_spec(spec):
 
     Raises UnsupportedCharacteristic when the field characteristic is
     structurally incompatible with the family, and InvalidSpec when the
-    parameter set itself is malformed (wrong keys, d < 3).
+    parameter set itself is malformed (wrong keys, d < 3, d > MAX_D).
     """
     fam = FAMILIES[spec.name]
     prefix = spec.name.value + ":"
@@ -90,6 +94,8 @@ def validate_spec(spec):
             f"missing {missing or 'none'}, unexpected {extra or 'none'}")])
     if spec.d < 3:
         raise InvalidSpec([Violation("d", f"d must be >= 3; got {spec.d}")])
+    if spec.d > MAX_D:
+        raise InvalidSpec([Violation("d", f"d must be <= {MAX_D}; got {spec.d}")])
     char = spec.field.characteristic
     rule = fam.characteristic
     if rule is not None and not rule.allows(char, spec.d):

@@ -4,14 +4,14 @@ realize_split produces the defining bidiagonal pair: A lower bidiagonal
 with eigenvalue diagonal and unit subdiagonal, A* upper bidiagonal with
 dual eigenvalue diagonal and the first split sequence on the
 superdiagonal.  Primitive idempotents come by two routes.  The analysis
-builds them as rank-one outer products of left and right eigenvectors,
-found by substitution in O(n^2) each: bidiagonal_idempotents takes an
-upper bidiagonal or diagonal matrix such as A* directly, and A through
-its transpose.  The spectral product formula, post-verified, works for
-any multiplicity-free matrix and is the reference route that deep mode,
-the tests and the boundary example use.  standard_basis_rep changes to
-the basis of projected vectors E*_i u, where A* becomes diagonal and A
-becomes irreducible tridiagonal, exposing the intersection numbers.
+keeps them as rank-one factors E_i = v_i w_i^T (SpectralFactors), found
+by substitution in O(n^2) each: bidiagonal_idempotents takes an upper
+bidiagonal or diagonal matrix such as A* directly, and A through its
+transpose.  As w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T, so
+the a-trace, the change to the standard basis {E*_i u} and the axioms
+read scalars of W M V.  The spectral product formula, post-verified,
+works for any multiplicity-free matrix and is the reference route that
+deep mode, the tests and the boundary example compare against.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     IdempotentCheckFailed,
     RepeatedEigenvalue,
     SingularBasis,
-    SingularMatrix,
 )
 
 
@@ -46,6 +45,33 @@ class Realization:
     @property
     def dim(self):
         return len(self.A)
+
+
+@dataclass
+class SpectralFactors:
+    """Primitive idempotents kept as rank-one factors: E_i = v[i] w[i]^T.
+
+    v[i] is a right and w[i] a left eigenvector of the i-th eigenvalue,
+    scaled so that w[i] . v[j] is 1 when i = j and 0 otherwise.
+    """
+
+    v: list
+    w: list
+
+    def transpose(self):
+        """Factors of the transposed projections E_i^T = w_i v_i^T."""
+        return SpectralFactors(self.w, self.v)
+
+    def projections(self):
+        """The dense matrices v_i w_i^T, formed only to compare with another route."""
+        zero = self.v[0][0] - self.v[0][0]
+        return [[[x * y for y in w] if x else [zero] * len(w) for x in v]
+                for v, w in zip(self.v, self.w)]
+
+    def sandwich(self, mtx):
+        """S[i][j] = w_i . (M v_j), so that E_i M E_j = S[i][j] v_i w_j^T."""
+        mv = [linalg.mat_vec(mtx, v) for v in self.v]
+        return [[linalg.dot(w, x) for x in mv] for w in self.w]
 
 
 @dataclass
@@ -121,8 +147,8 @@ def bidiagonal_idempotents(mtx, eigs, ctx):
     comes from back-substitution and has support 0..i; the left
     eigenvector w_i comes from forward substitution and has support i..d.
     With v_i[i] = w_i[i] = 1 their product w_i v_i is 1, so the
-    projection is the outer product v_i w_i^T.  For a triangular matrix
-    the shape and diagonal checks are what verify the spectrum.
+    projection is v_i w_i^T, returned as its factors.  For a triangular
+    matrix the shape and diagonal checks are what verify the spectrum.
     """
     _check_distinct(eigs)
     n = len(eigs)
@@ -136,7 +162,7 @@ def bidiagonal_idempotents(mtx, eigs, ctx):
                 raise IdempotentCheckFailed(f"entry ({r},{c}) is off the bidiagonal")
     sup = [mtx[r][r + 1] for r in range(n - 1)]
     zero, one = ctx.zero, ctx.one
-    out = []
+    vs, ws = [], []
     for i, eig in enumerate(eigs):
         v = [zero] * n
         v[i] = one
@@ -146,32 +172,14 @@ def bidiagonal_idempotents(mtx, eigs, ctx):
         w[i] = one
         for c in range(i + 1, n):
             w[c] = w[c - 1] * sup[c - 1] / (eig - eigs[c])
-        out.append([[x * y for y in w] if x else [zero] * n for x in v])
-    return out
-
-
-def verify_idempotent_set(mats, mtx, eigs, ctx):
-    """Full spectral-decomposition check: orthogonality, completeness, eigen relation."""
-    n = len(mtx)
-    for i, ei in enumerate(mats):
-        for j, ej in enumerate(mats):
-            prod = linalg.mat_mul(ei, ej)
-            expected = ei if i == j else linalg.zeros(n, n, ctx)
-            if not linalg.mat_eq(prod, expected):
-                raise IdempotentCheckFailed(f"E_{i} E_{j} mismatch")
-    total = mats[0]
-    for m in mats[1:]:
-        total = linalg.mat_add(total, m)
-    if not linalg.mat_eq(total, linalg.identity(n, ctx)):
-        raise IdempotentCheckFailed("projections do not sum to the identity")
-    for i, (m, eig) in enumerate(zip(mats, eigs)):
-        if not linalg.mat_eq(linalg.mat_mul(mtx, m), linalg.mat_scale(eig, m)):
-            raise IdempotentCheckFailed(f"M E_{i} != eig_{i} E_{i}")
+        vs.append(v)
+        ws.append(w)
+    return SpectralFactors(vs, ws)
 
 
 def intersection_a_trace(real, estar):
-    """a_i as the trace of E*_i A."""
-    return [linalg.trace(linalg.mat_mul(e, real.A)) for e in estar]
+    """a_i as the trace of E*_i A, which is the scalar w*_i . A v*_i."""
+    return [linalg.dot(w, linalg.mat_vec(real.A, v)) for v, w in zip(estar.v, estar.w)]
 
 
 def intersection_a_closed(arr):
@@ -186,82 +194,52 @@ def intersection_a_closed(arr):
     return out
 
 
-def _first_nonzero_column(mtx):
-    for j in range(len(mtx[0])):
-        col = [row[j] for row in mtx]
-        if any(col):
-            return col
-    return None
+def standard_basis_rep(real, e, estar):
+    """Change basis to {E*_i u} with u the right factor of E_0.
 
-
-def standard_basis_rep(real, e_set, estar_set):
-    """Change basis to {E*_i u} with u a nonzero column of E_0.
-
-    Returns the standard-basis realization (A irreducible tridiagonal,
-    A* diagonal) together with the intersection numbers read off A.
+    E*_i u is v*_i scaled by D_i = w*_i . u, and W* inverts V*, so
+    A_std = D^-1 (W* A V*) D and A*_std = diag(theta*).  Returns that
+    realization together with the intersection numbers read off A.
     """
     arr = real.array
-    ctx = arr.field
-    n = real.dim
-    u = _first_nonzero_column(e_set[0])
-    if u is None:
-        raise SingularBasis("E_0 has no nonzero column")
-    basis_mtx = [[ctx.zero] * n for _ in range(n)]
-    for i, estar in enumerate(estar_set):
-        v = linalg.mat_vec(estar, u)
-        for r in range(n):
-            basis_mtx[r][i] = v[r]
-    try:
-        a_std = linalg.solve_matrix(basis_mtx, linalg.mat_mul(real.A, basis_mtx))
-        a_star_std = linalg.solve_matrix(basis_mtx, linalg.mat_mul(real.A_star, basis_mtx))
-    except SingularMatrix:
-        raise SingularBasis("projected vectors E*_i u are linearly dependent") from None
-    std = Realization(arr, a_std, a_star_std, Basis.STANDARD)
-    nums = _extract_intersection_numbers(std)
-    return std, nums
-
-
-def _extract_intersection_numbers(std):
-    arr = std.array
-    d = arr.d
-    a_std, a_star_std = std.A, std.A_star
-    for i in range(d + 1):
-        for j in range(d + 1):
-            expected_star = arr.theta_star[i] if i == j else arr.field.zero
-            if a_star_std[i][j] != expected_star:
-                raise SingularBasis(f"A* not diagonal at ({i},{j})")
-            if abs(i - j) >= 2 and a_std[i][j]:
+    zero = arr.field.zero
+    scale = [linalg.dot(w, e.v[0]) for w in estar.w]
+    if not all(scale):
+        raise SingularBasis("projected vectors E*_i u are linearly dependent")
+    a_std = [[x * scale[j] / scale[i] if x else x for j, x in enumerate(row)]
+             for i, row in enumerate(estar.sandwich(real.A))]
+    a_star_std = [[t if i == j else zero for j in range(real.dim)]
+                  for i, t in enumerate(arr.theta_star)]
+    for i, row in enumerate(a_std):
+        for j, x in enumerate(row):
+            if abs(i - j) >= 2 and x:
                 raise SingularBasis(f"A not tridiagonal at ({i},{j})")
-    a = [a_std[i][i] for i in range(d + 1)]
-    b = [a_std[i][i + 1] for i in range(d)]
-    c = [a_std[i + 1][i] for i in range(d)]
+    a = [a_std[i][i] for i in range(arr.d + 1)]
+    b = [a_std[i][i + 1] for i in range(arr.d)]
+    c = [a_std[i + 1][i] for i in range(arr.d)]
     if not all(b) or not all(c):
         raise SingularBasis("off-diagonal intersection numbers must be nonzero")
-    return IntersectionNumbers(a, b, c)
+    return Realization(arr, a_std, a_star_std, Basis.STANDARD), IntersectionNumbers(a, b, c)
 
 
-def verify_axioms(real, e_set, estar_set):
+def verify_axioms(real, e, estar):
     """Check the tridiagonal-vanishing pattern and the diagonal coefficients.
 
     E_i A* E_j and E*_i A E*_j must vanish exactly when |i-j| > 1 and be
     nonzero when |i-j| = 1; E*_i A E*_i must equal a_i E*_i, with a_i
-    from the closed formulas.
+    from the closed formulas.  With the projections as rank-one factors,
+    E_i M E_j is (w_i M v_j) v_i w_j^T, so each test reads one scalar of
+    W A* V or W* A V*.
     """
-    n = real.dim
     a = intersection_a_closed(real.array)
-    for which, outer, inner in (("E A* E", e_set, real.A_star),
-                                ("E* A E*", estar_set, real.A)):
-        for i in range(n):
-            left = linalg.mat_mul(outer[i], inner)
-            for j in range(n):
-                prod = linalg.mat_mul(left, outer[j])
-                vanished = linalg.is_zero_matrix(prod)
-                if abs(i - j) > 1 and not vanished:
+    for which, family, inner in (("E A* E", e, real.A_star), ("E* A E*", estar, real.A)):
+        for i, row in enumerate(family.sandwich(inner)):
+            for j, x in enumerate(row):
+                if abs(i - j) > 1 and x:
                     raise AxiomViolation(which, i, j, "expected zero")
-                if abs(i - j) == 1 and vanished:
+                if abs(i - j) == 1 and not x:
                     raise AxiomViolation(which, i, j, "expected nonzero")
-                if which == "E* A E*" and i == j:
-                    if not linalg.mat_eq(prod, linalg.mat_scale(a[i], estar_set[i])):
-                        raise AxiomViolation("E* A E* diagonal", i, i,
-                                             "does not equal a_i E*_i")
+                if which == "E* A E*" and i == j and x != a[i]:
+                    raise AxiomViolation("E* A E* diagonal", i, i,
+                                         "does not equal a_i E*_i")
     return True

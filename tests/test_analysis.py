@@ -4,7 +4,7 @@ import re
 import pytest
 
 from conftest import QQ, make_krawtchouk
-from leonardz import analysis
+from leonardz import analysis, linalg, zerodiag
 from leonardz.analysis import (
     analyze_instance,
     dim2_predicate,
@@ -19,7 +19,7 @@ from leonardz.analysis import (
     verify_pi2,
     z_nonzero_predicate,
 )
-from leonardz.errors import IdempotentCheckFailed, IndexOutOfRange
+from leonardz.errors import DependenceDetected, IdempotentCheckFailed, IndexOutOfRange
 from leonardz.exactfield import ExtensionField
 from leonardz.parray import LeonardType, build_parameter_array
 from leonardz.realization import intersection_a_closed
@@ -306,6 +306,58 @@ def test_deep_mode_rejects_diverging_projections(monkeypatch, kraw_dim1, family)
     monkeypatch.setattr(analysis, "primitive_idempotents", shifted)
     with pytest.raises(IdempotentCheckFailed, match=f"rank-one {re.escape(family)} differ"):
         analyze_instance(kraw_dim1, deep=True)
+
+
+def test_fast_standard_basis_and_trace_form_no_dense_product(monkeypatch, exemplar_specs):
+    # Both stages read scalars w*_i A v*_j off the rank-one factors; count the
+    # dense products and solves made while either stage is running.
+    inside, entered = [], []
+    counts = {"mat_mul": 0, "solve_matrix": 0}
+
+    def stage(fn):
+        def wrapped(*args):
+            entered.append(fn.__name__)
+            inside.append(fn.__name__)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += bool(inside)
+            return fn(*args)
+        return wrapped
+
+    for name in ("standard_basis_rep", "intersection_a_trace"):
+        monkeypatch.setattr(analysis, name, stage(getattr(analysis, name)))
+    for name in counts:
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    for spec in exemplar_specs.values():
+        chk = analyze_instance(spec)
+        assert chk.ok, (spec.name, chk.failures)
+    assert len(entered) == 2 * len(exemplar_specs)
+    assert counts == {"mat_mul": 0, "solve_matrix": 0}
+
+
+def test_x_space_programming_error_propagates(monkeypatch, kraw_dim1):
+    def broken(real):
+        raise TypeError("not a dependence")
+
+    monkeypatch.setattr(zerodiag, "x_space_basis", broken)
+    with pytest.raises(TypeError, match="not a dependence"):
+        analyze_instance(kraw_dim1)
+
+
+def test_x_space_dependence_clears_its_flag(monkeypatch, kraw_dim1):
+    def dependent(real):
+        raise DependenceDetected("generators span only 4 dimensions")
+
+    monkeypatch.setattr(zerodiag, "x_space_basis", dependent)
+    chk = analyze_instance(kraw_dim1)
+    assert chk.flags["x_generators_independent"] is False
+    assert chk.failures == ["x_generators_independent"]
 
 
 def test_cor_route_equivalence_on_self_dual_samples():

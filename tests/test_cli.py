@@ -67,6 +67,22 @@ def test_analyze_dual_hahn_zero_space():
     assert "spin = false" in out
 
 
+@pytest.mark.parametrize("d", ["17", "400"])
+def test_analyze_diameter_above_max_exits_2(d):
+    code, _, err = run_cli([
+        "analyze", "--type", "krawtchouk", "--d", d, "--field", "Q",
+        "--param", "s=1", "--param", "s_star=1", "--param", "r=2"])
+    assert code == EXIT_INVALID_SPEC
+    assert f"d must be <= 16; got {d}" in err
+
+
+def test_verify_tables_d_max_above_max_exits_1():
+    code, _, err = run_cli(["verify-tables", "--types", "krawtchouk",
+                            "--d-max", "17", "--trials", "1"])
+    assert code == EXIT_USAGE
+    assert "--d-max must be at most 16" in err
+
+
 def test_usage_errors_exit_1():
     code, _, err = run_cli(["analyze", "--d", "3"])
     assert code == EXIT_USAGE

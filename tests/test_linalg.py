@@ -55,7 +55,7 @@ def test_det_singular():
 
 def test_solve_and_inverse_roundtrip():
     a = qmat([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
-    inv = linalg.inverse(a, QQ)
+    inv = linalg.solve_matrix(a, linalg.identity(3, QQ))
     assert linalg.mat_eq(linalg.mat_mul(a, inv), linalg.identity(3, QQ))
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import QQ
-from leonardz import linalg
+from leonardz import linalg, realization
 from leonardz.errors import (
     AxiomViolation,
     IdempotentCheckFailed,
@@ -22,7 +22,6 @@ from leonardz.realization import (
     realize_split,
     standard_basis_rep,
     verify_axioms,
-    verify_idempotent_set,
 )
 from leonardz.sampling import sample_spec
 
@@ -31,13 +30,18 @@ def qmat(rows):
     return [[QQ(x) for x in row] for row in rows]
 
 
+def split_factors(real):
+    """Rank-one factors of E (through the transpose of A) and of E*."""
+    arr = real.array
+    e = bidiagonal_idempotents(linalg.transpose(real.A), arr.theta, arr.field).transpose()
+    return e, bidiagonal_idempotents(real.A_star, arr.theta_star, arr.field)
+
+
 @pytest.fixture(scope="module")
 def worked(kraw_dim1):
     arr = build_parameter_array(kraw_dim1)
     real = realize_split(arr)
-    e = primitive_idempotents(real.A, arr.theta, QQ)
-    estar = primitive_idempotents(real.A_star, arr.theta_star, QQ)
-    return arr, real, e, estar
+    return (arr, real) + split_factors(real)
 
 
 def test_split_matrices_worked(worked):
@@ -75,8 +79,9 @@ def test_counterexample_idempotent_columns():
 
 def test_idempotents_of_diagonal_matrix():
     diag = qmat([[4, 0, 0], [0, 7, 0], [0, 0, 9]])
-    for route in (primitive_idempotents, bidiagonal_idempotents):
-        e = route(diag, [QQ(4), QQ(7), QQ(9)], QQ)
+    eigs = [QQ(4), QQ(7), QQ(9)]
+    for e in (primitive_idempotents(diag, eigs, QQ),
+              bidiagonal_idempotents(diag, eigs, QQ).projections()):
         for i in range(3):
             for r in range(3):
                 for c in range(3):
@@ -92,18 +97,29 @@ def test_repeated_eigenvalue_rejected():
 
 
 def _assert_routes_agree(spec):
-    """Both routes give the same E* for the split and the standard A*, and the same E."""
+    """The rank-one and product-formula routes agree on E, E* and the standard basis.
+
+    Both give the same E and E*.  The A_std read off the factors satisfies
+    A B = B A_std and A* B = B diag(theta*), where the columns of the
+    invertible B are E*_i u formed densely from the product formula, with
+    u the first nonzero column of E_0.
+    """
     arr = build_parameter_array(spec)
     ctx = arr.field
     real = realize_split(arr)
+    e_fac, estar_fac = split_factors(real)
     estar = primitive_idempotents(real.A_star, arr.theta_star, ctx)
-    assert bidiagonal_idempotents(real.A_star, arr.theta_star, ctx) == estar, spec.name
+    assert estar_fac.projections() == estar, spec.name
     e = primitive_idempotents(real.A, arr.theta, ctx)
-    assert [linalg.transpose(f) for f in bidiagonal_idempotents(
-        linalg.transpose(real.A), arr.theta, ctx)] == e, spec.name
-    std, _ = standard_basis_rep(real, e, estar)
-    assert bidiagonal_idempotents(std.A_star, arr.theta_star, ctx) == \
-        primitive_idempotents(std.A_star, arr.theta_star, ctx), spec.name
+    assert e_fac.projections() == e, spec.name
+    std, _ = standard_basis_rep(real, e_fac, estar_fac)
+    u = next(col for col in linalg.transpose(e[0]) if any(col))
+    basis = linalg.transpose([linalg.mat_vec(f, u) for f in estar])
+    assert linalg.rank(basis) == real.dim, spec.name
+    for split, standard in ((real.A, std.A), (real.A_star, std.A_star)):
+        assert linalg.mat_mul(split, basis) == linalg.mat_mul(basis, standard), spec.name
+    assert std.A_star == [[t if i == j else ctx.zero for j in range(real.dim)]
+                          for i, t in enumerate(arr.theta_star)], spec.name
 
 
 def test_bidiagonal_route_matches_product_formula_on_exemplars(exemplar_specs):
@@ -143,10 +159,25 @@ def test_bidiagonal_route_rejects_bad_input(rows, eigs):
     assert isinstance(info.value, LeonardError)
 
 
+def assert_spectral_decomposition(mats, mtx, eigs, ctx):
+    """Orthogonality, completeness and M E_i = eig_i E_i, which fix the E_i uniquely."""
+    n = len(mtx)
+    for i, ei in enumerate(mats):
+        for j, ej in enumerate(mats):
+            expected = ei if i == j else linalg.zeros(n, n, ctx)
+            assert linalg.mat_mul(ei, ej) == expected, (i, j)
+    total = mats[0]
+    for m in mats[1:]:
+        total = linalg.mat_add(total, m)
+    assert total == linalg.identity(n, ctx)
+    for m, eig in zip(mats, eigs):
+        assert linalg.mat_mul(mtx, m) == linalg.mat_scale(eig, m)
+
+
 def test_idempotent_set_full_verification(worked):
     arr, real, e, estar = worked
-    verify_idempotent_set(e, real.A, arr.theta, QQ)
-    verify_idempotent_set(estar, real.A_star, arr.theta_star, QQ)
+    assert_spectral_decomposition(e.projections(), real.A, arr.theta, QQ)
+    assert_spectral_decomposition(estar.projections(), real.A_star, arr.theta_star, QQ)
 
 
 def test_intersection_a_closed_decreasing(worked):
@@ -173,8 +204,7 @@ def test_trace_route_on_exemplars(exemplar_specs):
     for spec in exemplar_specs.values():
         arr = build_parameter_array(spec)
         real = realize_split(arr)
-        estar = primitive_idempotents(real.A_star, arr.theta_star, arr.field)
-        a = intersection_a_trace(real, estar)
+        a = intersection_a_trace(real, split_factors(real)[1])
         assert a == intersection_a_closed(arr)
         total = a[0]
         for x in a[1:]:
@@ -206,18 +236,16 @@ def test_standard_basis_tridiagonal_on_exemplars(exemplar_specs):
     for spec in exemplar_specs.values():
         arr = build_parameter_array(spec)
         real = realize_split(arr)
-        e = primitive_idempotents(real.A, arr.theta, arr.field)
-        estar = primitive_idempotents(real.A_star, arr.theta_star, arr.field)
-        std, nums = standard_basis_rep(real, e, estar)
+        std, nums = standard_basis_rep(real, *split_factors(real))
         assert nums.a == intersection_a_closed(arr)
         assert all(nums.b) and all(nums.c)
 
 
 def test_singular_basis_detected(worked):
-    arr, real, _, estar = worked
-    zero = [[QQ(0)] * 4 for _ in range(4)]
+    # With u = v*_0, every E*_i u with i > 0 vanishes.
+    _, real, _, estar = worked
     with pytest.raises(SingularBasis):
-        standard_basis_rep(real, [zero], estar)
+        standard_basis_rep(real, estar, estar)
 
 
 def test_axioms_pass_on_worked(worked):
@@ -230,10 +258,23 @@ def test_axioms_detect_broken_superdiagonal(kraw_dim1):
     broken = ParameterArray(arr.field, arr.d, arr.theta, arr.theta_star,
                             [QQ(0)] + arr.phi1[1:], arr.phi2)
     real = realize_split(broken)
-    e = primitive_idempotents(real.A, arr.theta, QQ)
-    estar = primitive_idempotents(real.A_star, arr.theta_star, QQ)
-    with pytest.raises(AxiomViolation):
-        verify_axioms(real, e, estar)
+    with pytest.raises(AxiomViolation, match="expected nonzero"):
+        verify_axioms(real, *split_factors(real))
+
+
+def test_axioms_detect_perturbed_a(monkeypatch, kraw_dim1):
+    real = realize_split(build_parameter_array(kraw_dim1))
+    factors = split_factors(real)
+    closed = realization.intersection_a_closed
+
+    def perturbed(arr):
+        a = closed(arr)
+        a[2] = a[2] + QQ(1)
+        return a
+
+    monkeypatch.setattr(realization, "intersection_a_closed", perturbed)
+    with pytest.raises(AxiomViolation, match="E\\* A E\\* diagonal"):
+        verify_axioms(real, *factors)
 
 
 def test_counterexample_system_passes_patterns():

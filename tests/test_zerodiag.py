@@ -6,6 +6,7 @@ from leonardz.analysis import relation_coefficients
 from leonardz.errors import LeonardError, WrongBasis
 from leonardz.parray import build_parameter_array
 from leonardz.realization import (
+    bidiagonal_idempotents,
     intersection_a_closed,
     primitive_idempotents,
     realize_split,
@@ -18,12 +19,12 @@ def ql(values):
 
 
 def standard_rep(spec):
-    """(array, standard-basis realization, a), with E and E* by the product formula."""
+    """(array, standard-basis realization, a), from the rank-one E and E* factors."""
     arr = build_parameter_array(spec)
     ctx = arr.field
     real = realize_split(arr)
-    e = primitive_idempotents(real.A, arr.theta, ctx)
-    estar = primitive_idempotents(real.A_star, arr.theta_star, ctx)
+    e = bidiagonal_idempotents(linalg.transpose(real.A), arr.theta, ctx).transpose()
+    estar = bidiagonal_idempotents(real.A_star, arr.theta_star, ctx)
     std, nums = standard_basis_rep(real, e, estar)
     return arr, std, nums.a
 
