@@ -121,10 +121,12 @@ def run_campaign(types=None, d_min=DEFAULT_D_MIN, d_max=DEFAULT_D_MAX,
                         except SamplingExhausted as e:
                             cell.skips.append(f"trial {trial}: {e}")
                             continue
+                        # Division by zero over Q raises the builtin error, not
+                        # a LeonardError; both fail the trial, not the run.
                         try:
                             problems = _check_sample(spec, mode, collector,
                                                      cell, trial)
-                        except LeonardError as e:
+                        except (LeonardError, ZeroDivisionError) as e:
                             problems = [f"{type(e).__name__}: {e}"]
                         if problems:
                             cell.failures.extend(

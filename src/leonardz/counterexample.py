@@ -208,13 +208,7 @@ def counterexample_d2():
     for label, got, want in (("E", e_set, expected_e),
                              ("E_star", estar_set, expected_estar)):
         for k in range(3):
-            if not linalg.mat_eq(got[k], want[k]):
-                for i in range(3):
-                    for j in range(3):
-                        if got[k][i][j] != want[k][i][j]:
-                            raise MismatchAtEntry(f"{label}{k}", (i, j),
-                                                  str(got[k][i][j]),
-                                                  str(want[k][i][j]))
+            _expect(f"{label}{k}", got[k], want[k])
     patterns = tridiagonal_patterns_hold(a, a_star, e_set, estar_set)
 
     forms = certificate_forms(a, a_star, e_set, estar_set)

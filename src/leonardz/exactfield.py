@@ -6,6 +6,10 @@ denominator.  Prime and extension field elements are small immutable
 wrapper objects that support the usual operators, promote Python ints
 through the prime subfield, and refuse to combine across contexts.
 
+The characteristic must be a prime below PRIME_BOUND, where Miller-Rabin
+with fixed bases is exact.  Rabin's test checks GF(p^k) moduli; the default
+modulus is the first candidate, in a fixed order, that passes it.
+
 Element text grammar:
 
     rationals:  "5", "-3", "n/d"
@@ -40,19 +44,37 @@ MAX_EXTENSION_DEGREE = 8
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# psi_13 = PRIME_BOUND (Sorenson and Webster 2017), itself a strong
+# pseudoprime to all 13 bases; larger characteristics are not supported.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin test, exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        # n is a strong probable prime to base b when b^d = 1 or some
+        # b^(d 2^i) = -1 with 0 <= i < s
+        if x != 1 and all(pow(x, 2 ** i, n) != n - 1 for i in range(s)):
             return False
-        f += 2
     return True
+
+
+def _require_prime(p):
+    if p >= PRIME_BOUND:
+        raise InvalidField(f"characteristic {p} is not below {PRIME_BOUND}")
+    if not _is_prime(p):
+        raise InvalidField(f"{p} is not prime")
 
 
 class FieldContext:
@@ -197,8 +219,7 @@ class PrimeField(FieldContext):
     """The prime field GF(p)."""
 
     def __init__(self, p):
-        if not _is_prime(p):
-            raise InvalidField(f"{p} is not prime")
+        _require_prime(p)
         self.p = p
         self.characteristic = p
 
@@ -307,27 +328,6 @@ def _poly_inv_mod(a, m, p):
     return _poly_trim([x * c % p for x in s0])
 
 
-def _is_irreducible(m, p):
-    """Trial division by all monic polynomials of degree up to deg(m)/2."""
-    deg = len(m) - 1
-    if deg < 1 or m[-1] % p == 0:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p ** d):
-            coeffs = []
-            v = idx
-            for _ in range(d):
-                coeffs.append(v % p)
-                v //= p
-            coeffs.append(1)
-            _, rem = _poly_divmod(m, tuple(coeffs), p)
-            if not rem:
-                return False
-    return True
-
-
 # Low-weight irreducible moduli over GF(2); other (p, k) pairs fall back to
 # a deterministic search.
 _GF2_MODULI = {
@@ -341,20 +341,22 @@ _GF2_MODULI = {
 }
 
 
-def default_modulus(p, k):
-    """A built-in irreducible monic polynomial of degree k over GF(p)."""
+def _prime_divisors(k):
+    return [r for r in range(2, k + 1) if k % r == 0 and _is_prime(r)]
+
+
+def _candidate_moduli(p, k):
+    """Monic degree-k polynomials over GF(p) in default-modulus search order."""
     if p == 2 and k in _GF2_MODULI:
-        return _GF2_MODULI[k]
-    for idx in range(p ** k):
-        coeffs = []
-        v = idx
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        if _is_irreducible(tuple(coeffs), p):
-            return tuple(coeffs)
-    raise ReducibleModulus(f"no irreducible polynomial found for GF({p}^{k})")
+        yield _GF2_MODULI[k]
+    # Then idx = 0, 1, 2, ... with its base-p digits as the coefficients
+    # below t^k.  The first p are the binomials t^k + c; by Lidl and
+    # Niederreiter, Thm 3.75, all are reducible when a prime r | k does not
+    # divide p - 1, or when 4 | k and p % 4 != 1, so skip them then.
+    no_binomial = (any((p - 1) % r for r in _prime_divisors(k))
+                   or (k % 4 == 0 and p % 4 != 1))
+    for idx in range(p if no_binomial else 0, p ** k):
+        yield tuple(idx // p ** i % p for i in range(k)) + (1,)
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?t(?:\^(\d+))?$|^(\d+)$")
@@ -456,21 +458,34 @@ class ExtensionField(FieldContext):
     """The extension field GF(p^k) with 2 <= k <= 8 and an irreducible modulus."""
 
     def __init__(self, p, k, modulus=None):
-        if not _is_prime(p):
-            raise InvalidField(f"{p} is not prime")
+        _require_prime(p)
         if not 2 <= k <= MAX_EXTENSION_DEGREE:
             raise InvalidField(f"extension degree {k} outside 2..{MAX_EXTENSION_DEGREE}")
-        if modulus is None:
-            modulus = default_modulus(p, k)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise InvalidField(f"modulus must be monic of degree {k}")
-        if not _is_irreducible(modulus, p):
-            raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
-        self.p = p
+        self.p = self.characteristic = p
         self.k = k
-        self.modulus = modulus
-        self.characteristic = p
+        if modulus is None:
+            # GF(p) has an irreducible monic of every degree, so this returns.
+            for self.modulus in _candidate_moduli(p, k):
+                if self._modulus_irreducible():
+                    return
+        self.modulus = tuple(c % p for c in modulus)
+        if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
+            raise InvalidField(f"modulus must be monic of degree {k}")
+        if not self._modulus_irreducible():
+            raise ReducibleModulus(f"modulus {self.modulus} is reducible over GF({p})")
+
+    def _modulus_irreducible(self):
+        """Rabin's test in GF(p)[t]/(modulus): t^(p^k) = t, and for each prime
+        r | k, t^(p^(k/r)) - t is a unit."""
+        p, k, t = self.p, self.k, self.generator
+        if t ** (p ** k) != t:
+            return False
+        try:
+            for r in _prime_divisors(k):
+                (t ** (p ** (k // r)) - t).inverse()
+        except DivisionByZero:
+            return False
+        return True
 
     def __call__(self, value):
         if isinstance(value, str):
@@ -540,7 +555,9 @@ class ExtensionField(FieldContext):
             tuple(rng.randrange(self.p) for _ in range(self.k)), self)
 
 
-_FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)$")
+# Digit counts are capped so that int() never meets Python's limit on the
+# length of an integer string; any p past PRIME_BOUND is rejected anyway.
+_FIELD_RE = re.compile(r"^GF\((\d{1,99})(?:\^(\d{1,99}))?\)$")
 
 
 def parse_field(label):

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over a field context.
 
 Matrices are plain lists of row lists whose entries all live in one field
-context.  Everything here is pivoting Gaussian elimination with exact
-division; sizes in this package stay tiny (at most (d+1)x(d+1) with
-d <= parray.MAX_D = 16), so no fraction-free machinery is needed.
+context.  One pivoting Gaussian elimination with exact division, `_echelon`,
+underlies rank, rref, the null spaces, solve and the determinant.  Sizes
+stay tiny (at most (d+1)x(d+1) with d <= parray.MAX_D = 16), so no
+fraction-free machinery is needed.
 """
 
 from __future__ import annotations
@@ -63,15 +64,16 @@ def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
 
+def shift(m, c):
+    """M - c I, as a copy."""
+    out = [row[:] for row in m]
+    for i in range(len(out)):
+        out[i][i] = out[i][i] - c
+    return out
+
+
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def trace(a):
-    t = a[0][0]
-    for i in range(1, len(a)):
-        t = t + a[i][i]
-    return t
 
 
 def flatten(a):
@@ -92,11 +94,13 @@ def mat_vec(a, v):
 
 
 def _echelon(rows):
-    """Reduce a copy of `rows` to row echelon form; return (matrix, pivot columns)."""
+    """The one forward elimination: an echelon copy of rows, its pivot
+    columns and its row-swap count."""
     m = [row[:] for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     pivots = []
+    swaps = 0
     r = 0
     for c in range(n_cols):
         piv = None
@@ -106,7 +110,9 @@ def _echelon(rows):
                 break
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
         inv = m[r][c]
         for i in range(r + 1, n_rows):
             if m[i][c]:
@@ -118,20 +124,17 @@ def _echelon(rows):
         r += 1
         if r == n_rows:
             break
-    return m, pivots
+    return m, pivots, swaps
 
 
 def rank(rows):
     """Exact row rank."""
-    if not rows:
-        return 0
-    _, pivots = _echelon(rows)
-    return len(pivots)
+    return len(_echelon(rows)[1])
 
 
 def rref(rows):
     """Reduced row echelon form (copy) and its pivot columns."""
-    m, pivots = _echelon(rows)
+    m, pivots, _ = _echelon(rows)
     n_cols = len(m[0]) if m else 0
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
@@ -169,65 +172,30 @@ def left_nullspace(rows, ctx):
 
 
 def solve_matrix(a, b):
-    """Solve a . x = b for a square invertible a; raises SingularMatrix."""
+    """Solve a . x = b for a square invertible a, as the rref of [a | b]."""
     n = len(a)
-    aug = [a[i][:] + b[i][:] for i in range(n)]
-    width = len(aug[0])
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrix(f"no pivot in column {c}")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                row_i, row_c = aug[i], aug[c]
-                for j in range(c, width):
-                    row_i[j] = row_i[j] - f * row_c[j]
-    return [row[n:] for row in aug]
+    red, pivots = rref([ra + rb for ra, rb in zip(a, b)])
+    if len(pivots) < n or pivots[n - 1] >= n:  # rank(a) < n
+        raise SingularMatrix(f"matrix of size {n} is singular")
+    return [row[n:] for row in red]
 
 
 def det(a):
-    """Exact determinant by elimination with row-swap sign tracking."""
-    n = len(a)
-    m = [row[:] for row in a]
-    sign = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return a[0][0] - a[0][0]
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / m[c][c]
-                for j in range(c, n):
-                    m[i][j] = m[i][j] - f * m[c][j]
+    """Exact determinant: the product of the echelon pivots, signed by the swaps."""
+    m, pivots, swaps = _echelon(a)
+    if len(pivots) < len(a):
+        return a[0][0] - a[0][0]
     d = m[0][0]
-    for i in range(1, n):
+    for i in range(1, len(m)):
         d = d * m[i][i]
-    return d if sign == 1 else -d
+    return -d if swaps % 2 else d
 
 
 def in_row_span(rows, vec):
     """Whether vec lies in the row space of rows (exact rank test)."""
-    base = [r[:] for r in rows]
-    return rank(base) == rank(base + [vec[:]])
+    return rank(rows) == rank(rows + [vec])
 
 
 def same_row_span(rows_a, rows_b):
     """Whether two row sets span the same subspace."""
-    ra = rank(rows_a)
-    rb = rank(rows_b)
-    return ra == rb == rank([r[:] for r in rows_a] + [r[:] for r in rows_b])
+    return rank(rows_a) == rank(rows_b) == rank(rows_a + rows_b)

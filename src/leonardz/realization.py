@@ -114,12 +114,7 @@ def primitive_idempotents(mtx, eigs, ctx):
     """
     _check_distinct(eigs)
     n = len(mtx)
-    shifts = []
-    for ej in eigs:
-        m = [row[:] for row in mtx]
-        for r in range(n):
-            m[r][r] = m[r][r] - ej
-        shifts.append(m)
+    shifts = [linalg.shift(mtx, ej) for ej in eigs]
     out = []
     for i, ei in enumerate(eigs):
         prod = None

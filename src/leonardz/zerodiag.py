@@ -110,10 +110,7 @@ def has_zero_diagonal(x):
 
 def combination_matrix(coeffs, real):
     """The element f0*I + f1*A_star + f2*A + f3*(A @ A_star) in real's basis."""
-    n = real.dim
-    out = linalg.mat_scale(coeffs.f2, real.A)
-    for i in range(n):
-        out[i][i] = out[i][i] + coeffs.f0
+    out = linalg.shift(linalg.mat_scale(coeffs.f2, real.A), -coeffs.f0)
     out = linalg.mat_add(out, linalg.mat_scale(coeffs.f1, real.A_star))
     out = linalg.mat_add(
         out, linalg.mat_scale(coeffs.f3, linalg.mat_mul(real.A, real.A_star)))
@@ -143,29 +140,16 @@ def z_basis_kernel(m, real):
 
 def z_basis_closed_dim2(real, a0):
     """Closed-form basis when the space is 2-dimensional: A - a0*I and A @ A_star - a0*A_star."""
-    n = real.dim
-    first = [row[:] for row in real.A]
-    for i in range(n):
-        first[i][i] = first[i][i] - a0
     second = linalg.mat_sub(linalg.mat_mul(real.A, real.A_star),
                             linalg.mat_scale(a0, real.A_star))
-    return [first, second]
+    return [linalg.shift(real.A, a0), second]
 
 
 def boundary_products(real, a):
     """The pair (A - a0*I)(A_star - ts_d*I) and (A - ad*I)(A_star - ts_0*I)."""
-    arr = real.array
-    n = real.dim
-    d = arr.d
-
-    def shifted(mtx, c):
-        out = [row[:] for row in mtx]
-        for i in range(n):
-            out[i][i] = out[i][i] - c
-        return out
-
-    p1 = linalg.mat_mul(shifted(real.A, a[0]), shifted(real.A_star, arr.theta_star[d]))
-    p2 = linalg.mat_mul(shifted(real.A, a[d]), shifted(real.A_star, arr.theta_star[0]))
+    ts, d = real.array.theta_star, real.array.d
+    p1 = linalg.mat_mul(linalg.shift(real.A, a[0]), linalg.shift(real.A_star, ts[d]))
+    p2 = linalg.mat_mul(linalg.shift(real.A, a[d]), linalg.shift(real.A_star, ts[0]))
     return p1, p2
 
 

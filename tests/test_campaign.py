@@ -41,3 +41,28 @@ def test_conditioned_cells_present():
     modes = {c.mode for c in report.cells}
     assert modes == {"generic", "z:s_star=r1^2", "z:s_star=r2^2", "dim2",
                      "self-dual", "self-dual-spin"}
+
+
+def test_zero_division_fails_one_trial_not_the_run(monkeypatch):
+    from leonardz import campaign
+
+    options = dict(types=[LeonardType.KRAWTCHOUK, LeonardType.DUAL_HAHN],
+                   d_min=3, d_max=4, trials=3, seed=11)
+    cells = [(c.type_name, c.d, c.field_label, c.mode)
+             for c in run_campaign(**options).cells]
+    analyze = campaign.analyze_instance
+    calls = []
+
+    def analyze_once_failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ZeroDivisionError("Fraction(1, 0)")
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "analyze_instance", analyze_once_failing)
+    report = run_campaign(**options)
+    assert [(c.type_name, c.d, c.field_label, c.mode) for c in report.cells] == cells
+    assert report.failure_count == 1
+    assert report.cells[0].failures == ["trial 1: ZeroDivisionError: Fraction(1, 0)"]
+    assert report.pass_count == sum(c.trials for c in report.cells) - 1
+    assert "result: FAIL" in render_report(report)

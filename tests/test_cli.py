@@ -168,6 +168,12 @@ KRAW = ["--type", "krawtchouk", "--d", "3", "--param", "s=1",
     (["analyze", "--field", "GF(4)"] + KRAW, None, EXIT_INVALID_SPEC),
     (["analyze", "--field", "GF(2^40)"] + KRAW, None, EXIT_INVALID_SPEC),
     (["analyze", "--field", "GF(x)"] + KRAW, None, EXIT_INVALID_SPEC),
+    (["analyze", "--field", "GF(3317044064679887385961981)"] + KRAW, None,
+     EXIT_INVALID_SPEC),
+    (["analyze", "--field", "GF(618970019642690137449562111^2)"] + KRAW, None,
+     EXIT_INVALID_SPEC),
+    (["analyze", "--field", f"GF({'9' * 5000})"] + KRAW, None, EXIT_INVALID_SPEC),
+    (["analyze", "--field", f"GF(3^{'9' * 5000})"] + KRAW, None, EXIT_INVALID_SPEC),
     (["analyze", "--type", "krawtchouk", "--d", "3", "--param", "s=1",
       "--param", "s_star=1", "--param", "r=x"], None, EXIT_INVALID_SPEC),
     (["verify-tables", "--height", "0", "--trials", "1"], None, EXIT_USAGE),
@@ -175,8 +181,9 @@ KRAW = ["--type", "krawtchouk", "--d", "3", "--param", "s=1",
      "type = krawtchouk\nd = x\ns = 1\ns_star = 1\nr = 2\n", EXIT_INVALID_SPEC),
     (["verify-tables", "--config", "{cfg}"], "d_min = x\n", EXIT_USAGE),
     (["verify-tables", "--config", "{cfg}"], b"types = \xff\n", EXIT_USAGE),
-], ids=["gf4", "gf2^40", "gf-x", "param-x", "height-0", "config-d",
-        "config-d-min", "config-not-utf8"])
+], ids=["gf4", "gf2^40", "gf-x", "gf-psi13", "gf-2^89-1-squared",
+        "gf-5000-digit-p", "gf-5000-digit-k", "param-x",
+        "height-0", "config-d", "config-d-min", "config-not-utf8"])
 def test_bad_input_is_one_line_error(tmp_path, argv, config, expected):
     cfg = tmp_path / "bad.cfg"
     if isinstance(config, str):

@@ -1,5 +1,7 @@
 import time
 
+import pytest
+
 from conftest import QQ
 from leonardz.counterexample import (
     KNOWN_FORMS,
@@ -93,3 +95,16 @@ def test_render_contains_key_lines():
     assert "g0*g0star in linear span of five forms: no" in text
     assert "g0*g0star vanishes given invertibility: yes" in text
     assert "conclusion: certificate pair impossible, no spin" in text
+
+
+def test_projection_mismatch_names_the_entry(monkeypatch):
+    from leonardz import counterexample
+    from leonardz.errors import MismatchAtEntry
+
+    wrong = [list(map(list, m)) for m in counterexample.EXPECTED_E_STAR]
+    wrong[1][0][2] = "4"
+    monkeypatch.setattr(counterexample, "EXPECTED_E_STAR", wrong)
+    with pytest.raises(MismatchAtEntry) as err:
+        counterexample_d2()
+    assert (err.value.label, err.value.entry) == ("E_star1", (0, 2))
+    assert (err.value.got, err.value.expected) == ("-3", "4")

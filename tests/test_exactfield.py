@@ -1,18 +1,25 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leonardz.errors import (
     ContextMismatch,
     DivisionByZero,
+    InvalidField,
     ParseError,
     ReducibleModulus,
     ZeroDenominator,
 )
 from leonardz.exactfield import (
+    _GF2_MODULI,
+    PRIME_BOUND,
     ExtensionField,
     PrimeField,
     Rationals,
+    _is_prime,
+    _poly_divmod,
     field_arith,
     parse_field,
     sample_element,
@@ -176,3 +183,109 @@ def test_prime_field_fraction_parse():
     assert gf7.parse("1/3") == gf7(5)
     with pytest.raises(ZeroDenominator):
         gf7.parse("1/7")
+
+
+# -- primality and irreducibility against the trial-division references ----
+
+def trial_division_prime(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def trial_division_irreducible(m, p):
+    """Reference route: divide by every monic polynomial of degree <= deg(m)/2."""
+    deg = len(m) - 1
+    for d in range(1, deg // 2 + 1):
+        for divisor in monic_polynomials(p, d):
+            if not _poly_divmod(m, divisor, p)[1]:
+                return False
+    return True
+
+
+def monic_polynomials(p, k):
+    """Every monic degree-k polynomial over GF(p), in default-modulus order."""
+    for idx in range(p ** k):
+        yield tuple(idx // p ** i % p for i in range(k)) + (1,)
+
+
+def reference_default_modulus(p, k):
+    if p == 2 and k in _GF2_MODULI:
+        return _GF2_MODULI[k]
+    return next(m for m in monic_polynomials(p, k) if trial_division_irreducible(m, p))
+
+
+# Composites that pass Miller-Rabin to the first n prime bases, n = 1..12,
+# with Carmichael numbers and squares of Wieferich primes.
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    561, 41041, 825265, 1093 ** 2, 3511 ** 2,
+)
+
+
+def test_miller_rabin_matches_trial_division():
+    wrong = [n for n in range(2 * 10 ** 5) if _is_prime(n) != trial_division_prime(n)]
+    assert wrong == []
+
+
+def test_miller_rabin_rejects_strong_pseudoprimes():
+    assert [n for n in STRONG_PSEUDOPRIMES if _is_prime(n)] == []
+    assert _is_prime(10 ** 18 + 3) and _is_prime(2 ** 61 - 1)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=PRIME_BOUND - 1))
+def test_miller_rabin_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert _is_prime(n) == sympy.isprime(n)
+
+
+@pytest.mark.parametrize("label", [
+    "GF(3317044064679887385961981)",     # psi_13, fools all 13 bases
+    "GF(618970019642690137449562111)",   # 2^89 - 1, prime but too large
+    "GF(3317044064679887385961981^2)",
+])
+def test_characteristic_bound(label):
+    with pytest.raises(InvalidField):
+        parse_field(label)
+
+
+def test_eighteen_digit_prime_field():
+    assert parse_field("GF(1000000000000000003)").p == 10 ** 18 + 3
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8),
+                                 (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+                                 (5, 4), (7, 2), (7, 3)])
+def test_rabin_matches_trial_division(p, k):
+    for m in monic_polynomials(p, k):
+        if trial_division_irreducible(m, p):
+            assert ExtensionField(p, k, m).modulus == m
+        else:
+            with pytest.raises(ReducibleModulus):
+                ExtensionField(p, k, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 97])
+def test_default_modulus_is_first_reference_irreducible(p):
+    for k in range(2, 9 if p < 97 else 5):
+        assert ExtensionField(p, k).modulus == reference_default_modulus(p, k), (p, k)
+
+
+@pytest.mark.parametrize("label", ["GF(97^8)", "GF(1009^4)", "GF(1000003^2)",
+                                   "GF(1000003^7)", "GF(1000003^8)"])
+def test_large_extension_labels(label):
+    sympy = pytest.importorskip("sympy")
+    start = time.perf_counter()
+    ctx = parse_field(label)
+    assert time.perf_counter() - start < 1.0
+    x = sympy.Symbol("x")
+    assert sympy.Poly(ctx.modulus[::-1], x, modulus=ctx.p).is_irreducible
+    t = ctx.generator
+    assert t ** (ctx.p ** ctx.k) == t

@@ -105,7 +105,6 @@ def test_mat_mul_banded_inputs():
     assert linalg.mat_eq(linalg.mat_mul(a, b), expected)
 
 
-def test_trace_and_flatten():
+def test_flatten_row_major():
     a = qmat([[1, 2], [3, 4]])
-    assert linalg.trace(a) == QQ(5)
     assert linalg.flatten(a) == [QQ(1), QQ(2), QQ(3), QQ(4)]

@@ -209,7 +209,10 @@ def test_trace_route_on_exemplars(exemplar_specs):
         total = a[0]
         for x in a[1:]:
             total = total + x
-        assert total == linalg.trace(real.A)
+        trace = real.A[0][0]
+        for i in range(1, real.dim):
+            trace = trace + real.A[i][i]
+        assert total == trace
 
 
 def test_a_sequence_reverses_with_dual_order(exemplar_specs):
