@@ -45,14 +45,23 @@ class UsageError(Exception):
     pass
 
 
+class HelpRequested(Exception):
+    """Raised by -h/--help instead of exiting; carries the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise HelpRequested(self.format_help())
 
 
 def read_config(path):
     """Parse a config file of one `key = value` pair per line."""
     out = {}
+    if "\0" in path:
+        raise UsageError(f"{path!r}: a file name cannot hold a NUL byte")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = list(fh)
@@ -255,6 +264,9 @@ def main(argv=None, stdout=None, stderr=None):
         if args.command == "counterexample":
             return cmd_counterexample(stdout)
         raise UsageError(f"unknown command {args.command!r}")
+    except HelpRequested as e:
+        stdout.write(str(e))
+        return EXIT_OK
     except UsageError as e:
         stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE

@@ -24,6 +24,7 @@ in t with coefficients reduced mod p for GF(p^k).
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import (
     ContextMismatch,
@@ -42,6 +43,27 @@ except ImportError:  # pragma: no cover - gmpy2 is a normal dependency
 MAX_EXTENSION_DEGREE = 8
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
+
+
+def _literal_int(digits):
+    """int(digits), reporting a literal past Python's limit on the length of
+    an integer string (sys.get_int_max_str_digits) as a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits exceeds the "
+                         f"limit of {sys.get_int_max_str_digits()}") from None
+
+
+def _decimal(n):
+    """str(n) for an int of any length, joined from 600-digit chunks: each
+    stays below the least integer-string limit Python accepts (640)."""
+    chunk = 10 ** 600
+    sign, n, parts = "-" if n < 0 else "", abs(n), []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        parts.append(str(low).zfill(600))
+    return sign + str(n) + "".join(reversed(parts))
 
 
 # The first 13 primes as Miller-Rabin bases decide primality exactly below
@@ -120,16 +142,20 @@ class Rationals(FieldContext):
         m = _RATIONAL_RE.match(text.strip())
         if not m:
             raise ParseError(f"not a rational literal: {text!r}")
-        num = int(m.group(1))
+        num = _literal_int(m.group(1))
         if m.group(2) is None:
             return Rational(num)
-        den = int(m.group(2))
+        den = _literal_int(m.group(2))
         if den == 0:
             raise ZeroDenominator(f"zero denominator in {text!r}")
         return Rational(num, den)
 
     def format(self, x):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # past the integer-string limit
+            text = _decimal(x.numerator)
+            return text if x.denominator == 1 else f"{text}/{_decimal(x.denominator)}"
 
     def sample(self, rng, height):
         """Uniform numerator and nonzero denominator in [-height, height]."""
@@ -245,10 +271,10 @@ class PrimeField(FieldContext):
         m = _RATIONAL_RE.match(text.strip())
         if not m:
             raise ParseError(f"not an element of {self}: {text!r}")
-        num = self(int(m.group(1)))
+        num = self(_literal_int(m.group(1)))
         if m.group(2) is None:
             return num
-        den = int(m.group(2))
+        den = _literal_int(m.group(2))
         if den % self.p == 0:
             raise ZeroDenominator(f"denominator vanishes in {self}: {text!r}")
         return num / self(den)
@@ -525,10 +551,10 @@ class ExtensionField(FieldContext):
             if not m:
                 raise ParseError(f"bad term {signed.group(2)!r} in {text!r}")
             if m.group(3) is not None:
-                c, e = int(m.group(3)), 0
+                c, e = _literal_int(m.group(3)), 0
             else:
-                c = int(m.group(1)) if m.group(1) else 1
-                e = int(m.group(2)) if m.group(2) else 1
+                c = _literal_int(m.group(1)) if m.group(1) else 1
+                e = _literal_int(m.group(2)) if m.group(2) else 1
             if e >= self.k:
                 raise ParseError(f"degree {e} term exceeds field degree in {text!r}")
             coeffs[e] = (coeffs[e] + sign * c) % self.p

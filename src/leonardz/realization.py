@@ -11,7 +11,10 @@ transpose.  As w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T, so
 the a-trace, the change to the standard basis {E*_i u} and the axioms
 read scalars of W M V.  The spectral product formula, post-verified,
 works for any multiplicity-free matrix and is the reference route that
-deep mode, the tests and the boundary example compare against.
+deep mode, the tests and the boundary example compare against.  As the
+shifts M - theta_j I commute, primitive_idempotents forms the product
+over j != i as P_i S_i from prefix products P_i (j < i) and suffix
+products S_i (j > i) built once, about 3n matrix products per family.
 """
 
 from __future__ import annotations
@@ -110,22 +113,35 @@ def primitive_idempotents(mtx, eigs, ctx):
     """Spectral projections of a multiplicity-free matrix, one per eigenvalue.
 
     Each projection is the product of (M - eig_j I)/(eig_i - eig_j) over
-    j != i, and is post-verified to square to itself.
+    j != i, and is post-verified to square to itself.  The product is
+    P_i S_i, with the prefix P_i over j < i and the suffix S_i over j > i
+    each built once for all i, so a family takes 3n - 6 products and n
+    squarings instead of n(n - 2) chain products.
     """
     _check_distinct(eigs)
-    n = len(mtx)
+    n = len(eigs)
+    if n < 2:
+        return [linalg.identity(len(mtx), ctx) for _ in eigs]
     shifts = [linalg.shift(mtx, ej) for ej in eigs]
+    prefix = [None, shifts[0]]  # prefix[i] = shifts[0] ... shifts[i-1]
+    for j in range(1, n - 1):
+        prefix.append(linalg.mat_mul(prefix[-1], shifts[j]))
+    suffix = [None] * n  # suffix[i] = shifts[i+1] ... shifts[n-1]
+    suffix[n - 2] = shifts[n - 1]
+    for j in range(n - 3, -1, -1):
+        suffix[j] = linalg.mat_mul(shifts[j + 1], suffix[j + 1])
     out = []
     for i, ei in enumerate(eigs):
-        prod = None
+        if i == 0:
+            prod = suffix[0]
+        elif i == n - 1:
+            prod = prefix[n - 1]
+        else:
+            prod = linalg.mat_mul(prefix[i], suffix[i])
         denom = ctx.one
         for j, ej in enumerate(eigs):
-            if j == i:
-                continue
-            prod = shifts[j] if prod is None else linalg.mat_mul(prod, shifts[j])
-            denom = denom * (ei - ej)
-        if prod is None:
-            prod = linalg.identity(n, ctx)
+            if j != i:
+                denom = denom * (ei - ej)
         prod = linalg.mat_scale(ctx.one / denom, prod)
         if not linalg.mat_eq(linalg.mat_mul(prod, prod), prod):
             raise IdempotentCheckFailed(f"projection {i} is not idempotent")

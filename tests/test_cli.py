@@ -176,13 +176,22 @@ KRAW = ["--type", "krawtchouk", "--d", "3", "--param", "s=1",
     (["analyze", "--field", f"GF(3^{'9' * 5000})"] + KRAW, None, EXIT_INVALID_SPEC),
     (["analyze", "--type", "krawtchouk", "--d", "3", "--param", "s=1",
       "--param", "s_star=1", "--param", "r=x"], None, EXIT_INVALID_SPEC),
+    (["analyze", "--field", "Q"] + KRAW + ["--param", f"r={'9' * 5000}"], None,
+     EXIT_INVALID_SPEC),
+    (["analyze", "--field", "GF(7)"] + KRAW + ["--param", f"r=1/{'9' * 5000}"], None,
+     EXIT_INVALID_SPEC),
+    (["analyze", "--field", "GF(3^2)"] + KRAW + ["--param", f"r={'9' * 5000}t"], None,
+     EXIT_INVALID_SPEC),
+    (["analyze", "--config", "spec\0.cfg"], None, EXIT_USAGE),
     (["verify-tables", "--height", "0", "--trials", "1"], None, EXIT_USAGE),
     (["analyze", "--config", "{cfg}"],
      "type = krawtchouk\nd = x\ns = 1\ns_star = 1\nr = 2\n", EXIT_INVALID_SPEC),
     (["verify-tables", "--config", "{cfg}"], "d_min = x\n", EXIT_USAGE),
     (["verify-tables", "--config", "{cfg}"], b"types = \xff\n", EXIT_USAGE),
 ], ids=["gf4", "gf2^40", "gf-x", "gf-psi13", "gf-2^89-1-squared",
-        "gf-5000-digit-p", "gf-5000-digit-k", "param-x",
+        "gf-5000-digit-p", "gf-5000-digit-k", "q-5000-digit-literal",
+        "gf-p-5000-digit-literal", "gf-pk-5000-digit-literal", "config-nul",
+        "param-x",
         "height-0", "config-d", "config-d-min", "config-not-utf8"])
 def test_bad_input_is_one_line_error(tmp_path, argv, config, expected):
     cfg = tmp_path / "bad.cfg"
@@ -204,3 +213,22 @@ def test_bad_seed_env_is_usage_error(monkeypatch):
                            monkeypatch=monkeypatch)
     assert code == EXIT_USAGE
     assert err == "usage error: LEONARD_SEED must be an integer; got 'abc'\n"
+
+
+def test_values_past_the_integer_string_limit_print_in_full():
+    # b_i and c_i of this Krawtchouk instance have more than 4300 digits.
+    big = "7" * 3000
+    code, out, _ = run_cli(["analyze", "--type", "krawtchouk", "--d", "3",
+                            "--field", "Q", "--param", f"s={big}",
+                            "--param", f"s_star={big}", "--param", f"r={big}"])
+    assert code == EXIT_OK
+    assert f"  r = {big}\n" in out
+    assert max(len(word) for word in out.split()) > 4300
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "-h"]])
+def test_help_goes_to_stdout_and_exits_0(argv):
+    code, out, err = run_cli(argv)
+    assert code == EXIT_OK
+    assert out.startswith("usage: leonardz")
+    assert err == ""

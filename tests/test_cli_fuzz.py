@@ -1,0 +1,111 @@
+"""Hypothesis fuzz of the command line: every input ends in an exit code.
+
+`main` must turn any argv list and any `verify-tables --config` text into
+one of the exit codes 0..3, without letting an exception escape.  Element
+literals are either short or past Python's 4300-digit limit on integer
+strings; literals of a few hundred digits and more make the exact
+arithmetic of a valid instance take seconds, so they are left to the
+fixed cases in test_cli.py.  Bare `verify-tables` runs the whole default
+campaign, so that subcommand is only fuzzed through a config that names
+one or two families.
+"""
+
+import io
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from leonardz.cli import main
+from leonardz.families import FAMILIES
+from leonardz.parray import ALL_TYPES
+
+EXIT_CODES = {0, 1, 2, 3}
+FAMILY_PARAMS = {t.value: FAMILIES[t].params for t in ALL_TYPES}
+PARAM_NAMES = sorted({p for params in FAMILY_PARAMS.values() for p in params}
+                     | {"theta0", "theta_star0"})
+FIELDS = ["Q", "QQ", "GF(7)", "GF(1000003)", "GF(2^2)", "GF(3^2)", "GF(3^4)",
+          "GF(4)", "GF(x)", "GF(2^40)", ""]
+FUZZ = settings(max_examples=60, deadline=None)
+
+
+def run(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = main(argv, stdout=stdout, stderr=stderr)
+    assert code in EXIT_CODES, (argv, code)
+    assert "Traceback" not in stderr.getvalue()
+
+
+def nines(head="", tail=""):
+    """A literal whose digit run is past Python's 4300-digit limit."""
+    return st.integers(4301, 5000).map(lambda k: head + "9" * k + tail)
+
+
+junk_literals = st.one_of(
+    st.sampled_from(["", " ", "x", "--1", "1/0", "t^9", "1/t"]),
+    st.text(alphabet="0123456789t+-*/^ ", max_size=6))
+rational_literals = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 9)),
+    nines(), nines("-"), nines("1/"), junk_literals)
+polynomial_literals = st.one_of(
+    st.integers(0, 30).map(str),
+    st.sampled_from(["t", "t+1", "2*t+1", "t^2+t", "-t"]),
+    nines(), nines(tail="*t"), nines("t^"), nines("3*t^"), junk_literals)
+
+
+@st.composite
+def analyze_argv(draw):
+    """analyze with a real or bogus type, d in 0..6 or 17, and mostly the
+    family's own parameter names with literals of the field's form."""
+    type_name = draw(st.sampled_from(list(FAMILY_PARAMS) + ["bogus"]))
+    names = [n for n in FAMILY_PARAMS.get(type_name, ("s", "r"))
+             if draw(st.integers(0, 9))]  # now and then one is left out
+    names += draw(st.lists(st.sampled_from(PARAM_NAMES), max_size=2))
+    field = draw(st.sampled_from(FIELDS))
+    literals = polynomial_literals if "^" in field else rational_literals
+    argv = ["analyze", "--type", type_name,
+            "--d", draw(st.sampled_from([str(d) for d in range(7)] + ["17"])),
+            "--field", field]
+    for name in names:
+        argv += ["--param", f"{name}={draw(literals)}"]
+    return argv
+
+
+@FUZZ
+@given(analyze_argv())
+def test_fuzz_analyze(argv):
+    run(argv)
+
+
+VOCABULARY = ["analyze", "counterexample", "--type", "--d", "--field", "--param",
+              "--theta0", "--theta-star0", "--config", "--trials", "--seed",
+              "--types", "-h", "krawtchouk", "3", "Q", "s=1", "r=2", "="]
+
+
+@FUZZ
+@given(st.lists(st.one_of(st.sampled_from(VOCABULARY), st.text(max_size=8)),
+                max_size=7))
+def test_fuzz_argv(argv):
+    run(argv)
+
+
+config_lines = st.one_of(
+    st.builds("{} = {}".format,
+              st.sampled_from(["d_min", "d_max", "trials", "seed", "height"]),
+              st.sampled_from(["3", "4", "0", "-2", "17", "x", "", "9" * 5000])),
+    st.text(max_size=12).map(lambda s: s.replace("\n", " ").replace("\r", " ")),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(config_lines, max_size=5),
+       st.sampled_from(["krawtchouk", "orphan", "krawtchouk,orphan", "bogus", ","]))
+def test_fuzz_verify_tables_config(lines, types):
+    # The types line comes last, so a fuzzed line cannot widen the campaign.
+    text = "\n".join(lines + [f"types = {types}"]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "campaign.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        run(["verify-tables", "--config", path, "--trials", "1"])

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import QQ
 from leonardz import linalg, realization
+from leonardz.analysis import analyze_instance
 from leonardz.errors import (
     AxiomViolation,
     IdempotentCheckFailed,
@@ -13,7 +14,7 @@ from leonardz.errors import (
 )
 from leonardz.exactfield import parse_field
 from leonardz.families import FAMILIES
-from leonardz.parray import ALL_TYPES, ParameterArray, build_parameter_array
+from leonardz.parray import ALL_TYPES, LeonardType, ParameterArray, build_parameter_array
 from leonardz.realization import (
     bidiagonal_idempotents,
     intersection_a_closed,
@@ -23,7 +24,7 @@ from leonardz.realization import (
     standard_basis_rep,
     verify_axioms,
 )
-from leonardz.sampling import sample_spec
+from leonardz.sampling import modes_for_type, sample_spec
 
 
 def qmat(rows):
@@ -96,6 +97,14 @@ def test_repeated_eigenvalue_rejected():
             route(diag, [QQ(4), QQ(4)], QQ)
 
 
+def families_over(ctx, d):
+    """The types that admit diameter d over the field ctx."""
+    return [name for name in ALL_TYPES
+            if FAMILIES[name].diameter in (None, d)
+            and (FAMILIES[name].characteristic is None
+                 or FAMILIES[name].characteristic.allows(ctx.characteristic, d))]
+
+
 def _assert_routes_agree(spec):
     """The rank-one and product-formula routes agree on E, E* and the standard basis.
 
@@ -133,12 +142,7 @@ def test_bidiagonal_route_matches_product_formula_sampled(label):
     rng = random.Random(f"bidiagonal|{label}")
     checked = 0
     for d in range(3, 9):
-        for name in ALL_TYPES:
-            fam = FAMILIES[name]
-            if fam.diameter not in (None, d) or (
-                    fam.characteristic is not None
-                    and not fam.characteristic.allows(ctx.characteristic, d)):
-                continue
+        for name in families_over(ctx, d):
             _assert_routes_agree(sample_spec(name, d, ctx, rng))
             checked += 1
     assert checked >= 40
@@ -157,6 +161,102 @@ def test_bidiagonal_route_rejects_bad_input(rows, eigs):
     with pytest.raises(IdempotentCheckFailed) as info:
         bidiagonal_idempotents(qmat(rows), [QQ(x) for x in eigs], QQ)
     assert isinstance(info.value, LeonardError)
+
+
+def chain_idempotents(mtx, eigs, ctx):
+    """The product formula as one left-to-right chain over j != i per projection."""
+    out = []
+    for i, ei in enumerate(eigs):
+        prod, denom = linalg.identity(len(mtx), ctx), ctx.one
+        for j, ej in enumerate(eigs):
+            if j != i:
+                prod = linalg.mat_mul(prod, linalg.shift(mtx, ej))
+                denom = denom * (ei - ej)
+        out.append(linalg.mat_scale(ctx.one / denom, prod))
+    return out
+
+
+def sampled_specs(ctx, d_values, seed):
+    """One sampled spec per d, rotating through the families allowed over ctx."""
+    rng = random.Random(seed)
+    for d in d_values:
+        names = families_over(ctx, d)
+        yield sample_spec(names[d % len(names)], d, ctx, rng)
+
+
+@pytest.mark.parametrize("label", ["Q", "GF(1000003)", "GF(3^4)"])
+def test_prefix_suffix_matches_chain_on_split_matrices(label):
+    ctx = parse_field(label)
+    checked = 0
+    for spec in sampled_specs(ctx, range(3, 13), f"prefix-suffix|{label}"):
+        arr = build_parameter_array(spec)
+        real = realize_split(arr)
+        for mtx, eigs in ((real.A, arr.theta), (real.A_star, arr.theta_star)):
+            assert primitive_idempotents(mtx, eigs, ctx) == chain_idempotents(
+                mtx, eigs, ctx), (spec.name, spec.d)
+        checked += 1
+    assert checked == 10
+
+
+def test_prefix_suffix_matches_chain_on_dense_matrix():
+    # M = P diag(eigs) P^-1, certified by M P = P diag(eigs).
+    p = qmat([[2, 1, 0, 1], [1, 1, 1, 0], [0, 1, 2, 1], [1, 0, 1, 1]])
+    mtx = qmat([["-1/4", "3/2", "-9/4", 3], [-3, "7/2", "-3/2", "9/2"],
+                ["-21/4", "9/2", "-1/4", 6], ["-9/4", 3, "-3/4", "7/2"]])
+    eigs = [QQ(2), QQ(-1), QQ(5), QQ("1/2")]
+    diag = [[eigs[i] if i == j else QQ(0) for j in range(4)] for i in range(4)]
+    assert linalg.mat_mul(mtx, p) == linalg.mat_mul(p, diag)
+    e = primitive_idempotents(mtx, eigs, QQ)
+    assert e == chain_idempotents(mtx, eigs, QQ)
+    assert_spectral_decomposition(e, mtx, eigs, QQ)
+
+
+@pytest.mark.parametrize("rows, eigs", [
+    ([[7]], [7]),
+    ([[1, 2], [2, 1]], [3, -1]),
+], ids=["n1", "n2"])
+def test_prefix_suffix_smallest_sizes(rows, eigs):
+    mtx, eigs = qmat(rows), [QQ(x) for x in eigs]
+    e = primitive_idempotents(mtx, eigs, QQ)
+    assert e == chain_idempotents(mtx, eigs, QQ)
+    assert_spectral_decomposition(e, mtx, eigs, QQ)
+
+
+def test_product_formula_rejects_wrong_spectrum():
+    # 7 is not an eigenvalue of diag(1, 3, 6): E_0 comes out as diag(1, 0, -1/4).
+    diag = qmat([[1, 0, 0], [0, 3, 0], [0, 0, 6]])
+    with pytest.raises(IdempotentCheckFailed, match="not idempotent"):
+        primitive_idempotents(diag, [QQ(1), QQ(3), QQ(7)], QQ)
+
+
+def _count_mat_mul(monkeypatch):
+    calls = []
+    original = linalg.mat_mul
+
+    def counted(a, b):
+        calls.append(len(a))
+        return original(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_product_formula_operation_count(monkeypatch, n):
+    mtx = [[QQ(i + 1) if i == j else QQ(int(j == i + 1)) for j in range(n)]
+           for i in range(n)]
+    calls = _count_mat_mul(monkeypatch)
+    primitive_idempotents(mtx, [QQ(i + 1) for i in range(n)], QQ)
+    assert len(calls) <= 4 * n - 6
+
+
+def test_deep_analysis_operation_count(monkeypatch):
+    ctx = parse_field("GF(1000003)")
+    spec = sample_spec(LeonardType.Q_RACAH, 12, ctx, random.Random("deep-count"))
+    calls = _count_mat_mul(monkeypatch)
+    chk = analyze_instance(spec, deep=True)
+    assert chk.ok, chk.failures
+    assert len(calls) <= 150
 
 
 def assert_spectral_decomposition(mats, mtx, eigs, ctx):
@@ -242,6 +342,57 @@ def test_standard_basis_tridiagonal_on_exemplars(exemplar_specs):
         std, nums = standard_basis_rep(real, *split_factors(real))
         assert nums.a == intersection_a_closed(arr)
         assert all(nums.b) and all(nums.c)
+
+
+def _poly(roots, x):
+    """The product of (x - r) over roots."""
+    out = x - x + 1
+    for r in roots:
+        out = out * (x - r)
+    return out
+
+
+def campaign_cell_samples(d_values):
+    """One sampled spec per (type, d, field, mode) cell of the campaign."""
+    for name in ALL_TYPES:
+        for d in d_values:
+            for ctx in map(parse_field, FAMILIES[name].fields):
+                for mode in modes_for_type(name, d):
+                    rng = random.Random(f"closed|{name.value}|{d}|{ctx.label()}|{mode}")
+                    yield sample_spec(name, d, ctx, rng, mode=mode)
+
+
+def test_intersection_numbers_match_closed_forms():
+    """b_i, c_i and the row sums of A_std against Terwilliger's closed forms.
+
+    With tau*_i(x) = prod_{h<i} (x - theta*_h) and eta*_i(x) =
+    prod_{h<i} (x - theta*_{d-h}): b_i = phi_{i+1} tau*_i(theta*_i) /
+    tau*_{i+1}(theta*_{i+1}), c_i = phi2_i eta*_{d-i}(theta*_i) /
+    eta*_{d-i+1}(theta*_{i-1}) and c_i + a_i + b_i = theta_0, checked on
+    one sample per campaign cell at d 3..6.
+    """
+    checked = 0
+    for spec in campaign_cell_samples(range(3, 7)):
+        arr = build_parameter_array(spec)
+        real = realize_split(arr)
+        _, nums = standard_basis_rep(real, *split_factors(real))
+        d, ts = arr.d, arr.theta_star
+        rev = ts[::-1]
+        for i in range(d):
+            assert nums.b[i] == (arr.phi1_at(i + 1) * _poly(ts[:i], ts[i])
+                                 / _poly(ts[:i + 1], ts[i + 1])), (spec, i)
+        for i in range(1, d + 1):
+            assert nums.c[i - 1] == (arr.phi2_at(i) * _poly(rev[:d - i], ts[i])
+                                     / _poly(rev[:d - i + 1], ts[i - 1])), (spec, i)
+        for i in range(d + 1):
+            row = nums.a[i]
+            if i > 0:
+                row = row + nums.c[i - 1]
+            if i < d:
+                row = row + nums.b[i]
+            assert row == arr.theta[0], (spec, i)
+        checked += 1
+    assert checked == 130
 
 
 def test_singular_basis_detected(worked):
