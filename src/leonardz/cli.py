@@ -31,7 +31,7 @@ from .counterexample import counterexample_d2
 from .counterexample import render_report as render_counterexample
 from .errors import InvalidField, InvalidSpec, LeonardError, ParseError
 from .parray import ALL_TYPES, MAX_D, LeonardType, spec_from_mapping, spec_to_mapping
-from .sampling import DEFAULT_HEIGHT
+from .sampling import DEFAULT_HEIGHT, modes_for_type
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -223,10 +223,12 @@ def cmd_verify_tables(args, stdout):
     if seed is None:
         seed = DEFAULT_SEED
     types_text = args.types if args.types is not None else config.get("types")
-    if types_text:
-        types = [LeonardType.from_string(t) for t in types_text.split(",") if t]
-    else:
+    if types_text is None:
         types = list(ALL_TYPES)
+    else:
+        types = [LeonardType.from_string(t) for t in types_text.split(",") if t]
+        if not types:
+            raise UsageError(f"--types {types_text!r} names no family")
     if d_min < 3:
         raise UsageError("--d-min must be at least 3")
     if d_max < d_min:
@@ -237,6 +239,9 @@ def cmd_verify_tables(args, stdout):
         raise UsageError("--trials must be at least 1")
     if height < 1:
         raise UsageError("--height must be at least 1")
+    if not any(modes_for_type(t, d) for t in types for d in range(d_min, d_max + 1)):
+        raise UsageError(f"no campaign cell for --types {','.join(t.value for t in types)}"
+                         f" at d {d_min}..{d_max}")
     report = run_campaign(types=types, d_min=d_min, d_max=d_max, trials=trials,
                           seed=seed, height=height)
     stdout.write(render_report(report))

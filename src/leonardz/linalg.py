@@ -1,10 +1,18 @@
-"""Dense exact linear algebra over a field context.
+"""Exact linear algebra over a field context.
 
 Matrices are plain lists of row lists whose entries all live in one field
 context.  One pivoting Gaussian elimination with exact division, `_echelon`,
 underlies rank, rref, the null spaces, solve and the determinant.  Sizes
 stay tiny (at most (d+1)x(d+1) with d <= parray.MAX_D = 16), so no
 fraction-free machinery is needed.
+
+The matrices are mostly zeros (bidiagonal, tridiagonal, diagonal, or
+triangular eigenvector factors), so the kernels skip structural zeros:
+a row update, a product term or a dot product runs only over the
+support of the row it reads, the (index, value) pairs of its nonzero
+entries, and a sum starts from its first nonzero term instead of adding
+it to zero.  As x - f*0 = x, x + 0*y = x and 0 + y = y exactly, every
+result is the value the dense loop gives.
 """
 
 from __future__ import annotations
@@ -35,22 +43,19 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    """Matrix product, skipping zero left entries (inputs are often banded)."""
-    n, k, m = len(a), len(b), len(b[0])
+    """Matrix product over the nonzero entries of a and the row supports of b."""
+    m = len(b[0])
     zero = a[0][0] - a[0][0]
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        row_a = a[i]
-        row_out = out[i]
-        for t in range(k):
-            x = row_a[t]
-            if not x:
-                continue
-            row_b = b[t]
-            for j in range(m):
-                y = row_b[j]
-                if y:
-                    row_out[j] = row_out[j] + x * y
+    b_supports = [support(row) for row in b]
+    out = []
+    for row_a in a:
+        row_out = [zero] * m
+        for x, sup in zip(row_a, b_supports):
+            if x:
+                for j, y in sup:
+                    s = row_out[j]
+                    row_out[j] = x * y if s is zero else s + x * y
+        out.append(row_out)
     return out
 
 
@@ -80,13 +85,24 @@ def flatten(a):
     return [x for row in a for x in row]
 
 
+def support(v, start=0):
+    """The nonzero entries of v from index start on, as (index, value) pairs."""
+    return [(k, v[k]) for k in range(start, len(v)) if v[k]]
+
+
+def support_dot(pairs, v):
+    """Sum of x v_k over the support pairs (k, x), skipping zero v_k."""
+    s = None
+    for k, x in pairs:
+        y = v[k]
+        if y:
+            s = x * y if s is None else s + x * y
+    return v[0] - v[0] if s is None else s
+
+
 def dot(u, v):
     """Sum of u_k v_k, skipping zero terms (eigenvectors have short supports)."""
-    s = v[0] - v[0]
-    for x, y in zip(u, v):
-        if x and y:
-            s = s + x * y
-    return s
+    return support_dot(support(u), v)
 
 
 def mat_vec(a, v):
@@ -113,13 +129,15 @@ def _echelon(rows):
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             swaps += 1
-        inv = m[r][c]
+        row_r = m[r]
+        inv = row_r[c]
+        sup = support(row_r, c)
         for i in range(r + 1, n_rows):
-            if m[i][c]:
-                f = m[i][c] / inv
-                row_i, row_r = m[i], m[r]
-                for j in range(c, n_cols):
-                    row_i[j] = row_i[j] - f * row_r[j]
+            row_i = m[i]
+            if row_i[c]:
+                f = row_i[c] / inv
+                for j, y in sup:
+                    row_i[j] = row_i[j] - f * y
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -135,17 +153,19 @@ def rank(rows):
 def rref(rows):
     """Reduced row echelon form (copy) and its pivot columns."""
     m, pivots, _ = _echelon(rows)
-    n_cols = len(m[0]) if m else 0
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        row_r = m[r]
+        inv = row_r[c]
+        sup = [(j, x / inv) for j, x in support(row_r, c)]
+        for j, x in sup:
+            row_r[j] = x
         for i in range(r):
-            if m[i][c]:
-                f = m[i][c]
-                row_i, row_r = m[i], m[r]
-                for j in range(n_cols):
-                    row_i[j] = row_i[j] - f * row_r[j]
+            row_i = m[i]
+            if row_i[c]:
+                f = row_i[c]
+                for j, y in sup:
+                    row_i[j] = row_i[j] - f * y
     return m[:len(pivots)], pivots
 
 

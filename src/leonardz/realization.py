@@ -9,8 +9,11 @@ by substitution in O(n^2) each: bidiagonal_idempotents takes an upper
 bidiagonal or diagonal matrix such as A* directly, and A through its
 transpose.  As w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T, so
 the a-trace, the change to the standard basis {E*_i u} and the axioms
-read scalars of W M V.  The spectral product formula, post-verified,
-works for any multiplicity-free matrix and is the reference route that
+read scalars of W M V.  Those scalars are sums over the supports of the
+rows of M and of the factors only (see linalg), since M is bidiagonal or
+tridiagonal and v_i, w_i are triangular; the skipped terms are exact
+zeros.  The spectral product formula, post-verified, works for any
+multiplicity-free matrix and is the reference route that
 deep mode, the tests and the boundary example compare against.  As the
 shifts M - theta_j I commute, primitive_idempotents forms the product
 over j != i as P_i S_i from prefix products P_i (j < i) and suffix
@@ -72,9 +75,16 @@ class SpectralFactors:
                 for v, w in zip(self.v, self.w)]
 
     def sandwich(self, mtx):
-        """S[i][j] = w_i . (M v_j), so that E_i M E_j = S[i][j] v_i w_j^T."""
-        mv = [linalg.mat_vec(mtx, v) for v in self.v]
-        return [[linalg.dot(w, x) for x in mv] for w in self.w]
+        """S[i][j] = w_i . (M v_j), so that E_i M E_j = S[i][j] v_i w_j^T.
+
+        Each row support of M and each support of w_i is taken once, and
+        every product runs over those supports only: M is bidiagonal or
+        tridiagonal and w_i triangular, so most terms are structural zeros.
+        """
+        rows = [linalg.support(row) for row in mtx]
+        mv = [[linalg.support_dot(row, v) for row in rows] for v in self.v]
+        return [[linalg.support_dot(w, x) for x in mv]
+                for w in map(linalg.support, self.w)]
 
 
 @dataclass
@@ -190,7 +200,9 @@ def bidiagonal_idempotents(mtx, eigs, ctx):
 
 def intersection_a_trace(real, estar):
     """a_i as the trace of E*_i A, which is the scalar w*_i . A v*_i."""
-    return [linalg.dot(w, linalg.mat_vec(real.A, v)) for v, w in zip(estar.v, estar.w)]
+    rows = [linalg.support(row) for row in real.A]
+    return [linalg.dot(w, [linalg.support_dot(row, v) for row in rows])
+            for v, w in zip(estar.v, estar.w)]
 
 
 def intersection_a_closed(arr):

@@ -19,8 +19,13 @@ from leonardz.analysis import (
     verify_pi2,
     z_nonzero_predicate,
 )
-from leonardz.errors import DependenceDetected, IdempotentCheckFailed, IndexOutOfRange
-from leonardz.exactfield import ExtensionField
+from leonardz.errors import (
+    DependenceDetected,
+    IdempotentCheckFailed,
+    IdentityFailure,
+    IndexOutOfRange,
+)
+from leonardz.exactfield import ExtensionField, PrimeFieldElement, parse_field
 from leonardz.parray import LeonardType, build_parameter_array
 from leonardz.realization import intersection_a_closed
 from leonardz.sampling import sample_spec
@@ -108,6 +113,20 @@ def test_verify_pi2_all_exemplars(exemplar_specs):
         assert len(witnesses) == (spec.d - 1) ** 2
         for w in witnesses:
             assert w.delta == w.q_value * w.factor
+
+
+def test_verify_pi2_fails_at_first_broken_pair(monkeypatch):
+    spec = sample_spec(LeonardType.Q_RACAH, 5, QQ, random.Random("pi2-broken"))
+    arr = build_parameter_array(spec)
+    a = intersection_a_closed(arr)
+    wrong = factor_for_type(spec) + 1
+    monkeypatch.setattr(analysis, "factor_for_type", lambda _spec: wrong)
+    first = next((i, j) for i in range(1, spec.d) for j in range(1, spec.d)
+                 if pi2_delta(a, arr.theta_star, i, j)
+                 != q_expression(arr.theta_star, i, j) * wrong)
+    with pytest.raises(IdentityFailure) as err:
+        verify_pi2(spec, arr, a)
+    assert (err.value.i, err.value.j) == first
 
 
 def test_verify_pi2_zero_delta_under_forced_condition():
@@ -375,3 +394,41 @@ def test_cor_route_equivalence_on_self_dual_samples():
             assert r1 == r2 == r3
             if mode == "self-dual-spin":
                 assert chk.spin is True
+
+
+# -- operation counts ---------------------------------------------------------
+
+
+def test_fast_analysis_multiplication_count(monkeypatch):
+    """Field multiplications of a d = 16 fast analysis over GF(1000003).
+
+    A deterministic stand-in for timing: the kernels skip structural zeros,
+    so the rank of the five flattened generators costs O(n), not O(n^2),
+    multiplications (2275 at n = 17 with dense row updates), and the whole
+    fast analysis stays under 4200 (6018 with dense kernels).
+    """
+    ctx = parse_field("GF(1000003)")
+    spec = sample_spec(LeonardType.Q_RACAH, 16, ctx, random.Random("mul-count"))
+    n = spec.d + 1
+    count = [0]
+    mul, rank = PrimeFieldElement.__mul__, linalg.rank
+    generator_counts = []
+
+    def counted_mul(x, y):
+        count[0] += 1
+        return mul(x, y)
+
+    def counted_rank(rows):
+        before = count[0]
+        out = rank(rows)
+        if len(rows) == 5 and len(rows[0]) == n * n:
+            generator_counts.append(count[0] - before)
+        return out
+
+    monkeypatch.setattr(PrimeFieldElement, "__mul__", counted_mul)
+    monkeypatch.setattr(linalg, "rank", counted_rank)
+    chk = analyze_instance(spec)
+    assert chk.ok, chk.failures
+    assert len(generator_counts) == 1
+    assert generator_counts[0] <= 20 * n
+    assert count[0] <= 4200

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,11 +192,19 @@ KRAW = ["--type", "krawtchouk", "--d", "3", "--param", "s=1",
      "type = krawtchouk\nd = x\ns = 1\ns_star = 1\nr = 2\n", EXIT_INVALID_SPEC),
     (["verify-tables", "--config", "{cfg}"], "d_min = x\n", EXIT_USAGE),
     (["verify-tables", "--config", "{cfg}"], b"types = \xff\n", EXIT_USAGE),
+    (["verify-tables", "--types", ",", "--trials", "1"], None, EXIT_USAGE),
+    (["verify-tables", "--types", "", "--trials", "1"], None, EXIT_USAGE),
+    (["verify-tables", "--types", "orphan", "--d-min", "4", "--trials", "1"], None,
+     EXIT_USAGE),
+    (["verify-tables", "--config", "{cfg}"], "types = ,\ntrials = 1\n", EXIT_USAGE),
+    (["verify-tables", "--config", "{cfg}"], "types = orphan\nd_min = 4\ntrials = 1\n",
+     EXIT_USAGE),
 ], ids=["gf4", "gf2^40", "gf-x", "gf-psi13", "gf-2^89-1-squared",
         "gf-5000-digit-p", "gf-5000-digit-k", "q-5000-digit-literal",
         "gf-p-5000-digit-literal", "gf-pk-5000-digit-literal", "config-nul",
         "param-x",
-        "height-0", "config-d", "config-d-min", "config-not-utf8"])
+        "height-0", "config-d", "config-d-min", "config-not-utf8",
+        "no-types", "empty-types", "no-cells", "config-no-types", "config-no-cells"])
 def test_bad_input_is_one_line_error(tmp_path, argv, config, expected):
     cfg = tmp_path / "bad.cfg"
     if isinstance(config, str):
@@ -232,3 +244,12 @@ def test_help_goes_to_stdout_and_exits_0(argv):
     assert code == EXIT_OK
     assert out.startswith("usage: leonardz")
     assert err == ""
+
+
+def test_module_entry_point_from_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "leonardz", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("usage: leonardz")

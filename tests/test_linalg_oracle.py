@@ -1,7 +1,11 @@
 """linalg against sympy's DomainMatrix over QQ and GF(p), on random matrices.
 
-Both sides get the same entries; rank, determinant, null space and the
-solution of a . x = b must agree exactly.  Skipped without sympy.
+Both sides get the same entries; rank, determinant, null space, rref,
+products and the solution of a . x = b must agree exactly.  Besides
+small dense entries, the matrices are mostly zeros, or the five
+generators I, D, T, T D, D T (D diagonal, T tridiagonal) flattened into
+5 x n^2 rows as in zerodiag.x_space_basis, so the zero-skipping paths of
+the kernels are exercised.  Skipped without sympy.
 """
 
 from fractions import Fraction
@@ -45,35 +49,58 @@ class Pair:
         return (x.numerator, x.denominator) if self.p is None else int(x) % self.p
 
 
-@st.composite
-def pairs(draw, square=False):
-    p = draw(st.sampled_from(CHARACTERISTICS))
-    n = draw(st.integers(1, 6))
-    m = n if square else draw(st.integers(1, 6))
+def entries(p, sparse):
     if p is None:
         entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
     else:
         entry = st.integers(-3, 3)
-    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
-                         min_size=n, max_size=n))
-    return Pair(p, rows)
+    if sparse:
+        return st.one_of(st.just(0), st.just(0), st.just(0), entry)
+    return entry
 
 
-@settings(max_examples=150, deadline=None)
-@given(pairs())
-def test_rank_matches_domain_matrix(pair):
+def matrix(p, n, m, sparse=False):
+    return st.lists(st.lists(entries(p, sparse), min_size=m, max_size=m),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def pairs(draw, square=False, sparse=False):
+    p = draw(st.sampled_from(CHARACTERISTICS))
+    n = draw(st.integers(1, 6))
+    m = n if square else draw(st.integers(1, 6))
+    return Pair(p, draw(matrix(p, n, m, sparse)))
+
+
+@st.composite
+def generator_pairs(draw):
+    """I, D, T, T D and D T flattened into the rows of a 5 x n^2 matrix."""
+    p = draw(st.sampled_from(CHARACTERISTICS))
+    n = draw(st.integers(1, 5))
+    dg = draw(st.lists(entries(p, False), min_size=n, max_size=n))
+    band = draw(matrix(p, n, 3, sparse=True))
+    tri = [[band[i][j - i + 1] if abs(i - j) <= 1 else 0 for j in range(n)]
+           for i in range(n)]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    diag = [[dg[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    td = [[tri[i][j] * dg[j] for j in range(n)] for i in range(n)]
+    dt = [[dg[i] * tri[i][j] for j in range(n)] for i in range(n)]
+    return Pair(p, [[x for row in mat for x in row] for mat in (eye, diag, tri, td, dt)])
+
+
+sparse_pairs = st.one_of(pairs(sparse=True), generator_pairs())
+any_pairs = st.one_of(pairs(), sparse_pairs)
+
+
+def assert_rank(pair):
     assert linalg.rank(pair.rows) == pair.dm.rank()
 
 
-@settings(max_examples=150, deadline=None)
-@given(pairs(square=True))
-def test_det_matches_domain_matrix(pair):
+def assert_det(pair):
     assert pair.ours(linalg.det(pair.rows)) == pair.theirs(pair.dm.det())
 
 
-@settings(max_examples=150, deadline=None)
-@given(pairs())
-def test_nullspace_matches_domain_matrix(pair):
+def assert_nullspace(pair):
     ours = linalg.nullspace(pair.rows, pair.ctx)
     theirs = pair.dm.nullspace()
     assert len(ours) == theirs.shape[0]
@@ -82,9 +109,7 @@ def test_nullspace_matches_domain_matrix(pair):
         assert pair.to_domain(ours).rref()[0] == theirs.rref()[0]
 
 
-@settings(max_examples=150, deadline=None)
-@given(pairs(square=True), st.integers(1, 3), st.data())
-def test_solve_matrix_matches_domain_matrix(pair, k, data):
+def assert_solve(pair, k, data):
     n = len(pair.rows)
     rhs = [[pair.ctx(data.draw(st.integers(-3, 3))) for _ in range(k)] for _ in range(n)]
     if not pair.dm.det():
@@ -95,3 +120,61 @@ def test_solve_matrix_matches_domain_matrix(pair, k, data):
     want = pair.dm.lu_solve(pair.to_domain(rhs)).to_list()
     assert [[pair.ours(v) for v in row] for row in x] == \
         [[pair.theirs(v) for v in row] for row in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs())
+def test_rank_matches_domain_matrix(pair):
+    assert_rank(pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs(square=True))
+def test_det_matches_domain_matrix(pair):
+    assert_det(pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs())
+def test_nullspace_matches_domain_matrix(pair):
+    assert_nullspace(pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs(square=True), st.integers(1, 3), st.data())
+def test_solve_matrix_matches_domain_matrix(pair, k, data):
+    assert_solve(pair, k, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_pairs)
+def test_sparse_rank_and_nullspace_match_domain_matrix(pair):
+    assert_rank(pair)
+    assert_nullspace(pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs(square=True, sparse=True), st.integers(1, 3), st.data())
+def test_sparse_det_and_solve_match_domain_matrix(pair, k, data):
+    assert_det(pair)
+    assert_solve(pair, k, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_pairs)
+def test_rref_matches_domain_matrix(pair):
+    red, pivots = linalg.rref(pair.rows)
+    want, want_pivots = pair.dm.rref()
+    assert tuple(pivots) == tuple(want_pivots)
+    assert [[pair.ours(x) for x in row] for row in red] == \
+        [[pair.theirs(x) for x in row] for row in want.to_list()[:len(pivots)]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_pairs, st.integers(1, 6), st.booleans(), st.data())
+def test_mat_mul_matches_domain_matrix(pair, m, sparse, data):
+    other = Pair(pair.p, data.draw(matrix(pair.p, len(pair.rows[0]), m, sparse)))
+    got = linalg.mat_mul(pair.rows, other.rows)
+    want = (pair.dm * other.dm).to_list()
+    assert [[pair.ours(x) for x in row] for row in got] == \
+        [[pair.theirs(x) for x in row] for row in want]
