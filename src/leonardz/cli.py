@@ -226,7 +226,10 @@ def cmd_verify_tables(args, stdout):
     if types_text is None:
         types = list(ALL_TYPES)
     else:
-        types = [LeonardType.from_string(t) for t in types_text.split(",") if t]
+        try:
+            types = [LeonardType.from_string(t) for t in types_text.split(",") if t]
+        except InvalidSpec as e:
+            raise UsageError(f"--types {types_text!r}: {e.violations[0].detail}") from None
         if not types:
             raise UsageError(f"--types {types_text!r} names no family")
     if d_min < 3:
@@ -251,9 +254,7 @@ def cmd_verify_tables(args, stdout):
 def cmd_counterexample(stdout):
     report = counterexample_d2()
     stdout.write(render_counterexample(report))
-    golden = (report.idempotents_match and report.patterns_hold
-              and report.g0g0star_vanishes)
-    return EXIT_OK if golden else EXIT_INCONSISTENT
+    return EXIT_OK if report.ok else EXIT_INCONSISTENT
 
 
 def main(argv=None, stdout=None, stderr=None):

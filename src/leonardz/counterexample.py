@@ -80,6 +80,10 @@ class CounterexampleReport:
     elimination_steps: list = dc_field(default_factory=list)
     g0g0star_vanishes: bool = False
 
+    @property
+    def ok(self):
+        return self.idempotents_match and self.patterns_hold and self.g0g0star_vanishes
+
 
 def tridiagonal_patterns_hold(a, a_star, e_set, estar_set):
     """E*_i A E*_j and E_i A* E_j vanish iff |i-j| > 1 and are nonzero at |i-j| = 1."""

@@ -8,6 +8,16 @@ space, dimension 2, self-duality, spin) and the draw order of its
 sampler.  Adding a family means adding a LeonardType member and one
 record here; parray, analysis, sampling and campaign only look records up.
 
+Eleven families are the q-Racah or the Racah family or one of their
+limits (Terwilliger, Des. Codes Cryptogr. 34 (2005)).  Their arrays and
+factors come from two forms, _q_form and _racah_form, each defined once,
+and each of their records gives only a coordinate map into its form.
+The maps are exact under the families' own clauses: by the r1r2-product
+clause (r1 r2 = s s* q^(d+1)) the q-Racah split sequences depend on r1, r2
+only through B = h (r1 + r2), and by the r-sum clause
+(r1 + r2 = s + s* + d + 1) the Racah ones only through C = h h* r1 r2.
+Bannai/Ito and the orphan keep builders of their own.
+
 The registry is a module of its own, apart from parray, so that neither
 module is large: CPython compiles each module from source in one piece,
 and the largest one sets the peak memory of an import.
@@ -139,8 +149,10 @@ class Family:
     """Everything the package knows about one family.
 
     params          parameter names, in serialization order
-    build           spec -> (theta, theta_star, phi1, phi2)
-    factor          (p, d, f) -> the interior-identity factor
+    build           spec -> (theta, theta_star, phi1, phi2); from a form
+                    (_q_form, _racah_form) or the family's own builder
+    factor          (p, d, f) -> the interior-identity factor; from the same
+                    form, or written out in the record
     draws           the sampler's draw order; "name?" may be drawn as zero
     derive          (name, value) set after the draws, or None
     characteristic  the admitted characteristics; None admits every field
@@ -221,16 +233,8 @@ def _offsets(clause, indices, *terms):
     return Forbidden(clause, indices, _minus, terms)
 
 
-def _q_factor(q, d, h, hs):
-    return h * h * hs * hs * q ** (-3 - d) * (q - 1) ** 4 * (q * q - 1) ** 2
-
-
 def _q_relation(r, q, d):
     return q ** d * (r + 1) * (r * q + 1), (r * q ** d + 1) * (r * q ** (d + 1) + 1)
-
-
-def _zero(p, d, f):
-    return f.zero
 
 
 _ABOVE_D = Characteristic("0 or a prime > d", lambda c, d: c == 0 or c > d)
@@ -240,150 +244,87 @@ _S_DIM2_Q = ("s", lambda p, d, f: -(p["q"] ** (-d - 1)))
 
 
 # ---------------------------------------------------------------------------
-# array builders
+# array builders: the two forms, and the two families outside them
 
 
-def _build_q_racah(spec):
-    d = spec.d
-    q, h, hs = spec.param("q"), spec.param("h"), spec.param("h_star")
-    s, ss = spec.param("s"), spec.param("s_star")
-    r1, r2 = spec.param("r1"), spec.param("r2")
-    theta = [spec.theta0 + h * (1 - q ** i) * (1 - s * q ** (i + 1)) * q ** -i
-             for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * (1 - ss * q ** (i + 1)) * q ** -i
-                  for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (1 - r1 * q ** i) * (1 - r2 * q ** i) for i in range(1, d + 1)]
-    phi2 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (r1 - ss * q ** i) * (r2 - ss * q ** i) / ss for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
+def _q_form(coords):
+    """The build and factor fields of a family given by q-form coordinates.
+
+    coords(p, d, f) gives (h, H, h*, s*, B).  With q = p["q"] and
+    g_i = h* q^(1-2i) (1 - q^i)(1 - q^(i-d-1)):
+
+        theta_i      = theta0 + (1 - q^i) q^-i (h - H q^(i+1))
+        theta_star_i = theta_star0 + h* (1 - q^i) q^-i (1 - s* q^(i+1))
+        phi1_i       = g_i (h - B q^i + H s* q^(d+1+2i))
+        phi2_i       = g_i (H q^(d+1) - B q^i + h s* q^(2i))
+        factor       = q^(-3-d) (q-1)^4 (q^2-1)^2 h*^2
+                       (h^2 s* - B^2 + H s* q^(d+1) (2h + H q^(d+1)))
+    """
+
+    def build(spec):
+        d, f, q = spec.d, spec.field, spec.param("q")
+        h, big_h, hs, ss, b = coords(spec.params, d, f)
+        # q^i and q^-i for i = 0..d+1, from one inversion; then
+        # (1 - q^i) q^-i = q^-i - 1 and g_i = h* q (q^-i - 1)(q^-i - q^(-d-1))
+        up, down, q_inv = [f.one], [f.one], f.one / q
+        for _ in range(d + 1):
+            up.append(up[-1] * q)
+            down.append(down[-1] * q_inv)
+        big_hq, ssq, hsq, hss = big_h * q, ss * q, hs * q, h * ss
+        big_h_top, big_h_ss_top = big_h * up[-1], big_h * ss * up[-1]
+        theta = [spec.theta0 + (v - 1) * (h - big_hq * u) for u, v in zip(up, down[:-1])]
+        theta_star = [spec.theta_star0 + hs * (v - 1) * (1 - ssq * u)
+                      for u, v in zip(up, down[:-1])]
+        phi1, phi2 = [], []
+        for u, v in zip(up[1:-1], down[1:-1]):
+            g, u2, bu = hsq * (v - 1) * (v - down[-1]), u * u, b * u
+            phi1.append(g * (h - bu + big_h_ss_top * u2))
+            phi2.append(g * (big_h_top - bu + hss * u2))
+        return theta, theta_star, phi1, phi2
+
+    def factor(p, d, f):
+        q = p["q"]
+        h, big_h, hs, ss, b = coords(p, d, f)
+        top = q ** (d + 1)
+        return (q ** (-3 - d) * (q - 1) ** 4 * (q * q - 1) ** 2 * hs * hs
+                * (h * h * ss - b * b + big_h * ss * top * (2 * h + big_h * top)))
+
+    return {"build": build, "factor": factor}
 
 
-def _build_q_hahn(spec):
-    d = spec.d
-    q, h, hs = spec.param("q"), spec.param("h"), spec.param("h_star")
-    ss, r = spec.param("s_star"), spec.param("r")
-    theta = [spec.theta0 + h * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * (1 - ss * q ** (i + 1)) * q ** -i
-                  for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (1 - r * q ** i) for i in range(1, d + 1)]
-    phi2 = [-(h * hs * q ** (1 - i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-              * (r - ss * q ** i)) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
+def _racah_form(coords):
+    """The build and factor fields of a family given by Racah-form coordinates.
 
+    coords(p, d, f) gives (h, S, h*, S*, C).  With
+    b = h* S + h S* + h h* (d+1):
 
-def _build_dual_q_hahn(spec):
-    d = spec.d
-    q, h, hs = spec.param("q"), spec.param("h"), spec.param("h_star")
-    s, r = spec.param("s"), spec.param("r")
-    theta = [spec.theta0 + h * (1 - q ** i) * (1 - s * q ** (i + 1)) * q ** -i
-             for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (1 - r * q ** i) for i in range(1, d + 1)]
-    phi2 = [h * hs * q ** (d + 2 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (s - r * q ** (i - d - 1)) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
+        theta_i      = theta0 + i (h (i+1) + S)
+        theta_star_i = theta_star0 + i (h* (i+1) + S*)
+        phi1_i       = i (i-d-1) (h h* i^2 + b i + C)
+        phi2_i       = phi1_i - i (i-d-1) (S + h (d+1)) (2 h* i + S*)
+        factor       = 4 ((h S*)^2 - 2 h S* b + 4 h h* C)
+    """
 
+    def coordinates(p, d, f):
+        h, s, hs, ss, c = coords(p, d, f)
+        return h, s, hs, ss, c, hs * s + h * ss + h * hs * (d + 1)
 
-def _build_quantum_q_krawtchouk(spec):
-    d = spec.d
-    q, hs = spec.param("q"), spec.param("h_star")
-    s, r = spec.param("s"), spec.param("r")
-    theta = [spec.theta0 - s * q * (1 - q ** i) for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    phi1 = [-(r * hs * q ** (1 - i) * (1 - q ** i) * (1 - q ** (i - d - 1)))
-            for i in range(1, d + 1)]
-    phi2 = [hs * q ** (d + 2 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (s - r * q ** (i - d - 1)) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
+    def build(spec):
+        d = spec.d
+        h, s, hs, ss, c, b = coordinates(spec.params, d, spec.field)
+        hhs, shift = h * hs, s + h * (d + 1)
+        theta = [spec.theta0 + i * (h * (i + 1) + s) for i in range(d + 1)]
+        theta_star = [spec.theta_star0 + i * (hs * (i + 1) + ss) for i in range(d + 1)]
+        phi1 = [i * (i - d - 1) * ((hhs * i + b) * i + c) for i in range(1, d + 1)]
+        phi2 = [x - i * (i - d - 1) * shift * (2 * hs * i + ss)
+                for i, x in enumerate(phi1, 1)]
+        return theta, theta_star, phi1, phi2
 
+    def factor(p, d, f):
+        h, s, hs, ss, c, b = coordinates(p, d, f)
+        return 4 * ((h * ss) ** 2 - 2 * h * ss * b + 4 * h * hs * c)
 
-def _build_q_krawtchouk(spec):
-    d = spec.d
-    q, h, hs, ss = (spec.param("q"), spec.param("h"), spec.param("h_star"),
-                    spec.param("s_star"))
-    theta = [spec.theta0 + h * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * (1 - ss * q ** (i + 1)) * q ** -i
-                  for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            for i in range(1, d + 1)]
-    phi2 = [h * hs * ss * q * (1 - q ** i) * (1 - q ** (i - d - 1))
-            for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_affine_q_krawtchouk(spec):
-    d = spec.d
-    q, h, hs, r = (spec.param("q"), spec.param("h"), spec.param("h_star"),
-                   spec.param("r"))
-    theta = [spec.theta0 + h * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            * (1 - r * q ** i) for i in range(1, d + 1)]
-    phi2 = [-(h * hs * r * q ** (1 - i) * (1 - q ** i) * (1 - q ** (i - d - 1)))
-            for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_dual_q_krawtchouk(spec):
-    d = spec.d
-    q, h, hs, s = (spec.param("q"), spec.param("h"), spec.param("h_star"),
-                   spec.param("s"))
-    theta = [spec.theta0 + h * (1 - q ** i) * (1 - s * q ** (i + 1)) * q ** -i
-             for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * (1 - q ** i) * q ** -i for i in range(d + 1)]
-    phi1 = [h * hs * q ** (1 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            for i in range(1, d + 1)]
-    phi2 = [h * hs * s * q ** (d + 2 - 2 * i) * (1 - q ** i) * (1 - q ** (i - d - 1))
-            for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_racah(spec):
-    d = spec.d
-    h, hs = spec.param("h"), spec.param("h_star")
-    s, ss = spec.param("s"), spec.param("s_star")
-    r1, r2 = spec.param("r1"), spec.param("r2")
-    theta = [spec.theta0 + h * i * (i + 1 + s) for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * i * (i + 1 + ss) for i in range(d + 1)]
-    phi1 = [h * hs * i * (i - d - 1) * (i + r1) * (i + r2) for i in range(1, d + 1)]
-    phi2 = [h * hs * i * (i - d - 1) * (i + ss - r1) * (i + ss - r2)
-            for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_hahn(spec):
-    d = spec.d
-    hs, s, ss, r = (spec.param("h_star"), spec.param("s"), spec.param("s_star"),
-                    spec.param("r"))
-    theta = [spec.theta0 + s * i for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + hs * i * (i + 1 + ss) for i in range(d + 1)]
-    phi1 = [hs * s * i * (i - d - 1) * (i + r) for i in range(1, d + 1)]
-    phi2 = [-(hs * s * i * (i - d - 1) * (i + ss - r)) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_dual_hahn(spec):
-    d = spec.d
-    h, s, ss, r = (spec.param("h"), spec.param("s"), spec.param("s_star"),
-                   spec.param("r"))
-    theta = [spec.theta0 + h * i * (i + 1 + s) for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + ss * i for i in range(d + 1)]
-    phi1 = [h * ss * i * (i - d - 1) * (i + r) for i in range(1, d + 1)]
-    phi2 = [h * ss * i * (i - d - 1) * (i + r - s - d - 1) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
-
-
-def _build_krawtchouk(spec):
-    d = spec.d
-    s, ss, r = spec.param("s"), spec.param("s_star"), spec.param("r")
-    theta = [spec.theta0 + s * i for i in range(d + 1)]
-    theta_star = [spec.theta_star0 + ss * i for i in range(d + 1)]
-    phi1 = [r * i * (i - d - 1) for i in range(1, d + 1)]
-    phi2 = [(r - s * ss) * i * (i - d - 1) for i in range(1, d + 1)]
-    return theta, theta_star, phi1, phi2
+    return {"build": build, "factor": factor}
 
 
 def _build_bannai_ito(spec):
@@ -437,10 +378,8 @@ def _build_orphan(spec):
 FAMILIES = {
     LeonardType.Q_RACAH: Family(
         params=("q", "h", "h_star", "s", "s_star", "r1", "r2"),
-        build=_build_q_racah,
-        factor=lambda p, d, f: (_q_factor(p["q"], d, p["h"], p["h_star"])
-                                * (p["s_star"] - p["r1"] * p["r1"])
-                                * (p["s_star"] - p["r2"] * p["r2"]) / p["s_star"]),
+        **_q_form(lambda p, d, f: (p["h"], p["h"] * p["s"], p["h_star"], p["s_star"],
+                                   p["h"] * (p["r1"] + p["r2"]))),
         draws=("q", "h", "r1", "h_star", "s", "s_star"),
         derive=("r2", lambda p, d, f: p["s"] * p["s_star"] * p["q"] ** (d + 1) / p["r1"]),
         guard=("q", "r1", "r2", "s_star"),
@@ -472,9 +411,8 @@ FAMILIES = {
     ),
     LeonardType.Q_HAHN: Family(
         params=("q", "h", "h_star", "s_star", "r"),
-        build=_build_q_hahn,
-        factor=lambda p, d, f: (_q_factor(p["q"], d, p["h"], p["h_star"])
-                                * (p["s_star"] - p["r"] * p["r"])),
+        **_q_form(lambda p, d, f: (p["h"], f.zero, p["h_star"], p["s_star"],
+                                   p["h"] * p["r"])),
         draws=("q", "h", "h_star", "r", "s_star"),
         guard=("q", "r"),
         clauses=(
@@ -489,9 +427,8 @@ FAMILIES = {
     ),
     LeonardType.DUAL_Q_HAHN: Family(
         params=("q", "h", "h_star", "s", "r"),
-        build=_build_dual_q_hahn,
-        factor=lambda p, d, f: -(_q_factor(p["q"], d, p["h"], p["h_star"])
-                                 * p["r"] * p["r"]),
+        **_q_form(lambda p, d, f: (p["h"], p["h"] * p["s"], p["h_star"], f.zero,
+                                   p["h"] * p["r"])),
         draws=("q", "h", "h_star", "s", "r"),
         guard=("q", "r"),
         clauses=(
@@ -504,9 +441,7 @@ FAMILIES = {
     ),
     LeonardType.QUANTUM_Q_KRAWTCHOUK: Family(
         params=("q", "h_star", "s", "r"),
-        build=_build_quantum_q_krawtchouk,
-        factor=lambda p, d, f: -(_q_factor(p["q"], d, f.one, p["h_star"])
-                                 * p["r"] * p["r"]),
+        **_q_form(lambda p, d, f: (f.zero, p["s"], p["h_star"], f.zero, p["r"])),
         draws=("q", "h_star", "s", "r"),
         guard=("q", "r"),
         clauses=(
@@ -517,8 +452,7 @@ FAMILIES = {
     ),
     LeonardType.Q_KRAWTCHOUK: Family(
         params=("q", "h", "h_star", "s_star"),
-        build=_build_q_krawtchouk,
-        factor=lambda p, d, f: _q_factor(p["q"], d, p["h"], p["h_star"]) * p["s_star"],
+        **_q_form(lambda p, d, f: (p["h"], f.zero, p["h_star"], p["s_star"], f.zero)),
         draws=("q", "h", "h_star", "s_star"),
         guard=("q",),
         clauses=(
@@ -528,9 +462,8 @@ FAMILIES = {
     ),
     LeonardType.AFFINE_Q_KRAWTCHOUK: Family(
         params=("q", "h", "h_star", "r"),
-        build=_build_affine_q_krawtchouk,
-        factor=lambda p, d, f: -(_q_factor(p["q"], d, p["h"], p["h_star"])
-                                 * p["r"] * p["r"]),
+        **_q_form(lambda p, d, f: (p["h"], f.zero, p["h_star"], f.zero,
+                                   p["h"] * p["r"])),
         draws=("h", "h_star", "q", "r"),
         guard=("q",),
         clauses=(
@@ -541,8 +474,7 @@ FAMILIES = {
     ),
     LeonardType.DUAL_Q_KRAWTCHOUK: Family(
         params=("q", "h", "h_star", "s"),
-        build=_build_dual_q_krawtchouk,
-        factor=_zero,
+        **_q_form(lambda p, d, f: (p["h"], p["h"] * p["s"], p["h_star"], f.zero, f.zero)),
         draws=("q", "s", "h", "h_star"),
         guard=("q",),
         clauses=(
@@ -554,10 +486,9 @@ FAMILIES = {
     ),
     LeonardType.RACAH: Family(
         params=("h", "h_star", "s", "s_star", "r1", "r2"),
-        build=_build_racah,
-        factor=lambda p, d, f: (4 * p["h"] * p["h"] * p["h_star"] * p["h_star"]
-                                * (p["s_star"] - 2 * p["r1"])
-                                * (p["s_star"] - 2 * p["r2"])),
+        **_racah_form(lambda p, d, f: (p["h"], p["h"] * p["s"], p["h_star"],
+                                       p["h_star"] * p["s_star"],
+                                       p["h"] * p["h_star"] * p["r1"] * p["r2"])),
         draws=("h", "r1", "h_star", "s?", "s_star?"),
         derive=("r2", lambda p, d, f: p["s"] + p["s_star"] + d + 1 - p["r1"]),
         characteristic=_ABOVE_D,
@@ -585,8 +516,9 @@ FAMILIES = {
     ),
     LeonardType.HAHN: Family(
         params=("h_star", "s", "s_star", "r"),
-        build=_build_hahn,
-        factor=_zero,
+        **_racah_form(lambda p, d, f: (f.zero, p["s"], p["h_star"],
+                                       p["h_star"] * p["s_star"],
+                                       p["h_star"] * p["s"] * p["r"])),
         draws=("h_star", "s", "r?", "s_star?"),
         characteristic=_ABOVE_D,
         nonzero=("h_star", "s"),
@@ -603,8 +535,8 @@ FAMILIES = {
     ),
     LeonardType.DUAL_HAHN: Family(
         params=("h", "s", "s_star", "r"),
-        build=_build_dual_hahn,
-        factor=lambda p, d, f: -4 * p["h"] * p["h"] * p["s_star"] * p["s_star"],
+        **_racah_form(lambda p, d, f: (p["h"], p["h"] * p["s"], f.zero, p["s_star"],
+                                       p["h"] * p["s_star"] * p["r"])),
         draws=("h", "s?", "s_star", "r?"),
         characteristic=_ABOVE_D,
         nonzero=("h", "s_star"),
@@ -617,8 +549,7 @@ FAMILIES = {
     ),
     LeonardType.KRAWTCHOUK: Family(
         params=("s", "s_star", "r"),
-        build=_build_krawtchouk,
-        factor=_zero,
+        **_racah_form(lambda p, d, f: (f.zero, p["s"], f.zero, p["s_star"], p["r"])),
         draws=("s", "s_star", "r"),
         characteristic=_ABOVE_D,
         clauses=(

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,14 @@ def test_full_report_passes_quickly():
     assert report.g0g0star_vanishes
     assert len(report.elimination_steps) == 6
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("flag", ["idempotents_match", "patterns_hold",
+                                  "g0g0star_vanishes"])
+def test_report_ok_needs_each_pass_flag(flag):
+    report = counterexample_d2()
+    assert report.ok
+    assert not replace(report, **{flag: False}).ok
 
 
 def test_recorded_scales():

@@ -7,12 +7,16 @@ from conftest import QQ, make_krawtchouk
 from leonardz.errors import (
     DegenerateArray,
     InvalidSpec,
+    SamplingExhausted,
     UnsupportedCharacteristic,
     ZeroScale,
 )
-from leonardz.exactfield import ExtensionField, PrimeField
+from leonardz.analysis import verify_pi2
+from leonardz.exactfield import ExtensionField, PrimeField, parse_field
 from leonardz.parray import (
     ALL_TYPES,
+    FAMILIES,
+    MAX_D,
     LeonardType,
     ParameterArray,
     TypeSpec,
@@ -25,6 +29,7 @@ from leonardz.parray import (
     spec_to_mapping,
     validate_spec,
 )
+from leonardz.sampling import modes_for_type, sample_spec
 
 
 def arrays_equal(a, b):
@@ -138,6 +143,75 @@ def test_degenerate_array_guard():
                          [QQ(1), QQ(0), QQ(1)], [QQ(1)] * 3)
     with pytest.raises(DegenerateArray):
         arr.validate()
+
+
+# -- the parameter-array axioms ---------------------------------------------
+
+
+def axiom_failures(arr):
+    """The (axiom, i) at which the array breaks PA3 or PA4.
+
+    PA3 and PA4 of Terwilliger, LAA 330 (2001), with
+    sigma_i = sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d):
+    phi1_i = phi2_1 sigma_i + (theta*_i - theta*_0)(theta_{i-1} - theta_d) and
+    phi2_i = phi1_1 sigma_i + (theta*_i - theta*_0)(theta_{d-i+1} - theta_0).
+    """
+    d, th, ts = arr.d, arr.theta, arr.theta_star
+    sigma = arr.field.zero
+    failures = []
+    for i in range(1, d + 1):
+        sigma += (th[i - 1] - th[d - i + 1]) / (th[0] - th[d])
+        if arr.phi1_at(i) != arr.phi2_at(1) * sigma + (ts[i] - ts[0]) * (th[i - 1] - th[d]):
+            failures.append(("PA3", i))
+        if arr.phi2_at(i) != arr.phi1_at(1) * sigma + (ts[i] - ts[0]) * (th[d - i + 1] - th[0]):
+            failures.append(("PA4", i))
+    return failures
+
+
+def axiom_samples(name):
+    """One sample per mode over each campaign field of the family and over
+    GF(1000003) and GF(3^4), each field at one diameter of 3..MAX_D."""
+    fam = FAMILIES[name]
+    for k, label in enumerate(fam.fields + ("GF(1000003)", "GF(3^4)")):
+        ctx = parse_field(label)
+        rule = fam.characteristic
+        admitted = [d for d in range(3, MAX_D + 1) if fam.diameter in (None, d)
+                    and (rule is None or rule.allows(ctx.characteristic, d))]
+        if not admitted:
+            continue
+        d = admitted[(5 * ALL_TYPES.index(name) + 3 * k) % len(admitted)]
+        for mode in modes_for_type(name, d):
+            rng = random.Random(f"axioms|{name.value}|{label}|{d}|{mode}")
+            try:
+                yield sample_spec(name, d, ctx, rng, mode=mode)
+            except SamplingExhausted:
+                # a forced row can clash with a clause in small characteristic
+                # (bannai-ito dim2 forces s = d + 1, an even offset mod 3)
+                continue
+
+
+@pytest.mark.parametrize("name", ALL_TYPES, ids=[t.value for t in ALL_TYPES])
+def test_arrays_satisfy_pa3_and_pa4(name):
+    specs = list(axiom_samples(name))
+    assert specs
+    for spec in specs:
+        arr = build_parameter_array(spec)
+        assert axiom_failures(arr) == [], (spec.field.label(), spec.d, spec.params)
+        assert len(verify_pi2(spec, arr)) == (spec.d - 1) ** 2
+
+
+def test_axiom_samples_span_the_diameters():
+    ds = {spec.d for name in ALL_TYPES for spec in axiom_samples(name)}
+    assert {3, MAX_D} <= ds
+
+
+def test_axiom_oracle_rejects_a_broken_array(kraw_dim1):
+    arr = build_parameter_array(kraw_dim1)
+    arr.phi2[1] += 1
+    assert axiom_failures(arr) == [("PA4", 2)]
+    arr.phi2[1] -= 1
+    arr.phi1[0] += 1
+    assert axiom_failures(arr) == [("PA3", 1), ("PA4", 1), ("PA4", 2), ("PA4", 3)]
 
 
 # -- transforms -------------------------------------------------------------
