@@ -53,6 +53,7 @@ from .realization import (
     Realization,
     SpectralFactors,
     bidiagonal_idempotents,
+    first_left_eigenvector,
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,

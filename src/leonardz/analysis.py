@@ -23,6 +23,7 @@ from .families import FAMILIES
 from .parray import build_parameter_array
 from .realization import (
     bidiagonal_idempotents,
+    first_left_eigenvector,
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,
@@ -217,17 +218,18 @@ class InstanceChecks:
 def analyze_instance(spec, arr=None, deep=False):
     """Run the full pipeline on one instance and cross-check every route.
 
-    Both spectral families come from bidiagonal_idempotents as rank-one
-    factors E_i = v_i w_i^T: E* from the upper bidiagonal A*, and E from
-    the transpose of the lower bidiagonal A.  The a-trace and the
-    standard basis {E*_i u} are read off the scalars w*_i A v*_j, with no
-    dense projection or basis matrix.  The zero diagonal space is
+    E* comes from bidiagonal_idempotents as rank-one factors
+    E*_i = v*_i w*_i^T of the upper bidiagonal A*.  Of E only u, the right
+    factor of E_0, is read, and the fast path forms only u, by the same
+    substitution on the transpose of the lower bidiagonal A.  The a-trace
+    and the standard basis {E*_i u} are read off the scalars w*_i A v*_j,
+    with no dense projection or basis matrix.  The zero diagonal space is
     computed in the standard basis, where A* is diagonal and the test
-    E*_i X E*_i = 0 reads X_ii = 0.  With deep=True both families are
-    formed densely and compared entry by entry with the product formula,
-    and the tridiagonal vanishing axioms are verified on the scalar
-    matrices W A* V and W* A V* (slower; the analyze command and the
-    worked-instance tests use it, the sampling campaign does not).
+    E*_i X E*_i = 0 reads X_ii = 0.  With deep=True both whole families
+    are formed densely and compared entry by entry with the product
+    formula, and the tridiagonal vanishing axioms are verified on the
+    scalar matrices W A* V and W* A V* (slower; the analyze command and
+    the worked-instance tests use it, the sampling campaign does not).
     """
     if arr is None:
         arr = build_parameter_array(spec)
@@ -237,8 +239,8 @@ def analyze_instance(spec, arr=None, deep=False):
 
     real = realize_split(arr)
     estar_split = bidiagonal_idempotents(real.A_star, arr.theta_star, ctx)
-    e_split = bidiagonal_idempotents(linalg.transpose(real.A), arr.theta, ctx).transpose()
     if deep:
+        e_split = bidiagonal_idempotents(linalg.transpose(real.A), arr.theta, ctx).transpose()
         for name, family, mtx, eigs in (("E*", estar_split, real.A_star, arr.theta_star),
                                         ("E", e_split, real.A, arr.theta)):
             if not all(map(linalg.mat_eq, family.projections(),
@@ -246,12 +248,15 @@ def analyze_instance(spec, arr=None, deep=False):
                 raise IdempotentCheckFailed(
                     f"rank-one {name} differ from the product formula")
         verify_axioms(real, e_split, estar_split)
+        u = e_split.v[0]
+    else:
+        u = first_left_eigenvector(linalg.transpose(real.A), arr.theta, ctx)
 
     a = intersection_a_closed(arr)
     a_trace = intersection_a_trace(real, estar_split)
     flags["a_trace_equals_closed"] = a == a_trace
 
-    std, nums = standard_basis_rep(real, e_split, estar_split)
+    std, nums = standard_basis_rep(real, u, estar_split)
     flags["a_standard_equals_closed"] = nums.a == a
 
     zreport = zerodiag.build_zspace_report(arr, a, std)
@@ -263,15 +268,15 @@ def analyze_instance(spec, arr=None, deep=False):
     flags["kernel_dimension_matches"] = len(zreport.coeff_basis) == dim_z
     apm = zreport.apm
 
-    commutator = linalg.mat_sub(linalg.mat_mul(std.A, std.A_star),
-                                linalg.mat_mul(std.A_star, std.A))
-    flags["commutator_zero_diagonal"] = zerodiag.has_zero_diagonal(commutator)
-
     try:
-        zerodiag.x_space_basis(std)
+        *_, a_astar, astar_a = zerodiag.x_space_basis(std)
         flags["x_generators_independent"] = True
     except DependenceDetected:
         flags["x_generators_independent"] = False
+        a_astar = linalg.mat_mul(std.A, std.A_star)
+        astar_a = linalg.mat_mul(std.A_star, std.A)
+    flags["commutator_zero_diagonal"] = zerodiag.has_zero_diagonal(
+        linalg.mat_sub(a_astar, astar_a))
 
     dep_rank, dep_full, dep_interior = zerodiag.dependence_equivalences(apm)
     flags["dependence_equivalences"] = (

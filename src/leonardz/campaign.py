@@ -111,7 +111,7 @@ def run_campaign(types=None, d_min=DEFAULT_D_MIN, d_max=DEFAULT_D_MAX,
         fam = FAMILIES[name]
         for d in range(d_min, d_max + 1):
             for ctx in map(parse_field, fam.fields):
-                for mode in modes_for_type(name, d):
+                for mode in modes_for_type(name, d, ctx):
                     cell = CellResult(name.value, d, ctx.label(), mode, trials)
                     rng = random.Random(
                         f"{seed}|{name.value}|{d}|{ctx.label()}|{mode}")

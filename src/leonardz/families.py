@@ -30,6 +30,7 @@ from enum import Enum
 from typing import Callable
 
 from .errors import InvalidSpec
+from .exactfield import PrimeField
 
 
 class LeonardType(str, Enum):
@@ -127,7 +128,9 @@ class Row:
     sampling mode "z:<name>"; its relation gives the coefficients (u, v) of
     u*a_minus = v*a_plus.  A mirrored row names r2 and is sampled as its
     image on r1, with r1 and r2 exchanged afterwards (the r-constraint of
-    each such family is symmetric in r1 and r2).
+    each such family is symmetric in r1 and r2).  drawable(d, f), when
+    given, says whether the sampler can meet the row over the field f; it
+    bounds the sampling modes only, not where the row holds.
     """
 
     name: str | None = None
@@ -135,6 +138,7 @@ class Row:
     relation: Callable | None = None
     when: Callable | None = None
     mirrored: bool = False
+    drawable: Callable | None = None
 
     def exists(self, d):
         return self.when is None or self.when(d)
@@ -235,6 +239,18 @@ def _offsets(clause, indices, *terms):
 
 def _q_relation(r, q, d):
     return q ** d * (r + 1) * (r * q + 1), (r * q ** d + 1) * (r * q ** (d + 1) + 1)
+
+
+def _bannai_ito_dim2_drawable(d, f):
+    """Whether the sampler can meet the Bannai-Ito dim2 row over f.
+
+    The row sets s = d + 1 and s_star = -2 r1, and the even-offset clause
+    keeps both away from 2i, i = 1..d.  In characteristic p <= d, d + 1 is
+    some 2i.  At p = d + 1 every nonzero element of GF(p) is some -i, and
+    r1 is drawn nonzero, so only an r1 outside the prime field is left.
+    """
+    p = f.characteristic
+    return p == 0 or p > d + 1 or (p == d + 1 and not isinstance(f, PrimeField))
 
 
 _ABOVE_D = Characteristic("0 or a prime > d", lambda c, d: c == 0 or c > d)
@@ -596,7 +612,7 @@ FAMILIES = {
                                  else (p["r2"], -(p["r2"] + d + 1))), mirrored=True),
         ),
         dim2=(Row(eqs=(("s_star", _scaled(-2, "r1")), ("s", lambda p, d, f: f(d + 1))),
-                  when=lambda d: d % 2 == 0),),
+                  when=lambda d: d % 2 == 0, drawable=_bannai_ito_dim2_drawable),),
         self_dual=Row(eqs=(_SELF_DUAL_H, _SELF_DUAL_S)),
         spin=(Row(eqs=(("s", _scaled(-2, "r1")),)), Row(eqs=(("s", _scaled(-2, "r2")),))),
     ),

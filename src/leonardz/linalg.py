@@ -11,8 +11,9 @@ triangular eigenvector factors), so the kernels skip structural zeros:
 a row update, a product term or a dot product runs only over the
 support of the row it reads, the (index, value) pairs of its nonzero
 entries, and a sum starts from its first nonzero term instead of adding
-it to zero.  As x - f*0 = x, x + 0*y = x and 0 + y = y exactly, every
-result is the value the dense loop gives.
+it to zero.  The elementwise mat_add, mat_sub and mat_scale keep an
+operand where the other is zero.  As x - f*0 = x, x + 0*y = x, 0 + y = y
+and c*0 = 0 exactly, every result is the value the dense loop gives.
 """
 
 from __future__ import annotations
@@ -31,15 +32,19 @@ def identity(n, ctx):
 
 
 def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """A + B, with 0 + y = y and x + 0 = x taken without arithmetic."""
+    return [[(x + y if x else y) if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """A - B, with x - 0 = x taken without arithmetic."""
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
+    """c A, with c * 0 = 0 taken without arithmetic."""
+    return [[c * x if x else x for x in row] for row in a]
 
 
 def mat_mul(a, b):

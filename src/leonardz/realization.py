@@ -7,12 +7,17 @@ superdiagonal.  Primitive idempotents come by two routes.  The analysis
 keeps them as rank-one factors E_i = v_i w_i^T (SpectralFactors), found
 by substitution in O(n^2) each: bidiagonal_idempotents takes an upper
 bidiagonal or diagonal matrix such as A* directly, and A through its
-transpose.  As w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T, so
-the a-trace, the change to the standard basis {E*_i u} and the axioms
+transpose.  Of E the change of basis reads only u, the right factor of
+E_0, and first_left_eigenvector forms it alone, by the same checks
+and substitution.  As w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T,
+so the a-trace, the change to the standard basis {E*_i u} and the axioms
 read scalars of W M V.  Those scalars are sums over the supports of the
 rows of M and of the factors only (see linalg), since M is bidiagonal or
 tridiagonal and v_i, w_i are triangular; the skipped terms are exact
-zeros.  The spectral product formula, post-verified, works for any
+zeros.  The standard basis needs only the band |i - j| <= 1 of W* A V*:
+as W* V* = I, the rest vanishes exactly when each column's residual
+A v*_j - sum_i t_ij v*_i is zero, an O(n^2) certificate in place of the
+n^2 scalars.  The spectral product formula, post-verified, works for any
 multiplicity-free matrix and is the reference route that
 deep mode, the tests and the boundary example compare against.  As the
 shifts M - theta_j I commute, primitive_idempotents forms the product
@@ -159,6 +164,31 @@ def primitive_idempotents(mtx, eigs, ctx):
     return out
 
 
+def _superdiagonal(mtx, eigs):
+    """The superdiagonal of mtx, after checking that mtx is upper bidiagonal
+    with the distinct eigs on its diagonal."""
+    _check_distinct(eigs)
+    n = len(eigs)
+    if len(mtx) != n:
+        raise IdempotentCheckFailed(f"{len(mtx)} rows for {n} eigenvalues")
+    for r, row in enumerate(mtx):
+        if row[r] != eigs[r]:
+            raise IdempotentCheckFailed(f"diagonal entry {r} is not eigenvalue {r}")
+        for c, x in enumerate(row):
+            if x and c != r and c != r + 1:
+                raise IdempotentCheckFailed(f"entry ({r},{c}) is off the bidiagonal")
+    return [mtx[r][r + 1] for r in range(n - 1)]
+
+
+def _left_eigenvector(sup, eigs, i, ctx):
+    """w_i by forward substitution: w_i[i] = 1, support i..d."""
+    w = [ctx.zero] * len(eigs)
+    w[i] = ctx.one
+    for c in range(i + 1, len(eigs)):
+        w[c] = w[c - 1] * sup[c - 1] / (eigs[i] - eigs[c])
+    return w
+
+
 def bidiagonal_idempotents(mtx, eigs, ctx):
     """Spectral projections of an upper bidiagonal matrix whose diagonal is eigs.
 
@@ -171,31 +201,27 @@ def bidiagonal_idempotents(mtx, eigs, ctx):
     projection is v_i w_i^T, returned as its factors.  For a triangular
     matrix the shape and diagonal checks are what verify the spectrum.
     """
-    _check_distinct(eigs)
+    sup = _superdiagonal(mtx, eigs)
     n = len(eigs)
-    if len(mtx) != n:
-        raise IdempotentCheckFailed(f"{len(mtx)} rows for {n} eigenvalues")
-    for r, row in enumerate(mtx):
-        if row[r] != eigs[r]:
-            raise IdempotentCheckFailed(f"diagonal entry {r} is not eigenvalue {r}")
-        for c, x in enumerate(row):
-            if x and c != r and c != r + 1:
-                raise IdempotentCheckFailed(f"entry ({r},{c}) is off the bidiagonal")
-    sup = [mtx[r][r + 1] for r in range(n - 1)]
     zero, one = ctx.zero, ctx.one
-    vs, ws = [], []
+    vs = []
     for i, eig in enumerate(eigs):
         v = [zero] * n
         v[i] = one
         for r in range(i - 1, -1, -1):
             v[r] = sup[r] * v[r + 1] / (eig - eigs[r])
-        w = [zero] * n
-        w[i] = one
-        for c in range(i + 1, n):
-            w[c] = w[c - 1] * sup[c - 1] / (eig - eigs[c])
         vs.append(v)
-        ws.append(w)
-    return SpectralFactors(vs, ws)
+    return SpectralFactors(vs, [_left_eigenvector(sup, eigs, i, ctx) for i in range(n)])
+
+
+def first_left_eigenvector(mtx, eigs, ctx):
+    """w[0] of bidiagonal_idempotents(mtx, eigs, ctx), with the same checks
+    but without the rest of the family.
+
+    On the transpose of the split A this is u, the right factor of E_0,
+    which is all of E that standard_basis_rep reads.
+    """
+    return _left_eigenvector(_superdiagonal(mtx, eigs), eigs, 0, ctx)
 
 
 def intersection_a_trace(real, estar):
@@ -217,26 +243,60 @@ def intersection_a_closed(arr):
     return out
 
 
-def standard_basis_rep(real, e, estar):
+def _tridiagonal_band(mtx, factors):
+    """The band |i - j| <= 1 of S = W M V, certified to be all of S.
+
+    W V = I, so S is the tridiagonal T exactly when M V = V T, that is
+    when each column's residual M v_j - sum_i t_ij v_i is zero: O(n) work
+    per column instead of the n scalars w_i . (M v_j).  Returns t_ij by
+    (i, j), or None when a residual is not zero.
+    """
+    rows = [linalg.support(row) for row in mtx]
+    vs = [linalg.support(v) for v in factors.v]
+    ws = [linalg.support(w) for w in factors.w]
+    n = len(mtx)
+    band = {}
+    for j, v in enumerate(factors.v):
+        mv = [linalg.support_dot(row, v) for row in rows]
+        residual = mv[:]
+        for i in range(max(j - 1, 0), min(j + 2, n)):
+            t = band[i, j] = linalg.support_dot(ws[i], mv)
+            if t:
+                for k, y in vs[i]:
+                    residual[k] = residual[k] - t * y
+        if any(residual):
+            return None
+    return band
+
+
+def standard_basis_rep(real, u, estar):
     """Change basis to {E*_i u} with u the right factor of E_0.
 
     E*_i u is v*_i scaled by D_i = w*_i . u, and W* inverts V*, so
-    A_std = D^-1 (W* A V*) D and A*_std = diag(theta*).  Returns that
-    realization together with the intersection numbers read off A.
+    A_std = D^-1 (W* A V*) D and A*_std = diag(theta*).  W* A V* is
+    certified tridiagonal column by column (_tridiagonal_band), in O(n^2);
+    only when that fails is all of W* A V* formed, to name its first
+    off-band entry in row-major order.  Returns the realization together
+    with the intersection numbers read off A.
     """
     arr = real.array
+    n = real.dim
     zero = arr.field.zero
-    scale = [linalg.dot(w, e.v[0]) for w in estar.w]
+    scale = [linalg.dot(w, u) for w in estar.w]
     if not all(scale):
         raise SingularBasis("projected vectors E*_i u are linearly dependent")
-    a_std = [[x * scale[j] / scale[i] if x else x for j, x in enumerate(row)]
-             for i, row in enumerate(estar.sandwich(real.A))]
-    a_star_std = [[t if i == j else zero for j in range(real.dim)]
+    band = _tridiagonal_band(real.A, estar)
+    if band is None:
+        for i, row in enumerate(estar.sandwich(real.A)):
+            for j, x in enumerate(row):
+                if abs(i - j) >= 2 and x:
+                    raise SingularBasis(f"A not tridiagonal at ({i},{j})")
+        raise SingularBasis("W* does not invert V*: A V* is not V* T")
+    a_std = [[zero] * n for _ in range(n)]
+    for (i, j), x in band.items():
+        a_std[i][j] = x * scale[j] / scale[i] if x else x
+    a_star_std = [[t if i == j else zero for j in range(n)]
                   for i, t in enumerate(arr.theta_star)]
-    for i, row in enumerate(a_std):
-        for j, x in enumerate(row):
-            if abs(i - j) >= 2 and x:
-                raise SingularBasis(f"A not tridiagonal at ({i},{j})")
     a = [a_std[i][i] for i in range(arr.d + 1)]
     b = [a_std[i][i + 1] for i in range(arr.d)]
     c = [a_std[i + 1][i] for i in range(arr.d)]

@@ -34,10 +34,11 @@ MODE_SELF_DUAL = "self-dual"
 MODE_SELF_DUAL_SPIN = "self-dual-spin"
 
 
-def _forced_rows(name, d):
+def _forced_rows(name, d, field=None):
     """Each sampling mode of a (type, d) cell, with the table rows it forces.
 
-    A family with a fixed diameter other than d has no modes at all.
+    A family with a fixed diameter other than d has no modes at all.  With
+    a field, a mode whose rows the sampler cannot meet over it is left out.
     """
     fam = FAMILIES[name]
     if fam.diameter not in (None, d):
@@ -54,12 +55,18 @@ def _forced_rows(name, d):
     spin = [row for row in fam.spin if row.eqs]
     if spin:
         modes[MODE_SELF_DUAL_SPIN] = (fam.self_dual, spin[0])
-    return modes
+    if field is None:
+        return modes
+    return {mode: rows for mode, rows in modes.items()
+            if all(row.drawable is None or row.drawable(d, field) for row in rows)}
 
 
-def modes_for_type(name, d):
-    """All sampling modes exercised for a (type, d) campaign cell."""
-    return list(_forced_rows(name, d))
+def modes_for_type(name, d, field=None):
+    """All sampling modes exercised for a (type, d) campaign cell.
+
+    With a field, only the modes that sample_spec can draw over it.
+    """
+    return list(_forced_rows(name, d, field))
 
 
 def _nonzero(ctx, rng, height):
@@ -103,9 +110,9 @@ def sample_spec(name, d, ctx, rng, height=DEFAULT_HEIGHT, mode=MODE_GENERIC,
                 retries=DEFAULT_RETRIES):
     """Draw a valid TypeSpec; raises SamplingExhausted after the retry budget.
 
-    Raises InvalidMode when modes_for_type(name, d) does not list the mode.
+    Raises InvalidMode when modes_for_type(name, d, ctx) does not list the mode.
     """
-    rows = _forced_rows(name, d).get(mode)
+    rows = _forced_rows(name, d, ctx).get(mode)
     if rows is None:
         raise InvalidMode(f"{name.value} has no sampling mode {mode!r} at d={d}")
     fam = FAMILIES[name]

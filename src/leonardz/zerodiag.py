@@ -181,15 +181,20 @@ def dependence_equivalences(apm):
     """The three equivalent nonzero-space criteria on (a_minus, a_plus).
 
     Returns (rank_le_1, all_products_equal, interior_products_equal); the
-    three booleans must agree on every instance.
+    three booleans must agree on every instance.  The product test
+    a_minus_i a_plus_j == a_plus_i a_minus_j holds at i = j by
+    commutativity, and at (j, i) it is the (i, j) test with its sides
+    swapped, so each unordered pair i < j is tested once.
     """
     d = len(apm.a_minus) - 1
-    rank_le_1 = linalg.rank([apm.a_minus[:], apm.a_plus[:]]) <= 1
-    full = all(apm.a_minus[i] * apm.a_plus[j] == apm.a_plus[i] * apm.a_minus[j]
-               for i in range(d + 1) for j in range(d + 1))
-    interior = all(apm.a_minus[i] * apm.a_plus[j] == apm.a_plus[i] * apm.a_minus[j]
-                   for i in range(1, d) for j in range(1, d))
-    return rank_le_1, full, interior
+    am, ap = apm.a_minus, apm.a_plus
+    rank_le_1 = linalg.rank([am[:], ap[:]]) <= 1
+
+    def products_equal(indices):
+        return all(am[i] * ap[j] == ap[i] * am[j]
+                   for i in indices for j in indices if i < j)
+
+    return rank_le_1, products_equal(range(d + 1)), products_equal(range(1, d))
 
 
 def build_zspace_report(arr, a, real):

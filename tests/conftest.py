@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from leonardz.exactfield import ExtensionField, Rationals
+from leonardz.exactfield import ExtensionField, Rationals, parse_field
+from leonardz.families import FAMILIES
 from leonardz.parray import ALL_TYPES, LeonardType, TypeSpec
-from leonardz.sampling import sample_spec
+from leonardz.sampling import modes_for_type, sample_spec
 
 QQ = Rationals()
 
@@ -12,6 +13,16 @@ QQ = Rationals()
 def make_krawtchouk(r, d=3, s="1", s_star="1", theta0="0", theta_star0="0"):
     return TypeSpec(LeonardType.KRAWTCHOUK, d, QQ, QQ(theta0), QQ(theta_star0),
                     {"s": QQ(s), "s_star": QQ(s_star), "r": QQ(r)})
+
+
+def campaign_cell_samples(d_values=range(3, 7)):
+    """One sampled spec per (type, d, field, mode) cell of the campaign."""
+    for name in ALL_TYPES:
+        for d in d_values:
+            for ctx in map(parse_field, FAMILIES[name].fields):
+                for mode in modes_for_type(name, d, ctx):
+                    rng = random.Random(f"closed|{name.value}|{d}|{ctx.label()}|{mode}")
+                    yield sample_spec(name, d, ctx, rng, mode=mode)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from conftest import QQ, make_krawtchouk
+from conftest import QQ, campaign_cell_samples, make_krawtchouk
 from leonardz import analysis, linalg, zerodiag
 from leonardz.analysis import (
     analyze_instance,
@@ -26,7 +26,7 @@ from leonardz.errors import (
     IndexOutOfRange,
 )
 from leonardz.exactfield import ExtensionField, PrimeFieldElement, parse_field
-from leonardz.parray import LeonardType, build_parameter_array
+from leonardz.parray import ALL_TYPES, LeonardType, build_parameter_array
 from leonardz.realization import intersection_a_closed
 from leonardz.sampling import sample_spec
 from leonardz.zerodiag import compute_apm
@@ -358,6 +358,39 @@ def test_fast_standard_basis_and_trace_form_no_dense_product(monkeypatch, exempl
         assert chk.ok, (spec.name, chk.failures)
     assert len(entered) == 2 * len(exemplar_specs)
     assert counts == {"mat_mul": 0, "solve_matrix": 0}
+
+
+def fast_and_deep_samples():
+    """One sample per campaign cell, and one d = 16 sample per family over Q."""
+    yield from campaign_cell_samples()
+    for name in ALL_TYPES:
+        if name is not LeonardType.ORPHAN:
+            yield sample_spec(name, 16, QQ, random.Random(f"fast-deep|{name.value}"))
+
+
+def test_fast_and_deep_analysis_agree(monkeypatch):
+    # Fast mode forms only u; deep mode builds all of E and passes e.v[0].
+    seen = []
+    original = analysis.standard_basis_rep
+
+    def recording(real, u, estar):
+        std, nums = original(real, u, estar)
+        seen.append((u, std.A))
+        return std, nums
+
+    monkeypatch.setattr(analysis, "standard_basis_rep", recording)
+    checked = 0
+    for spec in fast_and_deep_samples():
+        fast = analyze_instance(spec)
+        deep = analyze_instance(spec, deep=True)
+        (u_fast, a_fast), (u_deep, a_deep) = seen[-2:]
+        assert u_fast == u_deep, spec
+        assert a_fast == a_deep, spec
+        assert fast.nums == deep.nums, spec
+        assert fast.flags == deep.flags, spec
+        assert fast.ok, (spec, fast.failures)
+        checked += 1
+    assert checked == 130 + 12
 
 
 def test_x_space_programming_error_propagates(monkeypatch, kraw_dim1):

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from leonardz import linalg
@@ -103,6 +104,23 @@ def test_mat_mul_banded_inputs():
     b = qmat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     expected = qmat([[1, 1, 0], [2, 5, 3], [0, 4, 9]])
     assert linalg.mat_eq(linalg.mat_mul(a, b), expected)
+
+
+@pytest.mark.parametrize("ctx", [Rationals(), PrimeField(7)], ids=["Q", "GF(7)"])
+def test_elementwise_ops_match_the_dense_loop(ctx):
+    rng = random.Random(f"elementwise|{ctx.label()}")
+
+    def sparse():
+        return [[ctx(rng.choice([0, 0, 0, 1, -2, 3, 5])) for _ in range(5)]
+                for _ in range(5)]
+
+    for _ in range(40):
+        a, b, c = sparse(), sparse(), ctx(rng.choice([0, 1, -3]))
+        assert linalg.mat_add(a, b) == [[x + y for x, y in zip(ra, rb)]
+                                        for ra, rb in zip(a, b)]
+        assert linalg.mat_sub(a, b) == [[x - y for x, y in zip(ra, rb)]
+                                        for ra, rb in zip(a, b)]
+        assert linalg.mat_scale(c, a) == [[c * x for x in row] for row in a]
 
 
 def test_flatten_row_major():

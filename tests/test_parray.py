@@ -180,13 +180,14 @@ def axiom_samples(name):
         if not admitted:
             continue
         d = admitted[(5 * ALL_TYPES.index(name) + 3 * k) % len(admitted)]
-        for mode in modes_for_type(name, d):
+        for mode in modes_for_type(name, d, ctx):
             rng = random.Random(f"axioms|{name.value}|{label}|{d}|{mode}")
             try:
                 yield sample_spec(name, d, ctx, rng, mode=mode)
             except SamplingExhausted:
-                # a forced row can clash with a clause in small characteristic
-                # (bannai-ito dim2 forces s = d + 1, an even offset mod 3)
+                # a forced row can still clash with a clause in small
+                # characteristic (bannai-ito self-dual-spin over GF(3^4) at
+                # d = 4 forces r2 = d + 1, which is -1 mod 3)
                 continue
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import QQ
+from conftest import QQ, campaign_cell_samples
 from leonardz import linalg, realization
 from leonardz.analysis import analyze_instance
 from leonardz.errors import (
@@ -17,6 +17,7 @@ from leonardz.families import FAMILIES
 from leonardz.parray import ALL_TYPES, LeonardType, ParameterArray, build_parameter_array
 from leonardz.realization import (
     bidiagonal_idempotents,
+    first_left_eigenvector,
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,
@@ -24,7 +25,7 @@ from leonardz.realization import (
     standard_basis_rep,
     verify_axioms,
 )
-from leonardz.sampling import modes_for_type, sample_spec
+from leonardz.sampling import sample_spec
 
 
 def qmat(rows):
@@ -121,7 +122,7 @@ def _assert_routes_agree(spec):
     assert estar_fac.projections() == estar, spec.name
     e = primitive_idempotents(real.A, arr.theta, ctx)
     assert e_fac.projections() == e, spec.name
-    std, _ = standard_basis_rep(real, e_fac, estar_fac)
+    std, _ = standard_basis_rep(real, e_fac.v[0], estar_fac)
     u = next(col for col in linalg.transpose(e[0]) if any(col))
     basis = linalg.transpose([linalg.mat_vec(f, u) for f in estar])
     assert linalg.rank(basis) == real.dim, spec.name
@@ -148,19 +149,45 @@ def test_bidiagonal_route_matches_product_formula_sampled(label):
     assert checked >= 40
 
 
-@pytest.mark.parametrize("rows, eigs", [
+BAD_BIDIAGONAL = [
     ([[1, 2, 0], [0, 3, 5], [7, 0, 6]], [1, 3, 6]),
     ([[1, 2, 0], [3, 3, 5], [0, 0, 6]], [1, 3, 6]),
     ([[1, 2, 1], [0, 3, 5], [0, 0, 6]], [1, 3, 6]),
     ([[1, 2, 0], [0, 3, 5], [0, 0, 6]], [1, 3, 7]),
     ([[1, 2, 0], [0, 3, 5], [0, 0, 6]], [1, 6, 3]),
     ([[1, 2], [0, 3]], [1, 3, 6]),
-], ids=["corner-below", "subdiagonal", "above-superdiagonal",
-        "wrong-diagonal", "permuted-diagonal", "wrong-size"])
+]
+BAD_BIDIAGONAL_IDS = ["corner-below", "subdiagonal", "above-superdiagonal",
+                      "wrong-diagonal", "permuted-diagonal", "wrong-size"]
+
+
+@pytest.mark.parametrize("rows, eigs", BAD_BIDIAGONAL, ids=BAD_BIDIAGONAL_IDS)
 def test_bidiagonal_route_rejects_bad_input(rows, eigs):
     with pytest.raises(IdempotentCheckFailed) as info:
         bidiagonal_idempotents(qmat(rows), [QQ(x) for x in eigs], QQ)
     assert isinstance(info.value, LeonardError)
+
+
+@pytest.mark.parametrize("rows, eigs", BAD_BIDIAGONAL, ids=BAD_BIDIAGONAL_IDS)
+def test_left_eigenvector_runs_the_same_checks(rows, eigs):
+    eigs = [QQ(x) for x in eigs]
+    with pytest.raises(IdempotentCheckFailed) as family:
+        bidiagonal_idempotents(qmat(rows), eigs, QQ)
+    with pytest.raises(IdempotentCheckFailed) as alone:
+        first_left_eigenvector(qmat(rows), eigs, QQ)
+    assert str(alone.value) == str(family.value)
+
+
+def test_left_eigenvector_is_the_family_factor(exemplar_specs):
+    # On the transpose of A, w_0 is u = E_0's right factor e.v[0].
+    for spec in exemplar_specs.values():
+        arr = build_parameter_array(spec)
+        at = linalg.transpose(realize_split(arr).A)
+        family = bidiagonal_idempotents(at, arr.theta, arr.field)
+        u = first_left_eigenvector(at, arr.theta, arr.field)
+        assert u == family.w[0] == family.transpose().v[0]
+    with pytest.raises(RepeatedEigenvalue):
+        first_left_eigenvector(qmat([[1, 2], [0, 1]]), [QQ(1), QQ(1)], QQ)
 
 
 def chain_idempotents(mtx, eigs, ctx):
@@ -326,7 +353,7 @@ def test_a_sequence_reverses_with_dual_order(exemplar_specs):
 
 def test_standard_basis_worked(worked):
     arr, real, e, estar = worked
-    std, nums = standard_basis_rep(real, e, estar)
+    std, nums = standard_basis_rep(real, e.v[0], estar)
     assert nums.a == [QQ(6), QQ(3), QQ(0), QQ(-3)]
     for i in range(4):
         for j in range(4):
@@ -339,7 +366,8 @@ def test_standard_basis_tridiagonal_on_exemplars(exemplar_specs):
     for spec in exemplar_specs.values():
         arr = build_parameter_array(spec)
         real = realize_split(arr)
-        std, nums = standard_basis_rep(real, *split_factors(real))
+        e, estar = split_factors(real)
+        std, nums = standard_basis_rep(real, e.v[0], estar)
         assert nums.a == intersection_a_closed(arr)
         assert all(nums.b) and all(nums.c)
 
@@ -350,16 +378,6 @@ def _poly(roots, x):
     for r in roots:
         out = out * (x - r)
     return out
-
-
-def campaign_cell_samples(d_values):
-    """One sampled spec per (type, d, field, mode) cell of the campaign."""
-    for name in ALL_TYPES:
-        for d in d_values:
-            for ctx in map(parse_field, FAMILIES[name].fields):
-                for mode in modes_for_type(name, d):
-                    rng = random.Random(f"closed|{name.value}|{d}|{ctx.label()}|{mode}")
-                    yield sample_spec(name, d, ctx, rng, mode=mode)
 
 
 def test_intersection_numbers_match_closed_forms():
@@ -375,7 +393,8 @@ def test_intersection_numbers_match_closed_forms():
     for spec in campaign_cell_samples(range(3, 7)):
         arr = build_parameter_array(spec)
         real = realize_split(arr)
-        _, nums = standard_basis_rep(real, *split_factors(real))
+        e, estar = split_factors(real)
+        _, nums = standard_basis_rep(real, e.v[0], estar)
         d, ts = arr.d, arr.theta_star
         rev = ts[::-1]
         for i in range(d):
@@ -399,7 +418,47 @@ def test_singular_basis_detected(worked):
     # With u = v*_0, every E*_i u with i > 0 vanishes.
     _, real, _, estar = worked
     with pytest.raises(SingularBasis):
-        standard_basis_rep(real, estar, estar)
+        standard_basis_rep(real, estar.v[0], estar)
+
+
+def _with_off_band(real, estar, entries):
+    """real with A + sum of x v*_i w*_j^T, so that W* A V* gains x at each (i, j)."""
+    a = [row[:] for row in real.A]
+    for (i, j), x in entries.items():
+        for r, vr in enumerate(estar.v[i]):
+            for c, wc in enumerate(estar.w[j]):
+                a[r][c] = a[r][c] + QQ(x) * vr * wc
+    return realization.Realization(real.array, a, real.A_star, real.basis)
+
+
+@pytest.mark.parametrize("entries, named", [
+    ({(3, 1): 1}, (3, 1)),
+    ({(0, 2): -2}, (0, 2)),
+    # the residual of column 1 fails first, yet the row-major scan names (0, 2)
+    ({(3, 1): 1, (0, 2): 5}, (0, 2)),
+])
+def test_certificate_names_the_off_band_entry(worked, entries, named):
+    _, real, e, estar = worked
+    broken = _with_off_band(real, estar, entries)
+    sandwich = estar.sandwich(broken.A)
+    assert [(i, j) for i in range(4) for j in range(4)
+            if abs(i - j) >= 2 and sandwich[i][j]] == sorted(entries)
+    with pytest.raises(SingularBasis) as info:
+        standard_basis_rep(broken, e.v[0], estar)
+    assert str(info.value) == "A not tridiagonal at ({},{})".format(*named)
+
+
+def test_fast_analysis_never_forms_the_full_sandwich(monkeypatch):
+    def refuse(self, mtx):
+        raise AssertionError("the full W M V was formed")
+
+    monkeypatch.setattr(realization.SpectralFactors, "sandwich", refuse)
+    for name in (LeonardType.Q_RACAH, LeonardType.RACAH):
+        spec = sample_spec(name, 16, QQ, random.Random(f"certificate|{name.value}"))
+        chk = analyze_instance(spec)
+        assert chk.ok, chk.failures
+    with pytest.raises(AssertionError, match="full W M V"):
+        analyze_instance(spec, deep=True)
 
 
 def test_axioms_pass_on_worked(worked):

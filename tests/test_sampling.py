@@ -10,7 +10,7 @@ from leonardz.analysis import (
     z_nonzero_predicate,
 )
 from leonardz.errors import InvalidMode, LeonardError, SamplingExhausted
-from leonardz.exactfield import ExtensionField, PrimeField
+from leonardz.exactfield import ExtensionField, PrimeField, parse_field
 from leonardz.parray import ALL_TYPES, LeonardType, validate_spec
 from leonardz.sampling import (
     MODE_DIM2,
@@ -98,6 +98,45 @@ def test_fixed_diameter_family_has_no_modes_elsewhere(d):
         with pytest.raises(InvalidMode):
             sample_spec(LeonardType.ORPHAN, d, gf4, rng, mode=mode)
     assert rng.getstate() == state
+
+
+# (p, d) pairs of the scan p = 3..23, even d = 4..16 with 2p > d where no
+# Bannai-Ito dim2 spec can be drawn over GF(p): exactly those with p <= d + 1.
+BANNAI_ITO_DIM2_UNDRAWABLE = (
+    [(3, 4), (5, 4), (5, 6), (5, 8)] + [(7, d) for d in range(6, 13, 2)]
+    + [(11, d) for d in range(10, 17, 2)] + [(13, d) for d in (12, 14, 16)] + [(17, 16)])
+
+
+def test_bannai_ito_dim2_offered_only_where_drawable():
+    bi = LeonardType.BANNAI_ITO
+    offered = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        ctx = PrimeField(p)
+        for d in range(4, 17, 2):
+            if 2 * p <= d:
+                continue
+            rng = random.Random(f"bi-dim2|{p}|{d}")
+            if (p, d) in BANNAI_ITO_DIM2_UNDRAWABLE:
+                assert MODE_DIM2 not in modes_for_type(bi, d, ctx), (p, d)
+                assert MODE_GENERIC in modes_for_type(bi, d, ctx)
+                with pytest.raises(InvalidMode):
+                    sample_spec(bi, d, ctx, rng, mode=MODE_DIM2)
+            else:
+                assert MODE_DIM2 in modes_for_type(bi, d, ctx), (p, d)
+                spec = sample_spec(bi, d, ctx, rng, mode=MODE_DIM2)
+                assert dim2_predicate(spec), (p, d)
+                offered += 1
+    assert offered == 44 - len(BANNAI_ITO_DIM2_UNDRAWABLE)
+    # At p = d + 1 a proper extension still has room for r1; p <= d never does.
+    for label, d, drawable in (("GF(5^2)", 4, True), ("GF(7^2)", 6, True),
+                               ("GF(3^4)", 4, False), ("GF(5^2)", 6, False)):
+        ctx = parse_field(label)
+        assert (MODE_DIM2 in modes_for_type(bi, d, ctx)) is drawable, label
+        if drawable:
+            assert dim2_predicate(sample_spec(bi, d, ctx, random.Random(label),
+                                              mode=MODE_DIM2))
+    assert modes_for_type(bi, 4, QQ) == modes_for_type(bi, 4)
+    assert MODE_DIM2 in modes_for_type(bi, 4, QQ)
 
 
 def test_sampling_exhausts_on_impossible_cell():

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import QQ
+from conftest import QQ, campaign_cell_samples
 from leonardz import linalg, zerodiag
 from leonardz.analysis import relation_coefficients
 from leonardz.errors import LeonardError, WrongBasis
@@ -25,7 +25,7 @@ def standard_rep(spec):
     real = realize_split(arr)
     e = bidiagonal_idempotents(linalg.transpose(real.A), arr.theta, ctx).transpose()
     estar = bidiagonal_idempotents(real.A_star, arr.theta_star, ctx)
-    std, nums = standard_basis_rep(real, e, estar)
+    std, nums = standard_basis_rep(real, e.v[0], estar)
     return arr, std, nums.a
 
 
@@ -253,6 +253,25 @@ def test_dependence_equivalences_routes(std_dim1, std_dim2, dual_hahn_spec):
     a0 = intersection_a_closed(arr0)
     apm0 = zerodiag.compute_apm(a0, arr0.theta_star)
     assert zerodiag.dependence_equivalences(apm0) == (False, False, False)
+
+
+def _products_equal_all_pairs(apm, indices):
+    """The product test over every ordered pair, as it was first written."""
+    return all(apm.a_minus[i] * apm.a_plus[j] == apm.a_plus[i] * apm.a_minus[j]
+               for i in indices for j in indices)
+
+
+def test_dependence_pairs_match_the_all_pairs_loop():
+    outcomes = set()
+    for spec in campaign_cell_samples():
+        arr = build_parameter_array(spec)
+        apm = zerodiag.compute_apm(intersection_a_closed(arr), arr.theta_star)
+        rank_le_1, full, interior = zerodiag.dependence_equivalences(apm)
+        assert full == _products_equal_all_pairs(apm, range(arr.d + 1)), spec
+        assert interior == _products_equal_all_pairs(apm, range(1, arr.d)), spec
+        assert rank_le_1 == (linalg.rank([apm.a_minus, apm.a_plus]) <= 1)
+        outcomes.add((full, interior))
+    assert outcomes == {(True, True), (False, False)}
 
 
 def test_rank_invariance_under_transforms(exemplar_specs):
