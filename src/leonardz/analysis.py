@@ -76,21 +76,44 @@ class Pi2Witness:
 
 
 def verify_pi2(spec, arr=None, a=None):
-    """Check delta(i,j) == Q(i,j) * factor exactly for all interior (i, j)."""
+    """Check delta(i,j) == Q(i,j) * factor exactly for all interior (i, j).
+
+    Both sides factor through terms built once per index.  With the
+    boundary products a_minus, a_plus of zerodiag.compute_apm,
+    pi2_delta is delta(i,j) = a_minus_i a_plus_j - a_plus_i a_minus_j.
+    With alpha_i = (ts_0 - ts_i)(ts_i - ts_d) / ((ts_{i-1} - ts_i)(ts_i - ts_{i+1}))
+    and c = (ts_0 - ts_d) / ((ts_0 - ts_1)(ts_{d-1} - ts_d)), q_expression
+    is Q(i,j) = alpha_i alpha_j c (ts_i - ts_j).  Both sides are
+    antisymmetric in (i, j) and vanish at i = j, so each pair i < j is
+    tested once and (j, i) gets the negated witness.  The witnesses come
+    in row-major order, and a failure names the first failing pair in that
+    order: a failure at (j, i) with j > i is one at (i, j) too.
+    """
     if arr is None:
         arr = build_parameter_array(spec)
     if a is None:
         a = intersection_a_closed(arr)
     factor = factor_for_type(spec)
-    witnesses = []
-    for i in range(1, spec.d):
-        for j in range(1, spec.d):
-            delta = pi2_delta(a, arr.theta_star, i, j)
-            q_val = q_expression(arr.theta_star, i, j)
-            if delta != q_val * factor:
-                raise IdentityFailure(i, j, delta, q_val * factor)
-            witnesses.append(Pi2Witness(i, j, delta, q_val, factor))
-    return witnesses
+    d, ts, zero = spec.d, arr.theta_star, arr.field.zero
+    apm = zerodiag.compute_apm(a, ts)
+    am, ap = apm.a_minus, apm.a_plus
+    c = (ts[0] - ts[d]) / ((ts[0] - ts[1]) * (ts[d - 1] - ts[d]))
+    alpha = [None] + [(ts[0] - ts[i]) * (ts[i] - ts[d])
+                      / ((ts[i - 1] - ts[i]) * (ts[i] - ts[i + 1])) for i in range(1, d)]
+    sides = {}
+    for i in range(1, d):
+        sides[i, i] = zero, zero
+        alpha_c = alpha[i] * c
+        for j in range(i + 1, d):
+            delta = am[i] * ap[j] - ap[i] * am[j]
+            q_val = alpha_c * alpha[j] * (ts[i] - ts[j])
+            rhs = q_val * factor
+            if delta != rhs:
+                raise IdentityFailure(i, j, delta, rhs)
+            sides[i, j] = delta, q_val
+            sides[j, i] = -delta, -q_val
+    return [Pi2Witness(i, j, *sides[i, j], factor)
+            for i in range(1, d) for j in range(1, d)]
 
 
 # ---------------------------------------------------------------------------

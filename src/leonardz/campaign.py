@@ -18,7 +18,8 @@ from .analysis import analyze_instance, verify_pi2
 from .errors import LeonardError, SamplingExhausted
 from .exactfield import parse_field
 from .families import FAMILIES
-from .parray import ALL_TYPES, build_parameter_array
+from .parray import ALL_TYPES, _build_array
+from .parray import build_parameter_array  # noqa: F401  (bench/tracing.py wraps this name)
 from .sampling import (
     DEFAULT_HEIGHT,
     MODE_DIM2,
@@ -78,7 +79,8 @@ class CampaignReport:
 
 
 def _check_sample(spec, mode, collector, cell, trial):
-    arr = build_parameter_array(spec)
+    # sample_spec returns only specs that validate_spec has accepted.
+    arr = _build_array(spec)
     chk = analyze_instance(spec, arr)
     verify_pi2(spec, arr, chk.a)
     problems = list(chk.failures)

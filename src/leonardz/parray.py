@@ -5,9 +5,11 @@ per family), a diameter d, a field and the family's scalar parameters.
 A parameter array is the four sequences (theta, theta_star, phi1, phi2):
 theta/theta_star are the two eigenvalue sequences, phi1/phi2 the first
 and second split sequences.  validate_spec checks every clause of the
-family's definition exactly; build_parameter_array evaluates the family's
-formulas and re-checks the array invariants (eigenvalue distinctness,
-nonvanishing split sequences) as a guard against constraint gaps.
+family's definition exactly; build_parameter_array runs it and then
+evaluates the family's formulas and re-checks the array invariants
+(eigenvalue distinctness, nonvanishing split sequences) as a guard
+against constraint gaps.  The campaign's specs come validated from the
+sampler, so it calls the array step, _build_array, alone.
 """
 
 from __future__ import annotations
@@ -119,9 +121,14 @@ def build_parameter_array(spec):
     violations = validate_spec(spec)
     if violations:
         raise InvalidSpec(violations)
+    return _build_array(spec)
+
+
+def _build_array(spec):
+    """The array of a spec that validate_spec has accepted, with its
+    invariants checked; for callers that have validated the spec already."""
     theta, theta_star, phi1, phi2 = FAMILIES[spec.name].build(spec)
-    arr = ParameterArray(spec.field, spec.d, theta, theta_star, phi1, phi2)
-    return arr.validate()
+    return ParameterArray(spec.field, spec.d, theta, theta_star, phi1, phi2).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,69 @@ def test_verify_pi2_fails_at_first_broken_pair(monkeypatch):
     assert (err.value.i, err.value.j) == first
 
 
+def pi2_samples():
+    """One sample per campaign cell, and one d = 16 sample per family over Q
+    and over GF(1000003)."""
+    yield from campaign_cell_samples()
+    for label in ("Q", "GF(1000003)"):
+        ctx = parse_field(label)
+        for name in ALL_TYPES:
+            if name is not LeonardType.ORPHAN:
+                yield sample_spec(name, 16, ctx, random.Random(f"pi2|{name.value}|{label}"))
+
+
+def first_pi2_failure(spec, a, ts, factor):
+    """(i, j, delta, rhs) of the first failing pair of the unfactored
+    row-major loop over every interior (i, j), or None."""
+    for i in range(1, spec.d):
+        for j in range(1, spec.d):
+            delta = pi2_delta(a, ts, i, j)
+            rhs = q_expression(ts, i, j) * factor
+            if delta != rhs:
+                return i, j, delta, rhs
+    return None
+
+
+def test_verify_pi2_witnesses_match_the_unfactored_sides():
+    checked = 0
+    for spec in pi2_samples():
+        arr = build_parameter_array(spec)
+        a = intersection_a_closed(arr)
+        witnesses = verify_pi2(spec, arr, a)
+        interior = range(1, spec.d)
+        assert [(w.i, w.j) for w in witnesses] == [(i, j) for i in interior for j in interior]
+        for w in witnesses:
+            assert w.delta == pi2_delta(a, arr.theta_star, w.i, w.j), (spec, w)
+            assert w.q_value == q_expression(arr.theta_star, w.i, w.j), (spec, w)
+            assert w.factor == factor_for_type(spec)
+        checked += 1
+    assert checked == 130 + 2 * 12
+
+
+def test_verify_pi2_failure_matches_the_unfactored_loop(monkeypatch):
+    # A wrong factor breaks every pair off the diagonal, so the first failing
+    # pair is (1, 2); a wrong a_{d-1} breaks at most the pairs through d - 1.
+    original = analysis.factor_for_type
+    seen = set()
+    for spec in pi2_samples():
+        arr = build_parameter_array(spec)
+        a = intersection_a_closed(arr)
+        broken_a = a[:]
+        broken_a[spec.d - 1] = broken_a[spec.d - 1] + 1
+        for a_used, factor in ((a, original(spec) + 1), (broken_a, original(spec))):
+            monkeypatch.setattr(analysis, "factor_for_type", lambda _spec: factor)
+            expected = first_pi2_failure(spec, a_used, arr.theta_star, factor)
+            if expected is None:
+                verify_pi2(spec, arr, a_used)
+                continue
+            with pytest.raises(IdentityFailure) as err:
+                verify_pi2(spec, arr, a_used)
+            got = (err.value.i, err.value.j, err.value.lhs, err.value.rhs)
+            assert got == expected, spec
+            seen.add(got[:2])
+    assert {(1, 2), (1, 15)} <= seen
+
+
 def test_verify_pi2_zero_delta_under_forced_condition():
     rng = random.Random("forced")
     spec = sample_spec(LeonardType.Q_RACAH, 4, QQ, rng, mode="z:s_star=r1^2")
@@ -435,17 +498,19 @@ def test_cor_route_equivalence_on_self_dual_samples():
 def test_fast_analysis_multiplication_count(monkeypatch):
     """Field multiplications of a d = 16 fast analysis over GF(1000003).
 
-    A deterministic stand-in for timing: the kernels skip structural zeros,
-    so the rank of the five flattened generators costs O(n), not O(n^2),
-    multiplications (2275 at n = 17 with dense row updates), and the whole
-    fast analysis stays under 4200 (6018 with dense kernels).
+    A deterministic stand-in for timing.  The independence certificate of
+    the five generators ranks only their first two rows, a 5 x 2n block,
+    and the kernels skip structural zeros, so it costs 20 multiplications
+    at every n (ranking the 5 x n^2 flattening cost 226 at n = 17, and 2275
+    with dense row updates).  The whole fast analysis makes 2652 (6018 with
+    dense kernels).
     """
     ctx = parse_field("GF(1000003)")
     spec = sample_spec(LeonardType.Q_RACAH, 16, ctx, random.Random("mul-count"))
     n = spec.d + 1
     count = [0]
     mul, rank = PrimeFieldElement.__mul__, linalg.rank
-    generator_counts = []
+    certificate_counts = []
 
     def counted_mul(x, y):
         count[0] += 1
@@ -454,14 +519,14 @@ def test_fast_analysis_multiplication_count(monkeypatch):
     def counted_rank(rows):
         before = count[0]
         out = rank(rows)
-        if len(rows) == 5 and len(rows[0]) == n * n:
-            generator_counts.append(count[0] - before)
+        if len(rows) == 5 and len(rows[0]) == 2 * n:
+            certificate_counts.append(count[0] - before)
         return out
 
     monkeypatch.setattr(PrimeFieldElement, "__mul__", counted_mul)
     monkeypatch.setattr(linalg, "rank", counted_rank)
     chk = analyze_instance(spec)
     assert chk.ok, chk.failures
-    assert len(generator_counts) == 1
-    assert generator_counts[0] <= 20 * n
-    assert count[0] <= 4200
+    assert len(certificate_counts) == 1
+    assert certificate_counts[0] <= 20
+    assert count[0] <= 2700

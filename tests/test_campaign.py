@@ -66,3 +66,32 @@ def test_zero_division_fails_one_trial_not_the_run(monkeypatch):
     assert report.cells[0].failures == ["trial 1: ZeroDivisionError: Fraction(1, 0)"]
     assert report.pass_count == sum(c.trials for c in report.cells) - 1
     assert "result: FAIL" in render_report(report)
+
+
+def test_each_sampled_spec_is_validated_once(monkeypatch):
+    # The sampler validates every spec it returns; the campaign then builds
+    # the array without validating the spec again, but checks the array.
+    from leonardz import parray, sampling
+
+    validated, arrays = [], []
+    validate_spec, validate_array = sampling.validate_spec, parray.ParameterArray.validate
+
+    def counted_spec(spec):
+        out = validate_spec(spec)
+        validated.append(not out)
+        return out
+
+    def counted_array(arr):
+        arrays.append(arr)
+        return validate_array(arr)
+
+    monkeypatch.setattr(sampling, "validate_spec", counted_spec)
+    monkeypatch.setattr(parray, "validate_spec", counted_spec)
+    monkeypatch.setattr(parray.ParameterArray, "validate", counted_array)
+    report = run_campaign(types=[LeonardType.Q_RACAH, LeonardType.KRAWTCHOUK],
+                          d_min=3, d_max=4, trials=2, seed=13)
+    assert report.ok
+    verdicts = report.pass_count
+    assert verdicts > 0
+    assert validated.count(True) == verdicts
+    assert len(arrays) == verdicts

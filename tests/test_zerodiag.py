@@ -3,9 +3,11 @@ import pytest
 from conftest import QQ, campaign_cell_samples
 from leonardz import linalg, zerodiag
 from leonardz.analysis import relation_coefficients
-from leonardz.errors import LeonardError, WrongBasis
+from leonardz.errors import DependenceDetected, LeonardError, WrongBasis
 from leonardz.parray import build_parameter_array
 from leonardz.realization import (
+    Basis,
+    Realization,
     bidiagonal_idempotents,
     intersection_a_closed,
     primitive_idempotents,
@@ -227,6 +229,58 @@ def test_x_space_basis_independent(std_dim1):
     mats = zerodiag.x_space_basis(std)
     assert len(mats) == 5
     assert linalg.rank([linalg.flatten(m) for m in mats]) == 5
+
+
+def test_x_space_certificate_rank_is_the_full_rank():
+    checked = 0
+    for spec in campaign_cell_samples():
+        _, std, _ = standard_rep(spec)
+        mats = zerodiag.x_space_basis(std)
+        block = [m[0] + m[1] for m in mats]
+        assert linalg.rank(block) == linalg.rank([linalg.flatten(m) for m in mats]) == 5, spec
+        checked += 1
+    assert checked == 130
+
+
+def recorded_ranks(monkeypatch):
+    """Route linalg.rank through a recorder of (row length, rank) pairs."""
+    ranks, original = [], linalg.rank
+
+    def recording(rows):
+        out = original(rows)
+        ranks.append((len(rows[0]), out))
+        return out
+
+    monkeypatch.setattr(linalg, "rank", recording)
+    return ranks
+
+
+def test_x_space_fallback_accepts_independent_generators(monkeypatch, std_dim1):
+    # A* = diag(0, 0, 1, 2) and A = E23 + E30 + E33 vanish on rows 0 and 1
+    # except for I, so the two-row block has rank 1; on the E33, E23, E30
+    # entries A, A A* and A* A are (1, 1, 1), (2, 2, 0) and (2, 1, 2), with
+    # determinant -2, so the five generators are independent.
+    arr, std, _ = std_dim1
+    a = [ql(row) for row in ([0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 1])]
+    a_star = [ql(row) for row in ([0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2])]
+    hand = Realization(arr, a, a_star, Basis.STANDARD)
+    ranks = recorded_ranks(monkeypatch)
+    mats = zerodiag.x_space_basis(hand)
+    assert mats[1:3] == [a_star, a]
+    assert ranks == [(8, 1), (16, 5)]
+
+
+def test_x_space_dependence_names_the_full_rank(monkeypatch, std_dim1):
+    # With A* = A the generators are I, A, A, A^2, A^2, which span what
+    # I, A, A^2 span.
+    _, std, _ = std_dim1
+    same = Realization(std.array, std.A, std.A, Basis.STANDARD)
+    spanning = (linalg.identity(4, QQ), std.A, linalg.mat_mul(std.A, std.A))
+    assert linalg.rank([linalg.flatten(m) for m in spanning]) == 3
+    ranks = recorded_ranks(monkeypatch)
+    with pytest.raises(DependenceDetected, match="^generators span only 3 dimensions$"):
+        zerodiag.x_space_basis(same)
+    assert [length for length, _ in ranks] == [8, 16]
 
 
 def test_boundary_products_independent(std_dim1):
