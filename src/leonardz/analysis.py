@@ -75,7 +75,7 @@ class Pi2Witness:
     factor: object
 
 
-def verify_pi2(spec, arr=None, a=None):
+def verify_pi2(spec, arr=None, a=None, apm=None):
     """Check delta(i,j) == Q(i,j) * factor exactly for all interior (i, j).
 
     Both sides factor through terms built once per index.  With the
@@ -87,7 +87,9 @@ def verify_pi2(spec, arr=None, a=None):
     antisymmetric in (i, j) and vanish at i = j, so each pair i < j is
     tested once and (j, i) gets the negated witness.  The witnesses come
     in row-major order, and a failure names the first failing pair in that
-    order: a failure at (j, i) with j > i is one at (i, j) too.
+    order: a failure at (j, i) with j > i is one at (i, j) too.  A caller
+    that already holds the boundary products of a (InstanceChecks.apm)
+    passes them as apm.
     """
     if arr is None:
         arr = build_parameter_array(spec)
@@ -95,7 +97,8 @@ def verify_pi2(spec, arr=None, a=None):
         a = intersection_a_closed(arr)
     factor = factor_for_type(spec)
     d, ts, zero = spec.d, arr.theta_star, arr.field.zero
-    apm = zerodiag.compute_apm(a, ts)
+    if apm is None:
+        apm = zerodiag.compute_apm(a, ts)
     am, ap = apm.a_minus, apm.a_plus
     c = (ts[0] - ts[d]) / ((ts[0] - ts[1]) * (ts[d - 1] - ts[d]))
     alpha = [None] + [(ts[0] - ts[i]) * (ts[i] - ts[d])
@@ -263,13 +266,20 @@ def analyze_instance(spec, arr=None, deep=False):
     real = realize_split(arr)
     estar_split = bidiagonal_idempotents(real.A_star, arr.theta_star, ctx)
     if deep:
-        e_split = bidiagonal_idempotents(linalg.transpose(real.A), arr.theta, ctx).transpose()
+        # E is compared through its transpose.  On the upper bidiagonal
+        # A^T the prefix P_i of the product formula vanishes in columns
+        # < i and the suffix S_i in rows > i, so the row-support product
+        # P_i S_i reads only row i of S_i; on the lower bidiagonal A no
+        # row of S_i vanishes.
+        a_t = linalg.transpose(real.A)
+        e_t = bidiagonal_idempotents(a_t, arr.theta, ctx)
         for name, family, mtx, eigs in (("E*", estar_split, real.A_star, arr.theta_star),
-                                        ("E", e_split, real.A, arr.theta)):
+                                        ("E", e_t, a_t, arr.theta)):
             if not all(map(linalg.mat_eq, family.projections(),
                            primitive_idempotents(mtx, eigs, ctx))):
                 raise IdempotentCheckFailed(
                     f"rank-one {name} differ from the product formula")
+        e_split = e_t.transpose()
         verify_axioms(real, e_split, estar_split)
         u = e_split.v[0]
     else:

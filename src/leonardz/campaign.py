@@ -82,7 +82,7 @@ def _check_sample(spec, mode, collector, cell, trial):
     # sample_spec returns only specs that validate_spec has accepted.
     arr = _build_array(spec)
     chk = analyze_instance(spec, arr)
-    verify_pi2(spec, arr, chk.a)
+    verify_pi2(spec, arr, chk.a, chk.apm)
     problems = list(chk.failures)
     dim_z = chk.zreport.dim_z
     if mode.startswith("z:") and dim_z == 0:

@@ -107,6 +107,30 @@ def build_parser():
     return parser
 
 
+# Options whose value is an element literal, which may start with "-"
+# ("-1/2", "-t") where argparse would read it as an option.
+_ELEMENT_OPTIONS = ("--theta0", "--theta-star0")
+
+
+def _attach_element_values(argv):
+    """argv with each `--theta0 VALUE` joined into `--theta0=VALUE`.
+
+    A VALUE starting with "--" is left apart, so a missing value stays a
+    usage error.
+    """
+    out, i = [], 0
+    while i < len(argv):
+        tok = argv[i]
+        if (tok in _ELEMENT_OPTIONS and i + 1 < len(argv)
+                and not argv[i + 1].startswith("--")):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def _spec_mapping_from_args(args):
     mapping = {}
     if args.config:
@@ -262,7 +286,8 @@ def main(argv=None, stdout=None, stderr=None):
     stderr = stderr or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_element_values(sys.argv[1:] if argv is None else argv))
         if args.command == "analyze":
             return cmd_analyze(args, stdout)
         if args.command == "verify-tables":

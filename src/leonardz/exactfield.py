@@ -10,6 +10,23 @@ The characteristic must be a prime below PRIME_BOUND, where Miller-Rabin
 with fixed bases is exact.  Rabin's test checks GF(p^k) moduli; the default
 modulus is the first candidate, in a fixed order, that passes it.
 
+GF(p^k) arithmetic has two routes.  The polynomial route multiplies
+coefficient tuples and reduces them by the modulus (_poly_mul, _poly_mod)
+and inverts by the extended Euclid algorithm (_poly_inv_mod).  A field of
+q = p^k <= TABLE_BOUND elements also builds, once and by that route,
+log/antilog tables over a primitive element (Lidl and Niederreiter,
+Finite Fields, section 9.4): an exp list of its powers' coefficient
+tuples and the inverse log map.  Its products, inverses and quotients
+are then one lookup each, against a polynomial reduction (about 10 us in
+GF(3^4)) and a Euclid run (about 40 us).  The tables live on the field
+context and every element of the field uses them.  With TABLE_BOUND =
+4096 the largest builds, GF(61^2) and GF(5^5), take about 16 ms and hold
+about 0.5 MB (CPython 3.11, x86_64), so building any field stays well
+under a second; GF(3^4) takes under 1 ms.  The polynomial route serves
+larger fields, Rabin's test and the table build, and it is the reference
+the tests compare the tables against.  Sums and differences add the
+coefficient tuples with one reduction mod p on either route.
+
 Element text grammar:
 
     rationals:  "5", "-3", "n/d"
@@ -41,6 +58,9 @@ except ImportError:  # pragma: no cover - gmpy2 is a normal dependency
     from fractions import Fraction as Rational
 
 MAX_EXTENSION_DEGREE = 8
+# GF(p^k) with p^k at most this multiplies and divides by log/antilog
+# tables; larger fields by polynomial reduction and Euclid.
+TABLE_BOUND = 4096
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
 
@@ -177,7 +197,7 @@ class PrimeFieldElement:
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ContextMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, int):
@@ -207,7 +227,7 @@ class PrimeFieldElement:
         other = self._coerce(other)
         if other.value == 0:
             raise DivisionByZero(f"division by zero in {self.field}")
-        inv = pow(other.value, self.field.p - 2, self.field.p)
+        inv = pow(other.value, -1, self.field.p)
         return PrimeFieldElement(self.value * inv, self.field)
 
     def __rtruediv__(self, other):
@@ -223,7 +243,8 @@ class PrimeFieldElement:
 
     def __eq__(self, other):
         if isinstance(other, PrimeFieldElement):
-            return self.field == other.field and self.value == other.value
+            return self.value == other.value and (self.field is other.field
+                                                  or self.field == other.field)
         if isinstance(other, int):
             return self.value == other % self.field.p
         return NotImplemented
@@ -309,7 +330,7 @@ def _poly_mul(a, b, p):
 def _poly_mod(a, m, p):
     a = list(a)
     dm = len(m) - 1
-    lead_inv = pow(m[-1], p - 2, p)
+    lead_inv = pow(m[-1], -1, p)
     while len(a) - 1 >= dm and a:
         k = len(a) - 1 - dm
         f = (a[-1] * lead_inv) % p
@@ -322,7 +343,7 @@ def _poly_mod(a, m, p):
 def _poly_divmod(a, b, p):
     a = list(a)
     db = len(b) - 1
-    lead_inv = pow(b[-1], p - 2, p)
+    lead_inv = pow(b[-1], -1, p)
     q = [0] * max(len(a) - db, 0)
     while len(a) - 1 >= db and a:
         k = len(a) - 1 - db
@@ -350,7 +371,7 @@ def _poly_inv_mod(a, m, p):
         s0, s1 = s1, _poly_trim(s)
     if len(r0) != 1:
         raise DivisionByZero("element is not invertible")
-    c = pow(r0[0], p - 2, p)
+    c = pow(r0[0], -1, p)
     return _poly_trim([x * c % p for x in s0])
 
 
@@ -367,8 +388,24 @@ _GF2_MODULI = {
 }
 
 
-def _prime_divisors(k):
-    return [r for r in range(2, k + 1) if k % r == 0 and _is_prime(r)]
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1 by trial division; n is at most
+    TABLE_BOUND or an extension degree."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _digits(idx, p, k):
+    """The k base-p digits of idx, lowest first."""
+    return tuple(idx // p ** i % p for i in range(k))
 
 
 def _candidate_moduli(p, k):
@@ -379,13 +416,22 @@ def _candidate_moduli(p, k):
     # below t^k.  The first p are the binomials t^k + c; by Lidl and
     # Niederreiter, Thm 3.75, all are reducible when a prime r | k does not
     # divide p - 1, or when 4 | k and p % 4 != 1, so skip them then.
-    no_binomial = (any((p - 1) % r for r in _prime_divisors(k))
+    no_binomial = (any((p - 1) % r for r in _prime_factors(k))
                    or (k % 4 == 0 and p % 4 != 1))
     for idx in range(p if no_binomial else 0, p ** k):
-        yield tuple(idx // p ** i % p for i in range(k)) + (1,)
+        yield _digits(idx, p, k) + (1,)
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?t(?:\^(\d+))?$|^(\d+)$")
+
+
+def _reduced(coeffs, field):
+    """The element with coefficient tuple coeffs, which must already be
+    reduced mod p and trimmed: the constructor without its second pass."""
+    x = object.__new__(ExtensionFieldElement)
+    x.coeffs = coeffs
+    x.field = field
+    return x
 
 
 class ExtensionFieldElement:
@@ -400,7 +446,7 @@ class ExtensionFieldElement:
 
     def _coerce(self, other):
         if isinstance(other, ExtensionFieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ContextMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, int):
@@ -408,45 +454,68 @@ class ExtensionFieldElement:
         raise ContextMismatch(f"cannot combine {self.field} with {type(other).__name__}")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, self._coerce(other).coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.field.p
-        return ExtensionFieldElement(out, self.field)
+        p = self.field.p
+        low = [(x + y) % p for x, y in zip(a, b)]
+        # Below len(b) terms may cancel; above it a's coefficients stand.
+        if len(a) > len(b):
+            return _reduced((*low, *a[len(b):]), self.field)
+        return _reduced(_poly_trim(low), self.field)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtensionFieldElement([-c for c in self.coeffs], self.field)
+        p = self.field.p
+        return _reduced(tuple(-c % p for c in self.coeffs), self.field)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        a, b = self.coeffs, self._coerce(other).coeffs
+        p, n = self.field.p, len(b)
+        low = [(x - y) % p for x, y in zip(a, b)]
+        if len(a) > n:
+            return _reduced((*low, *a[n:]), self.field)
+        if len(a) < n:
+            return _reduced((*low, *(-y % p for y in b[len(a):])), self.field)
+        return _reduced(_poly_trim(low), self.field)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        prod = _poly_mul(self.coeffs, other.coeffs, self.field.p)
-        return ExtensionFieldElement(
-            _poly_mod(prod, self.field.modulus, self.field.p), self.field)
+        a, b = self.coeffs, self._coerce(other).coeffs
+        field = self.field
+        log = field._log
+        if log is None:
+            return _reduced(_poly_mod(_poly_mul(a, b, field.p), field.modulus, field.p),
+                            field)
+        if not a or not b:
+            return _reduced((), field)
+        return _reduced(field._exp[log[a] + log[b]], field)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.coeffs:
-            raise DivisionByZero(f"division by zero in {self.field}")
-        inv = _poly_inv_mod(self.coeffs, self.field.modulus, self.field.p)
-        return ExtensionFieldElement(inv, self.field)
+        a, field = self.coeffs, self.field
+        if not a:
+            raise DivisionByZero(f"division by zero in {field}")
+        if field._log is None:
+            return _reduced(_poly_inv_mod(a, field.modulus, field.p), field)
+        return _reduced(field._exp[-field._log[a]], field)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        other = self._coerce(other)
+        field = self.field
+        if field._log is None or not other.coeffs:
+            return self * other.inverse()
+        if not self.coeffs:
+            return _reduced((), field)
+        return _reduced(field._exp[field._log[self.coeffs] - field._log[other.coeffs]],
+                        field)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return self._coerce(other) / self
 
     def __pow__(self, n):
         if n < 0:
@@ -462,7 +531,8 @@ class ExtensionFieldElement:
 
     def __eq__(self, other):
         if isinstance(other, ExtensionFieldElement):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.coeffs == other.coeffs and (self.field is other.field
+                                                    or self.field == other.field)
         if isinstance(other, int):
             return self.coeffs == _poly_trim((other % self.field.p,))
         return NotImplemented
@@ -489,16 +559,22 @@ class ExtensionField(FieldContext):
             raise InvalidField(f"extension degree {k} outside 2..{MAX_EXTENSION_DEGREE}")
         self.p = self.characteristic = p
         self.k = k
+        # Until the tables exist every product and inverse takes the
+        # polynomial route, so Rabin's test and the table build use it.
+        self._exp = self._log = None
         if modulus is None:
-            # GF(p) has an irreducible monic of every degree, so this returns.
+            # GF(p) has an irreducible monic of every degree, so this ends.
             for self.modulus in _candidate_moduli(p, k):
                 if self._modulus_irreducible():
-                    return
-        self.modulus = tuple(c % p for c in modulus)
-        if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
-            raise InvalidField(f"modulus must be monic of degree {k}")
-        if not self._modulus_irreducible():
-            raise ReducibleModulus(f"modulus {self.modulus} is reducible over GF({p})")
+                    break
+        else:
+            self.modulus = tuple(c % p for c in modulus)
+            if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
+                raise InvalidField(f"modulus must be monic of degree {k}")
+            if not self._modulus_irreducible():
+                raise ReducibleModulus(f"modulus {self.modulus} is reducible over GF({p})")
+        if p ** k <= TABLE_BOUND:
+            self._exp, self._log = self._log_tables()
 
     def _modulus_irreducible(self):
         """Rabin's test in GF(p)[t]/(modulus): t^(p^k) = t, and for each prime
@@ -507,11 +583,36 @@ class ExtensionField(FieldContext):
         if t ** (p ** k) != t:
             return False
         try:
-            for r in _prime_divisors(k):
+            for r in _prime_factors(k):
                 (t ** (p ** (k // r)) - t).inverse()
         except DivisionByZero:
             return False
         return True
+
+    def _log_tables(self):
+        """(exp, log) for a primitive element g, by the polynomial route.
+
+        g is the first element, in base-p digit order, whose order is
+        q - 1: g^((q-1)/r) != 1 for each prime r | q - 1.  exp lists the
+        coefficient tuples of g^0 .. g^(q-2) twice over, so that exp[i + j]
+        (a product) and exp[i - j] (a quotient, negative indices wrapping)
+        need no reduction mod q - 1; log maps each nonzero tuple to its
+        exponent.
+        """
+        p, k = self.p, self.k
+        order = p ** k - 1
+        factors = _prime_factors(order)
+        one = self.one
+        # The constants (idx < p) lie in GF(p)*, of order p - 1 < q - 1.
+        for idx in range(p, order + 1):
+            g = _reduced(_poly_trim(_digits(idx, p, k)), self)
+            if all(g ** (order // r) != one for r in factors):
+                break
+        exp, x = [], one
+        for _ in range(order):
+            exp.append(x.coeffs)
+            x = x * g
+        return exp + exp, {c: i for i, c in enumerate(exp)}
 
     def __call__(self, value):
         if isinstance(value, str):

@@ -377,10 +377,13 @@ def test_product_formula_only_in_deep_mode(monkeypatch, kraw_dim1, deep, calls):
 
 @pytest.mark.parametrize("family", ["E*", "E"])
 def test_deep_mode_rejects_diverging_projections(monkeypatch, kraw_dim1, family):
-    # The split A* is upper and the split A lower bidiagonal.
+    # Deep mode compares E* first, then E (through the transpose of A).
+    calls = []
+
     def shifted(mtx, eigs, ctx):
         out = original(mtx, eigs, ctx)
-        if (family == "E*") == bool(mtx[0][1]):
+        calls.append(mtx)
+        if len(calls) == ["E*", "E"].index(family) + 1:
             out[-1][0][0] = out[-1][0][0] + ctx.one
         return out
 

@@ -95,3 +95,23 @@ def test_each_sampled_spec_is_validated_once(monkeypatch):
     assert verdicts > 0
     assert validated.count(True) == verdicts
     assert len(arrays) == verdicts
+
+
+def test_boundary_products_once_per_verdict(monkeypatch):
+    # analyze_instance computes a_minus and a_plus for the zero diagonal
+    # space, and verify_pi2 reuses them.
+    from leonardz import zerodiag
+
+    calls = []
+    compute_apm = zerodiag.compute_apm
+
+    def counted(a, theta_star):
+        calls.append(len(a))
+        return compute_apm(a, theta_star)
+
+    monkeypatch.setattr(zerodiag, "compute_apm", counted)
+    report = run_campaign(types=[LeonardType.Q_RACAH, LeonardType.BANNAI_ITO],
+                          d_min=3, d_max=4, trials=2, seed=17)
+    assert report.ok
+    assert report.pass_count > 0
+    assert len(calls) == report.pass_count

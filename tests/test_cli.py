@@ -100,6 +100,32 @@ def test_usage_errors_exit_1():
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("head, theta0, theta_star0, shown", [
+    (["--field", "Q", "--type", "krawtchouk", "--d", "3", "--param", "s=1",
+      "--param", "s_star=1", "--param", "r=2"], "-1/2", "-3",
+     "  theta0 = -1/2\n  theta_star0 = -3\n"),
+    (["--field", "GF(3^2)", "--type", "dual-q-krawtchouk", "--d", "3",
+      "--param", "q=t", "--param", "h=t+2", "--param", "h_star=1",
+      "--param", "s=t+1"], "-t", "-t+1",
+     "  theta0 = 2*t\n  theta_star0 = 2*t+1\n"),
+], ids=["Q", "GF(3^2)"])
+def test_negative_literal_after_theta_options(head, theta0, theta_star0, shown):
+    spaced = run_cli(["analyze"] + head + ["--theta0", theta0,
+                                          "--theta-star0", theta_star0])
+    joined = run_cli(["analyze"] + head + [f"--theta0={theta0}",
+                                          f"--theta-star0={theta_star0}"])
+    assert spaced == joined
+    assert spaced[0] == EXIT_OK
+    assert shown in spaced[1]
+
+
+def test_theta_option_without_value_is_usage_error():
+    code, _, err = run_cli(["analyze", "--type", "krawtchouk", "--d", "3",
+                            "--theta0", "--param", "s=1"])
+    assert code == EXIT_USAGE
+    assert "--theta0" in err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "spec.cfg"
     cfg.write_text("type = krawtchouk\nd = 3\nfield = Q\n"

@@ -47,10 +47,11 @@ junk_literals = st.one_of(
 rational_literals = st.one_of(
     st.integers(-30, 30).map(str),
     st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 9)),
+    st.builds("-{}/{}".format, st.integers(1, 30), st.integers(1, 9)),
     nines(), nines("-"), nines("1/"), junk_literals)
 polynomial_literals = st.one_of(
     st.integers(0, 30).map(str),
-    st.sampled_from(["t", "t+1", "2*t+1", "t^2+t", "-t"]),
+    st.sampled_from(["t", "t+1", "2*t+1", "t^2+t", "-t", "-t+1", "-2*t^2"]),
     nines(), nines(tail="*t"), nines("t^"), nines("3*t^"), junk_literals)
 
 
@@ -69,6 +70,14 @@ def analyze_argv(draw):
             "--field", field]
     for name in names:
         argv += ["--param", f"{name}={draw(literals)}"]
+    # theta0 and theta_star0 also as options, with the value as its own
+    # word or joined by "=" (a value may start with "-").
+    for option in ("--theta0", "--theta-star0"):
+        form = draw(st.integers(0, 2))
+        if form == 1:
+            argv += [option, draw(literals)]
+        elif form == 2:
+            argv.append(f"{option}={draw(literals)}")
     return argv
 
 
@@ -80,7 +89,8 @@ def test_fuzz_analyze(argv):
 
 VOCABULARY = ["analyze", "counterexample", "--type", "--d", "--field", "--param",
               "--theta0", "--theta-star0", "--config", "--trials", "--seed",
-              "--types", "-h", "krawtchouk", "3", "Q", "s=1", "r=2", "="]
+              "--types", "-h", "krawtchouk", "3", "Q", "s=1", "r=2", "=",
+              "-1/2", "-t", "-t+1"]
 
 
 @FUZZ

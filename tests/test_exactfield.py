@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -12,18 +13,27 @@ from leonardz.errors import (
     ReducibleModulus,
     ZeroDenominator,
 )
+from leonardz import exactfield
+from leonardz.analysis import analyze_instance
 from leonardz.exactfield import (
     _GF2_MODULI,
     PRIME_BOUND,
+    TABLE_BOUND,
     ExtensionField,
     PrimeField,
     Rationals,
     _is_prime,
     _poly_divmod,
+    _poly_inv_mod,
+    _poly_mod,
+    _poly_mul,
+    _poly_trim,
     field_arith,
     parse_field,
     sample_element,
 )
+from leonardz.parray import LeonardType
+from leonardz.sampling import sample_spec
 
 QQ = Rationals()
 GF7 = PrimeField(7)
@@ -289,3 +299,85 @@ def test_large_extension_labels(label):
     assert sympy.Poly(ctx.modulus[::-1], x, modulus=ctx.p).is_irreducible
     t = ctx.generator
     assert t ** (ctx.p ** ctx.k) == t
+
+
+# -- log/antilog tables against the polynomial route ------------------------
+
+def every_element(ctx):
+    return [ctx(digits) for digits in itertools.product(range(ctx.p), repeat=ctx.k)]
+
+
+def coefficientwise(x, y, sign, p, k):
+    pad = (0,) * k
+    return _poly_trim(tuple((u + sign * v) % p for u, v in zip(x + pad, y + pad)))
+
+
+def assert_table_route_matches_polynomials(ctx):
+    p, m = ctx.p, ctx.modulus
+    elements = every_element(ctx)
+    for x in elements:
+        a = x.coeffs
+        if a:
+            assert x.inverse().coeffs == _poly_inv_mod(a, m, p), x
+        for y in elements:
+            b = y.coeffs
+            assert (x * y).coeffs == _poly_mod(_poly_mul(a, b, p), m, p), (x, y)
+            assert (x + y).coeffs == coefficientwise(a, b, 1, p, ctx.k), (x, y)
+            assert (x - y).coeffs == coefficientwise(a, b, -1, p, ctx.k), (x, y)
+            if b:
+                quotient = _poly_mod(_poly_mul(a, _poly_inv_mod(b, m, p), p), m, p)
+                assert (x / y).coeffs == quotient, (x, y)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 4), (5, 2)])
+def test_tables_match_the_polynomial_route(p, k):
+    assert p ** k <= TABLE_BOUND
+    assert_table_route_matches_polynomials(ExtensionField(p, k))
+
+
+def test_tables_with_a_non_primitive_modulus():
+    # t^4+t^3+t^2+t+1 divides t^5 - 1, so t has order 5, not 15; the
+    # tables must be built on some other primitive element.
+    ctx = ExtensionField(2, 4, (1, 1, 1, 1, 1))
+    t = ctx.generator
+    assert t ** 5 == ctx.one and t ** 3 != ctx.one
+    assert_table_route_matches_polynomials(ctx)
+
+
+def test_fields_past_the_bound_take_the_polynomial_route(monkeypatch):
+    large, small = ExtensionField(67, 2), ExtensionField(61, 2)
+    assert 61 ** 2 <= TABLE_BOUND < 67 ** 2
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(p)
+        return _poly_mul(a, b, p)
+
+    monkeypatch.setattr(exactfield, "_poly_mul", counted)
+    for ctx in (small, large):
+        x, y = ctx("3*t+5"), ctx("t+7")
+        product, quotient = x * y, x / y
+        assert product.coeffs == _poly_mod(_poly_mul(x.coeffs, y.coeffs, ctx.p),
+                                           ctx.modulus, ctx.p)
+        assert quotient * y == x
+        assert bool(calls) == (ctx is large), ctx
+
+
+def test_fast_gf81_analysis_never_reduces_a_polynomial(monkeypatch):
+    ctx = parse_field("GF(3^4)")
+    spec = sample_spec(LeonardType.Q_RACAH, 10, ctx, random.Random("tables"))
+
+    def refuse(a, b, p):
+        raise AssertionError("polynomial product in a field with tables")
+
+    monkeypatch.setattr(exactfield, "_poly_mul", refuse)
+    chk = analyze_instance(spec)
+    assert chk.ok, chk.failures
+
+
+def test_table_build_is_fast_at_the_bound():
+    # The largest p^k <= TABLE_BOUND with 2 <= k <= 8 is 61^2 = 3721.
+    start = time.perf_counter()
+    for label in ("GF(61^2)", "GF(5^5)", "GF(7^4)", "GF(3^7)", "GF(13^3)"):
+        parse_field(label)
+    assert time.perf_counter() - start < 1.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leonardz.exactfield import (
+    TABLE_BOUND,
     ExtensionField,
     PrimeField,
     Rationals,
@@ -13,7 +14,14 @@ from leonardz.exactfield import (
 )
 
 QQ = Rationals()
-CONTEXTS = [QQ, PrimeField(101), ExtensionField(2, 3), ExtensionField(3, 2)]
+# GF(3^4) multiplies by log/antilog tables, GF(1000003^2) by polynomials.
+CONTEXTS = [QQ, PrimeField(101), ExtensionField(2, 3), ExtensionField(3, 2),
+            ExtensionField(3, 4), ExtensionField(1000003, 2)]
+
+
+def test_axioms_cover_both_extension_routes():
+    sizes = [c.p ** c.k for c in CONTEXTS if isinstance(c, ExtensionField)]
+    assert min(sizes) <= TABLE_BOUND < max(sizes)
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda c: c.label())
