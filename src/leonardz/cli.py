@@ -93,6 +93,7 @@ def build_parser():
     pa.add_argument("--param", action="append", default=[],
                     metavar="NAME=VALUE")
     pa.add_argument("--config")
+    parser.analyze_options = tuple(pa._option_string_actions)
 
     pv = sub.add_parser("verify-tables", help="run the verification campaign")
     pv.add_argument("--d-min", dest="d_min", type=int, default=None)
@@ -112,17 +113,25 @@ def build_parser():
 _ELEMENT_OPTIONS = ("--theta0", "--theta-star0")
 
 
-def _attach_element_values(argv):
+def _attach_element_values(argv, options):
     """argv with each `--theta0 VALUE` joined into `--theta0=VALUE`.
 
-    A VALUE starting with "--" is left apart, so a missing value stays a
-    usage error.
+    An element option may be named as argparse takes it: in full or by a
+    prefix that begins no other of the analyze command's `options`
+    (`--theta-s` for `--theta-star0`).  A VALUE starting with "--" is
+    left apart, so a missing value stays a usage error.
     """
+    def element_option(tok):
+        if not tok.startswith("--"):
+            return False
+        hits = [tok] if tok in options else [o for o in options if o.startswith(tok)]
+        return len(hits) == 1 and hits[0] in _ELEMENT_OPTIONS
+
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
-        if (tok in _ELEMENT_OPTIONS and i + 1 < len(argv)
-                and not argv[i + 1].startswith("--")):
+        if (i + 1 < len(argv) and not argv[i + 1].startswith("--")
+                and element_option(tok)):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -287,7 +296,8 @@ def main(argv=None, stdout=None, stderr=None):
     parser = build_parser()
     try:
         args = parser.parse_args(
-            _attach_element_values(sys.argv[1:] if argv is None else argv))
+            _attach_element_values(sys.argv[1:] if argv is None else argv,
+                                   parser.analyze_options))
         if args.command == "analyze":
             return cmd_analyze(args, stdout)
         if args.command == "verify-tables":

@@ -13,19 +13,28 @@ modulus is the first candidate, in a fixed order, that passes it.
 GF(p^k) arithmetic has two routes.  The polynomial route multiplies
 coefficient tuples and reduces them by the modulus (_poly_mul, _poly_mod)
 and inverts by the extended Euclid algorithm (_poly_inv_mod).  A field of
-q = p^k <= TABLE_BOUND elements also builds, once and by that route,
+q = p^k <= TABLE_BOUND elements can also build, once and by that route,
 log/antilog tables over a primitive element (Lidl and Niederreiter,
 Finite Fields, section 9.4): an exp list of its powers' coefficient
 tuples and the inverse log map.  Its products, inverses and quotients
-are then one lookup each, against a polynomial reduction (about 10 us in
-GF(3^4)) and a Euclid run (about 40 us).  The tables live on the field
-context and every element of the field uses them.  With TABLE_BOUND =
-4096 the largest builds, GF(61^2) and GF(5^5), take about 16 ms and hold
-about 0.5 MB (CPython 3.11, x86_64), so building any field stays well
-under a second; GF(3^4) takes under 1 ms.  The polynomial route serves
-larger fields, Rabin's test and the table build, and it is the reference
-the tests compare the tables against.  Sums and differences add the
-coefficient tuples with one reduction mod p on either route.
+are then one lookup each, against a polynomial reduction (about 7 us in
+GF(3^4)) and a Euclid run (about 22 us).
+
+The build costs about as much as q to 2q polynomial products (measured
+on CPython 3.11, x86_64: 0.7 ms for GF(3^4), 25 ms for GF(61^2)), while
+one analysis does from about 500 products (d = 3, fast) to about 8000
+(d = 10, deep).  So a field does not build its tables up front: it
+counts its polynomial-route products and inverses and builds them at the
+q-th.  Work that stops before then never pays for tables it would not
+win back, and work that goes on pays at most about one build more than
+the best choice in hindsight would have.  parse_field keeps the
+contexts it has made, so the tables of a field persist across the
+analyses of a process.  TABLE_BOUND = 4096 bounds the memory the tables
+hold (0.4 MB for GF(61^2), 0.3 MB for GF(5^5)) and keeps any build well
+under a second.  The polynomial route serves larger fields, Rabin's
+test, the table build and a field's first q operations, and it is the
+reference the tests compare the tables against.  Sums and differences
+add the coefficient tuples with one reduction mod p on either route.
 
 Element text grammar:
 
@@ -40,6 +49,7 @@ in t with coefficients reduced mod p for GF(p^k).
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 
@@ -59,7 +69,8 @@ except ImportError:  # pragma: no cover - gmpy2 is a normal dependency
 
 MAX_EXTENSION_DEGREE = 8
 # GF(p^k) with p^k at most this multiplies and divides by log/antilog
-# tables; larger fields by polynomial reduction and Euclid.
+# tables once it has done p^k products by polynomials; larger fields
+# always by polynomial reduction and Euclid.
 TABLE_BOUND = 4096
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
@@ -486,7 +497,7 @@ class ExtensionFieldElement:
     def __mul__(self, other):
         a, b = self.coeffs, self._coerce(other).coeffs
         field = self.field
-        log = field._log
+        log = field._log or field._count_poly_op()
         if log is None:
             return _reduced(_poly_mod(_poly_mul(a, b, field.p), field.modulus, field.p),
                             field)
@@ -500,9 +511,10 @@ class ExtensionFieldElement:
         a, field = self.coeffs, self.field
         if not a:
             raise DivisionByZero(f"division by zero in {field}")
-        if field._log is None:
+        log = field._log or field._count_poly_op()
+        if log is None:
             return _reduced(_poly_inv_mod(a, field.modulus, field.p), field)
-        return _reduced(field._exp[-field._log[a]], field)
+        return _reduced(field._exp[-log[a]], field)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -561,7 +573,7 @@ class ExtensionField(FieldContext):
         self.k = k
         # Until the tables exist every product and inverse takes the
         # polynomial route, so Rabin's test and the table build use it.
-        self._exp = self._log = None
+        self._exp = self._log = self._until_tables = None
         if modulus is None:
             # GF(p) has an irreducible monic of every degree, so this ends.
             for self.modulus in _candidate_moduli(p, k):
@@ -574,6 +586,25 @@ class ExtensionField(FieldContext):
             if not self._modulus_irreducible():
                 raise ReducibleModulus(f"modulus {self.modulus} is reducible over GF({p})")
         if p ** k <= TABLE_BOUND:
+            self._until_tables = p ** k
+
+    def _count_poly_op(self):
+        """Count one product or inverse by the polynomial route, building
+        the tables at the q-th; return the log map once it exists, else None."""
+        left = self._until_tables
+        if left is None:
+            return None
+        if left > 1:
+            self._until_tables = left - 1
+            return None
+        self._build_tables()
+        return self._log
+
+    def _build_tables(self):
+        """Build the log/antilog tables now; a field past TABLE_BOUND has none."""
+        if self._log is None and self.p ** self.k <= TABLE_BOUND:
+            # The build multiplies by the polynomial route, uncounted.
+            self._until_tables = None
             self._exp, self._log = self._log_tables()
 
     def _modulus_irreducible(self):
@@ -687,8 +718,14 @@ class ExtensionField(FieldContext):
 _FIELD_RE = re.compile(r"^GF\((\d{1,99})(?:\^(\d{1,99}))?\)$")
 
 
+@functools.lru_cache(maxsize=64)
 def parse_field(label):
-    """Parse a field label: Q, GF(p) or GF(p^k)."""
+    """Parse a field label: Q, GF(p) or GF(p^k).
+
+    The same label gives the same context, so an extension field's
+    Rabin test runs once and its tables, once built, serve every later
+    caller.  Tables change how a product is found, never its value.
+    """
     label = label.strip()
     if label in ("Q", "QQ"):
         return Rationals()

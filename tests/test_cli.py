@@ -114,9 +114,19 @@ def test_negative_literal_after_theta_options(head, theta0, theta_star0, shown):
                                           "--theta-star0", theta_star0])
     joined = run_cli(["analyze"] + head + [f"--theta0={theta0}",
                                           f"--theta-star0={theta_star0}"])
-    assert spaced == joined
+    # argparse takes a unique prefix of an option for the option.
+    abbreviated = run_cli(["analyze"] + head + ["--theta0", theta0,
+                                                "--theta-s", theta_star0])
+    assert spaced == joined == abbreviated
     assert spaced[0] == EXIT_OK
     assert shown in spaced[1]
+
+
+def test_ambiguous_theta_prefix_is_usage_error():
+    code, _, err = run_cli(["analyze", "--type", "krawtchouk", "--d", "3",
+                            "--theta", "-1"])
+    assert code == EXIT_USAGE
+    assert "ambiguous" in err
 
 
 def test_theta_option_without_value_is_usage_error():

@@ -329,23 +329,54 @@ def assert_table_route_matches_polynomials(ctx):
                 assert (x / y).coeffs == quotient, (x, y)
 
 
+def tabled(ctx):
+    ctx._build_tables()
+    assert ctx._log is not None
+    return ctx
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 4), (5, 2)])
 def test_tables_match_the_polynomial_route(p, k):
     assert p ** k <= TABLE_BOUND
-    assert_table_route_matches_polynomials(ExtensionField(p, k))
+    assert_table_route_matches_polynomials(tabled(ExtensionField(p, k)))
 
 
 def test_tables_with_a_non_primitive_modulus():
     # t^4+t^3+t^2+t+1 divides t^5 - 1, so t has order 5, not 15; the
     # tables must be built on some other primitive element.
-    ctx = ExtensionField(2, 4, (1, 1, 1, 1, 1))
+    ctx = tabled(ExtensionField(2, 4, (1, 1, 1, 1, 1)))
     t = ctx.generator
     assert t ** 5 == ctx.one and t ** 3 != ctx.one
     assert_table_route_matches_polynomials(ctx)
 
 
+def test_tables_are_built_at_the_qth_polynomial_operation():
+    ctx = ExtensionField(5, 2)
+    x, y = ctx("2*t+3"), ctx("t+4")
+    # Rabin's test and construction leave the budget whole.
+    assert ctx._log is None and ctx._until_tables == 25
+    products = [x * y for _ in range(12)] + [y.inverse() for _ in range(12)]
+    assert ctx._log is None and ctx._until_tables == 1
+    products.append(x * y)
+    assert ctx._log is not None and ctx._until_tables is None
+    products.append(x * y)
+    assert len({p.coeffs for p in products[:12] + products[24:]}) == 1
+    assert len({p.coeffs for p in products[12:24]}) == 1
+    assert products[0].coeffs == _poly_mod(_poly_mul(x.coeffs, y.coeffs, 5),
+                                           ctx.modulus, 5)
+
+
+def test_short_work_builds_no_tables():
+    # A fast analysis at d = 3 does a few hundred products, far fewer than
+    # the 3721 that tables for GF(61^2) cost to build.
+    ctx = ExtensionField(61, 2)
+    spec = sample_spec(LeonardType.Q_RACAH, 3, ctx, random.Random("short"))
+    assert analyze_instance(spec).ok
+    assert ctx._log is None and 0 < ctx._until_tables < 61 ** 2
+
+
 def test_fields_past_the_bound_take_the_polynomial_route(monkeypatch):
-    large, small = ExtensionField(67, 2), ExtensionField(61, 2)
+    large, small = ExtensionField(67, 2), tabled(ExtensionField(61, 2))
     assert 61 ** 2 <= TABLE_BOUND < 67 ** 2
     calls = []
 
@@ -361,11 +392,18 @@ def test_fields_past_the_bound_take_the_polynomial_route(monkeypatch):
                                            ctx.modulus, ctx.p)
         assert quotient * y == x
         assert bool(calls) == (ctx is large), ctx
+    # However long a larger field works, and when asked, it builds none.
+    for _ in range(67 ** 2):
+        x * y
+    large._build_tables()
+    assert large._log is None
 
 
 def test_fast_gf81_analysis_never_reduces_a_polynomial(monkeypatch):
     ctx = parse_field("GF(3^4)")
     spec = sample_spec(LeonardType.Q_RACAH, 10, ctx, random.Random("tables"))
+    # Sampling does more than 81 products, so the tables exist by now.
+    assert ctx._log is not None
 
     def refuse(a, b, p):
         raise AssertionError("polynomial product in a field with tables")
@@ -375,9 +413,14 @@ def test_fast_gf81_analysis_never_reduces_a_polynomial(monkeypatch):
     assert chk.ok, chk.failures
 
 
+def test_parse_field_returns_one_context_per_label():
+    assert parse_field("GF(3^4)") is parse_field("GF(3^4)")
+    assert parse_field("GF(7)") is parse_field("GF(7)")
+
+
 def test_table_build_is_fast_at_the_bound():
     # The largest p^k <= TABLE_BOUND with 2 <= k <= 8 is 61^2 = 3721.
     start = time.perf_counter()
-    for label in ("GF(61^2)", "GF(5^5)", "GF(7^4)", "GF(3^7)", "GF(13^3)"):
-        parse_field(label)
+    for p, k in ((61, 2), (5, 5), (7, 4), (3, 7), (13, 3)):
+        tabled(ExtensionField(p, k))
     assert time.perf_counter() - start < 1.0
