@@ -248,8 +248,11 @@ def analyze_instance(spec, arr=None, deep=False):
     E*_i = v*_i w*_i^T of the upper bidiagonal A*.  Of E only u, the right
     factor of E_0, is read, and the fast path forms only u, by the same
     substitution on the transpose of the lower bidiagonal A.  The a-trace
-    and the standard basis {E*_i u} are read off the scalars w*_i A v*_j,
-    with no dense projection or basis matrix.  The zero diagonal space is
+    reads w*_i A v*_i off W*'s rows.  The standard basis {E*_i u} takes the
+    band of W* A V* from V*'s columns alone, certified by A V* = V* T in
+    O(n^2), and reads W* only for the scale w*_i . u; no dense projection
+    or basis matrix is formed.  So the a_trace and a_standard flags compare
+    two different computations with the closed form.  The zero diagonal space is
     computed in the standard basis, where A* is diagonal and the test
     E*_i X E*_i = 0 reads X_ii = 0.  With deep=True both whole families
     are formed densely and compared entry by entry with the product

@@ -14,11 +14,13 @@ so the a-trace, the change to the standard basis {E*_i u} and the axioms
 read scalars of W M V.  Those scalars are sums over the supports of the
 rows of M and of the factors only (see linalg), since M is bidiagonal or
 tridiagonal and v_i, w_i are triangular; the skipped terms are exact
-zeros.  The standard basis needs only the band |i - j| <= 1 of W* A V*:
-as W* V* = I, the rest vanishes exactly when each column's residual
-A v*_j - sum_i t_ij v*_i is zero, an O(n^2) certificate in place of the
-n^2 scalars.  The spectral product formula, post-verified, works for any
-multiplicity-free matrix and is the reference route that
+zeros.  The standard basis needs only the band T of W* A V* = V*^-1 A V*.
+When A has the split shape and V* is unit upper triangular, T and the
+certificate A V* = V* T come from V* alone, in O(n^2) (_tridiagonal_band);
+any other A goes through the full W* A V*.  The a-trace stays on the W*
+side, so the two a-routes read different factors.  The spectral product
+formula, post-verified, works for any multiplicity-free matrix and is the
+reference route that
 deep mode, the tests and the boundary example compare against.  As the
 shifts M - theta_j I commute, primitive_idempotents forms the product
 over j != i as P_i S_i from prefix products P_i (j < i) and suffix
@@ -185,7 +187,7 @@ def _left_eigenvector(sup, eigs, i, ctx):
     w = [ctx.zero] * len(eigs)
     w[i] = ctx.one
     for c in range(i + 1, len(eigs)):
-        w[c] = w[c - 1] * sup[c - 1] / (eigs[i] - eigs[c])
+        w[c] = w[c - 1] * (sup[c - 1] / (eigs[i] - eigs[c]))
     return w
 
 
@@ -200,6 +202,8 @@ def bidiagonal_idempotents(mtx, eigs, ctx):
     With v_i[i] = w_i[i] = 1 their product w_i v_i is 1, so the
     projection is v_i w_i^T, returned as its factors.  For a triangular
     matrix the shape and diagonal checks are what verify the spectrum.
+    Each substitution step forms the ratio of small height first, so an
+    entry costs one product with the full-height entry before it.
     """
     sup = _superdiagonal(mtx, eigs)
     n = len(eigs)
@@ -209,7 +213,7 @@ def bidiagonal_idempotents(mtx, eigs, ctx):
         v = [zero] * n
         v[i] = one
         for r in range(i - 1, -1, -1):
-            v[r] = sup[r] * v[r + 1] / (eig - eigs[r])
+            v[r] = v[r + 1] * (sup[r] / (eig - eigs[r]))
         vs.append(v)
     return SpectralFactors(vs, [_left_eigenvector(sup, eigs, i, ctx) for i in range(n)])
 
@@ -225,10 +229,19 @@ def first_left_eigenvector(mtx, eigs, ctx):
 
 
 def intersection_a_trace(real, estar):
-    """a_i as the trace of E*_i A, which is the scalar w*_i . A v*_i."""
-    rows = [linalg.support(row) for row in real.A]
-    return [linalg.dot(w, [linalg.support_dot(row, v) for row in rows])
-            for v, w in zip(estar.v, estar.w)]
+    """a_i as the trace of E*_i A, which is the scalar w*_i . A v*_i.
+
+    The sum runs over the nonzero entries A[r][c] with w*_i[r] and v*_i[c]
+    both nonzero.  For the split A and the triangular factors of A* those
+    are (i, i) and (i + 1, i) only, so a_i = theta_i + w*_i[i + 1] is read
+    off W*'s rows, while standard_basis_rep reads it off V*'s columns.
+    """
+    entries = [(r, c, x) for r, row in enumerate(real.A) for c, x in linalg.support(row)]
+    out = []
+    for v, w in zip(estar.v, estar.w):
+        terms = [w[r] * x * v[c] for r, c, x in entries if w[r] and v[c]]
+        out.append(sum(terms[1:], terms[0]) if terms else real.array.field.zero)
+    return out
 
 
 def intersection_a_closed(arr):
@@ -243,41 +256,88 @@ def intersection_a_closed(arr):
     return out
 
 
+def _is_split(mtx):
+    """Whether mtx is lower bidiagonal with unit subdiagonal, as realize_split's A."""
+    return all((not x or r - 1 <= c <= r) and (c != r - 1 or x == 1)
+               for r, row in enumerate(mtx) for c, x in enumerate(row))
+
+
+def _split_band(a, vs):
+    """The band of V^-1 A V for the split A and unit upper triangular V, or
+    None when V^-1 A V is not tridiagonal.
+
+    Column j of A V = V T reads theta_r v_j[r] + v_j[r - 1] in row r.  Rows
+    j + 1, j and j - 1 fix t_(j+1)j = v_j[j] = 1,
+    t_jj = theta_j + v_j[j - 1] - v_(j+1)[j] and
+    t_(j-1)j = (theta_(j-1) - t_jj) v_j[j - 1] + v_j[j - 2] - v_(j+1)[j - 1];
+    rows below j + 1 vanish on both sides.  Each row r <= j - 2 must then
+    satisfy (theta_r - t_jj) v_j[r] + v_j[r - 1] - v_(j+1)[r] =
+    t_(j-1)j v_(j-1)[r], two products per entry.  Those rows together are
+    A V = V T, so with V invertible they certify V^-1 A V = T.
+    """
+    n = len(a)
+    band = {}
+    for j, v in enumerate(vs):
+        nxt = vs[j + 1] if j + 1 < n else None
+        t = a[j][j] + v[j - 1] if j else a[j][j]
+        if nxt is not None:
+            t = t - nxt[j]
+            band[j + 1, j] = v[j]
+        band[j, j] = t
+        for r in range(j - 1, -1, -1):
+            x = (a[r][r] - t) * v[r]
+            if r:
+                x = x + v[r - 1]
+            if nxt is not None:
+                x = x - nxt[r]
+            if r == j - 1:
+                up = band[j - 1, j] = x
+            elif x != up * vs[j - 1][r]:
+                return None
+    return band
+
+
 def _tridiagonal_band(mtx, factors):
     """The band |i - j| <= 1 of S = W M V, certified to be all of S.
 
-    W V = I, so S is the tridiagonal T exactly when M V = V T, that is
-    when each column's residual M v_j - sum_i t_ij v_i is zero: O(n) work
-    per column instead of the n scalars w_i . (M v_j).  Returns t_ij by
-    (i, j), or None when a residual is not zero.
+    V must be unit upper triangular, as bidiagonal_idempotents gives it for
+    an upper bidiagonal matrix; otherwise SingularBasis is raised before
+    any band is read.  For M of the split shape, the band and the
+    certificate M V = V T come from V alone (_split_band), in O(n^2): no
+    W is read, and W V = I is not assumed.  Any other M, and a split M
+    whose certificate fails, go through the full S = W M V, which names its
+    first off-band entry in row-major order.  A split M whose S is
+    tridiagonal all the same means W does not invert V.  Returns t_ij by
+    (i, j).
     """
-    rows = [linalg.support(row) for row in mtx]
-    vs = [linalg.support(v) for v in factors.v]
-    ws = [linalg.support(w) for w in factors.w]
     n = len(mtx)
-    band = {}
     for j, v in enumerate(factors.v):
-        mv = [linalg.support_dot(row, v) for row in rows]
-        residual = mv[:]
-        for i in range(max(j - 1, 0), min(j + 2, n)):
-            t = band[i, j] = linalg.support_dot(ws[i], mv)
-            if t:
-                for k, y in vs[i]:
-                    residual[k] = residual[k] - t * y
-        if any(residual):
-            return None
-    return band
+        if v[j] != 1 or any(v[j + 1:]):
+            raise SingularBasis(f"v*_{j} is not unit upper triangular")
+    split = _is_split(mtx)
+    band = _split_band(mtx, factors.v) if split else None
+    if band is not None:
+        return band
+    full = factors.sandwich(mtx)
+    for i, row in enumerate(full):
+        for j, x in enumerate(row):
+            if abs(i - j) >= 2 and x:
+                raise SingularBasis(f"A not tridiagonal at ({i},{j})")
+    if split:
+        raise SingularBasis("W* does not invert V*: A V* is not V* T")
+    return {(i, j): full[i][j] for i in range(n) for j in range(max(i - 1, 0), min(i + 2, n))}
 
 
 def standard_basis_rep(real, u, estar):
     """Change basis to {E*_i u} with u the right factor of E_0.
 
     E*_i u is v*_i scaled by D_i = w*_i . u, and W* inverts V*, so
-    A_std = D^-1 (W* A V*) D and A*_std = diag(theta*).  W* A V* is
-    certified tridiagonal column by column (_tridiagonal_band), in O(n^2);
-    only when that fails is all of W* A V* formed, to name its first
-    off-band entry in row-major order.  Returns the realization together
-    with the intersection numbers read off A.
+    A_std = D^-1 (W* A V*) D and A*_std = diag(theta*).  The band of
+    W* A V* comes from _tridiagonal_band: for the split A from V* alone,
+    with its O(n^2) certificate A V* = V* T; for any other A from the full
+    W* A V*, which also names the first off-band entry when there is one.
+    Only the scale D reads W*.  Returns the realization together with the
+    intersection numbers read off A.
     """
     arr = real.array
     n = real.dim
@@ -286,12 +346,6 @@ def standard_basis_rep(real, u, estar):
     if not all(scale):
         raise SingularBasis("projected vectors E*_i u are linearly dependent")
     band = _tridiagonal_band(real.A, estar)
-    if band is None:
-        for i, row in enumerate(estar.sandwich(real.A)):
-            for j, x in enumerate(row):
-                if abs(i - j) >= 2 and x:
-                    raise SingularBasis(f"A not tridiagonal at ({i},{j})")
-        raise SingularBasis("W* does not invert V*: A V* is not V* T")
     a_std = [[zero] * n for _ in range(n)]
     for (i, j), x in band.items():
         a_std[i][j] = x * scale[j] / scale[i] if x else x

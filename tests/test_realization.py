@@ -461,6 +461,110 @@ def test_fast_analysis_never_forms_the_full_sandwich(monkeypatch):
         analyze_instance(spec, deep=True)
 
 
+def cross_route_samples():
+    """One sample per campaign cell, and one d = 16 sample per family over
+    Q, GF(1000003) and GF(3^4)."""
+    yield from campaign_cell_samples()
+    for label in ("Q", "GF(1000003)", "GF(3^4)"):
+        ctx = parse_field(label)
+        for name in families_over(ctx, 16):
+            yield sample_spec(name, 16, ctx, random.Random(f"cross-route|{label}|{name.value}"))
+
+
+def test_band_and_trace_match_the_full_sandwich():
+    """The V*-only band and the W*-side a-trace against the full W* A V*.
+
+    The band is also formed from factors whose w is None, so that any read
+    of W* raises.
+    """
+    checked = 0
+    for spec in cross_route_samples():
+        arr = build_parameter_array(spec)
+        real = realize_split(arr)
+        estar = bidiagonal_idempotents(real.A_star, arr.theta_star, arr.field)
+        full = estar.sandwich(real.A)
+        n = real.dim
+        expected = {(i, j): full[i][j] for i in range(n) for j in range(n) if abs(i - j) <= 1}
+        assert realization._tridiagonal_band(real.A, estar) == expected, spec
+        v_only = realization.SpectralFactors(estar.v, None)
+        assert realization._tridiagonal_band(real.A, v_only) == expected, spec
+        assert intersection_a_trace(real, estar) == [full[i][i] for i in range(n)], spec
+        checked += 1
+    assert checked == 130 + 12 + 12 + 7
+
+
+@pytest.fixture(scope="module")
+def sampled_d6():
+    arr = build_parameter_array(
+        sample_spec(LeonardType.Q_RACAH, 6, QQ, random.Random("certificate-fails")))
+    real = realize_split(arr)
+    return (real,) + split_factors(real)
+
+
+@pytest.mark.parametrize("j, r", [(5, 2), (6, 0), (4, 3), (1, 0)],
+                         ids=["below-band", "corner", "next-to-diagonal", "first-column"])
+def test_certificate_fails_on_a_perturbed_factor(sampled_d6, j, r):
+    real, e, estar = sampled_d6
+    vs = [v[:] for v in estar.v]
+    vs[j][r] = vs[j][r] + QQ(1)
+    broken = realization.SpectralFactors(vs, estar.w)
+    assert realization._split_band(real.A, vs) is None
+    with pytest.raises(SingularBasis):
+        standard_basis_rep(real, e.v[0], broken)
+    # With W* = 0 the full W* A V* is tridiagonal, so only the V* side failed.
+    zero_w = realization.SpectralFactors(vs, [[QQ(0)] * len(vs)] * len(vs))
+    with pytest.raises(SingularBasis, match="W\\* does not invert V\\*"):
+        realization._tridiagonal_band(real.A, zero_w)
+
+
+@pytest.mark.parametrize("r", [0, 3, 6])
+def test_certificate_fails_on_a_perturbed_eigenvalue(sampled_d6, r):
+    real, e, estar = sampled_d6
+    a = [row[:] for row in real.A]
+    a[r][r] = a[r][r] + QQ(1)
+    broken = realization.Realization(real.array, a, real.A_star, real.basis)
+    assert realization._split_band(a, estar.v) is None
+    with pytest.raises(SingularBasis):
+        standard_basis_rep(broken, e.v[0], estar)
+
+
+@pytest.mark.parametrize("j, r, x", [(3, 3, 2), (0, 0, 0), (2, 4, 1), (5, 6, -1)],
+                         ids=["diagonal-two", "diagonal-zero", "below", "below-last"])
+def test_factors_not_unit_upper_triangular_rejected(monkeypatch, sampled_d6, j, r, x):
+    def refuse(*args):
+        raise AssertionError("a band was read")
+
+    real, e, estar = sampled_d6
+    vs = [v[:] for v in estar.v]
+    vs[j][r] = QQ(x)
+    monkeypatch.setattr(realization, "_split_band", refuse)
+    monkeypatch.setattr(realization.SpectralFactors, "sandwich", refuse)
+    with pytest.raises(SingularBasis, match=f"v\\*_{j} is not unit upper triangular"):
+        standard_basis_rep(real, e.v[0], realization.SpectralFactors(vs, estar.w))
+
+
+def test_standard_basis_of_a_scaled_and_a_shifted_a(sampled_d6):
+    """2A is not of the split shape and goes through the full W* A V*;
+    A + I keeps it and goes through the V*-only certificate."""
+    real, e, estar = sampled_d6
+    _, nums = standard_basis_rep(real, e.v[0], estar)
+    two = realization.Realization(real.array, [[QQ(2) * x for x in row] for row in real.A],
+                                  real.A_star, real.basis)
+    _, doubled = standard_basis_rep(two, e.v[0], estar)
+    assert doubled.a == [QQ(2) * x for x in nums.a]
+    assert doubled.b == [QQ(2) * x for x in nums.b]
+    assert doubled.c == [QQ(2) * x for x in nums.c]
+    assert intersection_a_trace(two, estar) == doubled.a
+    shifted = realization.Realization(
+        real.array, [[x + QQ(int(i == j)) for j, x in enumerate(row)]
+                     for i, row in enumerate(real.A)], real.A_star, real.basis)
+    assert realization._split_band(shifted.A, estar.v) is not None
+    _, moved = standard_basis_rep(shifted, e.v[0], estar)
+    assert moved.a == [x + QQ(1) for x in nums.a]
+    assert (moved.b, moved.c) == (nums.b, nums.c)
+    assert intersection_a_trace(shifted, estar) == moved.a
+
+
 def test_axioms_pass_on_worked(worked):
     arr, real, e, estar = worked
     assert verify_axioms(real, e, estar)
