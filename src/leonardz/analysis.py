@@ -254,11 +254,14 @@ def analyze_instance(spec, arr=None, deep=False):
     or basis matrix is formed.  So the a_trace and a_standard flags compare
     two different computations with the closed form.  The zero diagonal space is
     computed in the standard basis, where A* is diagonal and the test
-    E*_i X E*_i = 0 reads X_ii = 0.  With deep=True both whole families
-    are formed densely and compared entry by entry with the product
-    formula, and the tridiagonal vanishing axioms are verified on the
-    scalar matrices W A* V and W* A V* (slower; the analyze command and
-    the worked-instance tests use it, the sampling campaign does not).
+    E*_i X E*_i = 0 reads X_ii = 0; every matrix of that space is read off
+    the band of A and theta*, with no product.  With deep=True both whole
+    families are formed densely and compared entry by entry with the
+    product formula, and the tridiagonal vanishing axioms of E A* E are
+    verified on the one scalar matrix W A* V; those of E* A E* are the
+    band of W* A V* that standard_basis_rep certifies on every path
+    (slower; the analyze command and the worked-instance tests use it, the
+    sampling campaign does not).
     """
     if arr is None:
         arr = build_parameter_array(spec)
@@ -283,7 +286,7 @@ def analyze_instance(spec, arr=None, deep=False):
                 raise IdempotentCheckFailed(
                     f"rank-one {name} differ from the product formula")
         e_split = e_t.transpose()
-        verify_axioms(real, e_split, estar_split)
+        verify_axioms(real, e_split)
         u = e_split.v[0]
     else:
         u = first_left_eigenvector(linalg.transpose(real.A), arr.theta, ctx)
@@ -309,8 +312,7 @@ def analyze_instance(spec, arr=None, deep=False):
         flags["x_generators_independent"] = True
     except DependenceDetected:
         flags["x_generators_independent"] = False
-        a_astar = linalg.mat_mul(std.A, std.A_star)
-        astar_a = linalg.mat_mul(std.A_star, std.A)
+        a_astar, astar_a = zerodiag._a_star_products(std)
     flags["commutator_zero_diagonal"] = zerodiag.has_zero_diagonal(
         linalg.mat_sub(a_astar, astar_a))
 

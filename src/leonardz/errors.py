@@ -87,7 +87,7 @@ class SingularMatrix(LeonardError):
 
 
 class AxiomViolation(LeonardError):
-    """A tridiagonal-vanishing or diagonal-coefficient axiom check failed."""
+    """A tridiagonal-vanishing axiom check failed."""
 
     def __init__(self, which, i, j, message=""):
         self.which = which

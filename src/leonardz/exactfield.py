@@ -11,14 +11,15 @@ with fixed bases is exact.  Rabin's test checks GF(p^k) moduli; the default
 modulus is the first candidate, in a fixed order, that passes it.
 
 GF(p^k) arithmetic has two routes.  The polynomial route multiplies
-coefficient tuples and reduces them by the modulus (_poly_mul, _poly_mod)
-and inverts by the extended Euclid algorithm (_poly_inv_mod).  A field of
-q = p^k <= TABLE_BOUND elements can also build, once and by that route,
-log/antilog tables over a primitive element (Lidl and Niederreiter,
-Finite Fields, section 9.4): an exp list of its powers' coefficient
-tuples and the inverse log map.  Its products, inverses and quotients
-are then one lookup each, against a polynomial reduction (about 7 us in
-GF(3^4)) and a Euclid run (about 22 us).
+coefficient tuples, reduces them by the modulus (_poly_mul, and the
+remainder of _poly_divmod) and inverts by the extended Euclid algorithm
+(_poly_inv_mod).  A field of q = p^k <= TABLE_BOUND elements can also
+build, once and by that route, log/antilog tables over a primitive
+element (Lidl and Niederreiter, Finite Fields, section 9.4): an exp list
+of its powers' coefficient tuples and the inverse log map.  Its
+products, inverses and quotients are then one lookup each, against a
+polynomial reduction (about 7 us in GF(3^4)) and a Euclid run (about
+22 us).
 
 The build costs about as much as q to 2q polynomial products (measured
 on CPython 3.11, x86_64: 0.7 ms for GF(3^4), 25 ms for GF(61^2)), while
@@ -338,31 +339,23 @@ def _poly_mul(a, b, p):
     return _poly_trim(out)
 
 
-def _poly_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    lead_inv = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        k = len(a) - 1 - dm
-        f = (a[-1] * lead_inv) % p
-        for i, mi in enumerate(m):
-            a[k + i] = (a[k + i] - f * mi) % p
-        a = list(_poly_trim(a))
-    return _poly_trim(a)
-
-
 def _poly_divmod(a, b, p):
+    """Quotient and remainder of a by b over GF(p).
+
+    Each step takes the leading coefficient off a, which subtracting
+    f * b would set to zero, and updates only the db coefficients below it.
+    """
     a = list(a)
     db = len(b) - 1
     lead_inv = pow(b[-1], -1, p)
     q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        f = (a[-1] * lead_inv) % p
-        q[k] = f
-        for i, bi in enumerate(b):
-            a[k + i] = (a[k + i] - f * bi) % p
-        a = list(_poly_trim(a))
+    while len(a) > db:
+        f = (a.pop() * lead_inv) % p
+        if f:
+            k = len(a) - db
+            q[k] = f
+            for i in range(db):
+                a[k + i] = (a[k + i] - f * b[i]) % p
     return _poly_trim(q), _poly_trim(a)
 
 
@@ -499,7 +492,7 @@ class ExtensionFieldElement:
         field = self.field
         log = field._log or field._count_poly_op()
         if log is None:
-            return _reduced(_poly_mod(_poly_mul(a, b, field.p), field.modulus, field.p),
+            return _reduced(_poly_divmod(_poly_mul(a, b, field.p), field.modulus, field.p)[1],
                             field)
         if not a or not b:
             return _reduced((), field)

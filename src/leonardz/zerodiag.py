@@ -10,11 +10,18 @@ Everything here works in the standard basis {E*_i u}.  There A* is
 diag(theta*), each E*_i is the coordinate projection e_i e_i^T, and the
 condition E*_i X E*_i = 0 reads X_ii = 0.  That is why the rows of M are
 the diagonals of I, A*, A and A A*: column i is (1, theta*_i, a_i,
-a_i theta*_i).
+a_i theta*_i).  It is also why no matrix product is needed: A A* and A* A
+are A with its columns and its rows scaled by theta*, and every element
+of Span{I, A*, A, A A*} is fixed by its four coefficients and the band
+of A (combination_matrix).
 
 The kernel route (z_basis_kernel) is the authoritative computation; the
-closed-form route (z_basis_closed, coefficients supplied by the analysis
-tables) is an independent cross-check.
+closed-form route is an independent cross-check whose coefficient
+vectors come from the analysis tables, not from M: the dim-1 generator
+u*P1 - v*P2 has the coefficients u*T_2 - v*T_3, as rows 2 and 3 of T
+expand P1 = (A - a0 I)(A* - ts_d I) and P2 = (A - ad I)(A* - ts_0 I),
+and the dim-2 pair is A - a0 I and A A* - a0 A*.  Both routes go through
+the one map combination_matrix.
 """
 
 from __future__ import annotations
@@ -108,12 +115,38 @@ def has_zero_diagonal(x):
     return all(not x[i][i] for i in range(len(x)))
 
 
-def combination_matrix(coeffs, real, a_astar):
-    """The element f0*I + f1*A_star + f2*A + f3*a_astar in real's basis,
-    where a_astar is the product A @ A_star."""
-    out = linalg.shift(linalg.mat_scale(coeffs.f2, real.A), -coeffs.f0)
-    out = linalg.mat_add(out, linalg.mat_scale(coeffs.f1, real.A_star))
-    return linalg.mat_add(out, linalg.mat_scale(coeffs.f3, a_astar))
+def _theta_star(real):
+    """theta* read off the diagonal of A*, which must be diagonal, as it is
+    in the standard basis."""
+    if real.basis is not Basis.STANDARD:
+        raise WrongBasis(
+            f"the zero-diagonal test needs the standard basis, not {real.basis.value}")
+    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(real.A_star)):
+        raise WrongBasis("A* is not diagonal in the standard basis")
+    return [row[i] for i, row in enumerate(real.A_star)]
+
+
+def _a_star_products(real):
+    """A A* and A* A in the standard basis: A's columns and its rows scaled by theta*."""
+    ts = _theta_star(real)
+    a_astar = [[x * ts[j] if x else x for j, x in enumerate(row)] for row in real.A]
+    astar_a = [[x * t if x else x for x in row] for row, t in zip(real.A, ts)]
+    return a_astar, astar_a
+
+
+def combination_matrix(coeffs, real):
+    """The element f0*I + f1*A_star + f2*A + f3*A*A_star in the standard basis.
+
+    With A* = diag(theta*) its entries are
+    X_ij = [i = j](f0 + f1 theta*_i) + A_ij (f2 + f3 theta*_j).
+    """
+    ts = _theta_star(real)
+    f0, f1, f2, f3 = coeffs.as_list()
+    col = [f2 + f3 * t for t in ts]
+    out = [[x * col[j] if x else x for j, x in enumerate(row)] for row in real.A]
+    for i, t in enumerate(ts):
+        out[i][i] = out[i][i] + (f0 + f1 * t)
+    return out
 
 
 def z_basis_kernel(m, real):
@@ -121,18 +154,11 @@ def z_basis_kernel(m, real):
 
     Each kernel row becomes a matrix in real's basis, which must be the
     standard one; every matrix is re-verified to have zero diagonal.
-    A @ A_star is formed once, and only when the kernel is not empty.
     """
-    if real.basis is not Basis.STANDARD:
-        raise WrongBasis(
-            f"the zero-diagonal test needs the standard basis, not {real.basis.value}")
-    ctx = real.array.field
-    kernel = linalg.left_nullspace(m, ctx)
-    a_astar = linalg.mat_mul(real.A, real.A_star) if kernel else None
     out = []
-    for row in kernel:
+    for row in linalg.left_nullspace(m, real.array.field):
         coeffs = ZCoefficients(*row)
-        x = combination_matrix(coeffs, real, a_astar)
+        x = combination_matrix(coeffs, real)
         if not has_zero_diagonal(x):
             raise ZeroDiagCheckFailed(
                 f"kernel element {[str(c) for c in row]} fails the diagonal check")
@@ -142,28 +168,28 @@ def z_basis_kernel(m, real):
 
 def z_basis_closed_dim2(real, a0):
     """Closed-form basis when the space is 2-dimensional: A - a0*I and A @ A_star - a0*A_star."""
-    second = linalg.mat_sub(linalg.mat_mul(real.A, real.A_star),
-                            linalg.mat_scale(a0, real.A_star))
-    return [linalg.shift(real.A, a0), second]
-
-
-def boundary_products(real, a):
-    """The pair (A - a0*I)(A_star - ts_d*I) and (A - ad*I)(A_star - ts_0*I)."""
-    ts, d = real.array.theta_star, real.array.d
-    p1 = linalg.mat_mul(linalg.shift(real.A, a[0]), linalg.shift(real.A_star, ts[d]))
-    p2 = linalg.mat_mul(linalg.shift(real.A, a[d]), linalg.shift(real.A_star, ts[0]))
-    return p1, p2
+    zero, one = real.array.field.zero, real.array.field.one
+    return [combination_matrix(ZCoefficients(-a0, zero, one, zero), real),
+            combination_matrix(ZCoefficients(zero, -a0, zero, one), real)]
 
 
 def z_basis_closed_dim1(real, a, u, v):
-    """Closed-form generator u*P1 - v*P2 from a relation row u*a_minus = v*a_plus."""
-    p1, p2 = boundary_products(real, a)
-    return linalg.mat_sub(linalg.mat_scale(u, p1), linalg.mat_scale(v, p2))
+    """Closed-form generator u*P1 - v*P2 from a relation row u*a_minus = v*a_plus,
+    where P1 = (A - a0*I)(A_star - ts_d*I) and P2 = (A - ad*I)(A_star - ts_0*I).
+
+    Rows 2 and 3 of matrix_t are the coefficients of P1 and P2.
+    """
+    arr = real.array
+    ts, d = arr.theta_star, arr.d
+    t = matrix_t(a[0], a[d], ts[0], ts[d], arr.field)
+    return combination_matrix(
+        ZCoefficients(*(u * p1 - v * p2 for p1, p2 in zip(t[2], t[3]))), real)
 
 
 def x_space_basis(real):
     """The five canonical generators I, A_star, A, A @ A_star, A_star @ A,
-    with an independence certificate.
+    with an independence certificate.  The products are A's columns and
+    rows scaled by theta*, as A* is diagonal in the standard basis.
 
     Rank 5 is certified on the 5 x 2n block of each generator's first two
     rows, as a rank-5 submatrix proves rank 5.  In the standard basis the
@@ -173,15 +199,8 @@ def x_space_basis(real):
     is below 5 is the full 5 x n^2 flattening ranked, so that
     DependenceDetected names the generators' exact rank.
     """
-    ctx = real.array.field
-    n = real.dim
-    mats = [
-        linalg.identity(n, ctx),
-        real.A_star,
-        real.A,
-        linalg.mat_mul(real.A, real.A_star),
-        linalg.mat_mul(real.A_star, real.A),
-    ]
+    mats = [linalg.identity(real.dim, real.array.field), real.A_star, real.A,
+            *_a_star_products(real)]
     if linalg.rank([m[0] + m[1] for m in mats]) < 5:
         rk = linalg.rank([linalg.flatten(m) for m in mats])
         if rk != 5:

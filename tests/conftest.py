@@ -25,6 +25,24 @@ def campaign_cell_samples(d_values=range(3, 7)):
                     yield sample_spec(name, d, ctx, rng, mode=mode)
 
 
+def families_over(ctx, d):
+    """The types that admit diameter d over the field ctx."""
+    return [name for name in ALL_TYPES
+            if FAMILIES[name].diameter in (None, d)
+            and (FAMILIES[name].characteristic is None
+                 or FAMILIES[name].characteristic.allows(ctx.characteristic, d))]
+
+
+def cross_route_samples():
+    """One sample per campaign cell, and one d = 16 sample per family over
+    Q, GF(1000003) and GF(3^4)."""
+    yield from campaign_cell_samples()
+    for label in ("Q", "GF(1000003)", "GF(3^4)"):
+        ctx = parse_field(label)
+        for name in families_over(ctx, 16):
+            yield sample_spec(name, 16, ctx, random.Random(f"cross-route|{label}|{name.value}"))
+
+
 @pytest.fixture(scope="session")
 def rationals():
     return QQ

@@ -26,11 +26,12 @@ from leonardz.campaign import render_report, run_campaign
 from leonardz.cli import main, render_analysis
 from leonardz.counterexample import (KNOWN_ORDER, base_matrices,
                                      certificate_forms, counterexample_d2)
-from leonardz.exactfield import ExtensionField, Rationals
+from leonardz.exactfield import ExtensionField, Rationals, parse_field
+from leonardz.families import FAMILIES
 from leonardz.parray import ALL_TYPES, LeonardType
 from leonardz.realization import primitive_idempotents
 from leonardz.analysis import analyze_instance, verify_pi2
-from leonardz.sampling import sample_spec
+from leonardz.sampling import modes_for_type, sample_spec
 
 QQ = Rationals()
 
@@ -273,3 +274,45 @@ def test_golden_digests(full_campaign):
     assert len(collected) == 2600
     assert got == (GOLDEN_REPORT, GOLDEN_ANALYSES, GOLDEN_COUNTEREXAMPLE)
     assert code == 0
+
+
+# SHA-256 of fast and deep analyses over finite fields, recorded on the
+# Fraction backend (the finite-field elements do not depend on it).
+GOLDEN_FIELD_ANALYSES = (
+    "37117dfa359b73644244b6eefaa0af1f62b417b2a6f3cad8d1ddacaaa5695d9c")
+
+
+def finite_field_samples():
+    """One seeded spec per mode of every family over GF(1000003), of the
+    seven q-families over GF(3^4) and of the orphan over GF(2^3), at
+    d = 3, 8 and 12 where the family admits the diameter."""
+    q_families = [name for name in ALL_TYPES if "q" in FAMILIES[name].params]
+    for label, names in (("GF(1000003)", [n for n in ALL_TYPES if n is not LeonardType.ORPHAN]),
+                         ("GF(3^4)", q_families),
+                         ("GF(2^3)", [LeonardType.ORPHAN])):
+        ctx = parse_field(label)
+        for name in names:
+            fam = FAMILIES[name]
+            for d in (3, 8, 12):
+                if fam.diameter not in (None, d) or (
+                        fam.characteristic is not None
+                        and not fam.characteristic.allows(ctx.characteristic, d)):
+                    continue
+                for mode in modes_for_type(name, d, ctx):
+                    rng = random.Random(f"golden|{label}|{name.value}|{d}|{mode}")
+                    yield sample_spec(name, d, ctx, rng, mode=mode)
+
+
+def test_finite_field_analysis_digest():
+    """Fast and deep analyze reports over GF(p) and GF(p^k) are byte-identical
+    to the recorded ones; the samples reach dim Z = 0, 1 and 2."""
+    digest = hashlib.sha256()
+    dims = set()
+    for spec in finite_field_samples():
+        for deep in (False, True):
+            chk = analyze_instance(spec, deep=deep)
+            assert chk.ok, (spec, chk.failures)
+            digest.update(render_analysis(chk).encode("utf-8"))
+        dims.add(chk.zreport.dim_z)
+    assert dims == {0, 1, 2}
+    assert digest.hexdigest() == GOLDEN_FIELD_ANALYSES

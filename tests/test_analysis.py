@@ -507,7 +507,7 @@ def test_fast_analysis_multiplication_count(monkeypatch):
     at every n (ranking the 5 x n^2 flattening cost 226 at n = 17, and 2275
     with dense row updates).  The whole fast analysis makes 1826: the band
     of W* A V* comes from V* alone at two products per certified entry,
-    and the a-trace reads two entries of A per i (2652 with the residual
+    and the a-trace reads three entries of A per i (2652 with the residual
     certificate that read W*, 6018 with dense kernels).
     """
     ctx = parse_field("GF(1000003)")

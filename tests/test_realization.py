@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import QQ, campaign_cell_samples
-from leonardz import linalg, realization
+from conftest import QQ, campaign_cell_samples, cross_route_samples, families_over
+from leonardz import analysis, linalg, realization
 from leonardz.analysis import analyze_instance
 from leonardz.errors import (
     AxiomViolation,
@@ -13,8 +13,7 @@ from leonardz.errors import (
     SingularBasis,
 )
 from leonardz.exactfield import parse_field
-from leonardz.families import FAMILIES
-from leonardz.parray import ALL_TYPES, LeonardType, ParameterArray, build_parameter_array
+from leonardz.parray import LeonardType, ParameterArray, build_parameter_array
 from leonardz.realization import (
     bidiagonal_idempotents,
     first_left_eigenvector,
@@ -96,14 +95,6 @@ def test_repeated_eigenvalue_rejected():
     for route in (primitive_idempotents, bidiagonal_idempotents):
         with pytest.raises(RepeatedEigenvalue):
             route(diag, [QQ(4), QQ(4)], QQ)
-
-
-def families_over(ctx, d):
-    """The types that admit diameter d over the field ctx."""
-    return [name for name in ALL_TYPES
-            if FAMILIES[name].diameter in (None, d)
-            and (FAMILIES[name].characteristic is None
-                 or FAMILIES[name].characteristic.allows(ctx.characteristic, d))]
 
 
 def _assert_routes_agree(spec):
@@ -461,14 +452,22 @@ def test_fast_analysis_never_forms_the_full_sandwich(monkeypatch):
         analyze_instance(spec, deep=True)
 
 
-def cross_route_samples():
-    """One sample per campaign cell, and one d = 16 sample per family over
-    Q, GF(1000003) and GF(3^4)."""
-    yield from campaign_cell_samples()
-    for label in ("Q", "GF(1000003)", "GF(3^4)"):
-        ctx = parse_field(label)
-        for name in families_over(ctx, 16):
-            yield sample_spec(name, 16, ctx, random.Random(f"cross-route|{label}|{name.value}"))
+def test_deep_analysis_forms_one_sandwich(monkeypatch, exemplar_specs):
+    """Deep mode forms W A* V for the E A* E pattern and no W* A V*: the
+    E* A E* pattern is the band that standard_basis_rep certifies."""
+    formed = []
+    sandwich = realization.SpectralFactors.sandwich
+
+    def recording(self, mtx):
+        formed.append(mtx)
+        return sandwich(self, mtx)
+
+    monkeypatch.setattr(realization.SpectralFactors, "sandwich", recording)
+    for spec in exemplar_specs.values():
+        chk = analyze_instance(spec, deep=True)
+        assert chk.ok, (spec.name, chk.failures)
+        assert formed == [realize_split(chk.arr).A_star], spec.name
+        formed.clear()
 
 
 def test_band_and_trace_match_the_full_sandwich():
@@ -489,6 +488,9 @@ def test_band_and_trace_match_the_full_sandwich():
         v_only = realization.SpectralFactors(estar.v, None)
         assert realization._tridiagonal_band(real.A, v_only) == expected, spec
         assert intersection_a_trace(real, estar) == [full[i][i] for i in range(n)], spec
+        # Both a-routes read theta_i + v*_i[i-1]; the trace adds w*_i[i+1]
+        # where the band subtracts v*_(i+1)[i], equal as W* V* = I.
+        assert all(estar.w[i][i + 1] == -estar.v[i + 1][i] for i in range(n - 1)), spec
         checked += 1
     assert checked == 130 + 12 + 12 + 7
 
@@ -566,8 +568,8 @@ def test_standard_basis_of_a_scaled_and_a_shifted_a(sampled_d6):
 
 
 def test_axioms_pass_on_worked(worked):
-    arr, real, e, estar = worked
-    assert verify_axioms(real, e, estar)
+    arr, real, e, _ = worked
+    assert verify_axioms(real, e)
 
 
 def test_axioms_detect_broken_superdiagonal(kraw_dim1):
@@ -576,22 +578,23 @@ def test_axioms_detect_broken_superdiagonal(kraw_dim1):
                             [QQ(0)] + arr.phi1[1:], arr.phi2)
     real = realize_split(broken)
     with pytest.raises(AxiomViolation, match="expected nonzero"):
-        verify_axioms(real, *split_factors(real))
+        verify_axioms(real, split_factors(real)[0])
 
 
 def test_axioms_detect_perturbed_a(monkeypatch, kraw_dim1):
-    real = realize_split(build_parameter_array(kraw_dim1))
-    factors = split_factors(real)
-    closed = realization.intersection_a_closed
+    """Deep mode compares the diagonal of E* A E* with the closed a_i
+    through the two a-flags, and both catch a perturbed a_2."""
+    closed = analysis.intersection_a_closed
 
     def perturbed(arr):
         a = closed(arr)
         a[2] = a[2] + QQ(1)
         return a
 
-    monkeypatch.setattr(realization, "intersection_a_closed", perturbed)
-    with pytest.raises(AxiomViolation, match="E\\* A E\\* diagonal"):
-        verify_axioms(real, *factors)
+    monkeypatch.setattr(analysis, "intersection_a_closed", perturbed)
+    chk = analyze_instance(kraw_dim1, deep=True)
+    assert chk.flags["a_trace_equals_closed"] is False
+    assert chk.flags["a_standard_equals_closed"] is False
 
 
 def test_counterexample_system_passes_patterns():

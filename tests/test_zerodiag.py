@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 
-from conftest import QQ, campaign_cell_samples
+from conftest import QQ, campaign_cell_samples, cross_route_samples
 from leonardz import linalg, zerodiag
-from leonardz.analysis import relation_coefficients
+from leonardz.analysis import analyze_instance, relation_coefficients
 from leonardz.errors import DependenceDetected, LeonardError, WrongBasis
 from leonardz.parray import build_parameter_array
 from leonardz.realization import (
@@ -271,22 +273,93 @@ def test_x_space_fallback_accepts_independent_generators(monkeypatch, std_dim1):
 
 
 def test_x_space_dependence_names_the_full_rank(monkeypatch, std_dim1):
-    # With A* = A the generators are I, A, A, A^2, A^2, which span what
-    # I, A, A^2 span.
+    # With A* = 2I the generators are I, 2I, A, 2A, 2A, which span what
+    # I and A span.
     _, std, _ = std_dim1
-    same = Realization(std.array, std.A, std.A, Basis.STANDARD)
-    spanning = (linalg.identity(4, QQ), std.A, linalg.mat_mul(std.A, std.A))
-    assert linalg.rank([linalg.flatten(m) for m in spanning]) == 3
+    two = linalg.mat_scale(QQ(2), linalg.identity(4, QQ))
+    scalar = Realization(std.array, std.A, two, Basis.STANDARD)
     ranks = recorded_ranks(monkeypatch)
-    with pytest.raises(DependenceDetected, match="^generators span only 3 dimensions$"):
-        zerodiag.x_space_basis(same)
+    with pytest.raises(DependenceDetected, match="^generators span only 2 dimensions$"):
+        zerodiag.x_space_basis(scalar)
     assert [length for length, _ in ranks] == [8, 16]
 
 
-def test_boundary_products_independent(std_dim1):
-    _, std, a = std_dim1
-    p1, p2 = zerodiag.boundary_products(std, a)
-    assert linalg.rank([linalg.flatten(p1), linalg.flatten(p2)]) == 2
+def test_x_space_rejects_a_non_diagonal_a_star(std_dim1):
+    # The products are read off theta*, so A* must be diagonal.
+    _, std, _ = std_dim1
+    same = Realization(std.array, std.A, std.A, Basis.STANDARD)
+    with pytest.raises(WrongBasis, match="A\\* is not diagonal"):
+        zerodiag.x_space_basis(same)
+    with pytest.raises(WrongBasis, match="A\\* is not diagonal"):
+        zerodiag.combination_matrix(zerodiag.ZCoefficients(*ql([0, 0, 0, 1])), same)
+
+
+# -- the one coefficient map against the products it replaces ----------------
+
+
+def reference_combination(coeffs, real):
+    """f0 I + f1 A* + f2 A + f3 A A*, with A A* formed by linalg.mat_mul."""
+    out = linalg.mat_scale(coeffs.f0, linalg.identity(real.dim, real.array.field))
+    for f, m in ((coeffs.f1, real.A_star), (coeffs.f2, real.A),
+                 (coeffs.f3, linalg.mat_mul(real.A, real.A_star))):
+        out = linalg.mat_add(out, linalg.mat_scale(f, m))
+    return out
+
+
+def test_span_elements_match_the_products():
+    """Kernel matrices, closed generators and x-space products against the
+    matrix products they were once formed by, on one sample per campaign
+    cell and d = 16 over Q, GF(1000003) and GF(3^4)."""
+    seen = {"kernel": 0, "dim1": 0, "dim2": 0}
+    for spec in cross_route_samples():
+        arr, std, a = standard_rep(spec)
+        ctx, ts, d = arr.field, arr.theta_star, arr.d
+        a_astar = linalg.mat_mul(std.A, std.A_star)
+        assert zerodiag.x_space_basis(std)[3:] == [a_astar, linalg.mat_mul(std.A_star, std.A)]
+        kernel = zerodiag.z_basis_kernel(zerodiag.matrix_m(a, ts, ctx), std)
+        for coeffs, x in kernel:
+            assert linalg.mat_eq(x, reference_combination(coeffs, std)), spec
+        seen["kernel"] += len(kernel)
+        # P1 = (A - a0 I)(A* - ts_d I) and P2 = (A - ad I)(A* - ts_0 I) are
+        # rows 2 and 3 of T, and independent.
+        p1 = linalg.mat_mul(linalg.shift(std.A, a[0]), linalg.shift(std.A_star, ts[d]))
+        p2 = linalg.mat_mul(linalg.shift(std.A, a[d]), linalg.shift(std.A_star, ts[0]))
+        t = zerodiag.matrix_t(a[0], a[d], ts[0], ts[d], ctx)
+        for row, p in ((t[2], p1), (t[3], p2)):
+            assert linalg.mat_eq(
+                zerodiag.combination_matrix(zerodiag.ZCoefficients(*row), std), p), spec
+        assert linalg.rank([linalg.flatten(p1), linalg.flatten(p2)]) == 2, spec
+        relation = relation_coefficients(spec)
+        if relation is not None:
+            u, v, _ = relation
+            assert linalg.mat_eq(zerodiag.z_basis_closed_dim1(std, a, u, v), linalg.mat_sub(
+                linalg.mat_scale(u, p1), linalg.mat_scale(v, p2))), spec
+            seen["dim1"] += 1
+        if len(kernel) == 2:
+            pair = [linalg.shift(std.A, a[0]),
+                    linalg.mat_sub(a_astar, linalg.mat_scale(a[0], std.A_star))]
+            assert all(map(linalg.mat_eq, zerodiag.z_basis_closed_dim2(std, a[0]), pair)), spec
+            seen["dim2"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_zerodiag_forms_no_matrix_product(monkeypatch):
+    """A fast analysis makes one linalg.mat_mul, the T M of its L_equals_TM
+    flag, and the zero diagonal space none."""
+    callers = []
+    mat_mul = linalg.mat_mul
+
+    def recording(x, y):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(linalg, "mat_mul", recording)
+    verdicts = 0
+    for spec in campaign_cell_samples():
+        chk = analyze_instance(spec)
+        assert chk.ok, (spec, chk.failures)
+        verdicts += 1
+    assert callers == ["leonardz.analysis"] * verdicts
 
 
 def test_products_commute_differently(std_dim1):
