@@ -72,9 +72,10 @@ class RepeatedEigenvalue(LeonardError, ValueError):
 class IdempotentCheckFailed(LeonardError):
     """A computed projection fails its check; the input matrix was bad.
 
-    Raised when E*E != E, when two routes to the same projections
-    disagree, and when a matrix given as bidiagonal has an entry off the
-    bidiagonal or a diagonal other than its eigenvalues.
+    Raised when E*E != E, when rank-one factors fail a residual of their
+    certificate (SpectralFactors.certify), and when a matrix given as
+    bidiagonal has an entry off the bidiagonal or a diagonal other than
+    its eigenvalues.
     """
 
 

@@ -110,10 +110,6 @@ def dot(u, v):
     return support_dot(support(u), v)
 
 
-def mat_vec(a, v):
-    return [dot(row, v) for row in a]
-
-
 def _echelon(rows):
     """The one forward elimination: an echelon copy of rows, its pivot
     columns and its row-swap count."""

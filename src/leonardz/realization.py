@@ -3,29 +3,38 @@
 realize_split produces the defining bidiagonal pair: A lower bidiagonal
 with eigenvalue diagonal and unit subdiagonal, A* upper bidiagonal with
 dual eigenvalue diagonal and the first split sequence on the
-superdiagonal.  Primitive idempotents come by two routes.  The analysis
-keeps them as rank-one factors E_i = v_i w_i^T (SpectralFactors), found
-by substitution in O(n^2) each: bidiagonal_idempotents takes an upper
-bidiagonal or diagonal matrix such as A* directly, and A through its
-transpose.  Of E the change of basis reads only u, the right factor of
-E_0, and first_left_eigenvector forms it alone, by the same checks
-and substitution.  As w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T,
-so the a-trace, the change to the standard basis {E*_i u} and the E A* E
-axioms read scalars of W M V.  Those scalars are sums over the supports
-of the rows of M and of the factors only (see linalg), since M is
-bidiagonal or tridiagonal and v_i, w_i are triangular; the skipped terms
-are exact zeros.  The standard basis needs only the band T of W* A V* = V*^-1 A V*.
-When A has the split shape and V* is unit upper triangular, T and the
-certificate A V* = V* T come from V* alone, in O(n^2) (_tridiagonal_band);
-any other A goes through the full W* A V*.  That band is also the
-E* A E* pattern, so verify_axioms forms only W A* V.  The a-trace reads
-(i, i), (i, i - 1) and (i + 1, i) of the split A, a_i = theta_i +
-v*_i[i - 1] + w*_i[i + 1], and the band t_ii = theta_i + v*_i[i - 1] -
-v*_(i+1)[i]: the two a-routes share theta_i + v*_i[i - 1] and differ in
-w*_i[i + 1] against -v*_(i+1)[i], equal only because W* V* = I.  The
-spectral product formula, post-verified, works for any
-multiplicity-free matrix and is the reference route that deep mode, the
-tests and the boundary example compare against.  As the shifts
+superdiagonal.  The analysis keeps the primitive idempotents as rank-one
+factors E_i = v_i w_i^T (SpectralFactors), found by substitution in
+O(n^2) each: bidiagonal_idempotents takes an upper bidiagonal or diagonal
+matrix such as A* directly, and A through its transpose.  Of E the change
+of basis reads only u, the right factor of E_0, and first_left_eigenvector
+forms it alone, by the same checks and substitution.  As
+w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T, so the a-trace, the
+change to the standard basis {E*_i u} and the E A* E axioms read scalars
+of W M V.  Those scalars are sums over the supports of the rows of M and
+of the factors only (see linalg), since M is bidiagonal or tridiagonal
+and v_i, w_i are triangular; the skipped terms are exact zeros.
+
+Two O(n^2) certificates stand in for dense products.
+SpectralFactors.certify proves that a family of factors is the spectral
+decomposition of its matrix by the defining identities M v_i = theta_i v_i,
+w_i M = theta_i w_i and w_i v_i = 1.  _bidiagonal_band reads the band T of
+V^-1 M V off V's columns for a lower bidiagonal M and a unit upper
+triangular V, certified by M V = V T.  The standard basis needs only the
+band of W* A V* = V*^-1 A V*, which for the split A comes from V* alone
+(_tridiagonal_band); any other A goes through the full W* A V*.  That
+band is also the E* A E* pattern.  verify_axioms reads the band of
+V^-1 A* V from V alone in the same way, on the image of A* and V with rows
+and columns in reverse order, where A* is lower bidiagonal and V unit
+upper triangular; it forms the full W A* V only when A* or V has another
+shape or the certificate fails.  The a-trace reads (i, i), (i, i - 1) and
+(i + 1, i) of the split A, a_i = theta_i + v*_i[i - 1] + w*_i[i + 1], and
+the band t_ii = theta_i + v*_i[i - 1] - v*_(i+1)[i]: the two a-routes
+share theta_i + v*_i[i - 1] and differ in w*_i[i + 1] against
+-v*_(i+1)[i], equal only because W* V* = I.  The spectral product
+formula, post-verified, works for any multiplicity-free matrix and is the
+reference route of the tests and of the boundary example
+(counterexample); the analysis does not call it.  As the shifts
 M - theta_j I commute, primitive_idempotents forms the product over
 j != i as P_i S_i from prefix products P_i (j < i) and suffix products
 S_i (j > i) built once, about 3n matrix products per family.
@@ -80,10 +89,42 @@ class SpectralFactors:
         return SpectralFactors(self.w, self.v)
 
     def projections(self):
-        """The dense matrices v_i w_i^T, formed only to compare with another route."""
+        """The dense matrices v_i w_i^T, formed only where tests compare them
+        with the product formula."""
         zero = self.v[0][0] - self.v[0][0]
         return [[[x * y for y in w] if x else [zero] * len(w) for x in v]
                 for v, w in zip(self.v, self.w)]
+
+    def certify(self, mtx, eigs):
+        """Prove that the E_i = v_i w_i^T are the primitive idempotents of mtx.
+
+        Checks that the eigs are distinct (RepeatedEigenvalue otherwise) and
+        that there are n factor pairs of length n for the n x n mtx, then,
+        for each i in turn, M v_i = theta_i v_i row by row,
+        w_i M = theta_i w_i column by column, and w_i . v_i = 1; the first
+        residual that fails raises IdempotentCheckFailed, which names it.
+        Each residual runs over the supports of M's rows or columns, O(n)
+        per vector on a bidiagonal M.  No w_i . v_j with i != j is needed:
+        (theta_i - theta_j) w_i . v_j = w_i M v_j - w_i M v_j = 0.  So
+        W V = I, hence V W = I = sum E_i, E_i E_j = [i = j] E_i and
+        M E_i = theta_i E_i, which fix the primitive idempotents.
+        """
+        _check_distinct(eigs)
+        n = len(eigs)
+        if not (len(mtx) == len(self.v) == len(self.w) == n
+                and all(len(x) == n for x in (*mtx, *self.v, *self.w))):
+            raise IdempotentCheckFailed(f"factors do not fit {n} eigenvalues")
+        rows = [linalg.support(row) for row in mtx]
+        cols = [linalg.support(col) for col in zip(*mtx)]
+        for i, (v, w, eig) in enumerate(zip(self.v, self.w, eigs)):
+            for r, row in enumerate(rows):
+                if linalg.support_dot(row, v) != (eig * v[r] if v[r] else v[r]):
+                    raise IdempotentCheckFailed(f"M v_{i} != theta_{i} v_{i} in row {r}")
+            for c, col in enumerate(cols):
+                if linalg.support_dot(col, w) != (eig * w[c] if w[c] else w[c]):
+                    raise IdempotentCheckFailed(f"w_{i} M != theta_{i} w_{i} in column {c}")
+            if linalg.dot(w, v) != 1:
+                raise IdempotentCheckFailed(f"w_{i} . v_{i} != 1")
 
     def sandwich(self, mtx):
         """S[i][j] = w_i . (M v_j), so that E_i M E_j = S[i][j] v_i w_j^T.
@@ -268,34 +309,40 @@ def _is_split(mtx):
                for r, row in enumerate(mtx) for c, x in enumerate(row))
 
 
-def _split_band(a, vs):
-    """The band of V^-1 A V for the split A and unit upper triangular V, or
-    None when V^-1 A V is not tridiagonal.
+def _bidiagonal_band(diag, sub, vs):
+    """The band of V^-1 M V for a lower bidiagonal M and a unit upper
+    triangular V, or None when V^-1 M V is not tridiagonal.
 
-    Column j of A V = V T reads theta_r v_j[r] + v_j[r - 1] in row r.  Rows
-    j + 1, j and j - 1 fix t_(j+1)j = v_j[j] = 1,
-    t_jj = theta_j + v_j[j - 1] - v_(j+1)[j] and
-    t_(j-1)j = (theta_(j-1) - t_jj) v_j[j - 1] + v_j[j - 2] - v_(j+1)[j - 1];
-    rows below j + 1 vanish on both sides.  Each row r <= j - 2 must then
-    satisfy (theta_r - t_jj) v_j[r] + v_j[r - 1] - v_(j+1)[r] =
-    t_(j-1)j v_(j-1)[r], two products per entry.  Those rows together are
-    A V = V T, so with V invertible they certify V^-1 A V = T.
+    M has the diagonal diag and the subdiagonal sub, sub[r] = M[r][r - 1];
+    sub None stands for a unit subdiagonal, whose products are skipped.
+    Column j of M V = V T reads diag_r v_j[r] + sub_r v_j[r - 1] in row r.
+    Rows j + 1, j and j - 1 fix t_(j+1)j = sub_(j+1) v_j[j] = sub_(j+1),
+    t_jj = diag_j + sub_j v_j[j - 1] - t_(j+1)j v_(j+1)[j] and
+    t_(j-1)j = (diag_(j-1) - t_jj) v_j[j - 1] + sub_(j-1) v_j[j - 2]
+    - t_(j+1)j v_(j+1)[j - 1]; rows below j + 1 vanish on both sides.  Each
+    row r <= j - 2 must then satisfy (diag_r - t_jj) v_j[r] + sub_r v_j[r - 1]
+    - t_(j+1)j v_(j+1)[r] = t_(j-1)j v_(j-1)[r], two products per entry
+    with a unit subdiagonal and four otherwise.  Those rows together are
+    M V = V T, so with V invertible they certify V^-1 M V = T.
     """
-    n = len(a)
+    def times_sub(r, x):
+        return x if sub is None else sub[r] * x
+
+    n = len(vs)
     band = {}
     for j, v in enumerate(vs):
         nxt = vs[j + 1] if j + 1 < n else None
-        t = a[j][j] + v[j - 1] if j else a[j][j]
+        t = diag[j] + times_sub(j, v[j - 1]) if j else diag[j]
         if nxt is not None:
-            t = t - nxt[j]
-            band[j + 1, j] = v[j]
+            t = t - times_sub(j + 1, nxt[j])
+            band[j + 1, j] = times_sub(j + 1, v[j])
         band[j, j] = t
         for r in range(j - 1, -1, -1):
-            x = (a[r][r] - t) * v[r]
+            x = (diag[r] - t) * v[r]
             if r:
-                x = x + v[r - 1]
+                x = x + times_sub(r, v[r - 1])
             if nxt is not None:
-                x = x - nxt[r]
+                x = x - times_sub(j + 1, nxt[r])
             if r == j - 1:
                 up = band[j - 1, j] = x
             elif x != up * vs[j - 1][r]:
@@ -309,7 +356,7 @@ def _tridiagonal_band(mtx, factors):
     V must be unit upper triangular, as bidiagonal_idempotents gives it for
     an upper bidiagonal matrix; otherwise SingularBasis is raised before
     any band is read.  For M of the split shape, the band and the
-    certificate M V = V T come from V alone (_split_band), in O(n^2): no
+    certificate M V = V T come from V alone (_bidiagonal_band), in O(n^2): no
     W is read, and W V = I is not assumed.  Any other M, and a split M
     whose certificate fails, go through the full S = W M V, which names its
     first off-band entry in row-major order.  A split M whose S is
@@ -321,7 +368,7 @@ def _tridiagonal_band(mtx, factors):
         if v[j] != 1 or any(v[j + 1:]):
             raise SingularBasis(f"v*_{j} is not unit upper triangular")
     split = _is_split(mtx)
-    band = _split_band(mtx, factors.v) if split else None
+    band = _bidiagonal_band([mtx[r][r] for r in range(n)], None, factors.v) if split else None
     if band is not None:
         return band
     full = factors.sandwich(mtx)
@@ -365,21 +412,55 @@ def standard_basis_rep(real, u, estar):
     return Realization(arr, a_std, a_star_std, Basis.STANDARD), IntersectionNumbers(a, b, c)
 
 
+def _reversed_band(mtx, vs):
+    """The band of V^-1 M V for an upper bidiagonal M and a unit lower
+    triangular V, keyed by (i, j), or None when M or V has another shape or
+    V^-1 M V is not tridiagonal.
+
+    With P the reversal of rows and columns, P M P is lower bidiagonal,
+    P V P unit upper triangular and (P V P)^-1 (P M P) (P V P) is
+    P (V^-1 M V) P, so _bidiagonal_band certifies the band of that image.
+    """
+    n = len(mtx)
+    if any(x and not r <= c <= r + 1 for r, row in enumerate(mtx) for c, x in enumerate(row)):
+        return None
+    if any(v[j] != 1 or any(v[:j]) for j, v in enumerate(vs)):
+        return None
+    d = n - 1
+    band = _bidiagonal_band([mtx[d - r][d - r] for r in range(n)],
+                            [None] + [mtx[d - r][d - r + 1] for r in range(1, n)],
+                            [v[::-1] for v in reversed(vs)])
+    if band is None:
+        return None
+    return {(d - i, d - j): x for (i, j), x in band.items()}
+
+
 def verify_axioms(real, e):
     """Check the tridiagonal-vanishing pattern of E A* E.
 
     E_i A* E_j must vanish exactly when |i-j| > 1 and be nonzero when
-    |i-j| = 1.  With the projections as rank-one factors, E_i A* E_j is
-    (w_i A* v_j) v_i w_j^T, so each test reads one scalar of W A* V.  The
-    dual pattern E*_i A E*_j is the band of W* A V*, which
-    standard_basis_rep certifies on every path: zero off the band by
-    A V* = V* T (SingularBasis names the entry), b and c nonzero, and its
-    diagonal is the a that the analysis compares with the closed form.
+    |i-j| = 1.  With the projections as rank-one factors whose W inverts V,
+    as SpectralFactors.certify proves, E_i A* E_j is (w_i A* v_j) v_i w_j^T
+    and W A* V = V^-1 A* V.  For the upper bidiagonal A* and the unit lower
+    triangular V of the split realization, _reversed_band certifies that
+    matrix tridiagonal from V alone, in O(n^2), and only its band is
+    tested.  When A* or V has another shape, or the certificate fails, the
+    full W A* V is formed instead.  Either way the entries are tested in
+    row-major order, so the first offending one is named.  The dual
+    pattern E*_i A E*_j is the band of W* A V*, which standard_basis_rep
+    certifies on every path: zero off the band by A V* = V* T
+    (SingularBasis names the entry), b and c nonzero, and its diagonal is
+    the a that the analysis compares with the closed form.
     """
-    for i, row in enumerate(e.sandwich(real.A_star)):
-        for j, x in enumerate(row):
-            if abs(i - j) > 1 and x:
-                raise AxiomViolation("E A* E", i, j, "expected zero")
-            if abs(i - j) == 1 and not x:
-                raise AxiomViolation("E A* E", i, j, "expected nonzero")
+    band = _reversed_band(real.A_star, e.v)
+    if band is None:
+        entries = [((i, j), x) for i, row in enumerate(e.sandwich(real.A_star))
+                   for j, x in enumerate(row)]
+    else:
+        entries = sorted(band.items())
+    for (i, j), x in entries:
+        if abs(i - j) > 1 and x:
+            raise AxiomViolation("E A* E", i, j, "expected zero")
+        if abs(i - j) == 1 and not x:
+            raise AxiomViolation("E A* E", i, j, "expected nonzero")
     return True

@@ -21,7 +21,7 @@ Modes:
 from __future__ import annotations
 
 from .errors import InvalidMode, SamplingExhausted
-from .exactfield import sample_element
+from .exactfield import ExtensionField, sample_element
 from .families import FAMILIES
 from .parray import TypeSpec, validate_spec
 
@@ -34,14 +34,25 @@ MODE_SELF_DUAL = "self-dual"
 MODE_SELF_DUAL_SPIN = "self-dual-spin"
 
 
+def _holds_eigenvalues(field, d):
+    """Whether the field has the d + 1 elements that d + 1 distinct
+    eigenvalues need; every field of characteristic 0 has."""
+    if not field.characteristic:
+        return True
+    k = field.k if isinstance(field, ExtensionField) else 1
+    return field.p ** k > d
+
+
 def _forced_rows(name, d, field=None):
     """Each sampling mode of a (type, d) cell, with the table rows it forces.
 
-    A family with a fixed diameter other than d has no modes at all.  With
-    a field, a mode whose rows the sampler cannot meet over it is left out.
+    A family with a fixed diameter other than d has no modes at all, and
+    neither has a finite field of fewer than d + 1 elements, which cannot
+    hold d + 1 distinct eigenvalues.  With a field, a mode whose rows the
+    sampler cannot meet over it is left out.
     """
     fam = FAMILIES[name]
-    if fam.diameter not in (None, d):
+    if fam.diameter not in (None, d) or (field is not None and not _holds_eigenvalues(field, d)):
         return {}
     modes = {MODE_GENERIC: ()}
     for row in fam.z_rows:

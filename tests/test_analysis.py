@@ -1,10 +1,9 @@
 import random
-import re
 
 import pytest
 
 from conftest import QQ, campaign_cell_samples, make_krawtchouk
-from leonardz import analysis, linalg, zerodiag
+from leonardz import analysis, linalg, realization, zerodiag
 from leonardz.analysis import (
     analyze_instance,
     dim2_predicate,
@@ -360,37 +359,55 @@ def test_analyze_instance_exemplars_deep(exemplar_specs):
         assert chk.ok, (spec.name, chk.failures)
 
 
-@pytest.mark.parametrize("deep, calls", [(False, 0), (True, 2)])
-def test_product_formula_only_in_deep_mode(monkeypatch, kraw_dim1, deep, calls):
-    seen = []
+@pytest.mark.parametrize("deep", [False, True])
+def test_split_analysis_call_counts(monkeypatch, exemplar_specs, deep):
+    """Either mode calls no product formula, forms no full W M V and makes
+    one dense product per verdict, the T M of L_equals_TM.
 
-    def counted(mtx, eigs, ctx):
-        seen.append(len(eigs))
-        return original(mtx, eigs, ctx)
+    The product formula is counted under both names it has: analysis keeps
+    primitive_idempotents bound although it does not call it.
+    """
+    counts = {"primitive_idempotents": 0, "sandwich": 0, "mat_mul": 0}
 
-    original = analysis.primitive_idempotents
-    monkeypatch.setattr(analysis, "primitive_idempotents", counted)
-    chk = analyze_instance(kraw_dim1, deep=deep)
-    assert chk.ok, chk.failures
-    assert len(seen) == calls
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    product_formula = counted("primitive_idempotents", realization.primitive_idempotents)
+    monkeypatch.setattr(analysis, "primitive_idempotents", product_formula)
+    monkeypatch.setattr(realization, "primitive_idempotents", product_formula)
+    monkeypatch.setattr(realization.SpectralFactors, "sandwich",
+                        counted("sandwich", realization.SpectralFactors.sandwich))
+    monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
+    for spec in exemplar_specs.values():
+        chk = analyze_instance(spec, deep=deep)
+        assert chk.ok, (spec.name, chk.failures)
+    assert counts == {"primitive_idempotents": 0, "sandwich": 0,
+                      "mat_mul": len(exemplar_specs)}
 
 
 @pytest.mark.parametrize("family", ["E*", "E"])
 def test_deep_mode_rejects_diverging_projections(monkeypatch, kraw_dim1, family):
-    # Deep mode compares E* first, then E (through the transpose of A).
+    # Deep mode certifies E* (of A*) first, then E (through the transpose of
+    # A).  Adding 1 to v_3[0] breaks row 0 of M v_3 = theta_3 v_3 by
+    # theta_0 - theta_3 and no earlier residual.
     calls = []
 
-    def shifted(mtx, eigs, ctx):
+    def perturbed(mtx, eigs, ctx):
         out = original(mtx, eigs, ctx)
         calls.append(mtx)
         if len(calls) == ["E*", "E"].index(family) + 1:
-            out[-1][0][0] = out[-1][0][0] + ctx.one
+            out.v[3][0] = out.v[3][0] + ctx.one
         return out
 
-    original = analysis.primitive_idempotents
-    monkeypatch.setattr(analysis, "primitive_idempotents", shifted)
-    with pytest.raises(IdempotentCheckFailed, match=f"rank-one {re.escape(family)} differ"):
+    original = analysis.bidiagonal_idempotents
+    monkeypatch.setattr(analysis, "bidiagonal_idempotents", perturbed)
+    with pytest.raises(IdempotentCheckFailed) as info:
         analyze_instance(kraw_dim1, deep=True)
+    label = {"E*": "E* of A*", "E": "E of A^T"}[family]
+    assert str(info.value) == f"rank-one {label}: M v_3 != theta_3 v_3 in row 0"
 
 
 def test_fast_standard_basis_and_trace_form_no_dense_product(monkeypatch, exemplar_specs):

@@ -41,8 +41,7 @@ def test_left_nullspace_matches_hand_solution():
             scale = x / y
             break
     assert scale and all(x == scale * y for x, y in zip(f, target))
-    for row in linalg.mat_vec(linalg.transpose(m), f):
-        assert not row
+    assert linalg.is_zero_matrix(linalg.mat_mul([f], m))
 
 
 def test_det_worked_t_matrix():
@@ -96,7 +95,7 @@ def test_nullspace_dimension_theorem(seed):
     null = linalg.nullspace(a, QQ)
     assert rk + len(null) == m
     for v in null:
-        assert all(not x for x in linalg.mat_vec(a, v))
+        assert linalg.is_zero_matrix(linalg.mat_mul(a, [[x] for x in v]))
 
 
 def test_mat_mul_banded_inputs():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import QQ, campaign_cell_samples, cross_route_samples, families_over
+from conftest import QQ, campaign_cell_samples, cross_route_samples, families_over, make_krawtchouk
 from leonardz import analysis, linalg, realization
 from leonardz.analysis import analyze_instance
 from leonardz.errors import (
@@ -13,6 +13,7 @@ from leonardz.errors import (
     SingularBasis,
 )
 from leonardz.exactfield import parse_field
+from leonardz.families import FAMILIES
 from leonardz.parray import LeonardType, ParameterArray, build_parameter_array
 from leonardz.realization import (
     bidiagonal_idempotents,
@@ -36,6 +37,11 @@ def split_factors(real):
     arr = real.array
     e = bidiagonal_idempotents(linalg.transpose(real.A), arr.theta, arr.field).transpose()
     return e, bidiagonal_idempotents(real.A_star, arr.theta_star, arr.field)
+
+
+def split_band(a, vs):
+    """The V-only band certificate of _tridiagonal_band for a split A."""
+    return realization._bidiagonal_band([a[r][r] for r in range(len(a))], None, vs)
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +121,7 @@ def _assert_routes_agree(spec):
     assert e_fac.projections() == e, spec.name
     std, _ = standard_basis_rep(real, e_fac.v[0], estar_fac)
     u = next(col for col in linalg.transpose(e[0]) if any(col))
-    basis = linalg.transpose([linalg.mat_vec(f, u) for f in estar])
+    basis = linalg.transpose([[linalg.dot(row, u) for row in f] for f in estar])
     assert linalg.rank(basis) == real.dim, spec.name
     for split, standard in ((real.A, std.A), (real.A_star, std.A_star)):
         assert linalg.mat_mul(split, basis) == linalg.mat_mul(basis, standard), spec.name
@@ -269,12 +275,13 @@ def test_product_formula_operation_count(monkeypatch, n):
 
 
 def test_deep_analysis_operation_count(monkeypatch):
+    # The certificates form no matrix product; the one left is T M.
     ctx = parse_field("GF(1000003)")
     spec = sample_spec(LeonardType.Q_RACAH, 12, ctx, random.Random("deep-count"))
     calls = _count_mat_mul(monkeypatch)
     chk = analyze_instance(spec, deep=True)
     assert chk.ok, chk.failures
-    assert len(calls) <= 150
+    assert len(calls) == 1
 
 
 def assert_spectral_decomposition(mats, mtx, eigs, ctx):
@@ -440,34 +447,35 @@ def test_certificate_names_the_off_band_entry(worked, entries, named):
 
 
 def test_fast_analysis_never_forms_the_full_sandwich(monkeypatch):
+    # Deep mode forms none either: its E A* E band comes from V alone.
     def refuse(self, mtx):
         raise AssertionError("the full W M V was formed")
 
     monkeypatch.setattr(realization.SpectralFactors, "sandwich", refuse)
     for name in (LeonardType.Q_RACAH, LeonardType.RACAH):
         spec = sample_spec(name, 16, QQ, random.Random(f"certificate|{name.value}"))
-        chk = analyze_instance(spec)
-        assert chk.ok, chk.failures
-    with pytest.raises(AssertionError, match="full W M V"):
-        analyze_instance(spec, deep=True)
+        for deep in (False, True):
+            chk = analyze_instance(spec, deep=deep)
+            assert chk.ok, (deep, chk.failures)
 
 
-def test_deep_analysis_forms_one_sandwich(monkeypatch, exemplar_specs):
-    """Deep mode forms W A* V for the E A* E pattern and no W* A V*: the
-    E* A E* pattern is the band that standard_basis_rep certifies."""
-    formed = []
-    sandwich = realization.SpectralFactors.sandwich
-
-    def recording(self, mtx):
-        formed.append(mtx)
-        return sandwich(self, mtx)
-
-    monkeypatch.setattr(realization.SpectralFactors, "sandwich", recording)
-    for spec in exemplar_specs.values():
-        chk = analyze_instance(spec, deep=True)
-        assert chk.ok, (spec.name, chk.failures)
-        assert formed == [realize_split(chk.arr).A_star], spec.name
-        formed.clear()
+def test_certify_and_reversed_band_on_cross_route_samples():
+    """certify accepts E* (of A*) and E (of the transpose of A), and the
+    V-only band of verify_axioms is the band of the full W A* V."""
+    checked = 0
+    for spec in cross_route_samples():
+        arr = build_parameter_array(spec)
+        real = realize_split(arr)
+        e, estar = split_factors(real)
+        estar.certify(real.A_star, arr.theta_star)
+        e.transpose().certify(linalg.transpose(real.A), arr.theta)
+        full = e.sandwich(real.A_star)
+        n = real.dim
+        expected = {(i, j): full[i][j] for i in range(n) for j in range(n) if abs(i - j) <= 1}
+        assert realization._reversed_band(real.A_star, e.v) == expected, spec
+        assert not any(full[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1), spec
+        checked += 1
+    assert checked == 130 + 12 + 12 + 7
 
 
 def test_band_and_trace_match_the_full_sandwich():
@@ -510,7 +518,7 @@ def test_certificate_fails_on_a_perturbed_factor(sampled_d6, j, r):
     vs = [v[:] for v in estar.v]
     vs[j][r] = vs[j][r] + QQ(1)
     broken = realization.SpectralFactors(vs, estar.w)
-    assert realization._split_band(real.A, vs) is None
+    assert split_band(real.A, vs) is None
     with pytest.raises(SingularBasis):
         standard_basis_rep(real, e.v[0], broken)
     # With W* = 0 the full W* A V* is tridiagonal, so only the V* side failed.
@@ -525,9 +533,76 @@ def test_certificate_fails_on_a_perturbed_eigenvalue(sampled_d6, r):
     a = [row[:] for row in real.A]
     a[r][r] = a[r][r] + QQ(1)
     broken = realization.Realization(real.array, a, real.A_star, real.basis)
-    assert realization._split_band(a, estar.v) is None
+    assert split_band(a, estar.v) is None
     with pytest.raises(SingularBasis):
         standard_basis_rep(broken, e.v[0], estar)
+
+
+def _family(sampled_d6, family):
+    """(factors, matrix, eigenvalues) that certify takes for E* or for E."""
+    real, e, estar = sampled_d6
+    arr = real.array
+    if family == "E*":
+        return estar, real.A_star, arr.theta_star
+    return e.transpose(), linalg.transpose(real.A), arr.theta
+
+
+@pytest.mark.parametrize("family", ["E*", "E"])
+@pytest.mark.parametrize("side, i, r, residual", [
+    # v_i has support 0..i; v_i[r] enters rows r - 1 and r, row r by theta_r - theta_i
+    ("v", 6, 0, "M v_6 != theta_6 v_6 in row 0"),
+    ("v", 4, 2, "M v_4 != theta_4 v_4 in row 1"),
+    ("v", 3, 3, "M v_3 != theta_3 v_3 in row 2"),
+    ("v", 0, 0, "w_0 . v_0 != 1"),
+    # w_i has support i..d; w_i[c] enters columns c and c + 1
+    ("w", 2, 6, "w_2 M != theta_2 w_2 in column 6"),
+    ("w", 2, 4, "w_2 M != theta_2 w_2 in column 4"),
+    ("w", 3, 3, "w_3 M != theta_3 w_3 in column 4"),
+    ("w", 6, 6, "w_6 . v_6 != 1"),
+], ids=["v-corner", "v-inner", "v-diagonal", "v-alone", "w-last-column", "w-inner",
+        "w-diagonal", "w-alone"])
+def test_certify_names_a_perturbed_factor(sampled_d6, family, side, i, r, residual):
+    factors, mtx, eigs = _family(sampled_d6, family)
+    factors.certify(mtx, eigs)
+    vecs = {"v": [x[:] for x in factors.v], "w": [x[:] for x in factors.w]}
+    vecs[side][i][r] = vecs[side][i][r] + QQ(1)
+    with pytest.raises(IdempotentCheckFailed) as info:
+        realization.SpectralFactors(vecs["v"], vecs["w"]).certify(mtx, eigs)
+    assert str(info.value) == residual
+
+
+@pytest.mark.parametrize("family", ["E*", "E"])
+def test_certify_names_swapped_eigenvalues(sampled_d6, family):
+    factors, mtx, eigs = _family(sampled_d6, family)
+    swapped = list(eigs)
+    swapped[1], swapped[4] = eigs[4], eigs[1]
+    with pytest.raises(IdempotentCheckFailed) as info:
+        factors.certify(mtx, swapped)
+    assert str(info.value) == "M v_1 != theta_1 v_1 in row 0"
+
+
+@pytest.mark.parametrize("family", ["E*", "E"])
+@pytest.mark.parametrize("r, c, residual", [
+    (6, 0, "M v_0 != theta_0 v_0 in row 6"),
+    (0, 6, "w_0 M != theta_0 w_0 in column 6"),
+    (3, 1, "w_0 M != theta_0 w_0 in column 1"),
+], ids=["last-row", "last-column", "below"])
+def test_certify_names_a_matrix_off_the_bidiagonal(sampled_d6, family, r, c, residual):
+    factors, mtx, eigs = _family(sampled_d6, family)
+    broken = [row[:] for row in mtx]
+    broken[r][c] = QQ(1)
+    with pytest.raises(IdempotentCheckFailed) as info:
+        factors.certify(broken, eigs)
+    assert str(info.value) == residual
+
+
+def test_certify_checks_its_input(sampled_d6):
+    factors, mtx, eigs = _family(sampled_d6, "E*")
+    with pytest.raises(RepeatedEigenvalue):
+        factors.certify(mtx, [eigs[0]] + list(eigs[:-1]))
+    short = realization.SpectralFactors(factors.v[:-1], factors.w[:-1])
+    with pytest.raises(IdempotentCheckFailed, match="factors do not fit 7 eigenvalues"):
+        short.certify(mtx, eigs)
 
 
 @pytest.mark.parametrize("j, r, x", [(3, 3, 2), (0, 0, 0), (2, 4, 1), (5, 6, -1)],
@@ -539,7 +614,7 @@ def test_factors_not_unit_upper_triangular_rejected(monkeypatch, sampled_d6, j, 
     real, e, estar = sampled_d6
     vs = [v[:] for v in estar.v]
     vs[j][r] = QQ(x)
-    monkeypatch.setattr(realization, "_split_band", refuse)
+    monkeypatch.setattr(realization, "_bidiagonal_band", refuse)
     monkeypatch.setattr(realization.SpectralFactors, "sandwich", refuse)
     with pytest.raises(SingularBasis, match=f"v\\*_{j} is not unit upper triangular"):
         standard_basis_rep(real, e.v[0], realization.SpectralFactors(vs, estar.w))
@@ -560,7 +635,7 @@ def test_standard_basis_of_a_scaled_and_a_shifted_a(sampled_d6):
     shifted = realization.Realization(
         real.array, [[x + QQ(int(i == j)) for j, x in enumerate(row)]
                      for i, row in enumerate(real.A)], real.A_star, real.basis)
-    assert realization._split_band(shifted.A, estar.v) is not None
+    assert split_band(shifted.A, estar.v) is not None
     _, moved = standard_basis_rep(shifted, e.v[0], estar)
     assert moved.a == [x + QQ(1) for x in nums.a]
     assert (moved.b, moved.c) == (nums.b, nums.c)
@@ -572,13 +647,82 @@ def test_axioms_pass_on_worked(worked):
     assert verify_axioms(real, e)
 
 
+def sandwich_violation(real, e):
+    """The AxiomViolation text of the first E A* E entry of the full W A* V
+    that breaks the pattern, in row-major order, or None."""
+    for i, row in enumerate(e.sandwich(real.A_star)):
+        for j, x in enumerate(row):
+            if abs(i - j) > 1 and x:
+                return str(AxiomViolation("E A* E", i, j, "expected zero"))
+            if abs(i - j) == 1 and not x:
+                return str(AxiomViolation("E A* E", i, j, "expected nonzero"))
+    return None
+
+
 def test_axioms_detect_broken_superdiagonal(kraw_dim1):
+    # phi_1 = 0 breaks the band certificate; the full W A* V names the entry.
     arr = build_parameter_array(kraw_dim1)
     broken = ParameterArray(arr.field, arr.d, arr.theta, arr.theta_star,
                             [QQ(0)] + arr.phi1[1:], arr.phi2)
     real = realize_split(broken)
-    with pytest.raises(AxiomViolation, match="expected nonzero"):
-        verify_axioms(real, split_factors(real)[0])
+    e = split_factors(real)[0]
+    assert realization._reversed_band(real.A_star, e.v) is None
+    with pytest.raises(AxiomViolation) as info:
+        verify_axioms(real, e)
+    assert str(info.value) == sandwich_violation(real, e) == "E A* E at (0,1) expected nonzero"
+
+
+@pytest.mark.parametrize("where, r", [("diagonal", r) for r in range(7)]
+                         + [("superdiagonal", r) for r in range(6)]
+                         + [("zero-superdiagonal", r) for r in range(6)])
+def test_axioms_fallback_names_what_the_full_sandwich_names(sampled_d6, where, r):
+    """A* perturbed on its band fails the V-only certificate, and the full
+    W A* V names the first offending entry, as it did before the band."""
+    real, e, _ = sampled_d6
+    a_star = [row[:] for row in real.A_star]
+    if where == "diagonal":
+        a_star[r][r] = a_star[r][r] + QQ(1)
+    else:
+        a_star[r][r + 1] = QQ(0) if where.startswith("zero") else a_star[r][r + 1] + QQ(1)
+    broken = realization.Realization(real.array, real.A, a_star, real.basis)
+    assert realization._reversed_band(a_star, e.v) is None
+    expected = sandwich_violation(broken, e)
+    assert expected is not None
+    with pytest.raises(AxiomViolation) as info:
+        verify_axioms(broken, e)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("j, r, x", [(3, 0, 1), (2, 2, 2), (6, 5, 1)],
+                         ids=["above-diagonal", "diagonal-two", "last-above-diagonal"])
+def test_axioms_band_needs_unit_lower_triangular_v(sampled_d6, j, r, x):
+    """The V-only band assumes v_j[j] = 1 and v_j zero above j; any other V
+    goes through the full W A* V, which names the first offending entry."""
+    real, e, _ = sampled_d6
+    vs = [v[:] for v in e.v]
+    vs[j][r] = vs[j][r] + QQ(x) if r != j else QQ(x)
+    broken = realization.SpectralFactors(vs, e.w)
+    assert realization._reversed_band(real.A_star, vs) is None
+    expected = sandwich_violation(real, broken)
+    assert expected is not None
+    with pytest.raises(AxiomViolation) as info:
+        verify_axioms(real, broken)
+    assert str(info.value) == expected
+
+
+def test_axioms_band_names_a_zero_band_entry():
+    """Krawtchouk at r = 0 has phi = 0, so A* = diag(theta*).  V^-1 A* V is
+    still tridiagonal, the V-only certificate holds, and the zero entries
+    of the band's superdiagonal fail the pattern."""
+    spec = make_krawtchouk("0", d=4)
+    theta, theta_star, phi1, phi2 = FAMILIES[spec.name].build(spec)
+    real = realize_split(ParameterArray(QQ, 4, theta, theta_star, phi1, phi2))
+    e = split_factors(real)[0]
+    band = realization._reversed_band(real.A_star, e.v)
+    assert band is not None and not band[0, 1]
+    with pytest.raises(AxiomViolation) as info:
+        verify_axioms(real, e)
+    assert str(info.value) == sandwich_violation(real, e) == "E A* E at (0,1) expected nonzero"
 
 
 def test_axioms_detect_perturbed_a(monkeypatch, kraw_dim1):

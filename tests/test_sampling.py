@@ -118,7 +118,8 @@ def test_bannai_ito_dim2_offered_only_where_drawable():
             rng = random.Random(f"bi-dim2|{p}|{d}")
             if (p, d) in BANNAI_ITO_DIM2_UNDRAWABLE:
                 assert MODE_DIM2 not in modes_for_type(bi, d, ctx), (p, d)
-                assert MODE_GENERIC in modes_for_type(bi, d, ctx)
+                # GF(p) with p <= d cannot hold d + 1 distinct eigenvalues
+                assert (MODE_GENERIC in modes_for_type(bi, d, ctx)) is (p > d), (p, d)
                 with pytest.raises(InvalidMode):
                     sample_spec(bi, d, ctx, rng, mode=MODE_DIM2)
             else:
@@ -140,11 +141,32 @@ def test_bannai_ito_dim2_offered_only_where_drawable():
 
 
 def test_sampling_exhausts_on_impossible_cell():
-    # no valid orphan exists over GF(2): s and s_star cannot avoid 1
-    gf2 = PrimeField(2)
-    rng = random.Random(0)
+    # GF(7) holds 4 distinct eigenvalues, yet no valid racah spec exists
+    # there at d = 3: none of the 7^5 draws with theta0 = theta*0 = 0 passes.
+    gf7 = PrimeField(7)
+    assert MODE_GENERIC in modes_for_type(LeonardType.RACAH, 3, gf7)
     with pytest.raises(SamplingExhausted):
-        sample_spec(LeonardType.ORPHAN, 3, gf2, rng, retries=30)
+        sample_spec(LeonardType.RACAH, 3, gf7, random.Random(0), retries=30)
+
+
+@pytest.mark.parametrize("label, size", [("GF(2)", 2), ("GF(2^2)", 4), ("GF(2^3)", 8)])
+def test_field_too_small_for_the_eigenvalues_has_no_modes(label, size):
+    """d + 1 distinct eigenvalues need d + 1 elements: a smaller field lists
+    no mode, and sample_spec refuses it before drawing."""
+    ctx = parse_field(label)
+    for name in ALL_TYPES:
+        for d in range(2, 13):
+            modes = modes_for_type(name, d, ctx)
+            if d >= size:
+                assert modes == [], (name, d)
+                rng = random.Random(0)
+                state = rng.getstate()
+                with pytest.raises(InvalidMode):
+                    sample_spec(name, d, ctx, rng)
+                assert rng.getstate() == state
+    if size > 3:
+        orphan = LeonardType.ORPHAN
+        assert modes_for_type(orphan, 3, ctx) == modes_for_type(orphan, 3)
 
 
 def test_forced_conditions_hold_exactly():
