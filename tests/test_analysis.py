@@ -388,6 +388,26 @@ def test_split_analysis_call_counts(monkeypatch, exemplar_specs, deep):
                       "mat_mul": len(exemplar_specs)}
 
 
+@pytest.mark.parametrize("deep, calls", [(False, 0), (True, 2)])
+def test_product_formula_only_in_deep_mode(monkeypatch, kraw_dim1, deep, calls):
+    """Only deep mode proves the two families that the product formula
+    defines, E* of A* and E of A^T, and what it certifies is exactly what
+    the product formula gives."""
+    seen = []
+
+    def recording(self, mtx, eigs):
+        seen.append((self, mtx, eigs))
+        return certify(self, mtx, eigs)
+
+    certify = realization.SpectralFactors.certify
+    monkeypatch.setattr(realization.SpectralFactors, "certify", recording)
+    chk = analyze_instance(kraw_dim1, deep=deep)
+    assert chk.ok, chk.failures
+    assert len(seen) == calls
+    for factors, mtx, eigs in seen:
+        assert factors.projections() == realization.primitive_idempotents(mtx, eigs, chk.arr.field)
+
+
 @pytest.mark.parametrize("family", ["E*", "E"])
 def test_deep_mode_rejects_diverging_projections(monkeypatch, kraw_dim1, family):
     # Deep mode certifies E* (of A*) first, then E (through the transpose of

@@ -459,6 +459,28 @@ def test_fast_analysis_never_forms_the_full_sandwich(monkeypatch):
             assert chk.ok, (deep, chk.failures)
 
 
+def test_deep_analysis_forms_one_sandwich(monkeypatch, exemplar_specs):
+    """Where the V-only band is refused, deep mode forms W A* V once, for
+    the E A* E pattern, and no W* A V*; the verdict does not change."""
+    formed = []
+    sandwich = realization.SpectralFactors.sandwich
+
+    def recording(self, mtx):
+        formed.append(mtx)
+        return sandwich(self, mtx)
+
+    for spec in exemplar_specs.values():
+        banded = analyze_instance(spec, deep=True)
+        with monkeypatch.context() as m:
+            m.setattr(realization.SpectralFactors, "sandwich", recording)
+            m.setattr(realization, "_reversed_band", lambda mtx, vs: None)
+            chk = analyze_instance(spec, deep=True)
+        assert chk.ok, (spec.name, chk.failures)
+        assert chk.flags == banded.flags, spec.name
+        assert formed == [realize_split(chk.arr).A_star], spec.name
+        formed.clear()
+
+
 def test_certify_and_reversed_band_on_cross_route_samples():
     """certify accepts E* (of A*) and E (of the transpose of A), and the
     V-only band of verify_axioms is the band of the full W A* V."""
