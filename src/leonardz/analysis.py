@@ -263,7 +263,9 @@ def analyze_instance(spec, arr=None, deep=False):
     w_i M = theta_i w_i and w_i . v_i = 1, and verify_axioms reads the
     band of W A* V = V^-1 A* V off V's columns, certified by A* V = V T,
     for the tridiagonal vanishing axioms of E A* E; those of E* A E* are
-    the band of W* A V* that standard_basis_rep certifies on every path.
+    the band of W* A V* that standard_basis_rep certifies, in both modes,
+    from V* alone.  Neither forms an n x n product of the factors, and a
+    failed certificate names an entry off the band and its value.
     The spectral product formula is not called; it stays the reference
     route of the tests and of counterexample.  The analyze command and the
     worked-instance tests use deep mode, the sampling campaign does not.

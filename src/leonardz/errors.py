@@ -73,14 +73,25 @@ class IdempotentCheckFailed(LeonardError):
     """A computed projection fails its check; the input matrix was bad.
 
     Raised when E*E != E, when rank-one factors fail a residual of their
-    certificate (SpectralFactors.certify), and when a matrix given as
+    certificate (SpectralFactors.certify), when a matrix given as upper
     bidiagonal has an entry off the bidiagonal or a diagonal other than
-    its eigenvalues.
+    its eigenvalues, and when the E A* E axiom check (verify_axioms) is
+    given an A* that is not upper bidiagonal or right factors v_j that are
+    not unit lower triangular.  A shape error names the first entry off
+    the shape.
     """
 
 
 class SingularBasis(LeonardError):
-    """The candidate standard-basis vectors are linearly dependent."""
+    """The candidate standard-basis vectors are linearly dependent.
+
+    Raised by the change to the standard basis when some E*_i u vanishes,
+    when an intersection number b_i or c_i is zero, when A is not lower
+    bidiagonal or the factors v*_j are not unit upper triangular (naming
+    the first entry off the shape), and when the certificate A V* = V* T
+    finds W* A V* not tridiagonal: "A not tridiagonal at (i,j): S_ij"
+    names an entry off the band and its value.
+    """
 
 
 class SingularMatrix(LeonardError):

@@ -10,28 +10,32 @@ matrix such as A* directly, and A through its transpose.  Of E the change
 of basis reads only u, the right factor of E_0, and first_left_eigenvector
 forms it alone, by the same checks and substitution.  As
 w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T, so the a-trace, the
-change to the standard basis {E*_i u} and the E A* E axioms read scalars
-of W M V.  Those scalars are sums over the supports of the rows of M and
-of the factors only (see linalg), since M is bidiagonal or tridiagonal
-and v_i, w_i are triangular; the skipped terms are exact zeros.
+change to the standard basis {E*_i u} and both tridiagonal axioms read
+scalars of W M V.  The a-trace sums over the supports of the rows of M
+and of the factors only (see linalg), since M is bidiagonal and v_i, w_i
+are triangular; the skipped terms are exact zeros.  The rest reads bands
+of W M V = V^-1 M V, as follows.
 
 Two O(n^2) certificates stand in for dense products.
 SpectralFactors.certify proves that a family of factors is the spectral
 decomposition of its matrix by the defining identities M v_i = theta_i v_i,
 w_i M = theta_i w_i and w_i v_i = 1.  _bidiagonal_band reads the band T of
-V^-1 M V off V's columns for a lower bidiagonal M and a unit upper
-triangular V, certified by M V = V T.  The standard basis needs only the
-band of W* A V* = V*^-1 A V*, which for the split A comes from V* alone
-(_tridiagonal_band); any other A goes through the full W* A V*.  That
-band is also the E* A E* pattern.  verify_axioms reads the band of
-V^-1 A* V from V alone in the same way, on the image of A* and V with rows
-and columns in reverse order, where A* is lower bidiagonal and V unit
-upper triangular; it forms the full W A* V only when A* or V has another
-shape or the certificate fails.  The a-trace reads (i, i), (i, i - 1) and
-(i + 1, i) of the split A, a_i = theta_i + v*_i[i - 1] + w*_i[i + 1], and
-the band t_ii = theta_i + v*_i[i - 1] - v*_(i+1)[i]: the two a-routes
-share theta_i + v*_i[i - 1] and differ in w*_i[i + 1] against
--v*_(i+1)[i], equal only because W* V* = I.  The spectral product
+S = V^-1 M V off V's columns for a lower bidiagonal M and a unit upper
+triangular V, certified by M V = V T; where the certificate fails, it
+names an entry of S off the band and its value.  Both tridiagonal axioms
+are read this way, from V alone, and no n x n product of factors is
+formed.  The E* A E* pattern is the band of W* A V* = V*^-1 A V* for the
+lower bidiagonal A (_tridiagonal_band); it also gives the standard basis.
+The E A* E pattern is the band of W A* V = V^-1 A* V (verify_axioms), on
+the image of A* and V with rows and columns in reverse order, where A* is
+lower bidiagonal and V unit upper triangular.  Other shapes are refused:
+_check_shape names the first entry of a matrix or factor family that is
+off its bidiagonal or unit triangular shape.  The a-trace reads (i, i),
+(i, i - 1) and (i + 1, i) of the split A,
+a_i = theta_i + v*_i[i - 1] + w*_i[i + 1], and the band
+t_ii = theta_i + v*_i[i - 1] - v*_(i+1)[i]: the two a-routes share
+theta_i + v*_i[i - 1] and differ in w*_i[i + 1] against -v*_(i+1)[i],
+equal only because W* V* = I.  The spectral product
 formula, post-verified, works for any multiplicity-free matrix and is the
 reference route of the tests and of the boundary example
 (counterexample); the analysis does not call it.  As the shifts
@@ -103,8 +107,8 @@ class SpectralFactors:
         for each i in turn, M v_i = theta_i v_i row by row,
         w_i M = theta_i w_i column by column, and w_i . v_i = 1; the first
         residual that fails raises IdempotentCheckFailed, which names it.
-        Each residual runs over the supports of M's rows or columns, O(n)
-        per vector on a bidiagonal M.  No w_i . v_j with i != j is needed:
+        Each residual runs over the vector's support only, O(n) per vector
+        on a bidiagonal M.  No w_i . v_j with i != j is needed:
         (theta_i - theta_j) w_i . v_j = w_i M v_j - w_i M v_j = 0.  So
         W V = I, hence V W = I = sum E_i, E_i E_j = [i = j] E_i and
         M E_i = theta_i E_i, which fix the primitive idempotents.
@@ -117,26 +121,30 @@ class SpectralFactors:
         rows = [linalg.support(row) for row in mtx]
         cols = [linalg.support(col) for col in zip(*mtx)]
         for i, (v, w, eig) in enumerate(zip(self.v, self.w, eigs)):
-            for r, row in enumerate(rows):
-                if linalg.support_dot(row, v) != (eig * v[r] if v[r] else v[r]):
-                    raise IdempotentCheckFailed(f"M v_{i} != theta_{i} v_{i} in row {r}")
-            for c, col in enumerate(cols):
-                if linalg.support_dot(col, w) != (eig * w[c] if w[c] else w[c]):
-                    raise IdempotentCheckFailed(f"w_{i} M != theta_{i} w_{i} in column {c}")
+            r = _first_residual(eig, v, cols)
+            if r is not None:
+                raise IdempotentCheckFailed(f"M v_{i} != theta_{i} v_{i} in row {r}")
+            c = _first_residual(eig, w, rows)
+            if c is not None:
+                raise IdempotentCheckFailed(f"w_{i} M != theta_{i} w_{i} in column {c}")
             if linalg.dot(w, v) != 1:
                 raise IdempotentCheckFailed(f"w_{i} . v_{i} != 1")
 
-    def sandwich(self, mtx):
-        """S[i][j] = w_i . (M v_j), so that E_i M E_j = S[i][j] v_i w_j^T.
 
-        Each row support of M and each support of w_i is taken once, and
-        every product runs over those supports only: M is bidiagonal or
-        tridiagonal and w_i triangular, so most terms are structural zeros.
-        """
-        rows = [linalg.support(row) for row in mtx]
-        mv = [[linalg.support_dot(row, v) for row in rows] for v in self.v]
-        return [[linalg.support_dot(w, x) for x in mv]
-                for w in map(linalg.support, self.w)]
+def _first_residual(eig, vec, lines):
+    """The smallest index r with (M vec)[r] != theta vec[r], or None.
+
+    lines are the supports of M's columns, for M v, or of its rows, for
+    w M.  Each vec[k] != 0 is scattered through line k, so M vec costs one
+    product per nonzero of vec and per entry of its line, and each of its
+    entries is summed before the one comparison with theta vec[r].
+    """
+    mv = [None] * len(vec)  # None: no term, so (M vec)[r] = 0
+    for k, x in linalg.support(vec):
+        for r, m in lines[k]:
+            mv[r] = m * x if mv[r] is None else mv[r] + m * x
+    return next((r for r, (y, x) in enumerate(zip(mv, vec))
+                 if ((x and eig * x) if y is None else y != (eig * x if x else x))), None)
 
 
 @dataclass
@@ -211,6 +219,22 @@ def primitive_idempotents(mtx, eigs, ctx):
     return out
 
 
+def _check_shape(rows, lo, hi, error, what, diag=None):
+    """Check that rows[r][c] vanishes unless lo <= c - r <= hi and, where
+    diag is given, that rows[r][r] is diag[r].
+
+    (lo, hi) = (-1, 0) is a lower and (0, 1) an upper bidiagonal matrix.
+    A factor family v_0..v_d, taken as rows, is unit upper triangular
+    (v_j of support 0..j) for (-n, 0) and unit lower triangular (support
+    j..d) for (0, n), each with diag all ones.  The first entry off the
+    shape in row-major order raises error(what.format(r, c)).
+    """
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if x != diag[r] if c == r and diag is not None else x and not lo <= c - r <= hi:
+                raise error(what.format(r, c))
+
+
 def _superdiagonal(mtx, eigs):
     """The superdiagonal of mtx, after checking that mtx is upper bidiagonal
     with the distinct eigs on its diagonal."""
@@ -218,12 +242,8 @@ def _superdiagonal(mtx, eigs):
     n = len(eigs)
     if len(mtx) != n:
         raise IdempotentCheckFailed(f"{len(mtx)} rows for {n} eigenvalues")
-    for r, row in enumerate(mtx):
-        if row[r] != eigs[r]:
-            raise IdempotentCheckFailed(f"diagonal entry {r} is not eigenvalue {r}")
-        for c, x in enumerate(row):
-            if x and c != r and c != r + 1:
-                raise IdempotentCheckFailed(f"entry ({r},{c}) is off the bidiagonal")
+    _check_shape(mtx, 0, 1, IdempotentCheckFailed,
+                 "M not upper bidiagonal with diagonal theta at ({0},{1})", eigs)
     return [mtx[r][r + 1] for r in range(n - 1)]
 
 
@@ -303,42 +323,40 @@ def intersection_a_closed(arr):
     return out
 
 
-def _is_split(mtx):
-    """Whether mtx is lower bidiagonal with unit subdiagonal, as realize_split's A."""
-    return all((not x or r - 1 <= c <= r) and (c != r - 1 or x == 1)
-               for r, row in enumerate(mtx) for c, x in enumerate(row))
+def _bidiagonal_band(mtx, vs, off_band):
+    """The band of S = V^-1 M V for a lower bidiagonal M and a unit upper
+    triangular V, certified to be all of S; returns t_ij by (i, j).
 
-
-def _bidiagonal_band(diag, sub, vs):
-    """The band of V^-1 M V for a lower bidiagonal M and a unit upper
-    triangular V, or None when V^-1 M V is not tridiagonal.
-
-    M has the diagonal diag and the subdiagonal sub, sub[r] = M[r][r - 1];
-    sub None stands for a unit subdiagonal, whose products are skipped.
-    Column j of M V = V T reads diag_r v_j[r] + sub_r v_j[r - 1] in row r.
-    Rows j + 1, j and j - 1 fix t_(j+1)j = sub_(j+1) v_j[j] = sub_(j+1),
-    t_jj = diag_j + sub_j v_j[j - 1] - t_(j+1)j v_(j+1)[j] and
-    t_(j-1)j = (diag_(j-1) - t_jj) v_j[j - 1] + sub_(j-1) v_j[j - 2]
-    - t_(j+1)j v_(j+1)[j - 1]; rows below j + 1 vanish on both sides.  Each
-    row r <= j - 2 must then satisfy (diag_r - t_jj) v_j[r] + sub_r v_j[r - 1]
-    - t_(j+1)j v_(j+1)[r] = t_(j-1)j v_(j-1)[r], two products per entry
-    with a unit subdiagonal and four otherwise.  Those rows together are
-    M V = V T, so with V invertible they certify V^-1 M V = T.
+    With d_r = M[r][r] and s_r = M[r][r - 1], column j of M V = V T reads
+    d_r v_j[r] + s_r v_j[r - 1] in row r.  Rows j + 1, j and j - 1 fix
+    t_(j+1)j = s_(j+1) v_j[j] = s_(j+1), t_jj = d_j + s_j v_j[j - 1]
+    - t_(j+1)j v_(j+1)[j] and t_(j-1)j = (d_(j-1) - t_jj) v_j[j - 1]
+    + s_(j-1) v_j[j - 2] - t_(j+1)j v_(j+1)[j - 1]; rows below j + 1
+    vanish on both sides.  Each row r <= j - 2 must then satisfy
+    (d_r - t_jj) v_j[r] + s_r v_j[r - 1] - t_(j+1)j v_(j+1)[r]
+    = t_(j-1)j v_(j-1)[r], two products per entry when every s_r is 1,
+    whose products are skipped, and four otherwise.  Those rows together
+    are M V = V T, so with V invertible they certify V^-1 M V = T.  The
+    residual of row r is the sum of S[k][j] v_k[r] over r <= k <= j - 2,
+    so the first nonzero one met from r = j - 2 down is S[r][j] itself:
+    off_band(r, j, S[r][j]) gives the error raised.
     """
-    def times_sub(r, x):
-        return x if sub is None else sub[r] * x
-
     n = len(vs)
+    unit = all(mtx[r][r - 1] == 1 for r in range(1, n))
+
+    def times_sub(r, x):
+        return x if unit else mtx[r][r - 1] * x
+
     band = {}
     for j, v in enumerate(vs):
         nxt = vs[j + 1] if j + 1 < n else None
-        t = diag[j] + times_sub(j, v[j - 1]) if j else diag[j]
+        t = mtx[j][j] + times_sub(j, v[j - 1]) if j else mtx[j][j]
         if nxt is not None:
             t = t - times_sub(j + 1, nxt[j])
             band[j + 1, j] = times_sub(j + 1, v[j])
         band[j, j] = t
         for r in range(j - 1, -1, -1):
-            x = (diag[r] - t) * v[r]
+            x = (mtx[r][r] - t) * v[r]
             if r:
                 x = x + times_sub(r, v[r - 1])
             if nxt is not None:
@@ -346,39 +364,27 @@ def _bidiagonal_band(diag, sub, vs):
             if r == j - 1:
                 up = band[j - 1, j] = x
             elif x != up * vs[j - 1][r]:
-                return None
+                raise off_band(r, j, x - up * vs[j - 1][r])
     return band
 
 
-def _tridiagonal_band(mtx, factors):
-    """The band |i - j| <= 1 of S = W M V, certified to be all of S.
+def _tridiagonal_band(mtx, vs):
+    """The band |i - j| <= 1 of S = W* A V* = V*^-1 A V*, certified to be
+    all of S, from V* alone: no W* is read, and W* V* = I is not assumed.
 
-    V must be unit upper triangular, as bidiagonal_idempotents gives it for
-    an upper bidiagonal matrix; otherwise SingularBasis is raised before
-    any band is read.  For M of the split shape, the band and the
-    certificate M V = V T come from V alone (_bidiagonal_band), in O(n^2): no
-    W is read, and W V = I is not assumed.  Any other M, and a split M
-    whose certificate fails, go through the full S = W M V, which names its
-    first off-band entry in row-major order.  A split M whose S is
-    tridiagonal all the same means W does not invert V.  Returns t_ij by
-    (i, j).
+    A must be lower bidiagonal, as the split A is (any subdiagonal), and
+    V* unit upper triangular, as bidiagonal_idempotents gives it for an
+    upper bidiagonal matrix; SingularBasis names the first entry off
+    either shape before any band is read.  A nonzero S[i][j] off the band
+    raises SingularBasis "A not tridiagonal at (i,j): S_ij".  Returns t_ij
+    by (i, j).
     """
     n = len(mtx)
-    for j, v in enumerate(factors.v):
-        if v[j] != 1 or any(v[j + 1:]):
-            raise SingularBasis(f"v*_{j} is not unit upper triangular")
-    split = _is_split(mtx)
-    band = _bidiagonal_band([mtx[r][r] for r in range(n)], None, factors.v) if split else None
-    if band is not None:
-        return band
-    full = factors.sandwich(mtx)
-    for i, row in enumerate(full):
-        for j, x in enumerate(row):
-            if abs(i - j) >= 2 and x:
-                raise SingularBasis(f"A not tridiagonal at ({i},{j})")
-    if split:
-        raise SingularBasis("W* does not invert V*: A V* is not V* T")
-    return {(i, j): full[i][j] for i in range(n) for j in range(max(i - 1, 0), min(i + 2, n))}
+    _check_shape(vs, -n, 0, SingularBasis,
+                 "v*_{0} is not unit upper triangular at entry {1}", [1] * n)
+    _check_shape(mtx, -1, 0, SingularBasis, "A not lower bidiagonal at ({0},{1})")
+    return _bidiagonal_band(
+        mtx, vs, lambda i, j, x: SingularBasis(f"A not tridiagonal at ({i},{j}): {x}"))
 
 
 def standard_basis_rep(real, u, estar):
@@ -386,11 +392,12 @@ def standard_basis_rep(real, u, estar):
 
     E*_i u is v*_i scaled by D_i = w*_i . u, and W* inverts V*, so
     A_std = D^-1 (W* A V*) D and A*_std = diag(theta*).  The band of
-    W* A V* comes from _tridiagonal_band: for the split A from V* alone,
-    with its O(n^2) certificate A V* = V* T; for any other A from the full
-    W* A V*, which also names the first off-band entry when there is one.
-    Only the scale D reads W*.  Returns the realization together with the
-    intersection numbers read off A.
+    W* A V* comes from _tridiagonal_band, from V* alone, with its O(n^2)
+    certificate A V* = V* T; an A that is not lower bidiagonal, or a V*
+    that is not unit upper triangular, is refused, and an entry of
+    W* A V* off the band is named with its value (SingularBasis either
+    way).  Only the scale D reads W*.  Returns the realization together
+    with the intersection numbers read off A.
     """
     arr = real.array
     n = real.dim
@@ -398,7 +405,7 @@ def standard_basis_rep(real, u, estar):
     scale = [linalg.dot(w, u) for w in estar.w]
     if not all(scale):
         raise SingularBasis("projected vectors E*_i u are linearly dependent")
-    band = _tridiagonal_band(real.A, estar)
+    band = _tridiagonal_band(real.A, estar.v)
     a_std = [[zero] * n for _ in range(n)]
     for (i, j), x in band.items():
         a_std[i][j] = x * scale[j] / scale[i] if x else x
@@ -412,55 +419,34 @@ def standard_basis_rep(real, u, estar):
     return Realization(arr, a_std, a_star_std, Basis.STANDARD), IntersectionNumbers(a, b, c)
 
 
-def _reversed_band(mtx, vs):
-    """The band of V^-1 M V for an upper bidiagonal M and a unit lower
-    triangular V, keyed by (i, j), or None when M or V has another shape or
-    V^-1 M V is not tridiagonal.
-
-    With P the reversal of rows and columns, P M P is lower bidiagonal,
-    P V P unit upper triangular and (P V P)^-1 (P M P) (P V P) is
-    P (V^-1 M V) P, so _bidiagonal_band certifies the band of that image.
-    """
-    n = len(mtx)
-    if any(x and not r <= c <= r + 1 for r, row in enumerate(mtx) for c, x in enumerate(row)):
-        return None
-    if any(v[j] != 1 or any(v[:j]) for j, v in enumerate(vs)):
-        return None
-    d = n - 1
-    band = _bidiagonal_band([mtx[d - r][d - r] for r in range(n)],
-                            [None] + [mtx[d - r][d - r + 1] for r in range(1, n)],
-                            [v[::-1] for v in reversed(vs)])
-    if band is None:
-        return None
-    return {(d - i, d - j): x for (i, j), x in band.items()}
-
-
 def verify_axioms(real, e):
     """Check the tridiagonal-vanishing pattern of E A* E.
 
     E_i A* E_j must vanish exactly when |i-j| > 1 and be nonzero when
     |i-j| = 1.  With the projections as rank-one factors whose W inverts V,
     as SpectralFactors.certify proves, E_i A* E_j is (w_i A* v_j) v_i w_j^T
-    and W A* V = V^-1 A* V.  For the upper bidiagonal A* and the unit lower
-    triangular V of the split realization, _reversed_band certifies that
-    matrix tridiagonal from V alone, in O(n^2), and only its band is
-    tested.  When A* or V has another shape, or the certificate fails, the
-    full W A* V is formed instead.  Either way the entries are tested in
-    row-major order, so the first offending one is named.  The dual
-    pattern E*_i A E*_j is the band of W* A V*, which standard_basis_rep
-    certifies on every path: zero off the band by A V* = V* T
-    (SingularBasis names the entry), b and c nonzero, and its diagonal is
-    the a that the analysis compares with the closed form.
+    and W A* V = V^-1 A* V.  A* must be upper bidiagonal and V unit lower
+    triangular, as in the split realization; IdempotentCheckFailed names
+    the first entry off either shape.  With P the reversal of rows and
+    columns, P A* P is lower bidiagonal, P V P unit upper triangular and
+    their band is P (V^-1 A* V) P, so _bidiagonal_band certifies that
+    matrix tridiagonal from V alone, in O(n^2), or names an entry off the
+    band: AxiomViolation "E A* E at (i,j) expected zero, got S_ij".  Then
+    the first zero entry next to the diagonal, in row-major order, raises
+    "expected nonzero".  The dual pattern E*_i A E*_j is the band of
+    W* A V*, which standard_basis_rep certifies: zero off the band by
+    A V* = V* T (SingularBasis names the entry), b and c nonzero, and its
+    diagonal is the a that the analysis compares with the closed form.
     """
-    band = _reversed_band(real.A_star, e.v)
-    if band is None:
-        entries = [((i, j), x) for i, row in enumerate(e.sandwich(real.A_star))
-                   for j, x in enumerate(row)]
-    else:
-        entries = sorted(band.items())
-    for (i, j), x in entries:
-        if abs(i - j) > 1 and x:
-            raise AxiomViolation("E A* E", i, j, "expected zero")
-        if abs(i - j) == 1 and not x:
-            raise AxiomViolation("E A* E", i, j, "expected nonzero")
+    a_star, n = real.A_star, real.dim
+    d = n - 1
+    _check_shape(a_star, 0, 1, IdempotentCheckFailed, "A* not upper bidiagonal at ({0},{1})")
+    _check_shape(e.v, 0, n, IdempotentCheckFailed,
+                 "v_{0} is not unit lower triangular at entry {1}", [1] * n)
+    band = _bidiagonal_band(
+        [row[::-1] for row in reversed(a_star)], [v[::-1] for v in reversed(e.v)],
+        lambda i, j, x: AxiomViolation("E A* E", d - i, d - j, f"expected zero, got {x}"))
+    zeros = [(d - i, d - j) for (i, j), x in band.items() if i != j and not x]
+    if zeros:
+        raise AxiomViolation("E A* E", *min(zeros), "expected nonzero")
     return True

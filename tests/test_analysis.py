@@ -361,13 +361,14 @@ def test_analyze_instance_exemplars_deep(exemplar_specs):
 
 @pytest.mark.parametrize("deep", [False, True])
 def test_split_analysis_call_counts(monkeypatch, exemplar_specs, deep):
-    """Either mode calls no product formula, forms no full W M V and makes
-    one dense product per verdict, the T M of L_equals_TM.
+    """Either mode calls no product formula, reads each tridiagonal pattern
+    through one band certificate (E* A E* in both modes, E A* E in deep
+    mode) and makes one dense product per verdict, the T M of L_equals_TM.
 
     The product formula is counted under both names it has: analysis keeps
     primitive_idempotents bound although it does not call it.
     """
-    counts = {"primitive_idempotents": 0, "sandwich": 0, "mat_mul": 0}
+    counts = {"primitive_idempotents": 0, "_bidiagonal_band": 0, "mat_mul": 0}
 
     def counted(name, fn):
         def wrapped(*args):
@@ -378,13 +379,14 @@ def test_split_analysis_call_counts(monkeypatch, exemplar_specs, deep):
     product_formula = counted("primitive_idempotents", realization.primitive_idempotents)
     monkeypatch.setattr(analysis, "primitive_idempotents", product_formula)
     monkeypatch.setattr(realization, "primitive_idempotents", product_formula)
-    monkeypatch.setattr(realization.SpectralFactors, "sandwich",
-                        counted("sandwich", realization.SpectralFactors.sandwich))
+    monkeypatch.setattr(realization, "_bidiagonal_band",
+                        counted("_bidiagonal_band", realization._bidiagonal_band))
     monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
     for spec in exemplar_specs.values():
         chk = analyze_instance(spec, deep=deep)
         assert chk.ok, (spec.name, chk.failures)
-    assert counts == {"primitive_idempotents": 0, "sandwich": 0,
+    assert counts == {"primitive_idempotents": 0,
+                      "_bidiagonal_band": (2 if deep else 1) * len(exemplar_specs),
                       "mat_mul": len(exemplar_specs)}
 
 

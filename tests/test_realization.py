@@ -39,9 +39,37 @@ def split_factors(real):
     return e, bidiagonal_idempotents(real.A_star, arr.theta_star, arr.field)
 
 
-def split_band(a, vs):
-    """The V-only band certificate of _tridiagonal_band for a split A."""
-    return realization._bidiagonal_band([a[r][r] for r in range(len(a))], None, vs)
+def dense_sandwich(ws, mtx, vs):
+    """The oracle W M V, formed by linalg.mat_mul, with the w_i as the rows
+    of W and the v_j as the columns of V."""
+    return linalg.mat_mul(linalg.mat_mul(ws, mtx), linalg.transpose(vs))
+
+
+def band_of(full):
+    """The entries (i, j) -> x of full with |i - j| <= 1."""
+    n = len(full)
+    return {(i, j): full[i][j] for i in range(n) for j in range(n) if abs(i - j) <= 1}
+
+
+def off_band(full):
+    """The entries (i, j) -> x of full with |i - j| > 1 and x != 0."""
+    return {(i, j): x for i, row in enumerate(full) for j, x in enumerate(row)
+            if abs(i - j) > 1 and x}
+
+
+def not_tridiagonal(i, j, x):
+    return f"A not tridiagonal at ({i},{j}): {x}"
+
+
+def expected_zero(i, j, x):
+    return str(AxiomViolation("E A* E", i, j, f"expected zero, got {x}"))
+
+
+def assert_names_an_off_band_entry(err, full, text):
+    """err is text(i, j, x) for a nonzero entry x of the oracle full off its
+    band; where full has one such entry, err names exactly that one."""
+    named = {text(i, j, x) for (i, j), x in off_band(full).items()}
+    assert str(err) in named, (str(err), sorted(named))
 
 
 @pytest.fixture(scope="module")
@@ -419,71 +447,108 @@ def test_singular_basis_detected(worked):
         standard_basis_rep(real, estar.v[0], estar)
 
 
-def _with_off_band(real, estar, entries):
-    """real with A + sum of x v*_i w*_j^T, so that W* A V* gains x at each (i, j)."""
+def _with_a(real, entries):
+    """real with x added to A[r][c] for each (r, c) -> x of entries."""
     a = [row[:] for row in real.A]
-    for (i, j), x in entries.items():
-        for r, vr in enumerate(estar.v[i]):
-            for c, wc in enumerate(estar.w[j]):
-                a[r][c] = a[r][c] + QQ(x) * vr * wc
+    for (r, c), x in entries.items():
+        a[r][c] = a[r][c] + QQ(x)
     return realization.Realization(real.array, a, real.A_star, real.basis)
 
 
 @pytest.mark.parametrize("entries, named", [
-    ({(3, 1): 1}, (3, 1)),
-    ({(0, 2): -2}, (0, 2)),
-    # the residual of column 1 fails first, yet the row-major scan names (0, 2)
-    ({(3, 1): 1, (0, 2): 5}, (0, 2)),
+    # A + x e_r e_c^T adds x (W* e_r)(e_c^T V*) to W* A V*: rows i <= r,
+    # columns j >= c.  Column 2 is certified first, from row 0.
+    ({(0, 0): 1}, (0, 2)),
+    # off the band at (0,3) and (1,3): column 3 is read from row 1 up
+    ({(3, 3): -2}, (1, 3)),
+    ({(3, 2): 1, (0, 0): 5}, (0, 2)),
 ])
 def test_certificate_names_the_off_band_entry(worked, entries, named):
     _, real, e, estar = worked
-    broken = _with_off_band(real, estar, entries)
-    sandwich = estar.sandwich(broken.A)
-    assert [(i, j) for i in range(4) for j in range(4)
-            if abs(i - j) >= 2 and sandwich[i][j]] == sorted(entries)
+    broken = _with_a(real, entries)
+    full = dense_sandwich(estar.w, broken.A, estar.v)
     with pytest.raises(SingularBasis) as info:
         standard_basis_rep(broken, e.v[0], estar)
-    assert str(info.value) == "A not tridiagonal at ({},{})".format(*named)
+    assert_names_an_off_band_entry(info.value, full, not_tridiagonal)
+    assert str(info.value) == not_tridiagonal(*named, full[named[0]][named[1]])
+
+
+def test_certificates_name_a_lone_off_band_entry():
+    """On the diameter-2 boundary example, a perturbed corner of A or of A*
+    leaves one entry off the band, and each certificate names that one."""
+    a = qmat([[1, 0, 0], [1, 2, 0], [0, 1, 5]])
+    a_star = qmat([[1, -1, 0], [0, 2, -9], [0, 0, 5]])
+    eigs = [QQ(1), QQ(2), QQ(5)]
+    estar = bidiagonal_idempotents(a_star, eigs, QQ)
+    e = bidiagonal_idempotents(linalg.transpose(a), eigs, QQ).transpose()
+    assert verify_axioms(realization.Realization(None, a, a_star, realization.Basis.SPLIT), e)
+    a[0][0] = QQ(3)  # adds 2 (W* e_0)(e_0^T V*), which lives in row 0
+    full = dense_sandwich(estar.w, a, estar.v)
+    assert list(off_band(full)) == [(0, 2)]
+    with pytest.raises(SingularBasis) as info:
+        realization._tridiagonal_band(a, estar.v)
+    assert str(info.value) == not_tridiagonal(0, 2, full[0][2])
+    a_star[2][2] = QQ(6)  # adds (W e_2)(e_2^T V), which lives in row 2
+    full = dense_sandwich(e.w, a_star, e.v)
+    assert list(off_band(full)) == [(2, 0)]
+    with pytest.raises(AxiomViolation) as info:
+        verify_axioms(realization.Realization(None, a, a_star, realization.Basis.SPLIT), e)
+    assert str(info.value) == expected_zero(2, 0, full[2][0])
 
 
 def test_fast_analysis_never_forms_the_full_sandwich(monkeypatch):
-    # Deep mode forms none either: its E A* E band comes from V alone.
-    def refuse(self, mtx):
-        raise AssertionError("the full W M V was formed")
+    """Neither mode forms an n x n product of the factors: the one matrix
+    product is the T M of L_equals_TM, and the dot products, n^2 for a full
+    W M V, are at most 3n: the scales w*_i . u, and in deep mode w_i . v_i
+    for both certified families."""
+    counts = {"mat_mul": 0, "support_dot": 0}
 
-    monkeypatch.setattr(realization.SpectralFactors, "sandwich", refuse)
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
     for name in (LeonardType.Q_RACAH, LeonardType.RACAH):
         spec = sample_spec(name, 16, QQ, random.Random(f"certificate|{name.value}"))
         for deep in (False, True):
+            counts.update(mat_mul=0, support_dot=0)
             chk = analyze_instance(spec, deep=deep)
             assert chk.ok, (deep, chk.failures)
+            assert counts["mat_mul"] == 1, deep
+            assert counts["support_dot"] <= 3 * (spec.d + 1), (deep, counts)
 
 
-def test_deep_analysis_forms_one_sandwich(monkeypatch, exemplar_specs):
-    """Where the V-only band is refused, deep mode forms W A* V once, for
-    the E A* E pattern, and no W* A V*; the verdict does not change."""
-    formed = []
-    sandwich = realization.SpectralFactors.sandwich
+def test_deep_analysis_forms_no_sandwich(monkeypatch, exemplar_specs):
+    """Deep mode's E A* E check reads V alone: given factors without W, it
+    passes once per verdict and the flags do not change."""
+    calls = []
 
-    def recording(self, mtx):
-        formed.append(mtx)
-        return sandwich(self, mtx)
+    def v_only(real, e):
+        calls.append(real.A_star)
+        return verify(real, realization.SpectralFactors(e.v, None))
 
+    verify = analysis.verify_axioms
     for spec in exemplar_specs.values():
         banded = analyze_instance(spec, deep=True)
         with monkeypatch.context() as m:
-            m.setattr(realization.SpectralFactors, "sandwich", recording)
-            m.setattr(realization, "_reversed_band", lambda mtx, vs: None)
+            m.setattr(analysis, "verify_axioms", v_only)
             chk = analyze_instance(spec, deep=True)
         assert chk.ok, (spec.name, chk.failures)
         assert chk.flags == banded.flags, spec.name
-        assert formed == [realize_split(chk.arr).A_star], spec.name
-        formed.clear()
+        assert calls == [realize_split(chk.arr).A_star], spec.name
+        calls.clear()
 
 
 def test_certify_and_reversed_band_on_cross_route_samples():
     """certify accepts E* (of A*) and E (of the transpose of A), and the
-    V-only band of verify_axioms is the band of the full W A* V."""
+    V-only band that verify_axioms reads on the reversed A* and V is the
+    band of the dense W A* V, which is zero off the band."""
+    def refuse(i, j, x):
+        raise AssertionError(f"off the band at ({i},{j})")
+
     checked = 0
     for spec in cross_route_samples():
         arr = build_parameter_array(spec)
@@ -491,32 +556,29 @@ def test_certify_and_reversed_band_on_cross_route_samples():
         e, estar = split_factors(real)
         estar.certify(real.A_star, arr.theta_star)
         e.transpose().certify(linalg.transpose(real.A), arr.theta)
-        full = e.sandwich(real.A_star)
-        n = real.dim
-        expected = {(i, j): full[i][j] for i in range(n) for j in range(n) if abs(i - j) <= 1}
-        assert realization._reversed_band(real.A_star, e.v) == expected, spec
-        assert not any(full[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1), spec
+        assert verify_axioms(real, e), spec
+        full = dense_sandwich(e.w, real.A_star, e.v)
+        assert not off_band(full), spec
+        d = real.dim - 1
+        reversed_band = realization._bidiagonal_band(
+            [row[::-1] for row in reversed(real.A_star)], [v[::-1] for v in reversed(e.v)],
+            refuse)
+        assert {(d - i, d - j): x for (i, j), x in reversed_band.items()} == band_of(full), spec
         checked += 1
     assert checked == 130 + 12 + 12 + 7
 
 
 def test_band_and_trace_match_the_full_sandwich():
-    """The V*-only band and the W*-side a-trace against the full W* A V*.
-
-    The band is also formed from factors whose w is None, so that any read
-    of W* raises.
-    """
+    """The V*-only band and the W*-side a-trace against the dense W* A V*."""
     checked = 0
     for spec in cross_route_samples():
         arr = build_parameter_array(spec)
         real = realize_split(arr)
         estar = bidiagonal_idempotents(real.A_star, arr.theta_star, arr.field)
-        full = estar.sandwich(real.A)
+        full = dense_sandwich(estar.w, real.A, estar.v)
         n = real.dim
-        expected = {(i, j): full[i][j] for i in range(n) for j in range(n) if abs(i - j) <= 1}
-        assert realization._tridiagonal_band(real.A, estar) == expected, spec
-        v_only = realization.SpectralFactors(estar.v, None)
-        assert realization._tridiagonal_band(real.A, v_only) == expected, spec
+        assert not off_band(full), spec
+        assert realization._tridiagonal_band(real.A, estar.v) == band_of(full), spec
         assert intersection_a_trace(real, estar) == [full[i][i] for i in range(n)], spec
         # Both a-routes read theta_i + v*_i[i-1]; the trace adds w*_i[i+1]
         # where the band subtracts v*_(i+1)[i], equal as W* V* = I.
@@ -536,28 +598,26 @@ def sampled_d6():
 @pytest.mark.parametrize("j, r", [(5, 2), (6, 0), (4, 3), (1, 0)],
                          ids=["below-band", "corner", "next-to-diagonal", "first-column"])
 def test_certificate_fails_on_a_perturbed_factor(sampled_d6, j, r):
+    """A perturbed V* is still unit upper triangular, but V*^-1 A V* is no
+    longer tridiagonal; the certificate names one of its off-band entries."""
     real, e, estar = sampled_d6
     vs = [v[:] for v in estar.v]
     vs[j][r] = vs[j][r] + QQ(1)
-    broken = realization.SpectralFactors(vs, estar.w)
-    assert split_band(real.A, vs) is None
-    with pytest.raises(SingularBasis):
-        standard_basis_rep(real, e.v[0], broken)
-    # With W* = 0 the full W* A V* is tridiagonal, so only the V* side failed.
-    zero_w = realization.SpectralFactors(vs, [[QQ(0)] * len(vs)] * len(vs))
-    with pytest.raises(SingularBasis, match="W\\* does not invert V\\*"):
-        realization._tridiagonal_band(real.A, zero_w)
+    v = linalg.transpose(vs)
+    full = dense_sandwich(linalg.solve_matrix(v, linalg.identity(len(v), QQ)), real.A, vs)
+    with pytest.raises(SingularBasis) as info:
+        standard_basis_rep(real, e.v[0], realization.SpectralFactors(vs, estar.w))
+    assert_names_an_off_band_entry(info.value, full, not_tridiagonal)
 
 
 @pytest.mark.parametrize("r", [0, 3, 6])
 def test_certificate_fails_on_a_perturbed_eigenvalue(sampled_d6, r):
     real, e, estar = sampled_d6
-    a = [row[:] for row in real.A]
-    a[r][r] = a[r][r] + QQ(1)
-    broken = realization.Realization(real.array, a, real.A_star, real.basis)
-    assert split_band(a, estar.v) is None
-    with pytest.raises(SingularBasis):
+    broken = _with_a(real, {(r, r): 1})
+    full = dense_sandwich(estar.w, broken.A, estar.v)
+    with pytest.raises(SingularBasis) as info:
         standard_basis_rep(broken, e.v[0], estar)
+    assert_names_an_off_band_entry(info.value, full, not_tridiagonal)
 
 
 def _family(sampled_d6, family):
@@ -618,6 +678,15 @@ def test_certify_names_a_matrix_off_the_bidiagonal(sampled_d6, family, r, c, res
     assert str(info.value) == residual
 
 
+def test_certify_names_a_residual_that_m_does_not_reach():
+    # Row 0 of M v_0 has no term, as M[0][0] = 0, yet theta_0 v_0[0] = 1.
+    unit = realization.SpectralFactors(qmat([[1, 0], [0, 1]]), qmat([[1, 0], [0, 1]]))
+    with pytest.raises(IdempotentCheckFailed) as info:
+        unit.certify(qmat([[0, 0], [0, 5]]), [QQ(1), QQ(5)])
+    assert str(info.value) == "M v_0 != theta_0 v_0 in row 0"
+    unit.certify(qmat([[1, 0], [0, 5]]), [QQ(1), QQ(5)])
+
+
 def test_certify_checks_its_input(sampled_d6):
     factors, mtx, eigs = _family(sampled_d6, "E*")
     with pytest.raises(RepeatedEigenvalue):
@@ -637,27 +706,41 @@ def test_factors_not_unit_upper_triangular_rejected(monkeypatch, sampled_d6, j, 
     vs = [v[:] for v in estar.v]
     vs[j][r] = QQ(x)
     monkeypatch.setattr(realization, "_bidiagonal_band", refuse)
-    monkeypatch.setattr(realization.SpectralFactors, "sandwich", refuse)
-    with pytest.raises(SingularBasis, match=f"v\\*_{j} is not unit upper triangular"):
+    with pytest.raises(SingularBasis) as info:
         standard_basis_rep(real, e.v[0], realization.SpectralFactors(vs, estar.w))
+    assert str(info.value) == f"v*_{j} is not unit upper triangular at entry {r}"
+
+
+@pytest.mark.parametrize("r, c", [(0, 1), (3, 5), (5, 3), (6, 0)],
+                         ids=["above-diagonal", "above-corner", "below-subdiagonal", "corner"])
+def test_a_not_lower_bidiagonal_rejected(monkeypatch, sampled_d6, r, c):
+    def refuse(*args):
+        raise AssertionError("a band was read")
+
+    real, e, estar = sampled_d6
+    broken = _with_a(real, {(r, c): 1})
+    monkeypatch.setattr(realization, "_bidiagonal_band", refuse)
+    with pytest.raises(SingularBasis) as info:
+        standard_basis_rep(broken, e.v[0], estar)
+    assert str(info.value) == f"A not lower bidiagonal at ({r},{c})"
 
 
 def test_standard_basis_of_a_scaled_and_a_shifted_a(sampled_d6):
-    """2A is not of the split shape and goes through the full W* A V*;
-    A + I keeps it and goes through the V*-only certificate."""
+    """2A has the subdiagonal 2 and A + I the unit one; both are lower
+    bidiagonal, so each band comes from V* alone, and it is the band of the
+    dense W* A V*."""
     real, e, estar = sampled_d6
     _, nums = standard_basis_rep(real, e.v[0], estar)
     two = realization.Realization(real.array, [[QQ(2) * x for x in row] for row in real.A],
                                   real.A_star, real.basis)
+    assert realization._tridiagonal_band(two.A, estar.v) == band_of(
+        dense_sandwich(estar.w, two.A, estar.v))
     _, doubled = standard_basis_rep(two, e.v[0], estar)
     assert doubled.a == [QQ(2) * x for x in nums.a]
     assert doubled.b == [QQ(2) * x for x in nums.b]
     assert doubled.c == [QQ(2) * x for x in nums.c]
     assert intersection_a_trace(two, estar) == doubled.a
-    shifted = realization.Realization(
-        real.array, [[x + QQ(int(i == j)) for j, x in enumerate(row)]
-                     for i, row in enumerate(real.A)], real.A_star, real.basis)
-    assert split_band(shifted.A, estar.v) is not None
+    shifted = _with_a(real, {(i, i): 1 for i in range(real.dim)})
     _, moved = standard_basis_rep(shifted, e.v[0], estar)
     assert moved.a == [x + QQ(1) for x in nums.a]
     assert (moved.b, moved.c) == (nums.b, nums.c)
@@ -669,82 +752,90 @@ def test_axioms_pass_on_worked(worked):
     assert verify_axioms(real, e)
 
 
-def sandwich_violation(real, e):
-    """The AxiomViolation text of the first E A* E entry of the full W A* V
-    that breaks the pattern, in row-major order, or None."""
-    for i, row in enumerate(e.sandwich(real.A_star)):
-        for j, x in enumerate(row):
-            if abs(i - j) > 1 and x:
-                return str(AxiomViolation("E A* E", i, j, "expected zero"))
-            if abs(i - j) == 1 and not x:
-                return str(AxiomViolation("E A* E", i, j, "expected nonzero"))
-    return None
+def _with_a_star(real, a_star):
+    return realization.Realization(real.array, real.A, a_star, real.basis)
 
 
 def test_axioms_detect_broken_superdiagonal(kraw_dim1):
-    # phi_1 = 0 breaks the band certificate; the full W A* V names the entry.
+    """phi_1 = 0 subtracts phi_1 (W e_0)(e_1^T V) from W A* V: its (0,1)
+    entry vanishes, and so do none of (2,0), (3,0), (3,1) off the band.
+    The certificate names (3,1), whose column is the first it reads."""
     arr = build_parameter_array(kraw_dim1)
     broken = ParameterArray(arr.field, arr.d, arr.theta, arr.theta_star,
                             [QQ(0)] + arr.phi1[1:], arr.phi2)
     real = realize_split(broken)
     e = split_factors(real)[0]
-    assert realization._reversed_band(real.A_star, e.v) is None
+    full = dense_sandwich(e.w, real.A_star, e.v)
+    assert not full[0][1] and sorted(off_band(full)) == [(2, 0), (3, 0), (3, 1)]
     with pytest.raises(AxiomViolation) as info:
         verify_axioms(real, e)
-    assert str(info.value) == sandwich_violation(real, e) == "E A* E at (0,1) expected nonzero"
+    assert str(info.value) == expected_zero(3, 1, full[3][1])
 
 
 @pytest.mark.parametrize("where, r", [("diagonal", r) for r in range(7)]
                          + [("superdiagonal", r) for r in range(6)]
                          + [("zero-superdiagonal", r) for r in range(6)])
 def test_axioms_fallback_names_what_the_full_sandwich_names(sampled_d6, where, r):
-    """A* perturbed on its band fails the V-only certificate, and the full
-    W A* V names the first offending entry, as it did before the band."""
+    """A* perturbed on its band: the V-only certificate names an entry off
+    the band of the dense W A* V and its value."""
     real, e, _ = sampled_d6
     a_star = [row[:] for row in real.A_star]
     if where == "diagonal":
         a_star[r][r] = a_star[r][r] + QQ(1)
     else:
         a_star[r][r + 1] = QQ(0) if where.startswith("zero") else a_star[r][r + 1] + QQ(1)
-    broken = realization.Realization(real.array, real.A, a_star, real.basis)
-    assert realization._reversed_band(a_star, e.v) is None
-    expected = sandwich_violation(broken, e)
-    assert expected is not None
+    full = dense_sandwich(e.w, a_star, e.v)
     with pytest.raises(AxiomViolation) as info:
-        verify_axioms(broken, e)
-    assert str(info.value) == expected
+        verify_axioms(_with_a_star(real, a_star), e)
+    assert_names_an_off_band_entry(info.value, full, expected_zero)
 
 
 @pytest.mark.parametrize("j, r, x", [(3, 0, 1), (2, 2, 2), (6, 5, 1)],
                          ids=["above-diagonal", "diagonal-two", "last-above-diagonal"])
-def test_axioms_band_needs_unit_lower_triangular_v(sampled_d6, j, r, x):
+def test_axioms_band_needs_unit_lower_triangular_v(monkeypatch, sampled_d6, j, r, x):
     """The V-only band assumes v_j[j] = 1 and v_j zero above j; any other V
-    goes through the full W A* V, which names the first offending entry."""
+    is refused before a band is read, naming the first entry off the shape."""
+    def refuse(*args):
+        raise AssertionError("a band was read")
+
     real, e, _ = sampled_d6
     vs = [v[:] for v in e.v]
     vs[j][r] = vs[j][r] + QQ(x) if r != j else QQ(x)
-    broken = realization.SpectralFactors(vs, e.w)
-    assert realization._reversed_band(real.A_star, vs) is None
-    expected = sandwich_violation(real, broken)
-    assert expected is not None
-    with pytest.raises(AxiomViolation) as info:
-        verify_axioms(real, broken)
-    assert str(info.value) == expected
+    monkeypatch.setattr(realization, "_bidiagonal_band", refuse)
+    with pytest.raises(IdempotentCheckFailed) as info:
+        verify_axioms(real, realization.SpectralFactors(vs, e.w))
+    assert str(info.value) == f"v_{j} is not unit lower triangular at entry {r}"
+
+
+@pytest.mark.parametrize("r, c", [(1, 0), (0, 2), (6, 4)],
+                         ids=["subdiagonal", "above-superdiagonal", "below"])
+def test_a_star_not_upper_bidiagonal_rejected(monkeypatch, sampled_d6, r, c):
+    def refuse(*args):
+        raise AssertionError("a band was read")
+
+    real, e, _ = sampled_d6
+    a_star = [row[:] for row in real.A_star]
+    a_star[r][c] = QQ(1)
+    monkeypatch.setattr(realization, "_bidiagonal_band", refuse)
+    with pytest.raises(IdempotentCheckFailed) as info:
+        verify_axioms(_with_a_star(real, a_star), e)
+    assert str(info.value) == f"A* not upper bidiagonal at ({r},{c})"
 
 
 def test_axioms_band_names_a_zero_band_entry():
     """Krawtchouk at r = 0 has phi = 0, so A* = diag(theta*).  V^-1 A* V is
     still tridiagonal, the V-only certificate holds, and the zero entries
-    of the band's superdiagonal fail the pattern."""
+    of the band's superdiagonal fail the pattern, the first in row-major
+    order named."""
     spec = make_krawtchouk("0", d=4)
     theta, theta_star, phi1, phi2 = FAMILIES[spec.name].build(spec)
     real = realize_split(ParameterArray(QQ, 4, theta, theta_star, phi1, phi2))
     e = split_factors(real)[0]
-    band = realization._reversed_band(real.A_star, e.v)
-    assert band is not None and not band[0, 1]
+    full = dense_sandwich(e.w, real.A_star, e.v)
+    assert not off_band(full) and not full[0][1]
     with pytest.raises(AxiomViolation) as info:
         verify_axioms(real, e)
-    assert str(info.value) == sandwich_violation(real, e) == "E A* E at (0,1) expected nonzero"
+    assert str(info.value) == "E A* E at (0,1) expected nonzero"
 
 
 def test_axioms_detect_perturbed_a(monkeypatch, kraw_dim1):
