@@ -53,7 +53,7 @@ from .realization import (
     Realization,
     SpectralFactors,
     bidiagonal_idempotents,
-    first_left_eigenvector,
+    bidiagonal_right_factors,
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,

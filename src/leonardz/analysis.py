@@ -23,7 +23,7 @@ from .families import FAMILIES
 from .parray import build_parameter_array
 from .realization import (
     bidiagonal_idempotents,
-    first_left_eigenvector,
+    bidiagonal_right_factors,
     intersection_a_closed,
     intersection_a_trace,
     # Not called here: the benchmark's tracer wraps this name in this module.
@@ -245,22 +245,23 @@ class InstanceChecks:
 def analyze_instance(spec, arr=None, deep=False):
     """Run the full pipeline on one instance and cross-check every route.
 
-    E* comes from bidiagonal_idempotents as rank-one factors
-    E*_i = v*_i w*_i^T of the upper bidiagonal A*.  Of E only u, the right
-    factor of E_0, is read, and the fast path forms only u, by the same
-    substitution on the transpose of the lower bidiagonal A.  The a-trace
-    reads w*_i A v*_i off W*'s rows.  The standard basis {E*_i u} takes the
-    band of W* A V* from V*'s columns alone, certified by A V* = V* T in
-    O(n^2), and reads W* only for the scale w*_i . u; no dense projection
-    or basis matrix is formed.  So the a_trace and a_standard flags compare
-    two different computations with the closed form.  The zero diagonal space is
-    computed in the standard basis, where A* is diagonal and the test
-    E*_i X E*_i = 0 reads X_ii = 0; every matrix of that space is read off
-    the band of A and theta*, with no product.  With deep=True all of E is
-    built too, and two O(n^2) certificates run: SpectralFactors.certify
-    proves that the rank-one factors of E* (of A*) and of E (through the
-    transpose of A) are the primitive idempotents, by M v_i = theta_i v_i,
-    w_i M = theta_i w_i and w_i . v_i = 1, and verify_axioms reads the
+    E* comes from the upper bidiagonal A* as rank-one factors
+    E*_i = v*_i w*_i^T.  The fast path forms V* and, of W*, only the
+    entries w*_i[i + 1] (bidiagonal_right_factors), and nothing of E: the
+    a-trace reads w*_i A v*_i, which meets W* only at w*_i[i] = 1 and
+    w*_i[i + 1].  The standard basis {E*_i u} takes the band T of W* A V*
+    from V*'s columns alone, certified by A V* = V* T in O(n^2), and its
+    scale D_i = w*_i . u from T as its theta_0-eigenvector, in O(n); no
+    dense projection or basis matrix is formed.  So the a_trace and
+    a_standard flags compare two different computations with the closed
+    form.  The zero diagonal space is computed in the standard basis, where
+    A* is diagonal and the test E*_i X E*_i = 0 reads X_ii = 0; every
+    matrix of that space is read off the band of A and theta*, with no
+    product.  With deep=True all of E and E* is built, and two O(n^2)
+    certificates run: SpectralFactors.certify proves that the rank-one
+    factors of E* (of A*) and of E (through the transpose of A) are the
+    primitive idempotents, by M v_i = theta_i v_i, w_i M = theta_i w_i
+    and w_i . v_i = 1, and verify_axioms reads the
     band of W A* V = V^-1 A* V off V's columns, certified by A* V = V T,
     for the tridiagonal vanishing axioms of E A* E; those of E* A E* are
     the band of W* A V* that standard_basis_rep certifies, in both modes,
@@ -277,8 +278,8 @@ def analyze_instance(spec, arr=None, deep=False):
     flags = {}
 
     real = realize_split(arr)
-    estar_split = bidiagonal_idempotents(real.A_star, arr.theta_star, ctx)
     if deep:
+        estar_split = bidiagonal_idempotents(real.A_star, arr.theta_star, ctx)
         a_t = linalg.transpose(real.A)
         e_t = bidiagonal_idempotents(a_t, arr.theta, ctx)
         for name, family, mtx, eigs in (("E* of A*", estar_split, real.A_star, arr.theta_star),
@@ -287,17 +288,17 @@ def analyze_instance(spec, arr=None, deep=False):
                 family.certify(mtx, eigs)
             except IdempotentCheckFailed as err:
                 raise IdempotentCheckFailed(f"rank-one {name}: {err}") from None
-        e_split = e_t.transpose()
-        verify_axioms(real, e_split)
-        u = e_split.v[0]
+        verify_axioms(real, e_t.w)  # the right factors of E = E_t^T
+        v_star = estar_split.v
+        w_next = [w[i + 1] for i, w in enumerate(estar_split.w[:-1])]
     else:
-        u = first_left_eigenvector(linalg.transpose(real.A), arr.theta, ctx)
+        v_star, w_next = bidiagonal_right_factors(real.A_star, arr.theta_star, ctx)
 
     a = intersection_a_closed(arr)
-    a_trace = intersection_a_trace(real, estar_split)
+    a_trace = intersection_a_trace(real, v_star, w_next)
     flags["a_trace_equals_closed"] = a == a_trace
 
-    std, nums = standard_basis_rep(real, u, estar_split)
+    std, nums = standard_basis_rep(real, v_star)
     flags["a_standard_equals_closed"] = nums.a == a
 
     zreport = zerodiag.build_zspace_report(arr, a, std)

@@ -85,12 +85,16 @@ class IdempotentCheckFailed(LeonardError):
 class SingularBasis(LeonardError):
     """The candidate standard-basis vectors are linearly dependent.
 
-    Raised by the change to the standard basis when some E*_i u vanishes,
-    when an intersection number b_i or c_i is zero, when A is not lower
+    Raised by the change to the standard basis when A is not lower
     bidiagonal or the factors v*_j are not unit upper triangular (naming
     the first entry off the shape), and when the certificate A V* = V* T
-    finds W* A V* not tridiagonal: "A not tridiagonal at (i,j): S_ij"
-    names an entry off the band and its value.
+    finds T = W* A V* not tridiagonal: "A not tridiagonal at (i,j): S_ij"
+    names an entry off the band and its value.  Then the scale D of
+    E*_i u = D_i v*_i, the theta_0-eigenvector of T, must exist and be
+    nonzero: "off-diagonal intersection numbers must be nonzero: T at
+    (i,j) is 0" names a zero next to the diagonal, "(T - theta_0 I) D != 0
+    in row d: r" the residual of the last row of its recurrence, and
+    "E*_i u vanishes: D_i = 0" a zero entry of D.
     """
 
 

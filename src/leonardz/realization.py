@@ -6,14 +6,12 @@ dual eigenvalue diagonal and the first split sequence on the
 superdiagonal.  The analysis keeps the primitive idempotents as rank-one
 factors E_i = v_i w_i^T (SpectralFactors), found by substitution in
 O(n^2) each: bidiagonal_idempotents takes an upper bidiagonal or diagonal
-matrix such as A* directly, and A through its transpose.  Of E the change
-of basis reads only u, the right factor of E_0, and first_left_eigenvector
-forms it alone, by the same checks and substitution.  As
+matrix such as A* directly, and A through its transpose.  As
 w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T, so the a-trace, the
 change to the standard basis {E*_i u} and both tridiagonal axioms read
-scalars of W M V.  The a-trace sums over the supports of the rows of M
-and of the factors only (see linalg), since M is bidiagonal and v_i, w_i
-are triangular; the skipped terms are exact zeros.  The rest reads bands
+scalars of W M V.  The fast analysis forms no factor of E and of W* only
+the entries w*_i[i + 1] that the a-trace meets (bidiagonal_right_factors);
+deep mode builds and certifies both families whole.  The rest reads bands
 of W M V = V^-1 M V, as follows.
 
 Two O(n^2) certificates stand in for dense products.
@@ -24,8 +22,12 @@ S = V^-1 M V off V's columns for a lower bidiagonal M and a unit upper
 triangular V, certified by M V = V T; where the certificate fails, it
 names an entry of S off the band and its value.  Both tridiagonal axioms
 are read this way, from V alone, and no n x n product of factors is
-formed.  The E* A E* pattern is the band of W* A V* = V*^-1 A V* for the
-lower bidiagonal A (_tridiagonal_band); it also gives the standard basis.
+formed.  The E* A E* pattern is the band T of W* A V* = V*^-1 A V* for
+the lower bidiagonal A (_tridiagonal_band); it also gives the standard
+basis.  The scale D_i = w*_i . u of E*_i u = D_i v*_i comes from T too:
+as A u = theta_0 u, D = W* u is the theta_0-eigenvector of T, the row-sum
+identity c_i + a_i + b_i = theta_0 of the standard basis, and a
+three-term recurrence gives it in O(n) (_standard_scale).
 The E A* E pattern is the band of W A* V = V^-1 A* V (verify_axioms), on
 the image of A* and V with rows and columns in reverse order, where A* is
 lower bidiagonal and V unit upper triangular.  Other shapes are refused:
@@ -256,6 +258,26 @@ def _left_eigenvector(sup, eigs, i, ctx):
     return w
 
 
+def bidiagonal_right_factors(mtx, eigs, ctx):
+    """(V, w_next) for the upper bidiagonal mtx: the right factors v_i of
+    bidiagonal_idempotents(mtx, eigs, ctx), with the same checks, and of
+    the left factors only w_next[i] = w_i[i + 1], i < d.
+
+    That is all the fast analysis reads of E*: the standard basis reads V*
+    and the a-trace w*_i[i + 1] next to w*_i[i] = 1.  The first forward
+    substitution step gives w_i[i + 1] = sup[i] / (theta_i - theta_(i+1)).
+    """
+    sup = _superdiagonal(mtx, eigs)
+    vs = []
+    for i, eig in enumerate(eigs):
+        v = [ctx.zero] * len(eigs)
+        v[i] = ctx.one
+        for r in range(i - 1, -1, -1):
+            v[r] = v[r + 1] * (sup[r] / (eig - eigs[r]))
+        vs.append(v)
+    return vs, [x / (eigs[i] - eigs[i + 1]) for i, x in enumerate(sup)]
+
+
 def bidiagonal_idempotents(mtx, eigs, ctx):
     """Spectral projections of an upper bidiagonal matrix whose diagonal is eigs.
 
@@ -270,45 +292,25 @@ def bidiagonal_idempotents(mtx, eigs, ctx):
     Each substitution step forms the ratio of small height first, so an
     entry costs one product with the full-height entry before it.
     """
-    sup = _superdiagonal(mtx, eigs)
-    n = len(eigs)
-    zero, one = ctx.zero, ctx.one
-    vs = []
-    for i, eig in enumerate(eigs):
-        v = [zero] * n
-        v[i] = one
-        for r in range(i - 1, -1, -1):
-            v[r] = v[r + 1] * (sup[r] / (eig - eigs[r]))
-        vs.append(v)
-    return SpectralFactors(vs, [_left_eigenvector(sup, eigs, i, ctx) for i in range(n)])
+    vs, _ = bidiagonal_right_factors(mtx, eigs, ctx)
+    sup = [mtx[r][r + 1] for r in range(len(vs) - 1)]
+    return SpectralFactors(vs, [_left_eigenvector(sup, eigs, i, ctx) for i in range(len(vs))])
 
 
-def first_left_eigenvector(mtx, eigs, ctx):
-    """w[0] of bidiagonal_idempotents(mtx, eigs, ctx), with the same checks
-    but without the rest of the family.
-
-    On the transpose of the split A this is u, the right factor of E_0,
-    which is all of E that standard_basis_rep reads.
-    """
-    return _left_eigenvector(_superdiagonal(mtx, eigs), eigs, 0, ctx)
-
-
-def intersection_a_trace(real, estar):
+def intersection_a_trace(real, vs, w_next):
     """a_i as the trace of E*_i A, which is the scalar w*_i . A v*_i.
 
-    The sum runs over the nonzero entries A[r][c] with w*_i[r] and v*_i[c]
-    both nonzero.  For the split A and the triangular factors of A* those
-    are (i, i), (i, i - 1) and (i + 1, i), so
+    vs are the right factors v*_i (support 0..i, v*_i[i] = 1) and w_next[i]
+    is w*_i[i + 1] of the left factors (support i..d, w*_i[i] = 1).  The
+    split A is lower bidiagonal, so A[r][c] meets w*_i[r] and v*_i[c] only
+    at (i, i), (i, i - 1) and (i + 1, i), and no other entry of W* is read:
     a_i = theta_i + v*_i[i - 1] + w*_i[i + 1].  standard_basis_rep reads
     theta_i + v*_i[i - 1] - v*_(i+1)[i]: the routes differ only in
     w*_i[i + 1] against -v*_(i+1)[i], which agree because W* V* = I.
     """
-    entries = [(r, c, x) for r, row in enumerate(real.A) for c, x in linalg.support(row)]
-    out = []
-    for v, w in zip(estar.v, estar.w):
-        terms = [w[r] * x * v[c] for r, c, x in entries if w[r] and v[c]]
-        out.append(sum(terms[1:], terms[0]) if terms else real.array.field.zero)
-    return out
+    a = real.A
+    out = [a[i][i] + w * a[i + 1][i] for i, w in enumerate(w_next)] + [a[-1][-1]]
+    return [x + a[i][i - 1] * vs[i][i - 1] if i else x for i, x in enumerate(out)]
 
 
 def intersection_a_closed(arr):
@@ -387,49 +389,83 @@ def _tridiagonal_band(mtx, vs):
         mtx, vs, lambda i, j, x: SingularBasis(f"A not tridiagonal at ({i},{j}): {x}"))
 
 
-def standard_basis_rep(real, u, estar):
-    """Change basis to {E*_i u} with u the right factor of E_0.
+def _standard_scale(band, d, theta0, one):
+    """D with (T - theta_0 I) D = 0 and D_0 = 1, for the band T of W* A V*.
 
-    E*_i u is v*_i scaled by D_i = w*_i . u, and W* inverts V*, so
-    A_std = D^-1 (W* A V*) D and A*_std = diag(theta*).  The band of
-    W* A V* comes from _tridiagonal_band, from V* alone, with its O(n^2)
-    certificate A V* = V* T; an A that is not lower bidiagonal, or a V*
-    that is not unit upper triangular, is refused, and an entry of
-    W* A V* off the band is named with its value (SingularBasis either
-    way).  Only the scale D reads W*.  Returns the realization together
-    with the intersection numbers read off A.
+    Rows 0..d - 1 of T give D_1..D_d by the three-term recurrence, one
+    division by t_(i,i+1) each, which must be nonzero.  Each D_i must be
+    nonzero and row d must then vanish; SingularBasis names the first zero
+    "E*_i u vanishes: D_i = 0" or the residual
+    "(T - theta_0 I) D != 0 in row d: r" otherwise.
+    """
+    scale = [one]
+    for i in range(d + 1):
+        x = (band[i, i] - theta0) * scale[i]
+        if i:
+            x = x + band[i, i - 1] * scale[i - 1]
+        if i == d and x:
+            raise SingularBasis(f"(T - theta_0 I) D != 0 in row {d}: {x}")
+        if i < d:
+            scale.append(-x / band[i, i + 1])
+            if not scale[-1]:
+                raise SingularBasis(f"E*_{i + 1} u vanishes: D_{i + 1} = {scale[-1]}")
+    return scale
+
+
+def standard_basis_rep(real, vs):
+    """Change basis to {E*_i u}, with u the theta_0-eigenvector of A.
+
+    vs are the right factors v*_i of E*, of the upper bidiagonal A*.
+    E*_i u is v*_i scaled by D_i = w*_i . u, so A_std = D^-1 T D with
+    T = W* A V*, and A*_std = diag(theta*).  The band of T comes from
+    _tridiagonal_band, from V* alone, with its O(n^2) certificate
+    A V* = V* T; an A that is not lower bidiagonal, or a V* that is not
+    unit upper triangular, is refused, and an entry of T off the band is
+    named with its value (SingularBasis either way).  D needs neither W*
+    nor u: as A u = theta_0 u, D = W* u is the theta_0-eigenvector of T,
+    which is the row-sum identity c_i + a_i + b_i = theta_0 of the
+    standard basis (Terwilliger, LAA 330 (2001)).  _standard_scale solves
+    (T - theta_0 I) D = 0 from D_0 = 1 in O(n), with theta_0 = A[0][0],
+    the eigenvalue of the lower bidiagonal A that u belongs to, and A_std
+    does not change under D -> lambda D.  A zero t_ij next to the diagonal
+    (b_i or c_j would vanish), a residual in row d and a zero D_i
+    (E*_i u = 0) each raise SingularBasis, which names the entry and its
+    value.  Returns the realization together with the intersection numbers
+    read off A_std.
     """
     arr = real.array
     n = real.dim
     zero = arr.field.zero
-    scale = [linalg.dot(w, u) for w in estar.w]
-    if not all(scale):
-        raise SingularBasis("projected vectors E*_i u are linearly dependent")
-    band = _tridiagonal_band(real.A, estar.v)
+    band = _tridiagonal_band(real.A, vs)
+    gap = min(((i, j) for (i, j), x in band.items() if i != j and not x), default=None)
+    if gap:
+        raise SingularBasis(f"off-diagonal intersection numbers must be nonzero: "
+                            f"T at ({gap[0]},{gap[1]}) is {band[gap]}")
+    scale = _standard_scale(band, arr.d, real.A[0][0], arr.field.one)
     a_std = [[zero] * n for _ in range(n)]
     for (i, j), x in band.items():
-        a_std[i][j] = x * scale[j] / scale[i] if x else x
+        a_std[i][j] = x if i == j else x * scale[j] / scale[i]
     a_star_std = [[t if i == j else zero for j in range(n)]
                   for i, t in enumerate(arr.theta_star)]
     a = [a_std[i][i] for i in range(arr.d + 1)]
     b = [a_std[i][i + 1] for i in range(arr.d)]
     c = [a_std[i + 1][i] for i in range(arr.d)]
-    if not all(b) or not all(c):
-        raise SingularBasis("off-diagonal intersection numbers must be nonzero")
     return Realization(arr, a_std, a_star_std, Basis.STANDARD), IntersectionNumbers(a, b, c)
 
 
-def verify_axioms(real, e):
-    """Check the tridiagonal-vanishing pattern of E A* E.
+def verify_axioms(real, vs):
+    """Check the tridiagonal-vanishing pattern of E A* E from V, the right
+    factors vs of E.
 
     E_i A* E_j must vanish exactly when |i-j| > 1 and be nonzero when
     |i-j| = 1.  With the projections as rank-one factors whose W inverts V,
     as SpectralFactors.certify proves, E_i A* E_j is (w_i A* v_j) v_i w_j^T
-    and W A* V = V^-1 A* V.  A* must be upper bidiagonal and V unit lower
-    triangular, as in the split realization; IdempotentCheckFailed names
-    the first entry off either shape.  With P the reversal of rows and
-    columns, P A* P is lower bidiagonal, P V P unit upper triangular and
-    their band is P (V^-1 A* V) P, so _bidiagonal_band certifies that
+    and W A* V = V^-1 A* V, so no W is read.  A* must be upper bidiagonal
+    and V unit lower triangular, as in the split realization;
+    IdempotentCheckFailed names the first entry off either shape.  With P
+    the reversal of rows and columns, P A* P is lower bidiagonal, P V P
+    unit upper triangular and their band is P (V^-1 A* V) P, so
+    _bidiagonal_band certifies that
     matrix tridiagonal from V alone, in O(n^2), or names an entry off the
     band: AxiomViolation "E A* E at (i,j) expected zero, got S_ij".  Then
     the first zero entry next to the diagonal, in row-major order, raises
@@ -441,10 +477,10 @@ def verify_axioms(real, e):
     a_star, n = real.A_star, real.dim
     d = n - 1
     _check_shape(a_star, 0, 1, IdempotentCheckFailed, "A* not upper bidiagonal at ({0},{1})")
-    _check_shape(e.v, 0, n, IdempotentCheckFailed,
+    _check_shape(vs, 0, n, IdempotentCheckFailed,
                  "v_{0} is not unit lower triangular at entry {1}", [1] * n)
     band = _bidiagonal_band(
-        [row[::-1] for row in reversed(a_star)], [v[::-1] for v in reversed(e.v)],
+        [row[::-1] for row in reversed(a_star)], [v[::-1] for v in reversed(vs)],
         lambda i, j, x: AxiomViolation("E A* E", d - i, d - j, f"expected zero, got {x}"))
     zeros = [(d - i, d - j) for (i, j), x in band.items() if i != j and not x]
     if zeros:

@@ -474,13 +474,14 @@ def fast_and_deep_samples():
 
 
 def test_fast_and_deep_analysis_agree(monkeypatch):
-    # Fast mode forms only u; deep mode builds all of E and passes e.v[0].
+    # Fast mode forms V* and the w*_i[i + 1] alone; deep mode builds and
+    # certifies all of E and E*, and passes the V* of the certified family.
     seen = []
     original = analysis.standard_basis_rep
 
-    def recording(real, u, estar):
-        std, nums = original(real, u, estar)
-        seen.append((u, std.A))
+    def recording(real, vs):
+        std, nums = original(real, vs)
+        seen.append((vs, std.A))
         return std, nums
 
     monkeypatch.setattr(analysis, "standard_basis_rep", recording)
@@ -488,8 +489,8 @@ def test_fast_and_deep_analysis_agree(monkeypatch):
     for spec in fast_and_deep_samples():
         fast = analyze_instance(spec)
         deep = analyze_instance(spec, deep=True)
-        (u_fast, a_fast), (u_deep, a_deep) = seen[-2:]
-        assert u_fast == u_deep, spec
+        (v_fast, a_fast), (v_deep, a_deep) = seen[-2:]
+        assert v_fast == v_deep, spec
         assert a_fast == a_deep, spec
         assert fast.nums == deep.nums, spec
         assert fast.flags == deep.flags, spec
@@ -544,10 +545,12 @@ def test_fast_analysis_multiplication_count(monkeypatch):
     the five generators ranks only their first two rows, a 5 x 2n block,
     and the kernels skip structural zeros, so it costs 20 multiplications
     at every n (ranking the 5 x n^2 flattening cost 226 at n = 17, and 2275
-    with dense row updates).  The whole fast analysis makes 1826: the band
+    with dense row updates).  The whole fast analysis makes 1471: the band
     of W* A V* comes from V* alone at two products per certified entry,
-    and the a-trace reads three entries of A per i (2652 with the residual
-    certificate that read W*, 6018 with dense kernels).
+    the scale D from that band by an O(n) recurrence, and the a-trace reads
+    three entries of A per i, with no other entry of W* formed (1826 when
+    D = W* u read all of W*, 2652 with the residual certificate that read
+    W*, 6018 with dense kernels).
     """
     ctx = parse_field("GF(1000003)")
     spec = sample_spec(LeonardType.Q_RACAH, 16, ctx, random.Random("mul-count"))
@@ -573,4 +576,62 @@ def test_fast_analysis_multiplication_count(monkeypatch):
     assert chk.ok, chk.failures
     assert len(certificate_counts) == 1
     assert certificate_counts[0] <= 20
-    assert count[0] <= 1850
+    assert count[0] <= 1471
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
+    """A fast verdict reads of W* only w*_i[i + 1], the first step of the
+    forward substitution, and never transposes A: no full left factor is
+    formed, and the one matrix product is the T M of L_equals_TM.  A deep
+    verdict forms both left families, 2n vectors, and A's transpose once."""
+    counts = {"_left_eigenvector": 0, "mat_mul": 0}
+    transposed = []
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def recording(a):
+        transposed.append(a)
+        return transpose(a)
+
+    transpose = linalg.transpose
+    monkeypatch.setattr(realization, "_left_eigenvector",
+                        counted("_left_eigenvector", realization._left_eigenvector))
+    monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
+    monkeypatch.setattr(linalg, "transpose", recording)
+    for name in (LeonardType.Q_RACAH, LeonardType.KRAWTCHOUK):
+        spec = sample_spec(name, 16, QQ, random.Random(f"no-left|{name.value}"))
+        counts.update(dict.fromkeys(counts, 0))
+        transposed.clear()
+        chk = analyze_instance(spec, deep=deep)
+        assert chk.ok, (name, chk.failures)
+        n = spec.d + 1
+        assert counts == {"_left_eigenvector": 2 * n if deep else 0, "mat_mul": 1}, name
+        a = realization.realize_split(chk.arr).A
+        assert sum(m == a for m in transposed) == (1 if deep else 0), name
+
+
+def test_deep_verdict_certifies_the_full_left_factors(monkeypatch):
+    """Deep mode still certifies all of W*: each w*_i of the E* family has
+    its whole support i..d, and it is the forward substitution's vector."""
+    seen = []
+
+    def recording(self, mtx, eigs):
+        seen.append((self, mtx, eigs))
+        return certify(self, mtx, eigs)
+
+    certify = realization.SpectralFactors.certify
+    monkeypatch.setattr(realization.SpectralFactors, "certify", recording)
+    spec = sample_spec(LeonardType.Q_RACAH, 16, QQ, random.Random("deep-full-w"))
+    chk = analyze_instance(spec, deep=True)
+    assert chk.ok, chk.failures
+    real = realization.realize_split(chk.arr)
+    estar, mtx, eigs = seen[0]
+    assert (mtx, eigs) == (real.A_star, chk.arr.theta_star)
+    assert estar.w == analysis.bidiagonal_idempotents(mtx, eigs, chk.arr.field).w
+    assert all(all(w[c] for c in range(i, len(w))) and not any(w[:i])
+               for i, w in enumerate(estar.w))

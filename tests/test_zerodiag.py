@@ -23,13 +23,11 @@ def ql(values):
 
 
 def standard_rep(spec):
-    """(array, standard-basis realization, a), from the rank-one E and E* factors."""
+    """(array, standard-basis realization, a), from the rank-one E* factors."""
     arr = build_parameter_array(spec)
-    ctx = arr.field
     real = realize_split(arr)
-    e = bidiagonal_idempotents(linalg.transpose(real.A), arr.theta, ctx).transpose()
-    estar = bidiagonal_idempotents(real.A_star, arr.theta_star, ctx)
-    std, nums = standard_basis_rep(real, e.v[0], estar)
+    estar = bidiagonal_idempotents(real.A_star, arr.theta_star, arr.field)
+    std, nums = standard_basis_rep(real, estar.v)
     return arr, std, nums.a
 
 
