@@ -257,8 +257,12 @@ def analyze_instance(spec, arr=None, deep=False):
     form.  The zero diagonal space is computed in the standard basis, where
     A* is diagonal and the test E*_i X E*_i = 0 reads X_ii = 0; every
     matrix of that space is read off the band of A and theta*, with no
-    product.  With deep=True all of E and E* is built, and two O(n^2)
-    certificates run: SpectralFactors.certify proves that the rank-one
+    product.  The span flags compare the kernel's coefficient vectors with
+    those of the closed forms, four entries each: the map from coefficients
+    to matrices is linear, and injective once x_generators_independent
+    holds, so they read as the tests on the n^2-flattened matrices would.
+    With deep=True all of E and E* is built, and two O(n^2) certificates
+    run: SpectralFactors.certify proves that the rank-one
     factors of E* (of A*) and of E (through the transpose of A) are the
     primitive idempotents, by M v_i = theta_i v_i, w_i M = theta_i w_i
     and w_i . v_i = 1, and verify_axioms reads the
@@ -316,8 +320,8 @@ def analyze_instance(spec, arr=None, deep=False):
     except DependenceDetected:
         flags["x_generators_independent"] = False
         a_astar, astar_a = zerodiag._a_star_products(std)
-    flags["commutator_zero_diagonal"] = zerodiag.has_zero_diagonal(
-        linalg.mat_sub(a_astar, astar_a))
+    flags["commutator_zero_diagonal"] = all(
+        not (a_astar[i][i] - astar_a[i][i]) for i in range(std.dim))
 
     dep_rank, dep_full, dep_interior = zerodiag.dependence_equivalences(apm)
     flags["dependence_equivalences"] = (
@@ -328,20 +332,20 @@ def analyze_instance(spec, arr=None, deep=False):
     d2_pred = dim2_predicate(spec)
     flags["dim2_table_matches_rank"] = d2_pred == (dim_z == 2)
 
-    kernel_flat = [linalg.flatten(x) for x in zreport.matrix_basis]
+    kernel_coeffs = [c.as_list() for c in zreport.coeff_basis]
 
     relation_row = None
     if z_pred:
         u, v, relation_row = relation_coefficients(spec)
         flags["relation_holds"] = relation_check(apm, u, v)
         gen = zerodiag.z_basis_closed_dim1(std, a, u, v)
+        gen_coeffs = zerodiag.closed_dim1_coefficients(arr, a, u, v).as_list()
         flags["closed_generator_nonzero"] = not linalg.is_zero_matrix(gen)
         flags["closed_generator_zero_diagonal"] = zerodiag.has_zero_diagonal(gen)
         flags["closed_generator_in_kernel_span"] = linalg.in_row_span(
-            kernel_flat, linalg.flatten(gen))
+            kernel_coeffs, gen_coeffs)
         if dim_z == 1:
-            flags["dim1_spans_match"] = linalg.same_row_span(
-                kernel_flat, [linalg.flatten(gen)])
+            flags["dim1_spans_match"] = linalg.same_row_span(kernel_coeffs, [gen_coeffs])
 
     if dim_z == 2:
         flags["dim2_constant_a"] = all(x == a[0] for x in a)
@@ -352,7 +356,7 @@ def analyze_instance(spec, arr=None, deep=False):
         flags["dim2_pair_zero_diagonal"] = all(
             zerodiag.has_zero_diagonal(x) for x in pair)
         flags["dim2_pair_spans"] = linalg.same_row_span(
-            kernel_flat, [linalg.flatten(x) for x in pair])
+            kernel_coeffs, [c.as_list() for c in zerodiag.closed_dim2_coefficients(a[0], ctx)])
 
     sd_pred = self_dual_predicate(spec)
     spin = spin_predicate(spec)

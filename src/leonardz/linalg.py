@@ -1,24 +1,42 @@
 """Exact linear algebra over a field context.
 
 Matrices are plain lists of row lists whose entries all live in one field
-context.  One pivoting Gaussian elimination with exact division, `_echelon`,
-underlies rank, rref, the null spaces, solve and the determinant.  Sizes
-stay tiny (at most (d+1)x(d+1) with d <= parray.MAX_D = 16), so no
-fraction-free machinery is needed.
+context.  One forward elimination, _eliminate, underlies rank, rref, the
+null spaces, solve and the determinant.  Its pivot is the first nonzero
+entry of the column from the current row down, and it has two exact
+routes.
+
+Over Q (entries exactfield.Rational or Python ints) the rows are scaled
+by the lcm of their denominators (integer_rows) and eliminated
+fraction-free on Python ints (Bareiss, Math. Comp. 22 (1968) 565-578):
+row_i <- (p row_i - row_i[c] row_r) // prev, where p is the pivot and
+prev the pivot before it.  Every entry stays a minor of the scaled input,
+so each division is exact and no gcd is taken.  Each row is a nonzero
+multiple of the one the field route gives, so the pivot columns and the
+swaps are the same; the determinant is the last pivot over the product
+of the row scales, and rref back-substitutes on ints and divides by the
+pivot once per output entry.  The rref is unique, so every value equals
+the field route's.  Over a finite field there is no height growth, and a
+wrapper element would pay two products per entry, so the elimination
+divides in the field.
 
 The matrices are mostly zeros (bidiagonal, tridiagonal, diagonal, or
-triangular eigenvector factors), so the kernels skip structural zeros:
-a row update, a product term or a dot product runs only over the
-support of the row it reads, the (index, value) pairs of its nonzero
-entries, and a sum starts from its first nonzero term instead of adding
-it to zero.  The elementwise mat_add, mat_sub and mat_scale keep an
-operand where the other is zero.  As x - f*0 = x, x + 0*y = x, 0 + y = y
-and c*0 = 0 exactly, every result is the value the dense loop gives.
+triangular eigenvector factors), so the kernels over field elements skip
+structural zeros: a row update, a product term or a dot product runs only
+over the support of the row it reads, the (index, value) pairs of its
+nonzero entries, and a sum starts from its first nonzero term instead of
+adding it to zero.  The elementwise mat_add, mat_sub and mat_scale keep
+an operand where the other is zero.  As x - f*0 = x, x + 0*y = x,
+0 + y = y and c*0 = 0 exactly, every result is the value the dense loop
+gives.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import SingularMatrix
+from .exactfield import Rational
 
 
 def zeros(n, m, ctx):
@@ -110,50 +128,109 @@ def dot(u, v):
     return support_dot(support(u), v)
 
 
-def _echelon(rows):
-    """The one forward elimination: an echelon copy of rows, its pivot
-    columns and its row-swap count."""
-    m = [row[:] for row in rows]
+def integer_rows(rows):
+    """Each row times the lcm of its denominators, as Python ints, and the
+    list of those scales; None when an entry has no denominator (a
+    finite-field element).  A nonzero scale keeps a row's zero pattern and
+    span and every test x_i y_j == x_j y_i between two rows."""
+    out, scales = [], []
+    for row in rows:
+        try:
+            dens = [x.denominator for x in row]
+        except AttributeError:
+            return None
+        s = math.lcm(*dens)
+        out.append([x.numerator * (s // q) for x, q in zip(row, dens)])
+        scales.append(s)
+    return out, scales
+
+
+def _eliminate(rows):
+    """The one forward elimination: an echelon form of rows, its pivot
+    columns, its row-swap count and its row scales.
+
+    Rational rows are scaled to integer rows (integer_rows gives the
+    scales) and eliminated fraction-free, row_i <- (p row_i - x row_r) //
+    prev; a row with x = 0 in the pivot column is still scaled by
+    p // prev, so that every entry stays a minor and the next division is
+    exact.  Other rows are eliminated by field division and get scales
+    None.  Either way each row is a nonzero multiple of the other route's,
+    so the pivot columns and the swaps agree.
+    """
+    scaled = integer_rows(rows)
+    m = [row[:] for row in rows] if scaled is None else scaled[0]
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     pivots = []
     swaps = 0
     r = 0
+    prev = 1
     for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if m[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             swaps += 1
         row_r = m[r]
-        inv = row_r[c]
-        sup = support(row_r, c)
-        for i in range(r + 1, n_rows):
-            row_i = m[i]
-            if row_i[c]:
-                f = row_i[c] / inv
-                for j, y in sup:
-                    row_i[j] = row_i[j] - f * y
+        p = row_r[c]
+        if scaled is None:
+            sup = support(row_r, c)
+            for row_i in m[r + 1:]:
+                if row_i[c]:
+                    f = row_i[c] / p
+                    for j, y in sup:
+                        row_i[j] = row_i[j] - f * y
+        else:
+            tail = row_r[c + 1:]
+            for row_i in m[r + 1:]:
+                x, row_i[c] = row_i[c], 0
+                if x:
+                    row_i[c + 1:] = [(p * y - x * z) // prev for y, z in zip(row_i[c + 1:], tail)]
+                elif p != prev:
+                    row_i[c + 1:] = [p * y // prev for y in row_i[c + 1:]]
+            prev = p
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return m, pivots, swaps
+    return m, pivots, swaps, None if scaled is None else scaled[1]
 
 
 def rank(rows):
     """Exact row rank."""
-    return len(_echelon(rows)[1])
+    return len(_eliminate(rows)[1])
+
+
+def _integer_rref(m, pivots):
+    """D times the rref of the Bareiss echelon rows m, on ints, and D.
+
+    D, the last pivot, is the minor of the first rank(m) rows on the pivot
+    columns, so D R is an integer matrix (its adjugate times those rows).
+    Row k of the rref is R_k = (m_k - sum_{s>k} m_k[c_s] R_s) / p_k, so
+    D R_k is found from the rows below it by one exact division by p_k.
+    """
+    r = len(pivots)
+    den = m[r - 1][pivots[-1]] if r else 1
+    out = [None] * r
+    for k in range(r - 1, -1, -1):
+        row_k = m[k]
+        acc = [den * x for x in row_k]
+        for s in range(k + 1, r):
+            f = row_k[pivots[s]]
+            if f:
+                acc = [y - f * z for y, z in zip(acc, out[s])]
+        p = row_k[pivots[k]]
+        out[k] = [y // p for y in acc]
+    return out, den
 
 
 def rref(rows):
     """Reduced row echelon form (copy) and its pivot columns."""
-    m, pivots, _ = _echelon(rows)
+    m, pivots, _, scales = _eliminate(rows)
+    if scales is not None:
+        red, den = _integer_rref(m, pivots)
+        return [[Rational(x, den) for x in row] for row in red], pivots
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row_r = m[r]
@@ -202,10 +279,15 @@ def solve_matrix(a, b):
 
 
 def det(a):
-    """Exact determinant: the product of the echelon pivots, signed by the swaps."""
-    m, pivots, swaps = _echelon(a)
+    """Exact determinant: over Q the last fraction-free pivot over the
+    product of the row scales, else the product of the echelon pivots;
+    signed by the swaps."""
+    m, pivots, swaps, scales = _eliminate(a)
     if len(pivots) < len(a):
         return a[0][0] - a[0][0]
+    if scales is not None:
+        d = m[-1][-1]
+        return Rational(-d if swaps % 2 else d, math.prod(scales))
     d = m[0][0]
     for i in range(1, len(m)):
         d = d * m[i][i]

@@ -24,7 +24,7 @@ from .families import ALL_TYPES, FAMILIES, LeonardType, Violation  # noqa: F401
 MAX_D = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeSpec:
     """One family member: type name, diameter d, field, and named parameters."""
 

@@ -21,7 +21,12 @@ vectors come from the analysis tables, not from M: the dim-1 generator
 u*P1 - v*P2 has the coefficients u*T_2 - v*T_3, as rows 2 and 3 of T
 expand P1 = (A - a0 I)(A* - ts_d I) and P2 = (A - ad I)(A* - ts_0 I),
 and the dim-2 pair is A - a0 I and A A* - a0 A*.  Both routes go through
-the one map combination_matrix.
+the one map combination_matrix, and each closed form is defined once, by
+its coefficients (closed_dim1_coefficients, closed_dim2_coefficients).
+That map is linear, and injective once x_space_basis has certified I, A*,
+A and A A* independent, so the span tests of the analysis compare the
+4-coefficient vectors of the two routes instead of their n^2-flattened
+matrices.
 """
 
 from __future__ import annotations
@@ -166,24 +171,33 @@ def z_basis_kernel(m, real):
     return out
 
 
+def closed_dim2_coefficients(a0, ctx):
+    """Coefficients of the closed-form dim-2 pair A - a0*I and A @ A_star - a0*A_star."""
+    zero, one = ctx.zero, ctx.one
+    return [ZCoefficients(-a0, zero, one, zero), ZCoefficients(zero, -a0, zero, one)]
+
+
 def z_basis_closed_dim2(real, a0):
-    """Closed-form basis when the space is 2-dimensional: A - a0*I and A @ A_star - a0*A_star."""
-    zero, one = real.array.field.zero, real.array.field.one
-    return [combination_matrix(ZCoefficients(-a0, zero, one, zero), real),
-            combination_matrix(ZCoefficients(zero, -a0, zero, one), real)]
+    """Closed-form basis when the space is 2-dimensional, as matrices."""
+    return [combination_matrix(c, real)
+            for c in closed_dim2_coefficients(a0, real.array.field)]
 
 
-def z_basis_closed_dim1(real, a, u, v):
-    """Closed-form generator u*P1 - v*P2 from a relation row u*a_minus = v*a_plus,
-    where P1 = (A - a0*I)(A_star - ts_d*I) and P2 = (A - ad*I)(A_star - ts_0*I).
+def closed_dim1_coefficients(arr, a, u, v):
+    """Coefficients u*T_2 - v*T_3 of the closed-form generator u*P1 - v*P2
+    from a relation row u*a_minus = v*a_plus, where
+    P1 = (A - a0*I)(A_star - ts_d*I) and P2 = (A - ad*I)(A_star - ts_0*I).
 
     Rows 2 and 3 of matrix_t are the coefficients of P1 and P2.
     """
-    arr = real.array
     ts, d = arr.theta_star, arr.d
     t = matrix_t(a[0], a[d], ts[0], ts[d], arr.field)
-    return combination_matrix(
-        ZCoefficients(*(u * p1 - v * p2 for p1, p2 in zip(t[2], t[3]))), real)
+    return ZCoefficients(*(u * p1 - v * p2 for p1, p2 in zip(t[2], t[3])))
+
+
+def z_basis_closed_dim1(real, a, u, v):
+    """The closed-form generator u*P1 - v*P2 as a matrix."""
+    return combination_matrix(closed_dim1_coefficients(real.array, a, u, v), real)
 
 
 def x_space_basis(real):
@@ -215,11 +229,15 @@ def dependence_equivalences(apm):
     three booleans must agree on every instance.  The product test
     a_minus_i a_plus_j == a_plus_i a_minus_j holds at i = j by
     commutativity, and at (j, i) it is the (i, j) test with its sides
-    swapped, so each unordered pair i < j is tested once.
+    swapped, so each unordered pair i < j is tested once.  Over Q the rank
+    and the products run on the integer rows of linalg.integer_rows: a
+    nonzero scale of each sequence changes none of the three booleans.
     """
     d = len(apm.a_minus) - 1
-    am, ap = apm.a_minus, apm.a_plus
-    rank_le_1 = linalg.rank([am[:], ap[:]]) <= 1
+    rows = [apm.a_minus, apm.a_plus]
+    scaled = linalg.integer_rows(rows)
+    am, ap = rows if scaled is None else scaled[0]
+    rank_le_1 = linalg.rank([am, ap]) <= 1
 
     def products_equal(indices):
         return all(am[i] * ap[j] == ap[i] * am[j]

@@ -80,6 +80,14 @@ def test_same_row_span_scale_invariant():
     assert not linalg.same_row_span(a, qmat([[1, 2, 4]]))
 
 
+def test_python_int_rows_are_exact_rationals():
+    # ints take the fraction-free route, so no float division creeps in
+    assert linalg.det([[0, 2], [3, 1]]) == -6
+    assert linalg.rref([[2, 4, 1], [1, 2, 0]]) == \
+        ([[QQ(1), QQ(2), QQ(0)], [QQ(0), QQ(0), QQ(1)]], [0, 2])
+    assert linalg.rank([[3, 1], [1, QQ(1) / 3]]) == 1
+
+
 def test_rank_over_prime_field():
     gf5 = PrimeField(5)
     m = [[gf5(1), gf5(2)], [gf5(3), gf5(6)]]

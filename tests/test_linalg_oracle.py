@@ -5,9 +5,13 @@ products and the solution of a . x = b must agree exactly.  Besides
 small dense entries, the matrices are mostly zeros, or the five
 generators I, D, T, T D, D T (D diagonal, T tridiagonal) flattened into
 5 x n^2 rows as in zerodiag.x_space_basis, so the zero-skipping paths of
-the kernels are exercised.  Skipped without sympy.
+the kernels are exercised.  Over Q the elimination runs fraction-free on
+integer rows, so it is also checked on 30-digit entries, on
+rank-deficient matrices with zero columns before a pivot and row swaps,
+and by a count of the Rationals it constructs.  Skipped without sympy.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from leonardz import linalg
 from leonardz.errors import SingularMatrix
-from leonardz.exactfield import PrimeField, Rationals
+from leonardz.exactfield import PrimeField, Rational, Rationals
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -109,6 +113,14 @@ def assert_nullspace(pair):
         assert pair.to_domain(ours).rref()[0] == theirs.rref()[0]
 
 
+def assert_rref(pair):
+    red, pivots = linalg.rref(pair.rows)
+    want, want_pivots = pair.dm.rref()
+    assert tuple(pivots) == tuple(want_pivots)
+    assert [[pair.ours(x) for x in row] for row in red] == \
+        [[pair.theirs(x) for x in row] for row in want.to_list()[:len(pivots)]]
+
+
 def assert_solve(pair, k, data):
     n = len(pair.rows)
     rhs = [[pair.ctx(data.draw(st.integers(-3, 3))) for _ in range(k)] for _ in range(n)]
@@ -163,11 +175,7 @@ def test_sparse_det_and_solve_match_domain_matrix(pair, k, data):
 @settings(max_examples=150, deadline=None)
 @given(any_pairs)
 def test_rref_matches_domain_matrix(pair):
-    red, pivots = linalg.rref(pair.rows)
-    want, want_pivots = pair.dm.rref()
-    assert tuple(pivots) == tuple(want_pivots)
-    assert [[pair.ours(x) for x in row] for row in red] == \
-        [[pair.theirs(x) for x in row] for row in want.to_list()[:len(pivots)]]
+    assert_rref(pair)
 
 
 @settings(max_examples=150, deadline=None)
@@ -178,3 +186,107 @@ def test_mat_mul_matches_domain_matrix(pair, m, sparse, data):
     want = (pair.dm * other.dm).to_list()
     assert [[pair.ours(x) for x in row] for row in got] == \
         [[pair.theirs(x) for x in row] for row in want]
+
+
+# -- the fraction-free route over Q ------------------------------------------
+
+BIG = 10 ** 30
+
+
+@st.composite
+def big_pairs(draw, square=False):
+    """Q entries with numerators and denominators of up to 30 digits, some
+    zero, and a last row that may be a combination of two others."""
+    n = draw(st.integers(1, 5))
+    m = n if square else draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-BIG, BIG),
+                                            st.integers(1, BIG)))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    if n >= 3 and draw(st.booleans()):
+        f = Fraction(draw(st.integers(-BIG, BIG)), draw(st.integers(1, BIG)))
+        rows[-1] = [x + f * y for x, y in zip(rows[0], rows[1])]
+    return Pair(None, rows)
+
+
+@st.composite
+def deficient_pairs(draw, square=False):
+    """Rows drawn from the span of fewer base rows that vanish on a few
+    columns, the first among them, then shuffled: zero columns come before
+    pivots, the rank is below the row count, and pivots need row swaps.
+    A square draw may instead be a shuffled triangular matrix with a
+    nonzero diagonal, whose determinant is the signed diagonal product."""
+    p = draw(st.sampled_from(CHARACTERISTICS))
+    n = draw(st.integers(2, 6))
+    m = n if square else draw(st.integers(2, 6))
+    if square and draw(st.booleans()):
+        diag = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        upper = draw(matrix(p, n, n))
+        rows = [[diag[i] if i == j else upper[i][j] if j > i else 0 for j in range(n)]
+                for i in range(n)]
+    else:
+        zero_cols = {0} | set(draw(st.lists(st.integers(0, m - 1), max_size=m - 1)))
+        base = draw(matrix(p, draw(st.integers(1, n - 1)), m))
+        base = [[0 if j in zero_cols else x for j, x in enumerate(row)] for row in base]
+        mix = draw(matrix(p, n, len(base)))
+        rows = [[sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(m)]
+                for coeffs in mix]
+    return Pair(p, draw(st.permutations(rows)))
+
+
+def elimination_pairs(square=False):
+    return st.one_of(big_pairs(square), deficient_pairs(square))
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_pairs())
+def test_big_and_deficient_rank_rref_and_nullspace_match_domain_matrix(pair):
+    assert_rank(pair)
+    assert_rref(pair)
+    assert_nullspace(pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_pairs(square=True))
+def test_big_swapped_and_deficient_det_match_domain_matrix(pair):
+    assert_det(pair)
+
+
+def count_fractions(monkeypatch):
+    """Count the Fractions constructed from here on."""
+    count = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # the arithmetic's constructor
+        coprime = Fraction._from_coprime_ints
+
+        def counting_coprime(cls, numerator, denominator):
+            count[0] += 1
+            return coprime(numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    return count
+
+
+@pytest.mark.skipif(Rational is not Fraction, reason="counts fractions.Fraction objects")
+def test_rational_elimination_constructs_only_its_results(monkeypatch):
+    """rank and det over Q eliminate on ints: rank constructs no Rational and
+    det only its value; rref constructs only its output entries."""
+    rng = random.Random(19)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)]
+            for _ in range(6)]
+    deficient = rows[:5] + [[x - Fraction(2, 3) * y for x, y in zip(rows[0], rows[1])]]
+    count = count_fractions(monkeypatch)
+    assert Fraction(1, 2) + 1 and count[0] == 2, "the counter misses the arithmetic"
+    count[0] = 0
+    assert linalg.rank(rows) == 6 and linalg.rank(deficient) == 5
+    assert count[0] == 0
+    assert linalg.det(rows)
+    assert count[0] == 1
+    count[0] = 0
+    red, pivots = linalg.rref(deficient)
+    assert count[0] == len(pivots) * 6 == 30

@@ -6,7 +6,8 @@ from conftest import QQ, campaign_cell_samples, cross_route_samples
 from leonardz import linalg, zerodiag
 from leonardz.analysis import analyze_instance, relation_coefficients
 from leonardz.errors import DependenceDetected, LeonardError, WrongBasis
-from leonardz.parray import build_parameter_array
+from leonardz.families import FAMILIES
+from leonardz.parray import ALL_TYPES, build_parameter_array
 from leonardz.realization import (
     Basis,
     Realization,
@@ -339,6 +340,46 @@ def test_span_elements_match_the_products():
             assert all(map(linalg.mat_eq, zerodiag.z_basis_closed_dim2(std, a[0]), pair)), spec
             seen["dim2"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def span_routes(kernel, coeffs, real):
+    """The kernel's rows and the closed forms' rows, once as coefficient
+    vectors (the route of analyze_instance) and once as n^2-flattened
+    matrices (the oracle)."""
+    return ([[c.as_list() for c, _ in kernel], [c.as_list() for c in coeffs]],
+            [[linalg.flatten(x) for _, x in kernel],
+             [linalg.flatten(zerodiag.combination_matrix(c, real)) for c in coeffs]])
+
+
+def test_coefficient_span_route_matches_the_flattened_route():
+    """The span flags of analyze_instance compare 4-coefficient vectors.
+    On seeded dim-1 and dim-2 samples of every family that has such rows
+    they agree with the tests on the flattened matrices, and a closed
+    generator perturbed by I fails both."""
+    seen = {1: set(), 2: set()}
+    for spec in campaign_cell_samples():
+        arr, std, a = standard_rep(spec)
+        kernel = zerodiag.z_basis_kernel(zerodiag.matrix_m(a, arr.theta_star, arr.field), std)
+        dim_z = len(kernel)
+        if dim_z == 0:
+            continue
+        seen[dim_z].add(spec.name)
+        u, v, _ = relation_coefficients(spec)
+        gen = zerodiag.closed_dim1_coefficients(arr, a, u, v)
+        bent = zerodiag.ZCoefficients(gen.f0 + arr.field.one, gen.f1, gen.f2, gen.f3)
+        cases = [([gen], True), ([bent], False)]
+        if dim_z == 2:
+            pair = zerodiag.closed_dim2_coefficients(a[0], arr.field)
+            cases += [(pair, True), ([bent, pair[1]], False)]
+        for coeffs, holds in cases:
+            for rows, closed in span_routes(kernel, coeffs, std):
+                if len(closed) == 1:
+                    assert linalg.in_row_span(rows, closed[0]) == holds, spec
+                if len(closed) == dim_z:
+                    assert linalg.same_row_span(rows, closed) == holds, spec
+    dim1_families = {name for name in ALL_TYPES if FAMILIES[name].z_rows}
+    dim2_families = {name for name in ALL_TYPES if FAMILIES[name].dim2}
+    assert seen[1] | seen[2] == dim1_families and seen[2] == dim2_families, seen
 
 
 def test_zerodiag_forms_no_matrix_product(monkeypatch):
