@@ -15,6 +15,7 @@ element strings only.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -78,7 +79,11 @@ def read_config(path):
     return out
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as
+    it was, since argparse copies an `append` default before appending
+    and reads the terminal width only when it formats help."""
     parser = _Parser(prog="leonardz",
                      description="Exact verification toolkit for Leonard "
                                  "systems and their zero diagonal spaces.")

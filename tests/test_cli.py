@@ -10,6 +10,7 @@ from leonardz.cli import (
     EXIT_INVALID_SPEC,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -293,3 +294,29 @@ def test_module_entry_point_from_checkout():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.startswith("usage: leonardz")
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    """main reuses one parser per process; no call leaves state behind
+    (--param values do not pile up), so each output equals that of the
+    same command run alone in a fresh process."""
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "72")
+    calls = [
+        ["analyze", "--type", "krawtchouk", "--d", "3", "--field", "Q",
+         "--param", "s=1", "--param", "s_star=1", "--param", "r=2"],
+        ["--help"],
+        ["analyze", "--help"],
+        ["analyze", "--type", "krawtchouk", "--d", "3", "--field", "GF(7)",
+         "--param", "s=2", "--param", "s_star=3", "--param", "r=4"],
+        ["analyze", "--type", "krawtchouk", "--d", "3", "--field", "Q",
+         "--param", "s=1", "--param", "s_star=1"],
+    ]
+    in_process = [run_cli(argv) for argv in calls]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="72")
+    for argv, (code, out, err) in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "leonardz", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert [code for code, _, _ in in_process] == [EXIT_OK] * 4 + [EXIT_INVALID_SPEC]

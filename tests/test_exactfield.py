@@ -1,6 +1,8 @@
 import itertools
+import operator
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +77,68 @@ def test_context_mismatch():
         field_arith(GF7(1), PrimeField(5)(1), "add")
     with pytest.raises(ContextMismatch):
         GF4(1) + ExtensionField(2, 3)(1)
+
+
+# -- the same-context fast path against the _coerce route --------------------
+
+OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@pytest.mark.parametrize("make,a,b", [(lambda: PrimeField(7), "2", "3"),
+                                        (lambda: ExtensionField(3, 2), "t+2", "2*t")],
+                         ids=["GF(7)", "GF(3^2)"])
+def test_equal_contexts_built_twice_combine(make, a, b):
+    one, other = make(), make()
+    assert one is not other and one == other
+    x, y = one.parse(a), other.parse(b)
+    for op in OPERATORS:
+        assert op(x, y) == op(one.parse(a), one.parse(b))
+        assert op(y, x) == op(other.parse(b), other.parse(a))
+    assert x == other.parse(a) and other.parse(a) == x
+    assert x != y
+
+
+@pytest.mark.parametrize("x,y", [
+    (PrimeField(7)(3), PrimeField(11)(3)),
+    (ExtensionField(3, 2)(1), ExtensionField(3, 4)(1)),
+    (PrimeField(7)(3), Fraction(1, 2)),
+    (ExtensionField(3, 2)(1), Fraction(1, 2)),
+], ids=["GF(7)-GF(11)", "GF(3^2)-GF(3^4)", "GF(7)-Fraction", "GF(3^2)-Fraction"])
+def test_foreign_operands_are_refused(x, y):
+    for op in OPERATORS:
+        with pytest.raises(ContextMismatch):
+            op(x, y)
+        with pytest.raises(ContextMismatch):
+            op(y, x)
+    # Comparison stays what it was: unequal, not an error.
+    assert not x == y and not y == x and x != y
+
+
+def test_ints_promote_on_both_sides():
+    x = GF7(3)
+    assert 3 - x == GF7(0) and x - 5 == GF7(5)
+    assert x / 2 == GF7(5) and 2 / x == GF7(3)
+    assert x == 10 and 10 == x and x != 4
+    assert 5 + x == GF7(1) and 5 * x == GF7(1)
+    gf9 = ExtensionField(3, 2)
+    t = gf9.generator
+    assert 1 - t == gf9("2*t+1") and (t + 1) / 2 == gf9("2*t+2")
+    assert t * 4 == t and t + 3 == t and gf9(4) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: PrimeField(7), lambda: ExtensionField(3, 2),
+                                  lambda: tabled(ExtensionField(3, 2))],
+                         ids=["GF(7)", "GF(3^2)", "GF(3^2) tabled"])
+def test_division_by_zero_on_both_routes(make):
+    ctx, twin = make(), make()
+    x = ctx.one
+    # The same context (fast path), an equal one and an int (_coerce route)
+    for zero in (ctx.zero, x - x, twin.zero, 0):
+        with pytest.raises(DivisionByZero):
+            x / zero
+        with pytest.raises(DivisionByZero):
+            ctx.zero / zero
+    assert (x / x) == 1 and x / twin.one == 1
 
 
 def test_parse_rational_literals():
@@ -334,10 +398,28 @@ def tabled(ctx):
     return ctx
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 4), (5, 2)])
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 4), (5, 2), (7, 2)])
 def test_tables_match_the_polynomial_route(p, k):
     assert p ** k <= TABLE_BOUND
     assert_table_route_matches_polynomials(tabled(ExtensionField(p, k)))
+
+
+def test_untabled_sums_match_coefficientwise():
+    ctx = ExtensionField(3, 2)
+    ctx._until_tables = None  # never build: every operation by polynomials
+    assert_table_route_matches_polynomials(ctx)
+    assert ctx._log is None and ctx._zech is None
+
+
+def test_zech_table_against_its_definition():
+    ctx = tabled(ExtensionField(3, 4))
+    q, exp, log = 81, ctx._exp, ctx._log
+    assert len(ctx._zech) == len(exp) == 2 * (q - 1)
+    for n in range(2 * (q - 1)):
+        one_plus = coefficientwise((1,), exp[n], 1, 3, 4)
+        assert ctx._zech[n] == (log[one_plus] if one_plus else None)
+    assert exp[ctx._log_minus_one] == (2,)
+    assert ctx._zech.count(None) == 2  # 1 + g^n = 0 only at g^n = -1
 
 
 def test_tables_with_a_non_primitive_modulus():
@@ -355,9 +437,12 @@ def test_tables_are_built_at_the_qth_polynomial_operation():
     # Rabin's test and construction leave the budget whole.
     assert ctx._log is None and ctx._until_tables == 25
     products = [x * y for _ in range(12)] + [y.inverse() for _ in range(12)]
-    assert ctx._log is None and ctx._until_tables == 1
+    # Sums and differences are not counted, and take no Zech table early.
+    sums = [x + y, x - y, y - x, -x]
+    assert ctx._log is None and ctx._zech is None and ctx._until_tables == 1
     products.append(x * y)
-    assert ctx._log is not None and ctx._until_tables is None
+    assert ctx._log is not None and ctx._zech is not None and ctx._until_tables is None
+    assert [x + y, x - y, y - x, -x] == sums
     products.append(x * y)
     assert len({p.coeffs for p in products[:12] + products[24:]}) == 1
     assert len({p.coeffs for p in products[12:24]}) == 1
@@ -395,7 +480,7 @@ def test_fields_past_the_bound_take_the_polynomial_route(monkeypatch):
     for _ in range(67 ** 2):
         x * y
     large._build_tables()
-    assert large._log is None
+    assert large._log is None and large._zech is None
 
 
 def test_fast_gf81_analysis_never_reduces_a_polynomial(monkeypatch):
@@ -410,6 +495,28 @@ def test_fast_gf81_analysis_never_reduces_a_polynomial(monkeypatch):
     monkeypatch.setattr(exactfield, "_poly_mul", refuse)
     chk = analyze_instance(spec)
     assert chk.ok, chk.failures
+
+
+def test_tabled_gf81_analysis_never_adds_coefficientwise(monkeypatch):
+    ctx = parse_field("GF(3^4)")
+    spec = sample_spec(LeonardType.Q_HAHN, 10, ctx, random.Random("zech"))
+    assert ctx._zech is not None
+    sums = {"add": 0, "sub": 0}
+
+    def refusing(name, route):
+        def checked(a, b, p):
+            if a and b:
+                raise AssertionError(f"coefficient-wise {name} of two nonzero elements")
+            sums[name] += 1
+            return route(a, b, p)
+        return checked
+
+    monkeypatch.setattr(exactfield, "_poly_add", refusing("add", exactfield._poly_add))
+    monkeypatch.setattr(exactfield, "_poly_sub", refusing("sub", exactfield._poly_sub))
+    chk = analyze_instance(spec, deep=True)
+    assert chk.ok, chk.failures
+    # Sums with a zero operand still take the coefficient route.
+    assert sums["add"] > 0 and sums["sub"] > 0
 
 
 def test_parse_field_returns_one_context_per_label():
