@@ -6,12 +6,14 @@ lines and the lines of docstrings (the leading string of a module, class
 or function body) do not count.  A line with code and a trailing comment
 counts.
 
-Usage: python scripts/code_lines.py [path ...]
+Usage: python scripts/code_lines.py [-h] [path ...]
 
 Each path is a Python file or a directory searched for *.py files; the
-default is the package, src/leonardz.
+default is the package, src/leonardz.  A path that does not exist ends the
+run with exit status 2 and a one-line message on standard error.
 """
 
+import argparse
 import ast
 import io
 import sys
@@ -50,8 +52,19 @@ def modules(paths):
 
 def main(argv):
     default = Path(__file__).resolve().parent.parent / "src" / "leonardz"
+    parser = argparse.ArgumentParser(
+        prog=Path(argv[0]).name,
+        description="Print the code lines of each Python module and their total.")
+    parser.add_argument("paths", nargs="*", type=Path, default=[default], metavar="path",
+                        help="a Python file, or a directory searched for *.py files "
+                             "(default: the package, src/leonardz)")
+    paths = parser.parse_args(argv[1:]).paths
+    missing = next((path for path in paths if not path.exists()), None)
+    if missing is not None:
+        print(f"{parser.prog}: error: no such file or directory: {missing}", file=sys.stderr)
+        return 2
     total = 0
-    for path in modules(argv[1:] or [default]):
+    for path in modules(paths):
         count = code_lines(path.read_text())
         total += count
         print(f"{count:6d}  {path}")

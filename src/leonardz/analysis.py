@@ -23,7 +23,7 @@ from .families import FAMILIES
 from .parray import build_parameter_array
 from .realization import (
     bidiagonal_idempotents,
-    bidiagonal_right_factors,
+    factor_superdiagonals,
     intersection_a_closed,
     intersection_a_trace,
     # Not called here: the benchmark's tracer wraps this name in this module.
@@ -246,34 +246,42 @@ def analyze_instance(spec, arr=None, deep=False):
     """Run the full pipeline on one instance and cross-check every route.
 
     E* comes from the upper bidiagonal A* as rank-one factors
-    E*_i = v*_i w*_i^T.  The fast path forms V* and, of W*, only the
-    entries w*_i[i + 1] (bidiagonal_right_factors), and nothing of E: the
-    a-trace reads w*_i A v*_i, which meets W* only at w*_i[i] = 1 and
-    w*_i[i + 1].  The standard basis {E*_i u} takes the band T of W* A V*
-    from V*'s columns alone, certified by A V* = V* T in O(n^2), and its
-    scale D_i = w*_i . u from T as its theta_0-eigenvector, in O(n); no
-    dense projection or basis matrix is formed.  So the a_trace and
-    a_standard flags compare two different computations with the closed
-    form.  The zero diagonal space is computed in the standard basis, where
-    A* is diagonal and the test E*_i X E*_i = 0 reads X_ii = 0; every
-    matrix of that space is read off the band of A and theta*, with no
-    product.  The span flags compare the kernel's coefficient vectors with
-    those of the closed forms, four entries each: the map from coefficients
-    to matrices is linear, and injective once x_generators_independent
-    holds, so they read as the tests on the n^2-flattened matrices would.
-    With deep=True all of E and E* is built, and two O(n^2) certificates
-    run: SpectralFactors.certify proves that the rank-one
-    factors of E* (of A*) and of E (through the transpose of A) are the
-    primitive idempotents, by M v_i = theta_i v_i, w_i M = theta_i w_i
-    and w_i . v_i = 1, and verify_axioms reads the
+    E*_i = v*_i w*_i^T.  The fast path forms nothing of E and, of E*, only
+    the entries v*_(i+1)[i] and w*_i[i + 1] (factor_superdiagonals), all
+    the a-trace reads of w*_i A v*_i.  The standard basis {E*_i u} takes
+    the band T of W* A V* without W*, certified in O(n^2): over Q on the
+    integer matrix U[r][j] = L^r tau*_r(theta*_j), as the band of
+    T' = C T C^-1 with A' U = U T', where V* = P^-1 U C for diagonal P and
+    C, so no Fraction V* is formed; on a finite field off the columns of
+    V*, built by back-substitution, with A V* = V* T.  Its scale
+    D_i = w*_i . u is the theta_0-eigenvector of T, in O(n); on T' the
+    same recurrence gives D' = C D, and A_std = D'^-1 T' D' needs no C.
+    A failure names entries of T and D, converted from T' and D' on the
+    failure path only.  No dense projection or basis matrix is formed, so
+    the a_trace and a_standard flags compare two different computations
+    with the closed form.  The zero diagonal space is computed in the
+    standard basis, where A* is diagonal and the test E*_i X E*_i = 0
+    reads X_ii = 0; every matrix of that space is read off the band of A
+    and theta*, with no product.  The span flags compare the kernel's
+    coefficient vectors with those of the closed forms, four entries each:
+    the map from coefficients to matrices is linear, and injective once
+    x_generators_independent holds, so they read as the tests on the
+    n^2-flattened matrices would.  With deep=True all of E and E* is
+    built, and two O(n^2) certificates run: SpectralFactors.certify proves
+    that the rank-one factors of E* (of A*) and of E (through the
+    transpose of A) are the primitive idempotents, by M v_i = theta_i v_i,
+    w_i M = theta_i w_i and w_i . v_i = 1, and verify_axioms reads the
     band of W A* V = V^-1 A* V off V's columns, certified by A* V = V T,
-    for the tridiagonal vanishing axioms of E A* E; those of E* A E* are
-    the band of W* A V* that standard_basis_rep certifies, in both modes,
-    from V* alone.  Neither forms an n x n product of the factors, and a
-    failed certificate names an entry off the band and its value.
-    The spectral product formula is not called; it stays the reference
-    route of the tests and of counterexample.  The analyze command and the
-    worked-instance tests use deep mode, the sampling campaign does not.
+    for the tridiagonal vanishing axioms of E A* E.  Those of E* A E* are
+    the band that standard_basis_rep certifies in both modes; deep mode
+    passes it the certified V*, which over Q is tied to U entry for entry,
+    v*_j[r] Phi_r tau*_j(theta*_j) = Phi_j tau*_r(theta*_j), by one O(n^2)
+    check, so that the band is read on U.  Neither mode forms an
+    n x n product of the factors, and a failed certificate names an entry
+    off the band and its value.  The spectral product formula is not
+    called; it stays the reference route of the tests and of
+    counterexample.  The analyze command and the worked-instance tests use
+    deep mode, the sampling campaign does not.
     """
     if arr is None:
         arr = build_parameter_array(spec)
@@ -294,12 +302,14 @@ def analyze_instance(spec, arr=None, deep=False):
                 raise IdempotentCheckFailed(f"rank-one {name}: {err}") from None
         verify_axioms(real, e_t.w)  # the right factors of E = E_t^T
         v_star = estar_split.v
-        w_next = [w[i + 1] for i, w in enumerate(estar_split.w[:-1])]
+        v_sup = [v[i] for i, v in enumerate(v_star[1:])]
+        w_sup = [w[i + 1] for i, w in enumerate(estar_split.w[:-1])]
     else:
-        v_star, w_next = bidiagonal_right_factors(real.A_star, arr.theta_star, ctx)
+        v_star = None
+        v_sup, w_sup = factor_superdiagonals(real.A_star, arr.theta_star)
 
     a = intersection_a_closed(arr)
-    a_trace = intersection_a_trace(real, v_star, w_next)
+    a_trace = intersection_a_trace(real, v_sup, w_sup)
     flags["a_trace_equals_closed"] = a == a_trace
 
     std, nums = standard_basis_rep(real, v_star)

@@ -9,10 +9,10 @@ O(n^2) each: bidiagonal_idempotents takes an upper bidiagonal or diagonal
 matrix such as A* directly, and A through its transpose.  As
 w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T, so the a-trace, the
 change to the standard basis {E*_i u} and both tridiagonal axioms read
-scalars of W M V.  The fast analysis forms no factor of E and of W* only
-the entries w*_i[i + 1] that the a-trace meets (bidiagonal_right_factors);
-deep mode builds and certifies both families whole.  The rest reads bands
-of W M V = V^-1 M V, as follows.
+scalars of W M V.  The fast analysis forms no factor of E, and of E* only
+the entries v*_(i+1)[i] and w*_i[i + 1] that the a-trace meets
+(factor_superdiagonals); deep mode builds and certifies both families
+whole.  The rest reads bands of W M V = V^-1 M V, as follows.
 
 Two O(n^2) certificates stand in for dense products.
 SpectralFactors.certify proves that a family of factors is the spectral
@@ -20,19 +20,40 @@ decomposition of its matrix by the defining identities M v_i = theta_i v_i,
 w_i M = theta_i w_i and w_i v_i = 1.  _bidiagonal_band reads the band T of
 S = V^-1 M V off V's columns for a lower bidiagonal M and a unit upper
 triangular V, certified by M V = V T; where the certificate fails, it
-names an entry of S off the band and its value.  Both tridiagonal axioms
-are read this way, from V alone, and no n x n product of factors is
-formed.  The E* A E* pattern is the band T of W* A V* = V*^-1 A V* for
-the lower bidiagonal A (_tridiagonal_band); it also gives the standard
-basis.  The scale D_i = w*_i . u of E*_i u = D_i v*_i comes from T too:
-as A u = theta_0 u, D = W* u is the theta_0-eigenvector of T, the row-sum
+names an entry of S off the band and its value.  The E A* E pattern is
+read this way (verify_axioms), on the image of A* and V with rows and
+columns in reverse order, where A* is lower bidiagonal and V unit upper
+triangular.
+
+The E* A E* pattern is the band T of W* A V* = V*^-1 A V* for the lower
+bidiagonal A; it also gives the standard basis.  Over Q it is certified
+on integers.  Back-substitution gives
+v*_j[r] = (Phi_j / Phi_r) tau*_r(theta*_j) / tau*_j(theta*_j), with
+tau*_r(x) = prod_(k<r) (x - theta*_k) and Phi_r = phi_1 ... phi_r
+(Terwilliger, LAA 330 (2001)).  So V* = P^-1 U C with the integer matrix
+U[r][j] = L^r tau*_r(theta*_j), where L clears theta*'s denominators, and
+the diagonal P = diag(Phi_r L^r) and C = diag(Phi_j / tau*_j(theta*_j)).
+A V* = V* T is then A' U = U T' with A' = P A P^-1 (diagonal theta,
+subdiagonal L phi) and T' = C T C^-1, and _TauStar.band certifies it row
+by row as identities of Python ints, building Rationals only for the
+three band entries of each column (the fraction-free idea of
+linalg._eliminate; Bareiss 1968).  No Fraction V* is formed.  Deep mode
+passes its certified V*, which _TauStar.ties checks against U entry for
+entry, v*_j[r] Phi_r tau*_j(theta*_j) = Phi_j tau*_r(theta*_j), in
+O(n^2); a V* that does not tie, an array with a zero phi_i, and every
+finite field take the band off V*'s columns with _bidiagonal_band, V*
+built by back-substitution where not given (_tridiagonal_band chooses).
+
+The scale D_i = w*_i . u of E*_i u = D_i v*_i comes from the band too: as
+A u = theta_0 u, D = W* u is the theta_0-eigenvector of T, the row-sum
 identity c_i + a_i + b_i = theta_0 of the standard basis, and a
-three-term recurrence gives it in O(n) (_standard_scale).
-The E A* E pattern is the band of W A* V = V^-1 A* V (verify_axioms), on
-the image of A* and V with rows and columns in reverse order, where A* is
-lower bidiagonal and V unit upper triangular.  Other shapes are refused:
-_check_shape names the first entry of a matrix or factor family that is
-off its bidiagonal or unit triangular shape.  The a-trace reads (i, i),
+three-term recurrence gives it in O(n) (_standard_scale).  On T' it gives
+D' = C D, since C_0 = 1, and A_std = D^-1 T D = D'^-1 T' D', so C is never
+formed.  A failure names entries of T and D, not of T' and D': on its
+cold path the value is converted, S_ij = S'_ij C_j / C_i and
+D_i = D'_i / C_i (_unscaled).  Other shapes are refused: _check_shape
+names the first entry of a matrix or factor family that is off its
+bidiagonal or unit triangular shape.  The a-trace reads (i, i),
 (i, i - 1) and (i + 1, i) of the split A,
 a_i = theta_i + v*_i[i - 1] + w*_i[i + 1], and the band
 t_ii = theta_i + v*_i[i - 1] - v*_(i+1)[i]: the two a-routes share
@@ -48,6 +69,7 @@ S_i (j > i) built once, about 3n matrix products per family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,6 +80,7 @@ from .errors import (
     RepeatedEigenvalue,
     SingularBasis,
 )
+from .exactfield import Rational
 
 
 class Basis(str, Enum):
@@ -258,24 +281,13 @@ def _left_eigenvector(sup, eigs, i, ctx):
     return w
 
 
-def bidiagonal_right_factors(mtx, eigs, ctx):
-    """(V, w_next) for the upper bidiagonal mtx: the right factors v_i of
-    bidiagonal_idempotents(mtx, eigs, ctx), with the same checks, and of
-    the left factors only w_next[i] = w_i[i + 1], i < d.
-
-    That is all the fast analysis reads of E*: the standard basis reads V*
-    and the a-trace w*_i[i + 1] next to w*_i[i] = 1.  The first forward
-    substitution step gives w_i[i + 1] = sup[i] / (theta_i - theta_(i+1)).
-    """
-    sup = _superdiagonal(mtx, eigs)
-    vs = []
-    for i, eig in enumerate(eigs):
-        v = [ctx.zero] * len(eigs)
-        v[i] = ctx.one
-        for r in range(i - 1, -1, -1):
-            v[r] = v[r + 1] * (sup[r] / (eig - eigs[r]))
-        vs.append(v)
-    return vs, [x / (eigs[i] - eigs[i + 1]) for i, x in enumerate(sup)]
+def _right_eigenvector(sup, eigs, i, ctx):
+    """v_i by back-substitution: v_i[i] = 1, support 0..i."""
+    v = [ctx.zero] * len(eigs)
+    v[i] = ctx.one
+    for r in range(i - 1, -1, -1):
+        v[r] = v[r + 1] * (sup[r] / (eigs[i] - eigs[r]))
+    return v
 
 
 def bidiagonal_idempotents(mtx, eigs, ctx):
@@ -292,25 +304,43 @@ def bidiagonal_idempotents(mtx, eigs, ctx):
     Each substitution step forms the ratio of small height first, so an
     entry costs one product with the full-height entry before it.
     """
-    vs, _ = bidiagonal_right_factors(mtx, eigs, ctx)
-    sup = [mtx[r][r + 1] for r in range(len(vs) - 1)]
-    return SpectralFactors(vs, [_left_eigenvector(sup, eigs, i, ctx) for i in range(len(vs))])
+    sup = _superdiagonal(mtx, eigs)
+    n = len(eigs)
+    return SpectralFactors([_right_eigenvector(sup, eigs, i, ctx) for i in range(n)],
+                           [_left_eigenvector(sup, eigs, i, ctx) for i in range(n)])
 
 
-def intersection_a_trace(real, vs, w_next):
+def factor_superdiagonals(mtx, eigs):
+    """(v_sup, w_sup) for the upper bidiagonal mtx: v_sup[i] = v_(i+1)[i]
+    and w_sup[i] = w_i[i + 1], i < d, of bidiagonal_idempotents(mtx, eigs),
+    with the same checks, and nothing else of the factors.
+
+    That is all the fast analysis reads of E*, for the a-trace.  Each is
+    the first substitution step next to v_j[j] = w_j[j] = 1:
+    w_i[i + 1] = sup[i] / (theta_i - theta_(i+1)) and
+    v_(i+1)[i] = sup[i] / (theta_(i+1) - theta_i) = -w_i[i + 1].
+    """
+    sup = _superdiagonal(mtx, eigs)
+    w_sup = [x / (eigs[i] - eigs[i + 1]) for i, x in enumerate(sup)]
+    return [-x for x in w_sup], w_sup
+
+
+def intersection_a_trace(real, v_sup, w_sup):
     """a_i as the trace of E*_i A, which is the scalar w*_i . A v*_i.
 
-    vs are the right factors v*_i (support 0..i, v*_i[i] = 1) and w_next[i]
-    is w*_i[i + 1] of the left factors (support i..d, w*_i[i] = 1).  The
-    split A is lower bidiagonal, so A[r][c] meets w*_i[r] and v*_i[c] only
-    at (i, i), (i, i - 1) and (i + 1, i), and no other entry of W* is read:
+    v_sup[i] = v*_(i+1)[i] and w_sup[i] = w*_i[i + 1] are the entries next
+    to the diagonal of the right factors v*_i (support 0..i, v*_i[i] = 1)
+    and the left factors w*_i (support i..d, w*_i[i] = 1).  The split A is
+    lower bidiagonal, so A[r][c] meets w*_i[r] and v*_i[c] only at (i, i),
+    (i, i - 1) and (i + 1, i), and no other entry of E* is read:
     a_i = theta_i + v*_i[i - 1] + w*_i[i + 1].  standard_basis_rep reads
-    theta_i + v*_i[i - 1] - v*_(i+1)[i]: the routes differ only in
-    w*_i[i + 1] against -v*_(i+1)[i], which agree because W* V* = I.
+    the diagonal of V*^-1 A V*, theta_i + v*_i[i - 1] - v*_(i+1)[i]: the
+    routes differ only in w*_i[i + 1] against -v*_(i+1)[i], which agree
+    because W* V* = I.
     """
     a = real.A
-    out = [a[i][i] + w * a[i + 1][i] for i, w in enumerate(w_next)] + [a[-1][-1]]
-    return [x + a[i][i - 1] * vs[i][i - 1] if i else x for i, x in enumerate(out)]
+    out = [a[i][i] + w * a[i + 1][i] for i, w in enumerate(w_sup)] + [a[-1][-1]]
+    return [x + a[i][i - 1] * v_sup[i - 1] if i else x for i, x in enumerate(out)]
 
 
 def intersection_a_closed(arr):
@@ -370,33 +400,157 @@ def _bidiagonal_band(mtx, vs, off_band):
     return band
 
 
-def _tridiagonal_band(mtx, vs):
+@dataclass
+class _TauStar:
+    """U[r][j] = L^r tau*_r(theta*_j) for an array over Q with no zero phi_i.
+
+    tau*_r(x) = prod_(k<r) (x - theta*_k), and L is the lcm of the
+    denominators of theta*.  With N_k = L theta*_k, cleared as
+    linalg.integer_rows clears a row, U[r][j] = prod_(k<r) (N_j - N_k) is an
+    int, zero for r > j; cols[j] holds U[0..j][j].  Back-substitution in
+    A* gives v*_j[r] = (Phi_j / Phi_r) tau*_r(theta*_j) / tau*_j(theta*_j)
+    with Phi_r = phi_1 ... phi_r (Terwilliger, LAA 330 (2001)), so
+    V* = P^-1 U C with P = diag(Phi_r L^r) and C = diag(C_j),
+    C_j = Phi_j L^j / U[j][j].  Hence A V* = V* T is A' U = U T' with
+    A' = P A P^-1 and T' = C T C^-1, and the certificate runs on U's ints.
+    """
+
+    cols: list
+    lcm: int
+    phi: list
+
+    @classmethod
+    def of(cls, arr):
+        """The U of arr, or None off Q or where a phi_i is 0 (P singular)."""
+        cleared = linalg.integer_rows([arr.theta_star])
+        if cleared is None or not all(arr.phi1):
+            return None
+        (ts,), (lcm,) = cleared
+        cols = []
+        for j, t in enumerate(ts):
+            col = [1]
+            for k in ts[:j]:
+                col.append(col[-1] * (t - k))
+            cols.append(col)
+        return cls(cols, lcm, arr.phi1)
+
+    def scale(self, i):
+        """C_i = Phi_i L^i / U[i][i], formed for failure values only."""
+        return math.prod(self.phi[:i], start=Rational(self.lcm ** i, self.cols[i][i]))
+
+    def ties(self, vs):
+        """Whether vs is V* = P^-1 U C entry for entry, that is
+        v*_j[r] Phi_r L^r U[j][j] = Phi_j L^j U[r][j] for every r < j (the
+        unit diagonal and the zeros below it are checked before).  With
+        phi_k = p_k / m cleared as integer_rows clears a row, and the
+        factors common to both sides divided out, it is the identity of ints
+        v*_j[r] m^(j-r) U[j][j] = L^(j-r) p_(r+1) ... p_j U[r][j], whose two
+        factors grow along the column from r = j - 1 down."""
+        (ph,), (m,) = linalg.integer_rows([self.phi])
+        for v, col in zip(vs, self.cols):
+            y, z = col[-1], 1
+            for r in range(len(col) - 2, -1, -1):
+                y *= m
+                z *= ph[r] * self.lcm
+                if v[r].numerator * y != v[r].denominator * z * col[r]:
+                    return False
+        return True
+
+    def band(self, mtx):
+        """The band of T' = C T C^-1, T = V*^-1 A V* for the lower bidiagonal
+        A = mtx, certified to be all of T' by A' U = U T' on ints; returns
+        t'_ij by (i, j).
+
+        A' has the diagonal theta_r = A[r][r] and the subdiagonal
+        L phi_r A[r][r - 1]; e clears both, as integer_rows clears a row.
+        Column j of A' U = U T' reads (A' U)[r][j] = sum_i U[r][i] t'_ij in
+        row r.  Rows j + 1, j and j - 1 each add one unknown, t'_rj over
+        U[r][r], found in that order as a Rational; the entries found are
+        kept over their common denominator k as g_i = k t'_ij.  Each row
+        r <= j - 2 must then satisfy k e (A' U)[r][j] = e sum_i U[r][i] g_i,
+        an identity of ints.  Those rows together are A' U = U T', so with
+        U invertible they certify U^-1 A' U = T'.  The residual of row r is
+        k e sum_i U[r][i] S'_ij over r <= i <= j - 2, so the first nonzero
+        one met from r = j - 2 down is k e U[r][r] S'_rj, and SingularBasis
+        names S_rj = S'_rj C_j / C_r, the entry of V*^-1 A V*.
+        """
+        n = len(self.cols)
+        (th, sub, ph), (e_th, e_sub, e_ph) = linalg.integer_rows(
+            [[mtx[r][r] for r in range(n)], [mtx[r][r - 1] for r in range(1, n)], self.phi])
+        e = e_th * e_sub * e_ph
+        diag = [x * e_sub * e_ph for x in th]
+        low = [0] + [x * y * self.lcm * e_th for x, y in zip(sub, ph)]  # none in row 0
+        cols = self.cols
+        band = {}
+        for j, col in enumerate(cols):
+            k, g = 1, {}
+            for r in range(min(j + 1, n - 1), max(j - 2, -1), -1):
+                x = (diag[r] * col[r] if r <= j else 0) + low[r] * col[r - 1]
+                x = k * x - e * sum(cols[i][r] * y for i, y in g.items())
+                t = band[r, j] = Rational(x, k * e * cols[r][r])
+                m = math.lcm(k, t.denominator)
+                g = {i: y * (m // k) for i, y in g.items()}
+                g[r], k = t.numerator * (m // t.denominator), m
+            up, mid, down = (e * g.get(i, 0) for i in (j + 1, j, j - 1))
+            for r in range(j - 2, -1, -1):
+                x = (k * diag[r] - mid) * col[r] - down * cols[j - 1][r]
+                if r:
+                    x += k * low[r] * col[r - 1]
+                if up:
+                    x -= up * cols[j + 1][r]
+                if x:
+                    s = _unscaled(self.scale, Rational(x, k * e * cols[r][r]), r, j)
+                    raise SingularBasis(f"A not tridiagonal at ({r},{j}): {s}")
+        return band
+
+
+def _unscaled(c, x, i, j=None):
+    """An entry x of T' at (i, j), or of D' = C D at i, as the same entry
+    of T or of D: x C_j / C_i or x / C_i, with C_i = c(i); x itself when c
+    is None."""
+    if c is None:
+        return x
+    x = x / c(i)
+    return x if j is None else x * c(j)
+
+
+def _tridiagonal_band(mtx, vs, u=None):
     """The band |i - j| <= 1 of S = W* A V* = V*^-1 A V*, certified to be
-    all of S, from V* alone: no W* is read, and W* V* = I is not assumed.
+    all of S without reading W*: W* V* = I is not assumed.  Returns (band,
+    c): the band of S, t_ij by (i, j), and c None; or, on the _TauStar u,
+    the band of C S C^-1 and c = u.scale.
 
     A must be lower bidiagonal, as the split A is (any subdiagonal), and
-    V* unit upper triangular, as bidiagonal_idempotents gives it for an
-    upper bidiagonal matrix; SingularBasis names the first entry off
-    either shape before any band is read.  A nonzero S[i][j] off the band
-    raises SingularBasis "A not tridiagonal at (i,j): S_ij".  Returns t_ij
-    by (i, j).
+    V*, where given, unit upper triangular, as bidiagonal_idempotents
+    gives it for an upper bidiagonal matrix; SingularBasis names the first
+    entry off either shape before any band is read.  u is used when vs is
+    None, or when u.ties(vs) shows that vs is its V*; the band is
+    otherwise read off vs's columns (_bidiagonal_band).  A nonzero S[i][j]
+    off the band raises SingularBasis "A not tridiagonal at (i,j): S_ij"
+    on either route.
     """
     n = len(mtx)
-    _check_shape(vs, -n, 0, SingularBasis,
-                 "v*_{0} is not unit upper triangular at entry {1}", [1] * n)
+    if vs is not None:
+        _check_shape(vs, -n, 0, SingularBasis,
+                     "v*_{0} is not unit upper triangular at entry {1}", [1] * n)
     _check_shape(mtx, -1, 0, SingularBasis, "A not lower bidiagonal at ({0},{1})")
+    if u is not None and (vs is None or u.ties(vs)):
+        return u.band(mtx), u.scale
     return _bidiagonal_band(
-        mtx, vs, lambda i, j, x: SingularBasis(f"A not tridiagonal at ({i},{j}): {x}"))
+        mtx, vs, lambda i, j, x: SingularBasis(f"A not tridiagonal at ({i},{j}): {x}")), None
 
 
-def _standard_scale(band, d, theta0, one):
+def _standard_scale(band, d, theta0, one, c=None):
     """D with (T - theta_0 I) D = 0 and D_0 = 1, for the band T of W* A V*.
 
     Rows 0..d - 1 of T give D_1..D_d by the three-term recurrence, one
     division by t_(i,i+1) each, which must be nonzero.  Each D_i must be
     nonzero and row d must then vanish; SingularBasis names the first zero
     "E*_i u vanishes: D_i = 0" or the residual
-    "(T - theta_0 I) D != 0 in row d: r" otherwise.
+    "(T - theta_0 I) D != 0 in row d: r" otherwise.  On the band of
+    T' = C T C^-1, with c(i) = C_i, the same recurrence gives D' = C D, as
+    C_0 = 1, and the values named are D_i = D'_i / C_i and the residual of
+    T over C_d.
     """
     scale = [one]
     for i in range(d + 1):
@@ -404,44 +558,54 @@ def _standard_scale(band, d, theta0, one):
         if i:
             x = x + band[i, i - 1] * scale[i - 1]
         if i == d and x:
-            raise SingularBasis(f"(T - theta_0 I) D != 0 in row {d}: {x}")
+            raise SingularBasis(f"(T - theta_0 I) D != 0 in row {d}: {_unscaled(c, x, d)}")
         if i < d:
             scale.append(-x / band[i, i + 1])
             if not scale[-1]:
-                raise SingularBasis(f"E*_{i + 1} u vanishes: D_{i + 1} = {scale[-1]}")
+                raise SingularBasis(
+                    f"E*_{i + 1} u vanishes: D_{i + 1} = {_unscaled(c, scale[-1], i + 1)}")
     return scale
 
 
-def standard_basis_rep(real, vs):
+def standard_basis_rep(real, vs=None):
     """Change basis to {E*_i u}, with u the theta_0-eigenvector of A.
 
-    vs are the right factors v*_i of E*, of the upper bidiagonal A*.
+    vs, where given, are the right factors v*_i of E*, of the upper
+    bidiagonal A*; None stands for those of the split A* of real.array.
     E*_i u is v*_i scaled by D_i = w*_i . u, so A_std = D^-1 T D with
-    T = W* A V*, and A*_std = diag(theta*).  The band of T comes from
-    _tridiagonal_band, from V* alone, with its O(n^2) certificate
-    A V* = V* T; an A that is not lower bidiagonal, or a V* that is not
-    unit upper triangular, is refused, and an entry of T off the band is
-    named with its value (SingularBasis either way).  D needs neither W*
-    nor u: as A u = theta_0 u, D = W* u is the theta_0-eigenvector of T,
-    which is the row-sum identity c_i + a_i + b_i = theta_0 of the
-    standard basis (Terwilliger, LAA 330 (2001)).  _standard_scale solves
-    (T - theta_0 I) D = 0 from D_0 = 1 in O(n), with theta_0 = A[0][0],
-    the eigenvalue of the lower bidiagonal A that u belongs to, and A_std
-    does not change under D -> lambda D.  A zero t_ij next to the diagonal
-    (b_i or c_j would vanish), a residual in row d and a zero D_i
-    (E*_i u = 0) each raise SingularBasis, which names the entry and its
-    value.  Returns the realization together with the intersection numbers
-    read off A_std.
+    T = W* A V*, and A*_std = diag(theta*).  Over Q with no zero phi_i
+    the band comes from the integer matrix U of _TauStar as the band of
+    T' = C T C^-1, certified by A' U = U T'; a given V* is used there only
+    where it ties to U entry for entry, as deep mode's certified V* does.
+    Otherwise the band comes from V*, built by back-substitution where not
+    given, certified by A V* = V* T (_tridiagonal_band).  An A that is not lower bidiagonal, or a V* that
+    is not unit upper triangular, is refused, and an entry of T off the
+    band is named with its value (SingularBasis either way).  D needs
+    neither W* nor u: as A u = theta_0 u, D = W* u is the
+    theta_0-eigenvector of T, which is the row-sum identity
+    c_i + a_i + b_i = theta_0 of the standard basis (Terwilliger, LAA 330
+    (2001)).  _standard_scale solves (T - theta_0 I) D = 0 from D_0 = 1 in
+    O(n), with theta_0 = A[0][0], the eigenvalue of the lower bidiagonal A
+    that u belongs to, and A_std does not change under D -> lambda D.  On
+    T' it gives D' = C D, and A_std = D'^-1 T' D', so C is never formed.
+    A zero t_ij next to the diagonal (b_i or c_j would vanish), a residual
+    in row d and a zero D_i (E*_i u = 0) each raise SingularBasis, which
+    names the entry and its value, of T and D: on T' they are converted,
+    on the failure path only.  Returns the realization together with the
+    intersection numbers read off A_std.
     """
     arr = real.array
     n = real.dim
     zero = arr.field.zero
-    band = _tridiagonal_band(real.A, vs)
+    u = _TauStar.of(arr)
+    if u is None and vs is None:
+        vs = [_right_eigenvector(arr.phi1, arr.theta_star, j, arr.field) for j in range(n)]
+    band, c = _tridiagonal_band(real.A, vs, u)
     gap = min(((i, j) for (i, j), x in band.items() if i != j and not x), default=None)
     if gap:
         raise SingularBasis(f"off-diagonal intersection numbers must be nonzero: "
-                            f"T at ({gap[0]},{gap[1]}) is {band[gap]}")
-    scale = _standard_scale(band, arr.d, real.A[0][0], arr.field.one)
+                            f"T at ({gap[0]},{gap[1]}) is {_unscaled(c, band[gap], *gap)}")
+    scale = _standard_scale(band, arr.d, real.A[0][0], arr.field.one, c)
     a_std = [[zero] * n for _ in range(n)]
     for (i, j), x in band.items():
         a_std[i][j] = x if i == j else x * scale[j] / scale[i]

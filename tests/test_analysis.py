@@ -366,9 +366,11 @@ def test_split_analysis_call_counts(monkeypatch, exemplar_specs, deep):
     mode) and makes one dense product per verdict, the T M of L_equals_TM.
 
     The product formula is counted under both names it has: analysis keeps
-    primitive_idempotents bound although it does not call it.
+    primitive_idempotents bound although it does not call it.  A band
+    certificate is either route: on V's columns (_bidiagonal_band) or, for
+    E* A E* over Q, on the integer matrix U (_TauStar.band).
     """
-    counts = {"primitive_idempotents": 0, "_bidiagonal_band": 0, "mat_mul": 0}
+    counts = {"primitive_idempotents": 0, "band": 0, "mat_mul": 0}
 
     def counted(name, fn):
         def wrapped(*args):
@@ -380,13 +382,14 @@ def test_split_analysis_call_counts(monkeypatch, exemplar_specs, deep):
     monkeypatch.setattr(analysis, "primitive_idempotents", product_formula)
     monkeypatch.setattr(realization, "primitive_idempotents", product_formula)
     monkeypatch.setattr(realization, "_bidiagonal_band",
-                        counted("_bidiagonal_band", realization._bidiagonal_band))
+                        counted("band", realization._bidiagonal_band))
+    monkeypatch.setattr(realization._TauStar, "band", counted("band", realization._TauStar.band))
     monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
     for spec in exemplar_specs.values():
         chk = analyze_instance(spec, deep=deep)
         assert chk.ok, (spec.name, chk.failures)
     assert counts == {"primitive_idempotents": 0,
-                      "_bidiagonal_band": (2 if deep else 1) * len(exemplar_specs),
+                      "band": (2 if deep else 1) * len(exemplar_specs),
                       "mat_mul": len(exemplar_specs)}
 
 
@@ -474,24 +477,39 @@ def fast_and_deep_samples():
 
 
 def test_fast_and_deep_analysis_agree(monkeypatch):
-    # Fast mode forms V* and the w*_i[i + 1] alone; deep mode builds and
-    # certifies all of E and E*, and passes the V* of the certified family.
-    seen = []
-    original = analysis.standard_basis_rep
+    # Fast mode forms no V* over Q, where the band is certified on the
+    # integer U, and V* by back-substitution on a finite field; deep mode
+    # builds and certifies all of E and E*, and passes the V* of the
+    # certified family, which over Q must tie to U, so that both modes take
+    # the integer route.
+    seen, standard = [], []
+    band, rep = realization._tridiagonal_band, analysis.standard_basis_rep
 
-    def recording(real, vs):
-        std, nums = original(real, vs)
-        seen.append((vs, std.A))
+    def recording_band(mtx, vs, u=None):
+        out = band(mtx, vs, u)
+        seen.append((vs, out[1] is not None))
+        return out
+
+    def recording_rep(real, vs):
+        std, nums = rep(real, vs)
+        standard.append(std.A)
         return std, nums
 
-    monkeypatch.setattr(analysis, "standard_basis_rep", recording)
+    monkeypatch.setattr(realization, "_tridiagonal_band", recording_band)
+    monkeypatch.setattr(analysis, "standard_basis_rep", recording_rep)
     checked = 0
     for spec in fast_and_deep_samples():
         fast = analyze_instance(spec)
         deep = analyze_instance(spec, deep=True)
-        (v_fast, a_fast), (v_deep, a_deep) = seen[-2:]
-        assert v_fast == v_deep, spec
-        assert a_fast == a_deep, spec
+        (v_fast, on_u_fast), (v_deep, on_u_deep) = seen
+        seen.clear()
+        rational = spec.field.characteristic == 0
+        assert on_u_fast == on_u_deep == rational, spec
+        if rational:
+            assert v_fast is None and v_deep is not None, spec
+        else:
+            assert v_fast == v_deep, spec
+        assert standard[-2] == standard[-1], spec
         assert fast.nums == deep.nums, spec
         assert fast.flags == deep.flags, spec
         assert fast.ok, (spec, fast.failures)
@@ -583,9 +601,11 @@ def test_fast_analysis_multiplication_count(monkeypatch):
 def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
     """A fast verdict reads of W* only w*_i[i + 1], the first step of the
     forward substitution, and never transposes A: no full left factor is
-    formed, and the one matrix product is the T M of L_equals_TM.  A deep
-    verdict forms both left families, 2n vectors, and A's transpose once."""
-    counts = {"_left_eigenvector": 0, "mat_mul": 0}
+    formed, and the one matrix product is the T M of L_equals_TM.  Over Q
+    it forms no right factor either, as its band is certified on U.  A
+    deep verdict forms both families, 2n vectors on each side, and A's
+    transpose once."""
+    counts = {"_left_eigenvector": 0, "_right_eigenvector": 0, "mat_mul": 0}
     transposed = []
 
     def counted(name, fn):
@@ -599,8 +619,8 @@ def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
         return transpose(a)
 
     transpose = linalg.transpose
-    monkeypatch.setattr(realization, "_left_eigenvector",
-                        counted("_left_eigenvector", realization._left_eigenvector))
+    for name in ("_left_eigenvector", "_right_eigenvector"):
+        monkeypatch.setattr(realization, name, counted(name, getattr(realization, name)))
     monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
     monkeypatch.setattr(linalg, "transpose", recording)
     for name in (LeonardType.Q_RACAH, LeonardType.KRAWTCHOUK):
@@ -610,7 +630,8 @@ def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
         chk = analyze_instance(spec, deep=deep)
         assert chk.ok, (name, chk.failures)
         n = spec.d + 1
-        assert counts == {"_left_eigenvector": 2 * n if deep else 0, "mat_mul": 1}, name
+        assert counts == {"_left_eigenvector": 2 * n if deep else 0,
+                          "_right_eigenvector": 2 * n if deep else 0, "mat_mul": 1}, name
         a = realization.realize_split(chk.arr).A
         assert sum(m == a for m in transposed) == (1 if deep else 0), name
 

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "code_lines.py"
 spec = importlib.util.spec_from_file_location("code_lines", SCRIPT)
 code_lines = importlib.util.module_from_spec(spec)
@@ -52,3 +54,20 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
         ["2", str(tmp_path / "pkg" / "b.py")],
         ["13", "total"],
     ]
+
+
+def test_help_prints_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        code_lines.main(["code_lines.py", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: code_lines.py [-h] [path ...]")
+
+
+def test_missing_path_exits_2_with_one_line(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    missing = tmp_path / "nope.py"
+    assert code_lines.main(["code_lines.py", str(tmp_path / "a.py"), str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"code_lines.py: error: no such file or directory: {missing}\n"

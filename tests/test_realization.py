@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from leonardz.families import FAMILIES
 from leonardz.parray import LeonardType, ParameterArray, build_parameter_array
 from leonardz.realization import (
     bidiagonal_idempotents,
-    bidiagonal_right_factors,
+    factor_superdiagonals,
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,
@@ -39,13 +40,14 @@ def split_factors(real):
     return e, bidiagonal_idempotents(real.A_star, arr.theta_star, arr.field)
 
 
-def w_next(factors):
-    """The entries w_i[i + 1] of the left factors, all the a-trace reads of them."""
-    return [w[i + 1] for i, w in enumerate(factors.w[:-1])]
+def superdiagonals(factors):
+    """v_(i+1)[i] and w_i[i + 1], i < d: all the a-trace reads of the factors."""
+    return ([v[i] for i, v in enumerate(factors.v[1:])],
+            [w[i + 1] for i, w in enumerate(factors.w[:-1])])
 
 
 def a_trace(real, estar):
-    return intersection_a_trace(real, estar.v, w_next(estar))
+    return intersection_a_trace(real, *superdiagonals(estar))
 
 
 def dense_sandwich(ws, mtx, vs):
@@ -204,28 +206,29 @@ def test_bidiagonal_route_rejects_bad_input(rows, eigs):
 
 @pytest.mark.parametrize("rows, eigs", BAD_BIDIAGONAL, ids=BAD_BIDIAGONAL_IDS)
 def test_left_eigenvector_runs_the_same_checks(rows, eigs):
-    # The fast path's factors, V and the w_i[i + 1], refuse what the family does.
+    # The fast path's entries of the factors, v_(i+1)[i] and w_i[i + 1],
+    # refuse what the family does.
     eigs = [QQ(x) for x in eigs]
     with pytest.raises(IdempotentCheckFailed) as family:
         bidiagonal_idempotents(qmat(rows), eigs, QQ)
     with pytest.raises(IdempotentCheckFailed) as alone:
-        bidiagonal_right_factors(qmat(rows), eigs, QQ)
+        factor_superdiagonals(qmat(rows), eigs)
     assert str(alone.value) == str(family.value)
 
 
 def test_left_eigenvector_is_the_family_factor(exemplar_specs):
-    # Of W the fast path forms only w_i[i + 1], the first forward
-    # substitution step; V is the family's, on A* and on the transpose of A.
+    # Of V and W the fast path forms only v_(i+1)[i] and w_i[i + 1], the
+    # first substitution steps, on A* and on the transpose of A.
     for spec in exemplar_specs.values():
         arr = build_parameter_array(spec)
         real = realize_split(arr)
         for mtx, eigs in ((real.A_star, arr.theta_star),
                           (linalg.transpose(real.A), arr.theta)):
             family = bidiagonal_idempotents(mtx, eigs, arr.field)
-            vs, nxt = bidiagonal_right_factors(mtx, eigs, arr.field)
-            assert vs == family.v and nxt == w_next(family), spec
-    with pytest.raises(RepeatedEigenvalue):
-        bidiagonal_right_factors(qmat([[1, 2], [0, 1]]), [QQ(1), QQ(1)], QQ)
+            assert factor_superdiagonals(mtx, eigs) == superdiagonals(family), spec
+    for route in (bidiagonal_idempotents, lambda mtx, eigs, ctx: factor_superdiagonals(mtx, eigs)):
+        with pytest.raises(RepeatedEigenvalue):
+            route(qmat([[1, 2], [0, 1]]), [QQ(1), QQ(1)], QQ)
 
 
 def chain_idempotents(mtx, eigs, ctx):
@@ -455,10 +458,13 @@ def test_intersection_numbers_match_closed_forms():
 
 def test_singular_basis_detected(monkeypatch, worked):
     """A band whose theta_0-eigenvector has a zero entry is refused: the
-    worked A has theta_0 = A[0][0] = 0, and T D = 0 for D = (1, 0, -1, 1)."""
+    worked A has theta_0 = A[0][0] = 0, and T D = 0 for D = (1, 0, -1, 1).
+    The band is injected as the integer route's T' = C T C^-1, whose
+    D' = C D vanishes where D does."""
     _, real, _, estar = worked
     rows = qmat([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]])
-    monkeypatch.setattr(realization, "_tridiagonal_band", lambda mtx, vs: band_of(rows))
+    monkeypatch.setattr(realization, "_tridiagonal_band",
+                        lambda mtx, vs, u: (band_of(rows), u.scale))
     with pytest.raises(SingularBasis) as info:
         standard_basis_rep(real, estar.v)
     assert str(info.value) == "E*_1 u vanishes: D_1 = 0"
@@ -595,7 +601,7 @@ def test_band_and_trace_match_the_full_sandwich():
         full = dense_sandwich(estar.w, real.A, estar.v)
         n = real.dim
         assert not off_band(full), spec
-        assert realization._tridiagonal_band(real.A, estar.v) == band_of(full), spec
+        assert realization._tridiagonal_band(real.A, estar.v) == (band_of(full), None), spec
         assert a_trace(real, estar) == [full[i][i] for i in range(n)], spec
         # Both a-routes read theta_i + v*_i[i-1]; the trace adds w*_i[i+1]
         # where the band subtracts v*_(i+1)[i], equal as W* V* = I.
@@ -624,7 +630,7 @@ def test_scale_is_the_normalised_w_star_u():
         u = u_by_substitution(real.A, arr.theta, arr.field.one)
         assert u == bidiagonal_idempotents(linalg.transpose(real.A), arr.theta, arr.field).w[0]
         old = [linalg.dot(w, u) for w in estar.w]
-        band = realization._tridiagonal_band(real.A, estar.v)
+        band, _ = realization._tridiagonal_band(real.A, estar.v)
         scale = realization._standard_scale(band, arr.d, real.A[0][0], arr.field.one)
         assert scale == [x / old[0] for x in old], spec
         checked += 1
@@ -635,7 +641,9 @@ def test_scale_is_the_normalised_w_star_u():
 def test_perturbed_band_fails_the_last_row(monkeypatch, worked, entry):
     """A band entry moved by 1 leaves T D = theta_0 D false in row d.
     Moving t_dd or t_(d,d-1) changes no D_i, so the residual is D_d or
-    D_(d-1); moving t_00 changes D_1..D_d."""
+    D_(d-1); moving t_00 changes D_1..D_d.  Over Q the certified band is
+    T' = C T C^-1, so t_ij moves by 1 where t'_ij moves by C_i / C_j, and
+    the residual named is that of T."""
     arr, real, _, estar = worked
     d = arr.d
     key = {"last-diagonal": (d, d), "last-subdiagonal": (d, d - 1),
@@ -643,10 +651,11 @@ def test_perturbed_band_fails_the_last_row(monkeypatch, worked, entry):
     u = u_by_substitution(real.A, arr.theta, arr.field.one)
     scale = [linalg.dot(w, u) / linalg.dot(estar.w[0], u) for w in estar.w]
 
-    def bent(mtx, vs):
-        band = band_certified(mtx, vs)
-        band[key] = band[key] + QQ(1)
-        return band
+    def bent(mtx, vs, u):
+        band, c = band_certified(mtx, vs, u)
+        assert c is not None  # the integer route
+        band[key] = band[key] + c(key[0]) / c(key[1])
+        return band, c
 
     band_certified = realization._tridiagonal_band
     monkeypatch.setattr(realization, "_tridiagonal_band", bent)
@@ -794,6 +803,7 @@ def test_factors_not_unit_upper_triangular_rejected(monkeypatch, sampled_d6, j, 
     vs = [v[:] for v in estar.v]
     vs[j][r] = QQ(x)
     monkeypatch.setattr(realization, "_bidiagonal_band", refuse)
+    monkeypatch.setattr(realization._TauStar, "band", refuse)
     with pytest.raises(SingularBasis) as info:
         standard_basis_rep(real, vs)
     assert str(info.value) == f"v*_{j} is not unit upper triangular at entry {r}"
@@ -808,6 +818,7 @@ def test_a_not_lower_bidiagonal_rejected(monkeypatch, sampled_d6, r, c):
     real, e, estar = sampled_d6
     broken = _with_a(real, {(r, c): 1})
     monkeypatch.setattr(realization, "_bidiagonal_band", refuse)
+    monkeypatch.setattr(realization._TauStar, "band", refuse)
     with pytest.raises(SingularBasis) as info:
         standard_basis_rep(broken, estar.v)
     assert str(info.value) == f"A not lower bidiagonal at ({r},{c})"
@@ -821,8 +832,8 @@ def test_standard_basis_of_a_scaled_and_a_shifted_a(sampled_d6):
     _, nums = standard_basis_rep(real, estar.v)
     two = realization.Realization(real.array, [[QQ(2) * x for x in row] for row in real.A],
                                   real.A_star, real.basis)
-    assert realization._tridiagonal_band(two.A, estar.v) == band_of(
-        dense_sandwich(estar.w, two.A, estar.v))
+    assert realization._tridiagonal_band(two.A, estar.v) == (band_of(
+        dense_sandwich(estar.w, two.A, estar.v)), None)
     _, doubled = standard_basis_rep(two, estar.v)
     assert doubled.a == [QQ(2) * x for x in nums.a]
     assert doubled.b == [QQ(2) * x for x in nums.b]
@@ -833,6 +844,116 @@ def test_standard_basis_of_a_scaled_and_a_shifted_a(sampled_d6):
     assert moved.a == [x + QQ(1) for x in nums.a]
     assert (moved.b, moved.c) == (nums.b, nums.c)
     assert a_trace(shifted, estar) == moved.a
+
+
+def rational_samples(d_values=range(3, 17)):
+    """One seeded sample per family over Q at each d."""
+    for d in d_values:
+        for name in families_over(QQ, d):
+            yield sample_spec(name, d, QQ, random.Random(f"integer-band|{name.value}|{d}"))
+
+
+def test_integer_band_is_the_fraction_band():
+    """On U the certified band is T' = C T C^-1: mapped back by
+    t_ij = t'_ij C_j / C_i it is the band that the Fraction route reads off
+    the V* of bidiagonal_idempotents, and the scale D' = C D of T' is the
+    D of T times C; one sample per family at every d in 3..16 over Q."""
+    checked = 0
+    for spec in rational_samples():
+        arr = build_parameter_array(spec)
+        real = realize_split(arr)
+        vs = bidiagonal_idempotents(real.A_star, arr.theta_star, QQ).v
+        band, none = realization._tridiagonal_band(real.A, vs)
+        scaled, c = realization._tridiagonal_band(real.A, None, realization._TauStar.of(arr))
+        assert none is None and c is not None, spec
+        assert {(i, j): x * c(j) / c(i) for (i, j), x in scaled.items()} == band, spec
+        theta0 = real.A[0][0]
+        scale = realization._standard_scale(band, arr.d, theta0, QQ.one)
+        assert realization._standard_scale(scaled, arr.d, theta0, QQ.one, c) == [
+            x * c(i) for i, x in enumerate(scale)], spec
+        checked += 1
+    assert checked == 168
+
+
+def test_right_factors_factor_through_tau_star():
+    """v*_j[r] = (Phi_j / Phi_r) tau*_r(theta*_j) / tau*_j(theta*_j), with
+    Phi_r = phi_1 ... phi_r, is bidiagonal_idempotents' V* entry for entry
+    (both sides vanish for r > j); _TauStar holds U[r][j] =
+    L^r tau*_r(theta*_j) and C_j = Phi_j / tau*_j(theta*_j), and V* ties to
+    U while V* with its corner v*_d[0] moved by 1 does not."""
+    for spec in rational_samples():
+        arr = build_parameter_array(spec)
+        ts, n = arr.theta_star, arr.d + 1
+        vs = bidiagonal_idempotents(realize_split(arr).A_star, ts, QQ).v
+        phi = [QQ(1)]
+        for x in arr.phi1:
+            phi.append(phi[-1] * x)
+        tau = [[_poly(ts[:r], ts[j]) for j in range(n)] for r in range(n)]
+        assert vs == [[phi[j] / phi[r] * tau[r][j] / tau[j][j] for r in range(n)]
+                      for j in range(n)], spec
+        u = realization._TauStar.of(arr)
+        assert u.lcm == math.lcm(*(t.denominator for t in ts)), spec
+        assert u.cols == [[u.lcm ** r * tau[r][j] for r in range(j + 1)] for j in range(n)], spec
+        assert [u.scale(j) for j in range(n)] == [phi[j] / tau[j][j] for j in range(n)], spec
+        assert u.ties(vs), spec
+        moved = [v[:] for v in vs]
+        moved[-1][0] = moved[-1][0] + 1
+        assert not u.ties(moved), spec
+
+
+def perturbed_arrays(seq):
+    """One array per family at d = 3 and 8 over Q for each entry of the
+    sequence seq moved by 1, built directly and kept where its eigenvalues
+    stay distinct."""
+    for spec in rational_samples((3, 8)):
+        arr = build_parameter_array(spec)
+        for i in range(len(getattr(arr, seq))):
+            values = {k: list(getattr(arr, k)) for k in ("theta", "theta_star", "phi1", "phi2")}
+            values[seq][i] = values[seq][i] + 1
+            broken = ParameterArray(QQ, arr.d, **values)
+            try:
+                yield spec, i, broken.validate()
+            except LeonardError:
+                continue
+
+
+@pytest.mark.parametrize("seq", ["theta", "theta_star", "phi1"])
+def test_routes_fail_alike_on_a_perturbed_array(monkeypatch, seq):
+    """The integer route raises the exception class and message text of the
+    Fraction route (V* by back-substitution), or both give the same standard
+    basis, on arrays with one theta, theta* or phi entry moved by 1; the
+    values a failure names are converted from T' to T on its cold path.
+    Every such array is refused."""
+    failed = checked = 0
+    for spec, i, arr in perturbed_arrays(seq):
+        real = realize_split(arr)
+        outcomes = []
+        for fraction in (False, True):
+            with monkeypatch.context() as m:
+                if fraction:  # no U: the band is read off V*, as on a finite field
+                    m.setattr(realization._TauStar, "of", staticmethod(lambda arr: None))
+                try:
+                    outcomes.append(standard_basis_rep(real)[0].A)
+                except LeonardError as err:
+                    outcomes.append((type(err), str(err)))
+        assert outcomes[0] == outcomes[1], (spec, i)
+        failed += isinstance(outcomes[0], tuple)
+        checked += 1
+    assert failed == checked == {"theta": 149, "theta_star": 152, "phi1": 132}[seq]
+
+
+def test_zero_phi_takes_the_fraction_route(worked):
+    """With a zero phi_i, P = diag(Phi_r L^r) is singular and U does not
+    factor V*: the band is read off V*, built by back-substitution, and a
+    zero t_ij is named as before."""
+    arr, real, _, _ = worked
+    broken = ParameterArray(arr.field, arr.d, arr.theta, arr.theta_star,
+                            arr.phi1[:1] + [QQ(0)] + arr.phi1[2:], arr.phi2)
+    assert realization._TauStar.of(broken) is None
+    with pytest.raises(SingularBasis) as info:
+        standard_basis_rep(realize_split(broken))
+    assert str(info.value) == (
+        "off-diagonal intersection numbers must be nonzero: T at (1,2) is 0")
 
 
 def test_axioms_pass_on_worked(worked):
