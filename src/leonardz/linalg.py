@@ -25,10 +25,10 @@ triangular eigenvector factors), so the kernels over field elements skip
 structural zeros: a row update, a product term or a dot product runs only
 over the support of the row it reads, the (index, value) pairs of its
 nonzero entries, and a sum starts from its first nonzero term instead of
-adding it to zero.  The elementwise mat_add, mat_sub and mat_scale keep
-an operand where the other is zero.  As x - f*0 = x, x + 0*y = x,
-0 + y = y and c*0 = 0 exactly, every result is the value the dense loop
-gives.
+adding it to zero.  The elementwise mat_sub and mat_scale keep an
+operand where the other is zero.  As x - f*0 = x, x + 0*y = x,
+0 + y = y, x - 0 = x and c*0 = 0 exactly, every result is the value the
+dense loop gives.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ def zeros(n, m, ctx):
 def identity(n, ctx):
     z, o = ctx.zero, ctx.one
     return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
-def mat_add(a, b):
-    """A + B, with 0 + y = y and x + 0 = x taken without arithmetic."""
-    return [[(x + y if x else y) if y else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):

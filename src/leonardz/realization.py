@@ -3,10 +3,11 @@
 realize_split produces the defining bidiagonal pair: A lower bidiagonal
 with eigenvalue diagonal and unit subdiagonal, A* upper bidiagonal with
 dual eigenvalue diagonal and the first split sequence on the
-superdiagonal.  The analysis keeps the primitive idempotents as rank-one
-factors E_i = v_i w_i^T (SpectralFactors), found by substitution in
-O(n^2) each: bidiagonal_idempotents takes an upper bidiagonal or diagonal
-matrix such as A* directly, and A through its transpose.  As
+superdiagonal.  The analysis and the boundary example (counterexample)
+keep the primitive idempotents as rank-one factors E_i = v_i w_i^T
+(SpectralFactors), found by substitution in O(n^2) each:
+bidiagonal_idempotents takes an upper bidiagonal or diagonal matrix such
+as A* directly, and A through its transpose.  As
 w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T, so the a-trace, the
 change to the standard basis {E*_i u} and both tridiagonal axioms read
 scalars of W M V.  The fast analysis forms no factor of E, and of E* only
@@ -58,13 +59,12 @@ bidiagonal or unit triangular shape.  The a-trace reads (i, i),
 a_i = theta_i + v*_i[i - 1] + w*_i[i + 1], and the band
 t_ii = theta_i + v*_i[i - 1] - v*_(i+1)[i]: the two a-routes share
 theta_i + v*_i[i - 1] and differ in w*_i[i + 1] against -v*_(i+1)[i],
-equal only because W* V* = I.  The spectral product
-formula, post-verified, works for any multiplicity-free matrix and is the
-reference route of the tests and of the boundary example
-(counterexample); the analysis does not call it.  As the shifts
-M - theta_j I commute, primitive_idempotents forms the product over
-j != i as P_i S_i from prefix products P_i (j < i) and suffix products
-S_i (j > i) built once, about 3n matrix products per family.
+equal only because W* V* = I.
+
+primitive_idempotents is the definition of the projections, the product
+over j != i of (M - theta_j I)/(theta_i - theta_j) for any
+multiplicity-free M.  Nothing in the package calls it; it is the
+reference route the tests hold the factors to.
 """
 
 from __future__ import annotations
@@ -118,8 +118,9 @@ class SpectralFactors:
         return SpectralFactors(self.w, self.v)
 
     def projections(self):
-        """The dense matrices v_i w_i^T, formed only where tests compare them
-        with the product formula."""
+        """The dense matrices v_i w_i^T, formed only for the 3 x 3 boundary
+        example (counterexample) and where tests compare them with the
+        product formula."""
         zero = self.v[0][0] - self.v[0][0]
         return [[[x * y for y in w] if x else [zero] * len(w) for x in v]
                 for v, w in zip(self.v, self.w)]
@@ -208,34 +209,17 @@ def primitive_idempotents(mtx, eigs, ctx):
     """Spectral projections of a multiplicity-free matrix, one per eigenvalue.
 
     Each projection is the product of (M - eig_j I)/(eig_i - eig_j) over
-    j != i, and is post-verified to square to itself.  The product is
-    P_i S_i, with the prefix P_i over j < i and the suffix S_i over j > i
-    each built once for all i, so a family takes 3n - 6 products and n
-    squarings instead of n(n - 2) chain products.
+    j != i, one chain per projection scaled once, and is post-verified to
+    square to itself.  This is the definition, kept as the tests'
+    reference route; the package builds projections as SpectralFactors.
     """
     _check_distinct(eigs)
-    n = len(eigs)
-    if n < 2:
-        return [linalg.identity(len(mtx), ctx) for _ in eigs]
-    shifts = [linalg.shift(mtx, ej) for ej in eigs]
-    prefix = [None, shifts[0]]  # prefix[i] = shifts[0] ... shifts[i-1]
-    for j in range(1, n - 1):
-        prefix.append(linalg.mat_mul(prefix[-1], shifts[j]))
-    suffix = [None] * n  # suffix[i] = shifts[i+1] ... shifts[n-1]
-    suffix[n - 2] = shifts[n - 1]
-    for j in range(n - 3, -1, -1):
-        suffix[j] = linalg.mat_mul(shifts[j + 1], suffix[j + 1])
     out = []
     for i, ei in enumerate(eigs):
-        if i == 0:
-            prod = suffix[0]
-        elif i == n - 1:
-            prod = prefix[n - 1]
-        else:
-            prod = linalg.mat_mul(prefix[i], suffix[i])
-        denom = ctx.one
+        prod, denom = linalg.identity(len(mtx), ctx), ctx.one
         for j, ej in enumerate(eigs):
             if j != i:
+                prod = linalg.mat_mul(prod, linalg.shift(mtx, ej))
                 denom = denom * (ei - ej)
         prod = linalg.mat_scale(ctx.one / denom, prod)
         if not linalg.mat_eq(linalg.mat_mul(prod, prod), prod):

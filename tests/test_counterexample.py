@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import QQ
+from leonardz import linalg
 from leonardz.counterexample import (
     KNOWN_FORMS,
     KNOWN_ORDER,
@@ -14,7 +15,15 @@ from leonardz.counterexample import (
     run_elimination,
     tridiagonal_patterns_hold,
 )
-from leonardz.realization import primitive_idempotents
+from leonardz.realization import bidiagonal_idempotents, primitive_idempotents
+
+
+def projections():
+    """The boundary pair and E, E* as counterexample_d2 builds them: the
+    dense matrices of the rank-one factors of A's transpose and of A*."""
+    a, a_star, eigs = base_matrices()
+    e = bidiagonal_idempotents(linalg.transpose(a), eigs, QQ).transpose().projections()
+    return a, a_star, e, bidiagonal_idempotents(a_star, eigs, QQ).projections()
 
 
 def test_full_report_passes_quickly():
@@ -56,9 +65,7 @@ def test_span_facts_are_as_computed():
 
 
 def test_entry_22_form_is_antisymmetric_pair():
-    a, a_star, eigs = base_matrices()
-    e = primitive_idempotents(a, eigs, QQ)
-    estar = primitive_idempotents(a_star, eigs, QQ)
+    a, a_star, e, estar = projections()
     form = certificate_forms(a, a_star, e, estar)[(2, 2)]
     assert form[1][2] == QQ(3)
     assert form[2][1] == QQ(-3)
@@ -66,9 +73,7 @@ def test_entry_22_form_is_antisymmetric_pair():
 
 
 def test_entry_10_form_matches_known_coefficients():
-    a, a_star, eigs = base_matrices()
-    e = primitive_idempotents(a, eigs, QQ)
-    estar = primitive_idempotents(a_star, eigs, QQ)
+    a, a_star, e, estar = projections()
     form = certificate_forms(a, a_star, e, estar)[(1, 0)]
     scale_text, known = KNOWN_FORMS[(1, 0)]
     scale = QQ(scale_text)
@@ -78,10 +83,36 @@ def test_entry_10_form_matches_known_coefficients():
 
 
 def test_patterns_hold():
-    a, a_star, eigs = base_matrices()
-    e = primitive_idempotents(a, eigs, QQ)
-    estar = primitive_idempotents(a_star, eigs, QQ)
+    a, a_star, e, estar = projections()
     assert tridiagonal_patterns_hold(a, a_star, e, estar)
+
+
+def test_factor_route_matches_product_formula():
+    a, a_star, e, estar = projections()
+    _, _, eigs = base_matrices()
+    assert e == primitive_idempotents(a, eigs, QQ)
+    assert estar == primitive_idempotents(a_star, eigs, QQ)
+
+
+@pytest.mark.parametrize("inner", ["A", "A_star"])
+def test_patterns_fail_with_identity_inner(inner):
+    # Distinct projections are orthogonal, so with I between them every
+    # product at |i - j| = 1 vanishes.
+    a, a_star, e, estar = projections()
+    eye = linalg.identity(3, QQ)
+    args = (eye, a_star) if inner == "A" else (a, eye)
+    assert not tridiagonal_patterns_hold(*args, e, estar)
+
+
+def test_patterns_fail_with_all_ones_inner():
+    # E_i J E_j = (E_i 1)(1^T E_j).  The E* side, with the true A, passes,
+    # and E_0 J E_1 is nonzero as it must be, so the first check to fail
+    # is E_0 J E_2, nonzero at |i - j| = 2.
+    a, _, e, estar = projections()
+    ones = [[QQ(1)] * 3 for _ in range(3)]
+    for j in (1, 2):
+        assert not linalg.is_zero_matrix(linalg.mat_mul(linalg.mat_mul(e[0], ones), e[j]))
+    assert not tridiagonal_patterns_hold(a, ones, e, estar)
 
 
 def test_elimination_runs_on_known_forms():
@@ -92,8 +123,7 @@ def test_elimination_runs_on_known_forms():
 
 
 def test_displayed_idempotent_rows():
-    _, a_star, eigs = base_matrices()
-    estar = primitive_idempotents(a_star, eigs, QQ)
+    _, _, _, estar = projections()
     assert estar[0][0] == [QQ(1), QQ(1), QQ("9/4")]
     assert estar[2][1] == [QQ(0), QQ(0), QQ(-3)]
 

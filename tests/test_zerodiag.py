@@ -155,7 +155,7 @@ def test_closed_dim1_expansion_identity(std_dim1):
     # (A - a0)(A* - ts_d) - (A - ad)(A* - ts_0) = -3 (A + 3 A* - 6 I)
     arr, std, a = std_dim1
     gen = zerodiag.z_basis_closed_dim1(std, a, QQ(1), QQ(1))
-    direct = linalg.mat_add(std.A, linalg.mat_scale(QQ(3), std.A_star))
+    direct = [[x + QQ(3) * y for x, y in zip(ra, rb)] for ra, rb in zip(std.A, std.A_star)]
     for i in range(4):
         direct[i][i] = direct[i][i] - QQ(6)
     assert linalg.mat_eq(gen, linalg.mat_scale(QQ(-3), direct))
@@ -301,7 +301,7 @@ def reference_combination(coeffs, real):
     out = linalg.mat_scale(coeffs.f0, linalg.identity(real.dim, real.array.field))
     for f, m in ((coeffs.f1, real.A_star), (coeffs.f2, real.A),
                  (coeffs.f3, linalg.mat_mul(real.A, real.A_star))):
-        out = linalg.mat_add(out, linalg.mat_scale(f, m))
+        out = [[x + f * y for x, y in zip(ro, rm)] for ro, rm in zip(out, m)]
     return out
 
 
