@@ -22,7 +22,8 @@ from .errors import (
 from .families import FAMILIES
 from .parray import build_parameter_array
 from .realization import (
-    bidiagonal_idempotents,
+    bidiagonal_right_factors,
+    certify_right_factors,
     factor_superdiagonals,
     intersection_a_closed,
     intersection_a_trace,
@@ -245,20 +246,21 @@ class InstanceChecks:
 def analyze_instance(spec, arr=None, deep=False):
     """Run the full pipeline on one instance and cross-check every route.
 
-    E* comes from the upper bidiagonal A* as rank-one factors
-    E*_i = v*_i w*_i^T.  The fast path forms nothing of E and, of E*, only
-    the entries v*_(i+1)[i] and w*_i[i + 1] (factor_superdiagonals), all
-    the a-trace reads of w*_i A v*_i.  The standard basis {E*_i u} takes
-    the band T of W* A V* without W*, certified in O(n^2): over Q on the
-    integer matrix U[r][j] = L^r tau*_r(theta*_j), as the band of
-    T' = C T C^-1 with A' U = U T', where V* = P^-1 U C for diagonal P and
-    C, so no Fraction V* is formed; on a finite field off the columns of
-    V*, built by back-substitution, with A V* = V* T.  Its scale
-    D_i = w*_i . u is the theta_0-eigenvector of T, in O(n); on T' the
-    same recurrence gives D' = C D, and A_std = D'^-1 T' D' needs no C.
-    A failure names entries of T and D, converted from T' and D' on the
-    failure path only.  No dense projection or basis matrix is formed, so
-    the a_trace and a_standard flags compare two different computations
+    E* comes from the upper bidiagonal A*, E from the lower bidiagonal A,
+    each as right factors V* and V, the right eigenvectors found by
+    substitution.  The fast path forms nothing of E and, of E*, only the
+    entries v*_(i+1)[i] and w*_i[i + 1] (factor_superdiagonals), all the
+    a-trace reads of w*_i A v*_i in either mode.  The standard basis
+    {E*_i u} takes the band T of V*^-1 A V*, certified in O(n^2) without
+    V*^-1: over Q on the integer matrix U[r][j] = L^r tau*_r(theta*_j), as
+    the band of T' = C T C^-1 with A' U = U T', where V* = P^-1 U C for
+    diagonal P and C, so no Fraction V* is formed; on a finite field off
+    the columns of V*, built by back-substitution, with A V* = V* T.  Its
+    scale D_i = w*_i . u is the theta_0-eigenvector of T, in O(n); on T'
+    the same recurrence gives D' = C D, and A_std = D'^-1 T' D' needs no
+    C.  A failure names entries of T and D, converted from T' and D' on
+    the failure path only.  No dense projection or basis matrix is formed,
+    so the a_trace and a_standard flags compare two different computations
     with the closed form.  The zero diagonal space is computed in the
     standard basis, where A* is diagonal and the test E*_i X E*_i = 0
     reads X_ii = 0; every matrix of that space is read off the band of A
@@ -266,22 +268,26 @@ def analyze_instance(spec, arr=None, deep=False):
     coefficient vectors with those of the closed forms, four entries each:
     the map from coefficients to matrices is linear, and injective once
     x_generators_independent holds, so they read as the tests on the
-    n^2-flattened matrices would.  With deep=True all of E and E* is
-    built, and two O(n^2) certificates run: SpectralFactors.certify proves
-    that the rank-one factors of E* (of A*) and of E (through the
-    transpose of A) are the primitive idempotents, by M v_i = theta_i v_i,
-    w_i M = theta_i w_i and w_i . v_i = 1, and verify_axioms reads the
-    band of W A* V = V^-1 A* V off V's columns, certified by A* V = V T,
-    for the tridiagonal vanishing axioms of E A* E.  Those of E* A E* are
-    the band that standard_basis_rep certifies in both modes; deep mode
-    passes it the certified V*, which over Q is tied to U entry for entry,
+    n^2-flattened matrices would.
+
+    With deep=True all of V* (of A*, by back-substitution) and V (of A, by
+    forward substitution) is built, and certify_right_factors proves
+    M v_i = theta_i v_i for each family, the theta distinct.  With the
+    unit triangular shapes that verify_axioms and standard_basis_rep
+    check, V is invertible and V^-1 M V = diag(theta), so
+    E_i = v_i (row i of V^-1) are the primitive idempotents.  Both
+    tridiagonal axioms are bands of V^-1 M' V, certified by M' V = V T
+    without reading V^-1: verify_axioms reads that of V^-1 A* V off V's
+    columns for E A* E, and standard_basis_rep that of V*^-1 A V* for
+    E* A E* in both modes; deep mode passes it the certified V*, which
+    over Q is tied to U entry for entry,
     v*_j[r] Phi_r tau*_j(theta*_j) = Phi_j tau*_r(theta*_j), by one O(n^2)
-    check, so that the band is read on U.  Neither mode forms an
-    n x n product of the factors, and a failed certificate names an entry
-    off the band and its value.  The spectral product formula is not
-    called; it stays the reference route of the tests and of
-    counterexample.  The analyze command and the worked-instance tests use
-    deep mode, the sampling campaign does not.
+    check, so that the band is read on U.  No left factor, no transpose of
+    A and no n x n product of the factors is formed, and a failed
+    certificate names an entry off the band and its value.  The spectral
+    product formula is not called; it stays the reference route of the
+    tests.  The analyze command and the worked-instance tests use deep
+    mode, the sampling campaign does not.
     """
     if arr is None:
         arr = build_parameter_array(spec)
@@ -290,23 +296,18 @@ def analyze_instance(spec, arr=None, deep=False):
     flags = {}
 
     real = realize_split(arr)
+    v_sup, w_sup = factor_superdiagonals(real.A_star, arr.theta_star)
+    v_star = None
     if deep:
-        estar_split = bidiagonal_idempotents(real.A_star, arr.theta_star, ctx)
-        a_t = linalg.transpose(real.A)
-        e_t = bidiagonal_idempotents(a_t, arr.theta, ctx)
-        for name, family, mtx, eigs in (("E* of A*", estar_split, real.A_star, arr.theta_star),
-                                        ("E of A^T", e_t, a_t, arr.theta)):
+        v_star = bidiagonal_right_factors(real.A_star, arr.theta_star, ctx)
+        v = bidiagonal_right_factors(real.A, arr.theta, ctx, lower=True)
+        for name, mtx, eigs, vs in (("E* of A*", real.A_star, arr.theta_star, v_star),
+                                    ("E of A", real.A, arr.theta, v)):
             try:
-                family.certify(mtx, eigs)
+                certify_right_factors(mtx, eigs, vs)
             except IdempotentCheckFailed as err:
                 raise IdempotentCheckFailed(f"rank-one {name}: {err}") from None
-        verify_axioms(real, e_t.w)  # the right factors of E = E_t^T
-        v_star = estar_split.v
-        v_sup = [v[i] for i, v in enumerate(v_star[1:])]
-        w_sup = [w[i + 1] for i, w in enumerate(estar_split.w[:-1])]
-    else:
-        v_star = None
-        v_sup, w_sup = factor_superdiagonals(real.A_star, arr.theta_star)
+        verify_axioms(real, v)
 
     a = intersection_a_closed(arr)
     a_trace = intersection_a_trace(real, v_sup, w_sup)

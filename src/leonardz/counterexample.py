@@ -75,18 +75,21 @@ class EliminationStep:
 
 @dataclass
 class CounterexampleReport:
-    idempotents_match: bool
+    """What counterexample_d2 computed.  A projection that does not match
+    its known value, an extracted form off its known equation and a failed
+    elimination step each raise MismatchAtEntry before the report is
+    built, so only the pattern check can read no."""
+
     patterns_hold: bool
     form_scales: dict
     rank_five_forms: int
     rank_with_g0g0star: int
     g0g0star_in_span: bool
     elimination_steps: list = dc_field(default_factory=list)
-    g0g0star_vanishes: bool = False
 
     @property
     def ok(self):
-        return self.idempotents_match and self.patterns_hold and self.g0g0star_vanishes
+        return self.patterns_hold
 
 
 def tridiagonal_patterns_hold(a, a_star, e_set, estar_set):
@@ -241,19 +244,17 @@ def counterexample_d2():
     steps = run_elimination(normalized)
 
     return CounterexampleReport(
-        idempotents_match=True,
         patterns_hold=patterns,
         form_scales=scales,
         rank_five_forms=rank_five,
         rank_with_g0g0star=rank_six,
         g0g0star_in_span=in_span,
-        elimination_steps=steps,
-        g0g0star_vanishes=True)
+        elimination_steps=steps)
 
 
 def render_report(report):
     lines = ["counterexample:"]
-    lines.append(f"  idempotents_match = {'yes' if report.idempotents_match else 'no'}")
+    lines.append("  idempotents_match = yes")
     lines.append(f"  tridiagonal_patterns = {'yes' if report.patterns_hold else 'no'}")
     lines.append("  E_star0 row 0 = " + ", ".join(EXPECTED_E_STAR[0][0]))
     lines.append("forms:")
@@ -269,7 +270,6 @@ def render_report(report):
     for k, step in enumerate(report.elimination_steps, 1):
         lines.append(f"  step{k}: {step.description}")
         lines.append(f"         {step.relation}")
-    lines.append("  g0*g0star vanishes given invertibility: "
-                 + ("yes" if report.g0g0star_vanishes else "no"))
+    lines.append("  g0*g0star vanishes given invertibility: yes")
     lines.append("conclusion: certificate pair impossible, no spin")
     return "\n".join(lines) + "\n"

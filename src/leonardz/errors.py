@@ -72,13 +72,13 @@ class RepeatedEigenvalue(LeonardError, ValueError):
 class IdempotentCheckFailed(LeonardError):
     """A computed projection fails its check; the input matrix was bad.
 
-    Raised when E*E != E, when rank-one factors fail a residual of their
-    certificate (SpectralFactors.certify), when a matrix given as upper
-    bidiagonal has an entry off the bidiagonal or a diagonal other than
-    its eigenvalues, and when the E A* E axiom check (verify_axioms) is
-    given an A* that is not upper bidiagonal or right factors v_j that are
-    not unit lower triangular.  A shape error names the first entry off
-    the shape.
+    Raised when E*E != E, when right factors fail a residual of their
+    certificate M v_i = theta_i v_i (certify_right_factors), when a matrix
+    given as upper or lower bidiagonal has an entry off the bidiagonal or
+    a diagonal other than its eigenvalues, and when the E A* E axiom
+    check (verify_axioms) is given an A* that is not upper bidiagonal or
+    right factors v_j that are not unit lower triangular.  A shape error
+    names the first entry off the shape.
     """
 
 

@@ -3,28 +3,32 @@
 realize_split produces the defining bidiagonal pair: A lower bidiagonal
 with eigenvalue diagonal and unit subdiagonal, A* upper bidiagonal with
 dual eigenvalue diagonal and the first split sequence on the
-superdiagonal.  The analysis and the boundary example (counterexample)
-keep the primitive idempotents as rank-one factors E_i = v_i w_i^T
-(SpectralFactors), found by substitution in O(n^2) each:
-bidiagonal_idempotents takes an upper bidiagonal or diagonal matrix such
-as A* directly, and A through its transpose.  As
-w_i v_j = [i = j], E_i M E_j = (w_i M v_j) v_i w_j^T, so the a-trace, the
-change to the standard basis {E*_i u} and both tridiagonal axioms read
-scalars of W M V.  The fast analysis forms no factor of E, and of E* only
-the entries v*_(i+1)[i] and w*_i[i + 1] that the a-trace meets
-(factor_superdiagonals); deep mode builds and certifies both families
-whole.  The rest reads bands of W M V = V^-1 M V, as follows.
+superdiagonal.  The primitive idempotents are kept as factors found by
+substitution in O(n^2) each, and the analysis reads only right ones:
+V* of the upper bidiagonal A* by back-substitution and V of the lower
+bidiagonal A by forward substitution (bidiagonal_right_factors).  Where
+V is invertible and V^-1 M V = diag(theta), E_i = v_i w_i^T with w_i row
+i of W = V^-1, so E_i M' E_j = (V^-1 M' V)_ij v_i w_j^T: the change to
+the standard basis {E*_i u} and both tridiagonal axioms read bands of
+V^-1 M' V, certified by M' V = V T without forming W.  The fast
+analysis forms no factor of E, and of E* only the entries v*_(i+1)[i]
+and w*_i[i + 1] that the a-trace meets (factor_superdiagonals); deep
+mode builds and certifies V and V* whole.  bidiagonal_idempotents gives
+both factors of an upper bidiagonal or diagonal matrix, w_i by forward
+substitution, as SpectralFactors; the boundary example
+(counterexample) and the tests use it, the analysis does not.
 
-Two O(n^2) certificates stand in for dense products.
-SpectralFactors.certify proves that a family of factors is the spectral
-decomposition of its matrix by the defining identities M v_i = theta_i v_i,
-w_i M = theta_i w_i and w_i v_i = 1.  _bidiagonal_band reads the band T of
-S = V^-1 M V off V's columns for a lower bidiagonal M and a unit upper
-triangular V, certified by M V = V T; where the certificate fails, it
-names an entry of S off the band and its value.  The E A* E pattern is
-read this way (verify_axioms), on the image of A* and V with rows and
-columns in reverse order, where A* is lower bidiagonal and V unit upper
-triangular.
+Two kinds of O(n^2) certificate stand in for dense products.
+certify_right_factors proves M v_i = theta_i v_i for each i, with the
+theta distinct; together with the unit triangular shape of V, which the
+band readers check, that is V^-1 M V = diag(theta), so the v_i are the
+right factors of the primitive idempotents.  _bidiagonal_band reads the
+band T of S = V^-1 M V off V's columns for a lower bidiagonal M and a
+unit upper triangular V, certified by M V = V T; where the certificate
+fails, it names an entry of S off the band and its value.  The E A* E
+pattern is read this way (verify_axioms), on the image of A* and V with
+rows and columns in reverse order, where A* is lower bidiagonal and V
+unit upper triangular.
 
 The E* A E* pattern is the band T of W* A V* = V*^-1 A V* for the lower
 bidiagonal A; it also gives the standard basis.  Over Q it is certified
@@ -125,49 +129,42 @@ class SpectralFactors:
         return [[[x * y for y in w] if x else [zero] * len(w) for x in v]
                 for v, w in zip(self.v, self.w)]
 
-    def certify(self, mtx, eigs):
-        """Prove that the E_i = v_i w_i^T are the primitive idempotents of mtx.
 
-        Checks that the eigs are distinct (RepeatedEigenvalue otherwise) and
-        that there are n factor pairs of length n for the n x n mtx, then,
-        for each i in turn, M v_i = theta_i v_i row by row,
-        w_i M = theta_i w_i column by column, and w_i . v_i = 1; the first
-        residual that fails raises IdempotentCheckFailed, which names it.
-        Each residual runs over the vector's support only, O(n) per vector
-        on a bidiagonal M.  No w_i . v_j with i != j is needed:
-        (theta_i - theta_j) w_i . v_j = w_i M v_j - w_i M v_j = 0.  So
-        W V = I, hence V W = I = sum E_i, E_i E_j = [i = j] E_i and
-        M E_i = theta_i E_i, which fix the primitive idempotents.
-        """
-        _check_distinct(eigs)
-        n = len(eigs)
-        if not (len(mtx) == len(self.v) == len(self.w) == n
-                and all(len(x) == n for x in (*mtx, *self.v, *self.w))):
-            raise IdempotentCheckFailed(f"factors do not fit {n} eigenvalues")
-        rows = [linalg.support(row) for row in mtx]
-        cols = [linalg.support(col) for col in zip(*mtx)]
-        for i, (v, w, eig) in enumerate(zip(self.v, self.w, eigs)):
-            r = _first_residual(eig, v, cols)
-            if r is not None:
-                raise IdempotentCheckFailed(f"M v_{i} != theta_{i} v_{i} in row {r}")
-            c = _first_residual(eig, w, rows)
-            if c is not None:
-                raise IdempotentCheckFailed(f"w_{i} M != theta_{i} w_{i} in column {c}")
-            if linalg.dot(w, v) != 1:
-                raise IdempotentCheckFailed(f"w_{i} . v_{i} != 1")
+def certify_right_factors(mtx, eigs, vs):
+    """Prove that each v_i is an eigenvector of mtx: M v_i = theta_i v_i.
+
+    Checks that the eigs are distinct (RepeatedEigenvalue otherwise) and
+    that there are n factors of length n for the n x n mtx, then, for each
+    i in turn, M v_i = theta_i v_i row by row; the first residual that
+    fails raises IdempotentCheckFailed, which names it.  Each residual runs
+    over the vector's support only, O(n) per vector on a bidiagonal M.
+    With V invertible, as the unit triangular shape that verify_axioms and
+    _tridiagonal_band check makes it, V^-1 M V = diag(theta), so
+    E_i = v_i (row i of V^-1) are the primitive idempotents of M.  No left
+    factor is needed: a band V^-1 M' V is certified by M' V = V T.
+    """
+    _check_distinct(eigs)
+    n = len(eigs)
+    if not (len(mtx) == len(vs) == n and all(len(x) == n for x in (*mtx, *vs))):
+        raise IdempotentCheckFailed(f"factors do not fit {n} eigenvalues")
+    cols = [linalg.support(col) for col in zip(*mtx)]
+    for i, (v, eig) in enumerate(zip(vs, eigs)):
+        r = _first_residual(eig, v, cols)
+        if r is not None:
+            raise IdempotentCheckFailed(f"M v_{i} != theta_{i} v_{i} in row {r}")
 
 
-def _first_residual(eig, vec, lines):
+def _first_residual(eig, vec, cols):
     """The smallest index r with (M vec)[r] != theta vec[r], or None.
 
-    lines are the supports of M's columns, for M v, or of its rows, for
-    w M.  Each vec[k] != 0 is scattered through line k, so M vec costs one
-    product per nonzero of vec and per entry of its line, and each of its
-    entries is summed before the one comparison with theta vec[r].
+    cols are the supports of M's columns.  Each vec[k] != 0 is scattered
+    through column k, so M vec costs one product per nonzero of vec and
+    per entry of its column, and each of its entries is summed before the
+    one comparison with theta vec[r].
     """
     mv = [None] * len(vec)  # None: no term, so (M vec)[r] = 0
     for k, x in linalg.support(vec):
-        for r, m in lines[k]:
+        for r, m in cols[k]:
             mv[r] = m * x if mv[r] is None else mv[r] + m * x
     return next((r for r, (y, x) in enumerate(zip(mv, vec))
                  if ((x and eig * x) if y is None else y != (eig * x if x else x))), None)
@@ -244,34 +241,44 @@ def _check_shape(rows, lo, hi, error, what, diag=None):
                 raise error(what.format(r, c))
 
 
-def _superdiagonal(mtx, eigs):
-    """The superdiagonal of mtx, after checking that mtx is upper bidiagonal
-    with the distinct eigs on its diagonal."""
+def _off_diagonal(mtx, eigs, lower=False):
+    """The superdiagonal of mtx, or its subdiagonal where lower, after
+    checking that mtx is upper (lower) bidiagonal with the distinct eigs
+    on its diagonal."""
     _check_distinct(eigs)
     n = len(eigs)
     if len(mtx) != n:
         raise IdempotentCheckFailed(f"{len(mtx)} rows for {n} eigenvalues")
-    _check_shape(mtx, 0, 1, IdempotentCheckFailed,
-                 "M not upper bidiagonal with diagonal theta at ({0},{1})", eigs)
-    return [mtx[r][r + 1] for r in range(n - 1)]
+    _check_shape(mtx, *((-1, 0) if lower else (0, 1)), IdempotentCheckFailed,
+                 f"M not {'lower' if lower else 'upper'} bidiagonal with diagonal theta"
+                 " at ({0},{1})", eigs)
+    return [mtx[r + 1][r] if lower else mtx[r][r + 1] for r in range(n - 1)]
 
 
-def _left_eigenvector(sup, eigs, i, ctx):
-    """w_i by forward substitution: w_i[i] = 1, support i..d."""
-    w = [ctx.zero] * len(eigs)
-    w[i] = ctx.one
-    for c in range(i + 1, len(eigs)):
-        w[c] = w[c - 1] * (sup[c - 1] / (eigs[i] - eigs[c]))
-    return w
-
-
-def _right_eigenvector(sup, eigs, i, ctx):
-    """v_i by back-substitution: v_i[i] = 1, support 0..i."""
+def _right_eigenvector(off, eigs, i, ctx, lower=False):
+    """v_i with M v_i = theta_i v_i and v_i[i] = 1, for the bidiagonal M
+    with diagonal eigs: by back-substitution on the superdiagonal off of an
+    upper bidiagonal M (support 0..i), by forward substitution on the
+    subdiagonal off of a lower one (support i..d)."""
     v = [ctx.zero] * len(eigs)
     v[i] = ctx.one
-    for r in range(i - 1, -1, -1):
-        v[r] = v[r + 1] * (sup[r] / (eigs[i] - eigs[r]))
+    if lower:
+        for r in range(i + 1, len(eigs)):
+            v[r] = v[r - 1] * (off[r - 1] / (eigs[i] - eigs[r]))
+    else:
+        for r in range(i - 1, -1, -1):
+            v[r] = v[r + 1] * (off[r] / (eigs[i] - eigs[r]))
     return v
+
+
+def bidiagonal_right_factors(mtx, eigs, ctx, lower=False):
+    """V, the right eigenvectors v_i of the upper bidiagonal mtx whose
+    diagonal is eigs, or of the lower bidiagonal one where lower, each
+    with v_i[i] = 1: unit upper triangular (v_i of support 0..i) or unit
+    lower triangular (support i..d) as a family.  IdempotentCheckFailed
+    names an entry off the shape (_off_diagonal)."""
+    off = _off_diagonal(mtx, eigs, lower)
+    return [_right_eigenvector(off, eigs, i, ctx, lower) for i in range(len(eigs))]
 
 
 def bidiagonal_idempotents(mtx, eigs, ctx):
@@ -281,17 +288,20 @@ def bidiagonal_idempotents(mtx, eigs, ctx):
     bidiagonal matrix such as the split A, whose projections are the
     transposes of the ones returned.  The right eigenvector v_i of eigs[i]
     comes from back-substitution and has support 0..i; the left
-    eigenvector w_i comes from forward substitution and has support i..d.
-    With v_i[i] = w_i[i] = 1 their product w_i v_i is 1, so the
-    projection is v_i w_i^T, returned as its factors.  For a triangular
-    matrix the shape and diagonal checks are what verify the spectrum.
-    Each substitution step forms the ratio of small height first, so an
-    entry costs one product with the full-height entry before it.
+    eigenvector w_i, the right one of the lower bidiagonal transpose,
+    comes from forward substitution and has support i..d.  With
+    v_i[i] = w_i[i] = 1 their product w_i v_i is 1, so the projection is
+    v_i w_i^T, returned as its factors.  For a triangular matrix the shape
+    and diagonal checks are what verify the spectrum.  Each substitution
+    step forms the ratio of small height first, so an entry costs one
+    product with the full-height entry before it.  The analysis reads
+    only right factors (bidiagonal_right_factors); this family is the
+    boundary example's and the tests' reference route.
     """
-    sup = _superdiagonal(mtx, eigs)
+    sup = _off_diagonal(mtx, eigs)
     n = len(eigs)
     return SpectralFactors([_right_eigenvector(sup, eigs, i, ctx) for i in range(n)],
-                           [_left_eigenvector(sup, eigs, i, ctx) for i in range(n)])
+                           [_right_eigenvector(sup, eigs, i, ctx, lower=True) for i in range(n)])
 
 
 def factor_superdiagonals(mtx, eigs):
@@ -299,12 +309,12 @@ def factor_superdiagonals(mtx, eigs):
     and w_sup[i] = w_i[i + 1], i < d, of bidiagonal_idempotents(mtx, eigs),
     with the same checks, and nothing else of the factors.
 
-    That is all the fast analysis reads of E*, for the a-trace.  Each is
+    That is all the a-trace reads of E*, in both modes.  Each is
     the first substitution step next to v_j[j] = w_j[j] = 1:
     w_i[i + 1] = sup[i] / (theta_i - theta_(i+1)) and
     v_(i+1)[i] = sup[i] / (theta_(i+1) - theta_i) = -w_i[i + 1].
     """
-    sup = _superdiagonal(mtx, eigs)
+    sup = _off_diagonal(mtx, eigs)
     w_sup = [x / (eigs[i] - eigs[i + 1]) for i, x in enumerate(sup)]
     return [-x for x in w_sup], w_sup
 
@@ -505,7 +515,7 @@ def _tridiagonal_band(mtx, vs, u=None):
     the band of C S C^-1 and c = u.scale.
 
     A must be lower bidiagonal, as the split A is (any subdiagonal), and
-    V*, where given, unit upper triangular, as bidiagonal_idempotents
+    V*, where given, unit upper triangular, as bidiagonal_right_factors
     gives it for an upper bidiagonal matrix; SingularBasis names the first
     entry off either shape before any band is read.  u is used when vs is
     None, or when u.ties(vs) shows that vs is its V*; the band is
@@ -562,9 +572,10 @@ def standard_basis_rep(real, vs=None):
     T' = C T C^-1, certified by A' U = U T'; a given V* is used there only
     where it ties to U entry for entry, as deep mode's certified V* does.
     Otherwise the band comes from V*, built by back-substitution where not
-    given, certified by A V* = V* T (_tridiagonal_band).  An A that is not lower bidiagonal, or a V* that
-    is not unit upper triangular, is refused, and an entry of T off the
-    band is named with its value (SingularBasis either way).  D needs
+    given, certified by A V* = V* T (_tridiagonal_band).  An A that is
+    not lower bidiagonal, or a V* that is not unit upper triangular, is
+    refused, and an entry of T off the band is named with its value
+    (SingularBasis either way).  D needs
     neither W* nor u: as A u = theta_0 u, D = W* u is the
     theta_0-eigenvector of T, which is the row-sum identity
     c_i + a_i + b_i = theta_0 of the standard basis (Terwilliger, LAA 330
@@ -606,16 +617,17 @@ def verify_axioms(real, vs):
     factors vs of E.
 
     E_i A* E_j must vanish exactly when |i-j| > 1 and be nonzero when
-    |i-j| = 1.  With the projections as rank-one factors whose W inverts V,
-    as SpectralFactors.certify proves, E_i A* E_j is (w_i A* v_j) v_i w_j^T
-    and W A* V = V^-1 A* V, so no W is read.  A* must be upper bidiagonal
-    and V unit lower triangular, as in the split realization;
+    |i-j| = 1.  The v_j are eigenvectors of A, as certify_right_factors
+    proves, and V is unit lower triangular, as checked here, so
+    E_j = v_j w_j^T with w_j row j of W = V^-1 and E_i A* E_j is
+    (V^-1 A* V)_ij v_i w_j^T: no W is formed.  A* must be upper
+    bidiagonal and V unit lower triangular, as in the split realization;
     IdempotentCheckFailed names the first entry off either shape.  With P
     the reversal of rows and columns, P A* P is lower bidiagonal, P V P
     unit upper triangular and their band is P (V^-1 A* V) P, so
-    _bidiagonal_band certifies that
-    matrix tridiagonal from V alone, in O(n^2), or names an entry off the
-    band: AxiomViolation "E A* E at (i,j) expected zero, got S_ij".  Then
+    _bidiagonal_band certifies that matrix tridiagonal from V alone, in
+    O(n^2), or names an entry off the band: AxiomViolation
+    "E A* E at (i,j) expected zero, got S_ij".  Then
     the first zero entry next to the diagonal, in row-major order, raises
     "expected nonzero".  The dual pattern E*_i A E*_j is the band of
     W* A V*, which standard_basis_rep certifies: zero off the band by

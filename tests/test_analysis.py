@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import QQ, campaign_cell_samples, make_krawtchouk
+from conftest import QQ, campaign_cell_samples, families_over, make_krawtchouk
 from leonardz import analysis, linalg, realization, zerodiag
 from leonardz.analysis import (
     analyze_instance,
@@ -23,6 +23,7 @@ from leonardz.errors import (
     IdempotentCheckFailed,
     IdentityFailure,
     IndexOutOfRange,
+    LeonardError,
 )
 from leonardz.exactfield import ExtensionField, PrimeFieldElement, parse_field
 from leonardz.parray import ALL_TYPES, LeonardType, build_parameter_array
@@ -396,43 +397,47 @@ def test_split_analysis_call_counts(monkeypatch, exemplar_specs, deep):
 @pytest.mark.parametrize("deep, calls", [(False, 0), (True, 2)])
 def test_product_formula_only_in_deep_mode(monkeypatch, kraw_dim1, deep, calls):
     """Only deep mode proves the two families that the product formula
-    defines, E* of A* and E of A^T, and what it certifies is exactly what
-    the product formula gives."""
+    defines, E* of A* and E of A, and what it certifies is exactly what the
+    product formula gives: v_i is column i of E_i, as the left factor w_i
+    has w_i[i] = 1."""
     seen = []
 
-    def recording(self, mtx, eigs):
-        seen.append((self, mtx, eigs))
-        return certify(self, mtx, eigs)
+    def recording(mtx, eigs, vs):
+        seen.append((mtx, eigs, vs))
+        return certify(mtx, eigs, vs)
 
-    certify = realization.SpectralFactors.certify
-    monkeypatch.setattr(realization.SpectralFactors, "certify", recording)
+    certify = analysis.certify_right_factors
+    monkeypatch.setattr(analysis, "certify_right_factors", recording)
     chk = analyze_instance(kraw_dim1, deep=deep)
     assert chk.ok, chk.failures
     assert len(seen) == calls
-    for factors, mtx, eigs in seen:
-        assert factors.projections() == realization.primitive_idempotents(mtx, eigs, chk.arr.field)
+    for mtx, eigs, vs in seen:
+        e = realization.primitive_idempotents(mtx, eigs, chk.arr.field)
+        assert vs == [[row[i] for row in e_i] for i, e_i in enumerate(e)]
 
 
 @pytest.mark.parametrize("family", ["E*", "E"])
 def test_deep_mode_rejects_diverging_projections(monkeypatch, kraw_dim1, family):
-    # Deep mode certifies E* (of A*) first, then E (through the transpose of
-    # A).  Adding 1 to v_3[0] breaks row 0 of M v_3 = theta_3 v_3 by
-    # theta_0 - theta_3 and no earlier residual.
+    # Deep mode builds V* (of A*) first, then V (of A), and certifies them
+    # in that order.  Adding 1 to v*_3[0] breaks row 0 of A* v*_3 by
+    # theta*_0 - theta*_3, and adding 1 to v_0[3] row 3 of A v_0 by
+    # theta_3 - theta_0, and no earlier residual.
     calls = []
+    i, r = {"E*": (3, 0), "E": (0, 3)}[family]
 
-    def perturbed(mtx, eigs, ctx):
-        out = original(mtx, eigs, ctx)
+    def perturbed(mtx, eigs, ctx, lower=False):
+        out = original(mtx, eigs, ctx, lower)
         calls.append(mtx)
         if len(calls) == ["E*", "E"].index(family) + 1:
-            out.v[3][0] = out.v[3][0] + ctx.one
+            out[i][r] = out[i][r] + ctx.one
         return out
 
-    original = analysis.bidiagonal_idempotents
-    monkeypatch.setattr(analysis, "bidiagonal_idempotents", perturbed)
+    original = analysis.bidiagonal_right_factors
+    monkeypatch.setattr(analysis, "bidiagonal_right_factors", perturbed)
     with pytest.raises(IdempotentCheckFailed) as info:
         analyze_instance(kraw_dim1, deep=True)
-    label = {"E*": "E* of A*", "E": "E of A^T"}[family]
-    assert str(info.value) == f"rank-one {label}: M v_3 != theta_3 v_3 in row 0"
+    label = {"E*": "E* of A*", "E": "E of A"}[family]
+    assert str(info.value) == f"rank-one {label}: M v_{i} != theta_{i} v_{i} in row {r}"
 
 
 def test_fast_standard_basis_and_trace_form_no_dense_product(monkeypatch, exemplar_specs):
@@ -599,13 +604,15 @@ def test_fast_analysis_multiplication_count(monkeypatch):
 
 @pytest.mark.parametrize("deep", [False, True])
 def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
-    """A fast verdict reads of W* only w*_i[i + 1], the first step of the
-    forward substitution, and never transposes A: no full left factor is
-    formed, and the one matrix product is the T M of L_equals_TM.  Over Q
-    it forms no right factor either, as its band is certified on U.  A
-    deep verdict forms both families, 2n vectors on each side, and A's
-    transpose once."""
-    counts = {"_left_eigenvector": 0, "_right_eigenvector": 0, "mat_mul": 0}
+    """A verdict reads of W* only w*_i[i + 1], the first step of the
+    forward substitution (factor_superdiagonals), and never transposes A:
+    no full left factor is formed, and the one matrix product is the T M
+    of L_equals_TM.  A fast verdict over Q forms no right factor either,
+    as its band is certified on U.  A deep verdict forms the right factors
+    alone: n back-substitutions on A*'s superdiagonal for V* and n forward
+    substitutions on A's subdiagonal for V."""
+    counts = {"bidiagonal_idempotents": 0, "mat_mul": 0}
+    substitutions = []
     transposed = []
 
     def counted(name, fn):
@@ -614,45 +621,130 @@ def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
             return fn(*args)
         return wrapped
 
-    def recording(a):
+    def recording(off, eigs, i, ctx, lower=False):
+        substitutions.append((off, eigs, lower))
+        return substitute(off, eigs, i, ctx, lower)
+
+    def transposing(a):
         transposed.append(a)
         return transpose(a)
 
-    transpose = linalg.transpose
-    for name in ("_left_eigenvector", "_right_eigenvector"):
-        monkeypatch.setattr(realization, name, counted(name, getattr(realization, name)))
+    substitute, transpose = realization._right_eigenvector, linalg.transpose
+    monkeypatch.setattr(realization, "_right_eigenvector", recording)
+    monkeypatch.setattr(realization, "bidiagonal_idempotents",
+                        counted("bidiagonal_idempotents", realization.bidiagonal_idempotents))
     monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
-    monkeypatch.setattr(linalg, "transpose", recording)
+    monkeypatch.setattr(linalg, "transpose", transposing)
     for name in (LeonardType.Q_RACAH, LeonardType.KRAWTCHOUK):
         spec = sample_spec(name, 16, QQ, random.Random(f"no-left|{name.value}"))
         counts.update(dict.fromkeys(counts, 0))
+        substitutions.clear()
         transposed.clear()
         chk = analyze_instance(spec, deep=deep)
         assert chk.ok, (name, chk.failures)
         n = spec.d + 1
-        assert counts == {"_left_eigenvector": 2 * n if deep else 0,
-                          "_right_eigenvector": 2 * n if deep else 0, "mat_mul": 1}, name
-        a = realization.realize_split(chk.arr).A
-        assert sum(m == a for m in transposed) == (1 if deep else 0), name
+        assert counts == {"bidiagonal_idempotents": 0, "mat_mul": 1}, name
+        real = realization.realize_split(chk.arr)
+        sup = [real.A_star[r][r + 1] for r in range(n - 1)]
+        sub = [real.A[r + 1][r] for r in range(n - 1)]
+        expected = [(sup, chk.arr.theta_star, False)] * n + [(sub, chk.arr.theta, True)] * n
+        assert substitutions == (expected if deep else []), name
+        assert real.A not in transposed, name
 
 
-def test_deep_verdict_certifies_the_full_left_factors(monkeypatch):
-    """Deep mode still certifies all of W*: each w*_i of the E* family has
-    its whole support i..d, and it is the forward substitution's vector."""
+def test_deep_verdict_certifies_every_right_factor(monkeypatch):
+    """Deep mode certifies all of V* and V: each v*_i has its whole
+    support 0..i and each v_i its whole support i..d, and each is the
+    substitution's vector."""
     seen = []
 
-    def recording(self, mtx, eigs):
-        seen.append((self, mtx, eigs))
-        return certify(self, mtx, eigs)
+    def recording(mtx, eigs, vs):
+        seen.append((mtx, eigs, vs))
+        return certify(mtx, eigs, vs)
 
-    certify = realization.SpectralFactors.certify
-    monkeypatch.setattr(realization.SpectralFactors, "certify", recording)
+    certify = analysis.certify_right_factors
+    monkeypatch.setattr(analysis, "certify_right_factors", recording)
     spec = sample_spec(LeonardType.Q_RACAH, 16, QQ, random.Random("deep-full-w"))
     chk = analyze_instance(spec, deep=True)
     assert chk.ok, chk.failures
-    real = realization.realize_split(chk.arr)
-    estar, mtx, eigs = seen[0]
-    assert (mtx, eigs) == (real.A_star, chk.arr.theta_star)
-    assert estar.w == analysis.bidiagonal_idempotents(mtx, eigs, chk.arr.field).w
-    assert all(all(w[c] for c in range(i, len(w))) and not any(w[:i])
-               for i, w in enumerate(estar.w))
+    arr = chk.arr
+    real = realization.realize_split(arr)
+    (astar, theta_star, v_star), (a, theta, v) = seen
+    assert (astar, theta_star) == (real.A_star, arr.theta_star)
+    assert (a, theta) == (real.A, arr.theta)
+    assert v_star == realization.bidiagonal_idempotents(astar, theta_star, arr.field).v
+    assert v == realization.bidiagonal_idempotents(
+        linalg.transpose(a), theta, arr.field).w
+    assert all(all(x[:i + 1]) and not any(x[i + 1:]) for i, x in enumerate(v_star))
+    assert all(all(x[i:]) and not any(x[:i]) for i, x in enumerate(v))
+
+
+def deep_right_factor_samples(label):
+    """One sampled d = 6 spec per family over the field label."""
+    ctx = parse_field(label)
+    rng = random.Random(f"deep-right-factors|{label}")
+    return [sample_spec(name, 6, ctx, rng) for name in families_over(ctx, 6)]
+
+
+@pytest.mark.parametrize("label", ["Q", "GF(1000003)", "GF(3^4)"])
+def test_deep_verdict_refuses_every_perturbed_right_factor(monkeypatch, label):
+    """Adding 1 to any entry v_i[r] in the support of a right factor, of V*
+    or of V, makes the deep verdict raise an error that names the family
+    and the factor: the certificate M v_i = theta_i v_i ("rank-one E* of
+    A*: M v_i ..."), or, for the one entry whose change leaves an
+    eigenvector (2 v*_0, 2 v_d), the unit diagonal ("v*_0 is not unit upper
+    triangular", "v_d is not unit lower triangular")."""
+    names = {"E*": ("rank-one E* of A*: M v_", "v*_"), "E": ("rank-one E of A: M v_", "v_")}
+    original = analysis.bidiagonal_right_factors
+
+    def perturbing(family_lower, i, r):
+        def perturbed(mtx, eigs, ctx, lower=False):
+            out = original(mtx, eigs, ctx, lower)
+            if lower == family_lower:
+                out[i][r] = out[i][r] + ctx.one
+            return out
+        return perturbed
+
+    samples = deep_right_factor_samples(label)
+    shapes = []
+    for spec in samples:
+        assert analyze_instance(spec, deep=True).ok
+        n = spec.d + 1
+        for family, lower in (("E*", False), ("E", True)):
+            for i in range(n):
+                for r in (range(i, n) if lower else range(i + 1)):
+                    with monkeypatch.context() as m, pytest.raises(LeonardError) as info:
+                        m.setattr(analysis, "bidiagonal_right_factors", perturbing(lower, i, r))
+                        analyze_instance(spec, deep=True)
+                    message = str(info.value)
+                    assert message.startswith(names[family]), (family, i, r, message)
+                    assert f"v_{i} " in message or f"v*_{i} " in message, (family, i, r, message)
+                    if not message.startswith("rank-one"):
+                        shapes.append((family, i, r))
+    assert shapes == [("E*", 0, 0), ("E", 6, 6)] * len(samples)
+
+
+@pytest.mark.parametrize("label", ["Q", "GF(1000003)", "GF(3^4)"])
+def test_deep_right_factors_span_the_images_of_the_product_formula(monkeypatch, label):
+    """Each right factor deep mode certifies is the image of its projection
+    by the product formula: E_i v_i = v_i and E_j v_i = 0 for j != i, for
+    V of A and for V* of A*."""
+    seen = []
+
+    def recording(mtx, eigs, vs):
+        seen.append((mtx, eigs, vs))
+        return certify(mtx, eigs, vs)
+
+    certify = analysis.certify_right_factors
+    monkeypatch.setattr(analysis, "certify_right_factors", recording)
+    for spec in deep_right_factor_samples(label):
+        seen.clear()
+        chk = analyze_instance(spec, deep=True)
+        assert chk.ok, chk.failures
+        assert len(seen) == 2
+        ctx = chk.arr.field
+        for mtx, eigs, vs in seen:
+            for j, e_j in enumerate(realization.primitive_idempotents(mtx, eigs, ctx)):
+                for i, v in enumerate(vs):
+                    image = [linalg.dot(row, v) for row in e_j]
+                    assert image == (v if i == j else [ctx.zero] * len(v)), (spec.name, i, j)

@@ -18,6 +18,8 @@ from leonardz.families import FAMILIES
 from leonardz.parray import LeonardType, ParameterArray, build_parameter_array
 from leonardz.realization import (
     bidiagonal_idempotents,
+    bidiagonal_right_factors,
+    certify_right_factors,
     factor_superdiagonals,
     intersection_a_closed,
     intersection_a_trace,
@@ -137,7 +139,7 @@ def test_idempotents_of_diagonal_matrix():
 
 def test_repeated_eigenvalue_rejected():
     diag = qmat([[4, 0], [0, 4]])
-    for route in (primitive_idempotents, bidiagonal_idempotents):
+    for route in (primitive_idempotents, bidiagonal_idempotents, bidiagonal_right_factors):
         with pytest.raises(RepeatedEigenvalue):
             route(diag, [QQ(4), QQ(4)], QQ)
 
@@ -202,6 +204,22 @@ def test_bidiagonal_route_rejects_bad_input(rows, eigs):
     with pytest.raises(IdempotentCheckFailed) as info:
         bidiagonal_idempotents(qmat(rows), [QQ(x) for x in eigs], QQ)
     assert isinstance(info.value, LeonardError)
+
+
+@pytest.mark.parametrize("rows, eigs", BAD_BIDIAGONAL, ids=BAD_BIDIAGONAL_IDS)
+def test_right_factors_run_the_same_checks_in_both_shapes(rows, eigs):
+    """bidiagonal_right_factors refuses what the family does, on the upper
+    matrix and, with lower=True, on its transpose."""
+    eigs = [QQ(x) for x in eigs]
+    with pytest.raises(IdempotentCheckFailed) as family:
+        bidiagonal_idempotents(qmat(rows), eigs, QQ)
+    with pytest.raises(IdempotentCheckFailed) as upper:
+        bidiagonal_right_factors(qmat(rows), eigs, QQ)
+    assert str(upper.value) == str(family.value)
+    with pytest.raises(IdempotentCheckFailed,
+                       match=r"^(M not lower bidiagonal with diagonal theta at \(\d,\d\)"
+                             r"|2 rows for 3 eigenvalues)$"):
+        bidiagonal_right_factors(linalg.transpose(qmat(rows)), eigs, QQ, lower=True)
 
 
 @pytest.mark.parametrize("rows, eigs", BAD_BIDIAGONAL, ids=BAD_BIDIAGONAL_IDS)
@@ -471,9 +489,9 @@ def test_certificates_name_a_lone_off_band_entry():
 
 def test_fast_analysis_never_forms_the_full_sandwich(monkeypatch):
     """Neither mode forms an n x n product of the factors: the one matrix
-    product is the T M of L_equals_TM, and the dot products, n^2 for a full
-    W M V, are the w_i . v_i of the two families that deep mode certifies:
-    the fast path forms none, as its scale D comes from the band."""
+    product is the T M of L_equals_TM, and no dot product is formed, n^2
+    for a full W M V: the scale D comes from the band, and deep mode
+    certifies right factors alone, with no w_i . v_i."""
     counts = {"mat_mul": 0, "support_dot": 0}
 
     def counted(name, fn):
@@ -491,7 +509,7 @@ def test_fast_analysis_never_forms_the_full_sandwich(monkeypatch):
             chk = analyze_instance(spec, deep=deep)
             assert chk.ok, (deep, chk.failures)
             assert counts["mat_mul"] == 1, deep
-            assert counts["support_dot"] == (2 * (spec.d + 1) if deep else 0), (deep, counts)
+            assert counts["support_dot"] == 0, (deep, counts)
 
 
 def test_deep_analysis_forms_no_sandwich(monkeypatch, exemplar_specs):
@@ -516,9 +534,10 @@ def test_deep_analysis_forms_no_sandwich(monkeypatch, exemplar_specs):
 
 
 def test_certify_and_reversed_band_on_cross_route_samples():
-    """certify accepts E* (of A*) and E (of the transpose of A), and the
-    V-only band that verify_axioms reads on the reversed A* and V is the
-    band of the dense W A* V, which is zero off the band."""
+    """The right factors deep mode builds are those of the reference
+    families, certify_right_factors accepts V* (of A*) and V (of A), and
+    the V-only band that verify_axioms reads on the reversed A* and V is
+    the band of the dense W A* V, which is zero off the band."""
     def refuse(i, j, x):
         raise AssertionError(f"off the band at ({i},{j})")
 
@@ -527,8 +546,10 @@ def test_certify_and_reversed_band_on_cross_route_samples():
         arr = build_parameter_array(spec)
         real = realize_split(arr)
         e, estar = split_factors(real)
-        estar.certify(real.A_star, arr.theta_star)
-        e.transpose().certify(linalg.transpose(real.A), arr.theta)
+        assert bidiagonal_right_factors(real.A_star, arr.theta_star, arr.field) == estar.v
+        assert bidiagonal_right_factors(real.A, arr.theta, arr.field, lower=True) == e.v
+        certify_right_factors(real.A_star, arr.theta_star, estar.v)
+        certify_right_factors(real.A, arr.theta, e.v)
         assert verify_axioms(real, e.v), spec
         full = dense_sandwich(e.w, real.A_star, e.v)
         assert not off_band(full), spec
@@ -668,79 +689,94 @@ def test_certificate_fails_on_a_perturbed_eigenvalue(sampled_d6, r):
 
 
 def _family(sampled_d6, family):
-    """(factors, matrix, eigenvalues) that certify takes for E* or for E."""
+    """(matrix, eigenvalues, right factors) that certify_right_factors
+    takes for E* or for E."""
     real, e, estar = sampled_d6
     arr = real.array
     if family == "E*":
-        return estar, real.A_star, arr.theta_star
-    return e.transpose(), linalg.transpose(real.A), arr.theta
+        return real.A_star, arr.theta_star, estar.v
+    return real.A, arr.theta, e.v
 
 
 @pytest.mark.parametrize("family", ["E*", "E"])
-@pytest.mark.parametrize("side, i, r, residual", [
-    # v_i has support 0..i; v_i[r] enters rows r - 1 and r, row r by theta_r - theta_i
-    ("v", 6, 0, "M v_6 != theta_6 v_6 in row 0"),
-    ("v", 4, 2, "M v_4 != theta_4 v_4 in row 1"),
-    ("v", 3, 3, "M v_3 != theta_3 v_3 in row 2"),
-    ("v", 0, 0, "w_0 . v_0 != 1"),
-    # w_i has support i..d; w_i[c] enters columns c and c + 1
-    ("w", 2, 6, "w_2 M != theta_2 w_2 in column 6"),
-    ("w", 2, 4, "w_2 M != theta_2 w_2 in column 4"),
-    ("w", 3, 3, "w_3 M != theta_3 w_3 in column 4"),
-    ("w", 6, 6, "w_6 . v_6 != 1"),
-], ids=["v-corner", "v-inner", "v-diagonal", "v-alone", "w-last-column", "w-inner",
-        "w-diagonal", "w-alone"])
-def test_certify_names_a_perturbed_factor(sampled_d6, family, side, i, r, residual):
-    factors, mtx, eigs = _family(sampled_d6, family)
-    factors.certify(mtx, eigs)
-    vecs = {"v": [x[:] for x in factors.v], "w": [x[:] for x in factors.w]}
-    vecs[side][i][r] = vecs[side][i][r] + QQ(1)
+@pytest.mark.parametrize("i, r, residuals", [
+    # v*_i has support 0..i, and v*_i[r] enters rows r - 1 (by phi_r) and r
+    # (by theta*_r - theta*_i) of A* v*_i.  For E the entry is mirrored:
+    # v_(6-i) has support 6-i..6, and v_(6-i)[6-r] enters rows 6 - r (by
+    # theta_(6-r) - theta_(6-i)) and 7 - r (by 1) of A v_(6-i).
+    (6, 0, {"E*": "M v_6 != theta_6 v_6 in row 0", "E": "M v_0 != theta_0 v_0 in row 6"}),
+    (4, 2, {"E*": "M v_4 != theta_4 v_4 in row 1", "E": "M v_2 != theta_2 v_2 in row 4"}),
+    (3, 3, {"E*": "M v_3 != theta_3 v_3 in row 2", "E": "M v_3 != theta_3 v_3 in row 4"}),
+    # 2 v*_0 and 2 v_6 are eigenvectors still: the unit diagonal refuses them
+    (0, 0, None),
+], ids=["v-corner", "v-inner", "v-diagonal", "v-alone"])
+def test_certify_names_a_perturbed_factor(sampled_d6, family, i, r, residuals):
+    mtx, eigs, vs = _family(sampled_d6, family)
+    certify_right_factors(mtx, eigs, vs)
+    if family == "E":
+        i, r = 6 - i, 6 - r
+    vs = [x[:] for x in vs]
+    vs[i][r] = vs[i][r] + QQ(1)
+    if residuals is None:
+        certify_right_factors(mtx, eigs, vs)
+        real = sampled_d6[0]
+        if family == "E*":
+            with pytest.raises(SingularBasis, match="v\\*_0 is not unit upper triangular"):
+                realization._tridiagonal_band(real.A, vs)
+        else:
+            with pytest.raises(IdempotentCheckFailed, match="v_6 is not unit lower triangular"):
+                verify_axioms(real, vs)
+        return
     with pytest.raises(IdempotentCheckFailed) as info:
-        realization.SpectralFactors(vecs["v"], vecs["w"]).certify(mtx, eigs)
-    assert str(info.value) == residual
+        certify_right_factors(mtx, eigs, vs)
+    assert str(info.value) == residuals[family]
 
 
 @pytest.mark.parametrize("family", ["E*", "E"])
 def test_certify_names_swapped_eigenvalues(sampled_d6, family):
-    factors, mtx, eigs = _family(sampled_d6, family)
+    # v*_1 = (x, 1, 0, ...) meets row 0 of A* - theta*_4 I; v_1 = (0, 1, ...)
+    # meets A - theta_4 I first in row 1, by theta_1 - theta_4.
+    mtx, eigs, vs = _family(sampled_d6, family)
     swapped = list(eigs)
     swapped[1], swapped[4] = eigs[4], eigs[1]
     with pytest.raises(IdempotentCheckFailed) as info:
-        factors.certify(mtx, swapped)
-    assert str(info.value) == "M v_1 != theta_1 v_1 in row 0"
+        certify_right_factors(mtx, swapped, vs)
+    row = {"E*": 0, "E": 1}[family]
+    assert str(info.value) == f"M v_1 != theta_1 v_1 in row {row}"
 
 
 @pytest.mark.parametrize("family", ["E*", "E"])
-@pytest.mark.parametrize("r, c, residual", [
-    (6, 0, "M v_0 != theta_0 v_0 in row 6"),
-    (0, 6, "w_0 M != theta_0 w_0 in column 6"),
-    (3, 1, "w_0 M != theta_0 w_0 in column 1"),
+@pytest.mark.parametrize("r, c, residuals", [
+    # column c of M meets v_i where v_i[c] != 0: every v*_i with i >= c,
+    # every v_i with i <= c
+    (6, 0, {"E*": "M v_0 != theta_0 v_0 in row 6", "E": "M v_0 != theta_0 v_0 in row 6"}),
+    (0, 6, {"E*": "M v_6 != theta_6 v_6 in row 0", "E": "M v_0 != theta_0 v_0 in row 0"}),
+    (3, 1, {"E*": "M v_1 != theta_1 v_1 in row 3", "E": "M v_0 != theta_0 v_0 in row 3"}),
 ], ids=["last-row", "last-column", "below"])
-def test_certify_names_a_matrix_off_the_bidiagonal(sampled_d6, family, r, c, residual):
-    factors, mtx, eigs = _family(sampled_d6, family)
+def test_certify_names_a_matrix_off_the_bidiagonal(sampled_d6, family, r, c, residuals):
+    mtx, eigs, vs = _family(sampled_d6, family)
     broken = [row[:] for row in mtx]
     broken[r][c] = QQ(1)
     with pytest.raises(IdempotentCheckFailed) as info:
-        factors.certify(broken, eigs)
-    assert str(info.value) == residual
+        certify_right_factors(broken, eigs, vs)
+    assert str(info.value) == residuals[family]
 
 
 def test_certify_names_a_residual_that_m_does_not_reach():
     # Row 0 of M v_0 has no term, as M[0][0] = 0, yet theta_0 v_0[0] = 1.
-    unit = realization.SpectralFactors(qmat([[1, 0], [0, 1]]), qmat([[1, 0], [0, 1]]))
+    unit = qmat([[1, 0], [0, 1]])
     with pytest.raises(IdempotentCheckFailed) as info:
-        unit.certify(qmat([[0, 0], [0, 5]]), [QQ(1), QQ(5)])
+        certify_right_factors(qmat([[0, 0], [0, 5]]), [QQ(1), QQ(5)], unit)
     assert str(info.value) == "M v_0 != theta_0 v_0 in row 0"
-    unit.certify(qmat([[1, 0], [0, 5]]), [QQ(1), QQ(5)])
+    certify_right_factors(qmat([[1, 0], [0, 5]]), [QQ(1), QQ(5)], unit)
 
 
 def test_certify_checks_its_input(sampled_d6):
-    factors, mtx, eigs = _family(sampled_d6, "E*")
+    mtx, eigs, vs = _family(sampled_d6, "E*")
     with pytest.raises(RepeatedEigenvalue):
-        factors.certify(mtx, [eigs[0]] + list(eigs[:-1]))
-    short = realization.SpectralFactors(factors.v[:-1], factors.w[:-1])
+        certify_right_factors(mtx, [eigs[0]] + list(eigs[:-1]), vs)
     with pytest.raises(IdempotentCheckFailed, match="factors do not fit 7 eigenvalues"):
-        short.certify(mtx, eigs)
+        certify_right_factors(mtx, eigs, vs[:-1])
 
 
 @pytest.mark.parametrize("j, r, x", [(3, 3, 2), (0, 0, 0), (2, 4, 1), (5, 6, -1)],
