@@ -272,7 +272,10 @@ def analyze_instance(spec, arr=None, deep=False):
 
     With deep=True all of V* (of A*, by back-substitution) and V (of A, by
     forward substitution) is built, and certify_right_factors proves
-    M v_i = theta_i v_i for each family, the theta distinct.  With the
+    M v_i = theta_i v_i for each family, the theta distinct.  That is the
+    one check of each eigenvalue sequence: the substitutions meet equal
+    eigenvalues only as a zero divisor, and the a-trace reads its entries
+    off the certified V* in place of factor_superdiagonals.  With the
     unit triangular shapes that verify_axioms and standard_basis_rep
     check, V is invertible and V^-1 M V = diag(theta), so
     E_i = v_i (row i of V^-1) are the primitive idempotents.  Both
@@ -296,7 +299,6 @@ def analyze_instance(spec, arr=None, deep=False):
     flags = {}
 
     real = realize_split(arr)
-    v_sup, w_sup = factor_superdiagonals(real.A_star, arr.theta_star)
     v_star = None
     if deep:
         v_star = bidiagonal_right_factors(real.A_star, arr.theta_star, ctx)
@@ -308,6 +310,11 @@ def analyze_instance(spec, arr=None, deep=False):
             except IdempotentCheckFailed as err:
                 raise IdempotentCheckFailed(f"rank-one {name}: {err}") from None
         verify_axioms(real, v)
+        # factor_superdiagonals' entries, read off the certified V*
+        v_sup = [v_star[i + 1][i] for i in range(d)]
+        w_sup = [-x for x in v_sup]
+    else:
+        v_sup, w_sup = factor_superdiagonals(real.A_star, arr.theta_star)
 
     a = intersection_a_closed(arr)
     a_trace = intersection_a_trace(real, v_sup, w_sup)

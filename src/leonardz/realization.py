@@ -13,10 +13,11 @@ the standard basis {E*_i u} and both tridiagonal axioms read bands of
 V^-1 M' V, certified by M' V = V T without forming W.  The fast
 analysis forms no factor of E, and of E* only the entries v*_(i+1)[i]
 and w*_i[i + 1] that the a-trace meets (factor_superdiagonals); deep
-mode builds and certifies V and V* whole.  bidiagonal_idempotents gives
-both factors of an upper bidiagonal or diagonal matrix, w_i by forward
-substitution, as SpectralFactors; the boundary example
-(counterexample) and the tests use it, the analysis does not.
+mode builds and certifies V and V* whole, and reads those entries off
+V*.  bidiagonal_idempotents gives both factors of an upper bidiagonal or
+diagonal matrix, w_i by forward substitution, as SpectralFactors; the
+boundary example (counterexample) and the tests use it, the analysis
+does not.
 
 Two kinds of O(n^2) certificate stand in for dense products.
 certify_right_factors proves M v_i = theta_i v_i for each i, with the
@@ -243,9 +244,8 @@ def _check_shape(rows, lo, hi, error, what, diag=None):
 
 def _off_diagonal(mtx, eigs, lower=False):
     """The superdiagonal of mtx, or its subdiagonal where lower, after
-    checking that mtx is upper (lower) bidiagonal with the distinct eigs
-    on its diagonal."""
-    _check_distinct(eigs)
+    checking that mtx is upper (lower) bidiagonal with eigs on its
+    diagonal."""
     n = len(eigs)
     if len(mtx) != n:
         raise IdempotentCheckFailed(f"{len(mtx)} rows for {n} eigenvalues")
@@ -271,14 +271,29 @@ def _right_eigenvector(off, eigs, i, ctx, lower=False):
     return v
 
 
+def _right_eigenvectors(off, eigs, ctx, lower=False):
+    """Every _right_eigenvector of the bidiagonal M, v_0 .. v_d.
+
+    v_i divides by theta_i - theta_r for every r on the far side of i, so
+    the family meets every pair of eigs as a divisor, and eigs that are
+    not distinct end it with a zero division.  _check_distinct then names
+    the first equal pair: the check costs nothing where eigs are distinct.
+    """
+    try:
+        return [_right_eigenvector(off, eigs, i, ctx, lower) for i in range(len(eigs))]
+    except ZeroDivisionError:
+        _check_distinct(eigs)
+        raise
+
+
 def bidiagonal_right_factors(mtx, eigs, ctx, lower=False):
     """V, the right eigenvectors v_i of the upper bidiagonal mtx whose
     diagonal is eigs, or of the lower bidiagonal one where lower, each
     with v_i[i] = 1: unit upper triangular (v_i of support 0..i) or unit
     lower triangular (support i..d) as a family.  IdempotentCheckFailed
-    names an entry off the shape (_off_diagonal)."""
-    off = _off_diagonal(mtx, eigs, lower)
-    return [_right_eigenvector(off, eigs, i, ctx, lower) for i in range(len(eigs))]
+    names an entry off the shape (_off_diagonal), then RepeatedEigenvalue
+    a pair of equal eigs (_right_eigenvectors)."""
+    return _right_eigenvectors(_off_diagonal(mtx, eigs, lower), eigs, ctx, lower)
 
 
 def bidiagonal_idempotents(mtx, eigs, ctx):
@@ -299,9 +314,8 @@ def bidiagonal_idempotents(mtx, eigs, ctx):
     boundary example's and the tests' reference route.
     """
     sup = _off_diagonal(mtx, eigs)
-    n = len(eigs)
-    return SpectralFactors([_right_eigenvector(sup, eigs, i, ctx) for i in range(n)],
-                           [_right_eigenvector(sup, eigs, i, ctx, lower=True) for i in range(n)])
+    return SpectralFactors(_right_eigenvectors(sup, eigs, ctx),
+                           _right_eigenvectors(sup, eigs, ctx, lower=True))
 
 
 def factor_superdiagonals(mtx, eigs):
@@ -315,6 +329,8 @@ def factor_superdiagonals(mtx, eigs):
     v_(i+1)[i] = sup[i] / (theta_(i+1) - theta_i) = -w_i[i + 1].
     """
     sup = _off_diagonal(mtx, eigs)
+    # Only neighbours meet as divisors here, so the eigs are checked whole.
+    _check_distinct(eigs)
     w_sup = [x / (eigs[i] - eigs[i + 1]) for i, x in enumerate(sup)]
     return [-x for x in w_sup], w_sup
 

@@ -605,7 +605,8 @@ def test_fast_analysis_multiplication_count(monkeypatch):
 @pytest.mark.parametrize("deep", [False, True])
 def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
     """A verdict reads of W* only w*_i[i + 1], the first step of the
-    forward substitution (factor_superdiagonals), and never transposes A:
+    forward substitution (factor_superdiagonals; a deep verdict reads it
+    as -v*_(i+1)[i] off its certified V*), and never transposes A:
     no full left factor is formed, and the one matrix product is the T M
     of L_equals_TM.  A fast verdict over Q forms no right factor either,
     as its band is certified on U.  A deep verdict forms the right factors
@@ -650,6 +651,37 @@ def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
         expected = [(sup, chk.arr.theta_star, False)] * n + [(sub, chk.arr.theta, True)] * n
         assert substitutions == (expected if deep else []), name
         assert real.A not in transposed, name
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_verdict_checks_each_spectrum_once(monkeypatch, kraw_dim1, deep):
+    """A fast verdict checks theta* distinct and A* bidiagonal with it once,
+    in factor_superdiagonals.  A deep verdict checks theta* and theta
+    distinct once each, where they are certified, and each matrix's
+    bidiagonal shape with its diagonal once, where V* and V are built: it
+    reads the a-trace's entries off V*."""
+    distinct, shaped = [], []
+
+    def recording(log, fn):
+        def wrapped(*args, **kwargs):
+            log.append(args[:2])
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(realization, "_check_distinct",
+                        recording(distinct, realization._check_distinct))
+    monkeypatch.setattr(realization, "_off_diagonal",
+                        recording(shaped, realization._off_diagonal))
+    chk = analyze_instance(kraw_dim1, deep=deep)
+    assert chk.ok, chk.failures
+    real = realization.realize_split(chk.arr)
+    theta_star, theta = chk.arr.theta_star, chk.arr.theta
+    if deep:
+        assert distinct == [(theta_star,), (theta,)]
+        assert shaped == [(real.A_star, theta_star), (real.A, theta)]
+    else:
+        assert distinct == [(theta_star,)]
+        assert shaped == [(real.A_star, theta_star)]
 
 
 def test_deep_verdict_certifies_every_right_factor(monkeypatch):

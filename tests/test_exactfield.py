@@ -1,5 +1,7 @@
 import itertools
+import math
 import operator
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -23,6 +25,7 @@ from leonardz.exactfield import (
     TABLE_BOUND,
     ExtensionField,
     PrimeField,
+    Rational,
     Rationals,
     _is_prime,
     _poly_divmod,
@@ -112,6 +115,97 @@ def test_foreign_operands_are_refused(x, y):
             op(y, x)
     # Comparison stays what it was: unequal, not an error.
     assert not x == y and not y == x and x != y
+
+
+# -- the rational fallback's fast paths against fractions.Fraction ------------
+
+fallback = pytest.mark.skipif(not issubclass(Rational, Fraction),
+                              reason="gmpy2 mpq is the rational backend")
+BIG = 10 ** 30
+# Zero, small, and 31- to 61-digit integers of either sign.
+INTEGERS = st.one_of(st.just(0), st.integers(-12, 12), st.integers(BIG, BIG ** 2),
+                     st.integers(-BIG ** 2, -BIG))
+FRACTIONS = st.builds(Fraction, INTEGERS, INTEGERS.filter(bool))
+
+
+def plain(x):
+    return Fraction(x) if isinstance(x, Fraction) else x
+
+
+def assert_as_fraction_does(op, x, y, fast):
+    """op(x, y) gives what it gives on plain Fractions: the same value, hash
+    and str, normalized, of class Rational where fast (else Fraction), or
+    the same ZeroDivisionError text."""
+    try:
+        want = op(plain(x), plain(y))
+    except ZeroDivisionError as e:
+        with pytest.raises(ZeroDivisionError) as info:
+            op(x, y)
+        assert str(info.value) == str(e)
+        return
+    got = op(x, y)
+    if isinstance(want, bool):
+        assert got is want
+        return
+    assert (got, hash(got), str(got)) == (want, hash(want), str(want))
+    assert math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+    assert type(got) is (Rational if fast else Fraction)
+
+
+@fallback
+@settings(max_examples=300, deadline=None)
+@given(FRACTIONS, FRACTIONS, INTEGERS, st.integers(-3, 3))
+def test_rational_fast_paths_match_fraction(f, g, k, e):
+    x, y = Rational(f), Rational(g)
+    for op in (*OPERATORS, operator.eq, operator.ne):
+        assert_as_fraction_does(op, x, y, fast=True)
+        assert_as_fraction_does(op, x, k, fast=True)
+        assert_as_fraction_does(op, k, x, fast=True)
+        assert_as_fraction_does(op, x, g, fast=False)
+        assert_as_fraction_does(op, g, x, fast=False)
+    assert_as_fraction_does(lambda a, _: -a, x, None, fast=True)
+    assert_as_fraction_does(operator.pow, x, e, fast=True)
+
+
+@fallback
+@pytest.mark.parametrize("op, x, y", [
+    (operator.truediv, Rational(3, 4), Rational(0)),
+    (operator.truediv, Rational(-3, 4), 0),
+    (operator.truediv, Rational(0), Rational(0)),
+    (operator.truediv, 5, Rational(0)),
+    (operator.truediv, Rational(0), Fraction(0)),
+    (operator.pow, Rational(0), -2),
+], ids=["rational", "int", "zero-by-zero", "int-by-rational", "by-fraction", "power"])
+def test_rational_zero_division_reads_as_fraction(op, x, y):
+    with pytest.raises(ZeroDivisionError) as info:
+        op(x, y)
+    with pytest.raises(ZeroDivisionError) as want:
+        op(plain(x), plain(y))
+    assert str(info.value) == str(want.value)
+
+
+def test_rational_pickles_and_parses_as_itself():
+    x = Rational(-6, 4)
+    assert pickle.loads(pickle.dumps(x)) == x and type(pickle.loads(pickle.dumps(x))) is Rational
+    assert str(QQ("-6/4")) == "-3/2" and QQ(7) / 2 == QQ("7/2")
+
+
+def test_sample_shares_the_values_of_repeated_draws(monkeypatch):
+    """Rationals.sample makes a fresh build's rng calls and values, shares
+    the value of a repeated (num, den) draw, and keeps at most
+    SAMPLE_CACHE pairs per context."""
+    monkeypatch.setattr(exactfield, "SAMPLE_CACHE", 40)
+    ctx, rng, twin = Rationals(), random.Random(5), random.Random(5)
+    drawn = [ctx.sample(rng, 6) for _ in range(1000)]
+    for x in drawn:
+        num, den = twin.randint(-6, 6), 0
+        while den == 0:
+            den = twin.randint(-6, 6)
+        assert (x, str(x)) == (Fraction(num, den), str(Fraction(num, den)))
+    assert rng.getstate() == twin.getstate()
+    assert len(ctx._samples) == 40
+    assert len({id(x) for x in drawn}) < len(drawn)
+    assert Rationals().sample(random.Random(5), 6) is not drawn[0]
 
 
 def test_ints_promote_on_both_sides():

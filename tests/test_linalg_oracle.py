@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leonardz import linalg
+from leonardz import exactfield, linalg
 from leonardz.errors import SingularMatrix
 from leonardz.exactfield import PrimeField, Rational, Rationals
 
@@ -251,37 +251,36 @@ def test_big_swapped_and_deficient_det_match_domain_matrix(pair):
     assert_det(pair)
 
 
-def count_fractions(monkeypatch):
-    """Count the Fractions constructed from here on."""
+def count_rationals(monkeypatch):
+    """Count the Rationals constructed from here on: by the constructor,
+    which Rational inherits from Fraction, and by exactfield._new, which
+    builds the result of each arithmetic fast path."""
     count = [0]
-    new = Fraction.__new__
+    new, build = Fraction.__new__, exactfield._new
 
     def counting_new(cls, *args, **kwargs):
-        count[0] += 1
+        count[0] += cls is Rational
         return new(cls, *args, **kwargs)
 
+    def counting_build(cls):
+        count[0] += cls is Rational
+        return build(cls)
+
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    if hasattr(Fraction, "_from_coprime_ints"):  # the arithmetic's constructor
-        coprime = Fraction._from_coprime_ints
-
-        def counting_coprime(cls, numerator, denominator):
-            count[0] += 1
-            return coprime(numerator, denominator)
-
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    monkeypatch.setattr(exactfield, "_new", counting_build)
     return count
 
 
-@pytest.mark.skipif(Rational is not Fraction, reason="counts fractions.Fraction objects")
+@pytest.mark.skipif(not issubclass(Rational, Fraction), reason="counts the Fraction subclass")
 def test_rational_elimination_constructs_only_its_results(monkeypatch):
     """rank and det over Q eliminate on ints: rank constructs no Rational and
     det only its value; rref constructs only its output entries."""
     rng = random.Random(19)
-    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)]
+    rows = [[Rational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)]
             for _ in range(6)]
-    deficient = rows[:5] + [[x - Fraction(2, 3) * y for x, y in zip(rows[0], rows[1])]]
-    count = count_fractions(monkeypatch)
-    assert Fraction(1, 2) + 1 and count[0] == 2, "the counter misses the arithmetic"
+    deficient = rows[:5] + [[x - Rational(2, 3) * y for x, y in zip(rows[0], rows[1])]]
+    count = count_rationals(monkeypatch)
+    assert Rational(1, 2) + 1 and count[0] == 2, "the counter misses the arithmetic"
     count[0] = 0
     assert linalg.rank(rows) == 6 and linalg.rank(deficient) == 5
     assert count[0] == 0

@@ -144,6 +144,25 @@ def test_repeated_eigenvalue_rejected():
             route(diag, [QQ(4), QQ(4)], QQ)
 
 
+@pytest.mark.parametrize("label", ["Q", "GF(7)"])
+def test_repeated_eigenvalue_named_alike_on_every_route(label):
+    """The substitution routes find equal eigenvalues by a zero divisor and
+    name the pair that the whole check names first, as factor_superdiagonals
+    and certify_right_factors do: (0, 4), though back-substitution meets
+    the zero theta_3 - theta_1 first."""
+    ctx = parse_field(label)
+    eigs = [ctx(x) for x in (1, 2, 3, 2, 1)]
+    upper = [[eigs[r] if r == c else ctx(c - r == 1) for c in range(5)] for r in range(5)]
+    routes = [lambda: bidiagonal_right_factors(upper, eigs, ctx),
+              lambda: bidiagonal_right_factors(linalg.transpose(upper), eigs, ctx, lower=True),
+              lambda: bidiagonal_idempotents(upper, eigs, ctx),
+              lambda: factor_superdiagonals(upper, eigs),
+              lambda: certify_right_factors(upper, eigs, linalg.identity(5, ctx))]
+    for route in routes:
+        with pytest.raises(RepeatedEigenvalue, match="^eigenvalues 0 and 4 coincide$"):
+            route()
+
+
 def _assert_routes_agree(spec):
     """The rank-one and product-formula routes agree on E, E* and the standard basis.
 
