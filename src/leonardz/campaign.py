@@ -12,13 +12,14 @@ so reports are byte-identical across runs with equal arguments.
 from __future__ import annotations
 
 import random
+import shlex
 from dataclasses import dataclass, field as dc_field
 
 from .analysis import analyze_instance, verify_pi2
 from .errors import LeonardError, SamplingExhausted
 from .exactfield import parse_field
 from .families import FAMILIES
-from .parray import ALL_TYPES, _build_array
+from .parray import ALL_TYPES, _build_array, spec_to_mapping
 from .parray import build_parameter_array  # noqa: F401  (bench/tracing.py wraps this name)
 from .sampling import (
     DEFAULT_HEIGHT,
@@ -45,6 +46,9 @@ class CellResult:
     passes: int = 0
     failures: list = dc_field(default_factory=list)
     skips: list = dc_field(default_factory=list)
+    # The replay command of each failing trial, keyed by the index of the
+    # trial's last line in failures.
+    replays: dict = dc_field(default_factory=dict)
 
     @property
     def skipped(self):
@@ -76,6 +80,16 @@ class CampaignReport:
     @property
     def ok(self):
         return self.failure_count == 0
+
+
+def replay_command(spec):
+    """The `leonardz analyze` command line, quoted for a POSIX shell, that
+    analyzes spec again; it names every key of spec_to_mapping."""
+    mapping = spec_to_mapping(spec)
+    argv = ["leonardz", "analyze", "--type", mapping.pop("type"), "--d", mapping.pop("d")]
+    for key, value in mapping.items():
+        argv += ["--param", f"{key}={value}"]
+    return shlex.join(argv)
 
 
 def _check_sample(spec, mode, collector, cell, trial):
@@ -133,6 +147,7 @@ def run_campaign(types=None, d_min=DEFAULT_D_MIN, d_max=DEFAULT_D_MAX,
                         if problems:
                             cell.failures.extend(
                                 f"trial {trial}: {p}" for p in problems)
+                            cell.replays[len(cell.failures) - 1] = replay_command(spec)
                         else:
                             cell.passes += 1
                     report.cells.append(cell)
@@ -156,8 +171,10 @@ def render_report(report):
             f"  cell type={c.type_name} d={c.d} field={c.field_label} "
             f"mode={c.mode} trials={c.trials} passes={c.passes} "
             f"skipped={c.skipped} failures={len(c.failures)}")
-        for f in c.failures:
+        for n, f in enumerate(c.failures):
             lines.append(f"    failure: {f}")
+            if n in c.replays:
+                lines.append(f"    replay: {c.replays[n]}")
         for sk in c.skips:
             lines.append(f"    skip: {sk}")
     lines.append("summary:")

@@ -32,32 +32,37 @@ _poly_sub), multiplies them and reduces by the modulus (_poly_mul, and
 the remainder of _poly_divmod), and inverts by the extended Euclid
 algorithm (_poly_inv_mod).  A field of q = p^k <= TABLE_BOUND elements
 can also build, once and by that route, tables over a primitive element
-g (Lidl and Niederreiter, Finite Fields, section 9.4): an exp list of
-its powers' coefficient tuples, the inverse log map, and the Zech
+g (Lidl and Niederreiter, Finite Fields, section 9.4): its q - 1 nonzero
+elements, made once, each holding its exponent over g as its log, in a
+list by exponent and a map by coefficient tuple, and the Zech
 logarithms Z(n) = log(1 + g^n) (K. Huber, IEEE Trans. Inf. Theory 36
-(1990) 946-950).  Its products, inverses and quotients are then one
-lookup each, against a polynomial reduction (about 7 us in GF(3^4)) and
-a Euclid run (about 22 us), and a sum or difference of two nonzero
-elements is two lookups, g^i + g^j = g^(i + Z(j - i)), with
--1 = g^((q-1)/2) for odd p (about 0.6 us against 2.7 us for the
-coefficient loop in GF(3^4)).
+(1990) 946-950).  From then on the field's operators, parse, sample and
+int promotion return those shared elements.  When both operands carry a
+log, a product, quotient, inverse, power or negation is one list index
+on their logs, with -1 = g^((q-1)/2) for odd p and 1 in characteristic
+2, and a sum or difference is one Zech lookup more, g^i + g^j =
+g^(i + Z(j - i)); no tuple is hashed and no element is made.  In GF(3^4)
+an operation takes 110-150 ns, against 490-560 ns when the tables held
+coefficient tuples, about 7 us for a polynomial reduction, about 22 us
+for a Euclid run and 2.7 us for a coefficient-wise sum (measured on
+CPython 3.11, x86_64).  An element made before the tables, such as a
+literal parsed then, finds its log by its coefficient tuple.
 
-The build costs about as much as q to 3q polynomial products (measured
-on CPython 3.11, x86_64: 0.8 ms for GF(3^4), 36 ms for GF(61^2), of
-which the q - 1 coefficient additions of the Zech table take about a
-quarter), while one analysis does from about 500 products (d = 3, fast)
-to about 8000 (d = 10, deep).  So a field does not build its tables up
-front: it counts its polynomial-route products and inverses and builds
-them at the q-th.  Work that stops before then never pays for tables it
-would not win back, and work that goes on pays at most about one build
-more than the best choice in hindsight would have.  parse_field keeps
-the contexts it has made, so the tables of a field persist across the
-analyses of a process.  TABLE_BOUND = 4096 bounds the memory the tables
-hold (0.5 MB for GF(61^2) and for GF(5^5)) and keeps any build well
-under a second.  The coefficient route serves larger fields, Rabin's
-test, the table build, a field's first q products and any sum with a
-zero operand, and it is the reference the tests compare the tables
-against.
+The build costs about as much as q to 3q polynomial products (17 ms
+for GF(61^2) and 19 ms for GF(5^5)), while one analysis does from about
+500 products (d = 3, fast) to about 8000 (d = 10, deep).  So a field
+does not build its tables up front: it counts its polynomial-route
+products and inverses and builds them at the q-th.  Work that stops
+before then never pays for tables it would not win back, and work that
+goes on pays at most about one build more than the best choice in
+hindsight would have.  parse_field keeps the contexts it has made, so
+the tables of a field persist across the analyses of a process.
+TABLE_BOUND = 4096 bounds the memory the tables hold (0.8 MB for
+GF(61^2) and 0.7 MB for GF(5^5), by tracemalloc) and keeps any build
+well under a second.  The coefficient route serves larger fields,
+Rabin's test, the table build, a field's first q products and any sum
+with a zero operand, and it is the reference the tests compare the
+tables against.
 
 Element text grammar:
 
@@ -235,9 +240,9 @@ except ImportError:  # pragma: no cover - gmpy2 is a normal dependency
         __hash__ = Fraction.__hash__
 
 MAX_EXTENSION_DEGREE = 8
-# GF(p^k) with p^k at most this multiplies and divides by log/antilog
-# tables once it has done p^k products by polynomials; larger fields
-# always by polynomial reduction and Euclid.
+# GF(p^k) with p^k at most this builds tables of its elements and their
+# logs once it has done p^k products by polynomials; larger fields always
+# multiply by polynomial reduction and divide by Euclid.
 TABLE_BOUND = 4096
 # Rationals.sample keeps the values of this many drawn pairs: every pair
 # at the sampler's default height 12 (25 numerators, 24 denominators).
@@ -656,22 +661,26 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*?)?t(?:\^(\d+))?$|^(\d+)$")
 
 def _reduced(coeffs, field):
     """The element with coefficient tuple coeffs, which must already be
-    reduced mod p and trimmed: the constructor without its second pass."""
+    reduced mod p and trimmed: the field's shared element once it has
+    tables, else a new one."""
+    interned = field._interned
+    if interned is not None:
+        return interned[coeffs]
     x = _new(ExtensionFieldElement)
-    x.coeffs = coeffs
-    x.field = field
+    x.coeffs, x.field, x.log = coeffs, field, None
     return x
 
 
 class ExtensionFieldElement:
-    """Element of GF(p^k), stored as a coefficient tuple (low degree first)."""
+    """Element of GF(p^k), stored as a coefficient tuple (low degree first).
 
-    __slots__ = ("coeffs", "field")
+    The field makes its elements (ExtensionField.__call__, _reduced).  log
+    is the exponent of the element over the field's primitive element
+    g on the shared elements its tables hold, and None on zero and on any
+    element made before the tables.
+    """
 
-    def __init__(self, coeffs, field):
-        c = tuple(x % field.p for x in coeffs)
-        self.coeffs = _poly_trim(c)
-        self.field = field
+    __slots__ = ("coeffs", "field", "log")
 
     def _coerce(self, other):
         if isinstance(other, ExtensionFieldElement):
@@ -679,41 +688,50 @@ class ExtensionFieldElement:
                 raise ContextMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, int):
-            return ExtensionFieldElement((other,), self.field)
+            return self.field(other)
         raise ContextMismatch(f"cannot combine {self.field} with {type(other).__name__}")
 
-    # The operators take the same fast path as PrimeFieldElement's.  With
-    # tables, a sum of two nonzero elements is a Zech lookup,
-    # g^i + g^j = g^(i + Z(j - i)), and a difference adds -g^j = g^(j + h),
-    # where g^h = -1.
+    # The operators take the same fast path as PrimeFieldElement's.  When
+    # both operands carry a log i and j, a product is elements[i + j], a
+    # quotient elements[i - j], a sum a Zech lookup, g^i + g^j =
+    # g^(i + Z(j - i)), and a difference adds -g^j = g^(j + h), where
+    # g^h = -1.  Other operands of a tabled field find their logs by
+    # their coefficient tuples; untabled fields take the coefficient route.
 
     def __add__(self, other):
         field = self.field
         if type(other) is not ExtensionFieldElement or other.field is not field:
             other = self._coerce(other)
-        a, b, log = self.coeffs, other.coeffs, field._log
-        if log is None or not a or not b:
-            return _reduced(_poly_add(a, b, field.p), field)
-        i = log[a]
-        z = field._zech[log[b] - i]
-        return _reduced(() if z is None else field._exp[i + z], field)
+        i, j = self.log, other.log
+        if i is None or j is None:
+            a, b, interned = self.coeffs, other.coeffs, field._interned
+            if interned is None or not a or not b:
+                return _reduced(_poly_add(a, b, field.p), field)
+            i, j = interned[a].log, interned[b].log
+        z = field._zech[j - i]
+        return field._subfield[0] if z is None else field._elements[i + z]
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return _reduced(tuple(-c % p for c in self.coeffs), self.field)
+        field, i = self.field, self.log
+        if i is None:
+            p = field.p
+            return _reduced(tuple(-c % p for c in self.coeffs), field)
+        return field._elements[i + field._log_minus_one]
 
     def __sub__(self, other):
         field = self.field
         if type(other) is not ExtensionFieldElement or other.field is not field:
             other = self._coerce(other)
-        a, b, log = self.coeffs, other.coeffs, field._log
-        if log is None or not a or not b:
-            return _reduced(_poly_sub(a, b, field.p), field)
-        i = log[a]
-        z = field._zech[log[b] + field._log_minus_one - i]
-        return _reduced(() if z is None else field._exp[i + z], field)
+        i, j = self.log, other.log
+        if i is None or j is None:
+            a, b, interned = self.coeffs, other.coeffs, field._interned
+            if interned is None or not a or not b:
+                return _reduced(_poly_sub(a, b, field.p), field)
+            i, j = interned[a].log, interned[b].log
+        z = field._zech[j + field._log_minus_one - i]
+        return field._subfield[0] if z is None else field._elements[i + z]
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -722,44 +740,58 @@ class ExtensionFieldElement:
         field = self.field
         if type(other) is not ExtensionFieldElement or other.field is not field:
             other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        log = field._log or field._count_poly_op()
-        if log is None:
-            return _reduced(_poly_divmod(_poly_mul(a, b, field.p), field.modulus, field.p)[1],
-                            field)
-        if not a or not b:
-            return _reduced((), field)
-        return _reduced(field._exp[log[a] + log[b]], field)
+        i, j = self.log, other.log
+        if i is None or j is None:
+            a, b = self.coeffs, other.coeffs
+            interned = field._interned or field._count_poly_op()
+            if interned is None:
+                return _reduced(_poly_divmod(_poly_mul(a, b, field.p), field.modulus, field.p)[1],
+                                field)
+            if not a or not b:
+                return field._subfield[0]
+            i, j = interned[a].log, interned[b].log
+        return field._elements[i + j]
 
     __rmul__ = __mul__
 
     def inverse(self):
-        a, field = self.coeffs, self.field
-        if not a:
-            raise DivisionByZero(f"division by zero in {field}")
-        log = field._log or field._count_poly_op()
-        if log is None:
-            return _reduced(_poly_inv_mod(a, field.modulus, field.p), field)
-        return _reduced(field._exp[-log[a]], field)
+        field, i = self.field, self.log
+        if i is None:
+            a = self.coeffs
+            if not a:
+                raise DivisionByZero(f"division by zero in {field}")
+            interned = field._interned or field._count_poly_op()
+            if interned is None:
+                return _reduced(_poly_inv_mod(a, field.modulus, field.p), field)
+            i = interned[a].log
+        return field._elements[-i]
 
     def __truediv__(self, other):
         field = self.field
         if type(other) is not ExtensionFieldElement or other.field is not field:
             other = self._coerce(other)
-        if field._log is None or not other.coeffs:
-            return self * other.inverse()
-        if not self.coeffs:
-            return _reduced((), field)
-        return _reduced(field._exp[field._log[self.coeffs] - field._log[other.coeffs]],
-                        field)
+        i, j = self.log, other.log
+        if i is None or j is None:
+            a, b, interned = self.coeffs, other.coeffs, field._interned
+            if interned is None or not b:
+                return self * other.inverse()
+            if not a:
+                return field._subfield[0]
+            i, j = interned[a].log, interned[b].log
+        return field._elements[i - j]
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def __pow__(self, n):
+        field, i = self.field, self.log
+        if i is None and field._interned is not None:
+            i = field._interned[self.coeffs].log
+        if i is not None:
+            return field._elements[i * n % field._units]
         if n < 0:
             return self.inverse() ** (-n)
-        acc = self.field.one
+        acc = field.one
         base = self
         while n:
             if n & 1:
@@ -802,10 +834,13 @@ class ExtensionField(FieldContext):
         self.k = k
         # Until the tables exist every product and inverse takes the
         # polynomial route, so Rabin's test and the table build use it.
-        self._exp = self._log = self._zech = self._until_tables = None
-        # log(-1) over any primitive element: -1 = 1 in characteristic 2,
-        # else -1 is the one element of order 2.
-        self._log_minus_one = 0 if p == 2 else (p ** k - 1) // 2
+        self._elements = self._zech = self._interned = self._subfield = None
+        self._until_tables = None
+        # The order q - 1 of the unit group, and log(-1) over any primitive
+        # element: -1 = 1 in characteristic 2, else -1 is the one element
+        # of order 2.
+        self._units = p ** k - 1
+        self._log_minus_one = 0 if p == 2 else self._units // 2
         if modulus is None:
             # GF(p) has an irreducible monic of every degree, so this ends.
             for self.modulus in _candidate_moduli(p, k):
@@ -822,7 +857,8 @@ class ExtensionField(FieldContext):
 
     def _count_poly_op(self):
         """Count one product or inverse by the polynomial route, building
-        the tables at the q-th; return the log map once it exists, else None."""
+        the tables at the q-th; return the map from coefficient tuples to
+        shared elements once it exists, else None."""
         left = self._until_tables
         if left is None:
             return None
@@ -830,15 +866,15 @@ class ExtensionField(FieldContext):
             self._until_tables = left - 1
             return None
         self._build_tables()
-        return self._log
+        return self._interned
 
     def _build_tables(self):
-        """Build the log/antilog and Zech tables now; a field past
+        """Build the shared elements and the Zech table now; a field past
         TABLE_BOUND has none."""
-        if self._log is None and self.p ** self.k <= TABLE_BOUND:
+        if self._interned is None and self.p ** self.k <= TABLE_BOUND:
             # The build multiplies by the polynomial route, uncounted.
             self._until_tables = None
-            self._exp, self._zech, self._log = self._log_tables()
+            self._elements, self._zech, self._interned, self._subfield = self._log_tables()
 
     def _modulus_irreducible(self):
         """Rabin's test in GF(p)[t]/(modulus): t^(p^k) = t, and for each prime
@@ -854,20 +890,21 @@ class ExtensionField(FieldContext):
         return True
 
     def _log_tables(self):
-        """(exp, zech, log) for a primitive element g, by the polynomial route.
+        """(elements, zech, interned, subfield) for a primitive element g,
+        by the polynomial route.
 
         g is the first element, in base-p digit order, whose order is
-        q - 1: g^((q-1)/r) != 1 for each prime r | q - 1.  exp lists the
-        coefficient tuples of g^0 .. g^(q-2) twice over, so that exp[i + j]
-        (a product) and exp[i - j] (a quotient, negative indices wrapping)
-        need no reduction mod q - 1; log maps each nonzero tuple to its
-        exponent.  zech lists the Zech logarithms Z(n) = log(1 + g^n), None
-        where 1 + g^n = 0, for n = 0 .. q - 2 twice over, so that the
-        indices j - i and j + log(-1) - i of a sum and a difference need no
-        reduction either.
+        q - 1: g^((q-1)/r) != 1 for each prime r | q - 1.  elements lists
+        g^0 .. g^(q-2), each with its exponent as its log, twice over, so
+        that elements[i + j] (a product) and elements[i - j] (a quotient,
+        negative indices wrapping) need no reduction mod q - 1.  zech lists
+        the Zech logarithms Z(n) = log(1 + g^n), None where 1 + g^n = 0,
+        for n = 0 .. q - 2 twice over, so that the indices j - i and
+        j + log(-1) - i of a sum and a difference need no reduction either.
+        interned maps every coefficient tuple to its element, the empty
+        one to a zero of log None, and subfield lists the elements 0 .. p - 1.
         """
-        p, k = self.p, self.k
-        order = p ** k - 1
+        p, k, order = self.p, self.k, self._units
         factors = _prime_factors(order)
         one = self.one
         # The constants (idx < p) lie in GF(p)*, of order p - 1 < q - 1.
@@ -875,13 +912,16 @@ class ExtensionField(FieldContext):
             g = _reduced(_poly_trim(_digits(idx, p, k)), self)
             if all(g ** (order // r) != one for r in factors):
                 break
-        exp, x = [], one
-        for _ in range(order):
-            exp.append(x.coeffs)
+        elements, x = [], one
+        for n in range(order):
+            x.log = n
+            elements.append(x)
             x = x * g
-        log = {c: i for i, c in enumerate(exp)}
-        zech = [log.get(_poly_add((1,), c, p)) for c in exp]
-        return exp + exp, zech + zech, log
+        interned = {x.coeffs: x for x in elements}
+        interned[()] = zero = _reduced((), self)
+        zech = [interned[_poly_add((1,), x.coeffs, p)].log for x in elements]
+        subfield = [zero] + [interned[(c,)] for c in range(1, p)]
+        return elements + elements, zech + zech, interned, subfield
 
     def __call__(self, value):
         if isinstance(value, str):
@@ -890,13 +930,16 @@ class ExtensionField(FieldContext):
             if value.field != self:
                 raise ContextMismatch(f"{self} vs {value.field}")
             return value
+        p = self.p
         if isinstance(value, int):
-            return ExtensionFieldElement((value,), self)
-        return ExtensionFieldElement(tuple(value), self)
+            if self._subfield is not None:
+                return self._subfield[value % p]
+            value = (value,)
+        return _reduced(_poly_trim(tuple(c % p for c in value)), self)
 
     @property
     def generator(self):
-        return ExtensionFieldElement((0, 1), self)
+        return self((0, 1))
 
     def label(self):
         return f"GF({self.p}^{self.k})"
@@ -928,7 +971,7 @@ class ExtensionField(FieldContext):
             if e >= self.k:
                 raise ParseError(f"degree {e} term exceeds field degree in {text!r}")
             coeffs[e] = (coeffs[e] + sign * c) % self.p
-        return ExtensionFieldElement(coeffs, self)
+        return self(coeffs)
 
     def format(self, x):
         if not x.coeffs:
@@ -947,8 +990,7 @@ class ExtensionField(FieldContext):
         return "+".join(terms)
 
     def sample(self, rng, height=None):
-        return ExtensionFieldElement(
-            tuple(rng.randrange(self.p) for _ in range(self.k)), self)
+        return self([rng.randrange(self.p) for _ in range(self.k)])
 
 
 # Digit counts are capped so that int() never meets Python's limit on the

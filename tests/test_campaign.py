@@ -1,3 +1,5 @@
+import shlex
+
 from leonardz.campaign import render_report, run_campaign
 from leonardz.parray import LeonardType
 
@@ -115,3 +117,38 @@ def test_boundary_products_once_per_verdict(monkeypatch):
     assert report.ok
     assert report.pass_count > 0
     assert len(calls) == report.pass_count
+
+
+def test_failing_trial_prints_a_replay_that_parses_back(monkeypatch):
+    from leonardz import campaign, cli
+    from leonardz.parray import spec_from_mapping, spec_to_mapping
+
+    check, failing = campaign._check_sample, []
+
+    def failing_trial_one(spec, mode, collector, cell, trial):
+        problems = check(spec, mode, collector, cell, trial)
+        if trial != 1:
+            return problems
+        failing.append(spec)
+        return problems + ["forced", "twice"]
+
+    monkeypatch.setattr(campaign, "_check_sample", failing_trial_one)
+    report = run_campaign(types=[LeonardType.KRAWTCHOUK, LeonardType.ORPHAN],
+                          d_min=3, d_max=3, trials=2, seed=5)
+    lines = render_report(report).splitlines()
+    assert {spec.field.label() for spec in failing} >= {"Q", "GF(2^2)"}
+    replays = [line.removeprefix("    replay: ") for line in lines if "replay:" in line]
+    assert len(replays) == len(failing) == len(report.cells)
+    for cell in report.cells:
+        assert cell.failures == ["trial 1: forced", "trial 1: twice"]
+    for n, line in enumerate(lines):
+        if line.startswith("    replay: "):
+            assert lines[n - 2:n] == ["    failure: trial 1: forced",
+                                      "    failure: trial 1: twice"]
+    parser = cli.build_parser()
+    for spec, line in zip(failing, replays):
+        argv = shlex.split(line)
+        assert argv[:2] == ["leonardz", "analyze"]
+        args = parser.parse_args(cli._attach_element_values(argv[1:], parser.analyze_options))
+        replayed = spec_from_mapping(cli._spec_mapping_from_args(args))
+        assert spec_to_mapping(replayed) == spec_to_mapping(spec)

@@ -469,45 +469,104 @@ def coefficientwise(x, y, sign, p, k):
     return _poly_trim(tuple((u + sign * v) % p for u, v in zip(x + pad, y + pad)))
 
 
-def assert_table_route_matches_polynomials(ctx):
-    p, m = ctx.p, ctx.modulus
-    elements = every_element(ctx)
+def poly_power(a, n, m, p):
+    """a^n modulo m by square and multiply on coefficient tuples."""
+    if n < 0:
+        a, n = _poly_inv_mod(a, m, p), -n
+    acc = (1,)
+    while n:
+        if n & 1:
+            acc = _poly_divmod(_poly_mul(acc, a, p), m, p)[1]
+        a = _poly_divmod(_poly_mul(a, a, p), m, p)[1]
+        n >>= 1
+    return acc
+
+
+def assert_table_route_matches_polynomials(ctx, elements=None):
+    p, k, m = ctx.p, ctx.k, ctx.modulus
+    q = p ** k
+    elements = every_element(ctx) if elements is None else elements
+    assert ctx.zero ** 0 == 1
     for x in elements:
         a = x.coeffs
+        assert (-x).coeffs == coefficientwise((), a, -1, p, k), x
         if a:
             assert x.inverse().coeffs == _poly_inv_mod(a, m, p), x
+        else:
+            with pytest.raises(DivisionByZero):
+                x.inverse()
+        for n in (-q, -1, 0, 1, q, 10 ** 30):
+            if a or n >= 0:
+                assert (x ** n).coeffs == poly_power(a, n, m, p), (x, n)
+            else:
+                with pytest.raises(DivisionByZero):
+                    x ** n
+        three, two, four = ((c % p,) if c % p else () for c in (3, 2, 4))
+        assert (x + 3).coeffs == coefficientwise(a, three, 1, p, k), x
+        assert (3 - x).coeffs == coefficientwise(three, a, -1, p, k), x
+        assert (2 * x).coeffs == _poly_trim(tuple(2 * c % p for c in a)), x
+        assert (x == 4) == (4 == x) == (a == four), x
         for y in elements:
             b = y.coeffs
             assert (x * y).coeffs == _poly_divmod(_poly_mul(a, b, p), m, p)[1], (x, y)
-            assert (x + y).coeffs == coefficientwise(a, b, 1, p, ctx.k), (x, y)
-            assert (x - y).coeffs == coefficientwise(a, b, -1, p, ctx.k), (x, y)
+            assert (x + y).coeffs == coefficientwise(a, b, 1, p, k), (x, y)
+            assert (x - y).coeffs == coefficientwise(a, b, -1, p, k), (x, y)
             if b:
                 quotient = _poly_divmod(_poly_mul(a, _poly_inv_mod(b, m, p), p), m, p)[1]
                 assert (x / y).coeffs == quotient, (x, y)
+            if ctx._interned is not None:
+                assert x * y is y * x, (x, y)
 
 
 def tabled(ctx):
     ctx._build_tables()
-    assert ctx._log is not None
+    assert ctx._interned is not None
     return ctx
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 4), (5, 2), (7, 2)])
 def test_tables_match_the_polynomial_route(p, k):
     assert p ** k <= TABLE_BOUND
-    assert_table_route_matches_polynomials(tabled(ExtensionField(p, k)))
+    ctx = ExtensionField(p, k)
+    before = [ctx.parse(str(x)) for x in every_element(ctx)]
+    shared = every_element(tabled(ctx))
+    assert all(x.log is None for x in before)
+    assert all((x.log is None) == (not x) for x in shared)
+    # Operands parsed before the build alternate with shared ones, so
+    # every operator meets each pairing of the two kinds.
+    mixed = [b if n % 2 else s for n, (s, b) in enumerate(zip(shared, before))]
+    assert_table_route_matches_polynomials(ctx, mixed)
+    # Equal but distinct contexts, with and without tables, find the same
+    # primitive element; their elements combine with this field's.
+    twin, plain = tabled(ExtensionField(p, k, ctx.modulus)), ExtensionField(p, k, ctx.modulus)
+    plain._until_tables = None
+    assert twin == ctx == plain and twin is not ctx
+    assert [twin(x.coeffs).log for x in shared] == [x.log for x in shared]
+    for other in (twin, plain):
+        for x in shared:
+            for y in shared:
+                y_other = other(y.coeffs)
+                for op in (operator.add, operator.sub, operator.mul):
+                    assert op(x, y_other).field is ctx and op(x, y_other) == op(x, y)
+                    assert op(y_other, x).field is other and op(y_other, x) == op(y, x)
+                if y:
+                    assert x / y_other == x / y
+                if x:
+                    assert y_other / x == y / x
 
 
 def test_untabled_sums_match_coefficientwise():
     ctx = ExtensionField(3, 2)
     ctx._until_tables = None  # never build: every operation by polynomials
     assert_table_route_matches_polynomials(ctx)
-    assert ctx._log is None and ctx._zech is None
+    assert ctx._interned is None and ctx._zech is None
 
 
 def test_zech_table_against_its_definition():
     ctx = tabled(ExtensionField(3, 4))
-    q, exp, log = 81, ctx._exp, ctx._log
+    q, exp = 81, [x.coeffs for x in ctx._elements]
+    log = {c: n for n, c in enumerate(exp[:q - 1])}
+    assert [x.log for x in ctx._elements] == 2 * list(range(q - 1))
     assert len(ctx._zech) == len(exp) == 2 * (q - 1)
     for n in range(2 * (q - 1)):
         one_plus = coefficientwise((1,), exp[n], 1, 3, 4)
@@ -529,13 +588,13 @@ def test_tables_are_built_at_the_qth_polynomial_operation():
     ctx = ExtensionField(5, 2)
     x, y = ctx("2*t+3"), ctx("t+4")
     # Rabin's test and construction leave the budget whole.
-    assert ctx._log is None and ctx._until_tables == 25
+    assert ctx._interned is None and ctx._until_tables == 25
     products = [x * y for _ in range(12)] + [y.inverse() for _ in range(12)]
     # Sums and differences are not counted, and take no Zech table early.
     sums = [x + y, x - y, y - x, -x]
-    assert ctx._log is None and ctx._zech is None and ctx._until_tables == 1
+    assert ctx._interned is None and ctx._zech is None and ctx._until_tables == 1
     products.append(x * y)
-    assert ctx._log is not None and ctx._zech is not None and ctx._until_tables is None
+    assert ctx._interned is not None and ctx._zech is not None and ctx._until_tables is None
     assert [x + y, x - y, y - x, -x] == sums
     products.append(x * y)
     assert len({p.coeffs for p in products[:12] + products[24:]}) == 1
@@ -550,7 +609,7 @@ def test_short_work_builds_no_tables():
     ctx = ExtensionField(61, 2)
     spec = sample_spec(LeonardType.Q_RACAH, 3, ctx, random.Random("short"))
     assert analyze_instance(spec).ok
-    assert ctx._log is None and 0 < ctx._until_tables < 61 ** 2
+    assert ctx._interned is None and 0 < ctx._until_tables < 61 ** 2
 
 
 def test_fields_past_the_bound_take_the_polynomial_route(monkeypatch):
@@ -574,14 +633,14 @@ def test_fields_past_the_bound_take_the_polynomial_route(monkeypatch):
     for _ in range(67 ** 2):
         x * y
     large._build_tables()
-    assert large._log is None and large._zech is None
+    assert large._interned is None and large._zech is None
 
 
 def test_fast_gf81_analysis_never_reduces_a_polynomial(monkeypatch):
     ctx = parse_field("GF(3^4)")
     spec = sample_spec(LeonardType.Q_RACAH, 10, ctx, random.Random("tables"))
     # Sampling does more than 81 products, so the tables exist by now.
-    assert ctx._log is not None
+    assert ctx._interned is not None
 
     def refuse(a, b, p):
         raise AssertionError("polynomial product in a field with tables")
@@ -589,6 +648,25 @@ def test_fast_gf81_analysis_never_reduces_a_polynomial(monkeypatch):
     monkeypatch.setattr(exactfield, "_poly_mul", refuse)
     chk = analyze_instance(spec)
     assert chk.ok, chk.failures
+
+
+def test_tabled_gf81_deep_analysis_makes_no_element(monkeypatch):
+    # Once the tables exist every operation returns one of their shared
+    # elements: a deep analysis allocates none.
+    ctx = parse_field("GF(3^4)")
+    spec = sample_spec(LeonardType.Q_RACAH, 10, ctx, random.Random("interned"))
+    assert ctx._interned is not None
+    made, new = [], exactfield._new
+
+    def counting_new(cls, *args):
+        if cls is exactfield.ExtensionFieldElement:
+            made.append(cls)
+        return new(cls, *args)
+
+    monkeypatch.setattr(exactfield, "_new", counting_new)
+    chk = analyze_instance(spec, deep=True)
+    assert chk.ok, chk.failures
+    assert made == []
 
 
 def test_tabled_gf81_analysis_never_adds_coefficientwise(monkeypatch):
