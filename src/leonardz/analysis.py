@@ -263,8 +263,16 @@ def analyze_instance(spec, arr=None, deep=False):
     so the a_trace and a_standard flags compare two different computations
     with the closed form.  The zero diagonal space is computed in the
     standard basis, where A* is diagonal and the test E*_i X E*_i = 0
-    reads X_ii = 0; every matrix of that space is read off the band of A
-    and theta*, with no product.  The span flags compare the kernel's
+    reads X_ii = 0.  No matrix of that space is formed: the zero-diagonal
+    flags read the n entries X_ii = f0 + f1 theta*_i + a_i (f2 + f3 theta*_i)
+    off theta* and the diagonal of A_std, closed_generator_nonzero adds
+    the band entries A_ij (f2 + f3 theta*_j), j = i +- 1, and the
+    commutator's diagonal is A_ii theta*_i - theta*_i A_ii.
+    x_generators_independent is one 5 x 5 determinant of entries of
+    I, A*, A, A A* and A* A (zerodiag.x_space_basis), and theta* is read
+    off A*, which is checked diagonal, once per verdict (the report's
+    theta_star).  Only the analyze report forms the kernel's matrices,
+    by reading zreport.matrix_basis.  The span flags compare the kernel's
     coefficient vectors with those of the closed forms, four entries each:
     the map from coefficients to matrices is linear, and injective once
     x_generators_independent holds, so they read as the tests on the
@@ -331,15 +339,16 @@ def analyze_instance(spec, arr=None, deep=False):
     flags["rank_bounds"] = 2 <= rank_m <= 4
     flags["kernel_dimension_matches"] = len(zreport.coeff_basis) == dim_z
     apm = zreport.apm
+    ts = zreport.theta_star
 
     try:
-        *_, a_astar, astar_a = zerodiag.x_space_basis(std)
+        zerodiag.x_space_basis(std, ts)
         flags["x_generators_independent"] = True
     except DependenceDetected:
         flags["x_generators_independent"] = False
-        a_astar, astar_a = zerodiag._a_star_products(std)
+    # (A A*)_ii - (A* A)_ii, as A* = diag(theta*)
     flags["commutator_zero_diagonal"] = all(
-        not (a_astar[i][i] - astar_a[i][i]) for i in range(std.dim))
+        not (row[i] * t - t * row[i]) for i, (row, t) in enumerate(zip(std.A, ts)))
 
     dep_rank, dep_full, dep_interior = zerodiag.dependence_equivalences(apm)
     flags["dependence_equivalences"] = (
@@ -356,25 +365,26 @@ def analyze_instance(spec, arr=None, deep=False):
     if z_pred:
         u, v, relation_row = relation_coefficients(spec)
         flags["relation_holds"] = relation_check(apm, u, v)
-        gen = zerodiag.z_basis_closed_dim1(std, a, u, v)
-        gen_coeffs = zerodiag.closed_dim1_coefficients(arr, a, u, v).as_list()
-        flags["closed_generator_nonzero"] = not linalg.is_zero_matrix(gen)
-        flags["closed_generator_zero_diagonal"] = zerodiag.has_zero_diagonal(gen)
+        gen = zerodiag.closed_dim1_coefficients(arr, a, u, v)
+        gen_diagonal = zerodiag.combination_diagonal(gen, ts, std.A)
+        flags["closed_generator_nonzero"] = (
+            any(gen_diagonal) or zerodiag.band_nonzero(gen, ts, std.A))
+        flags["closed_generator_zero_diagonal"] = not any(gen_diagonal)
         flags["closed_generator_in_kernel_span"] = linalg.in_row_span(
-            kernel_coeffs, gen_coeffs)
+            kernel_coeffs, gen.as_list())
         if dim_z == 1:
-            flags["dim1_spans_match"] = linalg.same_row_span(kernel_coeffs, [gen_coeffs])
+            flags["dim1_spans_match"] = linalg.same_row_span(kernel_coeffs, [gen.as_list()])
 
     if dim_z == 2:
         flags["dim2_constant_a"] = all(x == a[0] for x in a)
         flags["dim2_kernel_structure"] = all(
             c.f0 + c.f2 * a[0] == ctx.zero and c.f1 + c.f3 * a[0] == ctx.zero
             for c in zreport.coeff_basis)
-        pair = zerodiag.z_basis_closed_dim2(std, a[0])
-        flags["dim2_pair_zero_diagonal"] = all(
-            zerodiag.has_zero_diagonal(x) for x in pair)
+        pair = zerodiag.closed_dim2_coefficients(a[0], ctx)
+        flags["dim2_pair_zero_diagonal"] = not any(
+            x for c in pair for x in zerodiag.combination_diagonal(c, ts, std.A))
         flags["dim2_pair_spans"] = linalg.same_row_span(
-            kernel_coeffs, [c.as_list() for c in zerodiag.closed_dim2_coefficients(a[0], ctx)])
+            kernel_coeffs, [c.as_list() for c in pair])
 
     sd_pred = self_dual_predicate(spec)
     spin = spin_predicate(spec)

@@ -688,7 +688,9 @@ class ExtensionFieldElement:
                 raise ContextMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, int):
-            return self.field(other)
+            field = self.field
+            subfield = field._subfield
+            return field(other) if subfield is None else subfield[other % field.p]
         raise ContextMismatch(f"cannot combine {self.field} with {type(other).__name__}")
 
     # The operators take the same fast path as PrimeFieldElement's.  When
@@ -924,6 +926,9 @@ class ExtensionField(FieldContext):
         return elements + elements, zech + zech, interned, subfield
 
     def __call__(self, value):
+        """The element of a literal, an element of this field, an int, or a
+        coefficient sequence (low degree first), reduced mod p and, when
+        longer than k, by the modulus."""
         if isinstance(value, str):
             return self.parse(value)
         if isinstance(value, ExtensionFieldElement):
@@ -935,7 +940,10 @@ class ExtensionField(FieldContext):
             if self._subfield is not None:
                 return self._subfield[value % p]
             value = (value,)
-        return _reduced(_poly_trim(tuple(c % p for c in value)), self)
+        coeffs = _poly_trim(tuple(c % p for c in value))
+        if len(coeffs) > self.k:
+            coeffs = _poly_divmod(coeffs, self.modulus, p)[1]
+        return _reduced(coeffs, self)
 
     @property
     def generator(self):

@@ -16,9 +16,17 @@ multiple of the one the field route gives, so the pivot columns and the
 swaps are the same; the determinant is the last pivot over the product
 of the row scales, and rref back-substitutes on ints and divides by the
 pivot once per output entry.  The rref is unique, so every value equals
-the field route's.  Over a finite field there is no height growth, and a
-wrapper element would pay two products per entry, so the elimination
-divides in the field.
+the field route's.  mat_mul over Q scales the rows of a and the columns
+of b the same way: row r of a is A_r / s_r and column j of b is
+B_j / c_j, so the entry (a b)_rj is the integer dot product A_r . B_j
+over s_r c_j.  The sum is exact and the Rational built from it is
+normalised, so it is the value the field route's sum of products gives.
+A column of b, not a row, carries the scale, as the columns of the
+moment matrix M hold one index's values each: a common denominator of
+b's rows would hold every index's, and its height grows with n.  Over a
+finite field there is no height growth, and a wrapper element would pay
+two products per entry, so the elimination divides in the field and the
+product multiplies in it.
 
 The matrices are mostly zeros (bidiagonal, tridiagonal, diagonal, or
 triangular eigenvector factors), so the kernels over field elements skip
@@ -60,8 +68,27 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    """Matrix product over the nonzero entries of a and the row supports of b."""
+    """Matrix product over the nonzero entries of a and the row supports of b.
+
+    Over Q it runs on ints: integer_rows scales row r of a by s_r and
+    column j of b by c_j, and (a b)_rj is the integer dot product of the
+    two over s_r c_j, one Rational per entry.
+    """
     m = len(b[0])
+    scaled_a = integer_rows(a)
+    scaled_b = None if scaled_a is None else integer_rows(transpose(b))
+    if scaled_b is not None:
+        (int_a, s), (int_cols, c) = scaled_a, scaled_b
+        b_supports = [support(row) for row in zip(*int_cols)]
+        out = []
+        for row_a, sr in zip(int_a, s):
+            acc = [0] * m
+            for x, sup in zip(row_a, b_supports):
+                if x:
+                    for j, y in sup:
+                        acc[j] += x * y
+            out.append([Rational(v, sr * cj) for v, cj in zip(acc, c)])
+        return out
     zero = a[0][0] - a[0][0]
     b_supports = [support(row) for row in b]
     out = []

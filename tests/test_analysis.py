@@ -523,21 +523,33 @@ def test_fast_and_deep_analysis_agree(monkeypatch):
 
 
 def test_x_space_programming_error_propagates(monkeypatch, kraw_dim1):
-    def broken(real):
+    calls = []
+
+    def broken(real, theta_star):
+        calls.append(real)
         raise TypeError("not a dependence")
 
     monkeypatch.setattr(zerodiag, "x_space_basis", broken)
     with pytest.raises(TypeError, match="not a dependence"):
         analyze_instance(kraw_dim1)
+    assert len(calls) == 1
 
 
 def test_x_space_dependence_clears_its_flag(monkeypatch, kraw_dim1):
-    def dependent(real):
+    # The certificate gets the theta* the report read off A*, and the
+    # commutator flag, which reads theta* and the diagonal of A, still holds.
+    calls = []
+
+    def dependent(real, theta_star):
+        calls.append((real, theta_star))
         raise DependenceDetected("generators span only 4 dimensions")
 
     monkeypatch.setattr(zerodiag, "x_space_basis", dependent)
     chk = analyze_instance(kraw_dim1)
+    assert calls == [(chk.zreport.real, chk.zreport.theta_star)]
+    assert calls[0][1] is chk.zreport.theta_star
     assert chk.flags["x_generators_independent"] is False
+    assert chk.flags["commutator_zero_diagonal"] is True
     assert chk.failures == ["x_generators_independent"]
 
 
@@ -565,41 +577,45 @@ def test_fast_analysis_multiplication_count(monkeypatch):
     """Field multiplications of a d = 16 fast analysis over GF(1000003).
 
     A deterministic stand-in for timing.  The independence certificate of
-    the five generators ranks only their first two rows, a 5 x 2n block,
-    and the kernels skip structural zeros, so it costs 20 multiplications
-    at every n (ranking the 5 x n^2 flattening cost 226 at n = 17, and 2275
-    with dense row updates).  The whole fast analysis makes 1471: the band
-    of W* A V* comes from V* alone at two products per certified entry,
-    the scale D from that band by an O(n) recurrence, and the a-trace reads
-    three entries of A per i, with no other entry of W* formed (1826 when
-    D = W* u read all of W*, 2652 with the residual certificate that read
-    W*, 6018 with dense kernels).
+    the five generators is one det of a 5 x 5 minor of their entries, so it
+    costs ten products and 23 multiplications in det at every n, and forms
+    neither A A* nor A* A (ranking the 5 x 2n block of their first two rows
+    cost 20 there and forming the two products 98, ranking the 5 x n^2
+    flattening 226 at n = 17, and 2275 with dense row updates).  The whole
+    fast analysis makes 1420: the band of W* A V* comes from V* alone at
+    two products per certified entry, the scale D from that band by an
+    O(n) recurrence, and the a-trace reads three entries of A per i, with
+    no other entry of W* formed (1471 with the block rank and the formed
+    products, 1826 when D = W* u read all of W*, 2652 with the residual
+    certificate that read W*, 6018 with dense kernels).
     """
     ctx = parse_field("GF(1000003)")
     spec = sample_spec(LeonardType.Q_RACAH, 16, ctx, random.Random("mul-count"))
-    n = spec.d + 1
     count = [0]
-    mul, rank = PrimeFieldElement.__mul__, linalg.rank
-    certificate_counts = []
+    mul, det, certify = PrimeFieldElement.__mul__, linalg.det, zerodiag.x_space_basis
+    det_counts, certificate_counts = [], []
 
     def counted_mul(x, y):
         count[0] += 1
         return mul(x, y)
 
-    def counted_rank(rows):
-        before = count[0]
-        out = rank(rows)
-        if len(rows) == 5 and len(rows[0]) == 2 * n:
-            certificate_counts.append(count[0] - before)
-        return out
+    def counted(fn, counts):
+        def wrapped(*args):
+            before = count[0]
+            out = fn(*args)
+            counts.append((len(args[0]) if fn is det else None, count[0] - before))
+            return out
+        return wrapped
 
     monkeypatch.setattr(PrimeFieldElement, "__mul__", counted_mul)
-    monkeypatch.setattr(linalg, "rank", counted_rank)
+    monkeypatch.setattr(linalg, "det", counted(det, det_counts))
+    monkeypatch.setattr(zerodiag, "x_space_basis", counted(certify, certificate_counts))
     chk = analyze_instance(spec)
     assert chk.ok, chk.failures
-    assert len(certificate_counts) == 1
-    assert certificate_counts[0] <= 20
-    assert count[0] <= 1471
+    minor_counts = [c for size, c in det_counts if size == 5]
+    assert len(minor_counts) == 1 and minor_counts[0] <= 23
+    assert len(certificate_counts) == 1 and certificate_counts[0][1] <= 10 + 23
+    assert count[0] <= 1420
 
 
 @pytest.mark.parametrize("deep", [False, True])

@@ -702,3 +702,44 @@ def test_table_build_is_fast_at_the_bound():
     for p, k in ((61, 2), (5, 5), (7, 4), (3, 7), (13, 3)):
         tabled(ExtensionField(p, k))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["before tables", "tabled"])
+def test_long_coefficient_sequences_reduce_by_the_modulus(built):
+    # GF(3^4): a sequence longer than k = 4 is the polynomial it spells,
+    # reduced by the modulus, in either state of the field.
+    ctx = ExtensionField(3, 4)
+    if built:
+        ctx._build_tables()
+    t = ctx.generator
+    assert ctx((0, 0, 0, 0, 1)) == t ** 4
+    coeffs = (2, 1, 0, 4, 1, 2, 0, 5)
+    want = sum((c * t ** e for e, c in enumerate(coeffs)), ctx.zero)
+    got = ctx(coeffs)
+    assert got == want and got.coeffs == want.coeffs and len(got.coeffs) <= 4
+    assert ctx((0,) * 9) == ctx.zero and ctx((1, 0, 0, 0, 0, 0)) == ctx.one
+    if built:
+        assert got is want
+
+
+@pytest.mark.parametrize("make", [lambda: tabled(ExtensionField(3, 4)),
+                                  lambda: ExtensionField(67, 2)],
+                         ids=["GF(3^4) tabled", "GF(67^2) untabled"])
+def test_int_operands_skip_the_field_constructor_when_tabled(monkeypatch, make):
+    # A tabled field promotes an int operand by indexing its subfield; an
+    # untabled one still goes through ExtensionField.__call__.
+    ctx = make()
+    x = ctx.generator + 1
+    want = {n: (x + ctx(n), x - ctx(n), x * ctx(n), ctx(n) - x) for n in (0, 3, -4, 200)}
+    calls = []
+    call = ExtensionField.__call__
+
+    def counting(self, value):
+        calls.append(value)
+        return call(self, value)
+
+    monkeypatch.setattr(ExtensionField, "__call__", counting)
+    for n, (s, d, p, r) in want.items():
+        assert (x + n, x - n, x * n, n - x, n + x, n * x) == (s, d, p, r, s, p)
+    tabled_field = ctx._subfield is not None
+    assert calls == ([] if tabled_field else [n for n in want for _ in range(6)])

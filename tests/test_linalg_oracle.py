@@ -8,7 +8,10 @@ generators I, D, T, T D, D T (D diagonal, T tridiagonal) flattened into
 the kernels are exercised.  Over Q the elimination runs fraction-free on
 integer rows, so it is also checked on 30-digit entries, on
 rank-deficient matrices with zero columns before a pivot and row swaps,
-and by a count of the Rationals it constructs.  Skipped without sympy.
+and by a count of the Rationals it constructs.  So does mat_mul, which is
+checked on Python int entries and ints mixed with Rationals, on zeroed
+rows and columns, on 1 x n and n x 1 shapes, and by the same count.
+Skipped without sympy.
 """
 
 import random
@@ -178,14 +181,51 @@ def test_rref_matches_domain_matrix(pair):
     assert_rref(pair)
 
 
-@settings(max_examples=150, deadline=None)
-@given(any_pairs, st.integers(1, 6), st.booleans(), st.data())
-def test_mat_mul_matches_domain_matrix(pair, m, sparse, data):
-    other = Pair(pair.p, data.draw(matrix(pair.p, len(pair.rows[0]), m, sparse)))
-    got = linalg.mat_mul(pair.rows, other.rows)
-    want = (pair.dm * other.dm).to_list()
-    assert [[pair.ours(x) for x in row] for row in got] == \
-        [[pair.theirs(x) for x in row] for row in want]
+@st.composite
+def product_operands(draw):
+    """Two conforming matrices a (n x k) and b (k x m) given to both sides.
+
+    Each dimension is 1 about half the time, so 1 x n and n x 1 shapes
+    come up often; a row of a or b, a column of a or b, may be zeroed.
+    Over Q the leonardz entries are Rationals, Python ints, or a mix of
+    both, entry by entry.
+    """
+    p = draw(st.sampled_from(CHARACTERISTICS))
+    n, k, m = (draw(st.one_of(st.just(1), st.integers(1, 6))) for _ in range(3))
+    a = draw(matrix(p, n, k, draw(st.booleans())))
+    b = draw(matrix(p, k, m, draw(st.booleans())))
+    for rows in (a, b):
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, len(rows) - 1))] = [0] * len(rows[0])
+        if draw(st.booleans()):
+            j = draw(st.integers(0, len(rows[0]) - 1))
+            for row in rows:
+                row[j] = 0
+    pa, pb = Pair(p, a), Pair(p, b)
+    if p is None:
+        kind = draw(st.sampled_from(("rational", "int", "mixed")))
+        for pair, raw in ((pa, a), (pb, b)):
+            if kind == "int":
+                raw = [[int(x) for x in row] for row in raw]
+                pair.rows = raw
+                pair.dm = pair.to_domain(raw)
+            elif kind == "mixed":
+                pair.rows = [[int(x) if x.denominator == 1 and draw(st.booleans()) else x
+                              for x in row] for row in pair.rows]
+    return pa, pb
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+def test_mat_mul_matches_domain_matrix(operands):
+    pa, pb = operands
+    got = linalg.mat_mul(pa.rows, pb.rows)
+    want = (pa.dm * pb.dm).to_list()
+    assert [[pa.ours(x) for x in row] for row in got] == \
+        [[pa.theirs(x) for x in row] for row in want]
+    if pa.p is None:
+        # over Q every entry is one Rational, ints in the input or not
+        assert all(type(x) is Rational for row in got for x in row)
 
 
 # -- the fraction-free route over Q ------------------------------------------
@@ -289,3 +329,23 @@ def test_rational_elimination_constructs_only_its_results(monkeypatch):
     count[0] = 0
     red, pivots = linalg.rref(deficient)
     assert count[0] == len(pivots) * 6 == 30
+
+
+@pytest.mark.skipif(not issubclass(Rational, Fraction), reason="counts the Fraction subclass")
+def test_rational_product_constructs_only_its_results(monkeypatch):
+    """mat_mul over Q multiplies on ints and constructs one Rational per
+    output entry, ints, a zero row and a zero column in the input or not."""
+    rng = random.Random(23)
+    a = [[Rational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)] for _ in range(4)]
+    b = [[rng.randint(-9, 9) if j % 2 else Rational(rng.randint(-9, 9), rng.randint(1, 9))
+          for j in range(7)] for _ in range(5)]
+    a[2] = [Rational(0)] * 5
+    for row in b:
+        row[3] = 0
+    count = count_rationals(monkeypatch)
+    assert Rational(1, 2) * 3 and count[0] == 2, "the counter misses the arithmetic"
+    count[0] = 0
+    out = linalg.mat_mul(a, b)
+    assert count[0] == 4 * 7
+    want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    assert out == want

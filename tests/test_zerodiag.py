@@ -32,6 +32,23 @@ def standard_rep(spec):
     return arr, std, nums.a
 
 
+def kernel_pairs(m, std):
+    """z_basis_kernel's coefficient vectors, each with its matrix."""
+    return [(c, zerodiag.combination_matrix(c, std)) for c in zerodiag.z_basis_kernel(m, std)]
+
+
+def closed_dim1(std, a, u, v):
+    """The closed-form generator u*P1 - v*P2 as a matrix."""
+    return zerodiag.combination_matrix(
+        zerodiag.closed_dim1_coefficients(std.array, a, u, v), std)
+
+
+def closed_dim2(std, a0):
+    """The closed-form dim-2 pair A - a0*I and A A* - a0*A* as matrices."""
+    return [zerodiag.combination_matrix(c, std)
+            for c in zerodiag.closed_dim2_coefficients(a0, std.array.field)]
+
+
 @pytest.fixture(scope="module")
 def std_dim1(kraw_dim1):
     return standard_rep(kraw_dim1)
@@ -111,7 +128,7 @@ def test_z_dimension_arithmetic(std_dim1, std_dim2, dual_hahn_spec):
 def test_kernel_basis_worked(std_dim1):
     arr, std, a = std_dim1
     m = zerodiag.matrix_m(a, arr.theta_star, QQ)
-    kernel = zerodiag.z_basis_kernel(m, std)
+    kernel = kernel_pairs(m, std)
     assert len(kernel) == 1
     coeffs, x = kernel[0]
     target = ql([-6, 3, 1, 0])
@@ -131,7 +148,7 @@ def test_kernel_empty_for_zero_space(dual_hahn_spec):
 def test_dim2_kernel_structure(std_dim2):
     arr, std, a = std_dim2
     m = zerodiag.matrix_m(a, arr.theta_star, QQ)
-    kernel = zerodiag.z_basis_kernel(m, std)
+    kernel = kernel_pairs(m, std)
     assert len(kernel) == 2
     for coeffs, x in kernel:
         assert coeffs.f0 + coeffs.f2 * a[0] == QQ(0)
@@ -142,11 +159,11 @@ def test_dim2_kernel_structure(std_dim2):
 def test_closed_dim1_generator_spans_kernel(std_dim1, kraw_dim1):
     arr, std, a = std_dim1
     u, v, _ = relation_coefficients(kraw_dim1)
-    gen = zerodiag.z_basis_closed_dim1(std, a, u, v)
+    gen = closed_dim1(std, a, u, v)
     assert not linalg.is_zero_matrix(gen)
     assert zerodiag.has_zero_diagonal(gen)
     m = zerodiag.matrix_m(a, arr.theta_star, QQ)
-    kernel = zerodiag.z_basis_kernel(m, std)
+    kernel = kernel_pairs(m, std)
     assert linalg.same_row_span([linalg.flatten(x) for _, x in kernel],
                                 [linalg.flatten(gen)])
 
@@ -154,7 +171,7 @@ def test_closed_dim1_generator_spans_kernel(std_dim1, kraw_dim1):
 def test_closed_dim1_expansion_identity(std_dim1):
     # (A - a0)(A* - ts_d) - (A - ad)(A* - ts_0) = -3 (A + 3 A* - 6 I)
     arr, std, a = std_dim1
-    gen = zerodiag.z_basis_closed_dim1(std, a, QQ(1), QQ(1))
+    gen = closed_dim1(std, a, QQ(1), QQ(1))
     direct = [[x + QQ(3) * y for x, y in zip(ra, rb)] for ra, rb in zip(std.A, std.A_star)]
     for i in range(4):
         direct[i][i] = direct[i][i] - QQ(6)
@@ -163,11 +180,11 @@ def test_closed_dim1_expansion_identity(std_dim1):
 
 def test_dim2_closed_pair(std_dim2):
     arr, std, a = std_dim2
-    pair = zerodiag.z_basis_closed_dim2(std, a[0])
+    pair = closed_dim2(std, a[0])
     for x in pair:
         assert zerodiag.has_zero_diagonal(x)
     m = zerodiag.matrix_m(a, arr.theta_star, QQ)
-    kernel = zerodiag.z_basis_kernel(m, std)
+    kernel = kernel_pairs(m, std)
     assert linalg.same_row_span([linalg.flatten(x) for _, x in kernel],
                                 [linalg.flatten(x) for x in pair])
 
@@ -206,7 +223,7 @@ def test_diagonal_test_matches_projections_on_exemplars(exemplar_specs, kraw_dim
         arr, std, a = standard_rep(spec)
         ctx = arr.field
         estar = primitive_idempotents(std.A_star, arr.theta_star, ctx)
-        kernel = zerodiag.z_basis_kernel(zerodiag.matrix_m(a, arr.theta_star, ctx), std)
+        kernel = kernel_pairs(zerodiag.matrix_m(a, arr.theta_star, ctx), std)
         kernel_elements += len(kernel)
         for x, expected in [(x, True) for _, x in kernel] + [
                 (commutator(std), True), (linalg.identity(std.dim, ctx), False)]:
@@ -227,20 +244,11 @@ def test_kernel_rejects_split_basis(kraw_dim1):
 
 def test_x_space_basis_independent(std_dim1):
     _, std, _ = std_dim1
-    mats = zerodiag.x_space_basis(std)
+    assert zerodiag.x_space_basis(std) is None
+    mats = zerodiag.x_generators(std)
     assert len(mats) == 5
+    assert mats[1:3] == [std.A_star, std.A]
     assert linalg.rank([linalg.flatten(m) for m in mats]) == 5
-
-
-def test_x_space_certificate_rank_is_the_full_rank():
-    checked = 0
-    for spec in campaign_cell_samples():
-        _, std, _ = standard_rep(spec)
-        mats = zerodiag.x_space_basis(std)
-        block = [m[0] + m[1] for m in mats]
-        assert linalg.rank(block) == linalg.rank([linalg.flatten(m) for m in mats]) == 5, spec
-        checked += 1
-    assert checked == 130
 
 
 def recorded_ranks(monkeypatch):
@@ -256,31 +264,72 @@ def recorded_ranks(monkeypatch):
     return ranks
 
 
+def recorded_dets(monkeypatch):
+    """Route linalg.det through a recorder of (size, determinant) pairs."""
+    dets, original = [], linalg.det
+
+    def recording(rows):
+        out = original(rows)
+        dets.append((len(rows), out))
+        return out
+
+    monkeypatch.setattr(linalg, "det", recording)
+    return dets
+
+
+# The entries of each generator that the certificate's 5 x 5 minor reads.
+MINOR_ENTRIES = ((0, 0), (1, 1), (0, 1), (1, 0), (1, 2))
+
+
+def test_x_space_certificate_rank_is_the_full_rank(monkeypatch):
+    """On one sample per campaign cell the certificate is one det of the
+    5 x 5 minor of the formed generators, equal to its closed form
+    (theta*_0 - theta*_1)^2 (theta*_0 - theta*_2) b_0 c_0 b_1 and nonzero,
+    with no rank taken; the full flattening has rank 5."""
+    dets, ranks = recorded_dets(monkeypatch), recorded_ranks(monkeypatch)
+    checked = 0
+    for spec in campaign_cell_samples():
+        arr, std, _ = standard_rep(spec)
+        ts, a = arr.theta_star, std.A
+        mats = zerodiag.x_generators(std)
+        closed = (ts[0] - ts[1]) * (ts[0] - ts[1]) * (ts[0] - ts[2]) * a[0][1] * a[1][0] * a[1][2]
+        dets.clear()
+        ranks.clear()
+        assert zerodiag.x_space_basis(std) is None
+        assert dets == [(5, closed)] and ranks == [] and closed, spec
+        assert linalg.det([[m[i][j] for i, j in MINOR_ENTRIES] for m in mats]) == closed, spec
+        assert linalg.rank([linalg.flatten(m) for m in mats]) == 5, spec
+        checked += 1
+    assert checked == 130
+
+
 def test_x_space_fallback_accepts_independent_generators(monkeypatch, std_dim1):
     # A* = diag(0, 0, 1, 2) and A = E23 + E30 + E33 vanish on rows 0 and 1
-    # except for I, so the two-row block has rank 1; on the E33, E23, E30
-    # entries A, A A* and A* A are (1, 1, 1), (2, 2, 0) and (2, 1, 2), with
-    # determinant -2, so the five generators are independent.
+    # except for I, so the minor is 0; on the E33, E23, E30 entries A, A A*
+    # and A* A are (1, 1, 1), (2, 2, 0) and (2, 1, 2), with determinant -2,
+    # so the five generators are independent.
     arr, std, _ = std_dim1
     a = [ql(row) for row in ([0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 1])]
     a_star = [ql(row) for row in ([0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2])]
     hand = Realization(arr, a, a_star, Basis.STANDARD)
-    ranks = recorded_ranks(monkeypatch)
-    mats = zerodiag.x_space_basis(hand)
-    assert mats[1:3] == [a_star, a]
-    assert ranks == [(8, 1), (16, 5)]
+    dets, ranks = recorded_dets(monkeypatch), recorded_ranks(monkeypatch)
+    assert zerodiag.x_space_basis(hand) is None
+    assert zerodiag.x_generators(hand)[1:3] == [a_star, a]
+    assert dets == [(5, 0)]
+    assert ranks == [(16, 5)]
 
 
 def test_x_space_dependence_names_the_full_rank(monkeypatch, std_dim1):
     # With A* = 2I the generators are I, 2I, A, 2A, 2A, which span what
-    # I and A span.
+    # I and A span; the minor's rows of I and A* are proportional.
     _, std, _ = std_dim1
     two = linalg.mat_scale(QQ(2), linalg.identity(4, QQ))
     scalar = Realization(std.array, std.A, two, Basis.STANDARD)
-    ranks = recorded_ranks(monkeypatch)
+    dets, ranks = recorded_dets(monkeypatch), recorded_ranks(monkeypatch)
     with pytest.raises(DependenceDetected, match="^generators span only 2 dimensions$"):
         zerodiag.x_space_basis(scalar)
-    assert [length for length, _ in ranks] == [8, 16]
+    assert dets == [(5, 0)]
+    assert ranks == [(16, 2)]
 
 
 def test_x_space_rejects_a_non_diagonal_a_star(std_dim1):
@@ -314,8 +363,8 @@ def test_span_elements_match_the_products():
         arr, std, a = standard_rep(spec)
         ctx, ts, d = arr.field, arr.theta_star, arr.d
         a_astar = linalg.mat_mul(std.A, std.A_star)
-        assert zerodiag.x_space_basis(std)[3:] == [a_astar, linalg.mat_mul(std.A_star, std.A)]
-        kernel = zerodiag.z_basis_kernel(zerodiag.matrix_m(a, ts, ctx), std)
+        assert zerodiag.x_generators(std)[3:] == [a_astar, linalg.mat_mul(std.A_star, std.A)]
+        kernel = kernel_pairs(zerodiag.matrix_m(a, ts, ctx), std)
         for coeffs, x in kernel:
             assert linalg.mat_eq(x, reference_combination(coeffs, std)), spec
         seen["kernel"] += len(kernel)
@@ -331,15 +380,51 @@ def test_span_elements_match_the_products():
         relation = relation_coefficients(spec)
         if relation is not None:
             u, v, _ = relation
-            assert linalg.mat_eq(zerodiag.z_basis_closed_dim1(std, a, u, v), linalg.mat_sub(
+            assert linalg.mat_eq(closed_dim1(std, a, u, v), linalg.mat_sub(
                 linalg.mat_scale(u, p1), linalg.mat_scale(v, p2))), spec
             seen["dim1"] += 1
         if len(kernel) == 2:
             pair = [linalg.shift(std.A, a[0]),
                     linalg.mat_sub(a_astar, linalg.mat_scale(a[0], std.A_star))]
-            assert all(map(linalg.mat_eq, zerodiag.z_basis_closed_dim2(std, a[0]), pair)), spec
+            assert all(map(linalg.mat_eq, closed_dim2(std, a[0]), pair)), spec
             seen["dim2"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_diagonal_and_band_match_the_formed_matrix(std_dim1):
+    """combination_diagonal is the diagonal of combination_matrix, and
+    band_nonzero tells whether an entry off it is nonzero, on the kernel
+    rows, the closed forms, I, 0 and A (A* - theta*_1 I), whose column 1
+    vanishes, on one sample per campaign cell, and on a hand A whose
+    nonzero entries are all below the diagonal."""
+    arr, _, _ = std_dim1
+    lower = [ql([int(i == j + 1) for j in range(4)]) for i in range(4)]
+    a_star = [ql([i if i == j else 0 for j in range(4)]) for i in range(4)]
+    hand = Realization(arr, lower, a_star, Basis.STANDARD)
+    x_is_a = zerodiag.ZCoefficients(*ql([0, 0, 1, 0]))
+    assert zerodiag.combination_matrix(x_is_a, hand) == lower
+    assert zerodiag.band_nonzero(x_is_a, ql(range(4)), lower)
+    assert not any(zerodiag.combination_diagonal(x_is_a, ql(range(4)), lower))
+    outcomes = set()
+    for spec in campaign_cell_samples():
+        arr, std, a = standard_rep(spec)
+        ctx, ts = arr.field, arr.theta_star
+        one, zero = ctx.one, ctx.zero
+        u, v, _ = relation_coefficients(spec) or (one, one, None)
+        coeffs = zerodiag.z_basis_kernel(zerodiag.matrix_m(a, ts, ctx), std) + [
+            zerodiag.closed_dim1_coefficients(arr, a, u, v),
+            *zerodiag.closed_dim2_coefficients(a[0], ctx),
+            zerodiag.ZCoefficients(one, zero, zero, zero),
+            zerodiag.ZCoefficients(zero, zero, zero, zero),
+            zerodiag.ZCoefficients(zero, zero, -ts[1], one)]
+        for c in coeffs:
+            x = zerodiag.combination_matrix(c, std)
+            diagonal = zerodiag.combination_diagonal(c, ts, std.A)
+            assert diagonal == [x[i][i] for i in range(std.dim)], spec
+            off = any(x[i][j] for i in range(std.dim) for j in range(std.dim) if i != j)
+            assert zerodiag.band_nonzero(c, ts, std.A) == off, spec
+            outcomes.add((any(diagonal), off))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def span_routes(kernel, coeffs, real):
@@ -359,7 +444,7 @@ def test_coefficient_span_route_matches_the_flattened_route():
     seen = {1: set(), 2: set()}
     for spec in campaign_cell_samples():
         arr, std, a = standard_rep(spec)
-        kernel = zerodiag.z_basis_kernel(zerodiag.matrix_m(a, arr.theta_star, arr.field), std)
+        kernel = kernel_pairs(zerodiag.matrix_m(a, arr.theta_star, arr.field), std)
         dim_z = len(kernel)
         if dim_z == 0:
             continue
@@ -384,19 +469,44 @@ def test_coefficient_span_route_matches_the_flattened_route():
 
 def test_zerodiag_forms_no_matrix_product(monkeypatch):
     """A fast analysis makes one linalg.mat_mul, the T M of its L_equals_TM
-    flag, and the zero diagonal space none."""
-    callers = []
+    flag, and the zero diagonal space none: it forms no Z matrix
+    (combination_matrix) and no A A* or A* A (x_generators), and reads
+    theta* off A* once.  Reading the report's matrix_basis forms the
+    kernel's matrices, as the analyze report does."""
+    callers, formed, reads = [], [], []
     mat_mul = linalg.mat_mul
 
     def recording(x, y):
         callers.append(sys._getframe(1).f_globals["__name__"])
         return mat_mul(x, y)
 
+    def counted(name, fn):
+        def wrapped(*args):
+            formed.append(name)
+            return fn(*args)
+        return wrapped
+
+    theta_star = zerodiag._theta_star
+
+    def reading(real):
+        reads.append(real)
+        return theta_star(real)
+
     monkeypatch.setattr(linalg, "mat_mul", recording)
+    for name in ("combination_matrix", "x_generators"):
+        monkeypatch.setattr(zerodiag, name, counted(name, getattr(zerodiag, name)))
+    monkeypatch.setattr(zerodiag, "_theta_star", reading)
     verdicts = 0
     for spec in campaign_cell_samples():
         chk = analyze_instance(spec)
         assert chk.ok, (spec, chk.failures)
+        assert formed == [] and reads == [chk.zreport.real], spec
+        basis = chk.zreport.matrix_basis
+        assert formed == ["combination_matrix"] * chk.zreport.dim_z, spec
+        assert all(map(zerodiag.has_zero_diagonal, basis)) and not any(
+            map(linalg.is_zero_matrix, basis)), spec
+        formed.clear()
+        reads.clear()
         verdicts += 1
     assert callers == ["leonardz.analysis"] * verdicts
 
