@@ -31,38 +31,32 @@ subtracts coefficient tuples with one reduction mod p (_poly_add,
 _poly_sub), multiplies them and reduces by the modulus (_poly_mul, and
 the remainder of _poly_divmod), and inverts by the extended Euclid
 algorithm (_poly_inv_mod).  A field of q = p^k <= TABLE_BOUND elements
-can also build, once and by that route, tables over a primitive element
+builds, when it is made and by that route, tables over a primitive element
 g (Lidl and Niederreiter, Finite Fields, section 9.4): its q - 1 nonzero
 elements, made once, each holding its exponent over g as its log, in a
 list by exponent and a map by coefficient tuple, and the Zech
 logarithms Z(n) = log(1 + g^n) (K. Huber, IEEE Trans. Inf. Theory 36
-(1990) 946-950).  From then on the field's operators, parse, sample and
-int promotion return those shared elements.  When both operands carry a
-log, a product, quotient, inverse, power or negation is one list index
-on their logs, with -1 = g^((q-1)/2) for odd p and 1 in characteristic
-2, and a sum or difference is one Zech lookup more, g^i + g^j =
-g^(i + Z(j - i)); no tuple is hashed and no element is made.  In GF(3^4)
-an operation takes 110-150 ns, against 490-560 ns when the tables held
-coefficient tuples, about 7 us for a polynomial reduction, about 22 us
-for a Euclid run and 2.7 us for a coefficient-wise sum (measured on
-CPython 3.11, x86_64).  An element made before the tables, such as a
-literal parsed then, finds its log by its coefficient tuple.
+(1990) 946-950).  The field's operators, parse, sample, int promotion
+and __call__ return only those shared elements, so in a tabled field
+an element has no log exactly when it is zero.  When both operands
+carry a log, a product, quotient, inverse, power or negation is one
+list index on their logs, with -1 = g^((q-1)/2) for odd p and 1 in
+characteristic 2, and a sum or difference is one Zech lookup more,
+g^i + g^j = g^(i + Z(j - i)); no tuple is hashed and no element is
+made.  A zero operand returns the other operand, its negation or zero.
+In GF(3^4) an operation takes 110-150 ns, against about 7 us for a
+polynomial reduction, about 22 us for a Euclid run and 2.7 us for a
+coefficient-wise sum (measured on CPython 3.11, x86_64).
 
-The build costs about as much as q to 3q polynomial products (17 ms
-for GF(61^2) and 19 ms for GF(5^5)), while one analysis does from about
-500 products (d = 3, fast) to about 8000 (d = 10, deep).  So a field
-does not build its tables up front: it counts its polynomial-route
-products and inverses and builds them at the q-th.  Work that stops
-before then never pays for tables it would not win back, and work that
-goes on pays at most about one build more than the best choice in
-hindsight would have.  parse_field keeps the contexts it has made, so
-the tables of a field persist across the analyses of a process.
-TABLE_BOUND = 4096 bounds the memory the tables hold (0.8 MB for
-GF(61^2) and 0.7 MB for GF(5^5), by tracemalloc) and keeps any build
-well under a second.  The coefficient route serves larger fields,
-Rabin's test, the table build, a field's first q products and any sum
-with a zero operand, and it is the reference the tests compare the
-tables against.
+The build makes a tabled field slower to construct: 1.3 ms for
+GF(3^4), 3.5 ms for GF(2^8) and 19-22 ms for GF(61^2) and GF(5^5), the
+largest fields under the bound, against 0.2-2 ms without tables (best
+of 5, CPython 3.11, x86_64).  parse_field keeps the contexts it has
+made, so a process pays it once per label.  TABLE_BOUND = 4096 bounds
+the memory the tables hold (0.8 MB for GF(61^2) and 0.6 MB for
+GF(5^5), by tracemalloc) and keeps any build well under a second.
+The coefficient route serves larger fields, Rabin's test and the table
+build, and it is the reference the tests compare the tables against.
 
 Element text grammar:
 
@@ -241,7 +235,7 @@ except ImportError:  # pragma: no cover - gmpy2 is a normal dependency
 
 MAX_EXTENSION_DEGREE = 8
 # GF(p^k) with p^k at most this builds tables of its elements and their
-# logs once it has done p^k products by polynomials; larger fields always
+# logs when it is made; larger fields always add coefficient-wise,
 # multiply by polynomial reduction and divide by Euclid.
 TABLE_BOUND = 4096
 # Rationals.sample keeps the values of this many drawn pairs: every pair
@@ -661,8 +655,9 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*?)?t(?:\^(\d+))?$|^(\d+)$")
 
 def _reduced(coeffs, field):
     """The element with coefficient tuple coeffs, which must already be
-    reduced mod p and trimmed: the field's shared element once it has
-    tables, else a new one."""
+    reduced mod p and trimmed: the field's shared element when it has
+    tables, else (past TABLE_BOUND, or while the tables are built) a new
+    one."""
     interned = field._interned
     if interned is not None:
         return interned[coeffs]
@@ -674,31 +669,32 @@ def _reduced(coeffs, field):
 class ExtensionFieldElement:
     """Element of GF(p^k), stored as a coefficient tuple (low degree first).
 
-    The field makes its elements (ExtensionField.__call__, _reduced).  log
-    is the exponent of the element over the field's primitive element
-    g on the shared elements its tables hold, and None on zero and on any
-    element made before the tables.
+    The field makes its elements (ExtensionField.__call__, _reduced).  In
+    a field with tables every element is one of the shared elements they
+    hold, and log is its exponent over the field's primitive element g,
+    None only on zero.  In a field past TABLE_BOUND log is always None.
     """
 
     __slots__ = ("coeffs", "field", "log")
 
     def _coerce(self, other):
-        if isinstance(other, ExtensionFieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise ContextMismatch(f"{self.field} vs {other.field}")
-            return other
+        """other as an element of this very field: an int through the prime
+        subfield, an element of an equal context by the field's __call__."""
+        field = self.field
         if isinstance(other, int):
-            field = self.field
             subfield = field._subfield
             return field(other) if subfield is None else subfield[other % field.p]
-        raise ContextMismatch(f"cannot combine {self.field} with {type(other).__name__}")
+        if isinstance(other, ExtensionFieldElement):
+            return field(other)
+        raise ContextMismatch(f"cannot combine {field} with {type(other).__name__}")
 
     # The operators take the same fast path as PrimeFieldElement's.  When
     # both operands carry a log i and j, a product is elements[i + j], a
     # quotient elements[i - j], a sum a Zech lookup, g^i + g^j =
     # g^(i + Z(j - i)), and a difference adds -g^j = g^(j + h), where
-    # g^h = -1.  Other operands of a tabled field find their logs by
-    # their coefficient tuples; untabled fields take the coefficient route.
+    # g^h = -1.  In a tabled field an operand without a log is zero;
+    # untabled fields, and a tabled one while it builds its tables, take
+    # the coefficient route.
 
     def __add__(self, other):
         field = self.field
@@ -706,10 +702,9 @@ class ExtensionFieldElement:
             other = self._coerce(other)
         i, j = self.log, other.log
         if i is None or j is None:
-            a, b, interned = self.coeffs, other.coeffs, field._interned
-            if interned is None or not a or not b:
-                return _reduced(_poly_add(a, b, field.p), field)
-            i, j = interned[a].log, interned[b].log
+            if field._interned is None:
+                return _reduced(_poly_add(self.coeffs, other.coeffs, field.p), field)
+            return other if i is None else self
         z = field._zech[j - i]
         return field._subfield[0] if z is None else field._elements[i + z]
 
@@ -728,10 +723,9 @@ class ExtensionFieldElement:
             other = self._coerce(other)
         i, j = self.log, other.log
         if i is None or j is None:
-            a, b, interned = self.coeffs, other.coeffs, field._interned
-            if interned is None or not a or not b:
-                return _reduced(_poly_sub(a, b, field.p), field)
-            i, j = interned[a].log, interned[b].log
+            if field._interned is None:
+                return _reduced(_poly_sub(self.coeffs, other.coeffs, field.p), field)
+            return -other if i is None else self
         z = field._zech[j + field._log_minus_one - i]
         return field._subfield[0] if z is None else field._elements[i + z]
 
@@ -744,14 +738,11 @@ class ExtensionFieldElement:
             other = self._coerce(other)
         i, j = self.log, other.log
         if i is None or j is None:
-            a, b = self.coeffs, other.coeffs
-            interned = field._interned or field._count_poly_op()
-            if interned is None:
-                return _reduced(_poly_divmod(_poly_mul(a, b, field.p), field.modulus, field.p)[1],
-                                field)
-            if not a or not b:
-                return field._subfield[0]
-            i, j = interned[a].log, interned[b].log
+            if field._interned is None:
+                p = field.p
+                return _reduced(_poly_divmod(_poly_mul(self.coeffs, other.coeffs, p),
+                                             field.modulus, p)[1], field)
+            return self if i is None else other
         return field._elements[i + j]
 
     __rmul__ = __mul__
@@ -759,13 +750,9 @@ class ExtensionFieldElement:
     def inverse(self):
         field, i = self.field, self.log
         if i is None:
-            a = self.coeffs
-            if not a:
+            if not self.coeffs:
                 raise DivisionByZero(f"division by zero in {field}")
-            interned = field._interned or field._count_poly_op()
-            if interned is None:
-                return _reduced(_poly_inv_mod(a, field.modulus, field.p), field)
-            i = interned[a].log
+            return _reduced(_poly_inv_mod(self.coeffs, field.modulus, field.p), field)
         return field._elements[-i]
 
     def __truediv__(self, other):
@@ -773,13 +760,10 @@ class ExtensionFieldElement:
         if type(other) is not ExtensionFieldElement or other.field is not field:
             other = self._coerce(other)
         i, j = self.log, other.log
-        if i is None or j is None:
-            a, b, interned = self.coeffs, other.coeffs, field._interned
-            if interned is None or not b:
-                return self * other.inverse()
-            if not a:
-                return field._subfield[0]
-            i, j = interned[a].log, interned[b].log
+        if j is None:
+            return self * other.inverse()
+        if i is None:
+            return self
         return field._elements[i - j]
 
     def __rtruediv__(self, other):
@@ -787,8 +771,6 @@ class ExtensionFieldElement:
 
     def __pow__(self, n):
         field, i = self.field, self.log
-        if i is None and field._interned is not None:
-            i = field._interned[self.coeffs].log
         if i is not None:
             return field._elements[i * n % field._units]
         if n < 0:
@@ -834,10 +816,9 @@ class ExtensionField(FieldContext):
             raise InvalidField(f"extension degree {k} outside 2..{MAX_EXTENSION_DEGREE}")
         self.p = self.characteristic = p
         self.k = k
-        # Until the tables exist every product and inverse takes the
-        # polynomial route, so Rabin's test and the table build use it.
+        # Until the tables exist every operation takes the coefficient
+        # route, so Rabin's test and the table build use it.
         self._elements = self._zech = self._interned = self._subfield = None
-        self._until_tables = None
         # The order q - 1 of the unit group, and log(-1) over any primitive
         # element: -1 = 1 in characteristic 2, else -1 is the one element
         # of order 2.
@@ -855,27 +836,6 @@ class ExtensionField(FieldContext):
             if not self._modulus_irreducible():
                 raise ReducibleModulus(f"modulus {self.modulus} is reducible over GF({p})")
         if p ** k <= TABLE_BOUND:
-            self._until_tables = p ** k
-
-    def _count_poly_op(self):
-        """Count one product or inverse by the polynomial route, building
-        the tables at the q-th; return the map from coefficient tuples to
-        shared elements once it exists, else None."""
-        left = self._until_tables
-        if left is None:
-            return None
-        if left > 1:
-            self._until_tables = left - 1
-            return None
-        self._build_tables()
-        return self._interned
-
-    def _build_tables(self):
-        """Build the shared elements and the Zech table now; a field past
-        TABLE_BOUND has none."""
-        if self._interned is None and self.p ** self.k <= TABLE_BOUND:
-            # The build multiplies by the polynomial route, uncounted.
-            self._until_tables = None
             self._elements, self._zech, self._interned, self._subfield = self._log_tables()
 
     def _modulus_irreducible(self):
@@ -934,7 +894,7 @@ class ExtensionField(FieldContext):
         if isinstance(value, ExtensionFieldElement):
             if value.field != self:
                 raise ContextMismatch(f"{self} vs {value.field}")
-            return value
+            return value if value.field is self else _reduced(value.coeffs, self)
         p = self.p
         if isinstance(value, int):
             if self._subfield is not None:
@@ -1011,7 +971,7 @@ def parse_field(label):
     """Parse a field label: Q, GF(p) or GF(p^k).
 
     The same label gives the same context, so an extension field's
-    Rabin test runs once and its tables, once built, serve every later
+    Rabin test and table build run once and its tables serve every later
     caller.  Tables change how a product is found, never its value.
     """
     label = label.strip()

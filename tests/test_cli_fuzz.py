@@ -24,8 +24,10 @@ EXIT_CODES = {0, 1, 2, 3}
 FAMILY_PARAMS = {t.value: FAMILIES[t].params for t in ALL_TYPES}
 PARAM_NAMES = sorted({p for params in FAMILY_PARAMS.values() for p in params}
                      | {"theta0", "theta_star0"})
+# GF(61^2) is the largest field with tables, GF(67^2) the smallest
+# without them at k = 2.
 FIELDS = ["Q", "QQ", "GF(7)", "GF(1000003)", "GF(2^2)", "GF(3^2)", "GF(3^4)",
-          "GF(4)", "GF(x)", "GF(2^40)", ""]
+          "GF(61^2)", "GF(67^2)", "GF(4)", "GF(x)", "GF(2^40)", ""]
 FUZZ = settings(max_examples=60, deadline=None)
 
 

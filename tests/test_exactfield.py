@@ -220,8 +220,8 @@ def test_ints_promote_on_both_sides():
     assert t * 4 == t and t + 3 == t and gf9(4) == 1
 
 
-@pytest.mark.parametrize("make", [lambda: PrimeField(7), lambda: ExtensionField(3, 2),
-                                  lambda: tabled(ExtensionField(3, 2))],
+@pytest.mark.parametrize("make", [lambda: PrimeField(7), lambda: untabled(3, 2),
+                                  lambda: ExtensionField(3, 2)],
                          ids=["GF(7)", "GF(3^2)", "GF(3^2) tabled"])
 def test_division_by_zero_on_both_routes(make):
     ctx, twin = make(), make()
@@ -518,9 +518,13 @@ def assert_table_route_matches_polynomials(ctx, elements=None):
                 assert x * y is y * x, (x, y)
 
 
-def tabled(ctx):
-    ctx._build_tables()
-    assert ctx._interned is not None
+def untabled(p, k, modulus=None):
+    """GF(p^k) made as if past TABLE_BOUND: every operation takes the
+    coefficient route, so small fields check it on every pair."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(exactfield, "TABLE_BOUND", 1)
+        ctx = ExtensionField(p, k, modulus)
+    assert ctx._interned is None and ctx._zech is None
     return ctx
 
 
@@ -528,18 +532,12 @@ def tabled(ctx):
 def test_tables_match_the_polynomial_route(p, k):
     assert p ** k <= TABLE_BOUND
     ctx = ExtensionField(p, k)
-    before = [ctx.parse(str(x)) for x in every_element(ctx)]
-    shared = every_element(tabled(ctx))
-    assert all(x.log is None for x in before)
+    shared = every_element(ctx)
     assert all((x.log is None) == (not x) for x in shared)
-    # Operands parsed before the build alternate with shared ones, so
-    # every operator meets each pairing of the two kinds.
-    mixed = [b if n % 2 else s for n, (s, b) in enumerate(zip(shared, before))]
-    assert_table_route_matches_polynomials(ctx, mixed)
+    assert_table_route_matches_polynomials(ctx, shared)
     # Equal but distinct contexts, with and without tables, find the same
     # primitive element; their elements combine with this field's.
-    twin, plain = tabled(ExtensionField(p, k, ctx.modulus)), ExtensionField(p, k, ctx.modulus)
-    plain._until_tables = None
+    twin, plain = ExtensionField(p, k, ctx.modulus), untabled(p, k, ctx.modulus)
     assert twin == ctx == plain and twin is not ctx
     assert [twin(x.coeffs).log for x in shared] == [x.log for x in shared]
     for other in (twin, plain):
@@ -556,14 +554,41 @@ def test_tables_match_the_polynomial_route(p, k):
 
 
 def test_untabled_sums_match_coefficientwise():
-    ctx = ExtensionField(3, 2)
-    ctx._until_tables = None  # never build: every operation by polynomials
+    ctx = untabled(3, 2)
     assert_table_route_matches_polynomials(ctx)
     assert ctx._interned is None and ctx._zech is None
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 4), (61, 2)])
+def test_no_tabled_element_lacks_its_log(p, k):
+    # Whatever route makes an element of a tabled field, it is the shared
+    # element the tables hold, and only zero has no log.  GF(61^2) is the
+    # largest tabled field.
+    ctx, twin = ExtensionField(p, k), ExtensionField(p, k)
+    assert ctx._interned is not None and p ** k <= TABLE_BOUND
+    t, rng = ctx.generator, random.Random(f"interned|{p}^{k}")
+    operands = [ctx(n) for n in (0, 1, -1, p, 2 * p + 1, 10 ** 30)]
+    operands += [ctx((1,) * k), ctx((0,) * k), ctx(tuple(range(2 * k + 1))),
+                 ctx(t), ctx(twin.generator)]
+    operands += [ctx.parse(text) for text in ("0", "1", "t", f"{p - 1}*t+2", "-t+1")]
+    operands += [ctx.sample(rng) for _ in range(12)] + [t, ctx.zero, ctx.one]
+    made = list(operands)
+    for x in operands:
+        made += [-x, x ** 0, x ** 3, x + 2, 2 + x, x - 3, 3 - x, x * 5, 5 * x]
+        if x:
+            made += [x.inverse(), x ** -2, 1 / x, x / 4 if 4 % p else x]
+        for y in operands:
+            y_twin = twin(y.coeffs)
+            made += [x + y, x - y, x * y, x + y_twin, x - y_twin, x * y_twin]
+            if y:
+                made += [x / y, x / y_twin]
+    for x in made:
+        assert x.field is ctx and x is ctx._interned[x.coeffs], x
+        assert (x.log is None) == (not x), x
+
+
 def test_zech_table_against_its_definition():
-    ctx = tabled(ExtensionField(3, 4))
+    ctx = ExtensionField(3, 4)
     q, exp = 81, [x.coeffs for x in ctx._elements]
     log = {c: n for n, c in enumerate(exp[:q - 1])}
     assert [x.log for x in ctx._elements] == 2 * list(range(q - 1))
@@ -578,42 +603,14 @@ def test_zech_table_against_its_definition():
 def test_tables_with_a_non_primitive_modulus():
     # t^4+t^3+t^2+t+1 divides t^5 - 1, so t has order 5, not 15; the
     # tables must be built on some other primitive element.
-    ctx = tabled(ExtensionField(2, 4, (1, 1, 1, 1, 1)))
+    ctx = ExtensionField(2, 4, (1, 1, 1, 1, 1))
     t = ctx.generator
     assert t ** 5 == ctx.one and t ** 3 != ctx.one
     assert_table_route_matches_polynomials(ctx)
 
 
-def test_tables_are_built_at_the_qth_polynomial_operation():
-    ctx = ExtensionField(5, 2)
-    x, y = ctx("2*t+3"), ctx("t+4")
-    # Rabin's test and construction leave the budget whole.
-    assert ctx._interned is None and ctx._until_tables == 25
-    products = [x * y for _ in range(12)] + [y.inverse() for _ in range(12)]
-    # Sums and differences are not counted, and take no Zech table early.
-    sums = [x + y, x - y, y - x, -x]
-    assert ctx._interned is None and ctx._zech is None and ctx._until_tables == 1
-    products.append(x * y)
-    assert ctx._interned is not None and ctx._zech is not None and ctx._until_tables is None
-    assert [x + y, x - y, y - x, -x] == sums
-    products.append(x * y)
-    assert len({p.coeffs for p in products[:12] + products[24:]}) == 1
-    assert len({p.coeffs for p in products[12:24]}) == 1
-    assert products[0].coeffs == _poly_divmod(_poly_mul(x.coeffs, y.coeffs, 5),
-                                              ctx.modulus, 5)[1]
-
-
-def test_short_work_builds_no_tables():
-    # A fast analysis at d = 3 does a few hundred products, far fewer than
-    # the 3721 that tables for GF(61^2) cost to build.
-    ctx = ExtensionField(61, 2)
-    spec = sample_spec(LeonardType.Q_RACAH, 3, ctx, random.Random("short"))
-    assert analyze_instance(spec).ok
-    assert ctx._interned is None and 0 < ctx._until_tables < 61 ** 2
-
-
 def test_fields_past_the_bound_take_the_polynomial_route(monkeypatch):
-    large, small = ExtensionField(67, 2), tabled(ExtensionField(61, 2))
+    large, small = ExtensionField(67, 2), ExtensionField(61, 2)
     assert 61 ** 2 <= TABLE_BOUND < 67 ** 2
     calls = []
 
@@ -629,25 +626,33 @@ def test_fields_past_the_bound_take_the_polynomial_route(monkeypatch):
                                               ctx.modulus, ctx.p)[1]
         assert quotient * y == x
         assert bool(calls) == (ctx is large), ctx
-    # However long a larger field works, and when asked, it builds none.
-    for _ in range(67 ** 2):
-        x * y
-    large._build_tables()
+    assert small._interned is not None
     assert large._interned is None and large._zech is None
 
 
-def test_fast_gf81_analysis_never_reduces_a_polynomial(monkeypatch):
-    ctx = parse_field("GF(3^4)")
-    spec = sample_spec(LeonardType.Q_RACAH, 10, ctx, random.Random("tables"))
-    # Sampling does more than 81 products, so the tables exist by now.
-    assert ctx._interned is not None
+def test_tabled_gf81_work_never_takes_the_coefficient_route(monkeypatch):
+    # From construction on, sampling and analyses, fast and deep, over
+    # GF(3^4) find every sum, product and quotient by the tables, zero
+    # operands included.  _poly_trim only normalises a literal's
+    # coefficients; it does no arithmetic.
+    ctx = ExtensionField(3, 4)
 
-    def refuse(a, b, p):
-        raise AssertionError("polynomial product in a field with tables")
+    def refusing(name):
+        def refuse(*args):
+            raise AssertionError(f"{name} in a field with tables")
+        return refuse
 
-    monkeypatch.setattr(exactfield, "_poly_mul", refuse)
-    chk = analyze_instance(spec)
-    assert chk.ok, chk.failures
+    helpers = [name for name in vars(exactfield)
+               if name.startswith("_poly_") and name != "_poly_trim"]
+    assert len(helpers) == 5
+    for name in helpers:
+        monkeypatch.setattr(exactfield, name, refusing(name))
+    rng = random.Random("tables")
+    for family in (LeonardType.Q_RACAH, LeonardType.Q_HAHN):
+        spec = sample_spec(family, 10, ctx, rng)
+        for deep in (False, True):
+            chk = analyze_instance(spec, deep=deep)
+            assert chk.ok, chk.failures
 
 
 def test_tabled_gf81_deep_analysis_makes_no_element(monkeypatch):
@@ -669,28 +674,6 @@ def test_tabled_gf81_deep_analysis_makes_no_element(monkeypatch):
     assert made == []
 
 
-def test_tabled_gf81_analysis_never_adds_coefficientwise(monkeypatch):
-    ctx = parse_field("GF(3^4)")
-    spec = sample_spec(LeonardType.Q_HAHN, 10, ctx, random.Random("zech"))
-    assert ctx._zech is not None
-    sums = {"add": 0, "sub": 0}
-
-    def refusing(name, route):
-        def checked(a, b, p):
-            if a and b:
-                raise AssertionError(f"coefficient-wise {name} of two nonzero elements")
-            sums[name] += 1
-            return route(a, b, p)
-        return checked
-
-    monkeypatch.setattr(exactfield, "_poly_add", refusing("add", exactfield._poly_add))
-    monkeypatch.setattr(exactfield, "_poly_sub", refusing("sub", exactfield._poly_sub))
-    chk = analyze_instance(spec, deep=True)
-    assert chk.ok, chk.failures
-    # Sums with a zero operand still take the coefficient route.
-    assert sums["add"] > 0 and sums["sub"] > 0
-
-
 def test_parse_field_returns_one_context_per_label():
     assert parse_field("GF(3^4)") is parse_field("GF(3^4)")
     assert parse_field("GF(7)") is parse_field("GF(7)")
@@ -699,18 +682,16 @@ def test_parse_field_returns_one_context_per_label():
 def test_table_build_is_fast_at_the_bound():
     # The largest p^k <= TABLE_BOUND with 2 <= k <= 8 is 61^2 = 3721.
     start = time.perf_counter()
-    for p, k in ((61, 2), (5, 5), (7, 4), (3, 7), (13, 3)):
-        tabled(ExtensionField(p, k))
+    fields = [ExtensionField(p, k) for p, k in ((61, 2), (5, 5), (7, 4), (3, 7), (13, 3))]
     assert time.perf_counter() - start < 1.0
+    assert all(ctx._interned is not None for ctx in fields)
 
 
-@pytest.mark.parametrize("built", [False, True], ids=["before tables", "tabled"])
+@pytest.mark.parametrize("built", [False, True], ids=["untabled", "tabled"])
 def test_long_coefficient_sequences_reduce_by_the_modulus(built):
     # GF(3^4): a sequence longer than k = 4 is the polynomial it spells,
-    # reduced by the modulus, in either state of the field.
-    ctx = ExtensionField(3, 4)
-    if built:
-        ctx._build_tables()
+    # reduced by the modulus, with tables and without.
+    ctx = ExtensionField(3, 4) if built else untabled(3, 4)
     t = ctx.generator
     assert ctx((0, 0, 0, 0, 1)) == t ** 4
     coeffs = (2, 1, 0, 4, 1, 2, 0, 5)
@@ -722,7 +703,7 @@ def test_long_coefficient_sequences_reduce_by_the_modulus(built):
         assert got is want
 
 
-@pytest.mark.parametrize("make", [lambda: tabled(ExtensionField(3, 4)),
+@pytest.mark.parametrize("make", [lambda: ExtensionField(3, 4),
                                   lambda: ExtensionField(67, 2)],
                          ids=["GF(3^4) tabled", "GF(67^2) untabled"])
 def test_int_operands_skip_the_field_constructor_when_tabled(monkeypatch, make):

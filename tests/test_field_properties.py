@@ -15,9 +15,8 @@ from leonardz.exactfield import (
 
 QQ = Rationals()
 GF81 = ExtensionField(3, 4)
-GF81._build_tables()
-# GF(3^4) multiplies by log/antilog tables from the start, GF(1000003^2)
-# always by polynomials.
+# GF(3^4) multiplies by log/antilog tables, GF(1000003^2) always by
+# polynomials.
 CONTEXTS = [QQ, PrimeField(101), ExtensionField(2, 3), ExtensionField(3, 2),
             GF81, ExtensionField(1000003, 2)]
 
