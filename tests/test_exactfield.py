@@ -630,11 +630,18 @@ def test_fields_past_the_bound_take_the_polynomial_route(monkeypatch):
     assert large._interned is None and large._zech is None
 
 
-def test_tabled_gf81_work_never_takes_the_coefficient_route(monkeypatch):
-    # From construction on, sampling and analyses, fast and deep, over
-    # GF(3^4) find every sum, product and quotient by the tables, zero
-    # operands included.  _poly_trim only normalises a literal's
-    # coefficients; it does no arithmetic.
+# The arithmetic helpers of the polynomial route: all _poly_* but
+# _poly_trim, which only normalises a literal's coefficients.
+PRODUCT_HELPERS = ("_poly_mul", "_poly_divmod", "_poly_inv_mod")
+SUM_HELPERS = ("_poly_add", "_poly_sub")
+
+
+def assert_gf81_work_refuses(monkeypatch, names):
+    # From construction on, sampling and analyses, fast and deep, of a
+    # q-racah and a q-hahn spec over a fresh GF(3^4) call none of names.
+    assert sorted(PRODUCT_HELPERS + SUM_HELPERS) == sorted(
+        name for name in vars(exactfield)
+        if name.startswith("_poly_") and name != "_poly_trim")
     ctx = ExtensionField(3, 4)
 
     def refusing(name):
@@ -642,10 +649,7 @@ def test_tabled_gf81_work_never_takes_the_coefficient_route(monkeypatch):
             raise AssertionError(f"{name} in a field with tables")
         return refuse
 
-    helpers = [name for name in vars(exactfield)
-               if name.startswith("_poly_") and name != "_poly_trim"]
-    assert len(helpers) == 5
-    for name in helpers:
+    for name in names:
         monkeypatch.setattr(exactfield, name, refusing(name))
     rng = random.Random("tables")
     for family in (LeonardType.Q_RACAH, LeonardType.Q_HAHN):
@@ -653,6 +657,17 @@ def test_tabled_gf81_work_never_takes_the_coefficient_route(monkeypatch):
         for deep in (False, True):
             chk = analyze_instance(spec, deep=deep)
             assert chk.ok, chk.failures
+
+
+def test_fast_gf81_analysis_never_reduces_a_polynomial(monkeypatch):
+    # Every product, quotient and inverse is found by the tables.
+    assert_gf81_work_refuses(monkeypatch, PRODUCT_HELPERS)
+
+
+def test_tabled_gf81_analysis_never_adds_coefficientwise(monkeypatch):
+    # Every sum and difference is found by the tables, zero operands
+    # included.
+    assert_gf81_work_refuses(monkeypatch, SUM_HELPERS)
 
 
 def test_tabled_gf81_deep_analysis_makes_no_element(monkeypatch):
