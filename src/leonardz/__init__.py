@@ -53,8 +53,6 @@ from .realization import (
     Realization,
     SpectralFactors,
     bidiagonal_idempotents,
-    bidiagonal_right_factors,
-    certify_right_factors,
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,

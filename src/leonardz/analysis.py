@@ -14,7 +14,6 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg, zerodiag
 from .errors import (
     DependenceDetected,
-    IdempotentCheckFailed,
     IdentityFailure,
     IndexOutOfRange,
     TableInconsistency,
@@ -22,8 +21,7 @@ from .errors import (
 from .families import FAMILIES
 from .parray import build_parameter_array
 from .realization import (
-    bidiagonal_right_factors,
-    certify_right_factors,
+    _superdiagonal_factors,
     factor_superdiagonals,
     intersection_a_closed,
     intersection_a_trace,
@@ -247,20 +245,21 @@ def analyze_instance(spec, arr=None, deep=False):
     """Run the full pipeline on one instance and cross-check every route.
 
     E* comes from the upper bidiagonal A*, E from the lower bidiagonal A,
-    each as right factors V* and V, the right eigenvectors found by
-    substitution.  The fast path forms nothing of E and, of E*, only the
-    entries v*_(i+1)[i] and w*_i[i + 1] (factor_superdiagonals), all the
-    a-trace reads of w*_i A v*_i in either mode.  The standard basis
-    {E*_i u} takes the band T of V*^-1 A V*, certified in O(n^2) without
-    V*^-1: over Q on the integer matrix U[r][j] = L^r tau*_r(theta*_j), as
-    the band of T' = C T C^-1 with A' U = U T', where V* = P^-1 U C for
-    diagonal P and C, so no Fraction V* is formed; on a finite field off
-    the columns of V*, built by back-substitution, with A V* = V* T.  Its
-    scale D_i = w*_i . u is the theta_0-eigenvector of T, in O(n); on T'
-    the same recurrence gives D' = C D, and A_std = D'^-1 T' D' needs no
-    C.  A failure names entries of T and D, converted from T' and D' on
-    the failure path only.  No dense projection or basis matrix is formed,
-    so the a_trace and a_standard flags compare two different computations
+    each through the closed form of its right eigenvectors (realization's
+    _TauStar): U[r][j] = L^r tau*_r(theta*_j) for E*, and the same
+    construction on the reversed A for E, with V* = P^-1 U C for diagonal
+    P and C.  No V or V* is formed, on any field: U holds cleared ints
+    over Q, residues over GF(p) and field elements over GF(p^k).  The fast
+    path forms nothing of E and, of E*, only the entries v*_(i+1)[i] and
+    w*_i[i + 1] (factor_superdiagonals), all the a-trace reads of
+    w*_i A v*_i in either mode.  The standard basis {E*_i u} takes the
+    band T of V*^-1 A V* as the band of T' = C T C^-1, certified in O(n^2)
+    by A' U = U T' without V*^-1.  Its scale D_i = w*_i . u is the
+    theta_0-eigenvector of T, in O(n); on T' the same recurrence gives
+    D' = C D, and A_std = D'^-1 T' D' needs no C.  A failure names entries
+    of T and D, converted from T' and D' on the failure path only.  No
+    dense projection or basis matrix is formed, so the a_trace and
+    a_standard flags compare two different computations
     with the closed form.  The zero diagonal space is computed in the
     standard basis, where A* is diagonal and the test E*_i X E*_i = 0
     reads X_ii = 0.  No matrix of that space is formed: the zero-diagonal
@@ -278,24 +277,17 @@ def analyze_instance(spec, arr=None, deep=False):
     x_generators_independent holds, so they read as the tests on the
     n^2-flattened matrices would.
 
-    With deep=True all of V* (of A*, by back-substitution) and V (of A, by
-    forward substitution) is built, and certify_right_factors proves
-    M v_i = theta_i v_i for each family, the theta distinct.  That is the
-    one check of each eigenvalue sequence: the substitutions meet equal
-    eigenvalues only as a zero divisor, and the a-trace reads its entries
-    off the certified V* in place of factor_superdiagonals.  With the
-    unit triangular shapes that verify_axioms and standard_basis_rep
-    check, V is invertible and V^-1 M V = diag(theta), so
-    E_i = v_i (row i of V^-1) are the primitive idempotents.  Both
-    tridiagonal axioms are bands of V^-1 M' V, certified by M' V = V T
-    without reading V^-1: verify_axioms reads that of V^-1 A* V off V's
-    columns for E A* E, and standard_basis_rep that of V*^-1 A V* for
-    E* A E* in both modes; deep mode passes it the certified V*, which
-    over Q is tied to U entry for entry,
-    v*_j[r] Phi_r tau*_j(theta*_j) = Phi_j tau*_r(theta*_j), by one O(n^2)
-    check, so that the band is read on U.  No left factor, no transpose of
-    A and no n x n product of the factors is formed, and a failed
-    certificate names an entry off the band and its value.  The spectral
+    With deep=True, verify_axioms checks A*'s shape, certifies both
+    families on their closed forms, M' U = U diag(theta) for E of A and
+    E* of A*, with the theta distinct by the diagonals of the U, and
+    certifies the E A* E band on E's closed form.  That is the one check
+    of A* and of each eigenvalue sequence, so the a-trace reads the
+    entries of factor_superdiagonals without its checks.  standard_basis_rep
+    then checks A's shape and certifies the E* A E* band as in fast mode:
+    each split matrix's shape is checked once per verdict.  No left
+    factor, no transpose of A and no n x n product of the factors is
+    formed, and a failed certificate names the family and the
+    eigenvector, or an entry off the band and its value.  The spectral
     product formula is not called; it stays the reference route of the
     tests.  The analyze command and the worked-instance tests use deep
     mode, the sampling campaign does not.
@@ -307,20 +299,11 @@ def analyze_instance(spec, arr=None, deep=False):
     flags = {}
 
     real = realize_split(arr)
-    v_star = None
     if deep:
-        v_star = bidiagonal_right_factors(real.A_star, arr.theta_star, ctx)
-        v = bidiagonal_right_factors(real.A, arr.theta, ctx, lower=True)
-        for name, mtx, eigs, vs in (("E* of A*", real.A_star, arr.theta_star, v_star),
-                                    ("E of A", real.A, arr.theta, v)):
-            try:
-                certify_right_factors(mtx, eigs, vs)
-            except IdempotentCheckFailed as err:
-                raise IdempotentCheckFailed(f"rank-one {name}: {err}") from None
-        verify_axioms(real, v)
-        # factor_superdiagonals' entries, read off the certified V*
-        v_sup = [v_star[i + 1][i] for i in range(d)]
-        w_sup = [-x for x in v_sup]
+        verify_axioms(real)
+        # A* is checked there; the a-trace reads the same superdiagonal
+        v_sup, w_sup = _superdiagonal_factors(
+            [real.A_star[i][i + 1] for i in range(d)], arr.theta_star)
     else:
         v_sup, w_sup = factor_superdiagonals(real.A_star, arr.theta_star)
 
@@ -328,7 +311,7 @@ def analyze_instance(spec, arr=None, deep=False):
     a_trace = intersection_a_trace(real, v_sup, w_sup)
     flags["a_trace_equals_closed"] = a == a_trace
 
-    std, nums = standard_basis_rep(real, v_star)
+    std, nums = standard_basis_rep(real)
     flags["a_standard_equals_closed"] = nums.a == a
 
     zreport = zerodiag.build_zspace_report(arr, a, std)

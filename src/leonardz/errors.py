@@ -72,13 +72,13 @@ class RepeatedEigenvalue(LeonardError, ValueError):
 class IdempotentCheckFailed(LeonardError):
     """A computed projection fails its check; the input matrix was bad.
 
-    Raised when E*E != E, when right factors fail a residual of their
-    certificate M v_i = theta_i v_i (certify_right_factors), when a matrix
-    given as upper or lower bidiagonal has an entry off the bidiagonal or
-    a diagonal other than its eigenvalues, and when the E A* E axiom
-    check (verify_axioms) is given an A* that is not upper bidiagonal or
-    right factors v_j that are not unit lower triangular.  A shape error
-    names the first entry off the shape.
+    Raised when E*E != E, when the closed form of an eigenvector family
+    fails a residual of its certificate M v_i = theta_i v_i ("rank-one E*
+    of A*: M v_i != theta_i v_i in row r", in verify_axioms), when a
+    matrix given as upper bidiagonal has an entry off the bidiagonal or a
+    diagonal other than its eigenvalues, and when the axiom check
+    (verify_axioms) is given an A* that is not upper bidiagonal.  A shape
+    error names the first entry off the shape.
     """
 
 
@@ -86,9 +86,9 @@ class SingularBasis(LeonardError):
     """The candidate standard-basis vectors are linearly dependent.
 
     Raised by the change to the standard basis when A is not lower
-    bidiagonal or the factors v*_j are not unit upper triangular (naming
-    the first entry off the shape), and when the certificate A V* = V* T
-    finds T = W* A V* not tridiagonal: "A not tridiagonal at (i,j): S_ij"
+    bidiagonal (naming the first entry off the shape), and when the
+    certificate A V* = V* T, run on the closed form of V*, finds
+    T = W* A V* not tridiagonal: "A not tridiagonal at (i,j): S_ij"
     names an entry off the band and its value.  Then the scale D of
     E*_i u = D_i v*_i, the theta_0-eigenvector of T, must exist and be
     nonzero: "off-diagonal intersection numbers must be nonzero: T at

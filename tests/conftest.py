@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -41,6 +42,18 @@ def cross_route_samples():
         ctx = parse_field(label)
         for name in families_over(ctx, 16):
             yield sample_spec(name, 16, ctx, random.Random(f"cross-route|{label}|{name.value}"))
+
+
+def eigenvectors(u, flip=False):
+    """The basis V = P^-1 U C of the closed form U as field elements, with
+    P = diag(Phi_r L^r) and C_j = u.scale(j), so that v_j[j] = 1; where U
+    is the reversal of the family (flip), v_j is column d - j read bottom
+    up."""
+    one, n = u.cols[0][0], len(u.cols)
+    vs = [[u.quo(x, one) / math.prod(u.phi[:r], start=u.quo(u.lcm ** r, one)) * u.scale(j)
+           for r, x in enumerate(col)] + [u.ctx.zero] * (n - 1 - j)
+          for j, col in enumerate(u.cols)]
+    return [v[::-1] for v in reversed(vs)] if flip else vs
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import QQ, campaign_cell_samples, families_over, make_krawtchouk
+from conftest import QQ, campaign_cell_samples, eigenvectors, families_over, make_krawtchouk
 from leonardz import analysis, linalg, realization, zerodiag
 from leonardz.analysis import (
     analyze_instance,
@@ -363,79 +363,103 @@ def test_analyze_instance_exemplars_deep(exemplar_specs):
 @pytest.mark.parametrize("deep", [False, True])
 def test_split_analysis_call_counts(monkeypatch, exemplar_specs, deep):
     """Either mode calls no product formula, reads each tridiagonal pattern
-    through one band certificate (E* A E* in both modes, E A* E in deep
-    mode) and makes one dense product per verdict, the T M of L_equals_TM.
+    through one band certificate on a closed form (E* A E* in both modes,
+    E A* E in deep mode), certifies the two eigenvector families in deep
+    mode only, and makes one dense product per verdict, the T M of
+    L_equals_TM.
 
     The product formula is counted under both names it has: analysis keeps
-    primitive_idempotents bound although it does not call it.  A band
-    certificate is either route: on V's columns (_bidiagonal_band) or, for
-    E* A E* over Q, on the integer matrix U (_TauStar.band).
+    primitive_idempotents bound although it does not call it.
     """
-    counts = {"primitive_idempotents": 0, "band": 0, "mat_mul": 0}
+    counts = {"primitive_idempotents": 0, "band": 0, "certify": 0, "mat_mul": 0}
 
     def counted(name, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
     product_formula = counted("primitive_idempotents", realization.primitive_idempotents)
     monkeypatch.setattr(analysis, "primitive_idempotents", product_formula)
     monkeypatch.setattr(realization, "primitive_idempotents", product_formula)
-    monkeypatch.setattr(realization, "_bidiagonal_band",
-                        counted("band", realization._bidiagonal_band))
     monkeypatch.setattr(realization._TauStar, "band", counted("band", realization._TauStar.band))
+    monkeypatch.setattr(realization._TauStar, "certify",
+                        counted("certify", realization._TauStar.certify))
     monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
     for spec in exemplar_specs.values():
         chk = analyze_instance(spec, deep=deep)
         assert chk.ok, (spec.name, chk.failures)
     assert counts == {"primitive_idempotents": 0,
                       "band": (2 if deep else 1) * len(exemplar_specs),
+                      "certify": (2 if deep else 0) * len(exemplar_specs),
                       "mat_mul": len(exemplar_specs)}
+
+
+def recording_certificates(monkeypatch):
+    """Record (family, closed form, flip) for each eigen-certificate run,
+    family "E*" for A* and "E" for A, after it passes."""
+    seen = []
+    certify = realization._TauStar.certify
+
+    def recording(u, diag, sup, name, flip=False):
+        certify(u, diag, sup, name, flip)
+        seen.append(("E" if flip else "E*", u, flip))
+
+    monkeypatch.setattr(realization._TauStar, "certify", recording)
+    return seen
+
+
+def family_matrix(real, family):
+    """The matrix and eigenvalues of a family: A* and theta* for E*, A and
+    theta for E."""
+    arr = real.array
+    return (real.A_star, arr.theta_star) if family == "E*" else (real.A, arr.theta)
 
 
 @pytest.mark.parametrize("deep, calls", [(False, 0), (True, 2)])
 def test_product_formula_only_in_deep_mode(monkeypatch, kraw_dim1, deep, calls):
     """Only deep mode proves the two families that the product formula
-    defines, E* of A* and E of A, and what it certifies is exactly what the
-    product formula gives: v_i is column i of E_i, as the left factor w_i
-    has w_i[i] = 1."""
-    seen = []
-
-    def recording(mtx, eigs, vs):
-        seen.append((mtx, eigs, vs))
-        return certify(mtx, eigs, vs)
-
-    certify = analysis.certify_right_factors
-    monkeypatch.setattr(analysis, "certify_right_factors", recording)
+    defines, E of A and E* of A*, and what it certifies is what the
+    product formula gives: the eigenvector v_i of the closed form, scaled
+    to v_i[i] = 1, is column i of E_i, as the left factor w_i has
+    w_i[i] = 1."""
+    seen = recording_certificates(monkeypatch)
     chk = analyze_instance(kraw_dim1, deep=deep)
     assert chk.ok, chk.failures
-    assert len(seen) == calls
-    for mtx, eigs, vs in seen:
-        e = realization.primitive_idempotents(mtx, eigs, chk.arr.field)
-        assert vs == [[row[i] for row in e_i] for i, e_i in enumerate(e)]
+    assert [family for family, _, _ in seen] == ["E", "E*"][:calls]
+    real = realization.realize_split(chk.arr)
+    for family, u, flip in seen:
+        e = realization.primitive_idempotents(*family_matrix(real, family), chk.arr.field)
+        assert eigenvectors(u, flip) == [[row[i] for row in e_i] for i, e_i in enumerate(e)]
+
+
+def perturbing(monkeypatch, arr, family, j, r):
+    """Patch _TauStar.of so that each closed form of family ("E*": on
+    theta*, "E": on theta reversed) has U[r][j] moved by one."""
+    original = realization._TauStar.of
+    eigs = list(arr.theta_star) if family == "E*" else arr.theta[::-1]
+    assert arr.theta[::-1] != list(arr.theta_star)
+
+    def perturbed(of_eigs, phi, ctx):
+        u = original(of_eigs, phi, ctx)
+        if list(of_eigs) == eigs:
+            u.cols[j][r] = u.cols[j][r] + u.cols[0][0]
+        return u
+
+    monkeypatch.setattr(realization._TauStar, "of", staticmethod(perturbed))
 
 
 @pytest.mark.parametrize("family", ["E*", "E"])
 def test_deep_mode_rejects_diverging_projections(monkeypatch, kraw_dim1, family):
-    # Deep mode builds V* (of A*) first, then V (of A), and certifies them
-    # in that order.  Adding 1 to v*_3[0] breaks row 0 of A* v*_3 by
-    # theta*_0 - theta*_3, and adding 1 to v_0[3] row 3 of A v_0 by
-    # theta_3 - theta_0, and no earlier residual.
-    calls = []
-    i, r = {"E*": (3, 0), "E": (0, 3)}[family]
-
-    def perturbed(mtx, eigs, ctx, lower=False):
-        out = original(mtx, eigs, ctx, lower)
-        calls.append(mtx)
-        if len(calls) == ["E*", "E"].index(family) + 1:
-            out[i][r] = out[i][r] + ctx.one
-        return out
-
-    original = analysis.bidiagonal_right_factors
-    monkeypatch.setattr(analysis, "bidiagonal_right_factors", perturbed)
+    # Deep mode certifies E (of A) first, then E* (of A*).  Adding 1 to
+    # U[0][3] of E* breaks row 0 of A* v*_3 by theta*_0 - theta*_3.  U_A is
+    # the reversed E, so its U[0][3] is v_0[3], which breaks row 3 of
+    # A v_0 by theta_3 - theta_0, and no earlier residual.
+    arr = build_parameter_array(kraw_dim1)
+    perturbing(monkeypatch, arr, family, 3, 0)
     with pytest.raises(IdempotentCheckFailed) as info:
-        analyze_instance(kraw_dim1, deep=True)
+        analyze_instance(kraw_dim1, arr, deep=True)
+    i, r = {"E*": (3, 0), "E": (0, 3)}[family]
     label = {"E*": "E* of A*", "E": "E of A"}[family]
     assert str(info.value) == f"rank-one {label}: M v_{i} != theta_{i} v_{i} in row {r}"
 
@@ -482,38 +506,32 @@ def fast_and_deep_samples():
 
 
 def test_fast_and_deep_analysis_agree(monkeypatch):
-    # Fast mode forms no V* over Q, where the band is certified on the
-    # integer U, and V* by back-substitution on a finite field; deep mode
-    # builds and certifies all of E and E*, and passes the V* of the
-    # certified family, which over Q must tie to U, so that both modes take
-    # the integer route.
+    # Both modes read E* A E* off the same closed form U of the array's E*,
+    # on every field; deep mode reads E A* E off U_A before it.  Neither
+    # forms a V or V*.
     seen, standard = [], []
-    band, rep = realization._tridiagonal_band, analysis.standard_basis_rep
+    band, rep = realization._TauStar.band, analysis.standard_basis_rep
 
-    def recording_band(mtx, vs, u=None):
-        out = band(mtx, vs, u)
-        seen.append((vs, out[1] is not None))
-        return out
+    def recording_band(u, diag, sub, off_band):
+        seen.append([col[:] for col in u.cols])
+        return band(u, diag, sub, off_band)
 
-    def recording_rep(real, vs):
-        std, nums = rep(real, vs)
+    def recording_rep(real):
+        std, nums = rep(real)
         standard.append(std.A)
         return std, nums
 
-    monkeypatch.setattr(realization, "_tridiagonal_band", recording_band)
+    monkeypatch.setattr(realization._TauStar, "band", recording_band)
     monkeypatch.setattr(analysis, "standard_basis_rep", recording_rep)
     checked = 0
     for spec in fast_and_deep_samples():
         fast = analyze_instance(spec)
-        deep = analyze_instance(spec, deep=True)
-        (v_fast, on_u_fast), (v_deep, on_u_deep) = seen
+        (u_fast,) = seen
         seen.clear()
-        rational = spec.field.characteristic == 0
-        assert on_u_fast == on_u_deep == rational, spec
-        if rational:
-            assert v_fast is None and v_deep is not None, spec
-        else:
-            assert v_fast == v_deep, spec
+        deep = analyze_instance(spec, deep=True)
+        _, u_deep = seen  # U_A, then U
+        seen.clear()
+        assert u_fast == u_deep, spec
         assert standard[-2] == standard[-1], spec
         assert fast.nums == deep.nums, spec
         assert fast.flags == deep.flags, spec
@@ -582,12 +600,14 @@ def test_fast_analysis_multiplication_count(monkeypatch):
     neither A A* nor A* A (ranking the 5 x 2n block of their first two rows
     cost 20 there and forming the two products 98, ranking the 5 x n^2
     flattening 226 at n = 17, and 2275 with dense row updates).  The whole
-    fast analysis makes 1420: the band of W* A V* comes from V* alone at
-    two products per certified entry, the scale D from that band by an
-    O(n) recurrence, and the a-trace reads three entries of A per i, with
-    no other entry of W* formed (1471 with the block rank and the formed
-    products, 1826 when D = W* u read all of W*, 2652 with the residual
-    certificate that read W*, 6018 with dense kernels).
+    fast analysis makes 1028: the band of W* A V* is certified on the
+    residues of the closed form U, Python ints that make no field
+    multiplication, the scale D comes from that band by an O(n)
+    recurrence, and the a-trace reads three entries of A per i, with no
+    other entry of W* formed (1420 with the band read off a V* of field
+    elements at two products per certified entry, 1471 with the block
+    rank and the formed products, 1826 when D = W* u read all of W*, 2652
+    with the residual certificate that read W*, 6018 with dense kernels).
     """
     ctx = parse_field("GF(1000003)")
     spec = sample_spec(LeonardType.Q_RACAH, 16, ctx, random.Random("mul-count"))
@@ -615,19 +635,18 @@ def test_fast_analysis_multiplication_count(monkeypatch):
     minor_counts = [c for size, c in det_counts if size == 5]
     assert len(minor_counts) == 1 and minor_counts[0] <= 23
     assert len(certificate_counts) == 1 and certificate_counts[0][1] <= 10 + 23
-    assert count[0] <= 1420
+    assert count[0] <= 1028
 
 
 @pytest.mark.parametrize("deep", [False, True])
 def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
     """A verdict reads of W* only w*_i[i + 1], the first step of the
-    forward substitution (factor_superdiagonals; a deep verdict reads it
-    as -v*_(i+1)[i] off its certified V*), and never transposes A:
-    no full left factor is formed, and the one matrix product is the T M
-    of L_equals_TM.  A fast verdict over Q forms no right factor either,
-    as its band is certified on U.  A deep verdict forms the right factors
-    alone: n back-substitutions on A*'s superdiagonal for V* and n forward
-    substitutions on A's subdiagonal for V."""
+    forward substitution (factor_superdiagonals; a deep verdict, whose A*
+    verify_axioms has checked, forms the same entries without a second
+    check), and never transposes A: no full left factor is formed, and
+    the one matrix product is the T M of L_equals_TM.  Neither mode forms
+    an eigenvector by substitution: both read bands off closed forms, and
+    deep mode certifies those closed forms."""
     counts = {"bidiagonal_idempotents": 0, "mat_mul": 0}
     substitutions = []
     transposed = []
@@ -659,72 +678,55 @@ def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
         transposed.clear()
         chk = analyze_instance(spec, deep=deep)
         assert chk.ok, (name, chk.failures)
-        n = spec.d + 1
         assert counts == {"bidiagonal_idempotents": 0, "mat_mul": 1}, name
         real = realization.realize_split(chk.arr)
-        sup = [real.A_star[r][r + 1] for r in range(n - 1)]
-        sub = [real.A[r + 1][r] for r in range(n - 1)]
-        expected = [(sup, chk.arr.theta_star, False)] * n + [(sub, chk.arr.theta, True)] * n
-        assert substitutions == (expected if deep else []), name
+        assert substitutions == [], name
         assert real.A not in transposed, name
 
 
 @pytest.mark.parametrize("deep", [False, True])
 def test_verdict_checks_each_spectrum_once(monkeypatch, kraw_dim1, deep):
-    """A fast verdict checks theta* distinct and A* bidiagonal with it once,
-    in factor_superdiagonals.  A deep verdict checks theta* and theta
-    distinct once each, where they are certified, and each matrix's
-    bidiagonal shape with its diagonal once, where V* and V are built: it
-    reads the a-trace's entries off V*."""
+    """Each verdict checks the shape of each split matrix once: A* in
+    factor_superdiagonals (fast) or verify_axioms (deep), A in
+    standard_basis_rep.  A fast verdict checks theta* distinct once, in
+    factor_superdiagonals; a deep verdict reads distinct theta and theta*
+    off the diagonals of their closed forms, and calls the pairwise check
+    only to name a pair that fails."""
     distinct, shaped = [], []
 
     def recording(log, fn):
         def wrapped(*args, **kwargs):
-            log.append(args[:2])
+            log.append(args[0])
             return fn(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(realization, "_check_distinct",
                         recording(distinct, realization._check_distinct))
-    monkeypatch.setattr(realization, "_off_diagonal",
-                        recording(shaped, realization._off_diagonal))
+    monkeypatch.setattr(realization, "_check_shape", recording(shaped, realization._check_shape))
     chk = analyze_instance(kraw_dim1, deep=deep)
     assert chk.ok, chk.failures
     real = realization.realize_split(chk.arr)
-    theta_star, theta = chk.arr.theta_star, chk.arr.theta
-    if deep:
-        assert distinct == [(theta_star,), (theta,)]
-        assert shaped == [(real.A_star, theta_star), (real.A, theta)]
-    else:
-        assert distinct == [(theta_star,)]
-        assert shaped == [(real.A_star, theta_star)]
+    assert shaped == [real.A_star, real.A]
+    assert distinct == ([] if deep else [chk.arr.theta_star])
 
 
 def test_deep_verdict_certifies_every_right_factor(monkeypatch):
-    """Deep mode certifies all of V* and V: each v*_i has its whole
-    support 0..i and each v_i its whole support i..d, and each is the
-    substitution's vector."""
-    seen = []
-
-    def recording(mtx, eigs, vs):
-        seen.append((mtx, eigs, vs))
-        return certify(mtx, eigs, vs)
-
-    certify = analysis.certify_right_factors
-    monkeypatch.setattr(analysis, "certify_right_factors", recording)
+    """Deep mode certifies both closed forms whole: each column of U and
+    U_A has its whole support (U[r][j] != 0 for r <= j), and the
+    eigenvectors they give are those of the reference families, V* of A*
+    and V of A, the left factors of A's transpose."""
+    seen = recording_certificates(monkeypatch)
     spec = sample_spec(LeonardType.Q_RACAH, 16, QQ, random.Random("deep-full-w"))
     chk = analyze_instance(spec, deep=True)
     assert chk.ok, chk.failures
     arr = chk.arr
     real = realization.realize_split(arr)
-    (astar, theta_star, v_star), (a, theta, v) = seen
-    assert (astar, theta_star) == (real.A_star, arr.theta_star)
-    assert (a, theta) == (real.A, arr.theta)
-    assert v_star == realization.bidiagonal_idempotents(astar, theta_star, arr.field).v
-    assert v == realization.bidiagonal_idempotents(
-        linalg.transpose(a), theta, arr.field).w
-    assert all(all(x[:i + 1]) and not any(x[i + 1:]) for i, x in enumerate(v_star))
-    assert all(all(x[i:]) and not any(x[:i]) for i, x in enumerate(v))
+    (_, u_a, _), (_, u, _) = seen
+    assert eigenvectors(u) == realization.bidiagonal_idempotents(
+        real.A_star, arr.theta_star, arr.field).v
+    assert eigenvectors(u_a, flip=True) == realization.bidiagonal_idempotents(
+        linalg.transpose(real.A), arr.theta, arr.field).w
+    assert all(all(col) for col in u.cols + u_a.cols)
 
 
 def deep_right_factor_samples(label):
@@ -736,62 +738,56 @@ def deep_right_factor_samples(label):
 
 @pytest.mark.parametrize("label", ["Q", "GF(1000003)", "GF(3^4)"])
 def test_deep_verdict_refuses_every_perturbed_right_factor(monkeypatch, label):
-    """Adding 1 to any entry v_i[r] in the support of a right factor, of V*
-    or of V, makes the deep verdict raise an error that names the family
-    and the factor: the certificate M v_i = theta_i v_i ("rank-one E* of
-    A*: M v_i ..."), or, for the one entry whose change leaves an
-    eigenvector (2 v*_0, 2 v_d), the unit diagonal ("v*_0 is not unit upper
-    triangular", "v_d is not unit lower triangular")."""
-    names = {"E*": ("rank-one E* of A*: M v_", "v*_"), "E": ("rank-one E of A: M v_", "v_")}
-    original = analysis.bidiagonal_right_factors
-
-    def perturbing(family_lower, i, r):
-        def perturbed(mtx, eigs, ctx, lower=False):
-            out = original(mtx, eigs, ctx, lower)
-            if lower == family_lower:
-                out[i][r] = out[i][r] + ctx.one
-            return out
-        return perturbed
-
+    """Adding one to any entry U[r][j] (r <= j) of the closed form of E*
+    or of E makes the deep verdict raise an error that names the family
+    and the eigenvector: "rank-one E* of A*: M v_i ..." or "rank-one E of
+    A: M v_i ...", with v_i in the family's own order (U_A holds E
+    reversed: its entry (r, j) is v_(d-j)[d-r]).  The one survivor is the
+    entry whose change scales an eigenvector, the single entry of column
+    0 (v*_0 and v_d): the scaled family is still an eigenbasis, and the
+    verdict passes."""
+    names = {"E*": "rank-one E* of A*: M v_", "E": "rank-one E of A: M v_"}
     samples = deep_right_factor_samples(label)
-    shapes = []
+    survivors = []
     for spec in samples:
-        assert analyze_instance(spec, deep=True).ok
-        n = spec.d + 1
-        for family, lower in (("E*", False), ("E", True)):
-            for i in range(n):
-                for r in (range(i, n) if lower else range(i + 1)):
-                    with monkeypatch.context() as m, pytest.raises(LeonardError) as info:
-                        m.setattr(analysis, "bidiagonal_right_factors", perturbing(lower, i, r))
-                        analyze_instance(spec, deep=True)
-                    message = str(info.value)
+        arr = build_parameter_array(spec)
+        assert analyze_instance(spec, arr, deep=True).ok
+        d = spec.d
+        for family in ("E*", "E"):
+            for i in range(d + 1):
+                for r in (range(i, d + 1) if family == "E" else range(i + 1)):
+                    j, row = (d - i, d - r) if family == "E" else (i, r)
+                    with monkeypatch.context() as m:
+                        perturbing(m, arr, family, j, row)
+                        try:
+                            chk = analyze_instance(spec, arr, deep=True)
+                        except LeonardError as err:
+                            message = str(err)
+                        else:
+                            assert chk.ok, (family, i, r, chk.failures)
+                            survivors.append((family, i, r))
+                            continue
                     assert message.startswith(names[family]), (family, i, r, message)
-                    assert f"v_{i} " in message or f"v*_{i} " in message, (family, i, r, message)
-                    if not message.startswith("rank-one"):
-                        shapes.append((family, i, r))
-    assert shapes == [("E*", 0, 0), ("E", 6, 6)] * len(samples)
+                    assert f"v_{i} " in message, (family, i, r, message)
+    assert survivors == [("E*", 0, 0), ("E", 6, 6)] * len(samples)
 
 
 @pytest.mark.parametrize("label", ["Q", "GF(1000003)", "GF(3^4)"])
 def test_deep_right_factors_span_the_images_of_the_product_formula(monkeypatch, label):
-    """Each right factor deep mode certifies is the image of its projection
+    """Each eigenvector deep mode certifies is the image of its projection
     by the product formula: E_i v_i = v_i and E_j v_i = 0 for j != i, for
-    V of A and for V* of A*."""
-    seen = []
-
-    def recording(mtx, eigs, vs):
-        seen.append((mtx, eigs, vs))
-        return certify(mtx, eigs, vs)
-
-    certify = analysis.certify_right_factors
-    monkeypatch.setattr(analysis, "certify_right_factors", recording)
+    V of A (from U_A) and for V* of A* (from U)."""
+    seen = recording_certificates(monkeypatch)
     for spec in deep_right_factor_samples(label):
         seen.clear()
         chk = analyze_instance(spec, deep=True)
         assert chk.ok, chk.failures
         assert len(seen) == 2
         ctx = chk.arr.field
-        for mtx, eigs, vs in seen:
+        real = realization.realize_split(chk.arr)
+        for family, u, flip in seen:
+            mtx, eigs = family_matrix(real, family)
+            vs = eigenvectors(u, flip)
             for j, e_j in enumerate(realization.primitive_idempotents(mtx, eigs, ctx)):
                 for i, v in enumerate(vs):
                     image = [linalg.dot(row, v) for row in e_j]

@@ -11,7 +11,6 @@ from leonardz.parray import ALL_TYPES, build_parameter_array
 from leonardz.realization import (
     Basis,
     Realization,
-    bidiagonal_idempotents,
     intersection_a_closed,
     primitive_idempotents,
     realize_split,
@@ -24,11 +23,9 @@ def ql(values):
 
 
 def standard_rep(spec):
-    """(array, standard-basis realization, a), from the rank-one E* factors."""
+    """(array, standard-basis realization, a)."""
     arr = build_parameter_array(spec)
-    real = realize_split(arr)
-    estar = bidiagonal_idempotents(real.A_star, arr.theta_star, arr.field)
-    std, nums = standard_basis_rep(real, estar.v)
+    std, nums = standard_basis_rep(realize_split(arr))
     return arr, std, nums.a
 
 
