@@ -354,8 +354,12 @@ class _TauStar:
     ctx: object
 
     @classmethod
-    def of(cls, eigs, phi, ctx):
-        """U for the diagonal eigs and superdiagonal phi, over ctx."""
+    def of(cls, eigs, phi, ctx, flip=False):
+        """U for the diagonal eigs and superdiagonal phi, over ctx.
+
+        Where eigs are a family's eigenvalues reversed (flip), a repeated
+        pair is named in the family's own order, as certify names v_j.
+        """
         (ts,), (lcm,) = _coefficients(ctx, [eigs])
         mod = ctx.p if isinstance(ctx, PrimeField) else None
         one = lcm if ctx.characteristic else 1
@@ -368,7 +372,7 @@ class _TauStar:
                 x = col[-1] * (t - k)
                 col.append(x % mod if mod else x)
             if not col[-1]:
-                _check_distinct(eigs)
+                _check_distinct(eigs[::-1] if flip else eigs)
             if cut:
                 col[:cut] = [one - one] * cut
             cols.append(col)
@@ -578,11 +582,16 @@ def verify_axioms(real):
     tridiagonal-vanishing pattern of E A* E.
 
     A* must be upper bidiagonal (IdempotentCheckFailed names the first
-    entry off the shape).  The E family comes from the reversed A, upper
-    bidiagonal with diagonal theta reversed and superdiagonal A's
-    subdiagonal reversed: its _TauStar U_A is V with rows and columns in
-    reverse order, up to diagonal scalings, and A U_A = U_A diag(theta)
-    is certified (IdempotentCheckFailed "rank-one E of A: M v_i !=
+    entry off the shape).  Of A, only the diagonal and the subdiagonal are
+    read: A is taken to be lower bidiagonal.  standard_basis_rep checks
+    that shape (SingularBasis "A not lower bidiagonal at (r,c)"), and a
+    deep analyze_instance calls both, so each verdict checks A once;
+    verify_axioms alone does not see an entry of A off those two
+    diagonals.  The E family comes from
+    the reversed A, upper bidiagonal with diagonal theta reversed and
+    superdiagonal A's subdiagonal reversed: its _TauStar U_A is V with
+    rows and columns in reverse order, up to diagonal scalings, and
+    A U_A = U_A diag(theta) is certified (IdempotentCheckFailed "rank-one E of A: M v_i !=
     theta_i v_i in row r").  With V invertible, E_j = v_j w_j^T with w_j
     row j of V^-1, so E_i A* E_j is (V^-1 A* V)_ij v_i w_j^T: no W is
     formed.  With P the reversal, P A* P is lower bidiagonal and the band
@@ -596,13 +605,14 @@ def verify_axioms(real):
     standard_basis_rep certifies: zero off the band by A' U = U T'
     (SingularBasis names the entry), b and c nonzero, and its diagonal is
     the a that the analysis compares with the closed form.  Each family's
-    distinct eigenvalues are read off the diagonal of its U.
+    distinct eigenvalues are read off the diagonal of its U; a repeated
+    pair is named in the family's own order (RepeatedEigenvalue).
     """
     arr, a, a_star, n = real.array, real.A, real.A_star, real.dim
     d, ctx = n - 1, arr.field
     _check_shape(a_star, 0, 1, IdempotentCheckFailed, "A* not upper bidiagonal at ({0},{1})")
     sub = [a[r][r - 1] for r in range(d, 0, -1)]
-    u = _TauStar.of(arr.theta[::-1], sub, ctx)
+    u = _TauStar.of(arr.theta[::-1], sub, ctx, flip=True)
     u.certify([a[r][r] for r in range(d, -1, -1)], sub, "E of A", flip=True)
     band = u.band([a_star[r][r] for r in range(d, -1, -1)],
                   [a_star[r - 1][r] for r in range(d, 0, -1)],

@@ -440,8 +440,8 @@ def perturbing(monkeypatch, arr, family, j, r):
     eigs = list(arr.theta_star) if family == "E*" else arr.theta[::-1]
     assert arr.theta[::-1] != list(arr.theta_star)
 
-    def perturbed(of_eigs, phi, ctx):
-        u = original(of_eigs, phi, ctx)
+    def perturbed(of_eigs, phi, ctx, flip=False):
+        u = original(of_eigs, phi, ctx, flip)
         if list(of_eigs) == eigs:
             u.cols[j][r] = u.cols[j][r] + u.cols[0][0]
         return u

@@ -232,18 +232,25 @@ def test_repeated_eigenvalue_named_alike_on_every_route(label):
     """The substitution routes find equal eigenvalues by a zero divisor, and
     the closed form U by a zero on its diagonal, and each names the pair
     that the whole check names first, as factor_superdiagonals does:
-    (0, 4), though back-substitution meets the zero theta_3 - theta_1
-    first and U[3][3] = prod_(k<3) (theta_3 - theta_k) vanishes first."""
+    (0, 4) for (1, 2, 3, 2, 1), though back-substitution meets the zero
+    theta_3 - theta_1 first and U[3][3] = prod_(k<3) (theta_3 - theta_k)
+    vanishes first.  The closed form of the reversed eigenvalues (the E
+    family of verify_axioms) names the pair in their own order: (1, 3)
+    for (1, 2, 3, 2), which reads (0, 2) reversed."""
     ctx = parse_field(label)
-    eigs = [ctx(x) for x in (1, 2, 3, 2, 1)]
-    upper = [[eigs[r] if r == c else ctx(c - r == 1) for c in range(5)] for r in range(5)]
-    routes = [lambda: closed_form_of(upper, eigs, ctx),
-              lambda: closed_form_of(upper, eigs[::-1], ctx),
-              lambda: bidiagonal_idempotents(upper, eigs, ctx),
-              lambda: factor_superdiagonals(upper, eigs)]
-    for route in routes:
-        with pytest.raises(RepeatedEigenvalue, match="^eigenvalues 0 and 4 coincide$"):
-            route()
+    for values, pair in (((1, 2, 3, 2, 1), "0 and 4"), ((1, 2, 3, 2), "1 and 3")):
+        eigs, d = [ctx(x) for x in values], len(values) - 1
+        upper = [[eigs[r] if r == c else ctx(c - r == 1) for c in range(d + 1)]
+                 for r in range(d + 1)]
+        arr = ParameterArray(ctx, d, eigs, eigs, [ctx.one] * d, [ctx.one] * d)
+        routes = [lambda: closed_form_of(upper, eigs, ctx),
+                  lambda: realization._TauStar.of(eigs[::-1], [ctx.one] * d, ctx, flip=True),
+                  lambda: verify_axioms(realize_split(arr)),
+                  lambda: bidiagonal_idempotents(upper, eigs, ctx),
+                  lambda: factor_superdiagonals(upper, eigs)]
+        for route in routes:
+            with pytest.raises(RepeatedEigenvalue, match=f"^eigenvalues {pair} coincide$"):
+                route()
 
 
 def _assert_routes_agree(spec):
@@ -822,8 +829,8 @@ def closed_form_patched(monkeypatch, family_eigs, change):
     (the diagonal it is given, in its own order) is changed by change(u)."""
     original = realization._TauStar.of
 
-    def patched(eigs, phi, ctx):
-        u = original(eigs, phi, ctx)
+    def patched(eigs, phi, ctx, flip=False):
+        u = original(eigs, phi, ctx, flip)
         if list(eigs) == list(family_eigs):
             change(u)
         return u
