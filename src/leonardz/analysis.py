@@ -256,22 +256,22 @@ def analyze_instance(spec, arr=None, deep=False):
     band T of V*^-1 A V* as the band of T' = C T C^-1, certified in O(n^2)
     by A' U = U T' without V*^-1.  Its scale D_i = w*_i . u is the
     theta_0-eigenvector of T, in O(n); on T' the same recurrence gives
-    D' = C D, and A_std = D'^-1 T' D' needs no C.  A failure names entries
-    of T and D, converted from T' and D' on the failure path only.  No
-    dense projection or basis matrix is formed, so the a_trace and
-    a_standard flags compare two different computations
+    D' = C D, and the intersection numbers, the band of D'^-1 T' D', need
+    no C.  A failure names entries of T and D, converted from T' and D' on
+    the failure path only.  No dense projection or basis matrix is formed,
+    so the a_trace and a_standard flags compare two different computations
     with the closed form.  The zero diagonal space is computed in the
-    standard basis, where A* is diagonal and the test E*_i X E*_i = 0
-    reads X_ii = 0.  No matrix of that space is formed: the zero-diagonal
-    flags read the n entries X_ii = f0 + f1 theta*_i + a_i (f2 + f3 theta*_i)
-    off theta* and the diagonal of A_std, closed_generator_nonzero adds
-    the band entries A_ij (f2 + f3 theta*_j), j = i +- 1, and the
-    commutator's diagonal is A_ii theta*_i - theta*_i A_ii.
+    standard basis, where A* is diag(theta*), A is tridiagonal with the
+    intersection numbers, and the test E*_i X E*_i = 0 reads X_ii = 0.  No
+    matrix of that space is formed: the zero-diagonal flags read the n
+    entries X_ii = f0 + f1 theta*_i + a_i (f2 + f3 theta*_i) off theta*
+    and nums.a, closed_generator_nonzero adds the band entries
+    b_i (f2 + f3 theta*_(i+1)) and c_i (f2 + f3 theta*_i), and the
+    commutator's diagonal is a_i theta*_i - theta*_i a_i.
     x_generators_independent is one 5 x 5 determinant of entries of
-    I, A*, A, A A* and A* A (zerodiag.x_space_basis), and theta* is read
-    off A*, which is checked diagonal, once per verdict (the report's
-    theta_star).  Only the analyze report forms the kernel's matrices,
-    by reading zreport.matrix_basis.  The span flags compare the kernel's
+    I, A*, A, A A* and A* A (zerodiag.x_space_basis), with theta* the
+    array's.  Only the analyze report forms the kernel's matrices, by
+    reading zreport.matrix_basis (IntersectionNumbers.matrix).  The span flags compare the kernel's
     coefficient vectors with those of the closed forms, four entries each:
     the map from coefficients to matrices is linear, and injective once
     x_generators_independent holds, so they read as the tests on the
@@ -311,10 +311,10 @@ def analyze_instance(spec, arr=None, deep=False):
     a_trace = intersection_a_trace(real, v_sup, w_sup)
     flags["a_trace_equals_closed"] = a == a_trace
 
-    std, nums = standard_basis_rep(real)
+    nums = standard_basis_rep(real)
     flags["a_standard_equals_closed"] = nums.a == a
 
-    zreport = zerodiag.build_zspace_report(arr, a, std)
+    zreport = zerodiag.build_zspace_report(arr, a, nums)
     rank_m, dim_z = zreport.rank_m, zreport.dim_z
     flags["L_equals_TM"] = linalg.mat_eq(zreport.L, linalg.mat_mul(zreport.T, zreport.M))
     flags["det_T_value"] = linalg.det(zreport.T) == arr.theta_star[0] - arr.theta_star[d]
@@ -322,16 +322,15 @@ def analyze_instance(spec, arr=None, deep=False):
     flags["rank_bounds"] = 2 <= rank_m <= 4
     flags["kernel_dimension_matches"] = len(zreport.coeff_basis) == dim_z
     apm = zreport.apm
-    ts = zreport.theta_star
+    ts = arr.theta_star
 
     try:
-        zerodiag.x_space_basis(std, ts)
+        zerodiag.x_space_basis(nums, ts, ctx)
         flags["x_generators_independent"] = True
     except DependenceDetected:
         flags["x_generators_independent"] = False
     # (A A*)_ii - (A* A)_ii, as A* = diag(theta*)
-    flags["commutator_zero_diagonal"] = all(
-        not (row[i] * t - t * row[i]) for i, (row, t) in enumerate(zip(std.A, ts)))
+    flags["commutator_zero_diagonal"] = all(not (x * t - t * x) for x, t in zip(nums.a, ts))
 
     dep_rank, dep_full, dep_interior = zerodiag.dependence_equivalences(apm)
     flags["dependence_equivalences"] = (
@@ -349,9 +348,9 @@ def analyze_instance(spec, arr=None, deep=False):
         u, v, relation_row = relation_coefficients(spec)
         flags["relation_holds"] = relation_check(apm, u, v)
         gen = zerodiag.closed_dim1_coefficients(arr, a, u, v)
-        gen_diagonal = zerodiag.combination_diagonal(gen, ts, std.A)
+        gen_diagonal = zerodiag.combination_diagonal(gen, ts, nums.a)
         flags["closed_generator_nonzero"] = (
-            any(gen_diagonal) or zerodiag.band_nonzero(gen, ts, std.A))
+            any(gen_diagonal) or zerodiag.band_nonzero(gen, ts, nums))
         flags["closed_generator_zero_diagonal"] = not any(gen_diagonal)
         flags["closed_generator_in_kernel_span"] = linalg.in_row_span(
             kernel_coeffs, gen.as_list())
@@ -365,7 +364,7 @@ def analyze_instance(spec, arr=None, deep=False):
             for c in zreport.coeff_basis)
         pair = zerodiag.closed_dim2_coefficients(a[0], ctx)
         flags["dim2_pair_zero_diagonal"] = not any(
-            x for c in pair for x in zerodiag.combination_diagonal(c, ts, std.A))
+            x for c in pair for x in zerodiag.combination_diagonal(c, ts, nums.a))
         flags["dim2_pair_spans"] = linalg.same_row_span(
             kernel_coeffs, [c.as_list() for c in pair])
 

@@ -77,16 +77,19 @@ class IdempotentCheckFailed(LeonardError):
     of A*: M v_i != theta_i v_i in row r", in verify_axioms), when a
     matrix given as upper bidiagonal has an entry off the bidiagonal or a
     diagonal other than its eigenvalues, and when the axiom check
-    (verify_axioms) is given an A* that is not upper bidiagonal.  A shape
-    error names the first entry off the shape.
+    (verify_axioms) is given an A or A* that is not (d + 1) x (d + 1) or
+    an A* that is not upper bidiagonal.  A size error names the size
+    ("A is 5 x 5, not 4 x 4 (d = 3)"), a shape error the first entry off
+    the shape.
     """
 
 
 class SingularBasis(LeonardError):
     """The candidate standard-basis vectors are linearly dependent.
 
-    Raised by the change to the standard basis when A is not lower
-    bidiagonal (naming the first entry off the shape), and when the
+    Raised by the change to the standard basis when A is not
+    (d + 1) x (d + 1) (naming its size) or not lower bidiagonal (naming
+    the first entry off the shape), and when the
     certificate A V* = V* T, run on the closed form of V*, finds
     T = W* A V* not tridiagonal: "A not tridiagonal at (i,j): S_ij"
     names an entry off the band and its value.  Then the scale D of
@@ -116,10 +119,6 @@ class AxiomViolation(LeonardError):
 
 class ZeroDiagCheckFailed(LeonardError):
     """A kernel element failed the zero-diagonal verification."""
-
-
-class WrongBasis(LeonardError, ValueError):
-    """A realization in the split basis where the standard basis is required."""
 
 
 class DependenceDetected(LeonardError):

@@ -134,21 +134,6 @@ def support(v, start=0):
     return [(k, v[k]) for k in range(start, len(v)) if v[k]]
 
 
-def support_dot(pairs, v):
-    """Sum of x v_k over the support pairs (k, x), skipping zero v_k."""
-    s = None
-    for k, x in pairs:
-        y = v[k]
-        if y:
-            s = x * y if s is None else s + x * y
-    return v[0] - v[0] if s is None else s
-
-
-def dot(u, v):
-    """Sum of u_k v_k, skipping zero terms (eigenvectors have short supports)."""
-    return support_dot(support(u), v)
-
-
 def integer_rows(rows):
     """Each row times the lcm of its denominators, as Python ints, and the
     list of those scales; None when an entry has no denominator (a

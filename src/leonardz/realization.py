@@ -28,7 +28,7 @@ V^-1) are the primitive idempotents.  _TauStar.band reads the band T of
 S = V^-1 N V for a lower bidiagonal N as that of T' = C T C^-1,
 certified by N' U = U T' with N' = P N P^-1; where the certificate
 fails, it names an entry of S off the band and its value.  The E* A E*
-pattern, the band of V*^-1 A V*, gives the standard basis
+pattern, the band of V*^-1 A V*, gives the intersection numbers
 (standard_basis_rep); the E A* E pattern is the band of the reversed
 E's U on the reversed A*, which is lower bidiagonal (verify_axioms).
 Deep analysis certifies both families and both patterns; the fast
@@ -43,10 +43,13 @@ The scale D_i = w*_i . u of E*_i u = D_i v*_i comes from the band too: as
 A u = theta_0 u, D = W* u is the theta_0-eigenvector of T, the row-sum
 identity c_i + a_i + b_i = theta_0 of the standard basis, and a
 three-term recurrence gives it in O(n) (_standard_scale).  On T' it gives
-D' = C D, since C_0 = 1, and A_std = D^-1 T D = D'^-1 T' D', so C is never
-formed.  A failure names entries of T and D, not of T' and D': on its
-cold path the value is converted, S_ij = S'_ij C_j / C_i and
-D_i = D'_i / C_i (_unscaled).  Other shapes are refused: _check_shape
+D' = C D, since C_0 = 1, and A of the standard basis is
+D^-1 T D = D'^-1 T' D', so C is never formed: its band is the
+intersection numbers, and no n x n matrix of that basis is formed.  A
+failure names entries of T and D, not of T' and D': on its cold path the
+value is converted, S_ij = S'_ij C_j / C_i and D_i = D'_i / C_i
+(_unscaled).  Other sizes and shapes are refused: _check_size names the
+size of a matrix that is not (d + 1) x (d + 1), and _check_shape
 names the first entry of a matrix that is off its bidiagonal shape,
 once per matrix and verdict.  The a-trace reads (i, i), (i, i - 1) and
 (i + 1, i) of the split A, a_i = theta_i + v*_i[i - 1] + w*_i[i + 1], and
@@ -64,7 +67,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from . import linalg
 from .errors import (
@@ -76,19 +78,14 @@ from .errors import (
 from .exactfield import PrimeField, Rational
 
 
-class Basis(str, Enum):
-    SPLIT = "split"
-    STANDARD = "standard"
-
-
 @dataclass
 class Realization:
-    """A concrete matrix pair representing a Leonard system."""
+    """A concrete matrix pair representing a Leonard system in the split
+    basis: A lower and A* upper bidiagonal (realize_split)."""
 
     array: object
     A: list
     A_star: list
-    basis: Basis
 
     @property
     def dim(self):
@@ -121,11 +118,27 @@ class SpectralFactors:
 
 @dataclass
 class IntersectionNumbers:
-    """Tridiagonal data of A in the standard basis: diagonal a, super b, sub c."""
+    """Tridiagonal data of A in the standard basis: diagonal a, super b, sub c.
+
+    They are all of A there (A* is diag(theta*)), so a verdict reads these
+    lists and forms no n x n matrix.
+    """
 
     a: list
     b: list
     c: list
+
+    def matrix(self):
+        """The dense tridiagonal A of the standard basis, formed only for
+        the analyze report's Z matrices (zerodiag.combination_matrix) and
+        the dependence fallback (zerodiag.x_generators)."""
+        n, zero = len(self.a), self.a[0] - self.a[0]
+        out = [[zero] * n for _ in range(n)]
+        for i, x in enumerate(self.a):
+            out[i][i] = x
+        for i, (b, c) in enumerate(zip(self.b, self.c)):
+            out[i][i + 1], out[i + 1][i] = b, c
+        return out
 
 
 def realize_split(arr):
@@ -141,7 +154,7 @@ def realize_split(arr):
         if i > 0:
             a[i][i - 1] = one
             a_star[i - 1][i] = arr.phi1_at(i)
-    return Realization(arr, a, a_star, Basis.SPLIT)
+    return Realization(arr, a, a_star)
 
 
 def _check_distinct(eigs):
@@ -188,12 +201,22 @@ def _check_shape(rows, lo, hi, error, what, diag=None):
                 raise error(what.format(r, c))
 
 
+def _check_size(n, error, *named):
+    """Check that each (name, matrix) pair of named is n x n; the first
+    that is not raises error("{name} is r x c, not n x n (d = n - 1)"),
+    with c the length of its first row that is not n long."""
+    for name, rows in named:
+        wrong = [len(row) for row in rows if len(row) != n]
+        if len(rows) != n or wrong:
+            cols = wrong[0] if wrong else n
+            raise error(f"{name} is {len(rows)} x {cols}, not {n} x {n} (d = {n - 1})")
+
+
 def _off_diagonal(mtx, eigs):
-    """The superdiagonal of mtx, after checking that mtx is upper
-    bidiagonal with eigs on its diagonal."""
+    """The superdiagonal of mtx, after checking that mtx is n x n and upper
+    bidiagonal with the n eigs on its diagonal."""
     n = len(eigs)
-    if len(mtx) != n:
-        raise IdempotentCheckFailed(f"{len(mtx)} rows for {n} eigenvalues")
+    _check_size(n, IdempotentCheckFailed, ("M", mtx))
     _check_shape(mtx, 0, 1, IdempotentCheckFailed,
                  "M not upper bidiagonal with diagonal theta at ({0},{1})", eigs)
     return [mtx[r][r + 1] for r in range(n - 1)]
@@ -531,32 +554,36 @@ def _standard_scale(band, d, theta0, one, c):
 
 
 def standard_basis_rep(real):
-    """Change basis to {E*_i u}, with u the theta_0-eigenvector of A.
+    """The intersection numbers of real's Leonard system: the band of A in
+    the standard basis {E*_i u}, with u the theta_0-eigenvector of A.
 
     E*_i u is v*_i scaled by D_i = w*_i . u, with v*_i the right factors
-    of E*, the eigenvectors of the split A* of real.array, so
-    A_std = D^-1 T D with T = W* A V*, and A*_std = diag(theta*).  No V*
+    of E*, the eigenvectors of the split A* of real.array, so A is
+    D^-1 T D there, with T = W* A V*, and A* is diag(theta*).  No V*
     is formed: the band comes from the closed form U of _TauStar, on the
     array's theta* and phi, as the band of T' = C T C^-1, certified by
     A' U = U T' on ints over Q, residues over GF(p) and elements over
-    GF(p^k).  An A that is not lower bidiagonal is refused, and an entry
-    of T off the band is named with its value (SingularBasis either way).
+    GF(p^k).  An A that is not (d + 1) x (d + 1) or not lower bidiagonal
+    is refused, and an entry of T off the band is named with its value
+    (SingularBasis each way).
     D needs neither W* nor u: as A u = theta_0 u, D = W* u is the
     theta_0-eigenvector of T, which is the row-sum identity
     c_i + a_i + b_i = theta_0 of the standard basis (Terwilliger, LAA 330
     (2001)).  _standard_scale solves (T - theta_0 I) D = 0 from D_0 = 1 in
     O(n), with theta_0 = A[0][0], the eigenvalue of the lower bidiagonal A
-    that u belongs to, and A_std does not change under D -> lambda D.  On
-    T' it gives D' = C D, and A_std = D'^-1 T' D', so C is never formed.
+    that u belongs to, and D^-1 T D does not change under D -> lambda D.
+    On T' it gives D' = C D, and D^-1 T D = D'^-1 T' D', so C is never
+    formed.
     A zero t_ij next to the diagonal (b_i or c_j would vanish; a zero
     phi_i gives t_(i-1)i = 0), a residual in row d and a zero D_i
     (E*_i u = 0) each raise SingularBasis, which names the entry and its
     value, of T and D: they are converted from T' and D' on the failure
-    path only.  Returns the realization together with the intersection
-    numbers read off A_std.
+    path only.  Returns IntersectionNumbers read straight off the band and
+    the scale, a_i = t_ii, b_i = t_(i,i+1) D_(i+1) / D_i and
+    c_i = t_(i+1,i) D_i / D_(i+1); no n x n matrix is formed.
     """
-    arr, a, n = real.array, real.A, real.dim
-    zero = arr.field.zero
+    arr, a, n = real.array, real.A, real.array.d + 1
+    _check_size(n, SingularBasis, ("A", a))
     _check_shape(a, -1, 0, SingularBasis, "A not lower bidiagonal at ({0},{1})")
     u = _TauStar.of(arr.theta_star, arr.phi1, arr.field)
     band = u.band([a[r][r] for r in range(n)], [a[r][r - 1] for r in range(1, n)],
@@ -566,28 +593,23 @@ def standard_basis_rep(real):
         raise SingularBasis(f"off-diagonal intersection numbers must be nonzero: "
                             f"T at ({gap[0]},{gap[1]}) is {_unscaled(u.scale, band[gap], *gap)}")
     scale = _standard_scale(band, arr.d, a[0][0], arr.field.one, u.scale)
-    a_std = [[zero] * n for _ in range(n)]
-    for (i, j), x in band.items():
-        a_std[i][j] = x if i == j else x * scale[j] / scale[i]
-    a_star_std = [[t if i == j else zero for j in range(n)]
-                  for i, t in enumerate(arr.theta_star)]
-    a = [a_std[i][i] for i in range(arr.d + 1)]
-    b = [a_std[i][i + 1] for i in range(arr.d)]
-    c = [a_std[i + 1][i] for i in range(arr.d)]
-    return Realization(arr, a_std, a_star_std, Basis.STANDARD), IntersectionNumbers(a, b, c)
+    return IntersectionNumbers([band[i, i] for i in range(n)],
+                               [band[i, i + 1] * scale[i + 1] / scale[i] for i in range(n - 1)],
+                               [band[i + 1, i] * scale[i] / scale[i + 1] for i in range(n - 1)])
 
 
 def verify_axioms(real):
     """Check both eigenvector families of the split pair and the
     tridiagonal-vanishing pattern of E A* E.
 
-    A* must be upper bidiagonal (IdempotentCheckFailed names the first
-    entry off the shape).  Of A, only the diagonal and the subdiagonal are
-    read: A is taken to be lower bidiagonal.  standard_basis_rep checks
-    that shape (SingularBasis "A not lower bidiagonal at (r,c)"), and a
-    deep analyze_instance calls both, so each verdict checks A once;
-    verify_axioms alone does not see an entry of A off those two
-    diagonals.  The E family comes from
+    A and A* must be (d + 1) x (d + 1) (IdempotentCheckFailed names the
+    size of the first that is not) and A* upper bidiagonal
+    (IdempotentCheckFailed names the first entry off the shape).  Of A,
+    only the diagonal and the subdiagonal are read: A is taken to be lower
+    bidiagonal.  standard_basis_rep checks that shape (SingularBasis
+    "A not lower bidiagonal at (r,c)"), and a deep analyze_instance calls
+    both, so each verdict checks A once; verify_axioms alone does not see
+    an entry of A off those two diagonals.  The E family comes from
     the reversed A, upper bidiagonal with diagonal theta reversed and
     superdiagonal A's subdiagonal reversed: its _TauStar U_A is V with
     rows and columns in reverse order, up to diagonal scalings, and
@@ -608,8 +630,9 @@ def verify_axioms(real):
     distinct eigenvalues are read off the diagonal of its U; a repeated
     pair is named in the family's own order (RepeatedEigenvalue).
     """
-    arr, a, a_star, n = real.array, real.A, real.A_star, real.dim
-    d, ctx = n - 1, arr.field
+    arr, a, a_star = real.array, real.A, real.A_star
+    d, ctx, n = arr.d, arr.field, arr.d + 1
+    _check_size(n, IdempotentCheckFailed, ("A", a), ("A*", a_star))
     _check_shape(a_star, 0, 1, IdempotentCheckFailed, "A* not upper bidiagonal at ({0},{1})")
     sub = [a[r][r - 1] for r in range(d, 0, -1)]
     u = _TauStar.of(arr.theta[::-1], sub, ctx, flip=True)

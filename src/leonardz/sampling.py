@@ -117,9 +117,9 @@ def _draw(fam, d, ctx, rng, height, self_dual, forced, mirrored):
     return theta0, theta_star0, {key: values[key] for key in fam.params}
 
 
-def sample_spec(name, d, ctx, rng, height=DEFAULT_HEIGHT, mode=MODE_GENERIC,
-                retries=DEFAULT_RETRIES):
-    """Draw a valid TypeSpec; raises SamplingExhausted after the retry budget.
+def sample_spec(name, d, ctx, rng, height=DEFAULT_HEIGHT, mode=MODE_GENERIC):
+    """Draw a valid TypeSpec; raises SamplingExhausted after DEFAULT_RETRIES
+    rejected draws (read at each call).
 
     Raises InvalidMode when modes_for_type(name, d, ctx) does not list the mode.
     """
@@ -130,7 +130,7 @@ def sample_spec(name, d, ctx, rng, height=DEFAULT_HEIGHT, mode=MODE_GENERIC,
     self_dual = mode in (MODE_SELF_DUAL, MODE_SELF_DUAL_SPIN)
     forced = {target: value for row in rows for target, value in row.eqs}
     mirrored = any(row.mirrored for row in rows)
-    for _ in range(retries):
+    for _ in range(DEFAULT_RETRIES):
         theta0, theta_star0, params = _draw(fam, d, ctx, rng, height, self_dual,
                                             forced, mirrored)
         spec = TypeSpec(name, d, ctx, theta0, theta_star0, params)
@@ -138,4 +138,4 @@ def sample_spec(name, d, ctx, rng, height=DEFAULT_HEIGHT, mode=MODE_GENERIC,
             return spec
     raise SamplingExhausted(
         f"no valid {name.value} sample for d={d} mode={mode} "
-        f"within {retries} retries")
+        f"within {DEFAULT_RETRIES} retries")

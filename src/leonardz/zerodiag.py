@@ -7,19 +7,22 @@ projected diagonal; the boundary-product scalars (a_minus, a_plus); and
 the companion matrices T and L = T*M used for the dependence criterion.
 
 Everything here works in the standard basis {E*_i u}.  There A* is
-diag(theta*), each E*_i is the coordinate projection e_i e_i^T, and the
-condition E*_i X E*_i = 0 reads X_ii = 0.  That is why the rows of M are
-the diagonals of I, A*, A and A A*: column i is (1, theta*_i, a_i,
-a_i theta*_i).  It is also why no matrix is formed for a verdict: an
-element X of Span{I, A*, A, A A*} has the entries
-X_ij = [i = j](f0 + f1 theta*_i) + A_ij (f2 + f3 theta*_j), so its n
-diagonal entries come from theta* and the diagonal of A
-(combination_diagonal), and the rest of it, A being tridiagonal, from the
-band of A (band_nonzero).  A A* and A* A are A with its columns and its
-rows scaled by theta*; the independence certificate reads ten of their
-entries (x_space_basis).  theta* is read off A*, and A* checked diagonal,
-once per report (build_zspace_report); the report forms the kernel's
-matrices (combination_matrix) only when its matrix_basis is read.
+diag(theta*), A is tridiagonal with the intersection numbers
+(c_i, a_i, b_i) (realization.IntersectionNumbers), each E*_i is the
+coordinate projection e_i e_i^T, and the condition E*_i X E*_i = 0 reads
+X_ii = 0.  So Z, and every zero-diagonal flag, depends only on (a, b, c,
+theta*), and the functions here take those, with theta* the array's.
+That is why the rows of M are the diagonals of I, A*, A and A A*: column
+i is (1, theta*_i, a_i, a_i theta*_i).  It is also why no matrix is
+formed for a verdict: an element X of Span{I, A*, A, A A*} has the
+entries X_ij = [i = j](f0 + f1 theta*_i) + A_ij (f2 + f3 theta*_j), so
+its n diagonal entries come from theta* and a (combination_diagonal),
+and the rest of it from b and c (band_nonzero).  A A* and A* A are A
+with its columns and its rows scaled by theta*; the independence
+certificate reads ten of their entries (x_space_basis).  The dense A
+(IntersectionNumbers.matrix) is formed only for the analyze report's Z
+matrices, when its matrix_basis is read (combination_matrix), and on the
+dependence fallback (x_generators).
 
 The kernel route (z_basis_kernel) is the authoritative computation; the
 closed-form route is an independent cross-check whose coefficient
@@ -39,8 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import DependenceDetected, WrongBasis, ZeroDiagCheckFailed
-from .realization import Basis
+from .errors import DependenceDetected, ZeroDiagCheckFailed
 
 
 @dataclass
@@ -67,7 +69,7 @@ class APMData:
 @dataclass
 class ZSpaceReport:
     """M, L, T, the boundary products, rank M, dim Z and the kernel-route
-    coefficients, with the standard-basis realization and its theta*."""
+    coefficients, with the intersection numbers and theta* they are on."""
 
     M: list
     L: list
@@ -76,13 +78,13 @@ class ZSpaceReport:
     rank_m: int
     dim_z: int
     coeff_basis: list
-    real: object
+    nums: object
     theta_star: list
 
     @property
     def matrix_basis(self):
         """The kernel elements as matrices, formed on each read."""
-        return [combination_matrix(c, self.real, self.theta_star) for c in self.coeff_basis]
+        return [combination_matrix(c, self.nums, self.theta_star) for c in self.coeff_basis]
 
 
 def compute_apm(a, theta_star):
@@ -134,67 +136,53 @@ def has_zero_diagonal(x):
     return all(not x[i][i] for i in range(len(x)))
 
 
-def _theta_star(real):
-    """theta* read off the diagonal of A*, which must be diagonal, as it is
-    in the standard basis."""
-    if real.basis is not Basis.STANDARD:
-        raise WrongBasis(
-            f"the zero-diagonal test needs the standard basis, not {real.basis.value}")
-    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(real.A_star)):
-        raise WrongBasis("A* is not diagonal in the standard basis")
-    return [row[i] for i, row in enumerate(real.A_star)]
-
-
-def combination_matrix(coeffs, real, theta_star=None):
-    """The element f0*I + f1*A_star + f2*A + f3*A*A_star in the standard basis.
+def combination_matrix(coeffs, nums, theta_star):
+    """The element f0*I + f1*A_star + f2*A + f3*A*A_star in the standard
+    basis, as a matrix.
 
     With A* = diag(theta*) its entries are
-    X_ij = [i = j](f0 + f1 theta*_i) + A_ij (f2 + f3 theta*_j).  theta_star,
-    where given, is the one already read off real's A*.
+    X_ij = [i = j](f0 + f1 theta*_i) + A_ij (f2 + f3 theta*_j), with A the
+    tridiagonal matrix of the intersection numbers nums.
     """
-    ts = _theta_star(real) if theta_star is None else theta_star
     f0, f1, f2, f3 = coeffs.as_list()
-    col = [f2 + f3 * t for t in ts]
-    out = [[x * col[j] if x else x for j, x in enumerate(row)] for row in real.A]
-    for i, t in enumerate(ts):
+    col = [f2 + f3 * t for t in theta_star]
+    out = [[x * col[j] if x else x for j, x in enumerate(row)] for row in nums.matrix()]
+    for i, t in enumerate(theta_star):
         out[i][i] = out[i][i] + (f0 + f1 * t)
     return out
 
 
 def combination_diagonal(coeffs, theta_star, a):
-    """The diagonal entries X_ii = f0 + f1 theta*_i + A_ii (f2 + f3 theta*_i)
+    """The diagonal entries X_ii = f0 + f1 theta*_i + a_i (f2 + f3 theta*_i)
     of f0*I + f1*A_star + f2*A + f3*A*A_star in the standard basis, from
-    theta* and the diagonal of A."""
+    theta* and the diagonal a of A."""
     f0, f1, f2, f3 = coeffs.as_list()
-    return [f0 + f1 * t + row[i] * (f2 + f3 * t) if row[i] else f0 + f1 * t
-            for i, (t, row) in enumerate(zip(theta_star, a))]
+    return [f0 + f1 * t + x * (f2 + f3 * t) if x else f0 + f1 * t
+            for t, x in zip(theta_star, a)]
 
 
-def band_nonzero(coeffs, theta_star, a):
-    """Whether an entry X_ij = A_ij (f2 + f3 theta*_j), j = i +- 1, of
-    f0*I + f1*A_star + f2*A + f3*A*A_star is nonzero, for a tridiagonal A
-    (standard_basis_rep forms A_std from its band): with the diagonal these
-    are all the entries of X that can be nonzero.  A product of field
-    elements is nonzero exactly when both factors are."""
+def band_nonzero(coeffs, theta_star, nums):
+    """Whether an entry X_(i,i+1) = b_i (f2 + f3 theta*_(i+1)) or
+    X_(i+1,i) = c_i (f2 + f3 theta*_i) of f0*I + f1*A_star + f2*A + f3*A*A_star
+    is nonzero: with the diagonal these are all the entries of X that can
+    be nonzero, A being tridiagonal.  A product of field elements is
+    nonzero exactly when both factors are."""
     f2, f3 = coeffs.f2, coeffs.f3
-    n = len(a)
-    return any(a[i][j] and f2 + f3 * theta_star[j]
-               for i in range(n) for j in (i - 1, i + 1) if 0 <= j < n)
+    return any(b and f2 + f3 * theta_star[i + 1] or c and f2 + f3 * theta_star[i]
+               for i, (b, c) in enumerate(zip(nums.b, nums.c)))
 
 
-def z_basis_kernel(m, real, theta_star=None):
+def z_basis_kernel(m, a, theta_star, ctx):
     """Basis of the zero diagonal space from the left null space of M, as
     coefficient vectors.
 
-    real's basis must be the standard one, and theta_star, where given, is
-    the one already read off its A*.  Each kernel row is re-verified to
-    have zero diagonal, read off theta* and the diagonal of real's A.
+    Each kernel row is re-verified to have zero diagonal, read off theta*
+    and the diagonal a of the standard-basis A.
     """
-    ts = _theta_star(real) if theta_star is None else theta_star
     out = []
-    for row in linalg.left_nullspace(m, real.array.field):
+    for row in linalg.left_nullspace(m, ctx):
         coeffs = ZCoefficients(*row)
-        if any(combination_diagonal(coeffs, ts, real.A)):
+        if any(combination_diagonal(coeffs, theta_star, a)):
             raise ZeroDiagCheckFailed(
                 f"kernel element {[str(c) for c in row]} fails the diagonal check")
         out.append(coeffs)
@@ -219,46 +207,43 @@ def closed_dim1_coefficients(arr, a, u, v):
     return ZCoefficients(*(u * p1 - v * p2 for p1, p2 in zip(t[2], t[3])))
 
 
-def x_generators(real, theta_star=None):
+def x_generators(nums, theta_star, ctx):
     """The five canonical generators I, A_star, A, A @ A_star, A_star @ A
-    as matrices.  The products are A's columns and rows scaled by theta*,
-    as A* is diagonal in the standard basis."""
-    ts = _theta_star(real) if theta_star is None else theta_star
-    a_astar = [[x * ts[j] if x else x for j, x in enumerate(row)] for row in real.A]
-    astar_a = [[x * t if x else x for x in row] for row, t in zip(real.A, ts)]
-    return [linalg.identity(real.dim, real.array.field), real.A_star, real.A,
-            a_astar, astar_a]
+    as matrices, with A the tridiagonal matrix of nums.  The products are
+    A's columns and rows scaled by theta*, as A* = diag(theta*)."""
+    a = nums.matrix()
+    n, zero = len(a), ctx.zero
+    a_star = [[t if i == j else zero for j in range(n)] for i, t in enumerate(theta_star)]
+    a_astar = [[x * theta_star[j] if x else x for j, x in enumerate(row)] for row in a]
+    astar_a = [[x * t if x else x for x in row] for row, t in zip(a, theta_star)]
+    return [linalg.identity(n, ctx), a_star, a, a_astar, astar_a]
 
 
-# The entries of the generators that x_space_basis certifies on; n = d + 1
-# is at least 4.
-_MINOR_ENTRIES = ((0, 0), (1, 1), (0, 1), (1, 0), (1, 2))
-
-
-def x_space_basis(real, theta_star=None):
+def x_space_basis(nums, theta_star, ctx):
     """Certify the five canonical generators I, A_star, A, A @ A_star,
     A_star @ A linearly independent, or raise DependenceDetected.
 
     A nonzero 5 x 5 minor of their 5 x n^2 flattening proves rank 5.  The
     minor is on the entries (0,0), (1,1), (0,1), (1,0), (1,2) of each
-    generator; with A* = diag(theta*), (A A*)_ij = A_ij theta*_j and
+    generator, where A reads a0, a1, b0, c0, b1 and A* = diag(theta*)
+    reads theta*_0, theta*_1, 0, 0, 0; (A A*)_ij = A_ij theta*_j and
     (A* A)_ij = theta*_i A_ij, so it costs ten products and one det, and
-    no product matrix is formed.  In the standard basis it is
+    no matrix is formed (n = d + 1 is at least 4).  It is
     (theta*_1 - theta*_0)^2 (theta*_0 - theta*_2) b_0 c_0 b_1, which is
     nonzero once standard_basis_rep has passed.  Only when it vanishes are
     the generators formed (x_generators) and the full flattening ranked,
-    so that DependenceDetected names their exact rank.  theta_star, where
-    given, is the one already read off real's A*.
+    so that DependenceDetected names their exact rank.
     """
-    ts = _theta_star(real) if theta_star is None else theta_star
-    ctx, a = real.array.field, real.A
-    minor = [[ctx.one if i == j else ctx.zero for i, j in _MINOR_ENTRIES],
-             [real.A_star[i][j] for i, j in _MINOR_ENTRIES],
-             [a[i][j] for i, j in _MINOR_ENTRIES],
-             [a[i][j] * ts[j] for i, j in _MINOR_ENTRIES],
-             [ts[i] * a[i][j] for i, j in _MINOR_ENTRIES]]
+    ts, zero, one = theta_star, ctx.zero, ctx.one
+    cells = ((0, 0), (1, 1), (0, 1), (1, 0), (1, 2))
+    a = (nums.a[0], nums.a[1], nums.b[0], nums.c[0], nums.b[1])
+    minor = [[one, one, zero, zero, zero],
+             [ts[0], ts[1], zero, zero, zero],
+             list(a),
+             [x * ts[j] for x, (_, j) in zip(a, cells)],
+             [ts[i] * x for x, (i, _) in zip(a, cells)]]
     if not linalg.det(minor):
-        rk = linalg.rank([linalg.flatten(m) for m in x_generators(real, ts)])
+        rk = linalg.rank([linalg.flatten(m) for m in x_generators(nums, ts, ctx)])
         if rk != 5:
             raise DependenceDetected(f"generators span only {rk} dimensions")
 
@@ -287,22 +272,21 @@ def dependence_equivalences(apm):
     return rank_le_1, products_equal(range(d + 1)), products_equal(range(1, d))
 
 
-def build_zspace_report(arr, a, real):
+def build_zspace_report(arr, a, nums):
     """Assemble M, T, L, the boundary products, rank M, dim Z and the
-    kernel-route Z basis; real's theta* is read off its A* here, once."""
-    ctx = arr.field
-    d = arr.d
-    m = matrix_m(a, arr.theta_star, ctx)
-    t = matrix_t(a[0], a[d], arr.theta_star[0], arr.theta_star[d], ctx)
-    apm = compute_apm(a, arr.theta_star)
-    l = matrix_l(apm, arr.theta_star, ctx)
+    kernel-route Z basis.  M is built on the closed-form a; the kernel is
+    re-verified on the diagonal of the intersection numbers nums."""
+    ctx, d, ts = arr.field, arr.d, arr.theta_star
+    m = matrix_m(a, ts, ctx)
+    t = matrix_t(a[0], a[d], ts[0], ts[d], ctx)
+    apm = compute_apm(a, ts)
+    l = matrix_l(apm, ts, ctx)
     rank_m = linalg.rank(m)
-    ts = _theta_star(real)
     return ZSpaceReport(
         M=m, L=l, T=t, apm=apm,
         rank_m=rank_m,
         dim_z=4 - rank_m,
-        coeff_basis=z_basis_kernel(m, real, ts),
-        real=real,
+        coeff_basis=z_basis_kernel(m, nums.a, ts, ctx),
+        nums=nums,
         theta_star=ts,
     )

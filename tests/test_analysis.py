@@ -517,9 +517,9 @@ def test_fast_and_deep_analysis_agree(monkeypatch):
         return band(u, diag, sub, off_band)
 
     def recording_rep(real):
-        std, nums = rep(real)
-        standard.append(std.A)
-        return std, nums
+        nums = rep(real)
+        standard.append(nums)
+        return nums
 
     monkeypatch.setattr(realization._TauStar, "band", recording_band)
     monkeypatch.setattr(analysis, "standard_basis_rep", recording_rep)
@@ -532,7 +532,7 @@ def test_fast_and_deep_analysis_agree(monkeypatch):
         _, u_deep = seen  # U_A, then U
         seen.clear()
         assert u_fast == u_deep, spec
-        assert standard[-2] == standard[-1], spec
+        assert standard[-2:] == [fast.nums, deep.nums], spec
         assert fast.nums == deep.nums, spec
         assert fast.flags == deep.flags, spec
         assert fast.ok, (spec, fast.failures)
@@ -543,8 +543,8 @@ def test_fast_and_deep_analysis_agree(monkeypatch):
 def test_x_space_programming_error_propagates(monkeypatch, kraw_dim1):
     calls = []
 
-    def broken(real, theta_star):
-        calls.append(real)
+    def broken(nums, theta_star, ctx):
+        calls.append(nums)
         raise TypeError("not a dependence")
 
     monkeypatch.setattr(zerodiag, "x_space_basis", broken)
@@ -554,18 +554,18 @@ def test_x_space_programming_error_propagates(monkeypatch, kraw_dim1):
 
 
 def test_x_space_dependence_clears_its_flag(monkeypatch, kraw_dim1):
-    # The certificate gets the theta* the report read off A*, and the
-    # commutator flag, which reads theta* and the diagonal of A, still holds.
+    # The certificate gets the intersection numbers and the array's theta*,
+    # and the commutator flag, which reads theta* and a, still holds.
     calls = []
 
-    def dependent(real, theta_star):
-        calls.append((real, theta_star))
+    def dependent(nums, theta_star, ctx):
+        calls.append((nums, theta_star, ctx))
         raise DependenceDetected("generators span only 4 dimensions")
 
     monkeypatch.setattr(zerodiag, "x_space_basis", dependent)
     chk = analyze_instance(kraw_dim1)
-    assert calls == [(chk.zreport.real, chk.zreport.theta_star)]
-    assert calls[0][1] is chk.zreport.theta_star
+    assert calls == [(chk.nums, chk.arr.theta_star, chk.arr.field)]
+    assert calls[0][1] is chk.arr.theta_star is chk.zreport.theta_star
     assert chk.flags["x_generators_independent"] is False
     assert chk.flags["commutator_zero_diagonal"] is True
     assert chk.failures == ["x_generators_independent"]
@@ -790,5 +790,5 @@ def test_deep_right_factors_span_the_images_of_the_product_formula(monkeypatch, 
             vs = eigenvectors(u, flip)
             for j, e_j in enumerate(realization.primitive_idempotents(mtx, eigs, ctx)):
                 for i, v in enumerate(vs):
-                    image = [linalg.dot(row, v) for row in e_j]
+                    image = [sum((x * y for x, y in zip(row, v)), ctx.zero) for row in e_j]
                     assert image == (v if i == j else [ctx.zero] * len(v)), (spec.name, i, j)

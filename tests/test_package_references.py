@@ -1,0 +1,88 @@
+"""Every module-level function and class of the package has a use outside
+the tests.
+
+A name counts as used when the benchmark (bench/), the scripts
+(scripts/), the package's module-level code other than the __init__
+exports, or the body of a used definition mention it: as a name, an
+attribute, an imported name, or a string that is exactly the name
+(bench/tracing.PATCHES names what it wraps that way).  Code that only the
+tests call belongs in the tests, where it can stay the reference route it
+is; the few reference routes kept in the package on purpose are listed in
+REFERENCE_ROUTES with the reason they stay.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "leonardz"
+
+# Kept in the package though nothing there calls them: analysis's interior
+# identity and its cross-ratio, as the tests' reference for verify_pi2, and
+# the parray transforms, which wait for a use in the analysis (ROADMAP
+# item 10).
+REFERENCE_ROUTES = {
+    "pi2_delta", "q_expression",
+    "affine_transform", "dualize", "reverse_dual", "reverse_primal",
+}
+
+
+def _names(nodes):
+    """Every name that the syntax trees nodes use."""
+    out = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
+def _is_definition(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def definitions():
+    """module.name -> (name, the names its body uses), for each module-level
+    function and class; and the names that the package's other module-level
+    code uses, __init__ aside."""
+    defs, top = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        for node in filter(_is_definition, body):
+            defs[f"{path.stem}.{node.name}"] = node.name, _names([node])
+        if path.name != "__init__.py":
+            top += [node for node in body if not _is_definition(node)]
+    return defs, _names(top)
+
+
+def unused_definitions():
+    """module.name of each definition that no use reaches from bench/,
+    scripts/ or the package's module-level code.  A definition that only
+    unused ones call is unused too."""
+    defs, used = definitions()
+    paths = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    used |= _names(ast.parse(path.read_text()) for path in paths)
+    pending = dict(defs)
+    while True:
+        reached = [key for key, (name, _) in pending.items() if name in used]
+        if not reached:
+            return sorted(pending)
+        for key in reached:
+            used |= pending.pop(key)[1]
+
+
+def test_every_package_definition_has_a_use_outside_the_tests():
+    assert [key for key in unused_definitions()
+            if key.rpartition(".")[2] not in REFERENCE_ROUTES] == []
+
+
+def test_reference_routes_are_still_defined_and_unused():
+    """The list names only what exists and still has no use, so an entry
+    cannot outlive a definition that was removed or put to work."""
+    assert REFERENCE_ROUTES <= {key.rpartition(".")[2] for key in unused_definitions()}

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -140,8 +141,9 @@ def fraction_band(mtx, vs, off_band):
 def fraction_route(real):
     """The standard basis by the reference route: the band of V*^-1 A V*
     off the V* of bidiagonal_idempotents (fraction_band), then the gap
-    check, the scale D and A_std as standard_basis_rep forms them, with
-    C = I.  Returns A_std or raises what that route raises."""
+    check and the scale D as standard_basis_rep forms them, with C = I.
+    Returns A of the standard basis, D^-1 T D, as a dense matrix, or
+    raises what that route raises."""
     arr, n, one = real.array, real.dim, real.array.field.one
     vs = bidiagonal_idempotents(real.A_star, arr.theta_star, arr.field).v
     band = fraction_band(real.A, vs, lambda i, j, x: SingularBasis(not_tridiagonal(i, j, x)))
@@ -256,10 +258,10 @@ def test_repeated_eigenvalue_named_alike_on_every_route(label):
 def _assert_routes_agree(spec):
     """The rank-one and product-formula routes agree on E, E* and the standard basis.
 
-    Both give the same E and E*.  The A_std read off the factors satisfies
-    A B = B A_std and A* B = B diag(theta*), where the columns of the
-    invertible B are E*_i u formed densely from the product formula, with
-    u the first nonzero column of E_0.
+    Both give the same E and E*.  The tridiagonal A of the intersection
+    numbers satisfies A B = B nums.matrix() and A* B = B diag(theta*),
+    where the columns of the invertible B are E*_i u formed densely from
+    the product formula, with u the first nonzero column of E_0.
     """
     arr = build_parameter_array(spec)
     ctx = arr.field
@@ -269,14 +271,14 @@ def _assert_routes_agree(spec):
     assert estar_fac.projections() == estar, spec.name
     e = primitive_idempotents(real.A, arr.theta, ctx)
     assert e_fac.projections() == e, spec.name
-    std, _ = standard_basis_rep(real)
     u = next(col for col in linalg.transpose(e[0]) if any(col))
-    basis = linalg.transpose([[linalg.dot(row, u) for row in f] for f in estar])
+    basis = linalg.transpose([[sum((x * y for x, y in zip(row, u)), ctx.zero) for row in f]
+                              for f in estar])
     assert linalg.rank(basis) == real.dim, spec.name
-    for split, standard in ((real.A, std.A), (real.A_star, std.A_star)):
+    a_star = [[t if i == j else ctx.zero for j in range(real.dim)]
+              for i, t in enumerate(arr.theta_star)]
+    for split, standard in ((real.A, standard_basis_rep(real).matrix()), (real.A_star, a_star)):
         assert linalg.mat_mul(split, basis) == linalg.mat_mul(basis, standard), spec.name
-    assert std.A_star == [[t if i == j else ctx.zero for j in range(real.dim)]
-                          for i, t in enumerate(arr.theta_star)], spec.name
 
 
 def test_bidiagonal_route_matches_product_formula_on_exemplars(exemplar_specs):
@@ -456,13 +458,10 @@ def test_a_sequence_reverses_with_dual_order(exemplar_specs):
 
 def test_standard_basis_worked(worked):
     arr, real, e, estar = worked
-    std, nums = standard_basis_rep(real)
+    nums = standard_basis_rep(real)
     assert nums.a == [QQ(6), QQ(3), QQ(0), QQ(-3)]
-    for i in range(4):
-        for j in range(4):
-            expected = arr.theta_star[i] if i == j else QQ(0)
-            assert std.A_star[i][j] == expected
     assert all(nums.b) and all(nums.c)
+    assert nums.matrix() == fraction_route(real)
 
 
 def test_standard_basis_tridiagonal_on_exemplars(exemplar_specs):
@@ -470,7 +469,7 @@ def test_standard_basis_tridiagonal_on_exemplars(exemplar_specs):
         arr = build_parameter_array(spec)
         real = realize_split(arr)
         e, estar = split_factors(real)
-        std, nums = standard_basis_rep(real)
+        nums = standard_basis_rep(real)
         assert nums.a == intersection_a_closed(arr)
         assert all(nums.b) and all(nums.c)
 
@@ -484,7 +483,8 @@ def _poly(roots, x):
 
 
 def test_intersection_numbers_match_closed_forms():
-    """b_i, c_i and the row sums of A_std against Terwilliger's closed forms.
+    """b_i, c_i and the row sums c_i + a_i + b_i against Terwilliger's
+    closed forms.
 
     With tau*_i(x) = prod_{h<i} (x - theta*_h) and eta*_i(x) =
     prod_{h<i} (x - theta*_{d-h}): b_i = phi_{i+1} tau*_i(theta*_i) /
@@ -497,7 +497,7 @@ def test_intersection_numbers_match_closed_forms():
         arr = build_parameter_array(spec)
         real = realize_split(arr)
         e, estar = split_factors(real)
-        _, nums = standard_basis_rep(real)
+        nums = standard_basis_rep(real)
         d, ts = arr.d, arr.theta_star
         rev = ts[::-1]
         for i in range(d):
@@ -536,7 +536,7 @@ def _with_a(real, entries):
     a = [row[:] for row in real.A]
     for (r, c), x in entries.items():
         a[r][c] = a[r][c] + QQ(x)
-    return realization.Realization(real.array, a, real.A_star, real.basis)
+    return realization.Realization(real.array, a, real.A_star)
 
 
 @pytest.mark.parametrize("entries, named", [
@@ -566,28 +566,27 @@ def test_certificates_name_a_lone_off_band_entry():
     arr = ParameterArray(QQ, 2, eigs, eigs, [QQ(-1), QQ(-9)], [QQ(-1), QQ(-9)])
     estar = bidiagonal_idempotents(a_star, eigs, QQ)
     e = bidiagonal_idempotents(linalg.transpose(a), eigs, QQ).transpose()
-    assert verify_axioms(realization.Realization(arr, a, a_star, realization.Basis.SPLIT))
+    assert verify_axioms(realization.Realization(arr, a, a_star))
     a[0][0] = QQ(3)  # adds 2 (W* e_0)(e_0^T V*), which lives in row 0
     full = dense_sandwich(estar.w, a, estar.v)
     assert list(off_band(full)) == [(0, 2)]
     with pytest.raises(SingularBasis) as info:
-        standard_basis_rep(realization.Realization(arr, a, a_star, realization.Basis.SPLIT))
+        standard_basis_rep(realization.Realization(arr, a, a_star))
     assert str(info.value) == not_tridiagonal(0, 2, full[0][2])
     a[0][0] = QQ(1)  # A is certified with E first: only A* is perturbed now
     a_star[2][2] = QQ(6)  # adds (W e_2)(e_2^T V), which lives in row 2
     full = dense_sandwich(e.w, a_star, e.v)
     assert list(off_band(full)) == [(2, 0)]
     with pytest.raises(AxiomViolation) as info:
-        verify_axioms(realization.Realization(arr, a, a_star, realization.Basis.SPLIT))
+        verify_axioms(realization.Realization(arr, a, a_star))
     assert str(info.value) == expected_zero(2, 0, full[2][0])
 
 
 def test_fast_analysis_never_forms_the_full_sandwich(monkeypatch):
     """Neither mode forms an n x n product of the factors: the one matrix
-    product is the T M of L_equals_TM, and no dot product is formed, n^2
-    for a full W M V: the scale D comes from the band, and deep mode
-    certifies the closed forms of the right factors alone, with no w_i . v_i."""
-    counts = {"mat_mul": 0, "support_dot": 0}
+    product is the T M of L_equals_TM.  The scale D comes from the band,
+    and deep mode certifies the closed forms of the right factors alone."""
+    counts = {"mat_mul": 0}
 
     def counted(name, fn):
         def wrapped(*args):
@@ -600,11 +599,10 @@ def test_fast_analysis_never_forms_the_full_sandwich(monkeypatch):
     for name in (LeonardType.Q_RACAH, LeonardType.RACAH):
         spec = sample_spec(name, 16, QQ, random.Random(f"certificate|{name.value}"))
         for deep in (False, True):
-            counts.update(mat_mul=0, support_dot=0)
+            counts.update(mat_mul=0)
             chk = analyze_instance(spec, deep=deep)
             assert chk.ok, (deep, chk.failures)
             assert counts["mat_mul"] == 1, deep
-            assert counts["support_dot"] == 0, (deep, counts)
 
 
 def test_deep_analysis_forms_no_sandwich(monkeypatch, exemplar_specs):
@@ -689,8 +687,8 @@ def test_band_and_trace_match_the_full_sandwich():
 
 
 def test_closed_form_matches_the_dense_sandwich_on_every_field(monkeypatch):
-    """On every field, the A_std and intersection numbers that
-    standard_basis_rep reads off the closed form U are those of the
+    """On every field, the intersection numbers that standard_basis_rep
+    reads off the closed form U, as a matrix, are the A of the
     reference route on the V* of bidiagonal_idempotents, whose band is
     that of the dense W* A V*.  A deep analysis forms no eigenvector by
     substitution: _right_eigenvector, patched to raise, is never called."""
@@ -701,9 +699,8 @@ def test_closed_form_matches_the_dense_sandwich_on_every_field(monkeypatch):
     for spec in cross_route_samples():
         arr = build_parameter_array(spec)
         real = realize_split(arr)
-        std, nums = standard_basis_rep(real)
-        assert std.A == fraction_route(real), spec
-        assert nums.a == [std.A[i][i] for i in range(real.dim)], spec
+        nums = standard_basis_rep(real)
+        assert nums.matrix() == fraction_route(real), spec
         with monkeypatch.context() as m:
             m.setattr(realization, "_right_eigenvector", substitution)
             chk = analyze_instance(spec, arr, deep=True)
@@ -735,7 +732,7 @@ def test_scale_is_the_normalised_w_star_u():
         estar = bidiagonal_idempotents(real.A_star, arr.theta_star, arr.field)
         u = u_by_substitution(real.A, arr.theta, arr.field.one)
         assert u == bidiagonal_idempotents(linalg.transpose(real.A), arr.theta, arr.field).w[0]
-        old = [linalg.dot(w, u) for w in estar.w]
+        old = [sum((x * y for x, y in zip(w, u)), arr.field.zero) for w in estar.w]
         tau = closed_form(arr)
         n = real.dim
         band = tau.band([real.A[r][r] for r in range(n)],
@@ -758,7 +755,8 @@ def test_perturbed_band_fails_the_last_row(monkeypatch, worked, entry):
     key = {"last-diagonal": (d, d), "last-subdiagonal": (d, d - 1),
            "first-diagonal": (0, 0)}[entry]
     u = u_by_substitution(real.A, arr.theta, arr.field.one)
-    scale = [linalg.dot(w, u) / linalg.dot(estar.w[0], u) for w in estar.w]
+    w_u = [sum((x * y for x, y in zip(w, u)), arr.field.zero) for w in estar.w]
+    scale = [x / w_u[0] for x in w_u]
 
     def bent(self, diag, sub, off_band):
         band = band_certified(self, diag, sub, off_band)
@@ -952,12 +950,12 @@ def test_certify_names_a_matrix_off_the_bidiagonal(sampled_d6, family, r, c, res
     broken = [row[:] for row in (real.A_star if family == "E*" else real.A)]
     broken[r][c] = QQ(1)
     if family == "E*":
-        bad = realization.Realization(real.array, real.A, broken, real.basis)
+        bad = realization.Realization(real.array, real.A, broken)
         _certify(*_family(bad, family))
         with pytest.raises(IdempotentCheckFailed) as info:
             verify_axioms(bad)
     else:
-        bad = realization.Realization(real.array, broken, real.A_star, real.basis)
+        bad = realization.Realization(real.array, broken, real.A_star)
         _certify(*_family(bad, family))
         with pytest.raises(SingularBasis) as info:
             standard_basis_rep(bad)
@@ -1000,18 +998,18 @@ def test_standard_basis_of_a_scaled_and_a_shifted_a(sampled_d6):
     bidiagonal, so each band comes from U alone, and it is the band of the
     dense W* A V*."""
     real, e, estar = sampled_d6
-    _, nums = standard_basis_rep(real)
+    nums = standard_basis_rep(real)
     two = realization.Realization(real.array, [[QQ(2) * x for x in row] for row in real.A],
-                                  real.A_star, real.basis)
+                                  real.A_star)
     assert closed_band(closed_form(real.array), two.A) == band_of(
         dense_sandwich(estar.w, two.A, estar.v))
-    _, doubled = standard_basis_rep(two)
+    doubled = standard_basis_rep(two)
     assert doubled.a == [QQ(2) * x for x in nums.a]
     assert doubled.b == [QQ(2) * x for x in nums.b]
     assert doubled.c == [QQ(2) * x for x in nums.c]
     assert a_trace(two, estar) == doubled.a
     shifted = _with_a(real, {(i, i): 1 for i in range(real.dim)})
-    _, moved = standard_basis_rep(shifted)
+    moved = standard_basis_rep(shifted)
     assert moved.a == [x + QQ(1) for x in nums.a]
     assert (moved.b, moved.c) == (nums.b, nums.c)
     assert a_trace(shifted, estar) == moved.a
@@ -1105,7 +1103,7 @@ def test_routes_fail_alike_on_a_perturbed_array(seq):
     for spec, i, arr in perturbed_arrays(seq):
         real = realize_split(arr)
         outcomes = []
-        for route in (lambda: standard_basis_rep(real)[0].A, lambda: fraction_route(real)):
+        for route in (lambda: standard_basis_rep(real).matrix(), lambda: fraction_route(real)):
             try:
                 outcomes.append(route())
             except LeonardError as err:
@@ -1131,13 +1129,52 @@ def test_zero_phi_takes_the_fraction_route(worked):
             "off-diagonal intersection numbers must be nonzero: T at (1,2) is 0")
 
 
+def _resized(mtx, n):
+    """mtx cut to its leading n x n block, or padded with zeros to n x n."""
+    zero = mtx[0][0] - mtx[0][0]
+    rows = [row[:n] + [zero] * (n - len(row)) for row in mtx[:n]]
+    return rows + [[zero] * n for _ in range(n - len(rows))]
+
+
+@pytest.mark.parametrize("n", [3, 5], ids=["smaller", "larger"])
+@pytest.mark.parametrize("which", ["A", "A*"])
+def test_wrong_size_realization_is_refused(worked, which, n):
+    """A hand-built Realization whose A or A* is not (d + 1) x (d + 1) ends
+    in each function's own typed error, which names the size: a smaller
+    matrix would be indexed past its last row, and a larger one read as
+    its leading block.  standard_basis_rep reads A only."""
+    arr, real, _, _ = worked
+    a, a_star = real.A, real.A_star
+    if which == "A":
+        a = _resized(a, n)
+    else:
+        a_star = _resized(a_star, n)
+    bad = realization.Realization(arr, a, a_star)
+    named = f"{which} is {n} x {n}, not 4 x 4 (d = 3)"
+    with pytest.raises(IdempotentCheckFailed, match=f"^{re.escape(named)}$"):
+        verify_axioms(bad)
+    if which == "A":
+        with pytest.raises(SingularBasis, match=f"^{re.escape(named)}$"):
+            standard_basis_rep(bad)
+    else:
+        assert standard_basis_rep(bad) == standard_basis_rep(real)
+
+
+def test_ragged_realization_names_its_short_row(worked):
+    arr, real, _, _ = worked
+    a = [row[:] for row in real.A]
+    a[2] = a[2][:3]
+    with pytest.raises(SingularBasis, match=r"^A is 4 x 3, not 4 x 4 \(d = 3\)$"):
+        standard_basis_rep(realization.Realization(arr, a, real.A_star))
+
+
 def test_axioms_pass_on_worked(worked):
     arr, real, e, _ = worked
     assert verify_axioms(real)
 
 
 def _with_a_star(real, a_star):
-    return realization.Realization(real.array, real.A, a_star, real.basis)
+    return realization.Realization(real.array, real.A, a_star)
 
 
 def test_axioms_detect_broken_superdiagonal(kraw_dim1):

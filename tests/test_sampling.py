@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import QQ
+from leonardz import sampling
 from leonardz.analysis import (
     dim2_predicate,
     self_dual_predicate,
@@ -140,13 +141,16 @@ def test_bannai_ito_dim2_offered_only_where_drawable():
     assert MODE_DIM2 in modes_for_type(bi, 4, QQ)
 
 
-def test_sampling_exhausts_on_impossible_cell():
+def test_sampling_exhausts_on_impossible_cell(monkeypatch):
     # GF(7) holds 4 distinct eigenvalues, yet no valid racah spec exists
     # there at d = 3: none of the 7^5 draws with theta0 = theta*0 = 0 passes.
+    # The retry budget is read when sample_spec is called.
     gf7 = PrimeField(7)
     assert MODE_GENERIC in modes_for_type(LeonardType.RACAH, 3, gf7)
-    with pytest.raises(SamplingExhausted):
-        sample_spec(LeonardType.RACAH, 3, gf7, random.Random(0), retries=30)
+    monkeypatch.setattr(sampling, "DEFAULT_RETRIES", 30)
+    with pytest.raises(SamplingExhausted, match="^no valid racah sample for d=3 "
+                                                "mode=generic within 30 retries$"):
+        sample_spec(LeonardType.RACAH, 3, gf7, random.Random(0))
 
 
 @pytest.mark.parametrize("label, size", [("GF(2)", 2), ("GF(2^2)", 4), ("GF(2^3)", 8)])

@@ -1,16 +1,16 @@
 import sys
+from typing import NamedTuple
 
 import pytest
 
 from conftest import QQ, campaign_cell_samples, cross_route_samples
-from leonardz import linalg, zerodiag
+from leonardz import campaign, linalg, zerodiag
 from leonardz.analysis import analyze_instance, relation_coefficients
-from leonardz.errors import DependenceDetected, LeonardError, WrongBasis
+from leonardz.errors import DependenceDetected
 from leonardz.families import FAMILIES
-from leonardz.parray import ALL_TYPES, build_parameter_array
+from leonardz.parray import ALL_TYPES, LeonardType, build_parameter_array
 from leonardz.realization import (
-    Basis,
-    Realization,
+    IntersectionNumbers,
     intersection_a_closed,
     primitive_idempotents,
     realize_split,
@@ -22,28 +22,53 @@ def ql(values):
     return [QQ(x) for x in values]
 
 
+def diagonal(values, ctx):
+    """diag(values) as a dense matrix."""
+    return [[t if i == j else ctx.zero for j in range(len(values))]
+            for i, t in enumerate(values)]
+
+
+class Std(NamedTuple):
+    """A sample's intersection numbers, with the dense A (nums.matrix()) and
+    A* = diag(theta*) of the standard basis formed here for the oracles."""
+
+    arr: object
+    nums: object
+    A: list
+    A_star: list
+
+    @property
+    def dim(self):
+        return len(self.A)
+
+
 def standard_rep(spec):
-    """(array, standard-basis realization, a)."""
+    """(array, Std, a)."""
     arr = build_parameter_array(spec)
-    std, nums = standard_basis_rep(realize_split(arr))
-    return arr, std, nums.a
+    nums = standard_basis_rep(realize_split(arr))
+    return arr, Std(arr, nums, nums.matrix(), diagonal(arr.theta_star, arr.field)), nums.a
+
+
+def matrix_of(coeffs, std):
+    """combination_matrix on std's intersection numbers and theta*."""
+    return zerodiag.combination_matrix(coeffs, std.nums, std.arr.theta_star)
 
 
 def kernel_pairs(m, std):
     """z_basis_kernel's coefficient vectors, each with its matrix."""
-    return [(c, zerodiag.combination_matrix(c, std)) for c in zerodiag.z_basis_kernel(m, std)]
+    arr = std.arr
+    return [(c, matrix_of(c, std))
+            for c in zerodiag.z_basis_kernel(m, std.nums.a, arr.theta_star, arr.field)]
 
 
 def closed_dim1(std, a, u, v):
     """The closed-form generator u*P1 - v*P2 as a matrix."""
-    return zerodiag.combination_matrix(
-        zerodiag.closed_dim1_coefficients(std.array, a, u, v), std)
+    return matrix_of(zerodiag.closed_dim1_coefficients(std.arr, a, u, v), std)
 
 
 def closed_dim2(std, a0):
     """The closed-form dim-2 pair A - a0*I and A A* - a0*A* as matrices."""
-    return [zerodiag.combination_matrix(c, std)
-            for c in zerodiag.closed_dim2_coefficients(a0, std.array.field)]
+    return [matrix_of(c, std) for c in zerodiag.closed_dim2_coefficients(a0, std.arr.field)]
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +140,7 @@ def test_z_dimension_arithmetic(std_dim1, std_dim2, dual_hahn_spec):
     for rep, rank_m, dim_z in ((std_dim1, 3, 1), (std_dim2, 2, 2),
                                (standard_rep(dual_hahn_spec), 4, 0)):
         arr, std, a = rep
-        report = zerodiag.build_zspace_report(arr, a, std)
+        report = zerodiag.build_zspace_report(arr, a, std.nums)
         assert (linalg.rank(report.M), report.dim_z) == (rank_m, dim_z)
 
 
@@ -139,7 +164,7 @@ def test_kernel_empty_for_zero_space(dual_hahn_spec):
     arr, std, a = standard_rep(dual_hahn_spec)
     m = zerodiag.matrix_m(a, arr.theta_star, QQ)
     assert linalg.rank(m) == 4
-    assert zerodiag.z_basis_kernel(m, std) == []
+    assert zerodiag.z_basis_kernel(m, a, arr.theta_star, QQ) == []
 
 
 def test_dim2_kernel_structure(std_dim2):
@@ -231,18 +256,10 @@ def test_diagonal_test_matches_projections_on_exemplars(exemplar_specs, kraw_dim
     assert kernel_elements >= 3
 
 
-def test_kernel_rejects_split_basis(kraw_dim1):
-    arr = build_parameter_array(kraw_dim1)
-    m = zerodiag.matrix_m(intersection_a_closed(arr), arr.theta_star, QQ)
-    with pytest.raises(WrongBasis) as info:
-        zerodiag.z_basis_kernel(m, realize_split(arr))
-    assert isinstance(info.value, LeonardError)
-
-
 def test_x_space_basis_independent(std_dim1):
-    _, std, _ = std_dim1
-    assert zerodiag.x_space_basis(std) is None
-    mats = zerodiag.x_generators(std)
+    arr, std, _ = std_dim1
+    assert zerodiag.x_space_basis(std.nums, arr.theta_star, QQ) is None
+    mats = zerodiag.x_generators(std.nums, arr.theta_star, QQ)
     assert len(mats) == 5
     assert mats[1:3] == [std.A_star, std.A]
     assert linalg.rank([linalg.flatten(m) for m in mats]) == 5
@@ -287,12 +304,12 @@ def test_x_space_certificate_rank_is_the_full_rank(monkeypatch):
     checked = 0
     for spec in campaign_cell_samples():
         arr, std, _ = standard_rep(spec)
-        ts, a = arr.theta_star, std.A
-        mats = zerodiag.x_generators(std)
+        ts, a, ctx = arr.theta_star, std.A, arr.field
+        mats = zerodiag.x_generators(std.nums, ts, ctx)
         closed = (ts[0] - ts[1]) * (ts[0] - ts[1]) * (ts[0] - ts[2]) * a[0][1] * a[1][0] * a[1][2]
         dets.clear()
         ranks.clear()
-        assert zerodiag.x_space_basis(std) is None
+        assert zerodiag.x_space_basis(std.nums, ts, ctx) is None
         assert dets == [(5, closed)] and ranks == [] and closed, spec
         assert linalg.det([[m[i][j] for i, j in MINOR_ENTRIES] for m in mats]) == closed, spec
         assert linalg.rank([linalg.flatten(m) for m in mats]) == 5, spec
@@ -300,53 +317,41 @@ def test_x_space_certificate_rank_is_the_full_rank(monkeypatch):
     assert checked == 130
 
 
-def test_x_space_fallback_accepts_independent_generators(monkeypatch, std_dim1):
-    # A* = diag(0, 0, 1, 2) and A = E23 + E30 + E33 vanish on rows 0 and 1
-    # except for I, so the minor is 0; on the E33, E23, E30 entries A, A A*
-    # and A* A are (1, 1, 1), (2, 2, 0) and (2, 1, 2), with determinant -2,
-    # so the five generators are independent.
-    arr, std, _ = std_dim1
-    a = [ql(row) for row in ([0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 1])]
-    a_star = [ql(row) for row in ([0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2])]
-    hand = Realization(arr, a, a_star, Basis.STANDARD)
+def test_x_space_fallback_accepts_independent_generators(monkeypatch):
+    # theta* = (0, 1, 2, 3) and A = E10 + E12 + E21 + E23 + E32: b_0 = 0, so
+    # the minor is 0.  On the entries (1,0), (1,2), (2,1), where I and A*
+    # vanish, A, A A* and A* A read (1, 1, 1), (0, 2, 1) and (1, 1, 2), with
+    # determinant 2, and I and A* are independent on the diagonal, so the
+    # five generators are independent.
+    hand = IntersectionNumbers(ql([0, 0, 0, 0]), ql([0, 1, 1]), ql([1, 1, 1]))
+    ts = ql([0, 1, 2, 3])
     dets, ranks = recorded_dets(monkeypatch), recorded_ranks(monkeypatch)
-    assert zerodiag.x_space_basis(hand) is None
-    assert zerodiag.x_generators(hand)[1:3] == [a_star, a]
+    assert zerodiag.x_space_basis(hand, ts, QQ) is None
+    assert zerodiag.x_generators(hand, ts, QQ)[1:3] == [diagonal(ts, QQ), hand.matrix()]
     assert dets == [(5, 0)]
     assert ranks == [(16, 5)]
 
 
 def test_x_space_dependence_names_the_full_rank(monkeypatch, std_dim1):
-    # With A* = 2I the generators are I, 2I, A, 2A, 2A, which span what
-    # I and A span; the minor's rows of I and A* are proportional.
+    # With theta* = (2, 2, 2, 2), A* = 2I and the generators are I, 2I, A,
+    # 2A, 2A, which span what I and A span; the minor's rows of I and A*
+    # are proportional.
     _, std, _ = std_dim1
-    two = linalg.mat_scale(QQ(2), linalg.identity(4, QQ))
-    scalar = Realization(std.array, std.A, two, Basis.STANDARD)
     dets, ranks = recorded_dets(monkeypatch), recorded_ranks(monkeypatch)
     with pytest.raises(DependenceDetected, match="^generators span only 2 dimensions$"):
-        zerodiag.x_space_basis(scalar)
+        zerodiag.x_space_basis(std.nums, ql([2, 2, 2, 2]), QQ)
     assert dets == [(5, 0)]
     assert ranks == [(16, 2)]
-
-
-def test_x_space_rejects_a_non_diagonal_a_star(std_dim1):
-    # The products are read off theta*, so A* must be diagonal.
-    _, std, _ = std_dim1
-    same = Realization(std.array, std.A, std.A, Basis.STANDARD)
-    with pytest.raises(WrongBasis, match="A\\* is not diagonal"):
-        zerodiag.x_space_basis(same)
-    with pytest.raises(WrongBasis, match="A\\* is not diagonal"):
-        zerodiag.combination_matrix(zerodiag.ZCoefficients(*ql([0, 0, 0, 1])), same)
 
 
 # -- the one coefficient map against the products it replaces ----------------
 
 
-def reference_combination(coeffs, real):
+def reference_combination(coeffs, std):
     """f0 I + f1 A* + f2 A + f3 A A*, with A A* formed by linalg.mat_mul."""
-    out = linalg.mat_scale(coeffs.f0, linalg.identity(real.dim, real.array.field))
-    for f, m in ((coeffs.f1, real.A_star), (coeffs.f2, real.A),
-                 (coeffs.f3, linalg.mat_mul(real.A, real.A_star))):
+    out = linalg.mat_scale(coeffs.f0, linalg.identity(std.dim, std.arr.field))
+    for f, m in ((coeffs.f1, std.A_star), (coeffs.f2, std.A),
+                 (coeffs.f3, linalg.mat_mul(std.A, std.A_star))):
         out = [[x + f * y for x, y in zip(ro, rm)] for ro, rm in zip(out, m)]
     return out
 
@@ -360,7 +365,8 @@ def test_span_elements_match_the_products():
         arr, std, a = standard_rep(spec)
         ctx, ts, d = arr.field, arr.theta_star, arr.d
         a_astar = linalg.mat_mul(std.A, std.A_star)
-        assert zerodiag.x_generators(std)[3:] == [a_astar, linalg.mat_mul(std.A_star, std.A)]
+        assert zerodiag.x_generators(std.nums, ts, ctx)[3:] == [
+            a_astar, linalg.mat_mul(std.A_star, std.A)]
         kernel = kernel_pairs(zerodiag.matrix_m(a, ts, ctx), std)
         for coeffs, x in kernel:
             assert linalg.mat_eq(x, reference_combination(coeffs, std)), spec
@@ -371,8 +377,7 @@ def test_span_elements_match_the_products():
         p2 = linalg.mat_mul(linalg.shift(std.A, a[d]), linalg.shift(std.A_star, ts[0]))
         t = zerodiag.matrix_t(a[0], a[d], ts[0], ts[d], ctx)
         for row, p in ((t[2], p1), (t[3], p2)):
-            assert linalg.mat_eq(
-                zerodiag.combination_matrix(zerodiag.ZCoefficients(*row), std), p), spec
+            assert linalg.mat_eq(matrix_of(zerodiag.ZCoefficients(*row), std), p), spec
         assert linalg.rank([linalg.flatten(p1), linalg.flatten(p2)]) == 2, spec
         relation = relation_coefficients(spec)
         if relation is not None:
@@ -392,45 +397,43 @@ def test_diagonal_and_band_match_the_formed_matrix(std_dim1):
     """combination_diagonal is the diagonal of combination_matrix, and
     band_nonzero tells whether an entry off it is nonzero, on the kernel
     rows, the closed forms, I, 0 and A (A* - theta*_1 I), whose column 1
-    vanishes, on one sample per campaign cell, and on a hand A whose
-    nonzero entries are all below the diagonal."""
-    arr, _, _ = std_dim1
+    vanishes, on one sample per campaign cell, and on hand intersection
+    numbers whose nonzero entries are all below the diagonal."""
     lower = [ql([int(i == j + 1) for j in range(4)]) for i in range(4)]
-    a_star = [ql([i if i == j else 0 for j in range(4)]) for i in range(4)]
-    hand = Realization(arr, lower, a_star, Basis.STANDARD)
+    hand = IntersectionNumbers(ql([0] * 4), ql([0] * 3), ql([1] * 3))
     x_is_a = zerodiag.ZCoefficients(*ql([0, 0, 1, 0]))
-    assert zerodiag.combination_matrix(x_is_a, hand) == lower
-    assert zerodiag.band_nonzero(x_is_a, ql(range(4)), lower)
-    assert not any(zerodiag.combination_diagonal(x_is_a, ql(range(4)), lower))
+    assert zerodiag.combination_matrix(x_is_a, hand, ql(range(4))) == lower
+    assert zerodiag.band_nonzero(x_is_a, ql(range(4)), hand)
+    assert not any(zerodiag.combination_diagonal(x_is_a, ql(range(4)), hand.a))
     outcomes = set()
     for spec in campaign_cell_samples():
         arr, std, a = standard_rep(spec)
         ctx, ts = arr.field, arr.theta_star
         one, zero = ctx.one, ctx.zero
         u, v, _ = relation_coefficients(spec) or (one, one, None)
-        coeffs = zerodiag.z_basis_kernel(zerodiag.matrix_m(a, ts, ctx), std) + [
+        coeffs = zerodiag.z_basis_kernel(zerodiag.matrix_m(a, ts, ctx), a, ts, ctx) + [
             zerodiag.closed_dim1_coefficients(arr, a, u, v),
             *zerodiag.closed_dim2_coefficients(a[0], ctx),
             zerodiag.ZCoefficients(one, zero, zero, zero),
             zerodiag.ZCoefficients(zero, zero, zero, zero),
             zerodiag.ZCoefficients(zero, zero, -ts[1], one)]
         for c in coeffs:
-            x = zerodiag.combination_matrix(c, std)
-            diagonal = zerodiag.combination_diagonal(c, ts, std.A)
-            assert diagonal == [x[i][i] for i in range(std.dim)], spec
+            x = matrix_of(c, std)
+            diag = zerodiag.combination_diagonal(c, ts, a)
+            assert diag == [x[i][i] for i in range(std.dim)], spec
             off = any(x[i][j] for i in range(std.dim) for j in range(std.dim) if i != j)
-            assert zerodiag.band_nonzero(c, ts, std.A) == off, spec
-            outcomes.add((any(diagonal), off))
+            assert zerodiag.band_nonzero(c, ts, std.nums) == off, spec
+            outcomes.add((any(diag), off))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def span_routes(kernel, coeffs, real):
+def span_routes(kernel, coeffs, std):
     """The kernel's rows and the closed forms' rows, once as coefficient
     vectors (the route of analyze_instance) and once as n^2-flattened
     matrices (the oracle)."""
     return ([[c.as_list() for c, _ in kernel], [c.as_list() for c in coeffs]],
             [[linalg.flatten(x) for _, x in kernel],
-             [linalg.flatten(zerodiag.combination_matrix(c, real)) for c in coeffs]])
+             [linalg.flatten(matrix_of(c, std)) for c in coeffs]])
 
 
 def test_coefficient_span_route_matches_the_flattened_route():
@@ -464,48 +467,44 @@ def test_coefficient_span_route_matches_the_flattened_route():
     assert seen[1] | seen[2] == dim1_families and seen[2] == dim2_families, seen
 
 
-def test_zerodiag_forms_no_matrix_product(monkeypatch):
-    """A fast analysis makes one linalg.mat_mul, the T M of its L_equals_TM
-    flag, and the zero diagonal space none: it forms no Z matrix
-    (combination_matrix) and no A A* or A* A (x_generators), and reads
-    theta* off A* once.  Reading the report's matrix_basis forms the
-    kernel's matrices, as the analyze report does."""
-    callers, formed, reads = [], [], []
-    mat_mul = linalg.mat_mul
+def test_no_verdict_forms_a_standard_basis_matrix(monkeypatch):
+    """A fast analysis, a deep analysis and a campaign verdict never form
+    the dense A of the standard basis (IntersectionNumbers.matrix): every
+    flag reads a, b, c and theta*, and the one linalg.mat_mul of a verdict
+    is the T M of its L_equals_TM flag.  Reading the report's matrix_basis
+    forms the kernel's matrices, one A each, as the analyze report does."""
+    callers, formed = [], []
+    mat_mul, matrix = linalg.mat_mul, IntersectionNumbers.matrix
 
     def recording(x, y):
         callers.append(sys._getframe(1).f_globals["__name__"])
         return mat_mul(x, y)
 
-    def counted(name, fn):
-        def wrapped(*args):
-            formed.append(name)
-            return fn(*args)
-        return wrapped
-
-    theta_star = zerodiag._theta_star
-
-    def reading(real):
-        reads.append(real)
-        return theta_star(real)
+    def counted(nums):
+        formed.append(nums)
+        return matrix(nums)
 
     monkeypatch.setattr(linalg, "mat_mul", recording)
-    for name in ("combination_matrix", "x_generators"):
-        monkeypatch.setattr(zerodiag, name, counted(name, getattr(zerodiag, name)))
-    monkeypatch.setattr(zerodiag, "_theta_star", reading)
+    monkeypatch.setattr(IntersectionNumbers, "matrix", counted)
     verdicts = 0
     for spec in campaign_cell_samples():
-        chk = analyze_instance(spec)
-        assert chk.ok, (spec, chk.failures)
-        assert formed == [] and reads == [chk.zreport.real], spec
+        for deep in (False, True):
+            chk = analyze_instance(spec, deep=deep)
+            assert chk.ok, (spec, deep, chk.failures)
+            assert formed == [], (spec, deep)
+            verdicts += 1
         basis = chk.zreport.matrix_basis
-        assert formed == ["combination_matrix"] * chk.zreport.dim_z, spec
+        assert formed == [chk.nums] * chk.zreport.dim_z, spec
         assert all(map(zerodiag.has_zero_diagonal, basis)) and not any(
             map(linalg.is_zero_matrix, basis)), spec
         formed.clear()
-        reads.clear()
-        verdicts += 1
     assert callers == ["leonardz.analysis"] * verdicts
+    collected = []
+    report = campaign.run_campaign(types=[LeonardType.KRAWTCHOUK], d_min=3, d_max=3,
+                                   trials=1, collector=collected)
+    assert report.ok and report.pass_count > 0
+    assert {chk.zreport.dim_z for _, _, chk in collected} == {1, 2}
+    assert formed == []
 
 
 def test_products_commute_differently(std_dim1):
@@ -566,7 +565,7 @@ def test_rank_invariance_under_transforms(exemplar_specs):
 
 def test_zspace_report_assembly(std_dim1):
     arr, std, a = std_dim1
-    report = zerodiag.build_zspace_report(arr, a, std)
+    report = zerodiag.build_zspace_report(arr, a, std.nums)
     assert report.rank_m == 3
     assert report.dim_z == 1
     assert len(report.coeff_basis) == 1
