@@ -1,8 +1,10 @@
 """Exact-arithmetic toolkit for Leonard systems and their zero diagonal spaces.
 
 Construct any of the 13 parameter-array families over Q, GF(p) or
-GF(p^k); realize them as bidiagonal/tridiagonal matrix pairs with exact
-spectral projections; compute the zero diagonal space by rank and by
+GF(p^k); realize them as the split pair, a lower and an upper bidiagonal
+matrix held as their four diagonals (Realization), with exact spectral
+projections in closed form and the tridiagonal intersection numbers of
+the standard basis; compute the zero diagonal space by rank and by
 closed form; and verify the classification tables (nonzero-space
 conditions, dimension-2 rows, boundary-product relations, self-duality,
 spin) with exact randomized identity testing.

@@ -21,8 +21,6 @@ from .errors import (
 from .families import FAMILIES
 from .parray import build_parameter_array
 from .realization import (
-    _superdiagonal_factors,
-    factor_superdiagonals,
     intersection_a_closed,
     intersection_a_trace,
     # Not called here: the benchmark's tracer wraps this name in this module.
@@ -244,15 +242,18 @@ class InstanceChecks:
 def analyze_instance(spec, arr=None, deep=False):
     """Run the full pipeline on one instance and cross-check every route.
 
-    E* comes from the upper bidiagonal A*, E from the lower bidiagonal A,
-    each through the closed form of its right eigenvectors (realization's
-    _TauStar): U[r][j] = L^r tau*_r(theta*_j) for E*, and the same
+    The split pair is its four diagonals (realize_split); no n x n split
+    matrix is formed.  E* comes from the upper bidiagonal A*, E from the
+    lower bidiagonal A, each through the closed form of its right
+    eigenvectors (realization's _TauStar): U[r][j] = L^r tau*_r(theta*_j) for E*, and the same
     construction on the reversed A for E, with V* = P^-1 U C for diagonal
     P and C.  No V or V* is formed, on any field: U holds cleared ints
     over Q, residues over GF(p) and field elements over GF(p^k).  The fast
     path forms nothing of E and, of E*, only the entries v*_(i+1)[i] and
-    w*_i[i + 1] (factor_superdiagonals), all the a-trace reads of
-    w*_i A v*_i in either mode.  The standard basis {E*_i u} takes the
+    w*_i[i + 1], all the a-trace reads of w*_i A v*_i in either mode
+    (intersection_a_trace).  standard_basis_rep runs before it, so that
+    its closed form names a repeated theta* before the a-routes divide by
+    theta*_i - theta*_(i+1).  The standard basis {E*_i u} takes the
     band T of V*^-1 A V* as the band of T' = C T C^-1, certified in O(n^2)
     by A' U = U T' without V*^-1.  Its scale D_i = w*_i . u is the
     theta_0-eigenvector of T, in O(n); on T' the same recurrence gives
@@ -271,21 +272,19 @@ def analyze_instance(spec, arr=None, deep=False):
     x_generators_independent is one 5 x 5 determinant of entries of
     I, A*, A, A A* and A* A (zerodiag.x_space_basis), with theta* the
     array's.  Only the analyze report forms the kernel's matrices, by
-    reading zreport.matrix_basis (IntersectionNumbers.matrix).  The span flags compare the kernel's
-    coefficient vectors with those of the closed forms, four entries each:
+    reading zreport.matrix_basis (IntersectionNumbers.matrix).  The span
+    flags compare the kernel's coefficient vectors with those of the
+    closed forms, four entries each:
     the map from coefficients to matrices is linear, and injective once
     x_generators_independent holds, so they read as the tests on the
     n^2-flattened matrices would.
 
-    With deep=True, verify_axioms checks A*'s shape, certifies both
-    families on their closed forms, M' U = U diag(theta) for E of A and
-    E* of A*, with the theta distinct by the diagonals of the U, and
-    certifies the E A* E band on E's closed form.  That is the one check
-    of A* and of each eigenvalue sequence, so the a-trace reads the
-    entries of factor_superdiagonals without its checks.  standard_basis_rep
-    then checks A's shape and certifies the E* A E* band as in fast mode:
-    each split matrix's shape is checked once per verdict.  No left
-    factor, no transpose of A and no n x n product of the factors is
+    With deep=True, verify_axioms certifies both families on their closed
+    forms, M' U = U diag(theta) for E of A and E* of A*, with the theta
+    distinct by the diagonals of the U, and certifies the E A* E band on
+    E's closed form; that call is the only difference between the modes.
+    standard_basis_rep then certifies the E* A E* band as in fast mode.
+    No left factor, no transpose of A and no n x n product of the factors is
     formed, and a failed certificate names the family and the
     eigenvector, or an entry off the band and its value.  The spectral
     product formula is not called; it stays the reference route of the
@@ -301,17 +300,9 @@ def analyze_instance(spec, arr=None, deep=False):
     real = realize_split(arr)
     if deep:
         verify_axioms(real)
-        # A* is checked there; the a-trace reads the same superdiagonal
-        v_sup, w_sup = _superdiagonal_factors(
-            [real.A_star[i][i + 1] for i in range(d)], arr.theta_star)
-    else:
-        v_sup, w_sup = factor_superdiagonals(real.A_star, arr.theta_star)
-
-    a = intersection_a_closed(arr)
-    a_trace = intersection_a_trace(real, v_sup, w_sup)
-    flags["a_trace_equals_closed"] = a == a_trace
-
     nums = standard_basis_rep(real)
+    a = intersection_a_closed(arr)
+    flags["a_trace_equals_closed"] = a == intersection_a_trace(real)
     flags["a_standard_equals_closed"] = nums.a == a
 
     zreport = zerodiag.build_zspace_report(arr, a, nums)

@@ -59,11 +59,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_config(path):
-    """Parse a config file of one `key = value` pair per line."""
-    out = {}
+    """Parse a config file of one `key = value` pair per line.
+
+    A leading UTF-8 byte-order mark is skipped, and a key given on two
+    lines is a usage error that names both.
+    """
+    out, lines_of = {}, {}
     if "\0" in path:
         raise UsageError(f"{path!r}: a file name cannot hold a NUL byte")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = list(fh)
         except UnicodeDecodeError:
@@ -75,7 +79,10 @@ def read_config(path):
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise UsageError(f"{path}:{lineno}: key {key!r} repeats line {lines_of[key]}")
+        out[key], lines_of[key] = value.strip(), lineno
     return out
 
 
@@ -159,11 +166,16 @@ def _spec_mapping_from_args(args):
         mapping["theta0"] = args.theta0
     if args.theta_star0 is not None:
         mapping["theta_star0"] = args.theta_star0
+    params = {}
     for item in args.param:
         if "=" not in item:
             raise UsageError(f"--param expects NAME=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        mapping[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise UsageError(f"--param {key} is given twice")
+        params[key] = value.strip()
+    mapping.update(params)
     if "type" not in mapping:
         raise UsageError("missing --type (or a config with a type key)")
     if "d" not in mapping:
@@ -249,8 +261,15 @@ def _resolve(args, config, key, default):
     return default
 
 
+CAMPAIGN_KEYS = ("d_min", "d_max", "trials", "seed", "types", "height")
+
+
 def cmd_verify_tables(args, stdout):
     config = read_config(args.config) if args.config else {}
+    unknown = [key for key in config if key not in CAMPAIGN_KEYS]
+    if unknown:
+        raise UsageError(f"{args.config}: unknown key {unknown[0]!r}; "
+                         f"the keys are {', '.join(CAMPAIGN_KEYS)}")
     d_min = _resolve(args, config, "d_min", DEFAULT_D_MIN)
     d_max = _resolve(args, config, "d_max", DEFAULT_D_MAX)
     trials = _resolve(args, config, "trials", DEFAULT_TRIALS)

@@ -3,15 +3,17 @@ yet admits no commuting-pair certificate (the diameter-2 boundary case).
 
 Everything here is exact over Q.  The module recomputes the six spectral
 projections as rank-one factors, E* from the upper bidiagonal A* and E
-from the transpose of the lower bidiagonal A
-(realization.bidiagonal_idempotents), and compares their dense matrices
-entrywise with their known values.  On those dense 3 x 3 matrices it
-checks the tridiagonal patterns and extracts the bilinear coefficient
-forms of the certificate equation W_star W A_star = A W_star W in the
-eigenprojection coefficients (g_0, g_1, g_2) and (g*_0, g*_1, g*_2),
-matches the five known entry equations up to their recorded scales, and
-then mechanizes the elimination that forces g_0 g*_0 = 0: a
-contradiction with invertibility.
+from the transpose of the lower bidiagonal A: each is given to
+realization.bidiagonal_idempotents as the eigenvalues and the pair's
+off-diagonal, A*'s superdiagonal or A's subdiagonal.  It compares their
+dense matrices entrywise with their known values.  On those dense 3 x 3
+matrices it checks the tridiagonal patterns and extracts the bilinear
+coefficient forms of the certificate equation
+W_star W A_star = A W_star W in the eigenprojection coefficients
+(g_0, g_1, g_2) and (g*_0, g*_1, g*_2), matches the five known entry
+equations up to their recorded scales, and then mechanizes the
+elimination that forces g_0 g*_0 = 0: a contradiction with
+invertibility.
 
 The elimination genuinely uses the nonvanishing of the coefficients.  The
 form g_0 g*_0 is NOT in the plain linear span of the five entry forms
@@ -211,8 +213,9 @@ def run_elimination(norm):
 def counterexample_d2():
     """Recompute, match, and certify the diameter-2 boundary example."""
     a, a_star, eigs = base_matrices()
-    e_set = bidiagonal_idempotents(linalg.transpose(a), eigs, _Q).transpose().projections()
-    estar_set = bidiagonal_idempotents(a_star, eigs, _Q).projections()
+    sub, sup = [a[r + 1][r] for r in range(2)], [a_star[r][r + 1] for r in range(2)]
+    e_set = bidiagonal_idempotents(eigs, sub, _Q).transpose().projections()
+    estar_set = bidiagonal_idempotents(eigs, sup, _Q).projections()
 
     expected_e = [_mat(m) for m in EXPECTED_E]
     expected_estar = [_mat(m) for m in EXPECTED_E_STAR]

@@ -55,7 +55,10 @@ class UnsupportedCharacteristic(InvalidSpec):
 class DegenerateArray(LeonardError):
     """Computed sequences violate parameter array invariants.
 
-    Signals a gap in the constraint checks, not bad user input.
+    Signals a gap in the constraint checks, not bad user input.  Also
+    raised for a split pair (realization.Realization) built with a list of
+    the wrong length for its array's d, naming the list: "sub has 2
+    entries, not 3 (d = 3)".
     """
 
 
@@ -72,25 +75,20 @@ class RepeatedEigenvalue(LeonardError, ValueError):
 class IdempotentCheckFailed(LeonardError):
     """A computed projection fails its check; the input matrix was bad.
 
-    Raised when E*E != E, when the closed form of an eigenvector family
-    fails a residual of its certificate M v_i = theta_i v_i ("rank-one E*
-    of A*: M v_i != theta_i v_i in row r", in verify_axioms), when a
-    matrix given as upper bidiagonal has an entry off the bidiagonal or a
-    diagonal other than its eigenvalues, and when the axiom check
-    (verify_axioms) is given an A or A* that is not (d + 1) x (d + 1) or
-    an A* that is not upper bidiagonal.  A size error names the size
-    ("A is 5 x 5, not 4 x 4 (d = 3)"), a shape error the first entry off
-    the shape.
+    Raised when E*E != E (the product formula, primitive_idempotents) and
+    when the closed form of an eigenvector family fails a residual of its
+    certificate M v_i = theta_i v_i ("rank-one E* of A*: M v_i !=
+    theta_i v_i in row r", in verify_axioms): a diagonal or an
+    off-diagonal of the split pair that does not fit the array's
+    eigenvalues.
     """
 
 
 class SingularBasis(LeonardError):
     """The candidate standard-basis vectors are linearly dependent.
 
-    Raised by the change to the standard basis when A is not
-    (d + 1) x (d + 1) (naming its size) or not lower bidiagonal (naming
-    the first entry off the shape), and when the
-    certificate A V* = V* T, run on the closed form of V*, finds
+    Raised by the change to the standard basis when the certificate
+    A V* = V* T, run on the closed form of V*, finds
     T = W* A V* not tridiagonal: "A not tridiagonal at (i,j): S_ij"
     names an entry off the band and its value.  Then the scale D of
     E*_i u = D_i v*_i, the theta_0-eigenvector of T, must exist and be

@@ -47,11 +47,6 @@ from .errors import SingularMatrix
 from .exactfield import Rational
 
 
-def zeros(n, m, ctx):
-    z = ctx.zero
-    return [[z for _ in range(m)] for _ in range(n)]
-
-
 def identity(n, ctx):
     z, o = ctx.zero, ctx.one
     return [[o if i == j else z for j in range(n)] for i in range(n)]

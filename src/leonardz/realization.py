@@ -1,9 +1,11 @@
 """Matrix realizations of a parameter array.
 
-realize_split produces the defining bidiagonal pair: A lower bidiagonal
-with eigenvalue diagonal and unit subdiagonal, A* upper bidiagonal with
-dual eigenvalue diagonal and the first split sequence on the
-superdiagonal.  The analysis reads the primitive idempotents only
+realize_split produces the defining bidiagonal pair as its four
+diagonals (Realization): A lower bidiagonal with eigenvalue diagonal and
+unit subdiagonal, A* upper bidiagonal with dual eigenvalue diagonal and
+the first split sequence on the superdiagonal.  Every entry off those
+diagonals is zero, so no n x n split matrix is formed, and no reader
+checks a shape.  The analysis reads the primitive idempotents only
 through their right factors, and forms none of them: each family is the
 closed form of _TauStar, one spectral route for every field.
 Back-substitution in an upper bidiagonal M with diagonal theta and
@@ -32,12 +34,11 @@ pattern, the band of V*^-1 A V*, gives the intersection numbers
 (standard_basis_rep); the E A* E pattern is the band of the reversed
 E's U on the reversed A*, which is lower bidiagonal (verify_axioms).
 Deep analysis certifies both families and both patterns; the fast
-analysis certifies only the E* A E* band and forms of E* only the
-entries v*_(i+1)[i] and w*_i[i + 1] that the a-trace meets
-(factor_superdiagonals).  bidiagonal_idempotents gives both factors of
-an upper bidiagonal or diagonal matrix by substitution, as
-SpectralFactors; the boundary example (counterexample) and the tests
-use it as the reference route, the analysis does not.
+analysis certifies only the E* A E* band.  bidiagonal_idempotents gives
+both factors of an upper bidiagonal matrix, given by its diagonal and
+superdiagonal, by substitution, as SpectralFactors; the boundary example
+(counterexample) and the tests use it as the reference route, the
+analysis does not.
 
 The scale D_i = w*_i . u of E*_i u = D_i v*_i comes from the band too: as
 A u = theta_0 u, D = W* u is the theta_0-eigenvector of T, the row-sum
@@ -48,11 +49,9 @@ D^-1 T D = D'^-1 T' D', so C is never formed: its band is the
 intersection numbers, and no n x n matrix of that basis is formed.  A
 failure names entries of T and D, not of T' and D': on its cold path the
 value is converted, S_ij = S'_ij C_j / C_i and D_i = D'_i / C_i
-(_unscaled).  Other sizes and shapes are refused: _check_size names the
-size of a matrix that is not (d + 1) x (d + 1), and _check_shape
-names the first entry of a matrix that is off its bidiagonal shape,
-once per matrix and verdict.  The a-trace reads (i, i), (i, i - 1) and
-(i + 1, i) of the split A, a_i = theta_i + v*_i[i - 1] + w*_i[i + 1], and
+(_unscaled).  The a-trace reads A's diagonal and subdiagonal and the
+first substitution step of each factor of E*,
+a_i = theta_i + v*_i[i - 1] + w*_i[i + 1] with unit subdiagonal, and
 the band t_ii = theta_i + v*_i[i - 1] - v*_(i+1)[i]: the two a-routes
 share theta_i + v*_i[i - 1] and differ in w*_i[i + 1] against
 -v*_(i+1)[i], equal only because W* V* = I.
@@ -71,6 +70,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (
     AxiomViolation,
+    DegenerateArray,
     IdempotentCheckFailed,
     RepeatedEigenvalue,
     SingularBasis,
@@ -80,16 +80,28 @@ from .exactfield import PrimeField, Rational
 
 @dataclass
 class Realization:
-    """A concrete matrix pair representing a Leonard system in the split
-    basis: A lower and A* upper bidiagonal (realize_split)."""
+    """The split pair of a Leonard system as its four diagonals
+    (realize_split): A lower bidiagonal with diagonal theta and subdiagonal
+    sub (sub[r - 1] = A[r][r - 1]), A* upper bidiagonal with diagonal
+    theta_star and superdiagonal sup (sup[r] = A*[r][r + 1]).
+
+    theta and theta_star hold d + 1 entries and sub and sup d, for the d
+    of array; a list of another length raises DegenerateArray, which
+    names it ("sub has 2 entries, not 3 (d = 3)").
+    """
 
     array: object
-    A: list
-    A_star: list
+    theta: list
+    sub: list
+    theta_star: list
+    sup: list
 
-    @property
-    def dim(self):
-        return len(self.A)
+    def __post_init__(self):
+        d = self.array.d
+        for name, n in (("theta", d + 1), ("sub", d), ("theta_star", d + 1), ("sup", d)):
+            if len(getattr(self, name)) != n:
+                raise DegenerateArray(
+                    f"{name} has {len(getattr(self, name))} entries, not {n} (d = {d})")
 
 
 @dataclass
@@ -142,19 +154,11 @@ class IntersectionNumbers:
 
 
 def realize_split(arr):
-    """Split-basis matrices of the Leonard system with parameter array arr."""
-    ctx = arr.field
-    n = arr.d + 1
-    a = linalg.zeros(n, n, ctx)
-    a_star = linalg.zeros(n, n, ctx)
-    one = ctx.one
-    for i in range(n):
-        a[i][i] = arr.theta[i]
-        a_star[i][i] = arr.theta_star[i]
-        if i > 0:
-            a[i][i - 1] = one
-            a_star[i - 1][i] = arr.phi1_at(i)
-    return Realization(arr, a, a_star)
+    """The split pair of arr: A with diagonal theta and unit subdiagonal, A*
+    with diagonal theta* and superdiagonal phi1.  The lists are copies of
+    the array's, so a change to the pair leaves the array as it was."""
+    return Realization(arr, list(arr.theta), [arr.field.one] * arr.d,
+                       list(arr.theta_star), list(arr.phi1))
 
 
 def _check_distinct(eigs):
@@ -185,41 +189,6 @@ def primitive_idempotents(mtx, eigs, ctx):
             raise IdempotentCheckFailed(f"projection {i} is not idempotent")
         out.append(prod)
     return out
-
-
-def _check_shape(rows, lo, hi, error, what, diag=None):
-    """Check that rows[r][c] vanishes unless lo <= c - r <= hi and, where
-    diag is given, that rows[r][r] is diag[r].
-
-    (lo, hi) = (-1, 0) is a lower and (0, 1) an upper bidiagonal matrix.
-    The first entry off the shape in row-major order raises
-    error(what.format(r, c)).
-    """
-    for r, row in enumerate(rows):
-        for c, x in enumerate(row):
-            if x != diag[r] if c == r and diag is not None else x and not lo <= c - r <= hi:
-                raise error(what.format(r, c))
-
-
-def _check_size(n, error, *named):
-    """Check that each (name, matrix) pair of named is n x n; the first
-    that is not raises error("{name} is r x c, not n x n (d = n - 1)"),
-    with c the length of its first row that is not n long."""
-    for name, rows in named:
-        wrong = [len(row) for row in rows if len(row) != n]
-        if len(rows) != n or wrong:
-            cols = wrong[0] if wrong else n
-            raise error(f"{name} is {len(rows)} x {cols}, not {n} x {n} (d = {n - 1})")
-
-
-def _off_diagonal(mtx, eigs):
-    """The superdiagonal of mtx, after checking that mtx is n x n and upper
-    bidiagonal with the n eigs on its diagonal."""
-    n = len(eigs)
-    _check_size(n, IdempotentCheckFailed, ("M", mtx))
-    _check_shape(mtx, 0, 1, IdempotentCheckFailed,
-                 "M not upper bidiagonal with diagonal theta at ({0},{1})", eigs)
-    return [mtx[r][r + 1] for r in range(n - 1)]
 
 
 def _right_eigenvector(off, eigs, i, ctx, lower=False):
@@ -253,67 +222,50 @@ def _right_eigenvectors(off, eigs, ctx, lower=False):
         raise
 
 
-def bidiagonal_idempotents(mtx, eigs, ctx):
-    """Spectral projections of an upper bidiagonal matrix whose diagonal is eigs.
+def bidiagonal_idempotents(eigs, sup, ctx):
+    """Spectral projections of the upper bidiagonal matrix with diagonal
+    eigs and superdiagonal sup.
 
-    A diagonal matrix qualifies, and so does the transpose of a lower
-    bidiagonal matrix such as the split A, whose projections are the
-    transposes of the ones returned.  The right eigenvector v_i of eigs[i]
+    A diagonal matrix qualifies (sup all zero), and so does the transpose
+    of a lower bidiagonal matrix such as the split A (sup its
+    subdiagonal), whose projections are the transposes of the ones
+    returned.  The right eigenvector v_i of eigs[i]
     comes from back-substitution and has support 0..i; the left
     eigenvector w_i, the right one of the lower bidiagonal transpose,
     comes from forward substitution and has support i..d.  With
     v_i[i] = w_i[i] = 1 their product w_i v_i is 1, so the projection is
-    v_i w_i^T, returned as its factors.  For a triangular matrix the shape
-    and diagonal checks are what verify the spectrum.  Each substitution
+    v_i w_i^T, returned as its factors: the eigenvalues of a triangular
+    matrix are its diagonal, so eigs must only be distinct
+    (RepeatedEigenvalue names the first equal pair).  Each substitution
     step forms the ratio of small height first, so an entry costs one
     product with the full-height entry before it.  The analysis forms no
     factor by substitution (it reads closed forms, _TauStar); this family
     is the boundary example's and the tests' reference route.
     """
-    sup = _off_diagonal(mtx, eigs)
     return SpectralFactors(_right_eigenvectors(sup, eigs, ctx),
                            _right_eigenvectors(sup, eigs, ctx, lower=True))
 
 
-def factor_superdiagonals(mtx, eigs):
-    """(v_sup, w_sup) for the upper bidiagonal mtx: v_sup[i] = v_(i+1)[i]
-    and w_sup[i] = w_i[i + 1], i < d, of bidiagonal_idempotents(mtx, eigs),
-    with the same checks, and nothing else of the factors.
-
-    That is all the a-trace reads of E*, in both modes.  Each is
-    the first substitution step next to v_j[j] = w_j[j] = 1:
-    w_i[i + 1] = sup[i] / (theta_i - theta_(i+1)) and
-    v_(i+1)[i] = sup[i] / (theta_(i+1) - theta_i) = -w_i[i + 1].
-    """
-    sup = _off_diagonal(mtx, eigs)
-    # Only neighbours meet as divisors here, so the eigs are checked whole.
-    _check_distinct(eigs)
-    return _superdiagonal_factors(sup, eigs)
-
-
-def _superdiagonal_factors(sup, eigs):
-    """factor_superdiagonals without its checks, for the superdiagonal sup
-    of a matrix checked before (deep analysis: verify_axioms)."""
-    w_sup = [x / (eigs[i] - eigs[i + 1]) for i, x in enumerate(sup)]
-    return [-x for x in w_sup], w_sup
-
-
-def intersection_a_trace(real, v_sup, w_sup):
+def intersection_a_trace(real):
     """a_i as the trace of E*_i A, which is the scalar w*_i . A v*_i.
 
-    v_sup[i] = v*_(i+1)[i] and w_sup[i] = w*_i[i + 1] are the entries next
-    to the diagonal of the right factors v*_i (support 0..i, v*_i[i] = 1)
-    and the left factors w*_i (support i..d, w*_i[i] = 1).  The split A is
-    lower bidiagonal, so A[r][c] meets w*_i[r] and v*_i[c] only at (i, i),
+    The right factor v*_i of E* has support 0..i and v*_i[i] = 1, the left
+    factor w*_i support i..d and w*_i[i] = 1.  The split A is lower
+    bidiagonal, so A[r][c] meets w*_i[r] and v*_i[c] only at (i, i),
     (i, i - 1) and (i + 1, i), and no other entry of E* is read:
-    a_i = theta_i + v*_i[i - 1] + w*_i[i + 1].  standard_basis_rep reads
-    the diagonal of V*^-1 A V*, theta_i + v*_i[i - 1] - v*_(i+1)[i]: the
-    routes differ only in w*_i[i + 1] against -v*_(i+1)[i], which agree
-    because W* V* = I.
+    a_i = theta_i + sub_(i-1) v*_i[i - 1] + sub_i w*_i[i + 1].  Each is the
+    first substitution step on A*, next to v*_j[j] = w*_j[j] = 1:
+    w*_i[i + 1] = sup_i / (theta*_i - theta*_(i+1)) = -v*_(i+1)[i].
+    standard_basis_rep reads the diagonal of V*^-1 A V*,
+    theta_i + v*_i[i - 1] - v*_(i+1)[i]: the routes differ only in
+    w*_i[i + 1] against -v*_(i+1)[i], which agree because W* V* = I.
+    In a fast verdict nothing else reads the pair's theta_star and sup, so
+    a pair whose A* is not the array's fails a_trace_equals_closed there.
     """
-    a = real.A
-    out = [a[i][i] + w * a[i + 1][i] for i, w in enumerate(w_sup)] + [a[-1][-1]]
-    return [x + a[i][i - 1] * v_sup[i - 1] if i else x for i, x in enumerate(out)]
+    th, sub, ts = real.theta, real.sub, real.theta_star
+    w = [x / (ts[i] - ts[i + 1]) for i, x in enumerate(real.sup)]
+    out = [t + s * x for t, s, x in zip(th, sub, w)] + [th[-1]]
+    return [x - sub[i - 1] * w[i - 1] if i else x for i, x in enumerate(out)]
 
 
 def intersection_a_closed(arr):
@@ -326,8 +278,6 @@ def intersection_a_closed(arr):
                    + arr.phi1_at(i + 1) / (ts[i] - ts[i + 1]))
     out.append(th[d] + arr.phi1_at(d) / (ts[d] - ts[d - 1]))
     return out
-
-
 
 
 def _coefficients(ctx, rows):
@@ -559,19 +509,20 @@ def standard_basis_rep(real):
 
     E*_i u is v*_i scaled by D_i = w*_i . u, with v*_i the right factors
     of E*, the eigenvectors of the split A* of real.array, so A is
-    D^-1 T D there, with T = W* A V*, and A* is diag(theta*).  No V*
-    is formed: the band comes from the closed form U of _TauStar, on the
-    array's theta* and phi, as the band of T' = C T C^-1, certified by
+    D^-1 T D there, with T = W* A V*, and A* is diag(theta*).  No V* is
+    formed: the band comes from the closed form U of _TauStar, on the
+    array's theta* and phi1, as the band of T' = C T C^-1, certified by
     A' U = U T' on ints over Q, residues over GF(p) and elements over
-    GF(p^k).  An A that is not (d + 1) x (d + 1) or not lower bidiagonal
-    is refused, and an entry of T off the band is named with its value
-    (SingularBasis each way).
+    GF(p^k), with A read as its diagonal theta and subdiagonal sub; an
+    entry of T off the band is named with its value (SingularBasis).  A
+    repeated theta* is named by the closed form (RepeatedEigenvalue).
     D needs neither W* nor u: as A u = theta_0 u, D = W* u is the
     theta_0-eigenvector of T, which is the row-sum identity
     c_i + a_i + b_i = theta_0 of the standard basis (Terwilliger, LAA 330
     (2001)).  _standard_scale solves (T - theta_0 I) D = 0 from D_0 = 1 in
-    O(n), with theta_0 = A[0][0], the eigenvalue of the lower bidiagonal A
-    that u belongs to, and D^-1 T D does not change under D -> lambda D.
+    O(n), with theta_0 = real.theta[0], the eigenvalue of the lower
+    bidiagonal A that u belongs to, and D^-1 T D does not change under
+    D -> lambda D.
     On T' it gives D' = C D, and D^-1 T D = D'^-1 T' D', so C is never
     formed.
     A zero t_ij next to the diagonal (b_i or c_j would vanish; a zero
@@ -582,17 +533,15 @@ def standard_basis_rep(real):
     the scale, a_i = t_ii, b_i = t_(i,i+1) D_(i+1) / D_i and
     c_i = t_(i+1,i) D_i / D_(i+1); no n x n matrix is formed.
     """
-    arr, a, n = real.array, real.A, real.array.d + 1
-    _check_size(n, SingularBasis, ("A", a))
-    _check_shape(a, -1, 0, SingularBasis, "A not lower bidiagonal at ({0},{1})")
+    arr, n = real.array, real.array.d + 1
     u = _TauStar.of(arr.theta_star, arr.phi1, arr.field)
-    band = u.band([a[r][r] for r in range(n)], [a[r][r - 1] for r in range(1, n)],
+    band = u.band(real.theta, real.sub,
                   lambda i, j, x: SingularBasis(f"A not tridiagonal at ({i},{j}): {x}"))
     gap = min(((i, j) for (i, j), x in band.items() if i != j and not x), default=None)
     if gap:
         raise SingularBasis(f"off-diagonal intersection numbers must be nonzero: "
                             f"T at ({gap[0]},{gap[1]}) is {_unscaled(u.scale, band[gap], *gap)}")
-    scale = _standard_scale(band, arr.d, a[0][0], arr.field.one, u.scale)
+    scale = _standard_scale(band, arr.d, real.theta[0], arr.field.one, u.scale)
     return IntersectionNumbers([band[i, i] for i in range(n)],
                                [band[i, i + 1] * scale[i + 1] / scale[i] for i in range(n - 1)],
                                [band[i + 1, i] * scale[i] / scale[i + 1] for i in range(n - 1)])
@@ -602,19 +551,15 @@ def verify_axioms(real):
     """Check both eigenvector families of the split pair and the
     tridiagonal-vanishing pattern of E A* E.
 
-    A and A* must be (d + 1) x (d + 1) (IdempotentCheckFailed names the
-    size of the first that is not) and A* upper bidiagonal
-    (IdempotentCheckFailed names the first entry off the shape).  Of A,
-    only the diagonal and the subdiagonal are read: A is taken to be lower
-    bidiagonal.  standard_basis_rep checks that shape (SingularBasis
-    "A not lower bidiagonal at (r,c)"), and a deep analyze_instance calls
-    both, so each verdict checks A once; verify_axioms alone does not see
-    an entry of A off those two diagonals.  The E family comes from
-    the reversed A, upper bidiagonal with diagonal theta reversed and
-    superdiagonal A's subdiagonal reversed: its _TauStar U_A is V with
-    rows and columns in reverse order, up to diagonal scalings, and
-    A U_A = U_A diag(theta) is certified (IdempotentCheckFailed "rank-one E of A: M v_i !=
-    theta_i v_i in row r").  With V invertible, E_j = v_j w_j^T with w_j
+    The pair is read as its four diagonals, and each family is certified
+    against the array's eigenvalues, so a diagonal of the pair that is not
+    the array's sequence is refused, by its family's certificate if not
+    before.  The E family
+    comes from the reversed A, upper bidiagonal with diagonal theta
+    reversed and superdiagonal A's subdiagonal reversed: its _TauStar U_A
+    is V with rows and columns in reverse order, up to diagonal scalings,
+    and A U_A = U_A diag(theta) is certified (IdempotentCheckFailed
+    "rank-one E of A: M v_i != theta_i v_i in row r").  With V invertible, E_j = v_j w_j^T with w_j
     row j of V^-1, so E_i A* E_j is (V^-1 A* V)_ij v_i w_j^T: no W is
     formed.  With P the reversal, P A* P is lower bidiagonal and the band
     of U_A on it is P (V^-1 A* V) P up to the scaling C, so E A* E is
@@ -630,19 +575,14 @@ def verify_axioms(real):
     distinct eigenvalues are read off the diagonal of its U; a repeated
     pair is named in the family's own order (RepeatedEigenvalue).
     """
-    arr, a, a_star = real.array, real.A, real.A_star
-    d, ctx, n = arr.d, arr.field, arr.d + 1
-    _check_size(n, IdempotentCheckFailed, ("A", a), ("A*", a_star))
-    _check_shape(a_star, 0, 1, IdempotentCheckFailed, "A* not upper bidiagonal at ({0},{1})")
-    sub = [a[r][r - 1] for r in range(d, 0, -1)]
+    arr, d, ctx = real.array, real.array.d, real.array.field
+    sub = real.sub[::-1]
     u = _TauStar.of(arr.theta[::-1], sub, ctx, flip=True)
-    u.certify([a[r][r] for r in range(d, -1, -1)], sub, "E of A", flip=True)
-    band = u.band([a_star[r][r] for r in range(d, -1, -1)],
-                  [a_star[r - 1][r] for r in range(d, 0, -1)],
+    u.certify(real.theta[::-1], sub, "E of A", flip=True)
+    band = u.band(real.theta_star[::-1], real.sup[::-1],
                   lambda i, j, x: AxiomViolation("E A* E", d - i, d - j, f"expected zero, got {x}"))
     zeros = [(d - i, d - j) for (i, j), x in band.items() if i != j and not x]
     if zeros:
         raise AxiomViolation("E A* E", *min(zeros), "expected nonzero")
-    _TauStar.of(arr.theta_star, arr.phi1, ctx).certify(
-        [a_star[r][r] for r in range(n)], [a_star[r][r + 1] for r in range(d)], "E* of A*")
+    _TauStar.of(arr.theta_star, arr.phi1, ctx).certify(real.theta_star, real.sup, "E* of A*")
     return True

@@ -56,6 +56,18 @@ def eigenvectors(u, flip=False):
     return [v[::-1] for v in reversed(vs)] if flip else vs
 
 
+def dense_split(real):
+    """The split pair of real as the dense matrices (A, A*), formed here for
+    the oracles: the package holds the pair as its four diagonals."""
+    n, zero = len(real.theta), real.array.field.zero
+    a, a_star = [[zero] * n for _ in range(n)], [[zero] * n for _ in range(n)]
+    for r in range(n):
+        a[r][r], a_star[r][r] = real.theta[r], real.theta_star[r]
+    for r, (x, y) in enumerate(zip(real.sub, real.sup)):
+        a[r + 1][r], a_star[r][r + 1] = x, y
+    return a, a_star
+
+
 @pytest.fixture(scope="session")
 def rationals():
     return QQ

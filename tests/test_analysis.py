@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from conftest import QQ, campaign_cell_samples, eigenvectors, families_over, make_krawtchouk
+from conftest import (
+    QQ,
+    campaign_cell_samples,
+    dense_split,
+    eigenvectors,
+    families_over,
+    make_krawtchouk,
+)
 from leonardz import analysis, linalg, realization, zerodiag
 from leonardz.analysis import (
     analyze_instance,
@@ -410,10 +417,10 @@ def recording_certificates(monkeypatch):
 
 
 def family_matrix(real, family):
-    """The matrix and eigenvalues of a family: A* and theta* for E*, A and
-    theta for E."""
-    arr = real.array
-    return (real.A_star, arr.theta_star) if family == "E*" else (real.A, arr.theta)
+    """The dense matrix and eigenvalues of a family: A* and theta* for E*,
+    A and theta for E."""
+    arr, (a, a_star) = real.array, dense_split(real)
+    return (a_star, arr.theta_star) if family == "E*" else (a, arr.theta)
 
 
 @pytest.mark.parametrize("deep, calls", [(False, 0), (True, 2)])
@@ -641,11 +648,10 @@ def test_fast_analysis_multiplication_count(monkeypatch):
 @pytest.mark.parametrize("deep", [False, True])
 def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
     """A verdict reads of W* only w*_i[i + 1], the first step of the
-    forward substitution (factor_superdiagonals; a deep verdict, whose A*
-    verify_axioms has checked, forms the same entries without a second
-    check), and never transposes A: no full left factor is formed, and
-    the one matrix product is the T M of L_equals_TM.  Neither mode forms
-    an eigenvector by substitution: both read bands off closed forms, and
+    forward substitution (intersection_a_trace, in either mode), and
+    transposes no n x n matrix: no full left factor is formed, and the one
+    matrix product is the T M of L_equals_TM.  Neither mode forms an
+    eigenvector by substitution: both read bands off closed forms, and
     deep mode certifies those closed forms."""
     counts = {"bidiagonal_idempotents": 0, "mat_mul": 0}
     substitutions = []
@@ -679,20 +685,20 @@ def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
         chk = analyze_instance(spec, deep=deep)
         assert chk.ok, (name, chk.failures)
         assert counts == {"bidiagonal_idempotents": 0, "mat_mul": 1}, name
-        real = realization.realize_split(chk.arr)
         assert substitutions == [], name
-        assert real.A not in transposed, name
+        n = spec.d + 1
+        assert not [m for m in transposed if len(m) == n and len(m[0]) == n], name
 
 
 @pytest.mark.parametrize("deep", [False, True])
 def test_verdict_checks_each_spectrum_once(monkeypatch, kraw_dim1, deep):
-    """Each verdict checks the shape of each split matrix once: A* in
-    factor_superdiagonals (fast) or verify_axioms (deep), A in
-    standard_basis_rep.  A fast verdict checks theta* distinct once, in
-    factor_superdiagonals; a deep verdict reads distinct theta and theta*
-    off the diagonals of their closed forms, and calls the pairwise check
-    only to name a pair that fails."""
-    distinct, shaped = [], []
+    """No verdict runs the pairwise check of an eigenvalue sequence: both
+    modes read distinct theta* off the diagonal of its closed form in
+    standard_basis_rep, which runs before the a-routes divide, and a deep
+    verdict reads distinct theta off that of U_A too.  The pairwise check
+    only names a pair that fails.  The pair is its four diagonals, so no
+    shape is checked."""
+    distinct = []
 
     def recording(log, fn):
         def wrapped(*args, **kwargs):
@@ -702,12 +708,9 @@ def test_verdict_checks_each_spectrum_once(monkeypatch, kraw_dim1, deep):
 
     monkeypatch.setattr(realization, "_check_distinct",
                         recording(distinct, realization._check_distinct))
-    monkeypatch.setattr(realization, "_check_shape", recording(shaped, realization._check_shape))
     chk = analyze_instance(kraw_dim1, deep=deep)
     assert chk.ok, chk.failures
-    real = realization.realize_split(chk.arr)
-    assert shaped == [real.A_star, real.A]
-    assert distinct == ([] if deep else [chk.arr.theta_star])
+    assert distinct == []
 
 
 def test_deep_verdict_certifies_every_right_factor(monkeypatch):
@@ -723,9 +726,9 @@ def test_deep_verdict_certifies_every_right_factor(monkeypatch):
     real = realization.realize_split(arr)
     (_, u_a, _), (_, u, _) = seen
     assert eigenvectors(u) == realization.bidiagonal_idempotents(
-        real.A_star, arr.theta_star, arr.field).v
+        real.theta_star, real.sup, arr.field).v
     assert eigenvectors(u_a, flip=True) == realization.bidiagonal_idempotents(
-        linalg.transpose(real.A), arr.theta, arr.field).w
+        real.theta, real.sub, arr.field).w
     assert all(all(col) for col in u.cols + u_a.cols)
 
 

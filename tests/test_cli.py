@@ -202,7 +202,7 @@ def test_verify_tables_config(tmp_path):
 
 
 KRAW = ["--type", "krawtchouk", "--d", "3", "--param", "s=1",
-        "--param", "s_star=1", "--param", "r=2"]
+        "--param", "s_star=1", "--param", "r=2"]  # KRAW[:-2] leaves r out
 
 
 @pytest.mark.parametrize("argv, config, expected", [
@@ -217,11 +217,11 @@ KRAW = ["--type", "krawtchouk", "--d", "3", "--param", "s=1",
     (["analyze", "--field", f"GF(3^{'9' * 5000})"] + KRAW, None, EXIT_INVALID_SPEC),
     (["analyze", "--type", "krawtchouk", "--d", "3", "--param", "s=1",
       "--param", "s_star=1", "--param", "r=x"], None, EXIT_INVALID_SPEC),
-    (["analyze", "--field", "Q"] + KRAW + ["--param", f"r={'9' * 5000}"], None,
+    (["analyze", "--field", "Q"] + KRAW[:-2] + ["--param", f"r={'9' * 5000}"], None,
      EXIT_INVALID_SPEC),
-    (["analyze", "--field", "GF(7)"] + KRAW + ["--param", f"r=1/{'9' * 5000}"], None,
+    (["analyze", "--field", "GF(7)"] + KRAW[:-2] + ["--param", f"r=1/{'9' * 5000}"], None,
      EXIT_INVALID_SPEC),
-    (["analyze", "--field", "GF(3^2)"] + KRAW + ["--param", f"r={'9' * 5000}t"], None,
+    (["analyze", "--field", "GF(3^2)"] + KRAW[:-2] + ["--param", f"r={'9' * 5000}t"], None,
      EXIT_INVALID_SPEC),
     (["analyze", "--config", "spec\0.cfg"], None, EXIT_USAGE),
     (["verify-tables", "--height", "0", "--trials", "1"], None, EXIT_USAGE),

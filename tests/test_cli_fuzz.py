@@ -7,13 +7,15 @@ strings; literals of a few hundred digits and more make the exact
 arithmetic of a valid instance take seconds, so they are left to the
 fixed cases in test_cli.py.  Bare `verify-tables` runs the whole default
 campaign, so that subcommand is only fuzzed through a config that names
-one or two families.
+one or two families.  The fixed cases at the end pin what a config file
+or a repeated option may hold.
 """
 
 import io
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from leonardz.cli import main
@@ -121,3 +123,67 @@ def test_fuzz_verify_tables_config(lines, types):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         run(["verify-tables", "--config", path, "--trials", "1"])
+
+
+def outcome(argv, config=None, tmp_path=None):
+    """(exit code, stdout, stderr) of main on argv, with "{cfg}" in argv
+    replaced by a file holding the bytes config."""
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_bytes(config)
+        argv = [str(path) if a == "{cfg}" else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = main(argv, stdout=stdout, stderr=stderr)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+SMALL_CAMPAIGN = "types = krawtchouk\ntrials = 1\nd_max = 3\n"
+KRAWTCHOUK_SPEC = "type = krawtchouk\nd = 3\nfield = Q\ns = 1\ns_star = 1\nr = 2\n"
+
+
+@pytest.mark.parametrize("line, key", [
+    ("type = orphan", "type"),
+    ("d-max = 4", "d-max"),
+    ("seeds = 5", "seeds"),
+], ids=["type", "d-max", "seeds"])
+def test_verify_tables_config_refuses_an_unknown_key(tmp_path, line, key):
+    """A misspelt campaign key is a usage error that names it and the keys
+    there are, not a silent run of the default campaign."""
+    code, out, err = outcome(["verify-tables", "--config", "{cfg}"],
+                             (SMALL_CAMPAIGN + line + "\n").encode(), tmp_path)
+    assert (code, out) == (1, "")
+    assert f"unknown key {key!r}" in err
+    assert "d_min, d_max, trials, seed, types, height" in err
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["verify-tables", "--config", "{cfg}"], SMALL_CAMPAIGN + "trials = 2\n",
+     "run.cfg:4: key 'trials' repeats line 2"),
+    (["analyze", "--config", "{cfg}"], KRAWTCHOUK_SPEC + "r = 5\n",
+     "run.cfg:7: key 'r' repeats line 6"),
+    (["analyze", "--config", "{cfg}"], "d = 3\n" + KRAWTCHOUK_SPEC,
+     "run.cfg:3: key 'd' repeats line 1"),
+    (["analyze", "--type", "krawtchouk", "--d", "3", "--param", "s=1", "--param", "s_star=1",
+      "--param", "r = 2", "--param", "r=5"], None, "--param r is given twice"),
+], ids=["campaign-config", "analyze-config", "analyze-config-first-line", "param"])
+def test_a_repeated_key_is_a_usage_error(tmp_path, argv, config, named):
+    """A key on two lines of one config file, or a --param name given
+    twice, is a usage error naming the key (and both lines of a file),
+    not the last value taken silently."""
+    code, out, err = outcome(argv, None if config is None else config.encode(), tmp_path)
+    assert (code, out) == (1, "")
+    assert named in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("analyze", KRAWTCHOUK_SPEC),
+    ("verify-tables", SMALL_CAMPAIGN),
+], ids=["analyze", "verify-tables"])
+def test_a_config_with_a_byte_order_mark_reads_as_without(tmp_path, command, config):
+    """A file that starts with a UTF-8 byte-order mark gives the report of
+    the same file without it: its first key is not read as '\\ufefftype'."""
+    plain = outcome([command, "--config", "{cfg}"], config.encode(), tmp_path)
+    marked = outcome([command, "--config", "{cfg}"], b"\xef\xbb\xbf" + config.encode(),
+                     tmp_path)
+    assert plain[0] == 0
+    assert marked == plain

@@ -20,10 +20,12 @@ from leonardz.realization import bidiagonal_idempotents, primitive_idempotents
 
 def projections():
     """The boundary pair and E, E* as counterexample_d2 builds them: the
-    dense matrices of the rank-one factors of A's transpose and of A*."""
+    dense matrices of the rank-one factors of A's transpose and of A*,
+    given their eigenvalues and the pair's off-diagonals."""
     a, a_star, eigs = base_matrices()
-    e = bidiagonal_idempotents(linalg.transpose(a), eigs, QQ).transpose().projections()
-    return a, a_star, e, bidiagonal_idempotents(a_star, eigs, QQ).projections()
+    sub, sup = [a[r + 1][r] for r in range(2)], [a_star[r][r + 1] for r in range(2)]
+    e = bidiagonal_idempotents(eigs, sub, QQ).transpose().projections()
+    return a, a_star, e, bidiagonal_idempotents(eigs, sup, QQ).projections()
 
 
 def test_full_report_passes_quickly():

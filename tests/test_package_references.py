@@ -8,7 +8,9 @@ attribute, an imported name, or a string that is exactly the name
 (bench/tracing.PATCHES names what it wraps that way).  Code that only the
 tests call belongs in the tests, where it can stay the reference route it
 is; the few reference routes kept in the package on purpose are listed in
-REFERENCE_ROUTES with the reason they stay.
+REFERENCE_ROUTES with the reason they stay.  The names that only a
+tracer string (or an import kept for the tracer) keeps in use are listed
+in TRACER_ONLY, so that the count of such names is seen and kept.
 """
 
 import ast
@@ -26,15 +28,25 @@ REFERENCE_ROUTES = {
     "affine_transform", "dualize", "reverse_dual", "reverse_primal",
 }
 
+# Used by nothing but bench/tracing.PATCHES, which wraps them by name, and
+# analysis's import of primitive_idempotents, kept for that tracer: no code
+# outside the tests calls them.  They leave with their spans in the next
+# change to the benchmark.
+TRACER_ONLY = {"solve_matrix", "has_zero_diagonal", "primitive_idempotents"}
 
-def _names(nodes):
-    """Every name that the syntax trees nodes use."""
+
+def _names(nodes, strings=True):
+    """Every name that the syntax trees nodes use.  With strings false, an
+    identifier string or an import is not a use: only a name or an
+    attribute is."""
     out = set()
     for node in (n for top in nodes for n in ast.walk(top)):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
+        elif not strings:
+            continue
         elif isinstance(node, ast.alias):
             out.add(node.name.rpartition(".")[2])
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -47,7 +59,7 @@ def _is_definition(node):
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 
 
-def definitions():
+def definitions(strings=True):
     """module.name -> (name, the names its body uses), for each module-level
     function and class; and the names that the package's other module-level
     code uses, __init__ aside."""
@@ -55,19 +67,21 @@ def definitions():
     for path in sorted(PACKAGE.glob("*.py")):
         body = ast.parse(path.read_text()).body
         for node in filter(_is_definition, body):
-            defs[f"{path.stem}.{node.name}"] = node.name, _names([node])
+            defs[f"{path.stem}.{node.name}"] = node.name, _names([node], strings)
         if path.name != "__init__.py":
             top += [node for node in body if not _is_definition(node)]
-    return defs, _names(top)
+    return defs, _names(top, strings)
 
 
-def unused_definitions():
+def unused_definitions(strings=True, roots=()):
     """module.name of each definition that no use reaches from bench/,
-    scripts/ or the package's module-level code.  A definition that only
-    unused ones call is unused too."""
-    defs, used = definitions()
+    scripts/, the package's module-level code or the names roots.  A
+    definition that only unused ones call is unused too.  strings is
+    passed to _names."""
+    defs, used = definitions(strings)
+    used |= set(roots)
     paths = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    used |= _names(ast.parse(path.read_text()) for path in paths)
+    used |= _names((ast.parse(path.read_text()) for path in paths), strings)
     pending = dict(defs)
     while True:
         reached = [key for key, (name, _) in pending.items() if name in used]
@@ -86,3 +100,15 @@ def test_reference_routes_are_still_defined_and_unused():
     """The list names only what exists and still has no use, so an entry
     cannot outlive a definition that was removed or put to work."""
     assert REFERENCE_ROUTES <= {key.rpartition(".")[2] for key in unused_definitions()}
+
+
+def test_only_the_listed_names_live_on_tracer_strings():
+    """Were identifier strings and imports no use, the reference routes and
+    TRACER_ONLY would be all the roots it takes to reach every definition,
+    and each name of TRACER_ONLY would be unused without them: so a new
+    name kept alive by a string alone fails here, and so does a listed one
+    that gains a caller."""
+    unused = {key.rpartition(".")[2]
+              for key in unused_definitions(strings=False, roots=REFERENCE_ROUTES)}
+    assert TRACER_ONLY <= unused
+    assert unused_definitions(strings=False, roots=REFERENCE_ROUTES | TRACER_ONLY) == []

@@ -3,7 +3,7 @@ from typing import NamedTuple
 
 import pytest
 
-from conftest import QQ, campaign_cell_samples, cross_route_samples
+from conftest import QQ, campaign_cell_samples, cross_route_samples, dense_split
 from leonardz import campaign, linalg, zerodiag
 from leonardz.analysis import analyze_instance, relation_coefficients
 from leonardz.errors import DependenceDetected
@@ -211,9 +211,9 @@ def test_dim2_closed_pair(std_dim2):
                                 [linalg.flatten(x) for x in pair])
 
 
-def commutator(real):
-    return linalg.mat_sub(linalg.mat_mul(real.A, real.A_star),
-                          linalg.mat_mul(real.A_star, real.A))
+def commutator(std):
+    return linalg.mat_sub(linalg.mat_mul(std.A, std.A_star),
+                          linalg.mat_mul(std.A_star, std.A))
 
 
 def test_commutator_has_zero_diagonal(std_dim1):
@@ -230,9 +230,9 @@ def test_identity_does_not_have_zero_diagonal(std_dim1):
 
 def test_commutator_split_basis_route(kraw_dim1):
     arr = build_parameter_array(kraw_dim1)
-    real = realize_split(arr)
-    comm = commutator(real)
-    for e in primitive_idempotents(real.A_star, arr.theta_star, QQ):
+    a, a_star = dense_split(realize_split(arr))
+    comm = linalg.mat_sub(linalg.mat_mul(a, a_star), linalg.mat_mul(a_star, a))
+    for e in primitive_idempotents(a_star, arr.theta_star, QQ):
         assert linalg.is_zero_matrix(linalg.mat_mul(linalg.mat_mul(e, comm), e))
 
 
