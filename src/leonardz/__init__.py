@@ -53,8 +53,6 @@ from .parray import (
 from .realization import (
     IntersectionNumbers,
     Realization,
-    SpectralFactors,
-    bidiagonal_idempotents,
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,

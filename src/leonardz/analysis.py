@@ -287,9 +287,10 @@ def analyze_instance(spec, arr=None, deep=False):
     No left factor, no transpose of A and no n x n product of the factors is
     formed, and a failed certificate names the family and the
     eigenvector, or an entry off the band and its value.  The spectral
-    product formula is not called; it stays the reference route of the
-    tests.  The analyze command and the worked-instance tests use deep
-    mode, the sampling campaign does not.
+    product formula, the definition, is not called: it serves the 3 x 3
+    boundary example (counterexample) and the tests' reference.  The
+    analyze command and the worked-instance tests use deep mode, the
+    sampling campaign does not.
     """
     if arr is None:
         arr = build_parameter_array(spec)

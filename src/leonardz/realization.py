@@ -34,11 +34,7 @@ pattern, the band of V*^-1 A V*, gives the intersection numbers
 (standard_basis_rep); the E A* E pattern is the band of the reversed
 E's U on the reversed A*, which is lower bidiagonal (verify_axioms).
 Deep analysis certifies both families and both patterns; the fast
-analysis certifies only the E* A E* band.  bidiagonal_idempotents gives
-both factors of an upper bidiagonal matrix, given by its diagonal and
-superdiagonal, by substitution, as SpectralFactors; the boundary example
-(counterexample) and the tests use it as the reference route, the
-analysis does not.
+analysis certifies only the E* A E* band.
 
 The scale D_i = w*_i . u of E*_i u = D_i v*_i comes from the band too: as
 A u = theta_0 u, D = W* u is the theta_0-eigenvector of T, the row-sum
@@ -58,8 +54,9 @@ share theta_i + v*_i[i - 1] and differ in w*_i[i + 1] against
 
 primitive_idempotents is the definition of the projections, the product
 over j != i of (M - theta_j I)/(theta_i - theta_j) for any
-multiplicity-free M.  Nothing in the package calls it; it is the
-reference route the tests hold the factors to.
+multiplicity-free M.  So the package has two spectral routes: the closed
+forms for every verdict, and the definition for the 3 x 3 boundary
+example (counterexample) and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -102,30 +99,6 @@ class Realization:
             if len(getattr(self, name)) != n:
                 raise DegenerateArray(
                     f"{name} has {len(getattr(self, name))} entries, not {n} (d = {d})")
-
-
-@dataclass
-class SpectralFactors:
-    """Primitive idempotents kept as rank-one factors: E_i = v[i] w[i]^T.
-
-    v[i] is a right and w[i] a left eigenvector of the i-th eigenvalue,
-    scaled so that w[i] . v[j] is 1 when i = j and 0 otherwise.
-    """
-
-    v: list
-    w: list
-
-    def transpose(self):
-        """Factors of the transposed projections E_i^T = w_i v_i^T."""
-        return SpectralFactors(self.w, self.v)
-
-    def projections(self):
-        """The dense matrices v_i w_i^T, formed only for the 3 x 3 boundary
-        example (counterexample) and where tests compare them with the
-        product formula."""
-        zero = self.v[0][0] - self.v[0][0]
-        return [[[x * y for y in w] if x else [zero] * len(w) for x in v]
-                for v, w in zip(self.v, self.w)]
 
 
 @dataclass
@@ -173,8 +146,9 @@ def primitive_idempotents(mtx, eigs, ctx):
 
     Each projection is the product of (M - eig_j I)/(eig_i - eig_j) over
     j != i, one chain per projection scaled once, and is post-verified to
-    square to itself.  This is the definition, kept as the tests'
-    reference route; the package builds projections as SpectralFactors.
+    square to itself.  This is the definition: the boundary example
+    (counterexample) forms its six 3 x 3 projections by it, and the tests
+    hold their substitution route to it; no verdict calls it.
     """
     _check_distinct(eigs)
     out = []
@@ -191,61 +165,6 @@ def primitive_idempotents(mtx, eigs, ctx):
     return out
 
 
-def _right_eigenvector(off, eigs, i, ctx, lower=False):
-    """v_i with M v_i = theta_i v_i and v_i[i] = 1, for the bidiagonal M
-    with diagonal eigs: by back-substitution on the superdiagonal off of an
-    upper bidiagonal M (support 0..i), by forward substitution on the
-    subdiagonal off of a lower one (support i..d)."""
-    v = [ctx.zero] * len(eigs)
-    v[i] = ctx.one
-    if lower:
-        for r in range(i + 1, len(eigs)):
-            v[r] = v[r - 1] * (off[r - 1] / (eigs[i] - eigs[r]))
-    else:
-        for r in range(i - 1, -1, -1):
-            v[r] = v[r + 1] * (off[r] / (eigs[i] - eigs[r]))
-    return v
-
-
-def _right_eigenvectors(off, eigs, ctx, lower=False):
-    """Every _right_eigenvector of the bidiagonal M, v_0 .. v_d.
-
-    v_i divides by theta_i - theta_r for every r on the far side of i, so
-    the family meets every pair of eigs as a divisor, and eigs that are
-    not distinct end it with a zero division.  _check_distinct then names
-    the first equal pair: the check costs nothing where eigs are distinct.
-    """
-    try:
-        return [_right_eigenvector(off, eigs, i, ctx, lower) for i in range(len(eigs))]
-    except ZeroDivisionError:
-        _check_distinct(eigs)
-        raise
-
-
-def bidiagonal_idempotents(eigs, sup, ctx):
-    """Spectral projections of the upper bidiagonal matrix with diagonal
-    eigs and superdiagonal sup.
-
-    A diagonal matrix qualifies (sup all zero), and so does the transpose
-    of a lower bidiagonal matrix such as the split A (sup its
-    subdiagonal), whose projections are the transposes of the ones
-    returned.  The right eigenvector v_i of eigs[i]
-    comes from back-substitution and has support 0..i; the left
-    eigenvector w_i, the right one of the lower bidiagonal transpose,
-    comes from forward substitution and has support i..d.  With
-    v_i[i] = w_i[i] = 1 their product w_i v_i is 1, so the projection is
-    v_i w_i^T, returned as its factors: the eigenvalues of a triangular
-    matrix are its diagonal, so eigs must only be distinct
-    (RepeatedEigenvalue names the first equal pair).  Each substitution
-    step forms the ratio of small height first, so an entry costs one
-    product with the full-height entry before it.  The analysis forms no
-    factor by substitution (it reads closed forms, _TauStar); this family
-    is the boundary example's and the tests' reference route.
-    """
-    return SpectralFactors(_right_eigenvectors(sup, eigs, ctx),
-                           _right_eigenvectors(sup, eigs, ctx, lower=True))
-
-
 def intersection_a_trace(real):
     """a_i as the trace of E*_i A, which is the scalar w*_i . A v*_i.
 
@@ -260,10 +179,17 @@ def intersection_a_trace(real):
     theta_i + v*_i[i - 1] - v*_(i+1)[i]: the routes differ only in
     w*_i[i + 1] against -v*_(i+1)[i], which agree because W* V* = I.
     In a fast verdict nothing else reads the pair's theta_star and sup, so
-    a pair whose A* is not the array's fails a_trace_equals_closed there.
+    a pair whose A* is not the array's fails a_trace_equals_closed there,
+    and one with two equal theta_star neighbours, though the array's are
+    distinct, ends the division: _check_distinct then names the first
+    equal pair (RepeatedEigenvalue), on every field.
     """
     th, sub, ts = real.theta, real.sub, real.theta_star
-    w = [x / (ts[i] - ts[i + 1]) for i, x in enumerate(real.sup)]
+    try:
+        w = [x / (ts[i] - ts[i + 1]) for i, x in enumerate(real.sup)]
+    except ZeroDivisionError:
+        _check_distinct(ts)
+        raise
     out = [t + s * x for t, s, x in zip(th, sub, w)] + [th[-1]]
     return [x - sub[i - 1] * w[i - 1] if i else x for i, x in enumerate(out)]
 

@@ -1,8 +1,10 @@
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 
+from leonardz import realization
 from leonardz.exactfield import ExtensionField, Rationals, parse_field
 from leonardz.families import FAMILIES
 from leonardz.parray import ALL_TYPES, LeonardType, TypeSpec
@@ -54,6 +56,59 @@ def eigenvectors(u, flip=False):
            for r, x in enumerate(col)] + [u.ctx.zero] * (n - 1 - j)
           for j, col in enumerate(u.cols)]
     return [v[::-1] for v in reversed(vs)] if flip else vs
+
+
+@dataclass
+class SpectralFactors:
+    """Primitive idempotents as rank-one factors, E_i = v[i] w[i]^T, with
+    w[i] . v[j] = 1 when i = j and 0 otherwise."""
+
+    v: list
+    w: list
+
+    def transpose(self):
+        """Factors of the transposed projections E_i^T = w_i v_i^T."""
+        return SpectralFactors(self.w, self.v)
+
+    def projections(self):
+        """The dense matrices v_i w_i^T."""
+        return [[[x * y for y in w] for x in v] for v, w in zip(self.v, self.w)]
+
+
+def bidiagonal_idempotents(eigs, sup, ctx):
+    """The reference route to the spectral projections of the upper
+    bidiagonal M with diagonal eigs and superdiagonal sup, by substitution.
+
+    The right eigenvector v_i (support 0..i) comes from back-substitution
+    in M, the left one w_i (support i..d) from forward substitution in its
+    lower bidiagonal transpose, each with entry i equal to 1, so
+    E_i = v_i w_i^T.  A diagonal M qualifies (sup all zero), and so does
+    the transpose of a lower bidiagonal one, such as the split A (sup its
+    subdiagonal; transpose() gives its factors).  Equal eigs end a
+    substitution with a zero divisor, and realization._check_distinct then
+    names the first equal pair (RepeatedEigenvalue).  The package reads
+    closed forms instead (realization._TauStar); the product formula,
+    realization.primitive_idempotents, is slower at large d.
+    """
+    n = len(eigs)
+
+    def eigenvector(i, lower):
+        v = [ctx.zero] * n
+        v[i] = ctx.one
+        if lower:
+            for r in range(i + 1, n):
+                v[r] = v[r - 1] * (sup[r - 1] / (eigs[i] - eigs[r]))
+        else:
+            for r in range(i - 1, -1, -1):
+                v[r] = v[r + 1] * (sup[r] / (eigs[i] - eigs[r]))
+        return v
+
+    try:
+        return SpectralFactors([eigenvector(i, False) for i in range(n)],
+                               [eigenvector(i, True) for i in range(n)])
+    except ZeroDivisionError:
+        realization._check_distinct(eigs)
+        raise
 
 
 def dense_split(real):

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     QQ,
+    bidiagonal_idempotents,
     campaign_cell_samples,
     dense_split,
     eigenvectors,
@@ -650,11 +651,10 @@ def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
     """A verdict reads of W* only w*_i[i + 1], the first step of the
     forward substitution (intersection_a_trace, in either mode), and
     transposes no n x n matrix: no full left factor is formed, and the one
-    matrix product is the T M of L_equals_TM.  Neither mode forms an
-    eigenvector by substitution: both read bands off closed forms, and
-    deep mode certifies those closed forms."""
-    counts = {"bidiagonal_idempotents": 0, "mat_mul": 0}
-    substitutions = []
+    matrix product is the T M of L_equals_TM.  Both modes read bands off
+    closed forms, and deep mode certifies those closed forms; the package
+    has no substitution route to form an eigenvector by."""
+    counts = {"mat_mul": 0}
     transposed = []
 
     def counted(name, fn):
@@ -663,29 +663,20 @@ def test_fast_verdict_forms_no_left_factor_and_no_transpose(monkeypatch, deep):
             return fn(*args)
         return wrapped
 
-    def recording(off, eigs, i, ctx, lower=False):
-        substitutions.append((off, eigs, lower))
-        return substitute(off, eigs, i, ctx, lower)
-
     def transposing(a):
         transposed.append(a)
         return transpose(a)
 
-    substitute, transpose = realization._right_eigenvector, linalg.transpose
-    monkeypatch.setattr(realization, "_right_eigenvector", recording)
-    monkeypatch.setattr(realization, "bidiagonal_idempotents",
-                        counted("bidiagonal_idempotents", realization.bidiagonal_idempotents))
+    transpose = linalg.transpose
     monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
     monkeypatch.setattr(linalg, "transpose", transposing)
     for name in (LeonardType.Q_RACAH, LeonardType.KRAWTCHOUK):
         spec = sample_spec(name, 16, QQ, random.Random(f"no-left|{name.value}"))
         counts.update(dict.fromkeys(counts, 0))
-        substitutions.clear()
         transposed.clear()
         chk = analyze_instance(spec, deep=deep)
         assert chk.ok, (name, chk.failures)
-        assert counts == {"bidiagonal_idempotents": 0, "mat_mul": 1}, name
-        assert substitutions == [], name
+        assert counts == {"mat_mul": 1}, name
         n = spec.d + 1
         assert not [m for m in transposed if len(m) == n and len(m[0]) == n], name
 
@@ -725,9 +716,8 @@ def test_deep_verdict_certifies_every_right_factor(monkeypatch):
     arr = chk.arr
     real = realization.realize_split(arr)
     (_, u_a, _), (_, u, _) = seen
-    assert eigenvectors(u) == realization.bidiagonal_idempotents(
-        real.theta_star, real.sup, arr.field).v
-    assert eigenvectors(u_a, flip=True) == realization.bidiagonal_idempotents(
+    assert eigenvectors(u) == bidiagonal_idempotents(real.theta_star, real.sup, arr.field).v
+    assert eigenvectors(u_a, flip=True) == bidiagonal_idempotents(
         real.theta, real.sub, arr.field).w
     assert all(all(col) for col in u.cols + u_a.cols)
 

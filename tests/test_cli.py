@@ -240,9 +240,8 @@ KRAW = ["--type", "krawtchouk", "--d", "3", "--param", "s=1",
     (["verify-tables", "--config", "{cfg}"], "types = krawtchouk,nope\ntrials = 1\n",
      EXIT_USAGE),
 ], ids=["gf4", "gf2^40", "gf-x", "gf-psi13", "gf-2^89-1-squared",
-        "gf-5000-digit-p", "gf-5000-digit-k", "q-5000-digit-literal",
+        "gf-5000-digit-p", "gf-5000-digit-k", "param-x", "q-5000-digit-literal",
         "gf-p-5000-digit-literal", "gf-pk-5000-digit-literal", "config-nul",
-        "param-x",
         "height-0", "config-d", "config-d-min", "config-not-utf8",
         "no-types", "empty-types", "no-cells", "config-no-types", "config-no-cells",
         "unknown-type", "config-unknown-type"])

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import QQ
+from conftest import QQ, bidiagonal_idempotents
 from leonardz import linalg
 from leonardz.counterexample import (
     KNOWN_FORMS,
@@ -15,17 +15,15 @@ from leonardz.counterexample import (
     run_elimination,
     tridiagonal_patterns_hold,
 )
-from leonardz.realization import bidiagonal_idempotents, primitive_idempotents
+from leonardz.realization import primitive_idempotents
 
 
 def projections():
-    """The boundary pair and E, E* as counterexample_d2 builds them: the
-    dense matrices of the rank-one factors of A's transpose and of A*,
-    given their eigenvalues and the pair's off-diagonals."""
+    """The boundary pair and E, E* as counterexample_d2 builds them, by the
+    product formula on the dense A and A*."""
     a, a_star, eigs = base_matrices()
-    sub, sup = [a[r + 1][r] for r in range(2)], [a_star[r][r + 1] for r in range(2)]
-    e = bidiagonal_idempotents(eigs, sub, QQ).transpose().projections()
-    return a, a_star, e, bidiagonal_idempotents(eigs, sup, QQ).projections()
+    return (a, a_star, primitive_idempotents(a, eigs, QQ),
+            primitive_idempotents(a_star, eigs, QQ))
 
 
 def test_full_report_passes_quickly():
@@ -87,10 +85,14 @@ def test_patterns_hold():
 
 
 def test_factor_route_matches_product_formula():
+    """The substitution route (the tests' bidiagonal_idempotents), given
+    the eigenvalues and the pair's off-diagonals, gives the projections
+    that counterexample_d2 forms by the product formula."""
     a, a_star, e, estar = projections()
     _, _, eigs = base_matrices()
-    assert e == primitive_idempotents(a, eigs, QQ)
-    assert estar == primitive_idempotents(a_star, eigs, QQ)
+    sub, sup = [a[r + 1][r] for r in range(2)], [a_star[r][r + 1] for r in range(2)]
+    assert e == bidiagonal_idempotents(eigs, sub, QQ).transpose().projections()
+    assert estar == bidiagonal_idempotents(eigs, sup, QQ).projections()
 
 
 @pytest.mark.parametrize("inner", ["A", "A_star"])

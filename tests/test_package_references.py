@@ -9,8 +9,8 @@ attribute, an imported name, or a string that is exactly the name
 tests call belongs in the tests, where it can stay the reference route it
 is; the few reference routes kept in the package on purpose are listed in
 REFERENCE_ROUTES with the reason they stay.  The names that only a
-tracer string (or an import kept for the tracer) keeps in use are listed
-in TRACER_ONLY, so that the count of such names is seen and kept.
+tracer string keeps in use are listed in TRACER_ONLY, so that the count
+of such names is seen and kept.
 """
 
 import ast
@@ -28,11 +28,11 @@ REFERENCE_ROUTES = {
     "affine_transform", "dualize", "reverse_dual", "reverse_primal",
 }
 
-# Used by nothing but bench/tracing.PATCHES, which wraps them by name, and
-# analysis's import of primitive_idempotents, kept for that tracer: no code
-# outside the tests calls them.  They leave with their spans in the next
-# change to the benchmark.
-TRACER_ONLY = {"solve_matrix", "has_zero_diagonal", "primitive_idempotents"}
+# Used by nothing but bench/tracing.PATCHES, which wraps them by name: no
+# code outside the tests calls them.  They leave with their spans in the
+# next change to the benchmark.  (primitive_idempotents has a span too, but
+# the boundary example calls it.)
+TRACER_ONLY = {"solve_matrix", "has_zero_diagonal"}
 
 
 def _names(nodes, strings=True):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     QQ,
+    bidiagonal_idempotents,
     campaign_cell_samples,
     cross_route_samples,
     dense_split,
@@ -28,7 +29,6 @@ from leonardz.exactfield import parse_field
 from leonardz.families import FAMILIES
 from leonardz.parray import LeonardType, ParameterArray, build_parameter_array
 from leonardz.realization import (
-    bidiagonal_idempotents,
     intersection_a_closed,
     intersection_a_trace,
     primitive_idempotents,
@@ -691,24 +691,20 @@ def test_band_and_trace_match_the_full_sandwich():
     assert checked == 130 + 12 + 12 + 7
 
 
-def test_closed_form_matches_the_dense_sandwich_on_every_field(monkeypatch):
+def test_closed_form_matches_the_dense_sandwich_on_every_field():
     """On every field, the intersection numbers that standard_basis_rep
     reads off the closed form U, as a matrix, are the A of the
     reference route on the V* of bidiagonal_idempotents, whose band is
-    that of the dense W* A V*.  A deep analysis forms no eigenvector by
-    substitution: _right_eigenvector, patched to raise, is never called."""
-    def substitution(*args):
-        raise AssertionError("an eigenvector was formed by substitution")
-
+    that of the dense W* A V*, and a deep analysis reads the same b and
+    c.  The package has no substitution route, so no verdict forms an
+    eigenvector by substitution."""
     checked, labels = 0, set()
     for spec in cross_route_samples():
         arr = build_parameter_array(spec)
         real = realize_split(arr)
         nums = standard_basis_rep(real)
         assert nums.matrix() == fraction_route(real), spec
-        with monkeypatch.context() as m:
-            m.setattr(realization, "_right_eigenvector", substitution)
-            chk = analyze_instance(spec, arr, deep=True)
+        chk = analyze_instance(spec, arr, deep=True)
         assert chk.ok, (spec, chk.failures)
         assert (chk.nums.b, chk.nums.c) == (nums.b, nums.c), spec
         labels.add(spec.field.label())
@@ -1203,6 +1199,28 @@ def test_every_list_of_the_pair_is_checked(monkeypatch, sampled_d6, name):
                 assert chk.flags["a_trace_equals_closed"] is False, i
                 assert chk.failures == ["a_trace_equals_closed"], i
     assert realize_split(arr) == real
+
+
+@pytest.mark.parametrize("label", ["Q", "GF(1000003)"])
+def test_equal_theta_star_neighbours_of_the_pair_are_named(monkeypatch, label):
+    """A pair whose theta_star has two equal neighbours, though the array's
+    has none (only the library API builds one), ends a fast verdict in
+    the a-trace's division, which names the equal pair on every field
+    (RepeatedEigenvalue), not in a bare zero division.  A deep verdict
+    refuses the pair before, in verify_axioms."""
+    ctx = parse_field(label)
+    spec = sample_spec(LeonardType.Q_RACAH, 6, ctx, random.Random(f"equal-theta-star|{label}"))
+    arr = build_parameter_array(spec)
+    ts = list(arr.theta_star)
+    ts[2] = ts[1]
+    broken = with_lists(realize_split(arr), theta_star=ts)
+    with pytest.raises(RepeatedEigenvalue, match="^eigenvalues 1 and 2 coincide$"):
+        intersection_a_trace(broken)
+    monkeypatch.setattr(analysis, "realize_split", lambda _: broken)
+    with pytest.raises(RepeatedEigenvalue, match="^eigenvalues 1 and 2 coincide$"):
+        analyze_instance(spec, arr)
+    with pytest.raises(AxiomViolation):
+        analyze_instance(spec, arr, deep=True)
 
 
 def test_counterexample_system_passes_patterns():
