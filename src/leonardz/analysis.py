@@ -255,18 +255,19 @@ def analyze_instance(spec, arr=None, deep=False):
     its closed form names a repeated theta* before the a-routes divide by
     theta*_i - theta*_(i+1).  The standard basis {E*_i u} takes the
     band T of V*^-1 A V* as the band of T' = C T C^-1, certified in O(n^2)
-    by A' U = U T' without V*^-1.  Its scale D_i = w*_i . u is the
-    theta_0-eigenvector of T, in O(n); on T' the same recurrence gives
-    D' = C D, and the intersection numbers, the band of D'^-1 T' D', need
-    no C.  A failure names entries of T and D, converted from T' and D' on
-    the failure path only.  No dense projection or basis matrix is formed,
-    so the a_trace and a_standard flags compare two different computations
-    with the closed form.  The zero diagonal space is computed in the
-    standard basis, where A* is diag(theta*), A is tridiagonal with the
-    intersection numbers, and the test E*_i X E*_i = 0 reads X_ii = 0.  No
-    matrix of that space is formed: the zero-diagonal flags read the n
-    entries X_ii = f0 + f1 theta*_i + a_i (f2 + f3 theta*_i) off theta*
-    and nums.a, closed_generator_nonzero adds the band entries
+    by A' U = U T' without V*^-1.  The intersection numbers come off that
+    band in O(n) by the row sums c_(i-1) + a_i + b_i = theta_0 of the
+    standard basis, with b_i c_i = t'_(i,i+1) t'_(i+1,i), so neither C
+    nor the scale D_i = w*_i . u is formed.  A failure names entries of T
+    and D, converted from T' on the failure path only.  No dense
+    projection or basis matrix is formed, so the a_trace and a_standard
+    flags compare two different computations with the closed form.  The
+    zero diagonal space is computed in the standard basis, where A* is
+    diag(theta*), A is tridiagonal with the intersection numbers, and the
+    test E*_i X E*_i = 0 reads X_ii = 0.  No matrix of that space is
+    formed: the zero-diagonal flags read the n entries
+    X_ii = f0 + f1 theta*_i + a_i (f2 + f3 theta*_i) off theta* and nums.a,
+    closed_generator_nonzero adds the band entries
     b_i (f2 + f3 theta*_(i+1)) and c_i (f2 + f3 theta*_i), and the
     commutator's diagonal is a_i theta*_i - theta*_i a_i.
     x_generators_independent is one 5 x 5 determinant of entries of
@@ -283,7 +284,9 @@ def analyze_instance(spec, arr=None, deep=False):
     forms, M' U = U diag(theta) for E of A and E* of A*, with the theta
     distinct by the diagonals of the U, and certifies the E A* E band on
     E's closed form; that call is the only difference between the modes.
-    standard_basis_rep then certifies the E* A E* band as in fast mode.
+    standard_basis_rep then certifies the E* A E* band as in fast mode,
+    on the U of E* that verify_axioms built (Realization.u_star), so a
+    deep verdict builds two closed forms and a fast one one.
     No left factor, no transpose of A and no n x n product of the factors is
     formed, and a failed certificate names the family and the
     eigenvector, or an entry off the band and its value.  The spectral

@@ -90,12 +90,15 @@ class SingularBasis(LeonardError):
     Raised by the change to the standard basis when the certificate
     A V* = V* T, run on the closed form of V*, finds
     T = W* A V* not tridiagonal: "A not tridiagonal at (i,j): S_ij"
-    names an entry off the band and its value.  Then the scale D of
-    E*_i u = D_i v*_i, the theta_0-eigenvector of T, must exist and be
-    nonzero: "off-diagonal intersection numbers must be nonzero: T at
-    (i,j) is 0" names a zero next to the diagonal, "(T - theta_0 I) D != 0
-    in row d: r" the residual of the last row of its recurrence, and
-    "E*_i u vanishes: D_i = 0" a zero entry of D.
+    names an entry off the band and its value.  Then the intersection
+    numbers are read off the band by the row sums
+    c_(i-1) + a_i + b_i = theta_0, and the scale D of E*_i u = D_i v*_i,
+    the theta_0-eigenvector of T, must be nonzero:
+    "off-diagonal intersection numbers must be nonzero: T at (i,j) is 0"
+    names a zero next to the diagonal, "E*_i u vanishes: D_i = 0" a zero
+    b_(i-1), which vanishes exactly when D_i does, and
+    "(T - theta_0 I) D != 0 in row d: r" a last row that does not sum to
+    theta_0, with r = D_d (a_d + c_(d-1) - theta_0).
     """
 
 

@@ -19,8 +19,9 @@ pivot once per output entry.  The rref is unique, so every value equals
 the field route's.  mat_mul over Q scales the rows of a and the columns
 of b the same way: row r of a is A_r / s_r and column j of b is
 B_j / c_j, so the entry (a b)_rj is the integer dot product A_r . B_j
-over s_r c_j.  The sum is exact and the Rational built from it is
-normalised, so it is the value the field route's sum of products gives.
+over s_r c_j.  The sum is exact and the Rational that exactfield.ratio
+builds from it is normalised, so it is the value the field route's sum
+of products gives.
 A column of b, not a row, carries the scale, as the columns of the
 moment matrix M hold one index's values each: a common denominator of
 b's rows would hold every index's, and its height grows with n.  Over a
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 
 from .errors import SingularMatrix
-from .exactfield import Rational
+from .exactfield import ratio
 
 
 def identity(n, ctx):
@@ -82,7 +83,7 @@ def mat_mul(a, b):
                 if x:
                     for j, y in sup:
                         acc[j] += x * y
-            out.append([Rational(v, sr * cj) for v, cj in zip(acc, c)])
+            out.append([ratio(v, sr * cj) for v, cj in zip(acc, c)])
         return out
     zero = a[0][0] - a[0][0]
     b_supports = [support(row) for row in b]
@@ -231,7 +232,7 @@ def rref(rows):
     m, pivots, _, scales = _eliminate(rows)
     if scales is not None:
         red, den = _integer_rref(m, pivots)
-        return [[Rational(x, den) for x in row] for row in red], pivots
+        return [[ratio(x, den) for x in row] for row in red], pivots
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row_r = m[r]
@@ -288,7 +289,7 @@ def det(a):
         return a[0][0] - a[0][0]
     if scales is not None:
         d = m[-1][-1]
-        return Rational(-d if swaps % 2 else d, math.prod(scales))
+        return ratio(-d if swaps % 2 else d, math.prod(scales))
     d = m[0][0]
     for i in range(1, len(m)):
         d = d * m[i][i]

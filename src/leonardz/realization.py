@@ -17,9 +17,10 @@ U[r][j] = L^r tau_r(theta_j), L clearing theta's denominators over Q,
 and diagonal P = diag(Phi_r L^r) and C = diag(Phi_j L^j / U[j][j]).  U is
 held as the field's coefficients: cleared Python ints over Q, residues
 over GF(p), the field's own elements over GF(p^k).  E* is the U of A*,
-on (theta*, phi).  E is the U of the reversed A, upper bidiagonal with
-diagonal theta reversed and superdiagonal A's subdiagonal reversed: V
-with rows and columns in reverse order.
+on (theta*, phi), built once per pair (Realization.u_star).  E is the
+U of the reversed A, upper bidiagonal with diagonal theta reversed and
+superdiagonal A's subdiagonal reversed: V with rows and columns in
+reverse order.
 
 Two kinds of O(n^2) certificate stand in for dense products, both run
 on the coefficients.  _TauStar.certify proves M V = V diag(theta) as
@@ -36,16 +37,17 @@ E's U on the reversed A*, which is lower bidiagonal (verify_axioms).
 Deep analysis certifies both families and both patterns; the fast
 analysis certifies only the E* A E* band.
 
-The scale D_i = w*_i . u of E*_i u = D_i v*_i comes from the band too: as
-A u = theta_0 u, D = W* u is the theta_0-eigenvector of T, the row-sum
-identity c_i + a_i + b_i = theta_0 of the standard basis, and a
-three-term recurrence gives it in O(n) (_standard_scale).  On T' it gives
-D' = C D, since C_0 = 1, and A of the standard basis is
-D^-1 T D = D'^-1 T' D', so C is never formed: its band is the
-intersection numbers, and no n x n matrix of that basis is formed.  A
-failure names entries of T and D, not of T' and D': on its cold path the
-value is converted, S_ij = S'_ij C_j / C_i and D_i = D'_i / C_i
-(_unscaled).  The a-trace reads A's diagonal and subdiagonal and the
+The intersection numbers come from the band too, with no scale: E*_i u
+is D_i v*_i with D_i = w*_i . u, so A of the standard basis is
+D^-1 T D.  Its diagonal is t_ii, and b_i c_i = t_(i,i+1) t_(i+1,i), a
+product that no diagonal similarity changes, so it is the same on T'.
+As A u = theta_0 u, each row of A in the standard basis sums to theta_0,
+c_(i-1) + a_i + b_i = theta_0 (Terwilliger, LAA 330 (2001)), so b_i and
+then c_i follow in O(n), and neither C nor D is formed
+(standard_basis_rep).  A failure names entries of T and of D, not of
+T': on its cold path the value is converted, S_ij = S'_ij C_j / C_i and
+D_d = D'_d / C_d (_unscaled), with D'_d = prod_(k<d) b_k / t'_(k,k+1).
+The a-trace reads A's diagonal and subdiagonal and the
 first substitution step of each factor of E*,
 a_i = theta_i + v*_i[i - 1] + w*_i[i + 1] with unit subdiagonal, and
 the band t_ii = theta_i + v*_i[i - 1] - v*_(i+1)[i]: the two a-routes
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import (
@@ -72,7 +75,7 @@ from .errors import (
     RepeatedEigenvalue,
     SingularBasis,
 )
-from .exactfield import PrimeField, Rational
+from .exactfield import PrimeField, ratio
 
 
 @dataclass
@@ -99,6 +102,13 @@ class Realization:
             if len(getattr(self, name)) != n:
                 raise DegenerateArray(
                     f"{name} has {len(getattr(self, name))} entries, not {n} (d = {d})")
+
+    @cached_property
+    def u_star(self):
+        """The closed form U of E* (_TauStar) on the array's theta_star and
+        phi1, built once per pair: standard_basis_rep reads its band and
+        verify_axioms certifies it."""
+        return _TauStar.of(self.array.theta_star, self.array.phi1, self.array.field)
 
 
 @dataclass
@@ -281,7 +291,7 @@ class _TauStar:
         """The field element x / den of two coefficients."""
         if self.mod:
             return self.ctx(x * pow(den, -1, self.mod))
-        return x / den if self.ctx.characteristic else Rational(x, den)
+        return x / den if self.ctx.characteristic else ratio(x, den)
 
     def scale(self, i):
         """C_i = Phi_i L^i / U[i][i], formed for failure values only."""
@@ -352,7 +362,7 @@ class _TauStar:
             for r in range(min(j + 1, n - 1), max(j - 2, -1), -1):
                 x = (diag[r] * col[r] if r <= j else 0) + low[r] * col[r - 1]
                 x = k * x - e * sum(cols[i][r] * y for i, y in g.items())
-                t = band[r, j] = Rational(x, k * e * cols[r][r])
+                t = band[r, j] = ratio(x, k * e * cols[r][r])
                 m = math.lcm(k, t.denominator)
                 g = {i: y * (m // k) for i, y in g.items()}
                 g[r], k = t.numerator * (m // t.denominator), m
@@ -364,7 +374,7 @@ class _TauStar:
                 if up:
                     x -= up * cols[j + 1][r]
                 if x:
-                    raise off_band(r, j, _unscaled(self.scale, Rational(x, k * e * cols[r][r]), r, j))
+                    raise off_band(r, j, _unscaled(self.scale, ratio(x, k * e * cols[r][r]), r, j))
         return band
 
     def _field_band(self, diag, low, off_band):
@@ -396,37 +406,10 @@ class _TauStar:
 
 
 def _unscaled(c, x, i, j=None):
-    """An entry x of T' at (i, j), or of D' = C D at i, as the same entry
-    of T or of D: x C_j / C_i or x / C_i, with C_i = c(i)."""
+    """An entry x of T' at (i, j), or x D'_i with D' = C D, as the same
+    entry of T or x D_i: x C_j / C_i or x / C_i, with C_i = c(i)."""
     x = x / c(i)
     return x if j is None else x * c(j)
-
-
-def _standard_scale(band, d, theta0, one, c):
-    """D with (T - theta_0 I) D = 0 and D_0 = 1, for the band T of W* A V*.
-
-    Rows 0..d - 1 of T give D_1..D_d by the three-term recurrence, one
-    division by t_(i,i+1) each, which must be nonzero.  Each D_i must be
-    nonzero and row d must then vanish; SingularBasis names the first zero
-    "E*_i u vanishes: D_i = 0" or the residual
-    "(T - theta_0 I) D != 0 in row d: r" otherwise.  The band given is
-    that of T' = C T C^-1, with c(i) = C_i: the same recurrence gives
-    D' = C D, as C_0 = 1, and the values named are D_i = D'_i / C_i and
-    the residual of T over C_d.
-    """
-    scale = [one]
-    for i in range(d + 1):
-        x = (band[i, i] - theta0) * scale[i]
-        if i:
-            x = x + band[i, i - 1] * scale[i - 1]
-        if i == d and x:
-            raise SingularBasis(f"(T - theta_0 I) D != 0 in row {d}: {_unscaled(c, x, d)}")
-        if i < d:
-            scale.append(-x / band[i, i + 1])
-            if not scale[-1]:
-                raise SingularBasis(
-                    f"E*_{i + 1} u vanishes: D_{i + 1} = {_unscaled(c, scale[-1], i + 1)}")
-    return scale
 
 
 def standard_basis_rep(real):
@@ -437,40 +420,51 @@ def standard_basis_rep(real):
     of E*, the eigenvectors of the split A* of real.array, so A is
     D^-1 T D there, with T = W* A V*, and A* is diag(theta*).  No V* is
     formed: the band comes from the closed form U of _TauStar, on the
-    array's theta* and phi1, as the band of T' = C T C^-1, certified by
-    A' U = U T' on ints over Q, residues over GF(p) and elements over
-    GF(p^k), with A read as its diagonal theta and subdiagonal sub; an
-    entry of T off the band is named with its value (SingularBasis).  A
-    repeated theta* is named by the closed form (RepeatedEigenvalue).
-    D needs neither W* nor u: as A u = theta_0 u, D = W* u is the
-    theta_0-eigenvector of T, which is the row-sum identity
-    c_i + a_i + b_i = theta_0 of the standard basis (Terwilliger, LAA 330
-    (2001)).  _standard_scale solves (T - theta_0 I) D = 0 from D_0 = 1 in
-    O(n), with theta_0 = real.theta[0], the eigenvalue of the lower
-    bidiagonal A that u belongs to, and D^-1 T D does not change under
-    D -> lambda D.
-    On T' it gives D' = C D, and D^-1 T D = D'^-1 T' D', so C is never
-    formed.
+    array's theta* and phi1 (real.u_star), as the band of
+    T' = C T C^-1, certified by A' U = U T' on ints over Q, residues over
+    GF(p) and elements over GF(p^k), with A read as its diagonal theta and
+    subdiagonal sub; an entry of T off the band is named with its value
+    (SingularBasis).  A repeated theta* is named by the closed form
+    (RepeatedEigenvalue).
+    b and c need neither W*, u nor D.  As A u = theta_0 u, every row of
+    A in the standard basis sums to theta_0: c_(i-1) + a_i + b_i = theta_0
+    with c_(-1) = 0 (Terwilliger, LAA 330 (2001)), theta_0 = real.theta[0]
+    the eigenvalue of the lower bidiagonal A that u belongs to.  And
+    b_i c_i = t_(i,i+1) t_(i+1,i), a product that no diagonal similarity
+    changes, so it is read off T' as well.  So, in O(n) and on T' alone,
+    a_i = t'_ii, b_i = theta_0 - a_i - c_(i-1) and
+    c_i = t'_(i,i+1) t'_(i+1,i) / b_i, and row d must then read
+    a_d + c_(d-1) = theta_0; C is never formed.
     A zero t_ij next to the diagonal (b_i or c_j would vanish; a zero
-    phi_i gives t_(i-1)i = 0), a residual in row d and a zero D_i
-    (E*_i u = 0) each raise SingularBasis, which names the entry and its
-    value, of T and D: they are converted from T' and D' on the failure
-    path only.  Returns IntersectionNumbers read straight off the band and
-    the scale, a_i = t_ii, b_i = t_(i,i+1) D_(i+1) / D_i and
-    c_i = t_(i+1,i) D_i / D_(i+1); no n x n matrix is formed.
+    phi_i gives t_(i-1)i = 0) raises SingularBasis, which names the entry
+    of T and its value, converted from T' on the failure path only.  As
+    t_(i,i+1) != 0, b_i = t_(i,i+1) D_(i+1) / D_i vanishes exactly when
+    D_(i+1) does (E*_(i+1) u = 0), and that is named "E*_(i+1) u vanishes:
+    D_(i+1) = 0".  A residual in row d is named as the entry
+    D_d (a_d + c_(d-1) - theta_0) of (T - theta_0 I) D, with D_0 = 1 and
+    D_d = prod_(k<d) b_k / t_(k,k+1), formed on the failure path only, on
+    T' and converted (_unscaled).  Returns IntersectionNumbers; no n x n
+    matrix is formed.
     """
-    arr, n = real.array, real.array.d + 1
-    u = _TauStar.of(arr.theta_star, arr.phi1, arr.field)
+    d, theta0, u = len(real.sub), real.theta[0], real.u_star
     band = u.band(real.theta, real.sub,
                   lambda i, j, x: SingularBasis(f"A not tridiagonal at ({i},{j}): {x}"))
     gap = min(((i, j) for (i, j), x in band.items() if i != j and not x), default=None)
     if gap:
         raise SingularBasis(f"off-diagonal intersection numbers must be nonzero: "
                             f"T at ({gap[0]},{gap[1]}) is {_unscaled(u.scale, band[gap], *gap)}")
-    scale = _standard_scale(band, arr.d, real.theta[0], arr.field.one, u.scale)
-    return IntersectionNumbers([band[i, i] for i in range(n)],
-                               [band[i, i + 1] * scale[i + 1] / scale[i] for i in range(n - 1)],
-                               [band[i + 1, i] * scale[i] / scale[i + 1] for i in range(n - 1)])
+    a = [band[i, i] for i in range(d + 1)]
+    b, c = [], [theta0 - theta0]  # c[i] is c_(i-1), with c_(-1) = 0
+    for i in range(d):
+        b.append(theta0 - a[i] - c[i])
+        if not b[i]:
+            raise SingularBasis(f"E*_{i + 1} u vanishes: D_{i + 1} = {b[i]}")
+        c.append(band[i, i + 1] * band[i + 1, i] / b[i])
+    x = a[d] + c[d] - theta0
+    if x:
+        x = math.prod((y / band[k, k + 1] for k, y in enumerate(b)), start=x)  # D'_d x
+        raise SingularBasis(f"(T - theta_0 I) D != 0 in row {d}: {_unscaled(u.scale, x, d)}")
+    return IntersectionNumbers(a, b, c[1:])
 
 
 def verify_axioms(real):
@@ -493,8 +487,9 @@ def verify_axioms(real):
     AxiomViolation "E A* E at (i,j) expected zero, got S_ij".  Then the
     first zero entry next to the diagonal, in row-major order, raises
     "expected nonzero".  Last, A* U = U diag(theta*) is certified on the
-    closed form U of standard_basis_rep ("rank-one E* of A*: ...").  The
-    dual pattern E*_i A E*_j is the band of W* A V*, which
+    closed form U that standard_basis_rep reads, the pair's one u_star
+    ("rank-one E* of A*: ...").  The dual pattern E*_i A E*_j is the band
+    of W* A V*, which
     standard_basis_rep certifies: zero off the band by A' U = U T'
     (SingularBasis names the entry), b and c nonzero, and its diagonal is
     the a that the analysis compares with the closed form.  Each family's
@@ -510,5 +505,5 @@ def verify_axioms(real):
     zeros = [(d - i, d - j) for (i, j), x in band.items() if i != j and not x]
     if zeros:
         raise AxiomViolation("E A* E", *min(zeros), "expected nonzero")
-    _TauStar.of(arr.theta_star, arr.phi1, ctx).certify(real.theta_star, real.sup, "E* of A*")
+    real.u_star.certify(real.theta_star, real.sup, "E* of A*")
     return True

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from leonardz import realization
+from leonardz.errors import SingularBasis
 from leonardz.exactfield import ExtensionField, Rationals, parse_field
 from leonardz.families import FAMILIES
 from leonardz.parray import ALL_TYPES, LeonardType, TypeSpec
@@ -109,6 +110,36 @@ def bidiagonal_idempotents(eigs, sup, ctx):
     except ZeroDivisionError:
         realization._check_distinct(eigs)
         raise
+
+
+def standard_scale(band, d, theta0, one, c):
+    """The reference scale D with (T - theta_0 I) D = 0 and D_0 = 1, for
+    the band T of W* A V*: A of the standard basis {E*_i u} is D^-1 T D.
+
+    Rows 0..d - 1 of T give D_1..D_d by the three-term recurrence, one
+    division by t_(i,i+1) each, which must be nonzero.  Each D_i must be
+    nonzero and row d must then vanish; SingularBasis names the first zero
+    "E*_i u vanishes: D_i = 0" or the residual
+    "(T - theta_0 I) D != 0 in row d: r" otherwise.  The band given may be
+    that of T' = C T C^-1, with c(i) = C_i: the same recurrence gives
+    D' = C D, as C_0 = 1, and the values named are D_i = D'_i / C_i and
+    the residual of T over C_d.  The package reads b and c off the band by
+    the row sums instead (realization.standard_basis_rep), and forms no D.
+    """
+    scale = [one]
+    for i in range(d + 1):
+        x = (band[i, i] - theta0) * scale[i]
+        if i:
+            x = x + band[i, i - 1] * scale[i - 1]
+        if i == d and x:
+            raise SingularBasis(
+                f"(T - theta_0 I) D != 0 in row {d}: {realization._unscaled(c, x, d)}")
+        if i < d:
+            scale.append(-x / band[i, i + 1])
+            if not scale[-1]:
+                raise SingularBasis(f"E*_{i + 1} u vanishes: "
+                                    f"D_{i + 1} = {realization._unscaled(c, scale[-1], i + 1)}")
+    return scale
 
 
 def dense_split(real):

@@ -403,6 +403,26 @@ def test_split_analysis_call_counts(monkeypatch, exemplar_specs, deep):
                       "mat_mul": len(exemplar_specs)}
 
 
+@pytest.mark.parametrize("deep, builds", [(False, 1), (True, 2)])
+def test_each_closed_form_is_built_once(monkeypatch, exemplar_specs, deep, builds):
+    """A verdict builds the closed form U of E* once, on the pair
+    (Realization.u_star), and deep mode builds U_A of E besides:
+    standard_basis_rep and verify_axioms read the same U."""
+    built = []
+    of = realization._TauStar.of
+
+    def counted(eigs, phi, ctx, flip=False):
+        built.append(flip)
+        return of(eigs, phi, ctx, flip)
+
+    monkeypatch.setattr(realization._TauStar, "of", staticmethod(counted))
+    for spec in exemplar_specs.values():
+        chk = analyze_instance(spec, deep=deep)
+        assert chk.ok, (spec.name, chk.failures)
+        assert built == [True, False][2 - builds:], spec.name
+        built.clear()
+
+
 def recording_certificates(monkeypatch):
     """Record (family, closed form, flip) for each eigen-certificate run,
     family "E*" for A* and "E" for A, after it passes."""
@@ -608,14 +628,17 @@ def test_fast_analysis_multiplication_count(monkeypatch):
     neither A A* nor A* A (ranking the 5 x 2n block of their first two rows
     cost 20 there and forming the two products 98, ranking the 5 x n^2
     flattening 226 at n = 17, and 2275 with dense row updates).  The whole
-    fast analysis makes 1028: the band of W* A V* is certified on the
+    fast analysis makes 979: the band of W* A V* is certified on the
     residues of the closed form U, Python ints that make no field
-    multiplication, the scale D comes from that band by an O(n)
-    recurrence, and the a-trace reads three entries of A per i, with no
-    other entry of W* formed (1420 with the band read off a V* of field
-    elements at two products per certified entry, 1471 with the block
-    rank and the formed products, 1826 when D = W* u read all of W*, 2652
-    with the residual certificate that read W*, 6018 with dense kernels).
+    multiplication, b and c come from that band by the row sums in O(n),
+    one product and one quotient for each c_i, and the a-trace reads
+    three entries of A per i, with no other entry of W* formed (1028 with
+    the scale D, its recurrence and the quotients b_i = t_(i,i+1)
+    D_(i+1) / D_i and c_i = t_(i+1,i) D_i / D_(i+1), 1420 with the band
+    read off a V* of field elements at two products per certified entry,
+    1471 with the block rank and the formed products, 1826 when D = W* u
+    read all of W*, 2652 with the residual certificate that read W*, 6018
+    with dense kernels).
     """
     ctx = parse_field("GF(1000003)")
     spec = sample_spec(LeonardType.Q_RACAH, 16, ctx, random.Random("mul-count"))
@@ -643,7 +666,7 @@ def test_fast_analysis_multiplication_count(monkeypatch):
     minor_counts = [c for size, c in det_counts if size == 5]
     assert len(minor_counts) == 1 and minor_counts[0] <= 23
     assert len(certificate_counts) == 1 and certificate_counts[0][1] <= 10 + 23
-    assert count[0] <= 1028
+    assert count[0] <= 979
 
 
 @pytest.mark.parametrize("deep", [False, True])

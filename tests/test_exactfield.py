@@ -184,6 +184,32 @@ def test_rational_zero_division_reads_as_fraction(op, x, y):
     assert str(info.value) == str(want.value)
 
 
+# Zero, small, and 200-digit integers of either sign.
+RATIO_INTEGERS = st.one_of(st.just(0), st.integers(-12, 12), st.integers(10 ** 199, 10 ** 200),
+                           st.integers(-10 ** 200, -10 ** 199))
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIO_INTEGERS, RATIO_INTEGERS.filter(bool), st.one_of(st.just(1), st.integers(2, 10 ** 60)))
+def test_ratio_is_the_constructor(n, d, g):
+    """ratio(n, d) is Rational(n, d), value, str, hash, parts and type, on
+    both backends: with a common factor g, for both signs of d and with a
+    zero numerator."""
+    for num, den in ((n * g, d * g), (n * g, -d * g), (0, d)):
+        got, want = exactfield.ratio(num, den), Rational(num, den)
+        assert type(got) is type(want)
+        assert (got, str(got), hash(got)) == (want, str(want), hash(want))
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_ratio_by_zero_raises_as_the_constructor():
+    for n in (0, 3, -3):
+        with pytest.raises(ZeroDivisionError):
+            Rational(n, 0)
+        with pytest.raises(ZeroDivisionError):
+            exactfield.ratio(n, 0)
+
+
 def test_rational_pickles_and_parses_as_itself():
     x = Rational(-6, 4)
     assert pickle.loads(pickle.dumps(x)) == x and type(pickle.loads(pickle.dumps(x))) is Rational

@@ -14,6 +14,7 @@ from conftest import (
     eigenvectors,
     families_over,
     make_krawtchouk,
+    standard_scale,
 )
 from leonardz import analysis, linalg, realization
 from leonardz.analysis import analyze_instance
@@ -152,7 +153,8 @@ def fraction_band(diag, sub, vs, off_band):
 def fraction_route(real):
     """The standard basis by the reference route: the band of V*^-1 A V*
     off the V* of bidiagonal_idempotents (fraction_band), then the gap
-    check and the scale D as standard_basis_rep forms them, with C = I.
+    check as standard_basis_rep makes it and the reference scale D
+    (standard_scale), with C = I.
     Returns A of the standard basis, D^-1 T D, as a dense matrix, or
     raises what that route raises."""
     arr, n, one = real.array, len(real.theta), real.array.field.one
@@ -163,7 +165,7 @@ def fraction_route(real):
     if gap:
         raise SingularBasis(f"off-diagonal intersection numbers must be nonzero: "
                             f"T at ({gap[0]},{gap[1]}) is {band[gap]}")
-    scale = realization._standard_scale(band, arr.d, real.theta[0], one, lambda i: one)
+    scale = standard_scale(band, arr.d, real.theta[0], one, lambda i: one)
     a_std = [[arr.field.zero] * n for _ in range(n)]
     for (i, j), x in band.items():
         a_std[i][j] = x if i == j else x * scale[j] / scale[i]
@@ -592,8 +594,9 @@ def test_certificates_name_a_lone_off_band_entry():
 
 def test_fast_analysis_never_forms_the_full_sandwich(monkeypatch):
     """Neither mode forms an n x n product of the factors: the one matrix
-    product is the T M of L_equals_TM.  The scale D comes from the band,
-    and deep mode certifies the closed forms of the right factors alone."""
+    product is the T M of L_equals_TM.  b and c come from the band by the
+    row sums, with no scale D, and deep mode certifies the closed forms of
+    the right factors alone."""
     counts = {"mat_mul": 0}
 
     def counted(name, fn):
@@ -713,6 +716,32 @@ def test_closed_form_matches_the_dense_sandwich_on_every_field():
     assert {"Q", "GF(1000003)", "GF(3^4)"} <= labels
 
 
+def test_row_sums_give_the_b_and_c_of_the_scale():
+    """b and c, which standard_basis_rep reads off the certified band
+    T' = C T C^-1 by the row sums c_(i-1) + a_i + b_i = theta_0, are those
+    of D'^-1 T' D' = D^-1 T D with the scale D' = C D of the reference
+    recurrence on the same band (standard_scale): on one sample per
+    campaign cell, the orphan over GF(2^2) and GF(2^3) among them, and a
+    d = 16 sample per family over Q, GF(1000003) and GF(3^4)."""
+    checked, labels = 0, set()
+    for spec in cross_route_samples():
+        arr = build_parameter_array(spec)
+        real = realize_split(arr)
+        u = closed_form(arr)
+        band = u.band(real.theta, real.sub, refuse)
+        scale = standard_scale(band, arr.d, real.theta[0], arr.field.one, u.scale)
+        nums = standard_basis_rep(real)
+        steps = range(arr.d)
+        assert nums.a == [band[i, i] for i in range(arr.d + 1)], spec
+        assert nums.b == [band[i, i + 1] * scale[i + 1] / scale[i] for i in steps], spec
+        assert nums.c == [band[i + 1, i] * scale[i] / scale[i + 1] for i in steps], spec
+        labels.add((spec.name is LeonardType.ORPHAN, spec.field.label()))
+        checked += 1
+    assert checked == 130 + 12 + 12 + 7
+    assert {(False, "Q"), (False, "GF(1000003)"), (False, "GF(3^4)"),
+            (True, "GF(2^2)"), (True, "GF(2^3)")} <= labels
+
+
 def u_by_substitution(sub, theta, one):
     """u with A u = theta_0 u and u_0 = 1 for the lower bidiagonal A with
     diagonal theta and subdiagonal sub, by forward substitution: row c
@@ -724,9 +753,10 @@ def u_by_substitution(sub, theta, one):
 
 
 def test_scale_is_the_normalised_w_star_u():
-    """The recurrence's D is W* u / (w*_0 . u), with W* the whole left family
-    and u the theta_0-eigenvector of A, both formed here by substitution:
-    on the band of T' = C T C^-1 it gives D' = C D."""
+    """The reference recurrence's D (standard_scale) is W* u / (w*_0 . u),
+    with W* the whole left family and u the theta_0-eigenvector of A, both
+    formed here by substitution: on the band of T' = C T C^-1 it gives
+    D' = C D."""
     checked = 0
     for spec in cross_route_samples():
         arr = build_parameter_array(spec)
@@ -737,7 +767,7 @@ def test_scale_is_the_normalised_w_star_u():
         old = [sum((x * y for x, y in zip(w, u)), arr.field.zero) for w in estar.w]
         tau = closed_form(arr)
         band = tau.band(real.theta, real.sub, refuse)
-        scale = realization._standard_scale(band, arr.d, real.theta[0], arr.field.one, tau.scale)
+        scale = standard_scale(band, arr.d, real.theta[0], arr.field.one, tau.scale)
         assert [x / tau.scale(i) for i, x in enumerate(scale)] == [x / old[0] for x in old], spec
         checked += 1
     assert checked == 130 + 12 + 12 + 7
@@ -771,6 +801,37 @@ def test_perturbed_band_fails_the_last_row(monkeypatch, worked, entry):
     assert str(info.value).startswith(prefix)
     if key != (0, 0):
         assert str(info.value) == prefix + str(scale[key[1]])
+
+
+@pytest.mark.parametrize("label", ["Q", "GF(1000003)", "GF(3^4)"])
+def test_a_bent_band_fails_as_the_scale_names_it(monkeypatch, label):
+    """Each band entry of a d = 6 sample moved by one, and t'_11 moved by
+    b_1, on every field, end standard_basis_rep in the SingularBasis that
+    the reference recurrence on the same band raises (standard_scale),
+    text for text: the residual of row d, whose D_d is formed on the
+    failure path only, or where some b_i vanishes, as b_1 does by the last
+    move, "E*_(i+1) u vanishes"."""
+    ctx = parse_field(label)
+    arr = build_parameter_array(sample_spec(
+        LeonardType.Q_RACAH, 6, ctx, random.Random(f"last-row|{label}")))
+    real, u = realize_split(arr), closed_form(arr)
+    certified = u.band(real.theta, real.sub, refuse)
+    moves = [(key, ctx.one) for key in certified] + [((1, 1), standard_basis_rep(real).b[1])]
+    named = []
+    for key, x in moves:
+        band = dict(certified)
+        band[key] = band[key] + x
+        monkeypatch.setattr(realization._TauStar, "band", lambda *_: band)
+        outcomes = []
+        for route in (lambda: standard_basis_rep(real),
+                      lambda: standard_scale(band, arr.d, real.theta[0], ctx.one, u.scale)):
+            with pytest.raises(SingularBasis) as info:
+                route()
+            outcomes.append(str(info.value))
+        assert outcomes[0] == outcomes[1], key
+        named.append(outcomes[0])
+    assert named[-1] == "E*_2 u vanishes: D_2 = 0"
+    assert all(x.startswith(("(T - theta_0 I) D != 0 in row 6: ", "E*_")) for x in named)
 
 
 def _with_phi(arr, phi):
@@ -824,7 +885,9 @@ def sampled_d6():
 
 def closed_form_patched(monkeypatch, family_eigs, change):
     """Patch _TauStar.of so that each closed form built on family_eigs
-    (the diagonal it is given, in its own order) is changed by change(u)."""
+    (the diagonal it is given, in its own order) is changed by change(u).
+    A pair keeps the U of E* it built before the patch (u_star), so the
+    caller builds its pair afresh."""
     original = realization._TauStar.of
 
     def patched(eigs, phi, ctx, flip=False):
@@ -841,9 +904,10 @@ def closed_form_patched(monkeypatch, family_eigs, change):
 def test_certificate_fails_on_a_perturbed_factor(monkeypatch, sampled_d6, j, r):
     """A perturbed closed form U' is still upper triangular, but V'^-1 A V'
     is no longer tridiagonal for V' = P^-1 U' C; the certificate names one
-    of its off-band entries."""
-    real, e, estar = sampled_d6
-    arr = real.array
+    of its off-band entries.  The pair is built afresh, as each pair builds
+    its U once and the fixture's may hold one from an earlier test."""
+    arr = sampled_d6[0].array
+    real = realize_split(arr)
 
     def perturb(u):
         u.cols[j][r] = u.cols[j][r] + 1
@@ -982,9 +1046,9 @@ def rational_samples(d_values=range(3, 17)):
 def test_integer_band_is_the_fraction_band():
     """On U the certified band is T' = C T C^-1: mapped back by
     t_ij = t'_ij C_j / C_i it is the band that the reference route reads off
-    the V* of bidiagonal_idempotents (fraction_band), and the scale D' = C D
-    of T' is the D of T times C; one sample per family at every d in 3..16
-    over Q."""
+    the V* of bidiagonal_idempotents (fraction_band), and the reference
+    scale D' = C D of T' (standard_scale) is the D of T times C; one
+    sample per family at every d in 3..16 over Q."""
     checked = 0
     for spec in rational_samples():
         arr = build_parameter_array(spec)
@@ -995,8 +1059,8 @@ def test_integer_band_is_the_fraction_band():
         scaled = u.band(real.theta, real.sub, refuse)
         assert unscaled_band(u, scaled) == band, spec
         theta0 = real.theta[0]
-        scale = realization._standard_scale(band, arr.d, theta0, QQ.one, lambda i: QQ.one)
-        assert realization._standard_scale(scaled, arr.d, theta0, QQ.one, u.scale) == [
+        scale = standard_scale(band, arr.d, theta0, QQ.one, lambda i: QQ.one)
+        assert standard_scale(scaled, arr.d, theta0, QQ.one, u.scale) == [
             x * u.scale(i) for i, x in enumerate(scale)], spec
         checked += 1
     assert checked == 168
