@@ -244,10 +244,11 @@ def analyze_instance(spec, arr=None, deep=False):
 
     The split pair is its four diagonals (realize_split); no n x n split
     matrix is formed.  E* comes from the upper bidiagonal A*, E from the
-    lower bidiagonal A, each through the closed form of its right
-    eigenvectors (realization's _TauStar): U[r][j] = L^r tau*_r(theta*_j) for E*, and the same
-    construction on the reversed A for E, with V* = P^-1 U C for diagonal
-    P and C.  No V or V* is formed, on any field: U holds cleared ints
+    upper bidiagonal A^T, each through the closed form of its right
+    eigenvectors (realization's _TauStar): U[r][j] = L^r tau*_r(theta*_j)
+    for E*, and the same construction on A^T for E, whose eigenvectors
+    are the left factors w_i of E_i, with V* = P^-1 U C for diagonal P
+    and C.  No V, W or V* is formed, on any field: U holds cleared ints
     over Q, residues over GF(p) and field elements over GF(p^k).  The fast
     path forms nothing of E and, of E*, only the entries v*_(i+1)[i] and
     w*_i[i + 1], all the a-trace reads of w*_i A v*_i in either mode
@@ -281,14 +282,16 @@ def analyze_instance(spec, arr=None, deep=False):
     n^2-flattened matrices would.
 
     With deep=True, verify_axioms certifies both families on their closed
-    forms, M' U = U diag(theta) for E of A and E* of A*, with the theta
-    distinct by the diagonals of the U, and certifies the E A* E band on
-    E's closed form; that call is the only difference between the modes.
+    forms, M' U = U diag(theta) for E of A^T and E* of A*, with the theta
+    distinct by the diagonals of the U, and certifies the E A* E band,
+    the transpose of the band of A*^T on E's closed form; that call is the
+    only difference between the modes.
     standard_basis_rep then certifies the E* A E* band as in fast mode,
     on the U of E* that verify_axioms built (Realization.u_star), so a
     deep verdict builds two closed forms and a fast one one.
-    No left factor, no transpose of A and no n x n product of the factors is
-    formed, and a failed certificate names the family and the
+    No factor is formed as field elements, no n x n transpose (A^T and
+    A*^T are the pair's diagonals, read in place) and no n x n product
+    of the factors, and a failed certificate names the family and the
     eigenvector, or an entry off the band and its value.  The spectral
     product formula, the definition, is not called: it serves the 3 x 3
     boundary example (counterexample) and the tests' reference.  The

@@ -77,9 +77,10 @@ class IdempotentCheckFailed(LeonardError):
 
     Raised when E*E != E (the product formula, primitive_idempotents) and
     when the closed form of an eigenvector family fails a residual of its
-    certificate M v_i = theta_i v_i ("rank-one E* of A*: M v_i !=
-    theta_i v_i in row r", in verify_axioms): a diagonal or an
-    off-diagonal of the split pair that does not fit the array's
+    certificate M v_i = theta_i v_i, in verify_axioms: "rank-one E* of
+    A*: M v_i != theta_i v_i in row r" for A*, and "rank-one E of A^T:
+    ..." for A^T, whose v_i is the left factor w_i of E_i: a diagonal or
+    an off-diagonal of the split pair that does not fit the array's
     eigenvalues.
     """
 
@@ -107,7 +108,14 @@ class SingularMatrix(LeonardError):
 
 
 class AxiomViolation(LeonardError):
-    """A tridiagonal-vanishing axiom check failed."""
+    """A tridiagonal-vanishing axiom check failed.
+
+    verify_axioms names the entry (i, j) of E A* E: "E A* E at (i,j)
+    expected zero, got x" with x the entry of W A* V, the w_i of E's
+    closed form, each with w_i[i] = 1, as the rows of W and V = W^-1; or
+    "E A* E at (i,j) expected nonzero" for the first zero next to the
+    diagonal, in row-major order.
+    """
 
     def __init__(self, which, i, j, message=""):
         self.which = which

@@ -97,9 +97,10 @@ class Required:
 
 @dataclass(frozen=True)
 class Forbidden:
-    """Clause `clause` fails once for each index i and term hitting target(p, i).
+    """Clause `clause` fails once for each index i and term hitting target(p)(i).
 
-    indices(d) gives the indices.  A term is (detail, value) or
+    indices(d) gives the indices, and target(p) the map from index to
+    target, built once per check.  A term is (detail, value) or
     (detail, value, applies(d, i)); its detail is formatted with the index
     i and the target t.
     """
@@ -111,8 +112,9 @@ class Forbidden:
 
     def violations(self, p, d, f):
         terms = [(detail, value(p, d, f), when) for detail, value, *when in self.terms]
+        target = self.target(p)
         for i in self.indices(d):
-            t = self.target(p, i)
+            t = target(i)
             for detail, value, when in terms:
                 if (not when or when[0](d, i)) and value == t:
                     yield self.clause, detail.format(i=i, t=t)
@@ -220,13 +222,15 @@ def _once(d):
     return (0,)
 
 
-def _q_power_unit(p, i):
-    """Target of the q-power rows: value * q^i == 1 exactly when value == q^-i."""
-    return p["q"] ** -i
+def _q_power_unit(p):
+    """Targets of the q-power rows: value * q^i == 1 exactly when
+    value == q^-i, the powers of one inverse of q."""
+    inv = 1 / p["q"]
+    return lambda i: inv ** i
 
 
-def _minus(p, i):
-    return -i
+def _minus(p):
+    return lambda i: -i
 
 
 def _q_powers(clause, indices, *terms):
@@ -569,7 +573,7 @@ FAMILIES = {
         draws=("s", "s_star", "r"),
         characteristic=_ABOVE_D,
         clauses=(
-            Forbidden("r-product", _once, lambda p, i: p["r"],
+            Forbidden("r-product", _once, lambda p: lambda i: p["r"],
                       (("r == s*s_star", lambda p, d, f: p["s"] * p["s_star"]),)),
         ),
         z_rows=(Row(relation=lambda p, d, f: (f.one, f.one)),),
@@ -600,7 +604,7 @@ FAMILIES = {
                      ("r2 == {t}", _param("r2"), lambda d, i: i % 2 == 1),
                      ("-s_star-r2 == {t}", lambda p, d, f: -p["s_star"] - p["r2"],
                       lambda d, i: i % 2 == 1)),
-            Forbidden("even-offset", _to_d, lambda p, i: 2 * i,
+            Forbidden("even-offset", _to_d, lambda p: lambda i: 2 * i,
                       (("s == {t}", _param("s")), ("s_star == {t}", _param("s_star")))),
         ),
         z_rows=(
@@ -624,9 +628,9 @@ FAMILIES = {
         draws=("h", "s", "r", "h_star", "s_star"),
         characteristic=Characteristic("2", lambda c, d: c == 2),
         clauses=(
-            Forbidden("s-not-one", _once, lambda p, i: 1,
+            Forbidden("s-not-one", _once, lambda p: lambda i: 1,
                       (("s == 1", _param("s")), ("s_star == 1", _param("s_star")))),
-            Forbidden("r-excluded", _once, lambda p, i: p["r"], (
+            Forbidden("r-excluded", _once, lambda p: lambda i: p["r"], (
                 ("r == s+s_star", lambda p, d, f: p["s"] + p["s_star"]),
                 ("r == s*(1+s_star)", lambda p, d, f: p["s"] * (1 + p["s_star"])),
                 ("r == s_star*(1+s)", lambda p, d, f: p["s_star"] * (1 + p["s"])))),

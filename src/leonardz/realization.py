@@ -18,9 +18,9 @@ and diagonal P = diag(Phi_r L^r) and C = diag(Phi_j L^j / U[j][j]).  U is
 held as the field's coefficients: cleared Python ints over Q, residues
 over GF(p), the field's own elements over GF(p^k).  E* is the U of A*,
 on (theta*, phi), built once per pair (Realization.u_star).  E is the
-U of the reversed A, upper bidiagonal with diagonal theta reversed and
-superdiagonal A's subdiagonal reversed: V with rows and columns in
-reverse order.
+U of A^T, upper bidiagonal with diagonal theta and superdiagonal A's
+subdiagonal: its eigenvectors are the left factors w_i of E_i = v_i w_i^T,
+each with w_i[i] = 1.
 
 Two kinds of O(n^2) certificate stand in for dense products, both run
 on the coefficients.  _TauStar.certify proves M V = V diag(theta) as
@@ -32,8 +32,11 @@ S = V^-1 N V for a lower bidiagonal N as that of T' = C T C^-1,
 certified by N' U = U T' with N' = P N P^-1; where the certificate
 fails, it names an entry of S off the band and its value.  The E* A E*
 pattern, the band of V*^-1 A V*, gives the intersection numbers
-(standard_basis_rep); the E A* E pattern is the band of the reversed
-E's U on the reversed A*, which is lower bidiagonal (verify_axioms).
+(standard_basis_rep).  The E A* E pattern is the band of E's U on the
+lower bidiagonal A*^T: with W the w_i as rows and V = W^-1,
+W^-T A*^T W^T = (W A* V)^T, so band entry (r, j) is E A* E at (j, r)
+(verify_axioms).  Both families run the same three calls, of, certify
+and band, one on (A*, A) and one on (A^T, A*^T).
 Deep analysis certifies both families and both patterns; the fast
 analysis certifies only the E* A E* band.
 
@@ -191,29 +194,34 @@ def intersection_a_trace(real):
     In a fast verdict nothing else reads the pair's theta_star and sup, so
     a pair whose A* is not the array's fails a_trace_equals_closed there,
     and one with two equal theta_star neighbours, though the array's are
-    distinct, ends the division: _check_distinct then names the first
-    equal pair (RepeatedEigenvalue), on every field.
+    distinct, has the pair named by _split_quotients (RepeatedEigenvalue).
     """
-    th, sub, ts = real.theta, real.sub, real.theta_star
-    try:
-        w = [x / (ts[i] - ts[i + 1]) for i, x in enumerate(real.sup)]
-    except ZeroDivisionError:
-        _check_distinct(ts)
-        raise
+    th, sub = real.theta, real.sub
+    w = _split_quotients(real.theta_star, real.sup)
     out = [t + s * x for t, s, x in zip(th, sub, w)] + [th[-1]]
     return [x - sub[i - 1] * w[i - 1] if i else x for i, x in enumerate(out)]
 
 
 def intersection_a_closed(arr):
-    """a_i from the closed formulas in theta, theta_star, phi1."""
-    d = arr.d
-    th, ts = arr.theta, arr.theta_star
-    out = [th[0] + arr.phi1_at(1) / (ts[0] - ts[1])]
-    for i in range(1, d):
-        out.append(th[i] + arr.phi1_at(i) / (ts[i] - ts[i - 1])
-                   + arr.phi1_at(i + 1) / (ts[i] - ts[i + 1]))
-    out.append(th[d] + arr.phi1_at(d) / (ts[d] - ts[d - 1]))
-    return out
+    """a_i from the closed formulas in theta, theta_star, phi1:
+    a_i = theta_i + w_i - w_(i-1), with w the split quotients and
+    w_(-1) = w_d = 0."""
+    th, w = arr.theta, _split_quotients(arr.theta_star, arr.phi1)
+    return ([th[0] + w[0]] + [th[i] + w[i] - w[i - 1] for i in range(1, arr.d)]
+            + [th[-1] - w[-1]])
+
+
+def _split_quotients(theta_star, phi):
+    """w_i = phi_(i+1) / (theta*_i - theta*_(i+1)), i < d: the first
+    substitution step w*_i[i + 1] = -v*_(i+1)[i] on an upper bidiagonal
+    A* with diagonal theta_star and superdiagonal phi.  Two equal
+    neighbours end the division, and _check_distinct then names the first
+    equal pair (RepeatedEigenvalue), on every field."""
+    try:
+        return [x / (theta_star[i] - theta_star[i + 1]) for i, x in enumerate(phi)]
+    except ZeroDivisionError:
+        _check_distinct(theta_star)
+        raise
 
 
 def _coefficients(ctx, rows):
@@ -263,12 +271,9 @@ class _TauStar:
     ctx: object
 
     @classmethod
-    def of(cls, eigs, phi, ctx, flip=False):
-        """U for the diagonal eigs and superdiagonal phi, over ctx.
-
-        Where eigs are a family's eigenvalues reversed (flip), a repeated
-        pair is named in the family's own order, as certify names v_j.
-        """
+    def of(cls, eigs, phi, ctx):
+        """U for the diagonal eigs and superdiagonal phi, over ctx; a
+        repeated pair of eigs is named in their order."""
         (ts,), (lcm,) = _coefficients(ctx, [eigs])
         mod = ctx.p if isinstance(ctx, PrimeField) else None
         one = lcm if ctx.characteristic else 1
@@ -281,7 +286,7 @@ class _TauStar:
                 x = col[-1] * (t - k)
                 col.append(x % mod if mod else x)
             if not col[-1]:
-                _check_distinct(eigs[::-1] if flip else eigs)
+                _check_distinct(eigs)
             if cut:
                 col[:cut] = [one - one] * cut
             cols.append(col)
@@ -297,17 +302,16 @@ class _TauStar:
         """C_i = Phi_i L^i / U[i][i], formed for failure values only."""
         return math.prod(self.phi[:i], start=self.quo(self.lcm ** i, self.cols[i][i]))
 
-    def certify(self, diag, sup, name, flip=False):
+    def certify(self, diag, sup, name):
         """Prove M v_j = theta_j v_j for every j, for the upper bidiagonal M
         with diagonal diag and superdiagonal sup, as M' U = U diag(eigs).
 
         M' has the diagonal diag and the superdiagonal
         sigma_r = sup_r / (phi_(r+1) L), so row r of column j reads
         (diag_r - theta_j) U[r][j] + sigma_r U[r+1][j] = 0 for r <= j (rows
-        below j vanish on both sides); over Q it is cleared to ints.  Where
-        U is the reversal of an eigenvector family (flip), v_j is column
-        d - j and row r is d - r.  The first residual that fails, by v_j
-        and then by row, raises IdempotentCheckFailed
+        below j vanish on both sides); over Q it is cleared to ints.  The
+        first residual that fails, by v_j and then by row, raises
+        IdempotentCheckFailed
         "rank-one {name}: M v_j != theta_j v_j in row r".
         """
         n, mod, cols = len(self.cols), self.mod, self.cols
@@ -316,16 +320,15 @@ class _TauStar:
         alpha = [x * e_th * e_s for x in a]
         delta = [x * e_a * e_th for x in s]
         unit = all(x == 1 for x in delta)
-        for j in range(n - 1, -1, -1) if flip else range(n):
+        for j in range(n):
             beta, col = th[j] * e_a * e_s, cols[j]
-            for r in range(j, -1, -1) if flip else range(j + 1):
+            for r in range(j + 1):
                 x = (alpha[r] - beta) * col[r]
                 if r < j:
                     x = x + (col[r + 1] if unit else delta[r] * col[r + 1])
                 if x % mod if mod else x:
-                    i, row = (n - 1 - j, n - 1 - r) if flip else (j, r)
                     raise IdempotentCheckFailed(
-                        f"rank-one {name}: M v_{i} != theta_{i} v_{i} in row {row}")
+                        f"rank-one {name}: M v_{j} != theta_{j} v_{j} in row {r}")
 
     def band(self, diag, sub, off_band):
         """The band of T' = C T C^-1, T = V^-1 N V for the lower bidiagonal
@@ -474,16 +477,17 @@ def verify_axioms(real):
     The pair is read as its four diagonals, and each family is certified
     against the array's eigenvalues, so a diagonal of the pair that is not
     the array's sequence is refused, by its family's certificate if not
-    before.  The E family
-    comes from the reversed A, upper bidiagonal with diagonal theta
-    reversed and superdiagonal A's subdiagonal reversed: its _TauStar U_A
-    is V with rows and columns in reverse order, up to diagonal scalings,
-    and A U_A = U_A diag(theta) is certified (IdempotentCheckFailed
-    "rank-one E of A: M v_i != theta_i v_i in row r").  With V invertible, E_j = v_j w_j^T with w_j
-    row j of V^-1, so E_i A* E_j is (V^-1 A* V)_ij v_i w_j^T: no W is
-    formed.  With P the reversal, P A* P is lower bidiagonal and the band
-    of U_A on it is P (V^-1 A* V) P up to the scaling C, so E A* E is
-    certified tridiagonal in O(n^2), or an entry off the band is named:
+    before.  The E family comes from A^T, upper bidiagonal with diagonal
+    theta and superdiagonal A's subdiagonal: its _TauStar U_A holds the
+    left factors w_j of E_j = v_j w_j^T, w_j[j] = 1, up to the diagonal
+    scalings, and A^T U_A = U_A diag(theta) is certified
+    (IdempotentCheckFailed "rank-one E of A^T: M v_j != theta_j v_j in
+    row r", with v_j the eigenvector w_j of A^T).  With W the w_j as rows
+    and V = W^-1, E_i A* E_j is (W A* V)_ij v_i w_j^T: no V or W is formed.
+    A*^T is lower bidiagonal, with diagonal theta* and subdiagonal sup,
+    and its band on U_A is that of W^-T A*^T W^T = (W A* V)^T, so band
+    entry (r, j) is E A* E at (j, r): E A* E is certified tridiagonal in
+    O(n^2), or an entry off the band is named with its value in W A* V:
     AxiomViolation "E A* E at (i,j) expected zero, got S_ij".  Then the
     first zero entry next to the diagonal, in row-major order, raises
     "expected nonzero".  Last, A* U = U diag(theta*) is certified on the
@@ -496,13 +500,12 @@ def verify_axioms(real):
     distinct eigenvalues are read off the diagonal of its U; a repeated
     pair is named in the family's own order (RepeatedEigenvalue).
     """
-    arr, d, ctx = real.array, real.array.d, real.array.field
-    sub = real.sub[::-1]
-    u = _TauStar.of(arr.theta[::-1], sub, ctx, flip=True)
-    u.certify(real.theta[::-1], sub, "E of A", flip=True)
-    band = u.band(real.theta_star[::-1], real.sup[::-1],
-                  lambda i, j, x: AxiomViolation("E A* E", d - i, d - j, f"expected zero, got {x}"))
-    zeros = [(d - i, d - j) for (i, j), x in band.items() if i != j and not x]
+    arr = real.array
+    u = _TauStar.of(arr.theta, real.sub, arr.field)
+    u.certify(real.theta, real.sub, "E of A^T")
+    band = u.band(real.theta_star, real.sup,
+                  lambda r, j, x: AxiomViolation("E A* E", j, r, f"expected zero, got {x}"))
+    zeros = [(j, r) for (r, j), x in band.items() if r != j and not x]
     if zeros:
         raise AxiomViolation("E A* E", *min(zeros), "expected nonzero")
     real.u_star.certify(real.theta_star, real.sup, "E* of A*")

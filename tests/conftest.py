@@ -47,16 +47,13 @@ def cross_route_samples():
             yield sample_spec(name, 16, ctx, random.Random(f"cross-route|{label}|{name.value}"))
 
 
-def eigenvectors(u, flip=False):
+def eigenvectors(u):
     """The basis V = P^-1 U C of the closed form U as field elements, with
-    P = diag(Phi_r L^r) and C_j = u.scale(j), so that v_j[j] = 1; where U
-    is the reversal of the family (flip), v_j is column d - j read bottom
-    up."""
+    P = diag(Phi_r L^r) and C_j = u.scale(j), so that v_j[j] = 1."""
     one, n = u.cols[0][0], len(u.cols)
-    vs = [[u.quo(x, one) / math.prod(u.phi[:r], start=u.quo(u.lcm ** r, one)) * u.scale(j)
-           for r, x in enumerate(col)] + [u.ctx.zero] * (n - 1 - j)
-          for j, col in enumerate(u.cols)]
-    return [v[::-1] for v in reversed(vs)] if flip else vs
+    return [[u.quo(x, one) / math.prod(u.phi[:r], start=u.quo(u.lcm ** r, one)) * u.scale(j)
+             for r, x in enumerate(col)] + [u.ctx.zero] * (n - 1 - j)
+            for j, col in enumerate(u.cols)]
 
 
 @dataclass

@@ -405,72 +405,81 @@ def test_split_analysis_call_counts(monkeypatch, exemplar_specs, deep):
 
 @pytest.mark.parametrize("deep, builds", [(False, 1), (True, 2)])
 def test_each_closed_form_is_built_once(monkeypatch, exemplar_specs, deep, builds):
-    """A verdict builds the closed form U of E* once, on the pair
-    (Realization.u_star), and deep mode builds U_A of E besides:
-    standard_basis_rep and verify_axioms read the same U."""
+    """A verdict builds the closed form U of E* once, on the array's
+    theta* and phi1 (Realization.u_star), and deep mode builds U_A of E
+    besides, first, on theta and A's unit subdiagonal: standard_basis_rep
+    and verify_axioms read the same U."""
     built = []
     of = realization._TauStar.of
 
-    def counted(eigs, phi, ctx, flip=False):
-        built.append(flip)
-        return of(eigs, phi, ctx, flip)
+    def counted(eigs, phi, ctx):
+        built.append((list(eigs), list(phi)))
+        return of(eigs, phi, ctx)
 
     monkeypatch.setattr(realization._TauStar, "of", staticmethod(counted))
     for spec in exemplar_specs.values():
         chk = analyze_instance(spec, deep=deep)
         assert chk.ok, (spec.name, chk.failures)
-        assert built == [True, False][2 - builds:], spec.name
+        arr = chk.arr
+        forms = [(arr.theta, [arr.field.one] * arr.d), (arr.theta_star, arr.phi1)]
+        assert built == forms[2 - builds:], spec.name
         built.clear()
 
 
 def recording_certificates(monkeypatch):
-    """Record (family, closed form, flip) for each eigen-certificate run,
-    family "E*" for A* and "E" for A, after it passes."""
+    """Record (family, closed form) for each eigen-certificate run, family
+    "E*" for A* and "E" for A^T, after it passes."""
     seen = []
     certify = realization._TauStar.certify
 
-    def recording(u, diag, sup, name, flip=False):
-        certify(u, diag, sup, name, flip)
-        seen.append(("E" if flip else "E*", u, flip))
+    def recording(u, diag, sup, name):
+        certify(u, diag, sup, name)
+        seen.append((name.split()[0], u))
 
     monkeypatch.setattr(realization._TauStar, "certify", recording)
     return seen
 
 
-def family_matrix(real, family):
-    """The dense matrix and eigenvalues of a family: A* and theta* for E*,
-    A and theta for E."""
+def family_projections(real, family):
+    """The projections of a family by the product formula, as the matrices
+    whose columns i the closed form certifies: E*_i of A* for E*, and E_i^T
+    of A for E, whose column i is the left factor w_i of E_i = v_i w_i^T."""
     arr, (a, a_star) = real.array, dense_split(real)
-    return (a_star, arr.theta_star) if family == "E*" else (a, arr.theta)
+    if family == "E*":
+        return realization.primitive_idempotents(a_star, arr.theta_star, arr.field)
+    e = realization.primitive_idempotents(a, arr.theta, arr.field)
+    return [linalg.transpose(e_i) for e_i in e]
 
 
 @pytest.mark.parametrize("deep, calls", [(False, 0), (True, 2)])
 def test_product_formula_only_in_deep_mode(monkeypatch, kraw_dim1, deep, calls):
     """Only deep mode proves the two families that the product formula
     defines, E of A and E* of A*, and what it certifies is what the
-    product formula gives: the eigenvector v_i of the closed form, scaled
-    to v_i[i] = 1, is column i of E_i, as the left factor w_i has
-    w_i[i] = 1."""
+    product formula gives: the eigenvector v*_i of U, scaled to
+    v*_i[i] = 1, is column i of E*_i, as the left factor w*_i has
+    w*_i[i] = 1, and the eigenvector of A^T from U_A, scaled the same way,
+    is row i of E_i, the left factor w_i, as v_i[i] = 1."""
     seen = recording_certificates(monkeypatch)
     chk = analyze_instance(kraw_dim1, deep=deep)
     assert chk.ok, chk.failures
-    assert [family for family, _, _ in seen] == ["E", "E*"][:calls]
+    assert [family for family, _ in seen] == ["E", "E*"][:calls]
     real = realization.realize_split(chk.arr)
-    for family, u, flip in seen:
-        e = realization.primitive_idempotents(*family_matrix(real, family), chk.arr.field)
-        assert eigenvectors(u, flip) == [[row[i] for row in e_i] for i, e_i in enumerate(e)]
+    for family, u in seen:
+        e = family_projections(real, family)
+        assert eigenvectors(u) == [[row[i] for row in e_i] for i, e_i in enumerate(e)]
 
 
 def perturbing(monkeypatch, arr, family, j, r):
     """Patch _TauStar.of so that each closed form of family ("E*": on
-    theta*, "E": on theta reversed) has U[r][j] moved by one."""
+    theta* and phi1, "E": on theta and A's unit subdiagonal) has U[r][j]
+    moved by one."""
     original = realization._TauStar.of
-    eigs = list(arr.theta_star) if family == "E*" else arr.theta[::-1]
-    assert arr.theta[::-1] != list(arr.theta_star)
+    forms = {"E*": (arr.theta_star, arr.phi1), "E": (arr.theta, [arr.field.one] * arr.d)}
+    assert forms["E*"] != forms["E"]
 
-    def perturbed(of_eigs, phi, ctx, flip=False):
-        u = original(of_eigs, phi, ctx, flip)
-        if list(of_eigs) == eigs:
+    def perturbed(eigs, phi, ctx):
+        u = original(eigs, phi, ctx)
+        if (list(eigs), list(phi)) == forms[family]:
             u.cols[j][r] = u.cols[j][r] + u.cols[0][0]
         return u
 
@@ -479,17 +488,15 @@ def perturbing(monkeypatch, arr, family, j, r):
 
 @pytest.mark.parametrize("family", ["E*", "E"])
 def test_deep_mode_rejects_diverging_projections(monkeypatch, kraw_dim1, family):
-    # Deep mode certifies E (of A) first, then E* (of A*).  Adding 1 to
-    # U[0][3] of E* breaks row 0 of A* v*_3 by theta*_0 - theta*_3.  U_A is
-    # the reversed E, so its U[0][3] is v_0[3], which breaks row 3 of
-    # A v_0 by theta_3 - theta_0, and no earlier residual.
+    # Deep mode certifies E (of A^T) first, then E* (of A*).  Adding 1 to
+    # U[0][3] breaks row 0 of the family's M v_3 by theta_0 - theta_3 (of
+    # that family), and no earlier residual: columns 0..2 are as they were.
     arr = build_parameter_array(kraw_dim1)
     perturbing(monkeypatch, arr, family, 3, 0)
     with pytest.raises(IdempotentCheckFailed) as info:
         analyze_instance(kraw_dim1, arr, deep=True)
-    i, r = {"E*": (3, 0), "E": (0, 3)}[family]
-    label = {"E*": "E* of A*", "E": "E of A"}[family]
-    assert str(info.value) == f"rank-one {label}: M v_{i} != theta_{i} v_{i} in row {r}"
+    label = {"E*": "E* of A*", "E": "E of A^T"}[family]
+    assert str(info.value) == f"rank-one {label}: M v_3 != theta_3 v_3 in row 0"
 
 
 def test_fast_standard_basis_and_trace_form_no_dense_product(monkeypatch, exemplar_specs):
@@ -620,7 +627,8 @@ def test_cor_route_equivalence_on_self_dual_samples():
 
 
 def test_fast_analysis_multiplication_count(monkeypatch):
-    """Field multiplications of a d = 16 fast analysis over GF(1000003).
+    """Field multiplications and divisions of a d = 16 fast analysis over
+    GF(1000003).
 
     A deterministic stand-in for timing.  The independence certificate of
     the five generators is one det of a 5 x 5 minor of their entries, so it
@@ -638,17 +646,26 @@ def test_fast_analysis_multiplication_count(monkeypatch):
     read off a V* of field elements at two products per certified entry,
     1471 with the block rank and the formed products, 1826 when D = W* u
     read all of W*, 2652 with the residual certificate that read W*, 6018
-    with dense kernels).
+    with dense kernels).  It makes 141 divisions (202 at a93d2ae): the
+    split quotients phi_(i+1) / (theta*_i - theta*_(i+1)) are formed once
+    for the closed a_i (intersection_a_closed divided 2d times), and each
+    q-power clause inverts q once and takes its powers (q^-i cost one
+    inverse per index).
     """
     ctx = parse_field("GF(1000003)")
     spec = sample_spec(LeonardType.Q_RACAH, 16, ctx, random.Random("mul-count"))
-    count = [0]
-    mul, det, certify = PrimeFieldElement.__mul__, linalg.det, zerodiag.x_space_basis
+    count, divisions = [0], [0]
+    mul, div = PrimeFieldElement.__mul__, PrimeFieldElement.__truediv__
+    det, certify = linalg.det, zerodiag.x_space_basis
     det_counts, certificate_counts = [], []
 
     def counted_mul(x, y):
         count[0] += 1
         return mul(x, y)
+
+    def counted_div(x, y):
+        divisions[0] += 1
+        return div(x, y)
 
     def counted(fn, counts):
         def wrapped(*args):
@@ -659,6 +676,7 @@ def test_fast_analysis_multiplication_count(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(PrimeFieldElement, "__mul__", counted_mul)
+    monkeypatch.setattr(PrimeFieldElement, "__truediv__", counted_div)
     monkeypatch.setattr(linalg, "det", counted(det, det_counts))
     monkeypatch.setattr(zerodiag, "x_space_basis", counted(certify, certificate_counts))
     chk = analyze_instance(spec)
@@ -667,6 +685,7 @@ def test_fast_analysis_multiplication_count(monkeypatch):
     assert len(minor_counts) == 1 and minor_counts[0] <= 23
     assert len(certificate_counts) == 1 and certificate_counts[0][1] <= 10 + 23
     assert count[0] <= 979
+    assert divisions[0] <= 141
 
 
 @pytest.mark.parametrize("deep", [False, True])
@@ -730,18 +749,18 @@ def test_verdict_checks_each_spectrum_once(monkeypatch, kraw_dim1, deep):
 def test_deep_verdict_certifies_every_right_factor(monkeypatch):
     """Deep mode certifies both closed forms whole: each column of U and
     U_A has its whole support (U[r][j] != 0 for r <= j), and the
-    eigenvectors they give are those of the reference families, V* of A*
-    and V of A, the left factors of A's transpose."""
+    eigenvectors they give are those of the reference families: V* of A*,
+    and of A^T the left factors w_i of A's projections E_i = v_i w_i^T."""
     seen = recording_certificates(monkeypatch)
     spec = sample_spec(LeonardType.Q_RACAH, 16, QQ, random.Random("deep-full-w"))
     chk = analyze_instance(spec, deep=True)
     assert chk.ok, chk.failures
     arr = chk.arr
     real = realization.realize_split(arr)
-    (_, u_a, _), (_, u, _) = seen
+    (_, u_a), (_, u) = seen
     assert eigenvectors(u) == bidiagonal_idempotents(real.theta_star, real.sup, arr.field).v
-    assert eigenvectors(u_a, flip=True) == bidiagonal_idempotents(
-        real.theta, real.sub, arr.field).w
+    assert eigenvectors(u_a) == bidiagonal_idempotents(
+        real.theta, real.sub, arr.field).transpose().w
     assert all(all(col) for col in u.cols + u_a.cols)
 
 
@@ -756,13 +775,12 @@ def deep_right_factor_samples(label):
 def test_deep_verdict_refuses_every_perturbed_right_factor(monkeypatch, label):
     """Adding one to any entry U[r][j] (r <= j) of the closed form of E*
     or of E makes the deep verdict raise an error that names the family
-    and the eigenvector: "rank-one E* of A*: M v_i ..." or "rank-one E of
-    A: M v_i ...", with v_i in the family's own order (U_A holds E
-    reversed: its entry (r, j) is v_(d-j)[d-r]).  The one survivor is the
-    entry whose change scales an eigenvector, the single entry of column
-    0 (v*_0 and v_d): the scaled family is still an eigenbasis, and the
-    verdict passes."""
-    names = {"E*": "rank-one E* of A*: M v_", "E": "rank-one E of A: M v_"}
+    and the eigenvector of column j: "rank-one E* of A*: M v_j ..." or
+    "rank-one E of A^T: M v_j ...".  The one survivor of each family is
+    the entry whose change scales an eigenvector, the single entry of
+    column 0 (v*_0 and w_0): the scaled family is still an eigenbasis, and
+    the verdict passes."""
+    names = {"E*": "rank-one E* of A*: M v_", "E": "rank-one E of A^T: M v_"}
     samples = deep_right_factor_samples(label)
     survivors = []
     for spec in samples:
@@ -771,10 +789,9 @@ def test_deep_verdict_refuses_every_perturbed_right_factor(monkeypatch, label):
         d = spec.d
         for family in ("E*", "E"):
             for i in range(d + 1):
-                for r in (range(i, d + 1) if family == "E" else range(i + 1)):
-                    j, row = (d - i, d - r) if family == "E" else (i, r)
+                for r in range(i + 1):
                     with monkeypatch.context() as m:
-                        perturbing(m, arr, family, j, row)
+                        perturbing(m, arr, family, i, r)
                         try:
                             chk = analyze_instance(spec, arr, deep=True)
                         except LeonardError as err:
@@ -785,14 +802,15 @@ def test_deep_verdict_refuses_every_perturbed_right_factor(monkeypatch, label):
                             continue
                     assert message.startswith(names[family]), (family, i, r, message)
                     assert f"v_{i} " in message, (family, i, r, message)
-    assert survivors == [("E*", 0, 0), ("E", 6, 6)] * len(samples)
+    assert survivors == [("E*", 0, 0), ("E", 0, 0)] * len(samples)
 
 
 @pytest.mark.parametrize("label", ["Q", "GF(1000003)", "GF(3^4)"])
 def test_deep_right_factors_span_the_images_of_the_product_formula(monkeypatch, label):
     """Each eigenvector deep mode certifies is the image of its projection
     by the product formula: E_i v_i = v_i and E_j v_i = 0 for j != i, for
-    V of A (from U_A) and for V* of A* (from U)."""
+    V* of A* (from U), and E_i^T w_i = w_i and E_j^T w_i = 0 for the left
+    factors w_i of A's projections (from U_A)."""
     seen = recording_certificates(monkeypatch)
     for spec in deep_right_factor_samples(label):
         seen.clear()
@@ -801,10 +819,9 @@ def test_deep_right_factors_span_the_images_of_the_product_formula(monkeypatch, 
         assert len(seen) == 2
         ctx = chk.arr.field
         real = realization.realize_split(chk.arr)
-        for family, u, flip in seen:
-            mtx, eigs = family_matrix(real, family)
-            vs = eigenvectors(u, flip)
-            for j, e_j in enumerate(realization.primitive_idempotents(mtx, eigs, ctx)):
+        for family, u in seen:
+            vs = eigenvectors(u)
+            for j, e_j in enumerate(family_projections(real, family)):
                 for i, v in enumerate(vs):
                     image = [sum((x * y for x, y in zip(row, v)), ctx.zero) for row in e_j]
                     assert image == (v if i == j else [ctx.zero] * len(v)), (spec.name, i, j)

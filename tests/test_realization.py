@@ -253,19 +253,18 @@ def test_repeated_eigenvalue_named_alike_on_every_route(label):
     the closed form U by a zero on its diagonal, and each names the pair
     that the whole check names first: (0, 4) for (1, 2, 3, 2, 1), though
     back-substitution meets the zero theta_3 - theta_1 first and
-    U[3][3] = prod_(k<3) (theta_3 - theta_k) vanishes first.  The closed
-    form of the reversed eigenvalues (the E family of verify_axioms) names
-    the pair in their own order: (1, 3) for (1, 2, 3, 2), which reads
-    (0, 2) reversed.  A fast verdict names the pair by standard_basis_rep's
-    closed form before the a-routes divide, and a deep one by
-    verify_axioms."""
+    U[3][3] = prod_(k<3) (theta_3 - theta_k) vanishes first; likewise
+    (1, 3) for (1, 2, 3, 2).  verify_axioms builds both families' closed
+    forms on the eigenvalues in their own order, E's on theta through
+    A^T, so it names the pair as the closed form of E* does.  A fast
+    verdict names the pair by standard_basis_rep's closed form before the
+    a-routes divide, and a deep one by verify_axioms."""
     ctx = parse_field(label)
     for values, pair in (((1, 2, 3, 2, 1), "0 and 4"), ((1, 2, 3, 2), "1 and 3")):
         eigs, d = [ctx(x) for x in values], len(values) - 1
         ones = [ctx.one] * d
         arr = ParameterArray(ctx, d, eigs, eigs, ones, ones)
         routes = [lambda: realization._TauStar.of(eigs, ones, ctx),
-                  lambda: realization._TauStar.of(eigs[::-1], ones, ctx, flip=True),
                   lambda: verify_axioms(realize_split(arr)),
                   lambda: bidiagonal_idempotents(eigs, ones, ctx),
                   lambda: analyze_instance(None, arr),
@@ -640,17 +639,18 @@ def test_deep_analysis_forms_no_sandwich(monkeypatch, exemplar_specs):
 
 
 def e_family_form(real):
-    """The closed form U_A of E: of the reversed A, with diagonal theta
-    reversed and superdiagonal A's subdiagonal reversed."""
+    """The closed form U_A of E: of A^T, with diagonal theta and
+    superdiagonal A's subdiagonal."""
     arr = real.array
-    return realization._TauStar.of(arr.theta[::-1], real.sub[::-1], arr.field)
+    return realization._TauStar.of(arr.theta, real.sub, arr.field)
 
 
-def test_certify_and_reversed_band_on_cross_route_samples():
+def test_certify_and_transposed_band_on_cross_route_samples():
     """The eigenvectors of the closed forms are those of the reference
-    families, V* of A* from U and V of A from U_A, both certify, and the
-    band that verify_axioms reads on U_A and the reversed A*, mapped back
-    from T' to T, is the band of the dense W A* V, which is zero off the
+    families, V* of A* from U and the left factors W of A's projections
+    from U_A, each w_i with w_i[i] = 1, both certify, and the band that
+    verify_axioms reads on U_A and A*^T, mapped back from T' to T and
+    transposed, is the band of the dense W A* V, which is zero off the
     band."""
     checked = 0
     for spec in cross_route_samples():
@@ -659,15 +659,14 @@ def test_certify_and_reversed_band_on_cross_route_samples():
         e, estar = split_factors(real)
         u, u_a = closed_form(arr), e_family_form(real)
         assert eigenvectors(u) == estar.v, spec
-        assert eigenvectors(u_a, flip=True) == e.v, spec
-        d = arr.d
+        assert eigenvectors(u_a) == e.w, spec
         u.certify(real.theta_star, real.sup, "E* of A*")
-        u_a.certify(real.theta[::-1], real.sub[::-1], "E of A", flip=True)
+        u_a.certify(real.theta, real.sub, "E of A^T")
         assert verify_axioms(real), spec
         full = dense_sandwich(e.w, dense_split(real)[1], e.v)
         assert not off_band(full), spec
-        reversed_band = closed_band(u_a, real.theta_star[::-1], real.sup[::-1])
-        assert {(d - i, d - j): x for (i, j), x in reversed_band.items()} == band_of(full), spec
+        band = closed_band(u_a, real.theta_star, real.sup)
+        assert {(j, i): x for (i, j), x in band.items()} == band_of(full), spec
         checked += 1
     assert checked == 130 + 12 + 12 + 7
 
@@ -890,8 +889,8 @@ def closed_form_patched(monkeypatch, family_eigs, change):
     caller builds its pair afresh."""
     original = realization._TauStar.of
 
-    def patched(eigs, phi, ctx, flip=False):
-        u = original(eigs, phi, ctx, flip)
+    def patched(eigs, phi, ctx):
+        u = original(eigs, phi, ctx)
         if list(eigs) == list(family_eigs):
             change(u)
         return u
@@ -935,66 +934,57 @@ def test_certificate_fails_on_a_perturbed_eigenvalue(sampled_d6, r):
 
 
 def _family(real, family):
-    """(closed form, diagonal, superdiagonal, flip) that verify_axioms
-    certifies for E* (of A*) or for E (of A, reversed)."""
+    """(closed form, diagonal, superdiagonal) that verify_axioms certifies
+    for E* (of A*) or for E (of A^T)."""
     if family == "E*":
-        return closed_form(real.array), real.theta_star, real.sup, False
-    return e_family_form(real), real.theta[::-1], real.sub[::-1], True
-
-
-def _certify(u, diag, sup, flip):
-    u.certify(diag, sup, "M", flip)
+        return closed_form(real.array), real.theta_star, real.sup
+    return e_family_form(real), real.theta, real.sub
 
 
 @pytest.mark.parametrize("family", ["E*", "E"])
-@pytest.mark.parametrize("i, r, residuals", [
+@pytest.mark.parametrize("i, r, residual", [
     # U[r][i] enters rows r - 1 (by sigma_(r-1)) and r (by theta_r - theta_i)
-    # of M' U.  For E, U is the reversed family: its entry (r, i) is
-    # v_(6-i)[6-r], which enters rows 6 - r (by theta_(6-r) - theta_(6-i))
-    # and 7 - r (by 1) of A v_(6-i).
-    (6, 0, {"E*": "M v_6 != theta_6 v_6 in row 0", "E": "M v_0 != theta_0 v_0 in row 6"}),
-    (4, 2, {"E*": "M v_4 != theta_4 v_4 in row 1", "E": "M v_2 != theta_2 v_2 in row 4"}),
-    (3, 3, {"E*": "M v_3 != theta_3 v_3 in row 2", "E": "M v_3 != theta_3 v_3 in row 4"}),
-    # 2 v*_0 and 2 v_6 are eigenvectors still: a column scaling survives
+    # of M' U, on A* for E* and on A^T for E alike.
+    (6, 0, "M v_6 != theta_6 v_6 in row 0"),
+    (4, 2, "M v_4 != theta_4 v_4 in row 1"),
+    (3, 3, "M v_3 != theta_3 v_3 in row 2"),
+    # 2 v*_0 and 2 w_0 are eigenvectors still: a column scaling survives
     (0, 0, None),
 ], ids=["v-corner", "v-inner", "v-diagonal", "v-alone"])
-def test_certify_names_a_perturbed_factor(sampled_d6, family, i, r, residuals):
+def test_certify_names_a_perturbed_factor(sampled_d6, family, i, r, residual):
     """One entry of U or U_A moved by 1 fails the eigen-certificate in the
-    first row it enters, named in the family's own indices.  The one move
-    that leaves an eigenvector, the single entry of column 0, scales that
+    first row it enters, named by its column and row.  The one move that
+    leaves an eigenvector, the single entry of column 0, scales that
     column: it certifies, and its eigenvectors, each with v_j[j] = 1, are
     those of the unmoved U."""
-    u, diag, sup, flip = _family(sampled_d6[0], family)
-    _certify(u, diag, sup, flip)
-    before = eigenvectors(u, flip)
+    u, diag, sup = _family(sampled_d6[0], family)
+    u.certify(diag, sup, "M")
+    before = eigenvectors(u)
     u.cols[i][r] = u.cols[i][r] + 1
-    if residuals is None:
-        _certify(u, diag, sup, flip)
-        assert eigenvectors(u, flip) == before
+    if residual is None:
+        u.certify(diag, sup, "M")
+        assert eigenvectors(u) == before
         return
     with pytest.raises(IdempotentCheckFailed) as info:
-        _certify(u, diag, sup, flip)
-    assert str(info.value) == "rank-one M: " + residuals[family]
+        u.certify(diag, sup, "M")
+    assert str(info.value) == "rank-one M: " + residual
 
 
 @pytest.mark.parametrize("family", ["E*", "E"])
 def test_certify_names_swapped_eigenvalues(sampled_d6, family):
     """U built on eigenvalues 1 and 4 exchanged does not certify against the
-    matrix.  Column 1 of U* holds tau*_r(theta*_4), r <= 1, and meets
-    theta*_1 - theta*_4 in row 1.  U_A's last column is v_0, whose entries
-    run over every eigenvalue in the exchanged order; read from row 0 of
-    A up, the first row where the matrix's theta differs from U_A's is
-    row 1."""
+    matrix.  Column 1 of U holds tau_r(theta_4), r <= 1, and meets
+    theta_1 - theta_4 in row 1, on the theta* of A* for E* and on the
+    theta of A^T for E."""
     real = sampled_d6[0]
     arr = real.array
-    _, diag, sup, flip = _family(real, family)
+    _, diag, sup = _family(real, family)
     eigs = list(arr.theta_star if family == "E*" else arr.theta)
     eigs[1], eigs[4] = eigs[4], eigs[1]
-    u = realization._TauStar.of(eigs[::-1] if flip else eigs, sup, QQ)
+    u = realization._TauStar.of(eigs, sup, QQ)
     with pytest.raises(IdempotentCheckFailed) as info:
-        _certify(u, diag, sup, flip)
-    i = {"E*": 1, "E": 0}[family]
-    assert str(info.value) == f"rank-one M: M v_{i} != theta_{i} v_{i} in row 1"
+        u.certify(diag, sup, "M")
+    assert str(info.value) == "rank-one M: M v_1 != theta_1 v_1 in row 1"
 
 
 def test_certify_names_a_residual_that_m_does_not_reach():
@@ -1176,7 +1166,9 @@ def test_axioms_pass_on_worked(worked):
 def test_axioms_detect_broken_superdiagonal(kraw_dim1):
     """phi_1 = 0 subtracts phi_1 (W e_0)(e_1^T V) from W A* V: its (0,1)
     entry vanishes, and so do none of (2,0), (3,0), (3,1) off the band.
-    The certificate names (3,1), whose column is the first it reads."""
+    The certificate reads the transposed band, column by column, so it
+    names (2,0): entry (0,2) of column 2 is the first it reads off the
+    band."""
     arr = build_parameter_array(kraw_dim1)
     broken = ParameterArray(arr.field, arr.d, arr.theta, arr.theta_star,
                             [QQ(0)] + arr.phi1[1:], arr.phi2)
@@ -1186,7 +1178,7 @@ def test_axioms_detect_broken_superdiagonal(kraw_dim1):
     assert not full[0][1] and sorted(off_band(full)) == [(2, 0), (3, 0), (3, 1)]
     with pytest.raises(AxiomViolation) as info:
         verify_axioms(real)
-    assert str(info.value) == expected_zero(3, 1, full[3][1])
+    assert str(info.value) == expected_zero(2, 0, full[2][0])
 
 
 @pytest.mark.parametrize("where, r", [("diagonal", r) for r in range(7)]
