@@ -314,7 +314,7 @@ def analyze_instance(spec, arr=None, deep=False):
 
     zreport = zerodiag.build_zspace_report(arr, a, nums)
     rank_m, dim_z = zreport.rank_m, zreport.dim_z
-    flags["L_equals_TM"] = linalg.mat_eq(zreport.L, linalg.mat_mul(zreport.T, zreport.M))
+    flags["L_equals_TM"] = zreport.L == linalg.mat_mul(zreport.T, zreport.M)
     flags["det_T_value"] = linalg.det(zreport.T) == arr.theta_star[0] - arr.theta_star[d]
     flags["rank_L_equals_rank_M"] = linalg.rank(zreport.L) == rank_m
     flags["rank_bounds"] = 2 <= rank_m <= 4

@@ -142,7 +142,7 @@ def _outer(gvec, hvec):
 
 
 def _expect(label, got, expected):
-    if not linalg.mat_eq(got, expected):
+    if got != expected:
         for i in range(3):
             for j in range(3):
                 if got[i][j] != expected[i][j]:
@@ -223,7 +223,7 @@ def counterexample_d2():
     scales = {key: _Q(KNOWN_FORMS[key][0]) for key in KNOWN_ORDER}
     normalized = {key: _mat(KNOWN_FORMS[key][1]) for key in KNOWN_ORDER}
     for key in KNOWN_ORDER:
-        if not linalg.mat_eq(forms[key], linalg.mat_scale(scales[key], normalized[key])):
+        if forms[key] != linalg.mat_scale(scales[key], normalized[key]):
             raise MismatchAtEntry(f"form{key}", key, "extracted", "scaled known")
 
     five_flat = [linalg.flatten(normalized[k]) for k in KNOWN_ORDER]

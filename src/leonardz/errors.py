@@ -41,11 +41,9 @@ class ReducibleModulus(InvalidField):
 class InvalidSpec(LeonardError):
     """A type spec violates one or more constraint clauses."""
 
-    def __init__(self, violations, message=None):
+    def __init__(self, violations):
         self.violations = list(violations)
-        if message is None:
-            message = "; ".join(f"{v.clause}: {v.detail}" for v in self.violations)
-        super().__init__(message)
+        super().__init__("; ".join(f"{v.clause}: {v.detail}" for v in self.violations))
 
 
 class UnsupportedCharacteristic(InvalidSpec):
@@ -117,11 +115,11 @@ class AxiomViolation(LeonardError):
     diagonal, in row-major order.
     """
 
-    def __init__(self, which, i, j, message=""):
+    def __init__(self, which, i, j, message):
         self.which = which
         self.i = i
         self.j = j
-        super().__init__(f"{which} at ({i},{j}) {message}".rstrip())
+        super().__init__(f"{which} at ({i},{j}) {message}")
 
 
 # -- zero diagonal space ----------------------------------------------------

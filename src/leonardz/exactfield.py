@@ -29,9 +29,9 @@ analysis, and build the result without a second reduction.  Ints, equal
 but distinct contexts and foreign types take the _coerce route, which
 promotes an int or raises ContextMismatch.
 
-GF(p^k) arithmetic has two routes.  The coefficient route adds and
-subtracts coefficient tuples with one reduction mod p (_poly_add,
-_poly_sub), multiplies them and reduces by the modulus (_poly_mul, and
+GF(p^k) arithmetic has two routes.  The coefficient route adds
+coefficient tuples with one reduction mod p (_poly_add; a - b is
+a + (-b)), multiplies them and reduces by the modulus (_poly_mul, and
 the remainder of _poly_divmod), and inverts by the extended Euclid
 algorithm (_poly_inv_mod).  A field of q = p^k <= TABLE_BOUND elements
 builds, when it is made and by that route, tables over a primitive element
@@ -558,17 +558,6 @@ def _poly_add(a, b, p):
     return _poly_trim(low)
 
 
-def _poly_sub(a, b, p):
-    """a - b for trimmed coefficient tuples over GF(p)."""
-    n = len(b)
-    low = [(x - y) % p for x, y in zip(a, b)]
-    if len(a) > n:
-        return (*low, *a[n:])
-    if len(a) < n:
-        return (*low, *(-y % p for y in b[len(a):]))
-    return _poly_trim(low)
-
-
 def _poly_divmod(a, b, p):
     """Quotient and remainder of a by b over GF(p).
 
@@ -596,13 +585,7 @@ def _poly_inv_mod(a, m, p):
     while r1:
         q, rem = _poly_divmod(r0, r1, p)
         r0, r1 = r1, rem
-        qs = _poly_mul(q, s1, p)
-        s = [0] * max(len(s0), len(qs))
-        for i, c in enumerate(s0):
-            s[i] = c
-        for i, c in enumerate(qs):
-            s[i] = (s[i] - c) % p
-        s0, s1 = s1, _poly_trim(s)
+        s0, s1 = s1, _poly_add(s0, tuple(-c % p for c in _poly_mul(q, s1, p)), p)
     if len(r0) != 1:
         raise DivisionByZero("element is not invertible")
     c = pow(r0[0], -1, p)
@@ -730,7 +713,7 @@ class ExtensionFieldElement:
         i, j = self.log, other.log
         if i is None or j is None:
             if field._interned is None:
-                return _reduced(_poly_sub(self.coeffs, other.coeffs, field.p), field)
+                return self + -other
             return -other if i is None else self
         z = field._zech[j + field._log_minus_one - i]
         return field._subfield[0] if z is None else field._elements[i + z]

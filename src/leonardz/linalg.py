@@ -14,9 +14,10 @@ prev the pivot before it.  Every entry stays a minor of the scaled input,
 so each division is exact and no gcd is taken.  Each row is a nonzero
 multiple of the one the field route gives, so the pivot columns and the
 swaps are the same; the determinant is the last pivot over the product
-of the row scales, and rref back-substitutes on ints and divides by the
-pivot once per output entry.  The rref is unique, so every value equals
-the field route's.  mat_mul over Q scales the rows of a and the columns
+of the row scales.  rref turns the pivot rows into Rationals and runs
+the field route's back-substitution on them; the rref is unique, so it
+does not depend on which nonzero multiple of a row it starts from.
+mat_mul over Q scales the rows of a and the columns
 of b the same way: row r of a is A_r / s_r and column j of b is
 B_j / c_j, so the entry (a b)_rj is the integer dot product A_r . B_j
 over s_r c_j.  The sum is exact and the Rational that exactfield.ratio
@@ -97,12 +98,6 @@ def mat_mul(a, b):
                     row_out[j] = x * y if s is zero else s + x * y
         out.append(row_out)
     return out
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b))
 
 
 def is_zero_matrix(a):
@@ -204,35 +199,15 @@ def rank(rows):
     return len(_eliminate(rows)[1])
 
 
-def _integer_rref(m, pivots):
-    """D times the rref of the Bareiss echelon rows m, on ints, and D.
-
-    D, the last pivot, is the minor of the first rank(m) rows on the pivot
-    columns, so D R is an integer matrix (its adjugate times those rows).
-    Row k of the rref is R_k = (m_k - sum_{s>k} m_k[c_s] R_s) / p_k, so
-    D R_k is found from the rows below it by one exact division by p_k.
-    """
-    r = len(pivots)
-    den = m[r - 1][pivots[-1]] if r else 1
-    out = [None] * r
-    for k in range(r - 1, -1, -1):
-        row_k = m[k]
-        acc = [den * x for x in row_k]
-        for s in range(k + 1, r):
-            f = row_k[pivots[s]]
-            if f:
-                acc = [y - f * z for y, z in zip(acc, out[s])]
-        p = row_k[pivots[k]]
-        out[k] = [y // p for y in acc]
-    return out, den
-
-
 def rref(rows):
-    """Reduced row echelon form (copy) and its pivot columns."""
+    """Reduced row echelon form (copy) and its pivot columns.
+
+    Over Q the pivot rows of the fraction-free echelon are made Rationals
+    and back-substituted as on a finite field.
+    """
     m, pivots, _, scales = _eliminate(rows)
     if scales is not None:
-        red, den = _integer_rref(m, pivots)
-        return [[ratio(x, den) for x in row] for row in red], pivots
+        m = [[ratio(x, 1) for x in row] for row in m[:len(pivots)]]
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row_r = m[r]

@@ -172,7 +172,7 @@ def primitive_idempotents(mtx, eigs, ctx):
                 prod = linalg.mat_mul(prod, linalg.shift(mtx, ej))
                 denom = denom * (ei - ej)
         prod = linalg.mat_scale(ctx.one / denom, prod)
-        if not linalg.mat_eq(linalg.mat_mul(prod, prod), prod):
+        if linalg.mat_mul(prod, prod) != prod:
             raise IdempotentCheckFailed(f"projection {i} is not idempotent")
         out.append(prod)
     return out
@@ -309,9 +309,9 @@ class _TauStar:
         M' has the diagonal diag and the superdiagonal
         sigma_r = sup_r / (phi_(r+1) L), so row r of column j reads
         (diag_r - theta_j) U[r][j] + sigma_r U[r+1][j] = 0 for r <= j (rows
-        below j vanish on both sides); over Q it is cleared to ints.  The
-        first residual that fails, by v_j and then by row, raises
-        IdempotentCheckFailed
+        below j vanish on both sides); over Q it is cleared to ints, times
+        the scales of diag, eigs and sigma.  The first residual that fails,
+        by v_j and then by row, raises IdempotentCheckFailed
         "rank-one {name}: M v_j != theta_j v_j in row r".
         """
         n, mod, cols = len(self.cols), self.mod, self.cols
@@ -319,13 +319,12 @@ class _TauStar:
         (a, th, s), (e_a, e_th, e_s) = _coefficients(self.ctx, [diag, self.eigs, sigma])
         alpha = [x * e_th * e_s for x in a]
         delta = [x * e_a * e_th for x in s]
-        unit = all(x == 1 for x in delta)
         for j in range(n):
             beta, col = th[j] * e_a * e_s, cols[j]
             for r in range(j + 1):
                 x = (alpha[r] - beta) * col[r]
                 if r < j:
-                    x = x + (col[r + 1] if unit else delta[r] * col[r + 1])
+                    x = x + delta[r] * col[r + 1]
                 if x % mod if mod else x:
                     raise IdempotentCheckFailed(
                         f"rank-one {name}: M v_{j} != theta_{j} v_{j} in row {r}")

@@ -209,14 +209,13 @@ def closed_dim1_coefficients(arr, a, u, v):
 
 def x_generators(nums, theta_star, ctx):
     """The five canonical generators I, A_star, A, A @ A_star, A_star @ A
-    as matrices, with A the tridiagonal matrix of nums.  The products are
-    A's columns and rows scaled by theta*, as A* = diag(theta*)."""
-    a = nums.matrix()
-    n, zero = len(a), ctx.zero
-    a_star = [[t if i == j else zero for j in range(n)] for i, t in enumerate(theta_star)]
-    a_astar = [[x * theta_star[j] if x else x for j, x in enumerate(row)] for row in a]
-    astar_a = [[x * t if x else x for x in row] for row, t in zip(a, theta_star)]
-    return [linalg.identity(n, ctx), a_star, a, a_astar, astar_a]
+    as matrices, with A the tridiagonal matrix of nums.  The first four
+    are the combination_matrix of the unit coefficient vectors; A* A is
+    A with its rows scaled by theta*, as A* = diag(theta*)."""
+    zero, one = ctx.zero, ctx.one
+    units = [ZCoefficients(*(one if k == i else zero for k in range(4))) for i in range(4)]
+    astar_a = [[x * t if x else x for x in row] for row, t in zip(nums.matrix(), theta_star)]
+    return [combination_matrix(c, nums, theta_star) for c in units] + [astar_a]
 
 
 def x_space_basis(nums, theta_star, ctx):

@@ -56,7 +56,7 @@ def test_det_singular():
 def test_solve_and_inverse_roundtrip():
     a = qmat([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
     inv = linalg.solve_matrix(a, linalg.identity(3, QQ))
-    assert linalg.mat_eq(linalg.mat_mul(a, inv), linalg.identity(3, QQ))
+    assert linalg.mat_mul(a, inv) == linalg.identity(3, QQ)
 
 
 def test_solve_singular_raises():
@@ -110,7 +110,7 @@ def test_mat_mul_banded_inputs():
     a = qmat([[1, 0, 0], [2, 3, 0], [0, 4, 5]])
     b = qmat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     expected = qmat([[1, 1, 0], [2, 5, 3], [0, 4, 9]])
-    assert linalg.mat_eq(linalg.mat_mul(a, b), expected)
+    assert linalg.mat_mul(a, b) == expected
 
 
 @pytest.mark.parametrize("ctx", [Rationals(), PrimeField(7)], ids=["Q", "GF(7)"])

@@ -314,7 +314,7 @@ def count_rationals(monkeypatch):
 @pytest.mark.skipif(not issubclass(Rational, Fraction), reason="counts the Fraction subclass")
 def test_rational_elimination_constructs_only_its_results(monkeypatch):
     """rank and det over Q eliminate on ints: rank constructs no Rational and
-    det only its value; rref constructs only its output entries."""
+    det only its value."""
     rng = random.Random(19)
     rows = [[Rational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)]
             for _ in range(6)]
@@ -326,9 +326,6 @@ def test_rational_elimination_constructs_only_its_results(monkeypatch):
     assert count[0] == 0
     assert linalg.det(rows)
     assert count[0] == 1
-    count[0] = 0
-    red, pivots = linalg.rref(deficient)
-    assert count[0] == len(pivots) * 6 == 30
 
 
 @pytest.mark.skipif(not issubclass(Rational, Fraction), reason="counts the Fraction subclass")

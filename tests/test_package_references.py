@@ -10,7 +10,9 @@ tests call belongs in the tests, where it can stay the reference route it
 is; the few reference routes kept in the package on purpose are listed in
 REFERENCE_ROUTES with the reason they stay.  The names that only a
 tracer string keeps in use are listed in TRACER_ONLY, so that the count
-of such names is seen and kept.
+of such names is seen and kept.  And every name that a package module
+imports is read there, or its line says "# noqa: F401" and it is one of
+NOQA_IMPORTS (pyflakes' unused-import check, on ast alone).
 """
 
 import ast
@@ -33,6 +35,12 @@ REFERENCE_ROUTES = {
 # next change to the benchmark.  (primitive_idempotents has a span too, but
 # the boundary example calls it.)
 TRACER_ONLY = {"solve_matrix", "has_zero_diagonal"}
+
+# Imported but not read in their module, each on a line marked
+# "# noqa: F401": bench/tracing.PATCHES wraps the first two in the module
+# that imports them, and campaign and cli import ALL_TYPES from parray.
+NOQA_IMPORTS = {"analysis.primitive_idempotents", "campaign.build_parameter_array",
+                "parray.ALL_TYPES"}
 
 
 def _names(nodes, strings=True):
@@ -112,3 +120,38 @@ def test_only_the_listed_names_live_on_tracer_strings():
               for key in unused_definitions(strings=False, roots=REFERENCE_ROUTES)}
     assert TRACER_ONLY <= unused
     assert unused_definitions(strings=False, roots=REFERENCE_ROUTES | TRACER_ONLY) == []
+
+
+def unread_imports():
+    """module.name of each name that a package module other than __init__
+    imports and never reads, split by whether its alias line is marked
+    "# noqa: F401"; the __future__ import is no name."""
+    marked, unmarked = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    noqa = "# noqa: F401" in lines[alias.lineno - 1]
+                    (marked if noqa else unmarked).add(f"{path.stem}.{name}")
+    return marked, unmarked
+
+
+def test_every_package_import_is_read():
+    """An import that its module never reads is dead, unless its line says
+    why it stays with "# noqa: F401"; and the marked ones are exactly
+    NOQA_IMPORTS, so a mark cannot outlive its reason or hide a new one."""
+    marked, unmarked = unread_imports()
+    assert unmarked == set()
+    assert marked == NOQA_IMPORTS

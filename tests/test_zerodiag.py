@@ -120,7 +120,7 @@ def test_matrix_t_and_product_hand_values():
     tm = linalg.mat_mul(t, m)
     assert tm[2] == ql([0, 2, 2, 0])
     apm = zerodiag.compute_apm(a, ts)
-    assert linalg.mat_eq(tm, zerodiag.matrix_l(apm, ts, QQ))
+    assert tm == zerodiag.matrix_l(apm, ts, QQ)
 
 
 def test_det_t_equals_dual_eigenvalue_gap():
@@ -197,7 +197,7 @@ def test_closed_dim1_expansion_identity(std_dim1):
     direct = [[x + QQ(3) * y for x, y in zip(ra, rb)] for ra, rb in zip(std.A, std.A_star)]
     for i in range(4):
         direct[i][i] = direct[i][i] - QQ(6)
-    assert linalg.mat_eq(gen, linalg.mat_scale(QQ(-3), direct))
+    assert gen == linalg.mat_scale(QQ(-3), direct)
 
 
 def test_dim2_closed_pair(std_dim2):
@@ -369,7 +369,7 @@ def test_span_elements_match_the_products():
             a_astar, linalg.mat_mul(std.A_star, std.A)]
         kernel = kernel_pairs(zerodiag.matrix_m(a, ts, ctx), std)
         for coeffs, x in kernel:
-            assert linalg.mat_eq(x, reference_combination(coeffs, std)), spec
+            assert x == reference_combination(coeffs, std), spec
         seen["kernel"] += len(kernel)
         # P1 = (A - a0 I)(A* - ts_d I) and P2 = (A - ad I)(A* - ts_0 I) are
         # rows 2 and 3 of T, and independent.
@@ -377,18 +377,18 @@ def test_span_elements_match_the_products():
         p2 = linalg.mat_mul(linalg.shift(std.A, a[d]), linalg.shift(std.A_star, ts[0]))
         t = zerodiag.matrix_t(a[0], a[d], ts[0], ts[d], ctx)
         for row, p in ((t[2], p1), (t[3], p2)):
-            assert linalg.mat_eq(matrix_of(zerodiag.ZCoefficients(*row), std), p), spec
+            assert matrix_of(zerodiag.ZCoefficients(*row), std) == p, spec
         assert linalg.rank([linalg.flatten(p1), linalg.flatten(p2)]) == 2, spec
         relation = relation_coefficients(spec)
         if relation is not None:
             u, v, _ = relation
-            assert linalg.mat_eq(closed_dim1(std, a, u, v), linalg.mat_sub(
-                linalg.mat_scale(u, p1), linalg.mat_scale(v, p2))), spec
+            assert closed_dim1(std, a, u, v) == linalg.mat_sub(
+                linalg.mat_scale(u, p1), linalg.mat_scale(v, p2)), spec
             seen["dim1"] += 1
         if len(kernel) == 2:
             pair = [linalg.shift(std.A, a[0]),
                     linalg.mat_sub(a_astar, linalg.mat_scale(a[0], std.A_star))]
-            assert all(map(linalg.mat_eq, closed_dim2(std, a[0]), pair)), spec
+            assert closed_dim2(std, a[0]) == pair, spec
             seen["dim2"] += 1
     assert min(seen.values()) > 0, seen
 
@@ -511,7 +511,7 @@ def test_products_commute_differently(std_dim1):
     _, std, _ = std_dim1
     aa = linalg.mat_mul(std.A, std.A_star)
     bb = linalg.mat_mul(std.A_star, std.A)
-    assert not linalg.mat_eq(aa, bb)
+    assert aa != bb
 
 
 def test_dependence_equivalences_routes(std_dim1, std_dim2, dual_hahn_spec):
@@ -569,4 +569,4 @@ def test_zspace_report_assembly(std_dim1):
     assert report.rank_m == 3
     assert report.dim_z == 1
     assert len(report.coeff_basis) == 1
-    assert linalg.mat_eq(report.L, linalg.mat_mul(report.T, report.M))
+    assert report.L == linalg.mat_mul(report.T, report.M)
