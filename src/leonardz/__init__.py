@@ -63,7 +63,6 @@ from .realization import (
 from .sampling import modes_for_type, sample_spec
 from .zerodiag import (
     APMData,
-    ZCoefficients,
     ZSpaceReport,
     build_zspace_report,
     compute_apm,

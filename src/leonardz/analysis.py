@@ -64,17 +64,10 @@ def factor_for_type(spec):
     return FAMILIES[spec.name].factor(spec.params, spec.d, spec.field)
 
 
-@dataclass
-class Pi2Witness:
-    i: int
-    j: int
-    delta: object
-    q_value: object
-    factor: object
-
-
 def verify_pi2(spec, arr=None, a=None, apm=None):
-    """Check delta(i,j) == Q(i,j) * factor exactly for all interior (i, j).
+    """Check delta(i,j) == Q(i,j) * factor exactly for all interior (i, j),
+    with factor = factor_for_type(spec), and return the sides: the map
+    {(i, j): (delta, Q)} for 1 <= i, j <= d - 1.
 
     Both sides factor through terms built once per index.  With the
     boundary products a_minus, a_plus of zerodiag.compute_apm,
@@ -83,11 +76,10 @@ def verify_pi2(spec, arr=None, a=None, apm=None):
     and c = (ts_0 - ts_d) / ((ts_0 - ts_1)(ts_{d-1} - ts_d)), q_expression
     is Q(i,j) = alpha_i alpha_j c (ts_i - ts_j).  Both sides are
     antisymmetric in (i, j) and vanish at i = j, so each pair i < j is
-    tested once and (j, i) gets the negated witness.  The witnesses come
-    in row-major order, and a failure names the first failing pair in that
-    order: a failure at (j, i) with j > i is one at (i, j) too.  A caller
-    that already holds the boundary products of a (InstanceChecks.apm)
-    passes them as apm.
+    tested once and (j, i) gets the negated sides.  A failure names the
+    first failing pair in row-major order: a failure at (j, i) with j > i
+    is one at (i, j) too.  A caller that already holds the boundary
+    products of a (InstanceChecks.apm) passes them as apm.
     """
     if arr is None:
         arr = build_parameter_array(spec)
@@ -113,8 +105,7 @@ def verify_pi2(spec, arr=None, a=None, apm=None):
                 raise IdentityFailure(i, j, delta, rhs)
             sides[i, j] = delta, q_val
             sides[j, i] = -delta, -q_val
-    return [Pi2Witness(i, j, *sides[i, j], factor)
-            for i in range(1, d) for j in range(1, d)]
+    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +241,10 @@ def analyze_instance(spec, arr=None, deep=False):
     are the left factors w_i of E_i, with V* = P^-1 U C for diagonal P
     and C.  No V, W or V* is formed, on any field: U holds cleared ints
     over Q, residues over GF(p) and field elements over GF(p^k).  The fast
-    path forms nothing of E and, of E*, only the entries v*_(i+1)[i] and
-    w*_i[i + 1], all the a-trace reads of w*_i A v*_i in either mode
+    path forms nothing of E.  Of E* it builds the closed form U once, in
+    either mode (Realization.u_star), and standard_basis_rep reads the
+    E* A E* band off it; the a-trace reads of w*_i A v*_i only the entries
+    v*_(i+1)[i] and w*_i[i + 1], off the pair's theta* and sup
     (intersection_a_trace).  standard_basis_rep runs before it, so that
     its closed form names a repeated theta* before the a-routes divide by
     theta*_i - theta*_(i+1).  The standard basis {E*_i u} takes the
@@ -339,7 +332,7 @@ def analyze_instance(spec, arr=None, deep=False):
     d2_pred = dim2_predicate(spec)
     flags["dim2_table_matches_rank"] = d2_pred == (dim_z == 2)
 
-    kernel_coeffs = [c.as_list() for c in zreport.coeff_basis]
+    kernel = zreport.coeff_basis
 
     relation_row = None
     if z_pred:
@@ -350,21 +343,19 @@ def analyze_instance(spec, arr=None, deep=False):
         flags["closed_generator_nonzero"] = (
             any(gen_diagonal) or zerodiag.band_nonzero(gen, ts, nums))
         flags["closed_generator_zero_diagonal"] = not any(gen_diagonal)
-        flags["closed_generator_in_kernel_span"] = linalg.in_row_span(
-            kernel_coeffs, gen.as_list())
+        flags["closed_generator_in_kernel_span"] = linalg.in_row_span(kernel, gen)
         if dim_z == 1:
-            flags["dim1_spans_match"] = linalg.same_row_span(kernel_coeffs, [gen.as_list()])
+            flags["dim1_spans_match"] = linalg.same_row_span(kernel, [gen])
 
     if dim_z == 2:
         flags["dim2_constant_a"] = all(x == a[0] for x in a)
         flags["dim2_kernel_structure"] = all(
-            c.f0 + c.f2 * a[0] == ctx.zero and c.f1 + c.f3 * a[0] == ctx.zero
-            for c in zreport.coeff_basis)
+            f0 + f2 * a[0] == ctx.zero and f1 + f3 * a[0] == ctx.zero
+            for f0, f1, f2, f3 in kernel)
         pair = zerodiag.closed_dim2_coefficients(a[0], ctx)
         flags["dim2_pair_zero_diagonal"] = not any(
             x for c in pair for x in zerodiag.combination_diagonal(c, ts, nums.a))
-        flags["dim2_pair_spans"] = linalg.same_row_span(
-            kernel_coeffs, [c.as_list() for c in pair])
+        flags["dim2_pair_spans"] = linalg.same_row_span(kernel, pair)
 
     sd_pred = self_dual_predicate(spec)
     spin = spin_predicate(spec)

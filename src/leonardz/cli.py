@@ -220,7 +220,7 @@ def render_analysis(chk):
     _matrix_lines(out, "T", chk.zreport.T, fmt)
     _matrix_lines(out, "L", chk.zreport.L, fmt)
     for k, coeffs in enumerate(chk.zreport.coeff_basis):
-        out.append(f"  kernel{k} = {_seq_line(fmt, coeffs.as_list())}")
+        out.append(f"  kernel{k} = {_seq_line(fmt, coeffs)}")
     for k, mtx in enumerate(chk.zreport.matrix_basis):
         _matrix_lines(out, f"Z{k}", mtx, fmt)
     out.append("predicates:")

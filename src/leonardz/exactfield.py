@@ -15,9 +15,19 @@ itself under gmpy2): 0.24 us on small ints and 0.56 us on 90-bit ones,
 against 0.48 and 0.86 us by the constructor (CPython 3.11, x86_64).
 Rationals.sample shares the value of a repeated draw.
 
+One protocol serves every field.  A context (FieldContext) is equal to
+another, and hashes, by its key: ("Q",), ("GF", p) or
+("GF", p, k, modulus).  Called on a str it parses the literal (parse),
+and on any other value it makes the element (_element); format gives an
+element's text and sample draws one.  So a context defines key,
+_element, parse, format and sample, and nothing else of the protocol.
 Prime and extension field elements are small immutable wrapper objects
-that support the usual operators, promote Python ints through the prime
-subfield, and refuse to combine across contexts.
+on _FiniteFieldElement, which gives the reflected - and / through the
+class's _coerce, and str and repr ("3 in GF(7)", "t+1 in GF(3^2)")
+through the context's format.  Each class keeps its own _coerce, ==,
+hash, bool and forward operators, which differ between the classes or
+take the fast paths below.  Elements promote Python ints through the
+prime subfield, and refuse to combine across contexts.
 
 The characteristic must be a prime below PRIME_BOUND, where Miller-Rabin
 with fixed bases is exact.  Rabin's test checks GF(p^k) moduli; the default
@@ -65,7 +75,8 @@ Element text grammar:
 
     rationals:  "5", "-3", "n/d"
     GF(p):      integer literals, reduced mod p (fractions "a/b" accepted)
-    GF(p^k):    polynomials in the generator t, e.g. "t+1", "2*t^2+t+4"
+    GF(p^k):    polynomials in the generator t, e.g. "t+1", "2*t^2+t+4",
+                with one optional sign per term ("-t+1"; not "t--1")
 
 Canonical output is str(x) for rationals ("n" or "n/d" with d > 1), the
 least nonnegative residue for GF(p), and a descending-degree polynomial
@@ -309,9 +320,22 @@ def _require_prime(p):
 
 
 class FieldContext:
-    """Base class for field contexts; subclasses define the element type."""
+    """Base class for field contexts: equality and hash by key, and the
+    literal dispatch of __call__.  A subclass defines key, _element,
+    parse, format and sample (module docstring)."""
 
     characteristic = None
+
+    def __call__(self, value):
+        if isinstance(value, str):
+            return self.parse(value)
+        return self._element(value)
+
+    def __eq__(self, other):
+        return isinstance(other, FieldContext) and other.key == self.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     @property
     def zero(self):
@@ -332,23 +356,16 @@ class Rationals(FieldContext):
     """The rational numbers, with exact arbitrary-precision arithmetic."""
 
     characteristic = 0
+    key = ("Q",)
 
     def __init__(self):
         self._samples = {}
 
-    def __call__(self, value):
-        if isinstance(value, str):
-            return self.parse(value)
+    def _element(self, value):
         return Rational(value)
 
     def label(self):
         return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
 
     def parse(self, text):
         m = _RATIONAL_RE.match(text.strip())
@@ -386,7 +403,27 @@ class Rationals(FieldContext):
         return x
 
 
-class PrimeFieldElement:
+class _FiniteFieldElement:
+    """The operators and text every finite-field element shares: the
+    reflected - and / through the class's _coerce, and str and repr
+    through the context's format."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __str__(self):
+        return self.field.format(self)
+
+    def __repr__(self):
+        return f"{self} in {self.field}"
+
+
+class PrimeFieldElement(_FiniteFieldElement):
     """Element of GF(p), stored as the least nonnegative residue."""
 
     __slots__ = ("value", "field")
@@ -425,9 +462,6 @@ class PrimeFieldElement:
         x.value, x.field = (self.value - other.value) % field.p, field
         return x
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         field = self.field
         if type(other) is not PrimeFieldElement or other.field is not field:
@@ -447,9 +481,6 @@ class PrimeFieldElement:
         x = _new(PrimeFieldElement)
         x.value, x.field = self.value * pow(other.value, -1, field.p) % field.p, field
         return x
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __pow__(self, n):
         if n < 0:
@@ -475,24 +506,16 @@ class PrimeFieldElement:
     def __bool__(self):
         return self.value != 0
 
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"{self.value} in {self.field}"
-
 
 class PrimeField(FieldContext):
     """The prime field GF(p)."""
 
     def __init__(self, p):
         _require_prime(p)
-        self.p = p
-        self.characteristic = p
+        self.p = self.characteristic = p
+        self.key = ("GF", p)
 
-    def __call__(self, value):
-        if isinstance(value, str):
-            return self.parse(value)
+    def _element(self, value):
         if isinstance(value, PrimeFieldElement):
             if value.field != self:
                 raise ContextMismatch(f"{self} vs {value.field}")
@@ -501,12 +524,6 @@ class PrimeField(FieldContext):
 
     def label(self):
         return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
 
     def parse(self, text):
         m = _RATIONAL_RE.match(text.strip())
@@ -655,10 +672,10 @@ def _reduced(coeffs, field):
     return x
 
 
-class ExtensionFieldElement:
+class ExtensionFieldElement(_FiniteFieldElement):
     """Element of GF(p^k), stored as a coefficient tuple (low degree first).
 
-    The field makes its elements (ExtensionField.__call__, _reduced).  In
+    The field makes its elements (ExtensionField._element, _reduced).  In
     a field with tables every element is one of the shared elements they
     hold, and log is its exponent over the field's primitive element g,
     None only on zero.  In a field past TABLE_BOUND log is always None.
@@ -668,7 +685,7 @@ class ExtensionFieldElement:
 
     def _coerce(self, other):
         """other as an element of this very field: an int through the prime
-        subfield, an element of an equal context by the field's __call__."""
+        subfield, an element of an equal context by the field's _element."""
         field = self.field
         if isinstance(other, int):
             subfield = field._subfield
@@ -718,9 +735,6 @@ class ExtensionFieldElement:
         z = field._zech[j + field._log_minus_one - i]
         return field._subfield[0] if z is None else field._elements[i + z]
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         field = self.field
         if type(other) is not ExtensionFieldElement or other.field is not field:
@@ -755,9 +769,6 @@ class ExtensionFieldElement:
             return self
         return field._elements[i - j]
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __pow__(self, n):
         field, i = self.field, self.log
         if i is not None:
@@ -789,12 +800,6 @@ class ExtensionFieldElement:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __str__(self):
-        return self.field.format(self)
-
-    def __repr__(self):
-        return f"{self} in {self.field}"
-
 
 class ExtensionField(FieldContext):
     """The extension field GF(p^k) with 2 <= k <= 8 and an irreducible modulus."""
@@ -824,6 +829,7 @@ class ExtensionField(FieldContext):
                 raise InvalidField(f"modulus must be monic of degree {k}")
             if not self._modulus_irreducible():
                 raise ReducibleModulus(f"modulus {self.modulus} is reducible over GF({p})")
+        self.key = ("GF", p, k, self.modulus)
         if p ** k <= TABLE_BOUND:
             self._elements, self._zech, self._interned, self._subfield = self._log_tables()
 
@@ -874,12 +880,10 @@ class ExtensionField(FieldContext):
         subfield = [zero] + [interned[(c,)] for c in range(1, p)]
         return elements + elements, zech + zech, interned, subfield
 
-    def __call__(self, value):
-        """The element of a literal, an element of this field, an int, or a
-        coefficient sequence (low degree first), reduced mod p and, when
-        longer than k, by the modulus."""
-        if isinstance(value, str):
-            return self.parse(value)
+    def _element(self, value):
+        """The element of an element of this field, an int, or a coefficient
+        sequence (low degree first), reduced mod p and, when longer than k,
+        by the modulus."""
         if isinstance(value, ExtensionFieldElement):
             if value.field != self:
                 raise ContextMismatch(f"{self} vs {value.field}")
@@ -901,25 +905,19 @@ class ExtensionField(FieldContext):
     def label(self):
         return f"GF({self.p}^{self.k})"
 
-    def __eq__(self, other):
-        return (isinstance(other, ExtensionField) and other.p == self.p
-                and other.k == self.k and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash(("GF", self.p, self.k, self.modulus))
-
     def parse(self, text):
         text = text.strip().replace(" ", "")
         if not text:
             raise ParseError("empty element literal")
-        if text[0] == "+":
-            text = text[1:]
         coeffs = [0] * self.k
-        for signed in re.finditer(r"([+-]?)([^+-]+)", text):
-            sign = -1 if signed.group(1) == "-" else 1
-            m = _TERM_RE.match(signed.group(2))
+        # One piece per term, each an optional sign and the term; the last
+        # match is the empty one at the end of the text.
+        for piece in re.findall(r"[+-]?[^+-]*", text)[:-1]:
+            term = piece.lstrip("+-")
+            m = _TERM_RE.match(term)
             if not m:
-                raise ParseError(f"bad term {signed.group(2)!r} in {text!r}")
+                raise ParseError(f"bad term {term!r} in {text!r}")
+            sign = -1 if piece[0] == "-" else 1
             if m.group(3) is not None:
                 c, e = _literal_int(m.group(3)), 0
             else:

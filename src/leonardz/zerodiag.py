@@ -5,6 +5,8 @@ eigenvalues and the diagonal intersection numbers, whose left null space
 parameterizes the elements f0*I + f1*A* + f2*A + f3*A*A* with vanishing
 projected diagonal; the boundary-product scalars (a_minus, a_plus); and
 the companion matrices T and L = T*M used for the dependence criterion.
+An element of Span{I, A*, A, A A*} is held as its coefficient vector,
+the list [f0, f1, f2, f3]: the row linalg ranks and the report prints.
 
 Everything here works in the standard basis {E*_i u}.  There A* is
 diag(theta*), A is tridiagonal with the intersection numbers
@@ -43,19 +45,6 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import DependenceDetected, ZeroDiagCheckFailed
-
-
-@dataclass
-class ZCoefficients:
-    """Coefficients of f0*I + f1*A_star + f2*A + f3*A*A_star."""
-
-    f0: object
-    f1: object
-    f2: object
-    f3: object
-
-    def as_list(self):
-        return [self.f0, self.f1, self.f2, self.f3]
 
 
 @dataclass
@@ -144,7 +133,7 @@ def combination_matrix(coeffs, nums, theta_star):
     X_ij = [i = j](f0 + f1 theta*_i) + A_ij (f2 + f3 theta*_j), with A the
     tridiagonal matrix of the intersection numbers nums.
     """
-    f0, f1, f2, f3 = coeffs.as_list()
+    f0, f1, f2, f3 = coeffs
     col = [f2 + f3 * t for t in theta_star]
     out = [[x * col[j] if x else x for j, x in enumerate(row)] for row in nums.matrix()]
     for i, t in enumerate(theta_star):
@@ -156,7 +145,7 @@ def combination_diagonal(coeffs, theta_star, a):
     """The diagonal entries X_ii = f0 + f1 theta*_i + a_i (f2 + f3 theta*_i)
     of f0*I + f1*A_star + f2*A + f3*A*A_star in the standard basis, from
     theta* and the diagonal a of A."""
-    f0, f1, f2, f3 = coeffs.as_list()
+    f0, f1, f2, f3 = coeffs
     return [f0 + f1 * t + x * (f2 + f3 * t) if x else f0 + f1 * t
             for t, x in zip(theta_star, a)]
 
@@ -167,32 +156,30 @@ def band_nonzero(coeffs, theta_star, nums):
     is nonzero: with the diagonal these are all the entries of X that can
     be nonzero, A being tridiagonal.  A product of field elements is
     nonzero exactly when both factors are."""
-    f2, f3 = coeffs.f2, coeffs.f3
+    _, _, f2, f3 = coeffs
     return any(b and f2 + f3 * theta_star[i + 1] or c and f2 + f3 * theta_star[i]
                for i, (b, c) in enumerate(zip(nums.b, nums.c)))
 
 
 def z_basis_kernel(m, a, theta_star, ctx):
-    """Basis of the zero diagonal space from the left null space of M, as
-    coefficient vectors.
+    """Basis of the zero diagonal space: the rows of the left null space
+    of M, each a coefficient vector [f0, f1, f2, f3].
 
-    Each kernel row is re-verified to have zero diagonal, read off theta*
-    and the diagonal a of the standard-basis A.
+    Each row is re-verified to have zero diagonal, read off theta* and the
+    diagonal a of the standard-basis A, and the rows checked are returned.
     """
-    out = []
-    for row in linalg.left_nullspace(m, ctx):
-        coeffs = ZCoefficients(*row)
-        if any(combination_diagonal(coeffs, theta_star, a)):
+    rows = linalg.left_nullspace(m, ctx)
+    for row in rows:
+        if any(combination_diagonal(row, theta_star, a)):
             raise ZeroDiagCheckFailed(
                 f"kernel element {[str(c) for c in row]} fails the diagonal check")
-        out.append(coeffs)
-    return out
+    return rows
 
 
 def closed_dim2_coefficients(a0, ctx):
     """Coefficients of the closed-form dim-2 pair A - a0*I and A @ A_star - a0*A_star."""
     zero, one = ctx.zero, ctx.one
-    return [ZCoefficients(-a0, zero, one, zero), ZCoefficients(zero, -a0, zero, one)]
+    return [[-a0, zero, one, zero], [zero, -a0, zero, one]]
 
 
 def closed_dim1_coefficients(arr, a, u, v):
@@ -204,7 +191,7 @@ def closed_dim1_coefficients(arr, a, u, v):
     """
     ts, d = arr.theta_star, arr.d
     t = matrix_t(a[0], a[d], ts[0], ts[d], arr.field)
-    return ZCoefficients(*(u * p1 - v * p2 for p1, p2 in zip(t[2], t[3])))
+    return [u * p1 - v * p2 for p1, p2 in zip(t[2], t[3])]
 
 
 def x_generators(nums, theta_star, ctx):
@@ -213,7 +200,7 @@ def x_generators(nums, theta_star, ctx):
     are the combination_matrix of the unit coefficient vectors; A* A is
     A with its rows scaled by theta*, as A* = diag(theta*)."""
     zero, one = ctx.zero, ctx.one
-    units = [ZCoefficients(*(one if k == i else zero for k in range(4))) for i in range(4)]
+    units = [[one if k == i else zero for k in range(4)] for i in range(4)]
     astar_a = [[x * t if x else x for x in row] for row, t in zip(nums.matrix(), theta_star)]
     return [combination_matrix(c, nums, theta_star) for c in units] + [astar_a]
 

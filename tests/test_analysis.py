@@ -117,10 +117,11 @@ def test_factor_sign_alternates_for_bannai_ito():
 
 def test_verify_pi2_all_exemplars(exemplar_specs):
     for spec in exemplar_specs.values():
-        witnesses = verify_pi2(spec)
-        assert len(witnesses) == (spec.d - 1) ** 2
-        for w in witnesses:
-            assert w.delta == w.q_value * w.factor
+        sides = verify_pi2(spec)
+        assert len(sides) == (spec.d - 1) ** 2
+        factor = factor_for_type(spec)
+        for delta, q_value in sides.values():
+            assert delta == q_value * factor
 
 
 def test_verify_pi2_fails_at_first_broken_pair(monkeypatch):
@@ -165,13 +166,12 @@ def test_verify_pi2_witnesses_match_the_unfactored_sides():
     for spec in pi2_samples():
         arr = build_parameter_array(spec)
         a = intersection_a_closed(arr)
-        witnesses = verify_pi2(spec, arr, a)
+        sides = verify_pi2(spec, arr, a)
         interior = range(1, spec.d)
-        assert [(w.i, w.j) for w in witnesses] == [(i, j) for i in interior for j in interior]
-        for w in witnesses:
-            assert w.delta == pi2_delta(a, arr.theta_star, w.i, w.j), (spec, w)
-            assert w.q_value == q_expression(arr.theta_star, w.i, w.j), (spec, w)
-            assert w.factor == factor_for_type(spec)
+        assert sorted(sides) == [(i, j) for i in interior for j in interior]
+        for (i, j), (delta, q_value) in sides.items():
+            assert delta == pi2_delta(a, arr.theta_star, i, j), (spec, i, j)
+            assert q_value == q_expression(arr.theta_star, i, j), (spec, i, j)
         checked += 1
     assert checked == 130 + 2 * 12
 
@@ -203,8 +203,8 @@ def test_verify_pi2_failure_matches_the_unfactored_loop(monkeypatch):
 def test_verify_pi2_zero_delta_under_forced_condition():
     rng = random.Random("forced")
     spec = sample_spec(LeonardType.Q_RACAH, 4, QQ, rng, mode="z:s_star=r1^2")
-    for w in verify_pi2(spec):
-        assert w.delta == QQ(0)
+    for delta, _ in verify_pi2(spec).values():
+        assert delta == QQ(0)
 
 
 # -- predicates ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import shlex
 
 from leonardz.campaign import render_report, run_campaign
@@ -152,3 +153,61 @@ def test_failing_trial_prints_a_replay_that_parses_back(monkeypatch):
         args = parser.parse_args(cli._attach_element_values(argv[1:], parser.analyze_options))
         replayed = spec_from_mapping(cli._spec_mapping_from_args(args))
         assert spec_to_mapping(replayed) == spec_to_mapping(spec)
+
+
+def test_exhausted_sampling_skips_the_trial_and_the_run_passes(monkeypatch):
+    from leonardz import campaign
+    from leonardz.errors import SamplingExhausted
+
+    draw, calls = campaign.sample_spec, []
+
+    def exhausted_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise SamplingExhausted("no valid draw in 3 tries")
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "sample_spec", exhausted_once)
+    report = run_campaign(types=[LeonardType.KRAWTCHOUK], d_min=3, d_max=3,
+                          trials=3, seed=11)
+    lines = render_report(report).splitlines()
+    first = report.cells[0]
+    assert (first.passes, first.skipped, first.failures) == (2, 1, [])
+    n = lines.index("cells:") + 1
+    assert lines[n].endswith(" trials=3 passes=2 skipped=1 failures=0")
+    assert lines[n + 1] == "    skip: trial 1: no valid draw in 3 tries"
+    assert "  skipped = 1" in lines and lines[-1] == "result: PASS"
+
+
+def test_missed_forced_expectations_fail_with_a_replay(monkeypatch):
+    # Every cell draws in generic mode, so a cell that forces a condition
+    # meets an instance without it.
+    from leonardz import campaign, cli
+
+    draw = campaign.sample_spec
+    monkeypatch.setattr(campaign, "sample_spec", lambda name, d, ctx, rng, height, mode:
+                        draw(name, d, ctx, rng, height, "generic"))
+    report = run_campaign(types=[LeonardType.Q_RACAH, LeonardType.KRAWTCHOUK],
+                          d_min=3, d_max=3, trials=1, seed=3)
+    not_self_dual = "forced self-duality not detected"
+    expected = {
+        ("q-racah", "generic"): [],
+        ("q-racah", "z:s_star=r1^2"): ["forced condition z:s_star=r1^2 but dim Z = 0"],
+        ("q-racah", "z:s_star=r2^2"): ["forced condition z:s_star=r2^2 but dim Z = 0"],
+        ("q-racah", "dim2"): ["forced dim2 but dim Z = 0"],
+        ("q-racah", "self-dual"): [not_self_dual],
+        ("q-racah", "self-dual-spin"): [not_self_dual, "forced spin condition but spin is false"],
+        ("krawtchouk", "generic"): [],
+        ("krawtchouk", "dim2"): ["forced dim2 but dim Z = 1"],
+        ("krawtchouk", "self-dual"): [not_self_dual, "self-dual krawtchouk must have spin"],
+    }
+    assert {(c.type_name, c.mode): [f.removeprefix("trial 0: ") for f in c.failures]
+            for c in report.cells} == expected
+    lines = render_report(report).splitlines()
+    assert lines[-1] == "result: FAIL"
+    n = lines.index("    failure: trial 0: forced condition z:s_star=r1^2 but dim Z = 0")
+    replay = lines[n + 1].removeprefix("    replay: ")
+    assert replay.startswith("leonardz analyze --type q-racah --d 3 ")
+    out = io.StringIO()
+    assert cli.main(shlex.split(replay)[1:], stdout=out) == cli.EXIT_OK
+    assert "  dim_Z = 0\n" in out.getvalue()

@@ -205,6 +205,24 @@ KRAW = ["--type", "krawtchouk", "--d", "3", "--param", "s=1",
         "--param", "s_star=1", "--param", "r=2"]  # KRAW[:-2] leaves r out
 
 
+def gf25_dual_q_krawtchouk(**literals):
+    """A valid dual q-Krawtchouk analyze line over GF(5^2), with the
+    parameters named in literals given as those literals."""
+    params = {"q": "t", "h": "t+4", "h_star": "1", "s": "t", **literals}
+    argv = ["analyze", "--type", "dual-q-krawtchouk", "--d", "3", "--field", "GF(5^2)"]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value}"]
+    return argv
+
+
+NO_D = ["analyze"] + KRAW[:2] + KRAW[4:]
+D_MAX_BELOW_D_MIN = ["verify-tables", "--d-min", "5", "--d-max", "4", "--trials", "1"]
+NO_TRIALS = ["verify-tables", "--trials", "0"]
+ORPHAN_D4 = ["analyze", "--type", "orphan", "--d", "4", "--field", "GF(2^2)",
+             "--param", "h=1", "--param", "h_star=1", "--param", "s=t",
+             "--param", "s_star=t", "--param", "r=t+1"]
+
+
 @pytest.mark.parametrize("argv, config, expected", [
     (["analyze", "--field", "GF(4)"] + KRAW, None, EXIT_INVALID_SPEC),
     (["analyze", "--field", "GF(2^40)"] + KRAW, None, EXIT_INVALID_SPEC),
@@ -239,12 +257,24 @@ KRAW = ["--type", "krawtchouk", "--d", "3", "--param", "s=1",
     (["verify-tables", "--types", "bogus", "--trials", "1"], None, EXIT_USAGE),
     (["verify-tables", "--config", "{cfg}"], "types = krawtchouk,nope\ntrials = 1\n",
      EXIT_USAGE),
+    (gf25_dual_q_krawtchouk(q="+"), None, EXIT_INVALID_SPEC),
+    (gf25_dual_q_krawtchouk(q="-"), None, EXIT_INVALID_SPEC),
+    (gf25_dual_q_krawtchouk(h_star="1-"), None, EXIT_INVALID_SPEC),
+    (gf25_dual_q_krawtchouk(s="t+"), None, EXIT_INVALID_SPEC),
+    (gf25_dual_q_krawtchouk(h="t--1"), None, EXIT_INVALID_SPEC),
+    (gf25_dual_q_krawtchouk(q="-+t"), None, EXIT_INVALID_SPEC),
+    (NO_D, None, EXIT_USAGE),
+    (D_MAX_BELOW_D_MIN, None, EXIT_USAGE),
+    (NO_TRIALS, None, EXIT_USAGE),
+    (ORPHAN_D4, None, EXIT_INVALID_SPEC),
 ], ids=["gf4", "gf2^40", "gf-x", "gf-psi13", "gf-2^89-1-squared",
         "gf-5000-digit-p", "gf-5000-digit-k", "param-x", "q-5000-digit-literal",
         "gf-p-5000-digit-literal", "gf-pk-5000-digit-literal", "config-nul",
         "height-0", "config-d", "config-d-min", "config-not-utf8",
         "no-types", "empty-types", "no-cells", "config-no-types", "config-no-cells",
-        "unknown-type", "config-unknown-type"])
+        "unknown-type", "config-unknown-type", "gf-pk-lone-plus", "gf-pk-lone-minus",
+        "gf-pk-trailing-minus", "gf-pk-trailing-plus", "gf-pk-doubled-minus",
+        "gf-pk-minus-plus", "no-d", "d-max-below-d-min", "trials-0", "orphan-d-4"])
 def test_bad_input_is_one_line_error(tmp_path, argv, config, expected):
     cfg = tmp_path / "bad.cfg"
     if isinstance(config, str):
@@ -257,6 +287,40 @@ def test_bad_input_is_one_line_error(tmp_path, argv, config, expected):
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (gf25_dual_q_krawtchouk(q="-+t"), "invalid spec (ParseError): bad term '' in '-+t'"),
+    (NO_D, "usage error: missing --d (or a config with a d key)"),
+    (D_MAX_BELOW_D_MIN, "usage error: --d-max must be at least --d-min"),
+    (NO_TRIALS, "usage error: --trials must be at least 1"),
+    (ORPHAN_D4, "invalid spec (InvalidSpec): orphan:d: d must be 3; got 4"),
+], ids=["gf-pk-minus-plus", "no-d", "d-max-below-d-min", "trials-0", "orphan-d-4"])
+def test_bad_input_names_its_cause(argv, message):
+    assert run_cli(argv)[2] == message + "\n"
+
+
+def test_one_signed_term_per_piece_parses():
+    # The line the sign rows of test_bad_input_is_one_line_error bend is
+    # valid, and so is one with a leading +, a leading - and "2t".
+    for literals, shown in (({}, "  q = t\n  h = t+4\n"),
+                            ({"q": "+t", "h": "-t+1", "s": "2t"}, "  q = t\n  h = 4*t+1\n")):
+        code, out, _ = run_cli(gf25_dual_q_krawtchouk(**literals))
+        assert code == EXIT_OK and shown in out and out.endswith("result: OK\n")
+
+
+def test_internal_consistency_failure_exits_3(monkeypatch):
+    from leonardz import cli
+    from leonardz.errors import TableInconsistency
+
+    def inconsistent(spec, deep=False):
+        raise TableInconsistency("spin routes disagree on krawtchouk")
+
+    monkeypatch.setattr(cli, "analyze_instance", inconsistent)
+    code, out, err = run_cli(["analyze", "--field", "Q"] + KRAW)
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert err == ("internal consistency failure (TableInconsistency): "
+                   "spin routes disagree on krawtchouk\n")
 
 
 def test_bad_seed_env_is_usage_error(monkeypatch):

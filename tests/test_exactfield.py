@@ -3,6 +3,7 @@ import math
 import operator
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -73,6 +74,29 @@ def test_field_arith_division_by_zero():
         field_arith(GF7(1), GF7(0), "div")
     with pytest.raises(DivisionByZero):
         field_arith(GF4(1), GF4(0), "div")
+
+
+def test_contexts_compare_and_hash_by_key():
+    twins = [(Rationals(), Rationals()), (PrimeField(7), PrimeField(7)),
+             (ExtensionField(3, 2), ExtensionField(3, 2))]
+    for one, other in twins:
+        assert one is not other and one == other and hash(one) == hash(other)
+    other_modulus = ExtensionField(2, 4, (1, 1, 1, 1, 1))
+    assert ExtensionField(2, 4) != other_modulus and other_modulus == other_modulus
+    assert PrimeField(7) != ExtensionField(7, 2) and PrimeField(7) != Rationals()
+    assert PrimeField(7) != "GF(7)"
+
+
+def test_element_text_and_literal_calls():
+    gf9 = ExtensionField(3, 2)
+    assert repr(GF7(3)) == "3 in GF(7)" and str(GF7(3)) == "3"
+    assert repr(gf9.parse("t+1")) == "t+1 in GF(3^2)" and str(gf9.zero) == "0"
+    x = GF7("3")
+    assert x == GF7(3) and x.field is GF7
+    assert GF7(x) is x and PrimeField(7)(x) == x
+    with pytest.raises(ContextMismatch):
+        PrimeField(11)(x)
+    assert QQ("-2/4") == Fraction(-1, 2) and QQ(3) == 3
 
 
 def test_context_mismatch():
@@ -285,6 +309,14 @@ def test_parse_extension_field_polynomials():
     assert x == gf8.generator ** 2 + gf8.generator + 1
     with pytest.raises(ParseError):
         GF4.parse("t^5")
+    gf9 = ExtensionField(3, 2)
+    t = gf9.generator
+    assert (gf9.parse("+t"), gf9.parse("-t+1"), gf9.parse("2t")) == (t, 1 - t, 2 * t)
+    # One sign per term: a sign with no term after it, or a second sign
+    # before a term, leaves an empty term.
+    for text in ("+", "-", "1-", "t+", "t--1", "-+t"):
+        with pytest.raises(ParseError, match=f"^bad term '' in '{re.escape(text)}'$"):
+            gf9.parse(text)
 
 
 @pytest.mark.parametrize("text", ["-52/81", "0", "7", "1/2"])
